@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all bench-smoke metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke shm-smoke delivery-smoke
+.PHONY: test test-all bench-smoke bench-e2e-smoke bench-e2e metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke shm-smoke delivery-smoke
 
 test: metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke shm-smoke delivery-smoke
 	$(PYTEST) -q -m "not slow"
@@ -17,6 +17,23 @@ test-all:
 # plain speedup assertion plus the timed benchmark in one file).
 bench-smoke:
 	REPRO_SCALE=0.004 PYTHONPATH=src:. $(PYTHON) -m pytest -q --benchmark-disable benchmarks/bench_sharding.py benchmarks/bench_shm.py
+
+# The end-to-end benchmark's own checks (BENCHMARK.json +
+# benchmarks/e2e/): every workload built at reduced scale, oracle-gated
+# and run once through the command the acceptance driver uses.
+bench-e2e-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e
+
+# The full traced A/A of this checkout: runs dealt round-robin over the
+# four workloads, then every metric's medians and spreads judged against
+# the declared bounds (exit 1 on `worse` or `unresolved`). For a
+# parent/change comparison pass two checkouts to suite.py by hand
+# (benchmarks/e2e/README.md).
+E2E_OUT := benchmarks/e2e/out
+bench-e2e:
+	mkdir -p $(E2E_OUT)
+	$(PYTHON) benchmarks/e2e/suite.py --trace 1 $(E2E_OUT)/A.json $(E2E_OUT)/B.json
+	$(PYTHON) benchmarks/e2e/compare.py $(E2E_OUT)/A.json $(E2E_OUT)/B.json
 
 # End-to-end observability check: generate a tiny workload, run the CLI
 # with --metrics-out, and validate the snapshot against the checked-in
@@ -61,7 +78,7 @@ batch-smoke:
 	PYTHONPATH=src $(PYTHON) examples/batch_smoke.py
 
 # End-to-end process-executor check: 10k events over 4 worker processes
-# through all three submission modes, differentially checked against
+# through both match entry points, differentially checked against
 # the oracle, plus one induced worker SIGKILL driven through the
 # degrade -> quarantine -> respawn -> converge lifecycle. Part of
 # tier-1 (`make test` runs it alongside the other smokes).

@@ -19,32 +19,19 @@ Which inner engine benefits is itself a result:
   placement but no pruning, so every event pays the full fan-out.
 
 The process lane (``executor="process"``) runs the sweep with one
-worker process per shard.  Its timed sweep uses batched submission
-(events cross the pipe as packed bit matrices); its speedup assertion
-uses ``match_serial`` — pipelined scalar commands, the single-lane mode
-whose per-event cost tracks each worker's resident population — so the
-affinity pruning compounds with the per-worker population cut.  The
-``BENCH_PROCPOOL.json`` snapshot records both executors side by side.
+worker process per shard and batched submission (events cross the pipe
+as packed bit matrices).
 
 Run: ``pytest benchmarks/bench_sharding.py --benchmark-only`` for the
 timed sweep, or plain ``pytest benchmarks/bench_sharding.py`` for the
-speedup assertions (thread ≥1.5×, process ≥2.5× at 4 shards vs 1 shard).
+speedup assertion (thread ≥1.5× at 4 shards vs 1 shard).
 """
-
-import time
 
 import pytest
 
 from benchmarks.conftest import match_events, scaled
 from repro.bench.experiments.common import materialize
-from repro.bench.harness import (
-    bench_snapshot_path,
-    load_subscriptions,
-    matcher_for,
-    measure_matching,
-)
-from repro.obs.check import validate_file
-from repro.obs.export import write_json_snapshot
+from repro.bench.harness import load_subscriptions, matcher_for, measure_matching
 from repro.workload.scenarios import w0
 
 N_EVENTS = 40
@@ -153,92 +140,3 @@ def test_sharding_sweep_process_executor(benchmark, shards):
     benchmark.extra_info["matches_per_batch"] = total
     benchmark.extra_info["executor"] = "process"
     matcher.close()
-
-
-def _serial_throughput(matcher, events, reps=5):
-    """Best-of-*reps* events/second through ``match_serial``."""
-    matcher.match_serial(events[:4])  # warm the workers and the route cache
-    best = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        matcher.match_serial(events)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return len(events) / best
-
-
-def test_process_executor_speedup_at_4_shards():
-    """The process-lane headline: ≥2.5× single-lane event throughput at
-    4 process shards vs. the 1-shard process baseline, counting inner, W0.
-
-    Timed directly (no benchmark fixture) so the claim is checked under
-    plain pytest.  The lane is ``match_serial`` — scalar-semantics
-    streaming, one ``match`` command per event pipelined over each
-    worker's ordered pipe — because that is the submission mode whose
-    per-event cost tracks the resident population: the affinity router
-    sends every event to exactly one worker holding |S|/4 subscriptions,
-    so each worker counts over a quarter of the set (the batch kernel
-    would flatten this dependence, and on a single-core runner its four
-    serialized sub-batch invocations cap the win far lower).  Thread
-    fan-out is disabled (``parallel=False``) so the comparison isolates
-    partitioning economics from poller-thread wakeup churn.  The
-    hash-routed thread lane is measured alongside as the no-pruning
-    control, and the whole comparison is written to
-    ``BENCH_PROCPOOL.json`` in the standard (schema-validated)
-    metrics-snapshot format.
-    """
-    if scaled(400_000) < 8_000:
-        pytest.skip(
-            "the process-lane ratio needs the 64k-subscription population "
-            "floor; at smoke scale (REPRO_SCALE < 0.02) loading it over "
-            "the worker pipes would dwarf the run"
-        )
-    spec = w0(seed=0)
-    n = max(64_000, scaled(400_000))
-    subs, events = materialize(spec, n, 96)
-    registry = None
-    lanes = {}
-
-    def throughput(shards, router, executor):
-        nonlocal registry
-        matcher = matcher_for(
-            "sharded",
-            spec,
-            shards=shards,
-            router=router,
-            inner="counting",
-            executor=executor,
-            parallel=False,
-        )
-        if executor == "process" and shards == 4:
-            registry = matcher.use_metrics()
-        load_subscriptions(matcher, subs)
-        best = _serial_throughput(matcher, events)
-        matcher.close()
-        return best
-
-    for shards in (1, 4):
-        lanes[f"process-affinity-{shards}"] = throughput(shards, "affinity", "process")
-        lanes[f"thread-hash-{shards}"] = throughput(shards, "hash", "thread")
-    base = lanes["process-affinity-1"]
-    wide = lanes["process-affinity-4"]
-    lanes["process_speedup"] = wide / base
-    lanes["thread_hash_speedup"] = lanes["thread-hash-4"] / lanes["thread-hash-1"]
-    snapshot = bench_snapshot_path("procpool")
-    write_json_snapshot(
-        registry,
-        snapshot,
-        context={
-            "workload": "W0",
-            "n_subscriptions": n,
-            "n_events": len(events),
-            "inner": "counting",
-            "results": lanes,
-        },
-    )
-    errors = validate_file(snapshot, "schemas/metrics_snapshot.schema.json")
-    assert not errors, f"BENCH_PROCPOOL.json violates the snapshot schema: {errors}"
-    assert wide >= 2.5 * base, (
-        f"4-shard process throughput {wide:.0f} ev/s is under 2.5x the "
-        f"1-shard process baseline {base:.0f} ev/s"
-    )

@@ -13,9 +13,9 @@ The workload here is deliberately **transport-bound**: a small resident
 population (phase 2 is near-free) under wide, all-numeric events, so
 the measured gap is the data plane's — pack-once vs. pickle-per-shard —
 rather than the matching kernel's.  The compute-bound regime, where the
-worker kernels dominate and the transports converge, is covered by
-``BENCH_PROCPOOL.json``; the codec decision table in
-``docs/scaling.md`` summarizes both.
+worker kernels dominate and the transports converge, is covered by the
+process sweep in ``benchmarks/bench_sharding.py``; the codec decision
+table in ``docs/scaling.md`` summarizes both.
 
 Run ``pytest benchmarks/bench_shm.py`` for the headline assertion
 (shm ≥ 2× pipe-auto batched throughput at 4 shards); the run writes
@@ -43,7 +43,7 @@ N_ATTRS = 24
 PAIRS_PER_EVENT = 8
 #: Resident population: fixed (not REPRO_SCALE-scaled) because this
 #: bench isolates the data plane; growing it would shift the cost into
-#: the phase-2 kernels that BENCH_PROCPOOL already measures.
+#: the phase-2 kernels that bench_sharding's process sweep measures.
 N_SUBS = 50
 REPS = 3
 

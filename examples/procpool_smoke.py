@@ -3,9 +3,9 @@
 Drives the process-per-shard backend once, at real volume:
 
 1. **Differential volume check** — 10,000 W0 events cross the worker
-   pipes of a 4-shard process :class:`ShardedMatcher` through all three
-   submission modes (batched bit-matrix, pipelined ``match_serial``,
-   scalar ``match``) and must agree event-for-event with a brute-force
+   pipes of a 4-shard process :class:`ShardedMatcher` through both
+   entry points (batched bit-matrix ``match_batch``, scalar ``match``)
+   and must agree event-for-event with a brute-force
    oracle: the transport may reorder ids within one event's result,
    never change the set.
 2. **Worker-death lifecycle** — a breaker-guarded 2-shard process
@@ -58,7 +58,7 @@ def norm(ids):
 
 
 def volume_stage():
-    """10k events through the pipes, three submission modes, vs oracle."""
+    """10k events through the pipes, both entry points, vs oracle."""
     spec = dense_spec()
     subs, events = materialize(spec, N_SUBS, N_EVENTS)
     oracle = OracleMatcher()
@@ -93,12 +93,6 @@ def volume_stage():
             if norm(ids) != want:
                 fail(f"batch: event {row} matched {norm(ids)!r}, oracle {want!r}")
         print("  batched bit-matrix lane: OK")
-
-        serial = matcher.match_serial(events[:1_000])
-        for row, (ids, want) in enumerate(zip(serial, expected)):
-            if norm(ids) != want:
-                fail(f"serial: event {row} matched {norm(ids)!r}, oracle {want!r}")
-        print("  pipelined match_serial lane: OK")
 
         for row in range(0, 200, 4):
             ids = matcher.match(events[row])

@@ -224,13 +224,6 @@ class AggregatingMatcher(Matcher):
         hits = self._inner.match_batch(events)
         return [self._expand(h, e) for h, e in zip(hits, events)]
 
-    def match_serial(self, events: Sequence[Event]) -> List[List[Any]]:
-        """Scalar-semantics streaming, when the inner engine offers it."""
-        serial = getattr(self._inner, "match_serial", None)
-        if serial is None:
-            return [self.match(e) for e in events]
-        return [self._expand(h, e) for h, e in zip(serial(events), events)]
-
     def _expand(self, hits: List[Any], event: Event) -> List[Any]:
         """Frontier hits (inner group ids) → raw subscriber ids.
 

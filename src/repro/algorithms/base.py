@@ -12,6 +12,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.batch.columns import ColumnarBatch
 from repro.batch.evaluator import BatchPredicateEvaluator
 from repro.core.bitvector import BitVector
 from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
@@ -169,8 +170,19 @@ class TwoPhaseMatcher(Matcher):
         return self._batch_eval
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        events = list(events)
-        if not events:
+        """The vectorized kernel, straight off a ``ColumnarBatch`` when
+        given one.
+
+        For a columnar batch phase 1 runs on the column matrices
+        without ever building Event objects; phase 2 materializes them
+        only when the engine's cluster walk reads event contents
+        (:attr:`phase2_needs_events`) — otherwise the batch itself
+        stands in (it has ``len``).
+        """
+        columnar = isinstance(events, ColumnarBatch)
+        if not columnar:
+            events = list(events)
+        if not len(events):
             return []
         if self.tracer.enabled:
             # Per-event spans need the scalar path; keep tracing exact.
@@ -178,30 +190,11 @@ class TwoPhaseMatcher(Matcher):
                 self._mb_fallback.inc()
             return [self.match(e) for e in events]
         t0 = time.perf_counter_ns()
-        truth = self._batch_evaluator().evaluate(
-            events, self.bits.size, out=self._scratch(len(events))
-        )
-        return self._finish_batch(events, truth, t0)
-
-    def match_batch_columnar(self, batch: Any) -> List[List[Any]]:
-        """:meth:`match_batch` straight off a ``ColumnarBatch``.
-
-        Phase 1 runs on the column matrices without ever building Event
-        objects; phase 2 materializes them only when the engine's
-        cluster walk reads event contents (:attr:`phase2_needs_events`)
-        — otherwise the batch itself stands in (it has ``len``).
-        """
-        if not len(batch):
-            return []
-        if self.tracer.enabled:
-            if self.metrics.enabled:
-                self._mb_fallback.inc()
-            return [self.match(e) for e in batch.to_events()]
-        t0 = time.perf_counter_ns()
-        truth = self._batch_evaluator().evaluate_columnar(
-            batch, self.bits.size, out=self._scratch(len(batch))
-        )
-        events = batch.to_events() if self.phase2_needs_events else batch
+        evaluator = self._batch_evaluator()
+        evaluate = evaluator.evaluate_columnar if columnar else evaluator.evaluate
+        truth = evaluate(events, self.bits.size, out=self._scratch(len(events)))
+        if columnar and self.phase2_needs_events:
+            events = events.to_events()
         return self._finish_batch(events, truth, t0)
 
     def _scratch(self, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +62,11 @@ class ColumnarBatch:
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
+
+    def __iter__(self) -> Iterator[Event]:
+        """The object-path fallback: a batch iterates as its events, so
+        any ``match_batch`` that is not column-aware still accepts it."""
+        return iter(self.to_events())
 
     @property
     def n_attrs(self) -> int:

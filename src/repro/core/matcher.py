@@ -92,10 +92,6 @@ class Matcher(abc.ABC):
             n += 1
         return n
 
-    def match_all(self, events: Iterable[Event]) -> List[List[Any]]:
-        """Match a batch of events; returns one id-list per event."""
-        return self.match_batch(list(events))
-
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
         """Match *events* as one batch; returns one id-list per event.
 
@@ -108,21 +104,14 @@ class Matcher(abc.ABC):
         two-phase engines override it with the vectorized kernel
         (``repro.batch``), and wrappers forward it so batches reach the
         kernel through locks, shards and fault injectors.
+
+        *events* may also be a ``repro.batch.columns.ColumnarBatch``
+        (what a process-executor worker holds): it has a length and
+        iterates as its events.  Only the two-phase engines read the
+        columns directly; every other implementation — this default
+        included — iterates, which materializes the events.
         """
         return [self.match(e) for e in events]
-
-    def match_batch_columnar(self, batch: Any) -> List[List[Any]]:
-        """Match a columnar batch (``repro.batch.columns.ColumnarBatch``).
-
-        Same per-event contract as :meth:`match_batch`.  The default
-        materializes event objects and delegates — so every wrapper and
-        fault injector that forwards :meth:`match_batch` stays on the
-        observed path — while two-phase engines override it to feed the
-        columns straight into the vectorized predicate phase.  Callers
-        (the process-executor workers) hold batches that already exist
-        in columnar form; anything else should call :meth:`match_batch`.
-        """
-        return self.match_batch(batch.to_events())
 
     # ------------------------------------------------------------------
     # observability

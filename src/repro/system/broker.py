@@ -4,8 +4,9 @@ Implements the system model of Section 1: a stream of subscriptions and
 a stream of events, each valid for an interval.  Two complementary
 functionalities:
 
-* ``publish`` — find the live subscriptions the event satisfies and
-  notify their owners (optionally retaining the event);
+* ``publish_batch`` (``publish`` is a batch of one) — find the live
+  subscriptions each event satisfies and notify their owners
+  (optionally retaining the event);
 * ``subscribe`` — register the subscription and, when events are being
   retained, immediately evaluate it against the still-valid events
   (retroactive notifications).
@@ -20,10 +21,12 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
+import threading
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -46,7 +49,7 @@ from repro.matchers.dynamic import DynamicMatcher
 from repro.system.clock import Clock, SystemClock
 from repro.system.delivery import DeliveryManager
 from repro.system.event_store import EventStore
-from repro.system.notifier import Notification, Notifier, QueueNotifier
+from repro.system.notifier import Notification, Notifier, NullNotifier, QueueNotifier
 from repro.system.resilience import PartialResults
 
 if TYPE_CHECKING:  # runtime import would be circular (wal → snapshot → broker)
@@ -112,6 +115,9 @@ class PubSubBroker:
         #: around every durability-relevant step; raising from it
         #: simulates a crash at that exact point.
         self.crash_hook: Optional[Callable[[str], None]] = None
+        #: Guards every stage that touches broker state; the engine's
+        #: ``match_batch`` runs outside it (see :meth:`publish_batch`).
+        self._lock = threading.RLock()
         self._events = EventStore()
         self._sub_expiry_heap: List[Tuple[float, Any]] = []
         self._sub_expires: Dict[Any, float] = {}
@@ -170,7 +176,10 @@ class PubSubBroker:
     # ------------------------------------------------------------------
     def purge_expired(self) -> int:
         """Drop every expired subscription and event; returns subs dropped."""
-        now = self.clock.now()
+        with self._lock:
+            return self._expire(self.clock.now())
+
+    def _expire(self, now: float) -> int:
         self._events.purge(now)
         dropped = 0
         heap = self._sub_expiry_heap
@@ -180,7 +189,13 @@ class PubSubBroker:
             expires = self._sub_expires.get(sub_id)
             if expires is not None and expires <= now:
                 del self._sub_expires[sub_id]
-                self._logical_of.pop(sub_id, None)
+                logical = self._logical_of.pop(sub_id, None)
+                if logical is not None:
+                    # The formula goes with its last live disjunct.
+                    siblings = self._formula_disjuncts[logical]
+                    siblings.remove(sub_id)
+                    if not siblings:
+                        del self._formula_disjuncts[logical]
                 try:
                     self.matcher.remove(sub_id)
                     dropped += 1
@@ -194,6 +209,19 @@ class PubSubBroker:
             # so recovery's crash-time estimate keeps pace.
             self.wal.append_anchor(now)
         return dropped
+
+    def _trim_expiry_heap(self) -> None:
+        """Rebuild the heap once stale entries outnumber live ones.
+
+        An explicit unsubscribe leaves its heap entry behind until the
+        deadline; under join/leave churn with long ttls that is
+        unbounded growth.  Rebuilding at 2x keeps it amortized O(1).
+        """
+        if len(self._sub_expiry_heap) > 2 * len(self._sub_expires):
+            self._sub_expiry_heap = [
+                (expires_at, sub_id) for sub_id, expires_at in self._sub_expires.items()
+            ]
+            heapq.heapify(self._sub_expiry_heap)
 
     # ------------------------------------------------------------------
     # subscribe / unsubscribe
@@ -210,33 +238,34 @@ class PubSubBroker:
         are retained, still-valid past events are matched immediately and
         notified (set ``notify_retained=False`` to skip).
         """
-        self.purge_expired()
-        if not isinstance(subscription, Subscription):
-            preds = list(subscription)
-            if not preds:
-                raise InvalidSubscriptionError("empty predicate list")
-            subscription = Subscription(f"sub-{next(self._auto_id)}", preds)
-        ttl = self.default_subscription_ttl if ttl is None else ttl
-        if ttl is not None and ttl <= 0:
-            raise ExpiredError(f"subscription ttl must be positive, got {ttl}")
-        self._crash_point("subscribe:pre-apply")
-        self.matcher.add(subscription)
-        if ttl is not None:
-            expires_at = self.clock.now() + ttl
-            self._sub_expires[subscription.id] = expires_at
-            heapq.heappush(self._sub_expiry_heap, (expires_at, subscription.id))
-        self.counters["subscribed"] += 1
-        if self._wal_active():
-            # Applied-then-logged: a crash in the gap loses only this
-            # not-yet-acknowledged mutation — still a consistent prefix.
-            self._crash_point("subscribe:pre-log")
-            self.wal.append_subscribe(subscription, ttl=ttl, at=self.clock.now())
-            self._crash_point("subscribe:post-log")
-        if notify_retained and len(self._events):
-            now = self.clock.now()
-            for event in self._events.retro_match(subscription, now):
-                self._notify(subscription.id, event, now)
-        return subscription.id
+        with self._lock:
+            self.purge_expired()
+            if not isinstance(subscription, Subscription):
+                preds = list(subscription)
+                if not preds:
+                    raise InvalidSubscriptionError("empty predicate list")
+                subscription = Subscription(f"sub-{next(self._auto_id)}", preds)
+            ttl = self.default_subscription_ttl if ttl is None else ttl
+            if ttl is not None and ttl <= 0:
+                raise ExpiredError(f"subscription ttl must be positive, got {ttl}")
+            self._crash_point("subscribe:pre-apply")
+            self.matcher.add(subscription)
+            if ttl is not None:
+                expires_at = self.clock.now() + ttl
+                self._sub_expires[subscription.id] = expires_at
+                heapq.heappush(self._sub_expiry_heap, (expires_at, subscription.id))
+            self.counters["subscribed"] += 1
+            if self._wal_active():
+                # Applied-then-logged: a crash in the gap loses only this
+                # not-yet-acknowledged mutation — still a consistent prefix.
+                self._crash_point("subscribe:pre-log")
+                self.wal.append_subscribe(subscription, ttl=ttl, at=self.clock.now())
+                self._crash_point("subscribe:post-log")
+            if notify_retained and len(self._events):
+                now = self.clock.now()
+                for event in self._events.retro_match(subscription, now):
+                    self._notify(subscription.id, event, now)
+            return subscription.id
 
     def subscribe_formula(
         self, text: str, sub_id: Any = None, ttl: Optional[float] = None
@@ -251,34 +280,35 @@ class PubSubBroker:
         but notifications carry the one logical id and each event
         notifies it at most once.
         """
-        if sub_id is None:
-            sub_id = f"sub-{next(self._auto_id)}"
-        disjuncts = parse_subscriptions(text, f"{sub_id}~dnf")
-        ids = []
-        # Disjuncts are journaled below with their logical id attached,
-        # so the per-disjunct subscribe must not log them bare.
-        with self.wal_suppressed():
-            for disjunct in disjuncts:
-                ids.append(self.subscribe(disjunct, ttl=ttl, notify_retained=False))
-        self._formula_disjuncts[sub_id] = ids
-        for did in ids:
-            self._logical_of[did] = sub_id
-        if self._wal_active():
-            effective_ttl = self.default_subscription_ttl if ttl is None else ttl
-            now = self.clock.now()
-            self._crash_point("subscribe:pre-log")
-            for disjunct in disjuncts:
-                self.wal.append_subscribe(
-                    disjunct, ttl=effective_ttl, logical=sub_id, at=now
-                )
-            self._crash_point("subscribe:post-log")
-        # Retro-match once at the logical level (deduplicated).
-        if len(self._events):
-            now = self.clock.now()
-            for event in self._events.valid_events(now):
-                if any(d.is_satisfied_by(event) for d in disjuncts):
-                    self._notify(sub_id, event, now)
-        return sub_id
+        with self._lock:
+            if sub_id is None:
+                sub_id = f"sub-{next(self._auto_id)}"
+            disjuncts = parse_subscriptions(text, f"{sub_id}~dnf")
+            ids = []
+            # Disjuncts are journaled below with their logical id attached,
+            # so the per-disjunct subscribe must not log them bare.
+            with self.wal_suppressed():
+                for disjunct in disjuncts:
+                    ids.append(self.subscribe(disjunct, ttl=ttl, notify_retained=False))
+            self._formula_disjuncts[sub_id] = ids
+            for did in ids:
+                self._logical_of[did] = sub_id
+            if self._wal_active():
+                effective_ttl = self.default_subscription_ttl if ttl is None else ttl
+                now = self.clock.now()
+                self._crash_point("subscribe:pre-log")
+                for disjunct in disjuncts:
+                    self.wal.append_subscribe(
+                        disjunct, ttl=effective_ttl, logical=sub_id, at=now
+                    )
+                self._crash_point("subscribe:post-log")
+            # Retro-match once at the logical level (deduplicated).
+            if len(self._events):
+                now = self.clock.now()
+                for event in self._events.valid_events(now):
+                    if any(d.is_satisfied_by(event) for d in disjuncts):
+                        self._notify(sub_id, event, now)
+            return sub_id
 
     def unsubscribe(self, sub_id: Any) -> Subscription:
         """Remove a subscription before its interval ends.
@@ -286,105 +316,132 @@ class PubSubBroker:
         For formula subscriptions every disjunct is removed and the
         first disjunct's Subscription is returned.
         """
-        disjuncts = self._formula_disjuncts.pop(sub_id, None)
-        if disjuncts is not None:
-            removed = []
-            for did in disjuncts:
-                self._logical_of.pop(did, None)
-                self._sub_expires.pop(did, None)
-                try:
-                    removed.append(self.matcher.remove(did))
-                except KeyError:
-                    # The disjunct already expired; fine.
-                    pass
-            if not removed:
-                raise UnknownSubscriptionError(sub_id)
+        with self._lock:
+            disjuncts = self._formula_disjuncts.pop(sub_id, None)
+            if disjuncts is None:
+                removed = [self.matcher.remove(sub_id)]
+                self._sub_expires.pop(sub_id, None)
+            else:
+                removed = []
+                for did in disjuncts:
+                    self._logical_of.pop(did, None)
+                    self._sub_expires.pop(did, None)
+                    try:
+                        removed.append(self.matcher.remove(did))
+                    except KeyError:
+                        # The disjunct already expired; fine.
+                        pass
+                if not removed:
+                    raise UnknownSubscriptionError(sub_id)
+            self._trim_expiry_heap()
             self.counters["unsubscribed"] += 1
-            self._wal_unsubscribed(sub_id)
+            if self._wal_active():
+                self._crash_point("unsubscribe:pre-log")
+                self.wal.append_unsubscribe(sub_id, at=self.clock.now())
+                self._crash_point("unsubscribe:post-log")
             return removed[0]
-        sub = self.matcher.remove(sub_id)
-        self._sub_expires.pop(sub_id, None)
-        self.counters["unsubscribed"] += 1
-        self._wal_unsubscribed(sub_id)
-        return sub
 
-    def _wal_unsubscribed(self, sub_id: Any) -> None:
-        """Journal one accepted unsubscription (logical or plain id)."""
-        if self._wal_active():
-            self._crash_point("unsubscribe:pre-log")
-            self.wal.append_unsubscribe(sub_id, at=self.clock.now())
-            self._crash_point("unsubscribe:post-log")
+    def _wal_batch(self) -> ContextManager[Any]:
+        """One WAL durability boundary (:meth:`WriteAheadLog.batched`)
+        around a mutation batch: under the ``always`` fsync policy the
+        batch costs a single fsync instead of one per item."""
+        return self.wal.batched() if self._wal_active() else contextlib.nullcontext()
 
     def subscribe_batch(
         self, subscriptions: Iterable[SubscriptionLike], ttl: Optional[float] = None
     ) -> List[Any]:
-        """Batch submission (the paper submits in ``n_S_b`` batches).
+        """Batch submission (the paper submits in ``n_S_b`` batches);
+        the whole batch shares one WAL durability boundary."""
+        with self._wal_batch():
+            return [self.subscribe(s, ttl=ttl) for s in subscriptions]
 
-        The whole batch shares one WAL durability boundary
-        (:meth:`WriteAheadLog.batched`): under the ``always`` fsync
-        policy this issues a single fsync for the batch instead of one
-        per subscription, matching the per-batch promise the
-        :class:`~repro.system.server.BatchServer` documents.
-        """
-        if self.wal is None or self._wal_suppress:
-            return [self.subscribe(s, ttl=ttl) for s in subscriptions]
-        with self.wal.batched():
-            return [self.subscribe(s, ttl=ttl) for s in subscriptions]
+    def unsubscribe_batch(self, sub_ids: Iterable[Any]) -> List[Subscription]:
+        """Batch removal under one WAL durability boundary."""
+        with self._wal_batch():
+            return [self.unsubscribe(s) for s in sub_ids]
 
     # ------------------------------------------------------------------
     # publish
     # ------------------------------------------------------------------
     def publish(self, event: Event, ttl: Optional[float] = None) -> List[Any]:
-        """Match *event* against live subscriptions; returns matched ids.
-
-        Every match produces a notification through the configured sink.
-        When retention is on (constructor or per-call ``ttl``), the event
-        stays matchable against future subscriptions until it expires.
-        """
-        self.purge_expired()
-        now = self.clock.now()
-        if self.delivery is not None:
-            # Lazy pump, like lazy expiry: redeliveries and ack-timeout
-            # expirations advance on every publish, so a pure
-            # publish-driven workload needs no background thread.
-            self.delivery.pump(now)
-        raw = self.matcher.match(event)
-        # Collapse formula disjuncts onto their logical id, once per event.
-        matched: List[Any] = []
-        seen = set()
-        logical_of = self._logical_of
-        for sub_id in raw:
-            logical = logical_of.get(sub_id, sub_id)
-            if logical not in seen:
-                seen.add(logical)
-                matched.append(logical)
-        if self.delivery is not None and matched:
-            # Batched hot path: one manager lock for the whole match
-            # list; ids without a channel come back for the notifier.
-            unhandled = self.delivery.dispatch_matches(matched, event, now)
-        else:
-            unhandled = matched
-        for sub_id in unhandled:
-            self.notifier.deliver(Notification(sub_id, event, now))
-        self.counters["notifications"] += len(matched)
-        ttl = self.event_retention_ttl if ttl is None else ttl
-        if ttl is not None and ttl > 0:
-            self._events.add(event, now + ttl)
-        self.counters["published"] += 1
-        if getattr(raw, "degraded", False):
-            # A quarantining engine answered without its sick shards;
-            # hand the incompleteness flag on to the publisher.
-            self.counters["degraded_publishes"] += 1
-            return PartialResults(
-                matched, degraded=True, failed_shards=raw.failed_shards
-            )
-        return matched
+        """Publish one event: a batch of one (see :meth:`publish_batch`)."""
+        return self.publish_batch([event], ttl=ttl)[0]
 
     def publish_batch(
         self, events: Iterable[Event], ttl: Optional[float] = None
     ) -> List[List[Any]]:
-        """Publish many events; returns the per-event match lists."""
-        return [self.publish(e, ttl=ttl) for e in events]
+        """Match *events* against the live subscriptions and notify;
+        returns the per-event lists of matched (logical) ids.
+
+        The one publish path (``docs/architecture.md`` draws it).  A
+        batch is matched against the subscription set as of batch start
+        and carries one timestamp; a subscribe/unsubscribe made from a
+        sink takes effect from the next batch.  Stages, in order:
+
+        1. **expire + pump** — one ``clock.now()`` for the batch; drop
+           expired subscriptions and retained events, advance the
+           delivery manager's redelivery state machine (lazily, like
+           expiry, so a publish-driven workload needs no thread);
+        2. **match** — one ``matcher.match_batch(events)`` call, made
+           *outside* the broker lock so a thread-safe engine overlaps
+           concurrent batches;
+        3. per event, under the lock and in event order: **collapse**
+           formula disjunct ids onto their logical id (once per event),
+           **dispatch** through ``delivery.dispatch_matches`` with the
+           ids it does not handle going to the notifier, **retain** the
+           event when retention is on (constructor or per-call ``ttl``),
+           **count**.
+
+        Each result keeps the engine's own list type: a quarantining
+        engine's :class:`PartialResults` (``degraded`` when a sick shard
+        could not contribute) reach the publisher as such.
+        """
+        events = list(events)
+        with self._lock:
+            now = self.clock.now()
+            self._expire(now)
+            if self.delivery is not None:
+                self.delivery.pump(now)
+        raw_lists = self.matcher.match_batch(events)
+        with self._lock:
+            logical_of = self._logical_of
+            delivery = self.delivery
+            # A discarding sink gets no Notification objects built for it.
+            notify = (
+                None if isinstance(self.notifier, NullNotifier) else self.notifier.deliver
+            )
+            ttl = self.event_retention_ttl if ttl is None else ttl
+            retain_until = now + ttl if ttl is not None and ttl > 0 else None
+            counters = self.counters
+            out: List[List[Any]] = []
+            for event, matched in zip(events, raw_lists):
+                degraded = getattr(matched, "degraded", False)
+                if logical_of:
+                    collapsed = list(dict.fromkeys(logical_of.get(i, i) for i in matched))
+                    if isinstance(matched, PartialResults):
+                        collapsed = PartialResults(
+                            collapsed, degraded=degraded, failed_shards=matched.failed_shards
+                        )
+                    matched = collapsed
+                if matched:
+                    # One manager lock for the whole match list; ids
+                    # without a channel come back for the notifier.
+                    unhandled = (
+                        matched
+                        if delivery is None
+                        else delivery.dispatch_matches(matched, event, now)
+                    )
+                    if notify is not None:
+                        for sub_id in unhandled:
+                            notify(Notification(sub_id, event, now))
+                    counters["notifications"] += len(matched)
+                if retain_until is not None:
+                    self._events.add(event, retain_until)
+                counters["published"] += 1
+                if degraded:
+                    counters["degraded_publishes"] += 1
+                out.append(matched)
+            return out
 
     def _notify(self, sub_id: Any, event: Event, now: float) -> None:
         if self.delivery is not None and self.delivery.handles(sub_id):

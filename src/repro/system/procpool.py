@@ -158,11 +158,11 @@ def match_payload(
 ) -> List[List[Any]]:
     """Match one wire payload against *matcher* (the worker's hot path).
 
-    Columnar payloads feed :meth:`Matcher.match_batch_columnar` so the
-    vectorized predicate phase runs straight off the matrices — when
-    *rows* is the identity routing the arrays (possibly shm slot views)
-    are used in place, otherwise the routed sub-batch is copied out.
-    Object payloads take the ordinary :meth:`Matcher.match_batch`.
+    Columnar payloads reach :meth:`Matcher.match_batch` as a
+    :class:`ColumnarBatch` so the vectorized predicate phase runs
+    straight off the matrices — when *rows* is the identity routing the
+    arrays (possibly shm slot views) are used in place, otherwise the
+    routed sub-batch is copied out.  Object payloads go in as a list.
     """
     if payload[0] == "objs":
         events = payload[1]
@@ -172,7 +172,7 @@ def match_payload(
     batch = ColumnarBatch(*payload[1:])
     if rows is not None and list(rows) != list(range(len(batch))):
         batch = batch.select(rows)
-    return matcher.match_batch_columnar(batch)
+    return matcher.match_batch(batch)
 
 
 def results_truth(
@@ -609,7 +609,7 @@ class ProcessPool:
         """Pack *events* once into a free arena slot for *readers* shards.
 
         Returns the slot ticket (every reader must be driven through
-        :meth:`ProcessShard.match_batch_shm`, which acks it), or None
+        :meth:`ProcessShard.consume_slot`, which acks it), or None
         when the batch must take the pipe instead — odd-path values,
         a batch bigger than one slot, or no slot freeing up in time.
         Every None is counted in ``repro_shm_fallback_total``.
@@ -680,56 +680,6 @@ class ProcessPool:
             time.perf_counter() - start
         )
         return reply
-
-    def request_many(
-        self,
-        index: int,
-        messages: Sequence[Tuple],
-        op: str = "control",
-        window: int = 32,
-    ) -> List[Tuple[str, Any]]:
-        """Pipelined round trips: up to *window* requests in flight.
-
-        The command pipe is ordered and the worker serves strictly in
-        sequence, so writing ahead of the replies changes nothing about
-        *what* the worker computes — it only hides the per-message pipe
-        latency (one scheduler hand-off per window instead of one per
-        request).  The *window* bound keeps the reply direction drained
-        so neither pipe buffer can fill and deadlock.
-
-        Always drains one reply per message before returning, even when
-        an early reply is ``("err", exc)`` — an undrained successor
-        would desynchronize the next request on this pipe.  Worker death
-        raises :class:`WorkerDiedError` exactly as :meth:`request` does.
-        """
-        worker = self._workers[index]
-        if worker is None or worker.dead:
-            raise WorkerDiedError(f"shard {index} has no live worker", shard=index)
-        messages = list(messages)
-        replies: List[Tuple[str, Any]] = []
-        start = time.perf_counter()
-        sent = 0
-        while len(replies) < len(messages):
-            try:
-                while sent < len(messages) and sent - len(replies) < window:
-                    worker.conn.send(messages[sent])
-                    self._m_pipe_bytes["send"].inc(payload_nbytes(messages[sent]))
-                    sent += 1
-            except (OSError, ValueError, BrokenPipeError) as exc:
-                self.note_death(index)
-                raise WorkerDiedError(
-                    f"shard {index} worker pipe broke mid-stream: {exc}",
-                    shard=index,
-                ) from exc
-            reply = self._recv(worker, index)
-            self._m_pipe_bytes["recv"].inc(payload_nbytes(reply))
-            replies.append(reply)
-        if messages:
-            hist = self._m_ipc[op if op in self._m_ipc else "control"]
-            share = (time.perf_counter() - start) / len(messages)
-            for _ in messages:
-                hist.observe(share)
-        return replies
 
     def _recv(self, worker: _Worker, index: int) -> Any:
         deadline = (
@@ -904,14 +854,14 @@ class ProcessShard(Matcher):
                 self._heal()
             ticket = self.pool.publish_events(events, readers=1)
             if ticket is not None:
-                return self.match_batch_shm(ticket, None)
+                return self.consume_slot(ticket, None)
         codec = "pickle" if self.pool.codec == "pickle" else "auto"
         payload = encode_events(events, codec)
         worker_epoch, results = self._call(("batch", payload), "batch")
         self._check_epoch(worker_epoch)
         return decode_results(results, self._id_table())
 
-    def match_batch_shm(
+    def consume_slot(
         self, ticket: SlotTicket, rows: Optional[List[int]]
     ) -> List[List[Any]]:
         """Match the published slot's batch (or its *rows* subset).
@@ -942,37 +892,6 @@ class ProcessShard(Matcher):
         finally:
             if pool.arena is not None and pool.arena.ring is not None:
                 pool.arena.ring.ack(ticket)
-
-    def match_serial(self, events: Sequence[Event]) -> List[List[Any]]:
-        """Scalar-semantics stream: ``[self.match(e) for e in events]``.
-
-        One ``match`` command per event, pipelined through
-        :meth:`ProcessPool.request_many` so the per-event pipe latency
-        collapses to one hand-off per window.  Unlike :meth:`match_batch`
-        the worker runs its *scalar* matching path per event — the lane
-        whose cost tracks the resident population — so this is the
-        submission mode that shows horizontal partitioning directly.
-        """
-        events = list(events)
-        if not events:
-            return []
-        if not self.pool.alive(self.index):
-            self._heal()
-        replies = self.pool.request_many(
-            self.index, [("match", e) for e in events], "match"
-        )
-        out: List[List[Any]] = []
-        error: Optional[BaseException] = None
-        for status, value in replies:
-            if status == "err":
-                error = error or value
-                continue
-            worker_epoch, ids = value
-            self._check_epoch(worker_epoch)
-            out.append(ids)
-        if error is not None:
-            raise error
-        return out
 
     def rebuild(self) -> None:
         """Forward the build step to the worker's engine (if it has one)."""

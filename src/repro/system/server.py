@@ -3,11 +3,15 @@
 Section 6.1: "The workload generation task ran as a separate process …
 timings therefore include the interprocess communication times and
 individual timings account for the processing of an entire batch."
-This module provides the in-process equivalent: the matcher runs on a
-dedicated worker thread, clients submit fixed-size batches through
-queues, and the reply carries both the results and the server-side
-processing time — so harnesses can measure *with* the submission hop
-(like the paper) or subtract it.
+This module provides the in-process equivalent: a
+:class:`~repro.system.broker.PubSubBroker` runs on a dedicated worker
+thread, clients submit fixed-size batches through queues, and the reply
+carries both the results and the server-side processing time — so
+harnesses can measure *with* the submission hop (like the paper) or
+subtract it.  The server only queues: admission, deadlines, metrics and
+:meth:`BatchServer.health` live here; journaling, matching and delivery
+are the broker's one publish path, reached through three calls
+(``subscribe_batch`` / ``unsubscribe_batch`` / ``publish_batch``).
 
 Multi-worker mode (``workers > 1``) serves the queue from several
 threads at once.  Matchers that declare ``thread_safe = True`` (the
@@ -39,14 +43,16 @@ import dataclasses
 import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.errors import ReproError
 from repro.core.matcher import Matcher
 from repro.core.threadsafe import ThreadSafeMatcher
 from repro.core.types import Event, Subscription
-from repro.matchers.dynamic import DynamicMatcher
 from repro.obs.registry import MetricsRegistry
+from repro.system.broker import PubSubBroker
+from repro.system.delivery import DeliveryManager
+from repro.system.notifier import NullNotifier
 from repro.system.resilience import (
     ADMISSION_POLICIES,
     BREAKER_CLOSED,
@@ -89,18 +95,23 @@ class _Request:
 
 
 class BatchServer:
-    """Matcher on one or more worker threads, fed through a request queue."""
+    """A broker on one or more worker threads, fed through a request queue."""
 
     def __init__(
         self,
-        matcher: Optional[Matcher] = None,
+        matcher: Union[Matcher, PubSubBroker, None] = None,
         workers: int = 1,
         metrics: Optional[MetricsRegistry] = None,
-        wal: Optional["WriteAheadLog"] = None,
+        wal: Optional[WriteAheadLog] = None,
         queue_limit: Optional[int] = None,
         admission: str = "block",
-        delivery: Optional[Any] = None,
+        delivery: Optional[DeliveryManager] = None,
     ) -> None:
+        """*matcher* is the engine to serve, or a ready
+        :class:`PubSubBroker` (TTLs, formulas, its own WAL and delivery
+        manager) to queue in front of.  ``wal`` / ``delivery`` configure
+        the broker built around a bare engine and are rejected next to a
+        broker, which already has its own."""
         if workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
         if queue_limit is not None and queue_limit < 1:
@@ -110,22 +121,34 @@ class BatchServer:
                 f"unknown admission policy {admission!r}; "
                 f"known: {', '.join(ADMISSION_POLICIES)}"
             )
-        matcher = matcher if matcher is not None else DynamicMatcher()
-        if workers > 1 and not getattr(matcher, "thread_safe", False):
-            matcher = ThreadSafeMatcher(matcher)
-        self.matcher = matcher
+        if isinstance(matcher, PubSubBroker):
+            if wal is not None or delivery is not None:
+                raise ValueError(
+                    "a broker brings its own wal/delivery; pass them to "
+                    "PubSubBroker, not to the server in front of it"
+                )
+            broker = matcher
+        else:
+            # A bare engine is served through a broker that discards
+            # notifications: match lists go back in the reply and, with
+            # no channel registered, nothing else happens per match.
+            broker = PubSubBroker(
+                matcher=matcher,
+                clock=wal.clock if wal is not None else None,
+                notifier=NullNotifier(),
+                wal=wal,
+                delivery=delivery,
+            )
+        if workers > 1 and not getattr(broker.matcher, "thread_safe", False):
+            broker.matcher = ThreadSafeMatcher(broker.matcher)
+        #: The one publish path: every batch is a
+        #: ``subscribe_batch`` / ``unsubscribe_batch`` / ``publish_batch``
+        #: call on this broker, which owns journaling (its ``wal``) and
+        #: the last hop (its ``delivery`` manager and notifier).
+        self.broker = broker
         self.workers = workers
         self.queue_limit = queue_limit
         self.admission = admission
-        # Durability: mutations are journaled per item but fsynced once
-        # per *batch* — the batch boundary is the natural amortization
-        # point (the paper submits in n_S_b / n_E_b units), so even
-        # wal("always") pays one disk sync per batch, not per item.
-        self.wal = wal
-        #: Optional :class:`~repro.system.delivery.DeliveryManager`:
-        #: :meth:`health` then reports the at-least-once channel state
-        #: (a disconnected channel degrades the stack).
-        self.delivery = delivery
         self._requests: "queue.Queue[Optional[_Request]]" = queue.Queue(
             maxsize=queue_limit or 0
         )
@@ -146,6 +169,11 @@ class BatchServer:
         ]
         for thread in self._threads:
             thread.start()
+
+    @property
+    def matcher(self) -> Matcher:
+        """The engine behind the broker (wrapped for ``workers > 1``)."""
+        return self.broker.matcher
 
     def _bind_metrics(self) -> None:
         m = self.metrics
@@ -222,41 +250,25 @@ class BatchServer:
             return
         start = time.perf_counter()
         try:
-            wal = self.wal
-            # One durability boundary per mutation batch: appends inside
-            # the block skip the per-record policy fsync, so even under
-            # fsync="always" the batch costs one fsync (the explicit
-            # sync below), not one per item.
-            journal_scope = (
-                wal.batched()
-                if wal is not None and request.kind != "publish"
-                else contextlib.nullcontext()
-            )
-            with journal_scope:
-                if request.kind == "subscribe":
-                    n = 0
-                    for sub in request.payload:
-                        self.matcher.add(sub)
-                        if wal is not None:
-                            wal.append_subscribe(sub, at=wal.now())
-                        n += 1
-                    results: Any = n
-                elif request.kind == "unsubscribe":
-                    results = []
-                    for sid in request.payload:
-                        results.append(self.matcher.remove(sid).id)
-                        if wal is not None:
-                            wal.append_unsubscribe(sid, at=wal.now())
-                elif request.kind == "publish":
-                    # One kernel invocation per batch: engines with a
-                    # real batch kernel amortize the predicate phase
-                    # across the whole payload instead of being fed
-                    # event by event.
-                    results = self.matcher.match_batch(request.payload)
-                else:  # pragma: no cover - guarded by the submit methods
-                    raise AssertionError(request.kind)
-            if wal is not None and request.kind != "publish":
-                wal.sync()  # flush-on-batch boundary
+            broker = self.broker
+            if request.kind == "publish":
+                results: Any = broker.publish_batch(request.payload)
+            else:
+                # Durability: mutations are journaled per item but
+                # fsynced once per *batch* — the batch boundary is the
+                # natural amortization point (the paper submits in
+                # n_S_b / n_E_b units).  The explicit sync sits inside
+                # the batched scope so even fsync="always" pays one disk
+                # sync per batch, not one per item plus one.
+                wal = broker.wal
+                with wal.batched() if wal is not None else contextlib.nullcontext():
+                    if request.kind == "subscribe":
+                        results = len(broker.subscribe_batch(request.payload))
+                    else:
+                        broker.unsubscribe_batch(request.payload)
+                        results = request.payload
+                    if wal is not None:
+                        wal.sync()  # flush-on-batch boundary
             elapsed = time.perf_counter() - start
             with self._metrics_lock:
                 self._m_batches[request.kind].inc()
@@ -387,6 +399,7 @@ class BatchServer:
                 counters[f"seconds_{kind}"] = self._m_batch_seconds[kind].sum
             for reason in _SHED_REASONS:
                 counters[f"shed_{reason}"] = self._m_shed[reason].value
+        wal = self.broker.wal
         out = {
             "name": "batch-server",
             "subscriptions": len(self.matcher),
@@ -397,8 +410,8 @@ class BatchServer:
             "counters": counters,
             "matcher": self.matcher.stats(),
         }
-        if self.wal is not None:
-            out["wal"] = self.wal.stats()
+        if wal is not None:
+            out["wal"] = wal.stats()
         return out
 
     def health(self) -> Dict[str, Any]:
@@ -425,8 +438,8 @@ class BatchServer:
         if callable(executor_health):
             executor = executor_health()
         delivery: Optional[Dict[str, Any]] = None
-        if self.delivery is not None:
-            delivery = self.delivery.health()
+        if self.broker.delivery is not None:
+            delivery = self.broker.delivery.health()
         status = "ok"
         if breakers and any(s != BREAKER_CLOSED for s in breakers.values()):
             status = "degraded"
@@ -452,8 +465,8 @@ class BatchServer:
             "breakers": breakers,
             "executor": executor,
         }
-        if self.wal is not None:
-            wal_stats = self.wal.stats()
+        if self.broker.wal is not None:
+            wal_stats = self.broker.wal.stats()
             out["wal"] = {
                 "bytes": wal_stats["bytes"],
                 "unsynced_appends": wal_stats["unsynced_appends"],

@@ -564,7 +564,7 @@ class ShardedMatcher(Matcher):
         readers; every probed shard then receives only the tiny slot
         descriptor plus its row list (None = the whole batch, read in
         place) and acks the slot when done (in a
-        ``finally`` inside :meth:`ProcessShard.match_batch_shm`, so
+        ``finally`` inside :meth:`ProcessShard.consume_slot`, so
         worker death cannot strand it).  Returns None — pipe fallback —
         when the batch cannot ride the arena (odd-path values, slot too
         small, no slot free in time); the pool counts each reason in
@@ -577,7 +577,7 @@ class ShardedMatcher(Matcher):
 
         def run(s: int) -> List[List[Any]]:
             with self._shard_locks[s]:
-                return self._shards[s].match_batch_shm(ticket, rows_of[s])
+                return self._shards[s].consume_slot(ticket, rows_of[s])
 
         if self._parallel and len(probe) > 1:
             # Every submitted future runs (even after an earlier one
@@ -598,79 +598,6 @@ class ShardedMatcher(Matcher):
             for _ in range(len(probe) - done - 1):
                 pool.arena.ring.ack(ticket)
             raise
-
-    def _match_shard_serial(
-        self, shard: int, events: List[Event]
-    ) -> List[List[Any]]:
-        inner = self._shards[shard]
-        with self._shard_locks[shard]:
-            serial = getattr(inner, "match_serial", None)
-            if callable(serial):
-                return serial(events)
-            return [inner.match(e) for e in events]
-
-    def match_serial(self, events: Sequence[Event]) -> List[List[Any]]:
-        """Scalar-semantics sequence matching with the IPC latency hidden.
-
-        Result-identical to ``[self.match(e) for e in events]`` (each
-        event is matched by the inner engines' *scalar* path), but
-        events are first routed and grouped per shard exactly as
-        :meth:`match_batch` groups them, and each probed shard receives
-        its events as one pipelined burst of ``match`` commands on the
-        process executor (a plain loop on the thread executor).  Per-
-        event results merge in ascending shard order — the same
-        deterministic contract as the scalar and batch paths.  Breaker
-        mode and tracing fall back to the per-event path.
-        """
-        events = list(events)
-        if not events:
-            return []
-        if self._breakers is not None or self.tracer.enabled:
-            return [self.match(e) for e in events]
-        rows_of: Dict[int, List[int]] = {}
-        skipped = 0
-        with self._meta:
-            for row, event in enumerate(events):
-                candidates = sorted(
-                    s
-                    for s in set(self.router.candidate_shards(event))
-                    if self._population[s]
-                )
-                skipped += len(self._shards) - len(candidates)
-                for s in candidates:
-                    rows_of.setdefault(s, []).append(row)
-            self._m_events.inc(len(events))
-            self._m_skipped.inc(skipped)
-            for s, rows in rows_of.items():
-                self._m_visits[s].inc(len(rows))
-        out: List[List[Any]] = [[] for _ in events]
-        probe = sorted(rows_of)
-        if not probe:
-            return out
-        start = time.perf_counter()
-        if self._parallel and len(probe) > 1:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(
-                    self._match_shard_serial, s, [events[r] for r in rows_of[s]]
-                )
-                for s in probe
-            ]
-            results = [f.result() for f in futures]
-        else:
-            results = [
-                self._match_shard_serial(s, [events[r] for r in rows_of[s]])
-                for s in probe
-            ]
-        merged_at = time.perf_counter()
-        for s, per_event in zip(probe, results):
-            for r, ids in zip(rows_of[s], per_event):
-                out[r].extend(ids)
-        done = time.perf_counter()
-        with self._meta:
-            self._m_fanout_seconds.observe(merged_at - start)
-            self._m_merge_seconds.observe(done - merged_at)
-        return out
 
     def _match_shard_guarded(
         self, shard: int, event: Event

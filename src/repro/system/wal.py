@@ -88,7 +88,7 @@ RECORD_TYPES = ("anchor", "subscribe", "unsubscribe", "deliver", "settle")
 FSYNC_POLICIES = ("always", "interval", "never")
 
 #: How log files are opened (injectable so the fault harness can wrap
-#: the file object; see ``tests/system/faults.py``).
+#: the file object; see ``repro.testing.faults``).
 Opener = Callable[[str, str], IO[str]]
 
 

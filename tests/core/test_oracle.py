@@ -57,10 +57,10 @@ class TestMatcherConveniences:
         n = m.add_all(Subscription(f"s{i}", [eq("x", i)]) for i in range(5))
         assert n == 5 and len(m) == 5
 
-    def test_match_all(self):
+    def test_match_batch(self):
         m = OracleMatcher()
         m.add(Subscription("s", [eq("x", 1)]))
-        results = m.match_all([Event({"x": 1}), Event({"x": 2})])
+        results = m.match_batch([Event({"x": 1}), Event({"x": 2})])
         assert results == [["s"], []]
 
     def test_stats(self):

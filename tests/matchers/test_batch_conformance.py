@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.batch.columns import ColumnarBatch
 from repro.bench.harness import uniform_statistics_for
 from repro.core import Event, Operator, Predicate, Subscription, eq, ge, le, ne
 from repro.core.errors import InvalidPredicateError
@@ -148,7 +149,19 @@ class TestBatchEqualsScalar:
             )
             assert [norm(r) for r in halves] == whole
 
-    def test_match_all_routes_through_batch(self, matcher):
-        matcher.add(Subscription("s", [eq("x", 1)]))
-        events = [Event({"x": 1}), Event({"x": 2}), Event({"x": 1})]
-        assert matcher.match_all(events) == matcher.match_batch(events)
+    def test_columnar_batch_matches_like_its_events(self, matcher):
+        """match_batch accepts a ColumnarBatch on every backend: column-
+        aware engines read the matrices, the rest iterate its events."""
+        rng = random.Random(11)
+        for i in range(40):
+            matcher.add(
+                Subscription(f"s{i}", [le("a", rng.randint(0, 8)), ge("b", rng.uniform(0, 8))])
+            )
+        events = [
+            Event({"a": rng.randint(0, 8), "b": rng.uniform(0, 8)}) for _ in range(30)
+        ] + [Event({"b": float("nan")}), Event({"c": 1})]
+        batch = ColumnarBatch.from_events(events)
+        assert batch is not None
+        assert [norm(r) for r in matcher.match_batch(batch)] == [
+            norm(r) for r in matcher.match_batch(events)
+        ]

@@ -121,9 +121,9 @@ class TestContract:
         assert stats["name"] == engine
         assert stats["subscriptions"] == 1
 
-    def test_match_all_batch(self, matcher):
+    def test_match_batch(self, matcher):
         matcher.add(Subscription("s", [eq("x", 1)]))
-        assert matcher.match_all([Event({"x": 1}), Event({"x": 2})]) == [["s"], []]
+        assert matcher.match_batch([Event({"x": 1}), Event({"x": 2})]) == [["s"], []]
 
     def test_float_and_int_values_interchangeable(self, matcher):
         matcher.add(Subscription("s", [le("p", 10)]))

@@ -111,7 +111,5 @@ class TestBatchSplitInvariance:
             assert [norm(r) for r in halves] == whole
             singles = [norm(proc.match(e)) for e in evs]
             assert singles == whole
-            serial = [norm(r) for r in proc.match_serial(evs)]
-            assert serial == whole
         finally:
             proc.close()

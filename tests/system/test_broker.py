@@ -103,6 +103,21 @@ class TestValidityIntervals:
         broker.purge_expired()  # stale heap entry must not blow up
         assert broker.subscription_count == 0
 
+    def test_expiry_heap_stays_bounded_under_churn(self, broker, clock):
+        """Regression: every explicit unsubscribe of a TTL'd id left its
+        heap entry behind until the (far) deadline."""
+        broker.subscribe_batch(
+            [Subscription(f"r{i}", [eq("x", i)]) for i in range(10)], ttl=3600.0
+        )
+        for i in range(1000):
+            broker.subscribe(Subscription(f"c{i}", [eq("x", 1)]), ttl=3600.0)
+            broker.unsubscribe(f"c{i}")
+            assert len(broker._sub_expiry_heap) <= 2 * len(broker._sub_expires)
+        assert len(broker._sub_expires) == 10
+        clock.advance(3601)
+        assert broker.purge_expired() == 10
+        assert broker._sub_expiry_heap == []
+
     def test_event_retention_and_expiry(self, broker, clock):
         broker.publish(Event({"x": 1}))
         assert broker.retained_event_count == 1
@@ -140,6 +155,64 @@ class TestRetroMatching:
         broker.publish(Event({"x": 1}), ttl=30.0)
         broker.subscribe(Subscription("late", [eq("x", 1)]))
         assert [n.sub_id for n in inbox.drain()] == ["late"]
+
+
+class _KernelSpy(OracleMatcher):
+    """Counts batch-kernel invocations vs scalar match calls."""
+
+    batch_calls = scalar_calls = 0
+
+    def match(self, event):
+        self.scalar_calls += 1
+        return super().match(event)
+
+    def match_batch(self, events):
+        self.batch_calls += 1
+        return [OracleMatcher.match(self, e) for e in events]
+
+
+class TestOnePublishPath:
+    def test_publish_batch_is_one_kernel_invocation(self, clock, inbox):
+        """The broker twin of ``TestBatchKernelRouting``: n events are
+        one ``match_batch`` call and no scalar ``match``."""
+        spy = _KernelSpy()
+        broker = PubSubBroker(matcher=spy, clock=clock, notifier=inbox)
+        broker.subscribe(Subscription("a", [eq("x", 1)]))
+        results = broker.publish_batch([Event({"x": 1})] * 17)
+        assert (spy.batch_calls, spy.scalar_calls) == (1, 0)
+        assert results == [["a"]] * 17 and all(type(r) is list for r in results)
+        broker.publish(Event({"x": 1}))  # a batch of one, same path
+        assert (spy.batch_calls, spy.scalar_calls) == (2, 0)
+        assert len(inbox.drain()) == 18
+
+    def test_one_timestamp_per_batch(self, inbox):
+        class TickingClock(VirtualClock):
+            def now(self):
+                return self.advance(1.0)
+
+        broker = PubSubBroker(clock=TickingClock(), notifier=inbox)
+        broker.subscribe(Subscription("a", [eq("x", 1)]))
+        inbox.drain()
+        broker.publish_batch([Event({"x": 1})] * 5)
+        assert len({n.timestamp for n in inbox.drain()}) == 1
+
+    def test_sink_driven_unsubscribe_takes_effect_next_batch(self, clock):
+        """A batch is matched against the subscription set at batch
+        start; a sink that unsubscribes mid-dispatch changes the next."""
+        from repro.system import CallbackNotifier
+
+        seen = []
+
+        def sink(note):
+            seen.append(note.sub_id)
+            if broker.subscription_count:
+                broker.unsubscribe("a")
+
+        broker = PubSubBroker(clock=clock, notifier=CallbackNotifier(sink))
+        broker.subscribe(Subscription("a", [eq("x", 1)]))
+        assert broker.publish_batch([Event({"x": 1})] * 3) == [["a"]] * 3
+        assert broker.publish_batch([Event({"x": 1})]) == [[]]
+        assert seen == ["a"] * 3
 
 
 class TestPluggableMatcher:

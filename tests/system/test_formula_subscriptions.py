@@ -60,6 +60,20 @@ class TestFormulaLifecycle:
         broker.clock.advance(11)
         assert broker.publish(Event({"a": 1})) == []
 
+    def test_expired_formulas_leave_nothing_behind(self, broker):
+        """Regression: expiry dropped the disjuncts but kept the logical
+        entry forever (a leak under formula churn)."""
+        for i in range(5):
+            broker.subscribe_formula(f"a = {i} or b = {i}", f"f{i}", ttl=1.0)
+        broker.subscribe_formula("a = 9 or b = 9", "keeper", ttl=100.0)
+        broker.clock.advance(5)
+        assert broker.publish(Event({"a": 9})) == ["keeper"]
+        assert broker.subscription_count == 2
+        assert set(broker._formula_disjuncts) == {"keeper"}
+        assert set(broker._logical_of.values()) == {"keeper"}
+        with pytest.raises(UnknownSubscriptionError):
+            broker.unsubscribe("f0")
+
     def test_retro_match_deduplicated(self, broker):
         broker.publish(Event({"a": 1, "b": 2}))  # satisfies both branches
         broker.notifier.drain()

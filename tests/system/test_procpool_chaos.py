@@ -176,21 +176,6 @@ class TestWorkerDeathWithoutBreaker:
             assert norm(m.match(ev)) == norm(oracle.match(ev))  # healed
             assert m._procpool.stats()["counters"]["respawns"] == 1
 
-    def test_match_serial_death_mid_stream_raises_then_heals(self, tmp_path):
-        """A worker dying inside a pipelined burst surfaces as
-        WorkerDiedError (the drain never hangs); the next burst heals."""
-        subs, events = workload()
-        oracle = oracle_for(subs)
-        expected = [norm(oracle.match(e)) for e in events]
-        with chaos_matcher(tmp_path, die_at=1, breaker=False) as m:
-            for s in subs:
-                m.add(s)
-            with pytest.raises(WorkerDiedError):
-                m.match_serial(events)
-            got = [norm(r) for r in m.match_serial(events)]
-            assert got == expected
-            assert m._procpool.stats()["counters"]["respawns"] == 1
-
     def test_external_sigkill_between_requests_heals_silently(self, tmp_path):
         """A worker killed while idle never surfaces an error at all:
         the next call finds it dead *before* sending and self-heals."""

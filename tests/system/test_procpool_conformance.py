@@ -3,8 +3,7 @@
 The process backend must be observationally identical to the thread
 backend (which is itself pinned against the oracle): same matches on the
 mixed-type workload for every registered two-phase engine, same behavior
-on the edge batches (empty, size 1), under mid-stream churn, and through
-``match_all``.  Anything the pipe transport mangles — string values,
+on the edge batches (empty, size 1) and under mid-stream churn.  Anything the pipe transport mangles — string values,
 floats, NaN/inf, > 2^53 integers, the packed result bit matrix — shows
 up here as a differential mismatch.
 """
@@ -157,25 +156,11 @@ class TestProcessMatchesThreadAndOracle:
                 norm(r) for r in thr.match_batch(events)
             ]
 
-    def test_match_serial_differential(self, engine):
-        """The pipelined scalar lane answers exactly like the scalar
-        loop — on both executors, against the oracle."""
-        subs, events = _random_workload(seed=13, n_subs=70, n_events=50)
-        oracle = populated(build("oracle"), subs)
-        expected = [norm(oracle.match(e)) for e in events]
-        with sharded(engine, "process") as proc, sharded(engine, "thread") as thr:
-            populated(proc, subs)
-            populated(thr, subs)
-            assert [norm(r) for r in proc.match_serial(events)] == expected
-            assert [norm(r) for r in thr.match_serial(events)] == expected
-            assert proc.match_serial([]) == []
-
-    def test_match_all_routes_through_process_batches(self, engine):
+    def test_match_batch_routes_through_process_batches(self, engine):
         with sharded(engine, "process") as proc:
             populated(proc, [Subscription("s", [eq("x", 1)])])
             events = [Event({"x": 1}), Event({"x": 2}), Event({"x": 1})]
-            assert proc.match_all(events) == proc.match_batch(events)
-            assert [norm(r) for r in proc.match_all(events)] == [["s"], [], ["s"]]
+            assert [norm(r) for r in proc.match_batch(events)] == [["s"], [], ["s"]]
 
 
 @pytest.mark.watchdog(120)

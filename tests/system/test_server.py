@@ -13,6 +13,14 @@ from repro.core import (
 )
 from repro.core.threadsafe import ThreadSafeMatcher
 from repro.matchers import DynamicMatcher
+from repro.system import (
+    DeliveryManager,
+    PubSubBroker,
+    QueueNotifier,
+    VirtualClock,
+    WriteAheadLog,
+    recover_files,
+)
 from repro.system.server import BatchReply, BatchServer, ServerClosedError
 from repro.system.sharding import ShardedMatcher
 
@@ -217,3 +225,106 @@ class TestBatchKernelRouting:
             srv.submit_events([Event({"x": 2})] * 5)
         assert spy.batch_calls == 2
         assert spy.scalar_calls == 0
+
+    def test_bare_matcher_server_does_no_per_match_work(self, monkeypatch):
+        """Behind a server over a bare engine the broker builds no
+        Notification and collapses no formula ids: the engine's own
+        result lists go straight into the reply."""
+        from repro.system import broker as broker_module
+
+        def no_notifications(*args, **kwargs):
+            raise AssertionError("a Notification was built for a discarding sink")
+
+        monkeypatch.setattr(broker_module, "Notification", no_notifications)
+        made = []
+
+        class Recording(DynamicMatcher):
+            def match_batch(self, events):
+                made.extend(super().match_batch(events))
+                return made[-len(events):]
+
+        with BatchServer(matcher=Recording()) as srv:
+            srv.submit_subscriptions([Subscription("a", [eq("x", 1)])])
+            reply = srv.submit_events([Event({"x": 1})] * 4)
+            assert srv.broker.counters["notifications"] == 4
+        assert reply.results == [["a"]] * 4
+        assert all(got is own for got, own in zip(reply.results, made))
+
+
+class TestServerOverBroker:
+    """The server queues in front of a full broker: TTLs, formulas, the
+    WAL and at-least-once delivery are reached through submit_*."""
+
+    def test_submit_events_delivers_and_acks_every_match(self):
+        clock = VirtualClock()
+        manager = DeliveryManager(clock=clock)
+        inbox = QueueNotifier()
+        broker = PubSubBroker(clock=clock, notifier=inbox, delivery=manager)
+        received = []
+
+        def consumer(note):
+            received.append((note.sub_id, note.event))
+            manager.ack(note.sub_id, note.seq)
+
+        with BatchServer(broker) as srv:
+            assert srv.broker is broker
+            srv.submit_subscriptions(
+                [Subscription(f"s{i}", [eq("x", i % 2)]) for i in range(4)]
+            )
+            broker.subscribe_formula("x = 0 or y = 7", sub_id="f")
+            for sub_id in ("s0", "s1", "f"):
+                manager.register(sub_id, sink=consumer)
+            events = [Event({"x": 0}), Event({"x": 1}), Event({"y": 7})]
+            reply = srv.submit_events(events)
+            assert [sorted(r) for r in reply.results] == [["f", "s0", "s2"], ["s1", "s3"], ["f"]]
+            assert srv.health()["delivery"]["channels"] == 3
+        # Channel owners were pushed (and acked) every match, in event
+        # order; everyone else got the fire-and-forget notifier.
+        assert received == [
+            ("s0", events[0]), ("f", events[0]), ("s1", events[1]), ("f", events[2])
+        ]
+        assert manager.inflight == 0
+        assert manager.stats()["counters"]["acks"] == 4
+        assert [n.sub_id for n in inbox.drain()] == ["s2", "s3"]
+
+    def test_wal_written_through_the_server_recovers(self, tmp_path):
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "srv.wal", clock=clock, fsync="always")
+        broker = PubSubBroker(
+            clock=clock, notifier=QueueNotifier(), default_subscription_ttl=30.0, wal=wal
+        )
+        with BatchServer(broker) as srv:
+            base = wal.counters["fsyncs"]
+            srv.submit_subscriptions(
+                [Subscription(f"s{i}", [eq("x", i)]) for i in range(5)]
+            )
+            assert wal.counters["fsyncs"] == base + 1  # one per batch
+            broker.subscribe_formula("x = 1 or y = 2", sub_id="f", ttl=10.0)
+            clock.advance(5)
+            srv.submit_unsubscriptions(["s0"])  # the log's last word: t=5
+        wal.close()
+        restored_clock = VirtualClock(100.0)
+        restored = PubSubBroker(clock=restored_clock, notifier=QueueNotifier())
+        report = recover_files(restored, wal_path=wal.path)
+        assert report.restored == 6  # s1..s4 + the formula's two disjuncts
+        assert sorted(restored.publish(Event({"x": 1}))) == ["f", "s1"]
+        assert restored.publish(Event({"y": 2})) == ["f"]
+        # Validity survives as remaining lifetime: f has 5 s left, s1 25 s.
+        restored_clock.advance(6)
+        assert restored.publish(Event({"x": 1})) == ["s1"]
+        restored_clock.advance(20)
+        assert restored.publish(Event({"x": 1})) == []
+
+    def test_wal_or_delivery_next_to_a_broker_is_rejected(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "x.wal", fsync="never")
+        with pytest.raises(ValueError):
+            BatchServer(PubSubBroker(), wal=wal)
+        with pytest.raises(ValueError):
+            BatchServer(PubSubBroker(), delivery=DeliveryManager())
+        wal.close()
+
+    def test_multi_worker_wraps_the_brokers_engine(self):
+        broker = PubSubBroker(matcher=DynamicMatcher())
+        with BatchServer(broker, workers=2) as srv:
+            assert isinstance(srv.matcher, ThreadSafeMatcher)
+            assert broker.matcher is srv.matcher

@@ -17,7 +17,7 @@ from repro.system import (
     recover_files,
 )
 from repro.system.wal import HEADER_TYPE, scan_valid_prefix
-from tests.system.faults import SimulatedCrash, crash_at, faulty_opener
+from repro.testing.faults import SimulatedCrash, crash_at, faulty_opener
 
 
 def fresh_broker(clock=None, wal=None):
@@ -321,7 +321,8 @@ class TestBatchServer:
             assert server.submit_subscriptions(subs).results == 5
             assert server.submit_unsubscriptions(["s0", "s1"]).results == ["s0", "s1"]
             server.submit_events([Event({"x": 2})])
-            assert server.stats()["wal"]["counters"]["appends"] == 7
+            # 5 subscribes + 2 unsubscribes + the broker's anchor record.
+            assert server.stats()["wal"]["counters"]["appends"] == 8
             # One explicit sync per mutating batch, none for publishes.
             assert wal.counters["fsyncs"] == 2
         wal.close()

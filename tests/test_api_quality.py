@@ -86,3 +86,29 @@ class TestDocstrings:
                 if not inspect.getdoc(member):
                     undocumented.append(f"{cls.__name__}.{name}")
         assert not undocumented, undocumented
+
+
+class TestMatchSurface:
+    def test_match_entry_points_are_exactly_match_and_match_batch(self):
+        """One scalar entry point, one batch entry point — on the
+        interface and on every engine and wrapper that implements it."""
+        from repro.core import Matcher
+
+        for name in public_modules():
+            importlib.import_module(name)  # so __subclasses__ sees them all
+
+        def matcher_classes(cls):
+            yield cls
+            for sub in cls.__subclasses__():
+                yield from matcher_classes(sub)
+
+        offenders = {}
+        for cls in set(matcher_classes(Matcher)):
+            surface = {
+                name
+                for name in dir(cls)
+                if name.startswith("match") and callable(getattr(cls, name))
+            }
+            if surface != {"match", "match_batch"}:
+                offenders[f"{cls.__module__}.{cls.__name__}"] = sorted(surface)
+        assert not offenders, offenders

@@ -9,7 +9,6 @@ import pytest
 from repro.core import Event, Subscription, eq
 from repro.matchers import DynamicMatcher
 from repro.testing import (
-    FAULT_MODES,
     MATCHER_OPS,
     FaultyFile,
     FlakyMatcher,
@@ -19,20 +18,6 @@ from repro.testing import (
     crash_at,
     faulty_opener,
 )
-
-
-def test_legacy_shim_still_exports_the_toolkit():
-    # tests/system/faults.py predates the public package; existing suites
-    # import from it, so it must keep re-exporting the same objects.
-    from tests.system import faults as shim
-
-    assert shim.FlakyMatcher is FlakyMatcher
-    assert shim.SlowMatcher is SlowMatcher
-    assert shim.FaultyFile is FaultyFile
-    assert shim.crash_at is crash_at
-    assert shim.faulty_opener is faulty_opener
-    assert shim.SimulatedCrash is SimulatedCrash
-    assert shim.FAULT_MODES == FAULT_MODES
 
 
 def test_toolkit_is_importable_from_the_package_root():
