@@ -102,10 +102,21 @@ class MultiAttrHashTable:
 class HashingConfiguration:
     """The set of multi-attribute hash tables currently in force."""
 
-    __slots__ = ("_tables",)
+    __slots__ = ("_tables", "_version")
 
     def __init__(self) -> None:
         self._tables: Dict[Schema, MultiAttrHashTable] = {}
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Moves whenever a table is created or dropped.
+
+        Anything derived from *which schemas exist* (a subscription's
+        eligible tables, the cheapest of them) stays valid while this
+        stands still.
+        """
+        return self._version
 
     def table(self, schema: Schema) -> Optional[MultiAttrHashTable]:
         """The table for *schema*, or None."""
@@ -116,11 +127,14 @@ class HashingConfiguration:
         tbl = self._tables.get(schema)
         if tbl is None:
             tbl = self._tables[schema] = MultiAttrHashTable(schema)
+            self._version += 1
         return tbl
 
     def drop_table(self, schema: Schema) -> MultiAttrHashTable:
         """Remove and return a table (KeyError if absent)."""
-        return self._tables.pop(schema)
+        tbl = self._tables.pop(schema)
+        self._version += 1
+        return tbl
 
     def schemas(self) -> Tuple[Schema, ...]:
         """All table schemas (insertion order)."""

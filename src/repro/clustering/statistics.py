@@ -34,6 +34,16 @@ Pair = Tuple[str, Value]
 class Statistics(Protocol):
     """Probability estimates consumed by the cost model."""
 
+    @property
+    def version(self) -> int:
+        """Moves whenever any estimate may have changed.
+
+        Consumers may keep a value derived from the estimates for as
+        long as this stands still.  A provider without the attribute is
+        treated as changing on every read.
+        """
+        ...
+
     def attr_prob(self, attribute: str) -> float:
         """P(attribute present in an event)."""
         ...
@@ -86,6 +96,11 @@ class UniformStatistics:
         self._attr_probs = dict(attr_probs or {})
         self._default_domain = max(1, default_domain)
         self._default_attr_prob = min(1.0, max(0.0, default_attr_prob))
+
+    @property
+    def version(self) -> int:
+        """Constant: the closed form never changes."""
+        return 0
 
     def domain(self, attribute: str) -> int:
         """Cardinality assumed for *attribute*."""
@@ -141,6 +156,7 @@ class EventStatistics:
         self._decay_every = max(1, decay_every)
         self._events = 0.0
         self._observed = 0
+        self._version = 0
         self._presence: Dict[str, float] = {}
         self._values: Dict[str, Dict[Value, float]] = {}
 
@@ -151,6 +167,7 @@ class EventStatistics:
         """Fold one event into the estimates."""
         self._events += 1.0
         self._observed += 1
+        self._version += 1
         presence = self._presence
         values = self._values
         for attribute, value in event.items():
@@ -163,6 +180,7 @@ class EventStatistics:
             self._apply_decay()
 
     def _apply_decay(self) -> None:
+        self._version += 1
         d = self._decay
         self._events *= d
         for attribute in list(self._presence):
@@ -172,6 +190,11 @@ class EventStatistics:
                 hist[value] *= d
                 if hist[value] < 1e-6:
                     del hist[value]
+
+    @property
+    def version(self) -> int:
+        """Bumped by every :meth:`observe` and every decay."""
+        return self._version
 
     @property
     def event_weight(self) -> float:

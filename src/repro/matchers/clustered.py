@@ -13,18 +13,20 @@ Both use the vectorized (prefetch-analogue) check kernel — in the paper
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
 from repro.algorithms.clusters import ClusterList
-from repro.clustering.access import Key, Schema, access_for_schema
+from repro.clustering.access import Key, Schema, key_for_schema
 from repro.clustering.hashconfig import HashingConfiguration
 from repro.clustering.statistics import Statistics
 from repro.core.errors import ClusteringError
-from repro.core.types import Event, Predicate, Subscription
+from repro.core.types import Event, Operator, Predicate, Subscription
 from repro.indexes.ordered import IndexKind
+
+_EQ = Operator.EQ
 
 
 class ClusteredMatcher(TwoPhaseMatcher):
@@ -50,29 +52,52 @@ class ClusteredMatcher(TwoPhaseMatcher):
         self._universal = ClusterList(key=None)
         # sub id -> (schema or None, probe key, residual size).
         self._placement: Dict[Any, Tuple[Optional[Schema], Key, int]] = {}
+        # Every table's schema, cheapest first, and the (table set,
+        # statistics) version that order was computed at.
+        self._ranked: List[Schema] = []
+        self._ranked_version: Any = None
 
     # ------------------------------------------------------------------
     # schema choice (subclass hook)
     # ------------------------------------------------------------------
-    def _choose_schema(self, sub: Subscription) -> Optional[Schema]:
-        """Schema to cluster *sub* under; None → universal list.
+    def _statistics_version(self) -> Any:
+        """The statistics' version; None (equal to nothing) if it has none."""
+        return getattr(self.statistics, "version", None)
 
-        Default policy: cheapest *existing* eligible table by the
-        subscription's concrete ν (its own access-key probability).
-        """
-        eq_attrs = sub.equality_attributes
+    def _choose_schema(self, sub: Subscription) -> Optional[Schema]:
+        """Schema to cluster *sub* under; None → universal list."""
+        eq_attrs = {p.attribute for p in sub.predicates if p.operator is _EQ}
         if not eq_attrs:
             return None
-        eligible = self.config.eligible_schemas(eq_attrs)
-        if not eligible:
-            return None
-        # Schema-level expected ν, quantized to log-scale buckets: tables
-        # whose estimated cost differs only by sampling noise must compare
-        # equal, so the lexical tie-break concentrates same-schema
-        # subscriptions into one table — without concentration no cluster
-        # ever crosses the maintenance thresholds and the engine cannot
-        # learn which multi-attribute tables to build.
-        return min(eligible, key=lambda s: (self._nu_bucket(s), s))
+        return self._cheapest_table(eq_attrs)
+
+    def _cheapest_table(self, eq_attrs: Set[str]) -> Optional[Schema]:
+        """Cheapest *existing* table eligible for equality attributes
+        *eq_attrs*, by schema-level expected ν.
+
+        Which table is cheaper than which depends on the tables and the
+        statistics, never on the subscription, so the tables are ranked
+        once per version of those two and a placement only looks for
+        the first schema in that order it is eligible for.
+        """
+        stats_version = self._statistics_version()
+        version = (self.config.version, stats_version)
+        if stats_version is None or version != self._ranked_version:
+            # Schema-level expected ν, quantized to log-scale buckets:
+            # tables whose estimated cost differs only by sampling noise
+            # must compare equal, so the lexical tie-break concentrates
+            # same-schema subscriptions into one table — without
+            # concentration no cluster ever crosses the maintenance
+            # thresholds and the engine cannot learn which
+            # multi-attribute tables to build.
+            self._ranked = sorted(
+                self.config.schemas(), key=lambda s: (self._nu_bucket(s), s)
+            )
+            self._ranked_version = version
+        for schema in self._ranked:
+            if eq_attrs.issuperset(schema):
+                return schema
+        return None
 
     def _nu_bucket(self, schema: Schema) -> int:
         """Expected ν of *schema*, bucketed by factor-e steps."""
@@ -81,8 +106,7 @@ class ClusteredMatcher(TwoPhaseMatcher):
 
     def _sub_nu(self, sub: Subscription, schema: Schema) -> float:
         """ν of the subscription's concrete access predicate over *schema*."""
-        ap = access_for_schema(sub, schema)
-        return self.statistics.nu_of_pairs(zip(ap.schema, ap.key))
+        return self.statistics.nu_of_pairs(zip(schema, key_for_schema(sub, schema)))
 
     # ------------------------------------------------------------------
     # placement plumbing
@@ -106,17 +130,36 @@ class ClusteredMatcher(TwoPhaseMatcher):
         slots: Dict[Predicate, int],
         schema: Optional[Schema],
     ) -> None:
-        """Insert *sub* into the given schema's table (or the universal list)."""
+        """Insert *sub* into the given schema's table (or the universal list).
+
+        One pass over the predicates yields both the probe key (the
+        value of the first equality predicate on each schema attribute)
+        and the residual bit refs, equality first so the scalar kernel
+        short-circuits on them (Section 6.2.1).
+        """
+        wanted = schema or ()
+        values: Dict[str, Any] = {}
+        eq_bits: List[int] = []
+        other_bits: List[int] = []
+        for pred in sub.predicates:
+            if pred.operator is not _EQ:
+                other_bits.append(slots[pred])
+            elif pred.attribute in wanted and pred.attribute not in values:
+                values[pred.attribute] = pred.value
+            else:
+                eq_bits.append(slots[pred])
+        if len(values) != len(wanted):
+            missing = sorted(set(wanted) - set(values))
+            raise ClusteringError(
+                f"subscription {sub.id!r} lacks equality predicates on {missing}"
+            )
+        refs = eq_bits + other_bits
+        key = tuple([values[attribute] for attribute in wanted])
         if schema is None:
-            refs = self.ordered_residual_bits(sub, slots, ())
             self._universal.add(sub.id, refs)
-            self._placement[sub.id] = (None, (), len(refs))
-            return
-        ap = access_for_schema(sub, schema)
-        refs = self.ordered_residual_bits(sub, slots, ap.predicates)
-        table = self.config.ensure_table(schema)
-        table.add(sub.id, ap.key, refs)
-        self._placement[sub.id] = (schema, ap.key, len(refs))
+        else:
+            self.config.ensure_table(schema).add(sub.id, key, refs)
+        self._placement[sub.id] = (schema, key, len(refs))
 
     def _displace(self, sub: Subscription) -> None:
         schema, key, size = self._placement.pop(sub.id)

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
+from repro.algorithms.clusters import ClusterList
 from repro.clustering.access import Key, Schema
 from repro.clustering.dynamic import DynamicParams, EntryId, PotentialTableTracker
 from repro.clustering.statistics import EventStatistics, Statistics
@@ -51,7 +52,17 @@ class DynamicMatcher(ClusteredMatcher):
         self.params = params
         self._tracker = PotentialTableTracker()
         self._ops = 0
+        # Handled entry -> its BM when last handled.  Like the ν memo
+        # below it only ever holds live entries (see _displace).
         self._last_handled: Dict[EntryId, float] = {}
+        # Touched entry -> ν of its access predicate, and the statistics
+        # version those were read at.
+        self._entry_nus: Dict[EntryId, float] = {}
+        self._entry_nus_version: Any = None
+        # Attributes that have their singleton table, and the table-set
+        # version that was read at.
+        self._singleton_attrs: Set[str] = set()
+        self._singletons_version = -1
         self._observe = observe_events and isinstance(statistics, EventStatistics)
         # Statistics are estimates; sampling every k-th event keeps the
         # estimator current at a fraction of the census cost.
@@ -113,17 +124,18 @@ class DynamicMatcher(ClusteredMatcher):
     # ------------------------------------------------------------------
     # schema choice: cheapest existing table; singletons created lazily
     # ------------------------------------------------------------------
-    def _choose_schema(self, sub: Subscription) -> Optional[Schema]:
-        eq_attrs = sub.equality_attributes
-        if not eq_attrs:
-            return None
-        for attribute in eq_attrs:
-            self.config.ensure_table((attribute,))
-        eligible = self.config.eligible_schemas(eq_attrs)
+    def _cheapest_table(self, eq_attrs: Set[str]) -> Optional[Schema]:
+        config = self.config
+        if self._singletons_version != config.version:
+            self._singleton_attrs = {s[0] for s in config.schemas() if len(s) == 1}
+            self._singletons_version = config.version
+        if not eq_attrs <= self._singleton_attrs:
+            for attribute in eq_attrs:
+                config.ensure_table((attribute,))
         # Same quantized schema-level choice as the base class (see
-        # ClusteredMatcher._choose_schema for why value-specific estimates
-        # must not drive insertion).
-        return min(eligible, key=lambda s: (self._nu_bucket(s), s))
+        # ClusteredMatcher._cheapest_table for why value-specific
+        # estimates must not drive insertion).
+        return super()._cheapest_table(eq_attrs)
 
     # ------------------------------------------------------------------
     # operation hooks
@@ -132,7 +144,7 @@ class DynamicMatcher(ClusteredMatcher):
         super().add(subscription)
         schema, key, _size = self._placement[subscription.id]
         if schema is not None:
-            self._maybe_handle_entry(schema, key)
+            self._touch_entry(self.config.table(schema).entry(key))
         self._tick()
 
     def remove(self, sub_id: Any) -> Subscription:
@@ -167,14 +179,27 @@ class DynamicMatcher(ClusteredMatcher):
         else:
             self._event_seq += len(events)
         result = super().match_batch(events)
-        for _ in events:
-            self._tick()
+        self._tick(len(events))
         return result
 
-    def _tick(self) -> None:
-        self._ops += 1
-        if not self._frozen and self._ops % self.params.maintenance_interval == 0:
-            self.sweep()
+    def _tick(self, n: int = 1) -> None:
+        """Count *n* operations; sweep once per interval boundary crossed."""
+        interval = self.params.maintenance_interval
+        due = (self._ops + n) // interval - self._ops // interval
+        self._ops += n
+        if not self._frozen:
+            for _ in range(due):
+                self.sweep()
+
+    def _displace(self, sub: Subscription) -> None:
+        schema, key, _size = self._placement[sub.id]
+        super()._displace(sub)
+        # What is remembered about an entry dies with it: a re-created
+        # entry starts from scratch, and drifting keys leave nothing behind.
+        if schema is not None and self.config.table(schema).entry(key) is None:
+            entry: EntryId = (schema, key)
+            self._last_handled.pop(entry, None)
+            self._entry_nus.pop(entry, None)
 
     # ------------------------------------------------------------------
     # the "no change" strategy of Figure 4
@@ -246,7 +271,31 @@ class DynamicMatcher(ClusteredMatcher):
                 total += max(0.0, entry_nu - full)
         return total
 
-    def _maybe_handle_entry(self, schema: Schema, key: Key) -> None:
+    def _touch_entry(self, lst: ClusterList) -> None:
+        """An insert landed in *lst*: handle it if its BM is now excessive.
+
+        ν of the entry moves only with the statistics, so between two
+        events every insert into the same entry reads it from
+        ``_entry_nus`` (a load asks once per entry, not once per
+        subscription).  The sweep does not come through here: it runs
+        after events, when everything remembered is stale anyway.
+        """
+        # ν ≤ 1, so BM = ν·|entry| can only exceed the threshold when the
+        # entry itself does; small entries are not remembered at all.
+        if self._frozen or len(lst) <= self.params.bm_max:
+            return
+        entry: EntryId = lst.key  # the list's own (schema, key): no new tuple kept
+        nus = self._entry_nus
+        version = self._statistics_version()
+        if version is None or version != self._entry_nus_version:
+            nus.clear()
+            self._entry_nus_version = version
+        nu = nus.get(entry)
+        if nu is None:
+            nu = nus[entry] = self._entry_nu(*entry)
+        self._maybe_handle_entry(lst, nu)
+
+    def _maybe_handle_entry(self, lst: ClusterList, nu: float) -> None:
         """Distribute an entry when its BM is excessive and still growing.
 
         An entry whose residents cannot improve yet keeps an excessive
@@ -256,24 +305,17 @@ class DynamicMatcher(ClusteredMatcher):
         ``growth_factor`` (covers both population growth and ν growth
         under event skew).
         """
-        if self._frozen:
-            return
-        table = self.config.table(schema)
-        if table is None:
-            return
-        lst = table.entry(key)
-        if lst is None:
-            return
-        bm = self._entry_nu(schema, key) * len(lst)
+        bm = nu * len(lst)
         if bm <= self.params.bm_max:
             return
-        entry: EntryId = (schema, key)
+        entry: EntryId = lst.key
         last = self._last_handled.get(entry, 0.0)
         if last and bm < last * self.params.growth_factor:
             return
         self._note_threshold("bm_max")
-        self._distribute_entry(schema, key)
-        self._last_handled[entry] = self.benefit_margin(schema, key)
+        self._distribute_entry(*entry)
+        if lst:  # not emptied by the distribution
+            self._last_handled[entry] = nu * len(lst)
 
     def _distribute_entry(self, schema: Schema, key: Key) -> None:
         """The paper's ``Cluster_distribute`` for one oversized entry."""
@@ -403,13 +445,15 @@ class DynamicMatcher(ClusteredMatcher):
         """Periodic maintenance: oversized entries, underused tables."""
         params = self.params
         self._note_maintenance("sweeps")
-        for table in list(self.config.tables()):
-            for key, lst in list(table.entries()):
-                # ν ≤ 1, so BM = ν·|entry| can only exceed the threshold
-                # when the entry itself does — skipping small entries keeps
-                # sweeps O(large entries), not O(all entries).
-                if len(lst) > params.bm_max:
-                    self._maybe_handle_entry(table.schema, key)
+        if not self._frozen:
+            for table in list(self.config.tables()):
+                for _key, lst in list(table.entries()):
+                    # ν ≤ 1, so BM = ν·|entry| can only exceed the
+                    # threshold when the entry itself does — skipping
+                    # small entries keeps sweeps O(large entries), not
+                    # O(all entries).
+                    if len(lst) > params.bm_max:
+                        self._maybe_handle_entry(lst, self._entry_nu(*lst.key))
         # Drop starved multi-attribute tables (singletons are the free
         # natural clustering and stay).
         for table in list(self.config.tables()):

@@ -127,6 +127,22 @@ class TestHashingConfiguration:
         with pytest.raises(KeyError):
             HashingConfiguration().drop_table(("a",))
 
+    def test_version_moves_with_the_table_set_only(self):
+        cfg = HashingConfiguration()
+        seen = [cfg.version]
+        cfg.ensure_table(("a",))
+        seen.append(cfg.version)
+        cfg.ensure_table(("a",)).add("s1", (1,), [5])  # no new table
+        assert cfg.version == seen[-1]
+        cfg.drop_table(("a",))
+        seen.append(cfg.version)
+        with pytest.raises(KeyError):
+            cfg.drop_table(("a",))
+        assert cfg.version == seen[-1]
+        assert len(set(seen)) == 3
+        with pytest.raises(AttributeError):
+            cfg.version = 0
+
     def test_eligible_schemas(self):
         cfg = HashingConfiguration()
         cfg.ensure_table(("a",))

@@ -33,6 +33,12 @@ class TestUniformStatistics:
         s = UniformStatistics(default_domain=10)
         assert nu_of_predicates(s, [eq("a", 1), eq("b", 2)]) == pytest.approx(0.01)
 
+    def test_version_is_constant(self):
+        s = UniformStatistics({"a": 10})
+        before = s.version
+        s.pair_prob("a", 1), s.expected_nu_schema(("a",))
+        assert s.version == before
+
     def test_example31_values(self):
         # Example 3.1's setting: 100 values per attribute, always present.
         s = UniformStatistics(domains={"A": 100, "B": 100, "C": 100})
@@ -89,6 +95,17 @@ class TestEventStatisticsLearning:
             s.observe(Event({"a": 1}))
         assert s.event_weight == pytest.approx(5.0)
         assert s.events_observed == 10
+
+    def test_version_moves_on_observe_and_on_decay(self):
+        s = EventStatistics(decay=0.5, decay_every=10**9)
+        seen = [s.version]
+        s.observe(Event({"a": 1}))
+        seen.append(s.version)
+        s.pair_prob("a", 1), s.expected_nu_schema(("a",))  # reads do not move it
+        assert s.version == seen[-1]
+        s._apply_decay()
+        seen.append(s.version)
+        assert len(set(seen)) == 3
 
     def test_value_distribution_normalized(self):
         s = EventStatistics()

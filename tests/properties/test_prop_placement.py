@@ -1,0 +1,212 @@
+"""Placement equivalence: versioned decisions vs. re-deriving them every time.
+
+``DynamicMatcher`` ranks the tables once per (table set, statistics)
+version, remembers each touched entry's ν per statistics version and
+builds probe key and residual refs in one pass.  The reference below
+carries the previous definitions verbatim — every decision re-derived
+from the statistics on every call, placement through
+``access_for_schema`` → ``AccessPredicate`` → ``ordered_residual_bits``
+— and must stay indistinguishable under any interleaving of writes,
+observation, decay, sweeps and table creation and deletion.
+"""
+
+import random
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.clustering import DynamicParams, EventStatistics, access_for_schema
+from repro.clustering.dynamic import EntryId
+from repro.matchers import DynamicMatcher
+from repro.workload.generator import WorkloadGenerator
+from repro.workload.scenarios import w0
+from repro.core import Subscription, eq
+from tests.properties.strategies import ATTRIBUTES, events, predicates
+
+
+class UnmemoizedDynamicMatcher(DynamicMatcher):
+    """The placement path as it was before decisions were versioned."""
+
+    def _choose_schema(self, sub):
+        eq_attrs = sub.equality_attributes
+        if not eq_attrs:
+            return None
+        for attribute in eq_attrs:
+            self.config.ensure_table((attribute,))
+        eligible = self.config.eligible_schemas(eq_attrs)
+        return min(eligible, key=lambda s: (self._nu_bucket(s), s))
+
+    def _place_under(self, sub, slots, schema):
+        if schema is None:
+            refs = self.ordered_residual_bits(sub, slots, ())
+            self._universal.add(sub.id, refs)
+            self._placement[sub.id] = (None, (), len(refs))
+            return
+        ap = access_for_schema(sub, schema)
+        refs = self.ordered_residual_bits(sub, slots, ap.predicates)
+        table = self.config.ensure_table(schema)
+        table.add(sub.id, ap.key, refs)
+        self._placement[sub.id] = (schema, ap.key, len(refs))
+
+    def _touch_entry(self, lst):
+        schema, key = lst.key
+        if self._frozen:
+            return
+        bm = self._entry_nu(schema, key) * len(lst)
+        if bm <= self.params.bm_max:
+            return
+        entry: EntryId = (schema, key)
+        last = self._last_handled.get(entry, 0.0)
+        if last and bm < last * self.params.growth_factor:
+            return
+        self._note_threshold("bm_max")
+        self._distribute_entry(schema, key)
+        self._last_handled[entry] = self.benefit_margin(schema, key)
+
+
+@st.composite
+def clusterable_subscriptions(draw):
+    """Equality-heavy over few values: several tables are eligible for
+    most subscriptions and entries grow past the thresholds."""
+    equalities = draw(
+        st.lists(
+            st.builds(eq, ATTRIBUTES, st.integers(min_value=0, max_value=2)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    others = draw(st.lists(predicates(), max_size=2))
+    return Subscription(0, equalities + others)
+
+
+def assert_same_clustering(real, reference, live_ids):
+    assert real.config.schemas() == reference.config.schemas()
+    assert real.table_sizes() == reference.table_sizes()
+    assert real.maintenance == reference.maintenance
+    for sid in live_ids:
+        assert real.placement_of(sid) == reference.placement_of(sid)
+
+
+class PlacementMachine(RuleBasedStateMachine):
+    """Both matchers get every operation; they must never diverge."""
+
+    def __init__(self):
+        super().__init__()
+        # Aggressive thresholds so moves, table creation and deletion
+        # all happen inside a 30-step run; a short decay period so the
+        # estimator's own decay fires too.
+        params = DynamicParams(
+            bm_max=1.0, b_create=3, b_delete=2, maintenance_interval=8
+        )
+        self.pair = [
+            cls(
+                statistics=EventStatistics(decay=0.05, decay_every=7),
+                params=params,
+                observe_every=2,
+            )
+            for cls in (DynamicMatcher, UnmemoizedDynamicMatcher)
+        ]
+        self.live = {}
+        self.counter = 0
+
+    @rule(sub=clusterable_subscriptions())
+    def add(self, sub):
+        self.counter += 1
+        sub = Subscription(f"p{self.counter}", sub.predicates)
+        for matcher in self.pair:
+            matcher.add(sub)
+        self.live[sub.id] = sub
+
+    @rule(data=st.data())
+    def remove(self, data):
+        if not self.live:
+            return
+        sid = data.draw(st.sampled_from(sorted(self.live)))
+        for matcher in self.pair:
+            matcher.remove(sid)
+        del self.live[sid]
+
+    @rule(batch=st.lists(events(), min_size=1, max_size=6))
+    def match_batch(self, batch):
+        real, reference = (m.match_batch(batch) for m in self.pair)
+        assert real == reference
+        for event, got in zip(batch, real):
+            assert set(got) == {
+                sid for sid, sub in self.live.items() if sub.is_satisfied_by(event)
+            }
+
+    @rule(event=events())
+    def observe_directly(self, event):
+        # Not through the matcher: only the statistics' own version can
+        # tell it that its decisions are stale.
+        for matcher in self.pair:
+            matcher.statistics.observe(event)
+
+    @rule()
+    def force_decay(self):
+        for matcher in self.pair:
+            matcher.statistics._apply_decay()
+
+    @rule()
+    def sweep(self):
+        for matcher in self.pair:
+            matcher.sweep()
+
+    @rule(attrs=st.lists(ATTRIBUTES, min_size=1, max_size=3, unique=True))
+    def create_table(self, attrs):
+        for matcher in self.pair:
+            matcher.config.ensure_table(tuple(sorted(attrs)))
+
+    @rule(data=st.data())
+    def drop_table(self, data):
+        schemas = self.pair[0].config.schemas()
+        if not schemas:
+            return
+        schema = data.draw(st.sampled_from(schemas))
+        for matcher in self.pair:
+            matcher._drop_table(schema)
+
+    @invariant()
+    def indistinguishable(self):
+        real, reference = self.pair
+        assert_same_clustering(real, reference, self.live)
+        real.check_invariants()
+
+
+TestPlacementEquivalence = PlacementMachine.TestCase
+TestPlacementEquivalence.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)
+
+
+def test_w0_load_events_and_removes_cluster_identically():
+    """The same differential at workload scale: a W0 load, observed
+    batches, removes and re-adds."""
+    n = 4000
+    gen = WorkloadGenerator(w0(n_subscriptions=n, seed=11))
+    subs = list(gen.subscriptions(n))
+    batches = [list(gen.events(64)) for _ in range(6)]
+    # Thresholds low enough that a 4k population distributes entries
+    # and builds multi-attribute tables.
+    params = DynamicParams(bm_max=0.5, b_create=16, maintenance_interval=256)
+    real, reference = (
+        cls(params=params) for cls in (DynamicMatcher, UnmemoizedDynamicMatcher)
+    )
+    rng = random.Random(3)
+    leaving = rng.sample(subs, 400)
+    for matcher in (real, reference):
+        for sub in subs:
+            matcher.add(sub)
+    assert_same_clustering(real, reference, [s.id for s in subs])
+    for batch in batches:
+        assert real.match_batch(batch) == reference.match_batch(batch)
+        for matcher in (real, reference):
+            for sub in leaving[:100]:
+                matcher.remove(sub.id)
+            for sub in leaving[:100]:
+                matcher.add(sub)
+        leaving = leaving[100:] + leaving[:100]
+        assert_same_clustering(real, reference, [s.id for s in subs])
+    real.check_invariants()
+    assert real.maintenance["moves"] and real.maintenance["tables_created"]
