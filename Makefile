@@ -7,7 +7,12 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test test-all bench-smoke bench-e2e-smoke bench-e2e metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke shm-smoke delivery-smoke
 
-test: metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke shm-smoke delivery-smoke
+# The seven script-backed smokes (examples/*_smoke.py) are not
+# prerequisites: tests/integration/test_examples.py runs every
+# examples/*.py inside the pytest step, so listing them here ran each
+# one twice.  Their targets below stay for hand use.  metrics-smoke
+# drives the CLI and has no pytest twin, so it stays.
+test: metrics-smoke
 	$(PYTEST) -q -m "not slow"
 
 test-all:
@@ -56,7 +61,7 @@ metrics-smoke:
 # End-to-end durability check: journal a churning workload, compact to
 # a snapshot mid-stream, tear the WAL tail (a crash mid-append), then
 # recover and differentially match against the pre-crash oracle. Part
-# of tier-1 (`make test` runs it alongside metrics-smoke).
+# of tier-1 through tests/integration/test_examples.py.
 DURABILITY_SMOKE_DIR := .durability-smoke
 durability-smoke:
 	rm -rf $(DURABILITY_SMOKE_DIR)
@@ -66,15 +71,15 @@ durability-smoke:
 # End-to-end overload-safety check: burst a bounded server (shed +
 # retry must converge, differentially checked), then fault a shard
 # (degrade, reroute, heal through the breaker's half-open probe). Part
-# of tier-1 (`make test` runs it alongside the other smokes).
+# of tier-1 through tests/integration/test_examples.py.
 robustness-smoke:
 	PYTHONPATH=src $(PYTHON) examples/robustness_smoke.py
 
 # End-to-end batch-kernel check: 10k events through every Figure-3
 # algorithm's match_batch in mixed-size batches, differentially checked
 # against the brute-force oracle, plus the BatchServer lane and the
-# batch metrics counters. Part of tier-1 (`make test` runs it alongside
-# the other smokes).
+# batch metrics counters. Part of tier-1 through
+# tests/integration/test_examples.py.
 batch-smoke:
 	PYTHONPATH=src $(PYTHON) examples/batch_smoke.py
 
@@ -82,15 +87,15 @@ batch-smoke:
 # through both match entry points, differentially checked against
 # the oracle, plus one induced worker SIGKILL driven through the
 # degrade -> quarantine -> respawn -> converge lifecycle. Part of
-# tier-1 (`make test` runs it alongside the other smokes).
+# tier-1 through tests/integration/test_examples.py.
 procpool-smoke:
 	PYTHONPATH=src $(PYTHON) examples/procpool_smoke.py
 
 # End-to-end aggregation check: a Zipf duplicate-heavy population
 # through the AggregatingMatcher — frontier-reduction assertion,
 # aggregated-vs-raw differential (with churn), oracle spot check and
-# the repro_agg_* metric counters. Part of tier-1 (`make test` runs it
-# alongside the other smokes).
+# the repro_agg_* metric counters. Part of tier-1 through
+# tests/integration/test_examples.py.
 aggregation-smoke:
 	PYTHONPATH=src $(PYTHON) examples/aggregation_smoke.py
 
@@ -99,7 +104,7 @@ aggregation-smoke:
 # against the oracle with the arena byte counters asserted hot (zero
 # pipe fallbacks), one induced SIGKILL driven through the respawn +
 # arena re-attach lifecycle, and a /dev/shm leak sweep. Part of tier-1
-# (`make test` runs it alongside the other smokes).
+# through tests/integration/test_examples.py.
 shm-smoke:
 	PYTHONPATH=src $(PYTHON) examples/shm_smoke.py
 
@@ -107,8 +112,8 @@ shm-smoke:
 # and healthy subscribers (redelivery must lose nothing), a dead
 # subscriber's budget burned into the DLQ then redriven clean, and a
 # crash with unacked in-flight deliveries recovered from the WAL with
-# the redelivered set differentially checked. Part of tier-1
-# (`make test` runs it alongside the other smokes).
+# the redelivered set differentially checked. Part of tier-1 through
+# tests/integration/test_examples.py.
 DELIVERY_SMOKE_DIR := .delivery-smoke
 delivery-smoke:
 	rm -rf $(DELIVERY_SMOKE_DIR)

@@ -98,18 +98,29 @@ def main():
                     f"{algorithm}: event {row} matched {norm(got)!r}, "
                     f"oracle says {want!r}"
                 )
-        events_seen = sum(
-            sample["value"]
-            for metric in registry.snapshot()["metrics"]
-            if metric["name"] == "repro_batch_events_total"
-            for sample in metric["samples"]
-        )
-        if events_seen != N_EVENTS:
+        # A one-event batch is the scalar algorithm by design, counted
+        # as a fallback with reason="single" (one batch == one event);
+        # everything else must have gone through the kernel.
+        kernel = singles = 0
+        for metric in registry.snapshot()["metrics"]:
+            for sample in metric["samples"]:
+                if metric["name"] == "repro_batch_events_total":
+                    kernel += sample["value"]
+                elif metric["name"] == "repro_batch_fallback_total":
+                    if sample["labels"]["reason"] == "single":
+                        singles += sample["value"]
+                    elif sample["value"]:
+                        fail(f"{algorithm}: unexpected fallback {sample!r}")
+        if not singles or kernel + singles != N_EVENTS:
             fail(
-                f"{algorithm}: repro_batch_events_total={events_seen}, "
-                f"expected {N_EVENTS}"
+                f"{algorithm}: repro_batch_events_total={kernel} + "
+                f'repro_batch_fallback_total{{reason="single"}}={singles}, '
+                f"expected {N_EVENTS} together"
             )
-        print(f"  {algorithm}: OK ({events_seen} events through the kernel)")
+        print(
+            f"  {algorithm}: OK ({kernel} events through the kernel, "
+            f"{singles} one-event batches through the scalar path)"
+        )
 
     with BatchServer(matcher=matcher_for("propagation", spec)) as server:
         server.submit_subscriptions(subs)

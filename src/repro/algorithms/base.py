@@ -184,10 +184,13 @@ class TwoPhaseMatcher(Matcher):
             events = list(events)
         if not len(events):
             return []
-        if self.tracer.enabled:
-            # Per-event spans need the scalar path; keep tracing exact.
+        single = len(events) == 1
+        if single or self.tracer.enabled:
+            # One event is the paper's scalar algorithm (the kernel's
+            # fixed per-batch cost buys nothing); per-event spans need
+            # the scalar path too, which keeps tracing exact.
             if self.metrics.enabled:
-                self._mb_fallback.inc()
+                self._mb_fallback["single" if single else "tracer"].inc()
             return [self.match(e) for e in events]
         t0 = time.perf_counter_ns()
         evaluator = self._batch_evaluator()
@@ -289,11 +292,15 @@ class TwoPhaseMatcher(Matcher):
             "Events matched through the vectorized kernel.",
             names,
         ).labels(**labels)
-        self._mb_fallback = m.counter(
+        fallback = m.counter(
             "repro_batch_fallback_total",
-            "Batches that fell back to the per-event scalar path, by reason.",
+            "Batches that took the per-event scalar path, by reason.",
             ("engine", "shard", "reason"),
-        ).labels(reason="tracer", **labels)
+        )
+        self._mb_fallback = {
+            reason: fallback.labels(reason=reason, **labels)
+            for reason in ("tracer", "single")
+        }
         batch_phases = m.histogram(
             "repro_batch_kernel_seconds",
             "Per-batch kernel latency split by matching phase.",

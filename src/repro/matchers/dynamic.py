@@ -163,10 +163,11 @@ class DynamicMatcher(ClusteredMatcher):
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
         events = list(events)
-        if self.tracer.enabled:
-            # The scalar path keeps per-event spans *and* does its own
-            # observation/maintenance bookkeeping per event.
-            return [self.match(e) for e in events]
+        if self.tracer.enabled or len(events) == 1:
+            # The base class takes (and counts) the scalar path through
+            # self.match, which does its own observation and maintenance
+            # bookkeeping per event.
+            return super().match_batch(events)
         # Observation and maintenance never change match results (they
         # only re-cluster), so sampling every k-th event up front and
         # ticking after the kernel is result-equivalent to the scalar

@@ -591,33 +591,7 @@ class DeliveryManager:
             if channel is None:
                 raise UnknownChannelError(sub_id)
             now = self.clock.now() if now is None else now
-            if channel.auto_ack and channel.connected and channel._sink is not None:
-                # Fast path: a successful auto-acked send settles
-                # synchronously — the lease never rests in the window —
-                # so the full bookkeeping (window insertion, watermark,
-                # gauge refresh) is skipped.  Inline because this is
-                # the publish hot path.
-                seq = channel._next_seq
-                channel._next_seq = seq + 1
-                notification = Notification(sub_id, event, now, seq=seq)
-                wal = self.wal
-                if wal is not None:
-                    self._journal_deliver(sub_id, seq, event, now)
-                counters = channel.counters
-                counters["dispatched"] += 1
-                try:
-                    channel._sink(notification)
-                except Exception:
-                    self._auto_ack_failed(channel, notification, seq, now)
-                    return seq
-                counters["delivered"] += 1
-                counters["acks"] += 1
-                # Counter.inc() is just `value += n`; skip the call.
-                self._m_acks.value += 1
-                if wal is not None:
-                    self._journal_settle(sub_id, seq, "ack", None, 1)
-                return seq
-            return self._dispatch_slow(channel, sub_id, event, now)
+            return self._dispatch_one(channel, sub_id, event, now)
 
     def dispatch_matches(
         self, sub_ids: List[Any], event: Any, now: float
@@ -633,34 +607,44 @@ class DeliveryManager:
         unhandled: List[Any] = []
         with self._lock:
             channels = self._channels
-            wal = self.wal
             for sub_id in sub_ids:
                 channel = channels.get(sub_id)
                 if channel is None:
                     unhandled.append(sub_id)
-                    continue
-                if channel.auto_ack and channel.connected and channel._sink is not None:
-                    # Same inlined fast path as dispatch() — see there.
-                    seq = channel._next_seq
-                    channel._next_seq = seq + 1
-                    notification = Notification(sub_id, event, now, seq=seq)
-                    if wal is not None:
-                        self._journal_deliver(sub_id, seq, event, now)
-                    counters = channel.counters
-                    counters["dispatched"] += 1
-                    try:
-                        channel._sink(notification)
-                    except Exception:
-                        self._auto_ack_failed(channel, notification, seq, now)
-                        continue
-                    counters["delivered"] += 1
-                    counters["acks"] += 1
-                    self._m_acks.value += 1
-                    if wal is not None:
-                        self._journal_settle(sub_id, seq, "ack", None, 1)
                 else:
-                    self._dispatch_slow(channel, sub_id, event, now)
+                    self._dispatch_one(channel, sub_id, event, now)
         return unhandled
+
+    def _dispatch_one(
+        self, channel: SubscriberChannel, sub_id: Any, event: Any, now: float
+    ) -> int:
+        """One delivery into *channel* (manager lock held); returns its seq."""
+        if not (channel.auto_ack and channel.connected and channel._sink is not None):
+            return self._dispatch_slow(channel, sub_id, event, now)
+        # Fast path: a successful auto-acked send settles synchronously
+        # — the lease never rests in the window — so the full
+        # bookkeeping (window insertion, watermark, gauge refresh) is
+        # skipped.  This is the publish hot path.
+        seq = channel._next_seq
+        channel._next_seq = seq + 1
+        notification = Notification(sub_id, event, now, seq=seq)
+        wal = self.wal
+        if wal is not None:
+            self._journal_deliver(sub_id, seq, event, now)
+        counters = channel.counters
+        counters["dispatched"] += 1
+        try:
+            channel._sink(notification)
+        except Exception:
+            self._auto_ack_failed(channel, notification, seq, now)
+            return seq
+        counters["delivered"] += 1
+        counters["acks"] += 1
+        # Counter.inc() is just `value += n`; skip the call.
+        self._m_acks.value += 1
+        if wal is not None:
+            self._journal_settle(sub_id, seq, "ack", None, 1)
+        return seq
 
     def _dispatch_slow(
         self, channel: SubscriberChannel, sub_id: Any, event: Any, now: float

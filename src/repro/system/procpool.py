@@ -611,11 +611,15 @@ class ProcessPool:
         Returns the slot ticket (every reader must be driven through
         :meth:`ProcessShard.consume_slot`, which acks it), or None
         when the batch must take the pipe instead — odd-path values,
-        a batch bigger than one slot, or no slot freeing up in time.
-        Every None is counted in ``repro_shm_fallback_total``.
+        a batch bigger than one slot, or no slot freeing up in time,
+        each counted in ``repro_shm_fallback_total``.  A single event
+        is not a fallback: it rides the ``"match"`` op by design
+        (:meth:`ProcessShard.match_batch`), so it gets None uncounted.
         """
         if self.arena is None or self.arena.ring is None:
             raise RuntimeError("publish_events requires the shm codec")
+        if len(events) == 1:
+            return None
         payload = encode_events(events, "auto")
         if payload[0] != "cols":
             self._m_shm_fallback["oddpath"].inc()
@@ -847,6 +851,10 @@ class ProcessShard(Matcher):
         events = list(events)
         if not events:
             return []
+        if len(events) == 1:
+            # One event is the "match" op's wire form: a scalar call
+            # never touches the arena or the batch codec.
+            return [self.match(events[0])]
         if self.pool.arena is not None:
             # Single-reader shm path (the sharded layer publishes once
             # for all shards itself; this covers direct shard calls).

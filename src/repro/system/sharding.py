@@ -4,11 +4,13 @@ The paper's algorithms are single-threaded by design; this module is the
 horizontal-scale layer above them.  A :class:`ShardedMatcher` owns N
 independent inner matchers (any registered backend), places each
 subscription on exactly one of them through a pluggable
-:class:`~repro.system.router.ShardRouter`, and answers ``match`` by
-fanning the event out to the router's candidate shards — on a thread
-pool when more than one shard must be probed — and concatenating the
-per-shard results in ascending shard order (deterministic regardless of
-completion order).
+:class:`~repro.system.router.ShardRouter`, and answers ``match_batch``
+by fanning each event out to the router's candidate shards — one
+sub-batch per shard, on a thread pool when more than one shard must be
+probed — and concatenating the per-shard results per event in ascending
+shard order (deterministic regardless of completion order).  There is
+one fan-out: ``match(e)`` is ``match_batch([e])[0]``, and breakers, the
+shm arena and tracing all live on that one path.
 
 Because the shards partition the subscription set, per-shard results are
 disjoint and the union is exactly what a single matcher over the full
@@ -32,20 +34,24 @@ layer is coarse-grained, so it carries a live registry by default;
 ``use_metrics`` swaps in a shared registry and propagates it to every
 inner engine with a distinct ``shard`` label (keeping each series
 single-writer under that shard's lock).  ``use_tracer`` records one
-fan-out span per event with per-shard children.
+``fanout`` span per batch with one child per probed shard.
 
 Shard quarantine (``breaker=``; see ``docs/resilience.md``): with
 per-shard :class:`~repro.system.resilience.CircuitBreaker` protection
 enabled, a shard whose inner engine raises (or answers slower than
-``slow_match_seconds``) repeatedly is quarantined instead of poisoning
-every publish — events skip it, ``match`` returns the healthy shards'
-results as a :class:`~repro.system.resilience.PartialResults` flagged
-``degraded=True``, and *new* subscriptions are overflow-placed on a
-healthy neighbour (tracked so routing stays sound for any router: the
-overflow shards are always probed).  After the breaker's cool-down the
-next event runs a half-open probe through the shard; success heals it.
-Without ``breaker`` (the default) behaviour is exactly the pre-quarantine
-contract: inner-engine exceptions propagate to the caller.
+``slow_match_seconds`` per routed event) repeatedly is quarantined
+instead of poisoning every publish.  The unit of failure is the *probe*
+— one call into one shard, carrying that shard's share of the batch: a
+failed probe is one breaker failure, and every event routed to a failed
+or quarantined shard comes back as a
+:class:`~repro.system.resilience.PartialResults` flagged
+``degraded=True`` holding the healthy shards' results.  *New*
+subscriptions are overflow-placed on a healthy neighbour (tracked so
+routing stays sound for any router: the overflow shards are always
+probed).  After the breaker's cool-down the next batch runs a half-open
+probe through the shard; success heals it.  Without ``breaker`` (the
+default) behaviour is exactly the pre-quarantine contract: inner-engine
+exceptions propagate to the caller.
 
 Execution backends (``executor=``; see ``docs/scaling.md``): the default
 ``"thread"`` executor keeps every inner engine in-process and is
@@ -229,11 +235,11 @@ class ShardedMatcher(Matcher):
         self._m_visits = [visits.labels(shard=str(i)) for i in range(len(self._shards))]
         self._m_fanout_seconds = m.histogram(
             "repro_sharded_fanout_seconds",
-            "Per-event latency of the candidate-shard fan-out.",
+            "Per-batch latency of the candidate-shard fan-out.",
         ).labels()
         self._m_merge_seconds = m.histogram(
             "repro_sharded_merge_seconds",
-            "Per-event latency of concatenating per-shard results.",
+            "Per-batch latency of concatenating per-shard results.",
         ).labels()
         breaker_state = m.gauge(
             "repro_breaker_state",
@@ -254,7 +260,7 @@ class ShardedMatcher(Matcher):
         ).labels()
         self._m_quarantine_skips = m.counter(
             "repro_sharded_quarantine_skips_total",
-            "Candidate-shard probes skipped because the breaker was open.",
+            "Routed events a shard never saw because its breaker was open.",
         ).labels()
         self._m_rerouted = m.counter(
             "repro_sharded_rerouted_total",
@@ -368,7 +374,9 @@ class ShardedMatcher(Matcher):
             "codec": self._procpool.codec,
         }
         if self._procpool.arena is not None:
-            health["shm"] = self._procpool.arena.health()
+            # Geometry plus the traffic counters: an arena that exists
+            # but carries no bytes (or only fallbacks) must be visible.
+            health["shm"] = self._procpool.stats()["shm"]
         return health
 
     def __enter__(self) -> "ShardedMatcher":
@@ -463,270 +471,192 @@ class ShardedMatcher(Matcher):
     # ------------------------------------------------------------------
     # matching
     # ------------------------------------------------------------------
-    def _match_shard(self, shard: int, event: Event) -> List[Any]:
-        with self._shard_locks[shard]:
-            return self._shards[shard].match(event)
+    def match(self, event: Event) -> List[Any]:
+        return self.match_batch([event])[0]
 
-    def _match_shard_batch(
-        self, shard: int, events: List[Event]
-    ) -> List[List[Any]]:
-        with self._shard_locks[shard]:
-            return self._shards[shard].match_batch(events)
+    def _probe(
+        self,
+        shard: int,
+        events: List[Event],
+        rows: Optional[List[int]],
+        ticket: Any,
+    ) -> Tuple[Optional[List[List[Any]]], Optional[Exception], float]:
+        """One call into one shard, reported instead of raised.
+
+        Consumes the shard's reader claim on *ticket* when the batch
+        was published to the shm arena (``consume_slot`` acks in a
+        ``finally``, so worker death cannot strand the slot).
+        """
+        start = time.perf_counter()
+        try:
+            with self._shard_locks[shard]:
+                if ticket is not None:
+                    result = self._shards[shard].consume_slot(ticket, rows)
+                else:
+                    result = self._shards[shard].match_batch(
+                        events if rows is None else [events[r] for r in rows]
+                    )
+        except Exception as exc:
+            return None, exc, time.perf_counter() - start
+        return result, None, time.perf_counter() - start
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        """Batched fan-out: each shard sees one sub-batch, merged per event.
+        """The one fan-out: each shard sees one sub-batch, merged per event.
 
-        Events are routed per shard exactly as :meth:`match` routes them
-        individually; each probed shard runs its inner batch kernel over
-        the events routed to it, and per-event results are concatenated
-        in ascending shard order — the same deterministic merge order as
-        the scalar path, independent of completion order.  Breaker mode
-        and tracing fall back to the per-event path (quarantine
-        accounting and fan-out spans are per event by design).
+        Route, gate each candidate shard through its breaker once,
+        publish the batch to the shm arena when there is one, run one
+        *probe* (a single call into a single shard, under its lock) per
+        admitted shard, record one breaker verdict per probe, and
+        concatenate per-event results in ascending shard order —
+        deterministic regardless of completion order.  ``match(e)`` is
+        a batch of one.
+
+        The probe is the unit of failure.  With breakers, every row
+        routed to a quarantined or failing shard comes back
+        ``degraded`` with that shard in ``failed_shards`` (the ids
+        present are still correct) and the breaker records exactly one
+        failure per failed probe; a probe slower than
+        ``slow_match_seconds`` *per routed event* is used but counted
+        against the shard.  Without breakers an inner exception
+        propagates — after every probe has run, so every shm reader
+        claim is released.
         """
         events = list(events)
         n = len(events)
-        if not events:
+        if not n:
             return []
-        if self._breakers is not None or self.tracer.enabled:
-            return [self.match(e) for e in events]
+        breakers = self._breakers
+        n_shards = len(self._shards)
         # A shard's row list; None is the identity routing — the whole
         # batch in order — so broadcast fan-outs never build, pickle or
         # re-gather per-event row lists at all.
         rows_of: Dict[int, Optional[List[int]]] = {}
-        skipped = 0
         with self._meta:
+            population = self._population
             if self.router.prunes():
-                for row, event in enumerate(events):
-                    candidates = sorted(
-                        s
-                        for s in set(self.router.candidate_shards(event))
-                        if self._population[s]
-                    )
-                    skipped += len(self._shards) - len(candidates)
-                    for s in candidates:
-                        rows_of.setdefault(s, []).append(row)
-            else:
-                populated = [
-                    s for s in range(len(self._shards)) if self._population[s]
-                ]
-                rows_of = {s: None for s in populated}
-                skipped = (len(self._shards) - len(populated)) * n
-            self._m_events.inc(n)
-            self._m_skipped.inc(skipped)
-            for s, rows in rows_of.items():
-                self._m_visits[s].inc(n if rows is None else len(rows))
-        out: List[List[Any]] = [[] for _ in events]
-        probe = sorted(rows_of)
-        if not probe:
-            return out
-        start = time.perf_counter()
-        results = None
-        if self._procpool is not None and self._procpool.arena is not None:
-            results = self._match_batch_shm(events, rows_of, probe)
-        if results is None:
-
-            def sub_batch(s: int) -> List[Event]:
-                rows = rows_of[s]
-                return events if rows is None else [events[r] for r in rows]
-
-            if self._parallel and len(probe) > 1:
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(self._match_shard_batch, s, sub_batch(s))
-                    for s in probe
-                ]
-                results = [f.result() for f in futures]
-            else:
-                results = [
-                    self._match_shard_batch(s, sub_batch(s)) for s in probe
-                ]
-        merged_at = time.perf_counter()
-        for s, per_event in zip(probe, results):
-            rows = rows_of[s]
-            for r, ids in zip(range(n) if rows is None else rows, per_event):
-                out[r].extend(ids)
-        done = time.perf_counter()
-        with self._meta:
-            self._m_fanout_seconds.observe(merged_at - start)
-            self._m_merge_seconds.observe(done - merged_at)
-        return out
-
-    def _match_batch_shm(
-        self,
-        events: List[Event],
-        rows_of: Dict[int, Optional[List[int]]],
-        probe: List[int],
-    ) -> Optional[List[List[List[Any]]]]:
-        """Write-once fan-out over the process pool's shm arena.
-
-        The batch is packed into one event slot with ``len(probe)``
-        readers; every probed shard then receives only the tiny slot
-        descriptor plus its row list (None = the whole batch, read in
-        place) and acks the slot when done (in a
-        ``finally`` inside :meth:`ProcessShard.consume_slot`, so
-        worker death cannot strand it).  Returns None — pipe fallback —
-        when the batch cannot ride the arena (odd-path values, slot too
-        small, no slot free in time); the pool counts each reason in
-        ``repro_shm_fallback_total``.
-        """
-        pool = self._procpool
-        ticket = pool.publish_events(events, readers=len(probe))
-        if ticket is None:
-            return None
-
-        def run(s: int) -> List[List[Any]]:
-            with self._shard_locks[s]:
-                return self._shards[s].consume_slot(ticket, rows_of[s])
-
-        if self._parallel and len(probe) > 1:
-            # Every submitted future runs (even after an earlier one
-            # fails), so every reader ack is issued exactly once.
-            tpool = self._ensure_pool()
-            futures = [tpool.submit(run, s) for s in probe]
-            return [f.result() for f in futures]
-        done = 0
-        try:
-            results = []
-            for s in probe:
-                results.append(run(s))
-                done += 1
-            return results
-        except BaseException:
-            # Shards never reached still hold reader claims; release
-            # them so the slot returns to the ring.
-            for _ in range(len(probe) - done - 1):
-                pool.arena.ring.ack(ticket)
-            raise
-
-    def _match_shard_guarded(
-        self, shard: int, event: Event
-    ) -> Tuple[Optional[List[Any]], Optional[Exception], float]:
-        """One shard probe that reports instead of raising (breaker mode)."""
-        start = time.perf_counter()
-        try:
-            ids = self._match_shard(shard, event)
-        except Exception as exc:
-            return None, exc, time.perf_counter() - start
-        return ids, None, time.perf_counter() - start
-
-    def match(self, event: Event) -> List[Any]:
-        breakers = self._breakers
-        with self._meta:
-            candidates = set(self.router.candidate_shards(event))
-            if breakers is not None:
                 # Overflow shards hold subscriptions whose router-
                 # preferred home was quarantined at add time; the router
                 # does not know about them, so they are always probed.
-                candidates.update(s for s, n in enumerate(self._overflow) if n)
-            candidates = sorted(s for s in candidates if self._population[s])
-            self._m_events.inc()
-            self._m_skipped.inc(len(self._shards) - len(candidates))
+                always = [s for s, k in enumerate(self._overflow) if k]
+                for row, event in enumerate(events):
+                    candidates = set(self.router.candidate_shards(event))
+                    candidates.update(always)
+                    for s in candidates:
+                        if population[s]:
+                            rows_of.setdefault(s, []).append(row)
+                routed = {s: len(rows) for s, rows in rows_of.items()}
+            else:
+                rows_of = {s: None for s in range(n_shards) if population[s]}
+                routed = dict.fromkeys(rows_of, n)
+            self._m_events.inc(n)
+            self._m_skipped.inc(n_shards * n - sum(routed.values()))
         # Breaker gating happens outside the metadata lock (the breakers
-        # carry their own locks); quarantined shards are skipped and the
-        # result flagged degraded — their subscriptions exist but cannot
-        # be checked right now.
-        quarantined: List[int] = []
+        # carry their own locks), once per batch: a quarantined shard is
+        # skipped and its rows flagged degraded — their subscriptions
+        # exist but cannot be checked right now.
+        probe = sorted(rows_of)
+        failed: List[int] = []
         if breakers is not None:
-            probe = []
-            for s in candidates:
-                if breakers[s].allow():
-                    probe.append(s)
-                else:
-                    quarantined.append(s)
-        else:
-            probe = candidates
+            failed = [s for s in probe if not breakers[s].allow()]
+            probe = [s for s in probe if s not in failed]
+        quarantined = len(failed)
         with self._meta:
             for s in probe:
-                self._m_visits[s].inc()
-            if quarantined:
-                self._m_quarantine_skips.inc(len(quarantined))
-        span = None
+                self._m_visits[s].inc(routed[s])
+            if failed:
+                self._m_quarantine_skips.inc(sum(routed[s] for s in failed))
+        row = list if breakers is None else PartialResults
+        out: List[List[Any]] = [row() for _ in events]
+        start = time.perf_counter()
+        pool = self._procpool
+        ticket = None
+        if probe and pool is not None and pool.arena is not None:
+            # Write-once: the batch is packed into one event slot with
+            # one reader claim per probed shard; None means it rides
+            # the pipe instead (counted by the pool, never silent).
+            ticket = pool.publish_events(events, readers=len(probe))
+        outcomes = []
+        if self._parallel and len(probe) > 1:
+            # Every submitted probe runs, so every reader claim is acked.
+            tpool = self._ensure_pool()
+            futures = [
+                tpool.submit(self._probe, s, events, rows_of[s], ticket)
+                for s in probe
+            ]
+            outcomes = [f.result() for f in futures]
+        else:
+            try:
+                for s in probe:
+                    outcomes.append(self._probe(s, events, rows_of[s], ticket))
+            finally:
+                if ticket is not None:
+                    # Only an interrupt gets here with shards unreached
+                    # (the probe it hit acked its own claim); release
+                    # theirs so the slot returns to the ring.
+                    for _ in range(len(probe) - len(outcomes) - 1):
+                        pool.arena.ring.ack(ticket)
+        merged_at = time.perf_counter()
+        for s, (per_event, error, elapsed) in zip(probe, outcomes):
+            if breakers is None:
+                if error is not None:
+                    raise error
+            elif error is not None or (
+                self.slow_match_seconds is not None
+                and elapsed > self.slow_match_seconds * routed[s]
+            ):
+                # A slow answer is still *used* (it is correct) but
+                # counts against the shard's health.
+                breakers[s].record_failure()
+            else:
+                breakers[s].record_success()
+            if error is not None:
+                failed.append(s)
+                continue
+            rows = rows_of[s]
+            for r, ids in zip(range(n) if rows is None else rows, per_event):
+                out[r].extend(ids)
+        # A row is degraded exactly when a shard it was routed to was
+        # quarantined or failed (only ever non-empty in breaker mode).
+        failed_of: Dict[int, List[int]] = {}
+        for s in sorted(failed):
+            rows = rows_of[s]
+            for r in range(n) if rows is None else rows:
+                failed_of.setdefault(r, []).append(s)
+        for r, shards in failed_of.items():
+            out[r].degraded = True
+            out[r].failed_shards = tuple(shards)
+        degraded = len(failed_of)
+        done = time.perf_counter()
+        with self._meta:
+            if probe:
+                self._m_fanout_seconds.observe(merged_at - start)
+                self._m_merge_seconds.observe(done - merged_at)
+            if degraded:
+                self._m_degraded.inc(degraded)
         if self.tracer.enabled:
             span = self.tracer.start(
                 "fanout",
                 engine=self.name,
-                shards=len(self._shards),
-                candidates=len(candidates),
-                skipped=len(self._shards) - len(candidates),
-                quarantined=len(quarantined),
-            )
-        if not probe:
-            degraded = bool(quarantined)
-            with self._meta:
-                if degraded:
-                    self._m_degraded.inc()
-            if span is not None:
-                self.tracer.finish(span.add(matched=0, degraded=degraded))
-            if breakers is None:
-                return []
-            return PartialResults(
-                degraded=degraded, failed_shards=tuple(quarantined)
-            )
-        start = time.perf_counter()
-        if breakers is None:
-            if self._parallel and len(probe) > 1:
-                pool = self._ensure_pool()
-                futures = [pool.submit(self._match_shard, s, event) for s in probe]
-                outcomes = [(f.result(), None, 0.0) for f in futures]
-            else:
-                outcomes = [(self._match_shard(s, event), None, 0.0) for s in probe]
-        else:
-            if self._parallel and len(probe) > 1:
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(self._match_shard_guarded, s, event) for s in probe
-                ]
-                outcomes = [f.result() for f in futures]
-            else:
-                outcomes = [self._match_shard_guarded(s, event) for s in probe]
-            for s, (_ids, error, elapsed) in zip(probe, outcomes):
-                slow = (
-                    self.slow_match_seconds is not None
-                    and elapsed > self.slow_match_seconds
-                )
-                if error is not None or slow:
-                    # A slow answer is still *used* (it is correct) but
-                    # counts against the shard's health.
-                    breakers[s].record_failure()
-                else:
-                    breakers[s].record_success()
-        merged_at = time.perf_counter()
-        failed = list(quarantined)
-        merged: List[Any] = []
-        per_shard: List[Optional[List[Any]]] = []
-        for s, (ids, error, _elapsed) in zip(probe, outcomes):
-            per_shard.append(ids)
-            if error is not None:
-                failed.append(s)
-            else:
-                merged.extend(ids)
-        done = time.perf_counter()
-        degraded = bool(failed)
-        with self._meta:
-            self._m_fanout_seconds.observe(merged_at - start)
-            self._m_merge_seconds.observe(done - merged_at)
-            if degraded:
-                self._m_degraded.inc()
-        if span is not None:
-            for shard, ids in zip(probe, per_shard):
-                span.child(
-                    "shard",
-                    index=shard,
-                    matched=len(ids) if ids is not None else -1,
-                )
-            span.add(
-                matched=len(merged),
+                shards=n_shards,
+                events=n,
+                candidates=len(rows_of),
+                skipped=n_shards - len(rows_of),
+                quarantined=quarantined,
+                matched=sum(map(len, out)),
                 degraded=degraded,
                 fanout_ns=int((merged_at - start) * 1e9),
                 merge_ns=int((done - merged_at) * 1e9),
             )
+            for s, (per_event, error, elapsed) in zip(probe, outcomes):
+                span.child(
+                    "shard",
+                    index=s,
+                    events=routed[s],
+                    matched=-1 if error is not None else sum(map(len, per_event)),
+                    probe_ns=int(elapsed * 1e9),
+                )
             self.tracer.finish(span)
-        if breakers is None:
-            return merged
-        return PartialResults(
-            merged, degraded=degraded, failed_shards=tuple(sorted(failed))
-        )
+        return out
 
     # ------------------------------------------------------------------
     # introspection

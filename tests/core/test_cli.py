@@ -134,6 +134,44 @@ class TestMatch:
         assert lines[1]["matched"] == ["s2"]
 
 
+    def test_health_process_shm_reports_arena_traffic(self, tmp_path):
+        """`repro health` always runs with breakers on; the arena must
+        carry its batches anyway, and the report must show that it did."""
+        subs_file = tmp_path / "subs.jsonl"
+        subs_file.write_text(
+            "".join(
+                '{"id": "s%d", "predicates": [["price", "<=", %d]]}\n' % (i, i)
+                for i in range(40)
+            )
+        )
+        events_file = tmp_path / "events.jsonl"
+        events_file.write_text(
+            "".join('{"pairs": {"price": %d}}\n' % (i % 40) for i in range(200))
+        )
+        out = io.StringIO()
+        rc = main(
+            [
+                "health",
+                "--subscriptions", str(subs_file),
+                "--events", str(events_file),
+                "--engine", "counting",
+                "--shards", "2",
+                "--executor", "process",
+                "--codec", "shm",
+                "--worker-timeout", "60",
+                "--batch-size", "64",
+            ],
+            out=out,
+        )
+        assert rc == 0
+        report = json.loads(out.getvalue())
+        assert report["status"] == "ok"
+        shm = report["executor"]["shm"]
+        assert shm["bytes"]["publish"] > 0 and shm["bytes"]["result"] > 0
+        assert sum(shm["fallbacks"].values()) == 0
+        assert shm["slots_in_flight"] == 0
+
+
 class TestBenchCommand:
     def test_bench_example31(self):
         out = io.StringIO()

@@ -210,6 +210,41 @@ class TestBatchedTick:
         assert batched.maintenance["sweeps"] == scalar.maintenance["sweeps"]
         assert batched.maintenance["sweeps"] == ops // interval
 
+    def test_cadence_is_the_same_however_the_events_arrive(self):
+        """One batch of N, N batches of one and N ``match`` calls observe
+        the same every-k-th events and sweep at the same boundaries — a
+        batch of one takes the scalar path, which must not skew either."""
+
+        class Recording(EventStatistics):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def observe(self, event):
+                self.seen.append(event)
+                super().observe(event)
+
+        params = DynamicParams(maintenance_interval=50)
+        events = [Event({"a": i % 5, "n": i}) for i in range(203)]
+        feeds = {
+            "batch": lambda m: m.match_batch(events),
+            "ones": lambda m: [m.match_batch([e])[0] for e in events],
+            "scalar": lambda m: [m.match(e) for e in events],
+        }
+        runs = {}
+        for name, feed in feeds.items():
+            m = DynamicMatcher(statistics=Recording(), params=params, observe_every=4)
+            for i in range(30):
+                m.add(Subscription(i, [eq("a", i % 5), le("p", i)]))
+            results = [sorted(ids) for ids in feed(m)]
+            runs[name] = (
+                results, m.statistics.seen, m._event_seq, m._ops, m.maintenance["sweeps"]
+            )
+        assert runs["batch"] == runs["ones"] == runs["scalar"]
+        _results, seen, event_seq, ops, sweeps = runs["batch"]
+        assert seen == events[3::4]
+        assert event_seq == 203 and ops == 233 and sweeps == 233 // 50
+
     def test_frozen_counts_but_never_sweeps(self):
         m = DynamicMatcher(params=DynamicParams(maintenance_interval=8))
         m.freeze()

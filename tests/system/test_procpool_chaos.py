@@ -23,7 +23,7 @@ from repro.core import Event, Subscription, eq
 from repro.matchers import make_matcher
 from repro.system.resilience import PartialResults, WorkerDiedError
 from repro.system.sharding import ShardedMatcher
-from repro.testing.faults import killable_worker
+from repro.testing.faults import FlakyMatcher, InjectedFault, killable_worker
 
 SHARDS = 2
 
@@ -98,19 +98,21 @@ class TestWorkerDeathLifecycle:
             assert m._procpool.stats()["counters"]["respawns"] == 1
 
     def test_sigkill_mid_batch_never_hangs_or_lies(self, tmp_path):
-        """The batch path (breaker mode falls back per event) survives a
-        mid-batch death: every row is either complete or degraded —
-        never silently wrong, never a hang (the watchdog enforces it)."""
+        """The batch path survives a mid-batch death (one batch is one
+        probe per shard, so the first batch is the armed worker's op 1):
+        every row is either complete or degraded — never silently
+        wrong, never a hang (the watchdog enforces it)."""
         subs, events = workload(n_events=10)
         oracle = oracle_for(subs)
         expected = [norm(oracle.match(e)) for e in events]
-        with chaos_matcher(tmp_path, die_at=4) as m:
+        with chaos_matcher(tmp_path, die_at=1) as m:
             for s in subs:
                 m.add(s)
             rows = m.match_batch(events)
             assert len(rows) == len(events)
+            assert any(row.degraded for row in rows)
             for row, exp in zip(rows, expected):
-                if getattr(row, "degraded", False):
+                if row.degraded:
                     assert set(norm(row)) <= set(exp)
                 else:
                     assert norm(row) == exp
@@ -226,6 +228,35 @@ class TestShmSlotLifecycleUnderChaos:
 
         assert not segments & shm_entries()
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_inner_exception_without_breakers_propagates_and_frees_the_slot(
+        self, parallel
+    ):
+        """No breakers: an engine error inside both workers' first batch
+        reaches the caller, after every probe has run — so every reader
+        claim on the published slot is released, fan-out pool or not."""
+        subs, events = workload()
+        oracle = oracle_for(subs)
+        with ShardedMatcher(
+            shards=SHARDS,
+            router="hash",
+            inner=lambda: FlakyMatcher(make_matcher("counting"), failures=1),
+            executor="process",
+            codec="shm",
+            parallel=parallel,
+            worker_timeout=30.0,
+        ) as m:
+            for s in subs:
+                m.add(s)
+            pool = m._procpool
+            with pytest.raises(InjectedFault):
+                m.match_batch(events)
+            assert pool.stats()["shm"]["bytes"]["publish"] > 0
+            assert pool.arena.ring.in_flight() == 0
+            got = [norm(r) for r in m.match_batch(events)]  # budgets spent
+            assert got == [norm(oracle.match(e)) for e in events]
+            assert pool.arena.ring.in_flight() == 0
+
     def test_external_sigkill_between_requests_heals_on_shm(self, tmp_path):
         """An idle-worker SIGKILL under codec='shm' self-heals silently
         and the batch still rides the arena afterwards."""
@@ -245,32 +276,46 @@ class TestShmSlotLifecycleUnderChaos:
             assert m._procpool.arena.ring.in_flight() == 0
 
     def test_breaker_mode_death_then_heal_restores_the_arena_path(self, tmp_path):
-        """Breaker mode routes per event (the documented shm-less
-        fallback), so the quarantine arc leaves the ring untouched; once
+        """Breaker mode rides the arena like any other batch: a worker
+        SIGKILLed while reading the slot costs its rows their
+        completeness (never their soundness) and strands no slot; once
         healed, batches ride the arena again through the respawned
         worker."""
         subs, events = workload()
         oracle = oracle_for(subs)
-        ev = events[0]
-        expected = norm(oracle.match(ev))
-        with chaos_matcher(tmp_path, die_at=3, codec="shm") as m:
+        expected = [norm(oracle.match(e)) for e in events]
+        with chaos_matcher(tmp_path, die_at=2, codec="shm") as m:
             for s in subs:
                 m.add(s)
-            for _ in range(2):  # ops 1-2: healthy, per-event path
-                assert norm(m.match(ev)) == expected
-            r = m.match(ev)  # op 3: mid-request SIGKILL → degraded
-            assert r.degraded
-            assert m._procpool.arena.ring.in_flight() == 0
+            pool = m._procpool
+
+            def published():
+                return pool.stats()["shm"]["bytes"]["publish"]
+
+            rows = m.match_batch(events)  # op 1: healthy, over the arena
+            assert [norm(r) for r in rows] == expected
+            assert not any(r.degraded for r in rows)
+            healthy_bytes = published()
+            assert healthy_bytes > 0
+            rows = m.match_batch(events)  # op 2: SIGKILL while reading the slot
+            assert published() > healthy_bytes
+            dead = m.breaker_states()
+            assert list(dead.values()).count("open") == 1
+            (sick,) = [s for s, state in dead.items() if state == "open"]
+            for row, exp in zip(rows, expected):
+                if row.degraded:
+                    assert row.failed_shards == (sick,)
+                    assert set(norm(row)) <= set(exp)
+                else:
+                    assert norm(row) == exp
+            assert any(r.degraded for r in rows)
+            assert pool.arena.ring.in_flight() == 0
             time.sleep(0.1)
-            healed = m.match(ev)  # half-open probe respawns + replays
-            assert not healed.degraded and norm(healed) == expected
-            # breaker mode pins match_batch to the per-event path, so
-            # the arena must still be pristine: no slot ever claimed.
-            before = m._procpool.stats()["shm"]["bytes"]["publish"]
-            assert before == 0
-            batch = [norm(row) for row in m.match_batch(events)]
-            assert batch == [norm(oracle.match(e)) for e in events]
-            assert m._procpool.arena.ring.in_flight() == 0
+            healed = m.match_batch(events)  # half-open probe respawns + replays
+            assert not any(r.degraded for r in healed)
+            assert [norm(r) for r in healed] == expected
+            assert pool.arena.ring.in_flight() == 0
+            assert sum(pool.stats()["shm"]["fallbacks"].values()) == 0
 
 
 @pytest.mark.slow

@@ -676,6 +676,52 @@ class TestShardQuarantine:
         assert degraded.labels().value == 2
         matcher.close()
 
+    def test_one_failing_probe_degrades_its_whole_sub_batch_once(self):
+        """The unit of failure is the probe: shard 0 failing one call of
+        a 4-event batch costs all four rows that shard's ids, and its
+        breaker exactly one failure."""
+        clock = VirtualClock()
+        matcher, flaky = _quarantine_matcher(clock)
+        oracle = OracleMatcher()
+        for i in range(12):
+            sub = Subscription(f"s{i}", [eq("x", i % 2)])
+            matcher.add(sub)
+            oracle.add(sub)
+        sick = set(matcher.shard_ids()[0])
+        events = [Event({"x": i % 2}) for i in range(4)]
+        full = [set(oracle.match(e)) for e in events]
+
+        flaky.rearm(1)
+        rows = matcher.match_batch(events)
+        assert flaky.injected == 1
+        for row, want in zip(rows, full):
+            assert row.degraded and row.failed_shards == (0,)
+            assert set(row) == want - sick
+        assert matcher.breaker(0).stats()["counters"]["failures"] == 1
+        assert matcher.breaker_states()[0] == BREAKER_CLOSED  # threshold is 2
+        assert matcher.counters["degraded_events"] == 4
+
+        flaky.rearm(1)
+        matcher.match_batch(events)  # the second failed probe trips it
+        assert matcher.breaker_states()[0] == BREAKER_OPEN
+        rows = matcher.match_batch(events)  # quarantined: skipped, not probed
+        assert flaky.injected == 2
+        assert all(r.degraded and r.failed_shards == (0,) for r in rows)
+        assert matcher.counters["quarantine_skips"] == 4
+
+        # Half-open admits exactly one probe *batch*: one call, one verdict.
+        clock.advance(5.0)
+        assert matcher.breaker_states()[0] == BREAKER_HALF_OPEN
+        before = dict(matcher.breaker(0).stats()["counters"])
+        rows = matcher.match_batch(events)
+        after = matcher.breaker(0).stats()["counters"]
+        assert after["successes"] == before["successes"] + 1
+        assert after["failures"] == before["failures"]
+        assert [set(r) for r in rows] == full
+        assert not any(r.degraded for r in rows)
+        assert matcher.breaker_states()[0] == BREAKER_CLOSED
+        matcher.close()
+
     def test_without_breakers_exceptions_still_propagate(self):
         matcher = ShardedMatcher(
             shards=2,
@@ -725,7 +771,11 @@ class TestHealth:
             assert report["status"] == "ok"
             assert report["breakers"] == {"0": "closed", "1": "closed", "2": "closed"}
             assert report["wal"]["unsynced_appends"] == 0  # batch-boundary sync
+            # The unit of failure is the probe (one call into one
+            # shard), so tripping a threshold-2 breaker takes two batches.
             flaky.rearm(2)
+            server.submit_events([Event({"x": 1}), Event({"x": 1})])
+            assert server.health()["breakers"]["0"] == "closed"
             server.submit_events([Event({"x": 1}), Event({"x": 1})])
             report = server.health()
             assert report["status"] == "degraded"

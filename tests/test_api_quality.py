@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import repro
+from repro.testing.faults import _MatcherWrapper
 
 PACKAGES = [
     "repro",
@@ -112,3 +113,122 @@ class TestMatchSurface:
             if surface != {"match", "match_batch"}:
                 offenders[f"{cls.__module__}.{cls.__name__}"] = sorted(surface)
         assert not offenders, offenders
+
+
+class _Spy(_MatcherWrapper):
+    """A call-counting oracle engine (one per shard)."""
+
+    def __init__(self):
+        super().__init__(repro.core.OracleMatcher())
+        self.calls = {"match": 0, "match_batch": 0}
+
+    def match(self, event):
+        self.calls["match"] += 1
+        return self.inner.match(event)
+
+    def match_batch(self, events):
+        self.calls["match_batch"] += 1
+        return self.inner.match_batch(events)
+
+
+class TestOneFanOut:
+    """``ShardedMatcher`` has one fan-out and it is the batch one: neither
+    breakers nor a tracer may turn a batch into per-event shard calls."""
+
+    @pytest.mark.parametrize("router", ["roundrobin", "affinity"])
+    @pytest.mark.parametrize("mode", ["plain", "breaker", "tracer"])
+    def test_a_batch_is_one_match_batch_call_per_probed_shard(self, router, mode):
+        from repro.core import Event, OracleMatcher, Subscription, eq
+        from repro.obs import Tracer
+        from repro.system import ShardedMatcher
+
+        spies = []
+        sharded = ShardedMatcher(
+            shards=3,
+            router=router,
+            inner=lambda: spies.append(_Spy()) or spies[-1],
+            parallel=False,
+            breaker=True if mode == "breaker" else None,
+        )
+        tracer = sharded.use_tracer(Tracer()) if mode == "tracer" else None
+        oracle = OracleMatcher()
+        for i in range(24):
+            sub = Subscription(f"s{i}", [eq("k", i % 6), eq("x", i % 2)])
+            sharded.add(sub)
+            oracle.add(sub)
+        events = [Event({"k": i % 6, "x": i % 2}) for i in range(8)]
+        assert sharded.router.prunes() == (router == "affinity")
+        before = sharded.stats()["per_shard_events_routed"]
+        results = sharded.match_batch(events)
+        routed = [
+            after - was
+            for after, was in zip(sharded.stats()["per_shard_events_routed"], before)
+        ]
+        assert [sorted(ids) for ids in results] == [
+            sorted(oracle.match(e)) for e in events
+        ]
+        assert sum(1 for n in routed if n) >= 2
+        if router == "affinity":
+            assert sum(routed) < 3 * len(events)  # it did prune
+        for spy, n in zip(spies, routed):
+            assert spy.calls == {"match": 0, "match_batch": 1 if n else 0}
+        if tracer is not None:
+            (span,) = [s for s in tracer.spans() if s.name == "fanout"]
+            assert span.fields["events"] == len(events)
+            assert span.fields["matched"] == sum(map(len, results))
+            assert [(c.fields["index"], c.fields["events"]) for c in span.children] == [
+                (s, n) for s, n in enumerate(routed) if n
+            ]
+        sharded.close()
+
+    @pytest.mark.parametrize(
+        "executor",
+        [
+            {"executor": "thread"},
+            {"executor": "process", "codec": "auto"},
+            {"executor": "process", "codec": "shm"},
+        ],
+        ids=["thread", "process-auto", "process-shm"],
+    )
+    def test_healthy_breakers_change_nothing_and_overflow_stays_matched(self, executor):
+        from repro.core import Event, Subscription, eq, le
+        from repro.system import PartialResults, ShardedMatcher
+
+        subs = [
+            Subscription(f"s{i}", [eq("k", i % 5), le("p", 10 * (i % 7))])
+            for i in range(60)
+        ]
+        events = [Event({"k": i % 5, "p": (13 * i) % 70}) for i in range(40)]
+        kwargs = dict(
+            shards=2, router="affinity", inner="counting", worker_timeout=60.0, **executor
+        )
+        breaker = {"failure_threshold": 1, "reset_timeout": 1000.0}
+        with ShardedMatcher(**kwargs) as plain, ShardedMatcher(
+            breaker=breaker, **kwargs
+        ) as guarded:
+            for sub in subs:
+                plain.add(sub)
+                guarded.add(sub)
+            want = plain.match_batch(events)
+            got = guarded.match_batch(events)
+            assert any(want)
+            assert [list(row) for row in got] == want
+            assert all(type(row) is PartialResults and not row.degraded for row in got)
+            assert [type(row) for row in want] == [list] * len(events)
+            if executor.get("codec") == "shm":
+                shm = guarded.executor_health()["shm"]
+                assert shm["bytes"]["publish"] > 0
+                assert sum(shm["fallbacks"].values()) == 0
+            # Overflow placement: added while its preferred shard was
+            # open, so the router does not know where it lives — a
+            # pruning router's batch must probe the overflow shard anyway.
+            pathfinder = Subscription("pathfinder", [eq("k", "hot")])
+            home = guarded.router.shard_for(pathfinder)  # records, then remove
+            guarded.router.on_remove(pathfinder, home)
+            guarded.breaker(home).force_open()
+            guarded.add(pathfinder)
+            assert guarded.stats()["overflow_per_shard"][1 - home] == 1
+            guarded.breaker(home).reset()
+            rows = guarded.match_batch([Event({"k": "hot"}), Event({"k": 1, "p": 0})])
+            assert list(rows[0]) == ["pathfinder"] and "pathfinder" not in rows[1]
+            assert not rows[0].degraded
