@@ -58,10 +58,11 @@ metrics-smoke:
 		$(METRICS_SMOKE_DIR)/snapshot.json schemas/metrics_snapshot.schema.json
 	rm -rf $(METRICS_SMOKE_DIR)
 
-# End-to-end durability check: journal a churning workload, compact to
-# a snapshot mid-stream, tear the WAL tail (a crash mid-append), then
-# recover and differentially match against the pre-crash oracle. Part
-# of tier-1 through tests/integration/test_examples.py.
+# End-to-end durability check: journal a churning workload, compact
+# the log in place mid-stream, tear its tail (a crash mid-append), then
+# recover from that one file and differentially match against the
+# pre-crash oracle. Part of tier-1 through
+# tests/integration/test_examples.py.
 DURABILITY_SMOKE_DIR := .durability-smoke
 durability-smoke:
 	rm -rf $(DURABILITY_SMOKE_DIR)

@@ -5,9 +5,10 @@ Drives the full durable-broker story once, at small scale:
 1. a broker journals a churning workload (subscribes with mixed ttls,
    unsubscribes, clock advances) to a write-ahead log with
    ``fsync="always"``;
-2. mid-stream, the log is compacted into a snapshot;
+2. mid-stream, the log is compacted in place (a snapshot is a
+   compacted log: write-temp, fsync, rename);
 3. the crash: a half-written record is torn onto the WAL tail;
-4. a fresh broker recovers from snapshot + WAL — via the library *and*
+4. a fresh broker recovers from that one file — via the library *and*
    via the ``repro recover`` CLI;
 5. the recovered subscription set and its match results over a probe
    event stream are differentially checked against the pre-crash
@@ -43,7 +44,6 @@ def main(workdir=".durability-smoke"):
     shutil.rmtree(workdir, ignore_errors=True)
     os.makedirs(workdir)
     wal_path = os.path.join(workdir, "broker.wal")
-    snap_path = os.path.join(workdir, "broker.snap")
 
     spec = paper_workloads(0.001)["W0"].with_seed(42)
     gen = WorkloadGenerator(spec)
@@ -54,12 +54,17 @@ def main(workdir=".durability-smoke"):
     wal = WriteAheadLog(wal_path, clock=clock, fsync="always")
     broker = PubSubBroker(clock=clock, notifier=QueueNotifier(), wal=wal)
 
-    # Phase 1: initial load, then compact it away into the snapshot.
+    # Phase 1: initial load with some churn, then compact it away.
     for i, sub in enumerate(subs[:150]):
         broker.subscribe(sub, ttl=40.0 if i % 5 == 0 else None, notify_retained=False)
-    wal.compact(broker, snap_path)
+    for sub in subs[140:150]:
+        broker.unsubscribe(sub.id)
+    grown = wal.tell()
+    compacted = wal.compact(broker)
+    if compacted != 140 or wal.tell() >= grown:
+        fail(f"compaction kept {compacted} subscriptions in {wal.tell()} bytes (was {grown})")
 
-    # Phase 2: post-snapshot churn that only the WAL remembers.
+    # Phase 2: post-compaction churn, appended to the compacted log.
     immortal = []
     for i, sub in enumerate(subs[150:]):
         broker.subscribe(sub, ttl=25.0 if i % 6 == 0 else None, notify_retained=False)
@@ -85,7 +90,7 @@ def main(workdir=".durability-smoke"):
         fp.write('{"type": "subscribe", "at": 1e9, "subscription"')
 
     restored = PubSubBroker(clock=VirtualClock(), notifier=QueueNotifier())
-    report = recover_files(restored, snapshot_path=snap_path, wal_path=wal_path)
+    report = recover_files(restored, wal_path=wal_path)
     print(json.dumps(report.as_dict(), sort_keys=True))
     if report.torn_tail_discarded < 1:
         fail("the torn tail went undetected")
@@ -103,8 +108,7 @@ def main(workdir=".durability-smoke"):
     # Same recovery through the CLI surface.
     cli_out = io.StringIO()
     status = cli_main(
-        ["recover", "--snapshot", snap_path, "--wal", wal_path,
-         "--out", os.path.join(workdir, "recovered.jsonl")],
+        ["recover", "--wal", wal_path, "--out", os.path.join(workdir, "recovered.jsonl")],
         out=cli_out,
     )
     if status != 0:
@@ -118,7 +122,7 @@ def main(workdir=".durability-smoke"):
 
     print(
         f"durability smoke OK: {len(expected_ids)} subscriptions recovered "
-        f"({report.snapshot_records} from the snapshot, "
+        f"({compacted} through the compaction, "
         f"{report.wal_records} WAL records replayed), "
         f"{len(probes)} probe events matched identically"
     )

@@ -23,12 +23,13 @@ Commands
     states, WAL lag) as JSON — the operational view of
     ``docs/resilience.md``.
 ``snapshot``
-    Load JSON-lines subscriptions into a broker and write a durable
-    snapshot file (the compaction artifact of the durability subsystem).
+    Load JSON-lines subscriptions into a broker and write its state as
+    a compacted write-ahead log (a snapshot *is* a compacted log: the
+    file ``recover --wal`` reads and a broker can go on appending to).
 ``recover``
-    Rebuild a broker from a snapshot and/or write-ahead log, print the
-    recovery report as JSON, optionally dump the recovered subscription
-    set as JSON lines.
+    Rebuild a broker from a write-ahead log, print the recovery report
+    as JSON, optionally dump the recovered subscription set as JSON
+    lines.
 ``deliveries``
     Fold a write-ahead log's ``deliver``/``settle`` records into the
     per-subscriber at-least-once state (unacked in-flight counts,
@@ -79,9 +80,8 @@ def _add_executor_knobs(sub: argparse.ArgumentParser) -> None:
         choices=CODECS,
         default="auto",
         help="worker transport (with --executor process): 'auto' packs "
-        "columnar batches over the pipe, 'pickle' forces objects, 'shm' "
-        "moves batches and results through a shared-memory arena "
-        "(see docs/scaling.md)",
+        "columnar batches over the pipe, 'shm' moves batches and results "
+        "through a shared-memory arena (see docs/scaling.md)",
     )
     sub.add_argument(
         "--worker-timeout",
@@ -247,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("experiment", choices=sorted(EXPERIMENTS))
 
     snapshot = commands.add_parser(
-        "snapshot", help="write a durable snapshot of a subscription set"
+        "snapshot", help="write a subscription set as a compacted write-ahead log"
     )
     snapshot.add_argument("--subscriptions", required=True, help="JSON-lines file")
-    snapshot.add_argument("--out", required=True, help="snapshot file to write")
+    snapshot.add_argument("--out", required=True, help="log file to write")
     snapshot.add_argument(
         "--ttl",
         type=float,
@@ -259,11 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="validity window for every subscription (default: immortal)",
     )
 
-    recover = commands.add_parser(
-        "recover", help="rebuild broker state from a snapshot and/or WAL"
-    )
-    recover.add_argument("--snapshot", default=None, help="snapshot file")
-    recover.add_argument("--wal", default=None, help="write-ahead log file")
+    recover = commands.add_parser("recover", help="rebuild broker state from a WAL")
+    recover.add_argument("--wal", required=True, help="write-ahead log file")
     recover.add_argument(
         "--out",
         default=None,
@@ -498,15 +495,15 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace, out) -> int:
-    from repro.system import PubSubBroker, save_snapshot
+    from repro.system import PubSubBroker, write_compacted
 
     with open(args.subscriptions) as fp:
         subs = load_subscriptions(fp)
     broker = PubSubBroker()
     for sub in subs:
         broker.subscribe(sub, ttl=args.ttl, notify_retained=False)
-    with open(args.out, "w") as fp:
-        count = save_snapshot(broker, fp)
+    with open(args.out, "w", encoding="utf-8") as fp:
+        count = write_compacted(broker, fp)
     out.write(json.dumps({"subscriptions": count, "out": args.out}) + "\n")
     return 0
 
@@ -514,11 +511,8 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
 def _cmd_recover(args: argparse.Namespace, out) -> int:
     from repro.system import PubSubBroker, recover_files
 
-    if args.snapshot is None and args.wal is None:
-        out.write("recover needs --snapshot and/or --wal\n")
-        return 1
     broker = PubSubBroker()
-    report = recover_files(broker, snapshot_path=args.snapshot, wal_path=args.wal)
+    report = recover_files(broker, wal_path=args.wal)
     out.write(json.dumps(report.as_dict(), sort_keys=True) + "\n")
     if args.out:
         with open(args.out, "w") as fp:

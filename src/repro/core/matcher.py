@@ -72,10 +72,10 @@ class Matcher(abc.ABC):
     def iter_subscriptions(self) -> List[Subscription]:
         """Snapshot of the stored subscriptions (a stable list, not a view).
 
-        The durability layer (``repro.system.snapshot``, ``repro.system.wal``)
-        persists broker state through this surface, so every engine and
-        wrapper must implement it; returning a fresh list keeps callers safe
-        from concurrent mutation in locking wrappers.
+        The durability layer (``repro.system.wal``'s compaction) persists
+        broker state through this surface, so every engine and wrapper
+        must implement it; returning a fresh list keeps callers safe from
+        concurrent mutation in locking wrappers.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not expose its subscriptions"

@@ -78,9 +78,9 @@ def validate(instance: Any, schema: Dict[str, Any], path: str = "$") -> List[str
     return errors
 
 
-def validate_file(snapshot_path: str, schema_path: str) -> List[str]:
-    """Validate a snapshot file against a schema file."""
-    with open(snapshot_path) as fp:
+def validate_file(metrics_path: str, schema_path: str) -> List[str]:
+    """Validate a metrics-snapshot file against a schema file."""
+    with open(metrics_path) as fp:
         instance = json.load(fp)
     with open(schema_path) as fp:
         schema = json.load(fp)

@@ -52,7 +52,7 @@ from repro.system.event_store import EventStore
 from repro.system.notifier import Notification, Notifier, NullNotifier, QueueNotifier
 from repro.system.resilience import PartialResults
 
-if TYPE_CHECKING:  # runtime import would be circular (wal → snapshot → broker)
+if TYPE_CHECKING:  # annotation only: the broker needs nothing of the module at import
     from repro.system.wal import WriteAheadLog
 
 #: Things subscribe() accepts: a full Subscription or bare predicates.
@@ -156,13 +156,46 @@ class PubSubBroker:
 
     @contextlib.contextmanager
     def wal_suppressed(self) -> Iterator[None]:
-        """Suspend WAL journaling (snapshot restore / recovery replay:
-        the durable copy already exists, re-logging it would double it)."""
+        """Suspend WAL journaling (recovery replay: the durable copy
+        already exists, re-logging it would double it)."""
         self._wal_suppress += 1
         try:
             yield
         finally:
             self._wal_suppress -= 1
+
+    def durable_subscriptions(
+        self, now: float
+    ) -> List[Tuple[Subscription, Optional[float], Optional[Any]]]:
+        """``(subscription, remaining ttl at *now*, logical id)`` for
+        every subscription still live at *now* — what a compacted log
+        records.  Works through any matcher backend's public
+        :meth:`~repro.core.matcher.Matcher.iter_subscriptions`."""
+        with self._lock, self.wal_suppressed():
+            self._expire(now)
+            expires, logical_of = self._sub_expires, self._logical_of
+            return [
+                (
+                    sub,
+                    expires[sub.id] - now if sub.id in expires else None,
+                    logical_of.get(sub.id),
+                )
+                for sub in self.matcher.iter_subscriptions()
+            ]
+
+    def restore_subscription(
+        self, subscription: Subscription, ttl: Optional[float], logical: Optional[Any] = None
+    ) -> None:
+        """Install one :meth:`durable_subscriptions` triple (recovery):
+        validity resumes with *ttl* measured from this broker's clock,
+        a formula disjunct rejoins its *logical* id; nothing is
+        journaled and retained events are not retro-matched — the
+        subscription already saw its past."""
+        with self._lock, self.wal_suppressed():
+            self.subscribe(subscription, ttl=ttl, notify_retained=False)
+            if logical is not None:
+                self._logical_of[subscription.id] = logical
+                self._formula_disjuncts.setdefault(logical, []).append(subscription.id)
 
     def _wal_active(self) -> bool:
         return self.wal is not None and not self._wal_suppress

@@ -66,13 +66,13 @@ from repro.system.resilience import WorkerDiedError, WorkerStateError
 from repro.system.shm import ShmArena, ShmLayoutError, SlotTicket
 
 #: Result/event transport codecs: ``auto`` packs bit matrices and
-#: columnar event batches when possible, ``pickle`` forces the object
-#: fallback everywhere (differential tests run both), and ``shm`` moves
+#: columnar event batches over the pipe (pickling the objects themselves
+#: only for what the columnar layout cannot carry), and ``shm`` moves
 #: both directions through a shared-memory arena (write-once event
 #: slots, in-place result regions; see :mod:`repro.system.shm`) with the
-#: pipe demoted to a control channel — pipe ``auto`` remains the
-#: fallback for batches the columnar layout cannot carry.
-CODECS = ("auto", "pickle", "shm")
+#: pipe demoted to a control channel — and to ``auto``'s lane for the
+#: batches the arena cannot take (``SHM_FALLBACK_REASONS``).
+CODECS = ("auto", "shm")
 
 #: Poll granularity while waiting on a worker reply.  ``Connection.poll``
 #: returns the instant data arrives; this only bounds how often worker
@@ -92,6 +92,12 @@ SHM_FALLBACK_REASONS = ("oddpath", "slot_wait", "slot_full", "result_full")
 #: How long a publish waits for a free event slot before falling back to
 #: the pipe transport (slow readers should degrade, not deadlock).
 _SLOT_WAIT_SECONDS = 2.0
+
+#: Arena geometry under ``codec="shm"``: event slots in the ring, bytes
+#: per slot, bytes per worker result region.
+_SHM_SLOTS = 4
+_SHM_SLOT_BYTES = 1 << 20
+_SHM_RESULT_BYTES = 1 << 20
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -121,36 +127,18 @@ def payload_nbytes(obj: Any) -> int:
 # ----------------------------------------------------------------------
 # wire codecs (shared by parent and worker)
 # ----------------------------------------------------------------------
-def encode_events(events: Sequence[Event], codec: str = "auto") -> Tuple[str, Any]:
+def encode_events(events: Sequence[Event]) -> Tuple[str, Any]:
     """Encode an event batch for the pipe.
 
     Returns ``("cols", attrs, values, presence, ints)`` — float64 value
     matrix plus packed presence and was-int bit rows — when every value
     is a float64-exact number, else ``("objs", list(events))``.
     """
-    if codec == "auto" and events:
+    if events:
         batch = ColumnarBatch.from_events(events)
         if batch is not None:
             return ("cols", batch.attrs, batch.values, batch.presence, batch.ints)
     return ("objs", list(events))
-
-
-def decode_events(
-    payload: Tuple[str, Any], rows: Optional[Sequence[int]] = None
-) -> List[Event]:
-    """Inverse of :func:`encode_events`.
-
-    *rows* selects a subset of the batch to materialize (in the given
-    order) — the shm path publishes the whole batch once and each shard
-    decodes only the rows routed to it.
-    """
-    if payload[0] == "objs":
-        events = payload[1]
-        return list(events) if rows is None else [events[r] for r in rows]
-    batch = ColumnarBatch(*payload[1:])
-    if rows is not None:
-        batch = batch.select(rows)
-    return batch.to_events()
 
 
 def match_payload(
@@ -193,18 +181,14 @@ def results_truth(
     return truth
 
 
-def encode_results(
-    lists: List[List[Any]], index_of: Dict[Any, int], codec: str = "auto"
-) -> Tuple[str, Any]:
+def encode_results(lists: List[List[Any]], index_of: Dict[Any, int]) -> Tuple[str, Any]:
     """Encode per-event match lists as a packed bit matrix over the
     worker's id table (``("bits", packed)``), or the lists themselves."""
-    if codec != "pickle" and index_of:
-        truth = results_truth(lists, index_of)
-        if truth is None:
-            # An id outside the registry (an exotic wrapper): fall back.
-            return ("lists", [list(ids) for ids in lists])
-        return ("bits", pack_bits(truth))
-    return ("lists", [list(ids) for ids in lists])
+    truth = results_truth(lists, index_of) if index_of else None
+    if truth is None:
+        # An empty table, or an id outside it (an exotic wrapper).
+        return ("lists", [list(ids) for ids in lists])
+    return ("bits", pack_bits(truth))
 
 
 def decode_results(payload: Tuple[str, Any], table: List[Any]) -> List[List[Any]]:
@@ -239,7 +223,6 @@ def _serve_batch_shm(
     worker_index: int,
     matcher: Matcher,
     index_of: Dict[Any, int],
-    codec: str,
     msg: Tuple,
 ) -> Tuple[str, Any]:
     """One ``batch_shm`` request inside the worker.
@@ -259,14 +242,11 @@ def _serve_batch_shm(
             return ("shmres",) + descriptor
     # Result region too small (or exotic ids): the bits ride the pipe
     # instead — correctness over zero-copy.
-    return encode_results(lists, index_of, codec)
+    return encode_results(lists, index_of)
 
 
 def worker_main(
-    conn,
-    factory: Callable[[], Matcher],
-    codec: str,
-    shm_spec: Optional[Dict[str, Any]] = None,
+    conn, factory: Callable[[], Matcher], shm_spec: Optional[Dict[str, Any]] = None
 ) -> None:
     """Serve one shard's matcher over *conn* until EOF or ``stop``.
 
@@ -304,7 +284,7 @@ def worker_main(
                 lists = match_payload(matcher, msg[1])
                 if index_of is None:
                     index_of = {sub_id: i for i, sub_id in enumerate(live)}
-                reply: Any = (epoch, encode_results(lists, index_of, codec))
+                reply: Any = (epoch, encode_results(lists, index_of))
             elif op == "batch_shm":
                 if arena is None:
                     raise RuntimeError("batch_shm without an attached arena")
@@ -313,12 +293,7 @@ def worker_main(
                 # Handled in a helper so the slot views it takes are
                 # dropped at return — a lingering view would block the
                 # arena unmap at shutdown (exported-pointer semantics).
-                reply = (
-                    epoch,
-                    _serve_batch_shm(
-                        arena, worker_index, matcher, index_of, codec, msg
-                    ),
-                )
+                reply = (epoch, _serve_batch_shm(arena, worker_index, matcher, index_of, msg))
             elif op == "match":
                 reply = (epoch, list(matcher.match(msg[1])))
             elif op == "add":
@@ -379,21 +354,17 @@ class ProcessPool:
     stops answering (a deadlocked inner engine, a wedged pipe) is killed
     and reported as :class:`WorkerDiedError` instead of hanging the
     caller — the executor-level deadlock guard the chaos suite leans on.
-    ``start_method`` defaults to ``fork`` where available (factories may
-    be closures); pass ``spawn``/``forkserver`` with picklable factories
-    for platforms without fork.
+    Workers start by ``fork`` where available (factories may be
+    closures), else by the platform's first start method (factories must
+    then pickle).
     """
 
     def __init__(
         self,
         factories: Sequence[Callable[[], Matcher]],
-        start_method: Optional[str] = None,
         request_timeout: Optional[float] = None,
         codec: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
-        shm_slots: int = 4,
-        shm_slot_bytes: int = 1 << 20,
-        shm_result_bytes: int = 1 << 20,
     ) -> None:
         if not factories:
             raise ValueError("a process pool needs at least one shard factory")
@@ -403,11 +374,9 @@ class ProcessPool:
             raise ValueError(
                 f"request timeout must be positive seconds, got {request_timeout}"
             )
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        methods = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else methods[0]
+        self._ctx = multiprocessing.get_context(self.start_method)
         self.request_timeout = request_timeout
         self.codec = codec
         self._factories = list(factories)
@@ -417,9 +386,9 @@ class ProcessPool:
         if codec == "shm":
             self.arena = ShmArena.create(
                 workers=len(self._factories),
-                slots=shm_slots,
-                slot_bytes=shm_slot_bytes,
-                result_bytes=shm_result_bytes,
+                slots=_SHM_SLOTS,
+                slot_bytes=_SHM_SLOT_BYTES,
+                result_bytes=_SHM_RESULT_BYTES,
             )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._bind_metrics()
@@ -528,7 +497,7 @@ class ProcessPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, self._factories[index], self.codec, shm_spec),
+            args=(child_conn, self._factories[index], shm_spec),
             daemon=True,
             name=f"repro-shard-{index}",
         )
@@ -600,12 +569,7 @@ class ProcessPool:
         self._m_workers.set(0)
 
     # -- shared-memory publish path ------------------------------------
-    def publish_events(
-        self,
-        events: Sequence[Event],
-        readers: int,
-        timeout: float = _SLOT_WAIT_SECONDS,
-    ) -> Optional[SlotTicket]:
+    def publish_events(self, events: Sequence[Event], readers: int) -> Optional[SlotTicket]:
         """Pack *events* once into a free arena slot for *readers* shards.
 
         Returns the slot ticket (every reader must be driven through
@@ -620,13 +584,13 @@ class ProcessPool:
             raise RuntimeError("publish_events requires the shm codec")
         if len(events) == 1:
             return None
-        payload = encode_events(events, "auto")
+        payload = encode_events(events)
         if payload[0] != "cols":
             self._m_shm_fallback["oddpath"].inc()
             return None
         _tag, attrs, values, presence, ints = payload
         waited = time.perf_counter()
-        ticket = self.arena.ring.acquire(readers, timeout=timeout)
+        ticket = self.arena.ring.acquire(readers, timeout=_SLOT_WAIT_SECONDS)
         self._m_shm_wait.observe(time.perf_counter() - waited)
         if ticket is None:
             self._m_shm_fallback["slot_wait"].inc()
@@ -855,17 +819,11 @@ class ProcessShard(Matcher):
             # One event is the "match" op's wire form: a scalar call
             # never touches the arena or the batch codec.
             return [self.match(events[0])]
-        if self.pool.arena is not None:
-            # Single-reader shm path (the sharded layer publishes once
-            # for all shards itself; this covers direct shard calls).
-            if not self.pool.alive(self.index):
-                self._heal()
-            ticket = self.pool.publish_events(events, readers=1)
-            if ticket is not None:
-                return self.consume_slot(ticket, None)
-        codec = "pickle" if self.pool.codec == "pickle" else "auto"
-        payload = encode_events(events, codec)
-        worker_epoch, results = self._call(("batch", payload), "batch")
+        # Always the pipe: the sharded layer publishes a batch to the
+        # arena once for all its shards (:meth:`consume_slot`) and comes
+        # here only when that publish fell back — retrying the arena per
+        # shard would count, and wait out, the same fallback again.
+        worker_epoch, results = self._call(("batch", encode_events(events)), "batch")
         self._check_epoch(worker_epoch)
         return decode_results(results, self._id_table())
 

@@ -1,33 +1,27 @@
-"""Crash recovery: rebuild a broker from its snapshot and WAL tail.
+"""Crash recovery: rebuild a broker by replaying its write-ahead log.
 
-The durable state of a broker is (last snapshot, WAL since that
-snapshot).  :func:`recover` merges the two into the pre-crash
-subscription set and installs it into an empty broker:
+The durable state of a broker is one file (:mod:`repro.system.wal`);
+whether it was ever compacted makes no difference to the reader.
+:func:`recover` replays it into an empty broker:
 
-1. the snapshot's records seed a merge table keyed by subscription id,
-   each carrying its *absolute* expiry in the source broker's clock
-   domain (the snapshot header's ``clock`` plus the record's remaining
-   ttl);
-2. the WAL's longest valid prefix is replayed over the table in order —
-   ``subscribe`` inserts/overwrites, ``unsubscribe`` deletes (including
-   every disjunct of a logical formula id), ``anchor`` only advances
-   time, and ``deliver``/``settle`` pairs fold into a
+1. the log's longest valid prefix is replayed in order over a table
+   keyed by subscription id — ``subscribe`` inserts/overwrites with its
+   *absolute* expiry in the source broker's clock domain (``at`` +
+   ``ttl``), ``unsubscribe`` deletes (including every disjunct of a
+   logical formula id), ``anchor`` only advances time, and
+   ``deliver``/``settle`` pairs fold into a
    :class:`~repro.system.delivery.DeliveryLedger` whose still-open
    entries (dispatched, never settled) are exactly the unacked
    in-flight notifications the crash interrupted;
-3. the crash time is estimated as the newest timestamp seen anywhere
+2. the crash time is estimated as the newest timestamp seen anywhere
    (so clock anchors tighten ttl aging even across mutation-free
    stretches, and records with negative clock skew cannot move it
    backwards); every surviving entry is installed with its *remaining*
    validity, re-anchored on the recovering broker's clock, and entries
    that already expired before the crash are skipped.
 
-The merge is idempotent: replaying records that predate the snapshot
-(possible when a crash lands between compaction's snapshot rename and
-its log restart) rewrites entries with the same absolute expiry, so the
-result is unchanged.  Everything after the first damaged WAL record is
-discarded — recovery yields a *prefix-consistent* state, never a
-partially-trusted one.
+Everything after the first damaged record is discarded — recovery
+yields a *prefix-consistent* state, never a partially-trusted one.
 
 When the recovering broker carries a
 :class:`~repro.system.delivery.DeliveryManager` (``broker.delivery``),
@@ -42,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Subscription
@@ -50,7 +44,6 @@ from repro.io import SerializationError, event_from_dict, subscription_from_dict
 from repro.obs.registry import MetricsRegistry
 from repro.system.broker import PubSubBroker
 from repro.system.delivery import DeliveryLedger
-from repro.system.snapshot import read_snapshot
 from repro.system.wal import read_wal
 
 
@@ -64,8 +57,6 @@ class RecoveryReport:
 
     #: Subscriptions installed into the recovering broker.
     restored: int = 0
-    #: Subscription records read from the snapshot.
-    snapshot_records: int = 0
     #: Valid WAL records replayed (all kinds).
     wal_records: int = 0
     replayed_subscribes: int = 0
@@ -129,30 +120,19 @@ def _bind_metrics(registry: MetricsRegistry):
 
 def recover(
     broker: PubSubBroker,
-    snapshot_fp: Optional[IO[str]] = None,
     wal_fp: Optional[IO[str]] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> RecoveryReport:
-    """Restore *broker* (must be empty) from a snapshot and/or WAL.
+    """Restore *broker* (must be empty) from a WAL stream.
 
-    Either stream may be omitted: a snapshot alone behaves like
-    :func:`~repro.system.snapshot.load_snapshot` (plus aging against any
-    later anchors), a WAL alone rebuilds from an empty base.  Raises
-    :class:`RecoveryError` on a non-empty broker,
-    :class:`~repro.system.snapshot.SnapshotError` /
-    :class:`~repro.system.wal.WalError` on inputs that are not a
-    snapshot / WAL at all.  The rebuilt state is *not* re-logged to any
-    attached WAL — compact afterwards to re-establish durability.
+    No stream is an empty log.  Raises :class:`RecoveryError` on a
+    non-empty broker and :class:`~repro.system.wal.WalError` on input
+    that is not a WAL at all.  The rebuilt state is *not* re-logged to
+    any attached WAL — compact afterwards to re-establish durability.
     """
     if broker.subscription_count:
         raise RecoveryError("recovery requires an empty broker")
     report = RecoveryReport()
-
-    snap_clock: Optional[float] = None
-    snap_records = []
-    if snapshot_fp is not None:
-        snap_clock, snap_records = read_snapshot(snapshot_fp)
-        report.snapshot_records = len(snap_records)
 
     wal_records: List[Dict[str, Any]] = []
     if wal_fp is not None:
@@ -161,25 +141,7 @@ def recover(
     times = [
         float(r["at"]) for r in wal_records if isinstance(r.get("at"), (int, float))
     ]
-    if snap_clock is None and snapshot_fp is not None:
-        # Legacy snapshot without a clock header: anchor it at the
-        # earliest WAL time (compaction restarts the log, so the first
-        # record is the best lower bound), or zero with no WAL.
-        snap_clock = min(times) if times else 0.0
-
     entries: Dict[Any, _Entry] = {}
-    for record in snap_records:
-        ttl = record.ttl_remaining
-        if ttl is not None and ttl <= 0:
-            # Expired when saved (the pre-fix format could contain
-            # these); never revive them.
-            report.skipped_expired += 1
-            continue
-        expires = None if ttl is None else snap_clock + ttl
-        entries[record.subscription.id] = _Entry(
-            record.subscription, expires, record.logical
-        )
-
     ledger = DeliveryLedger()
     for index, record in enumerate(wal_records):
         kind = record.get("type")
@@ -221,34 +183,23 @@ def recover(
             report.replayed_unsubscribes += 1
         report.wal_records += 1
 
-    if snap_clock is not None:
-        times.append(snap_clock)
     now_src = max(times) if times else 0.0
-    report.source_clock = now_src if (snapshot_fp or wal_records) else None
+    report.source_clock = now_src if wal_records else None
 
-    with broker.wal_suppressed():
-        for entry in entries.values():
-            remaining = (
-                None if entry.expires_src is None else entry.expires_src - now_src
-            )
-            if remaining is not None and remaining <= 0:
-                report.skipped_expired += 1
-                continue
-            broker.subscribe(entry.subscription, ttl=remaining, notify_retained=False)
-            if entry.logical is not None:
-                broker._logical_of[entry.subscription.id] = entry.logical
-                broker._formula_disjuncts.setdefault(entry.logical, []).append(
-                    entry.subscription.id
-                )
-            report.restored += 1
+    for entry in entries.values():
+        remaining = None if entry.expires_src is None else entry.expires_src - now_src
+        if remaining is not None and remaining <= 0:
+            report.skipped_expired += 1
+            continue
+        broker.restore_subscription(entry.subscription, remaining, entry.logical)
+        report.restored += 1
 
     report.unacked_deliveries = len(ledger.outstanding)
     report.recovered_dead_letters = len(ledger.dead)
     delivery = getattr(broker, "delivery", None)
     if delivery is not None:
-        # Re-queue under a suppressed WAL stance?  No — restore() never
-        # journals (the surviving ``deliver`` records already cover
-        # these), so re-queuing is side-effect-free on the log.
+        # restore() never journals: the surviving ``deliver`` records
+        # already cover these.
         for (sub_id, seq), info in ledger.outstanding.items():
             try:
                 event = event_from_dict(info["event"])
@@ -284,23 +235,12 @@ def recover(
 
 def recover_files(
     broker: PubSubBroker,
-    snapshot_path: Optional[Union[str, os.PathLike]] = None,
     wal_path: Optional[Union[str, os.PathLike]] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> RecoveryReport:
-    """:func:`recover` from file paths, tolerating absent files.
-
-    A missing snapshot or WAL file is simply not part of the durable
-    state yet (e.g. a broker that crashed before its first compaction).
-    """
-    snap_fp = wal_fp = None
-    try:
-        if snapshot_path is not None and os.path.exists(snapshot_path):
-            snap_fp = open(snapshot_path, encoding="utf-8")
-        if wal_path is not None and os.path.exists(wal_path):
-            wal_fp = open(wal_path, encoding="utf-8")
-        return recover(broker, snap_fp, wal_fp, metrics=metrics)
-    finally:
-        for fp in (snap_fp, wal_fp):
-            if fp is not None:
-                fp.close()
+    """:func:`recover` from a file path; a missing file is an empty log
+    (a broker that crashed before its first append)."""
+    if wal_path is None or not os.path.exists(wal_path):
+        return recover(broker, metrics=metrics)
+    with open(wal_path, encoding="utf-8") as wal_fp:
+        return recover(broker, wal_fp, metrics=metrics)

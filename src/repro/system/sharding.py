@@ -124,11 +124,9 @@ class ShardedMatcher(Matcher):
         router: Union[str, ShardRouter] = "affinity",
         inner: InnerSpec = "dynamic",
         parallel: bool = True,
-        max_workers: Optional[int] = None,
         breaker: BreakerSpec = None,
         slow_match_seconds: Optional[float] = None,
         executor: str = "thread",
-        start_method: Optional[str] = None,
         worker_timeout: Optional[float] = None,
         codec: str = "auto",
     ) -> None:
@@ -154,10 +152,7 @@ class ShardedMatcher(Matcher):
             from repro.system.procpool import ProcessPool, ProcessShard
 
             self._procpool = ProcessPool(
-                [factory] * shards,
-                start_method=start_method,
-                request_timeout=worker_timeout,
-                codec=codec,
+                [factory] * shards, request_timeout=worker_timeout, codec=codec
             )
             self._shards: List[Matcher] = [
                 ProcessShard(self._procpool, index) for index in range(shards)
@@ -169,7 +164,6 @@ class ShardedMatcher(Matcher):
         self._shard_of: Dict[Any, int] = {}
         self._population = [0] * shards
         self._parallel = parallel and shards > 1
-        self._max_workers = max_workers or shards
         self._pool: Optional[ThreadPoolExecutor] = None
         # Quarantine state: one breaker per shard (None = disabled), the
         # per-shard count of overflow-placed subscriptions (placed off
@@ -389,8 +383,7 @@ class ShardedMatcher(Matcher):
         with self._meta:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-shard",
+                    max_workers=len(self._shards), thread_name_prefix="repro-shard"
                 )
             return self._pool
 

@@ -1,12 +1,11 @@
-"""Write-ahead log: an append-only journal of broker mutations.
+"""Write-ahead log: the broker's one durable file.
 
 The paper's system model (Section 5) keeps the whole subscription base
-in main memory at a broker under continuous churn; a crash between
-snapshots would lose every mutation since the last
-:func:`~repro.system.snapshot.save_snapshot`.  The WAL closes that gap:
-every ``subscribe``/``unsubscribe`` the broker accepts is appended here
-as one JSON line, so :func:`repro.system.recovery.recover` can replay
-the log tail over the last snapshot and restore the pre-crash state.
+in main memory at a broker under continuous churn, so what survives a
+crash is what was written down.  Every ``subscribe``/``unsubscribe``
+the broker accepts (and every at-least-once delivery it dispatches) is
+appended here as one JSON line; :func:`repro.system.recovery.recover`
+replays the log and restores the pre-crash state.
 
 Format — JSON lines, one record per line, ``sort_keys`` for stability:
 
@@ -31,8 +30,8 @@ Format — JSON lines, one record per line, ``sort_keys`` for stability:
   :class:`repro.system.delivery.DeliveryLedger`).
 
 All timestamps are in the *source broker's* clock domain; recovery only
-ever uses differences between them, so any monotonic clock works as
-long as the snapshot and the WAL share it (the broker passes its own).
+ever uses differences between them, so any monotonic clock works (the
+broker passes its own).
 
 Durability knobs:
 
@@ -53,11 +52,14 @@ its longest valid prefix) and the read path (:func:`read_wal` stops at
 the first invalid record) treat the log as *prefix-consistent*: nothing
 after the first damage is trusted.
 
-Compaction: :meth:`WriteAheadLog.compact` writes a fresh snapshot
-(atomically: temp file, fsync, rename) and restarts the log, bounding
-replay work.  A crash between the rename and the restart is harmless —
-replaying pre-snapshot records over the snapshot is idempotent by
-construction of the recovery merge.
+Compaction: a snapshot is nothing but a log that has been compacted.
+:func:`write_compacted` writes the broker's current state as a fresh,
+ordinary log — one ``subscribe`` per live subscription carrying its
+*remaining* ttl, then the still-open deliveries and dead letters — and
+:meth:`WriteAheadLog.compact` swaps it in for the live one (temp file,
+fsync, rename), bounding replay work.  The rename is the only commit
+point: a crash before it leaves the old log, a crash after it the new
+one, and both replay to the same state.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import json
 import os
 import threading
 import time
-from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import IO, TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Subscription
@@ -75,11 +77,17 @@ from repro.io import event_to_dict, subscription_to_dict
 from repro.obs.registry import MetricsRegistry
 from repro.system.clock import Clock, SystemClock
 
+if TYPE_CHECKING:  # the broker carries a WAL; a runtime import would be circular
+    from repro.system.broker import PubSubBroker
+
 #: WAL format version (bump on incompatible changes).
 FORMAT_VERSION = 1
 
 #: The header's type tag.
 HEADER_TYPE = "repro-broker-wal"
+
+#: Header tag of the separate snapshot format this log replaced.
+RETIRED_SNAPSHOT_TYPE = "repro-broker-snapshot"
 
 #: Valid non-header record types.
 RECORD_TYPES = ("anchor", "subscribe", "unsubscribe", "deliver", "settle")
@@ -116,6 +124,11 @@ def _check_header(record: Optional[Dict[str, Any]], parsed_ok: bool) -> None:
         if parsed_ok:
             raise WalError(f"not a v{FORMAT_VERSION} broker WAL")
         return  # unparseable first line: crash damage, caller discards
+    if record.get("type") == RETIRED_SNAPSHOT_TYPE:
+        raise WalError(
+            f"this is a {RETIRED_SNAPSHOT_TYPE!r} file, a retired format: a snapshot "
+            "is now a compacted WAL — re-create it with `repro snapshot`"
+        )
     if record.get("type") != HEADER_TYPE or record.get("version") != FORMAT_VERSION:
         raise WalError(f"not a v{FORMAT_VERSION} broker WAL")
 
@@ -217,6 +230,78 @@ def read_wal(fp: IO[str]) -> Tuple[List[Dict[str, Any]], int]:
     return records, 0
 
 
+def _line(record: Dict[str, Any]) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _header_record(at: float) -> Dict[str, Any]:
+    return {"type": HEADER_TYPE, "version": FORMAT_VERSION, "clock": at}
+
+
+def _subscribe_record(
+    at: float, subscription: Subscription, ttl: Optional[float], logical: Optional[Any]
+) -> Dict[str, Any]:
+    record: Dict[str, Any] = {
+        "type": "subscribe",
+        "at": at,
+        "subscription": subscription_to_dict(subscription),
+        "ttl": ttl,
+    }
+    if logical is not None:
+        record["logical"] = logical
+    return record
+
+
+def _deliver_record(at: float, sub_id: Any, seq: int, event: Any) -> Dict[str, Any]:
+    return {"type": "deliver", "at": at, "sub": sub_id, "seq": seq, "event": event_to_dict(event)}
+
+
+def _settle_record(
+    at: float, sub_id: Any, seq: int, outcome: str, reason: Optional[str], attempts: int
+) -> Dict[str, Any]:
+    record: Dict[str, Any] = {
+        "type": "settle",
+        "at": at,
+        "sub": sub_id,
+        "seq": seq,
+        "outcome": outcome,
+        "attempts": attempts,
+    }
+    if reason is not None:
+        record["reason"] = reason
+    return record
+
+
+def write_compacted(broker: "PubSubBroker", fp: IO[str]) -> int:
+    """Write *broker*'s durable state to *fp* as a fresh log; returns
+    the subscriptions written.
+
+    The output is an ordinary version-1 log (what ``repro snapshot``
+    produces and :meth:`WriteAheadLog.compact` swaps in): header, one
+    ``subscribe`` per live subscription stamped *now* with its remaining
+    validity, then the at-least-once state a restart must not lose —
+    every unsettled lease as its ``deliver``, every dead letter as a
+    ``deliver`` + ``settle`` pair.  Works with any matcher backend
+    (sharded and thread-safe wrappers included).
+    """
+    def emit(record: Dict[str, Any]) -> None:
+        fp.write(_line(record))
+
+    now = broker.clock.now()
+    emit(_header_record(now))
+    durable = broker.durable_subscriptions(now)
+    for subscription, ttl, logical in durable:
+        emit(_subscribe_record(now, subscription, ttl, logical))
+    if broker.delivery is not None:
+        for sub_id, lease in broker.delivery.outstanding_leases():
+            emit(_deliver_record(lease.enqueued_at, sub_id, lease.seq, lease.notification.event))
+        for dead in broker.delivery.dead_letters.entries():
+            at, sub_id, seq = dead.at, dead.sub_id, dead.seq
+            emit(_deliver_record(at, sub_id, seq, dead.notification.event))
+            emit(_settle_record(at, sub_id, seq, "dead-letter", dead.reason, dead.attempts))
+    return len(durable)
+
+
 class WriteAheadLog:
     """Append-only JSON-lines journal with pluggable fsync policy.
 
@@ -291,7 +376,7 @@ class WriteAheadLog:
         ).labels()
         self._m_compactions = m.counter(
             "repro_wal_compactions_total",
-            "Snapshot-based compactions (snapshot written, log restarted).",
+            "Compactions (log replaced by its compacted form).",
         ).labels()
         self._m_torn = m.counter(
             "repro_wal_torn_tail_discarded_total",
@@ -339,8 +424,7 @@ class WriteAheadLog:
         return self.clock.now()
 
     def _write_header(self, at: float) -> None:
-        header = {"type": HEADER_TYPE, "version": FORMAT_VERSION, "clock": at}
-        line = json.dumps(header, sort_keys=True) + "\n"
+        line = _line(_header_record(at))
         self._fp.write(line)
         self._fp.flush()
         self._bytes += len(line.encode("utf-8"))
@@ -353,7 +437,7 @@ class WriteAheadLog:
             self._append_locked(record)
 
     def _append_locked(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = _line(record)
         encoded = len(line.encode("utf-8"))
         self._fp.write(line)
         # Always hand the bytes to the OS: a *process* crash then
@@ -383,15 +467,8 @@ class WriteAheadLog:
         at: Optional[float] = None,
     ) -> None:
         """Journal one accepted subscription (with its effective ttl)."""
-        record: Dict[str, Any] = {
-            "type": "subscribe",
-            "at": self.clock.now() if at is None else at,
-            "subscription": subscription_to_dict(subscription),
-            "ttl": ttl,
-        }
-        if logical is not None:
-            record["logical"] = logical
-        self._append(record)
+        at = self.clock.now() if at is None else at
+        self._append(_subscribe_record(at, subscription, ttl, logical))
 
     def append_unsubscribe(self, sub_id: Any, at: Optional[float] = None) -> None:
         """Journal one accepted unsubscription (plain or logical id)."""
@@ -408,15 +485,8 @@ class WriteAheadLog:
     ) -> None:
         """Journal one dispatched at-least-once delivery (write-ahead:
         appended *before* the first send attempt)."""
-        self._append(
-            {
-                "type": "deliver",
-                "at": self.clock.now() if at is None else at,
-                "sub": sub_id,
-                "seq": seq,
-                "event": event_to_dict(event),
-            }
-        )
+        at = self.clock.now() if at is None else at
+        self._append(_deliver_record(at, sub_id, seq, event))
 
     def append_settle(
         self,
@@ -428,17 +498,8 @@ class WriteAheadLog:
         at: Optional[float] = None,
     ) -> None:
         """Journal one settled delivery (ack / shed / dead-letter / redriven)."""
-        record: Dict[str, Any] = {
-            "type": "settle",
-            "at": self.clock.now() if at is None else at,
-            "sub": sub_id,
-            "seq": seq,
-            "outcome": outcome,
-            "attempts": attempts,
-        }
-        if reason is not None:
-            record["reason"] = reason
-        self._append(record)
+        at = self.clock.now() if at is None else at
+        self._append(_settle_record(at, sub_id, seq, outcome, reason, attempts))
 
     # ------------------------------------------------------------------
     # durability boundary
@@ -495,86 +556,43 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # compaction
     # ------------------------------------------------------------------
-    def compact(self, broker: Any, snapshot_path: Union[str, os.PathLike]) -> int:
-        """Snapshot *broker* and restart the log; returns subs persisted.
+    def compact(self, broker: "PubSubBroker") -> int:
+        """Replace the log by its compacted form; returns subs persisted.
 
-        The snapshot is written atomically (temp file, fsync, rename),
-        so a crash at any point leaves either the old snapshot + full
-        log or the new snapshot + (possibly still-full) log — both
-        recoverable, because replaying pre-snapshot records over the
-        snapshot is idempotent.
-
-        The snapshot covers subscriptions only, so any at-least-once
-        delivery state still open in the discarded log — unsettled
-        leases and dead letters from an attached
-        :class:`~repro.system.delivery.DeliveryManager` — is
-        re-journaled into the restarted log; otherwise a crash after a
-        compact would lose exactly the in-flight window the WAL exists
-        to protect.
+        :func:`write_compacted` goes to ``<path>.tmp``, is fsynced, and
+        is renamed over the live log — the one commit point.  A crash
+        (or an ``os.replace`` that raises) before it leaves the old log
+        untouched and this object still appendable (the stale ``.tmp``
+        is never read); a failed reopen after it closes this object.
         """
-        # Imported lazily: snapshot.py imports the broker, which carries
-        # a WAL — a module-level import would be circular.
-        from repro.system.snapshot import save_snapshot
-
-        snapshot_path = os.fspath(snapshot_path)
-        tmp_path = snapshot_path + ".tmp"
-        delivery = getattr(broker, "delivery", None)
+        tmp_path = self.path + ".tmp"
         with contextlib.ExitStack() as stack:
-            if delivery is not None:
-                # Dispatch holds the manager lock while journaling, so
-                # compaction must take manager-then-WAL in the same
-                # order to stay deadlock-free while it reads the
-                # outstanding window.
-                stack.enter_context(delivery._lock)
+            # Mutations journal holding broker → delivery manager → WAL;
+            # taking them in that order keeps any record from landing in
+            # the old log after its state was read.
+            stack.enter_context(broker._lock)
+            if broker.delivery is not None:
+                stack.enter_context(broker.delivery._lock)
             stack.enter_context(self._lock)
             if self._closed:
                 raise WalError("compact on a closed WAL")
-            with broker.wal_suppressed():
-                with open(tmp_path, "w", encoding="utf-8") as sfp:
-                    count = save_snapshot(broker, sfp)
-                    sfp.flush()
-                    _fsync(sfp)
-                os.replace(tmp_path, snapshot_path)
-                # Everything up to here is covered by the snapshot:
-                # restart the journal.
-                self._fp.close()
-                self._fp = self._opener(self.path, "w")
-                self._bytes = 0
-                self._write_header(broker.clock.now())
-                if delivery is not None:
-                    for sub_id, lease in delivery.outstanding_leases():
-                        self._append_locked(
-                            {
-                                "type": "deliver",
-                                "at": lease.enqueued_at,
-                                "sub": sub_id,
-                                "seq": lease.seq,
-                                "event": event_to_dict(lease.notification.event),
-                            }
-                        )
-                    for entry in delivery.dead_letters.entries():
-                        self._append_locked(
-                            {
-                                "type": "deliver",
-                                "at": entry.at,
-                                "sub": entry.sub_id,
-                                "seq": entry.seq,
-                                "event": event_to_dict(entry.notification.event),
-                            }
-                        )
-                        self._append_locked(
-                            {
-                                "type": "settle",
-                                "at": entry.at,
-                                "sub": entry.sub_id,
-                                "seq": entry.seq,
-                                "outcome": "dead-letter",
-                                "reason": entry.reason,
-                                "attempts": entry.attempts,
-                            }
-                        )
-                self._sync_locked()
-                self._m_compactions.inc()
+            with open(tmp_path, "w", encoding="utf-8") as tmp:
+                count = write_compacted(broker, tmp)
+                tmp.flush()
+                _fsync(tmp)  # before the rename, or a power loss commits garbage
+            os.replace(tmp_path, self.path)
+            self._fp.close()
+            try:
+                self._fp = self._opener(self.path, "a")
+            except BaseException:
+                # The old file is unlinked: refuse appends rather than
+                # lose them.  A new WriteAheadLog on the path works.
+                self._closed = True
+                raise
+            self._bytes = os.path.getsize(self.path)
+            self._m_bytes.inc(self._bytes)
+            self._sync_locked()  # already durable; resets the lag counters
+            self._m_compactions.inc()
         return count
 
     # ------------------------------------------------------------------

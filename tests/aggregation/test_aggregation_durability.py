@@ -1,9 +1,9 @@
 """Aggregated state through the durability layer.
 
 The aggregation layer persists nothing of its own: ``iter_subscriptions``
-exposes the *raw* subscriptions, so snapshots and WAL replay re-add them
-through ``AggregatingMatcher.add``, which deterministically rebuilds the
-refcounts and the covering forest.  These tests pin that round trip —
+exposes the *raw* subscriptions, so a compacted log records them and WAL
+replay re-adds them through ``AggregatingMatcher.add``, which
+deterministically rebuilds the refcounts and the covering forest.  These tests pin that round trip —
 including refcounts, frontier size, and differential equality with the
 oracle after recovery — plus broker composition on the live path.
 """
@@ -19,7 +19,6 @@ from repro.system import (
     VirtualClock,
     WriteAheadLog,
     recover_files,
-    save_snapshot,
 )
 from repro.workload import WorkloadGenerator, w0
 
@@ -91,16 +90,14 @@ class TestRecoveryRoundTrip:
         ]
         events = list(gen.events(20))
         wal_path = tmp_path / "agg.wal"
-        snap_path = tmp_path / "agg.snap"
         clock = VirtualClock()
         src = agg_broker(clock, wal=WriteAheadLog(wal_path, fsync="always", clock=clock))
         oracle = OracleMatcher()
         for s in subs[:200]:
             src.subscribe(s)
             oracle.add(s)
-        with open(snap_path, "w") as fp:
-            save_snapshot(src, fp)
-        # Post-snapshot churn lands only in the WAL tail.
+        src.wal.compact(src)
+        # Post-compaction churn is the log's tail.
         for s in subs[200:]:
             src.subscribe(s)
             oracle.add(s)
@@ -110,7 +107,7 @@ class TestRecoveryRoundTrip:
         src.wal.close()
 
         dst = agg_broker(VirtualClock())
-        recover_files(dst, snapshot_path=snap_path, wal_path=wal_path)
+        recover_files(dst, wal_path=wal_path)
         assert len(dst.matcher) == len(oracle)
         # The recovered frontier must still be an aggregation: the
         # W0 population has heavy canonical-key collisions.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import Event
 from repro.matchers import make_matcher
 from repro.system.sharding import ShardedMatcher
 from tests.properties.strategies import events, subscriptions
@@ -37,6 +38,9 @@ def process_matcher(shards=2, codec="auto"):
     )
 
 
+#: Nothing here has a float64-exact columnar form.
+ODD_EVENT = Event({"a": "text", "b": float("nan"), "c": 2**53 + 1})
+
 #: One interleaving step: subscribe (a fresh sub), unsubscribe (an index
 #: into the already-added list), or a batch (a list of events).
 steps = st.lists(
@@ -52,13 +56,17 @@ steps = st.lists(
 
 class TestInterleavingDeterminism:
     @COMMON_SETTINGS
-    @given(plan=steps, codec=st.sampled_from(["auto", "pickle"]))
-    def test_process_equals_scalar_at_every_step(self, plan, codec):
+    @given(plan=steps, codec=st.sampled_from(["auto", "shm"]), odd=st.booleans())
+    def test_process_equals_scalar_at_every_step(self, plan, codec, odd):
         """Apply one random churn/batch interleaving to the process
         executor and to a plain single-process engine; every batch's
-        results must agree, and so must the final subscription set."""
+        results must agree, and so must the final subscription set.
+        With *odd*, every multi-event batch carries a string, a NaN and
+        an int >= 2**53, so it leaves the columnar layout for the
+        object-pickling lane — counted as ``oddpath`` under ``shm``."""
         scalar = make_matcher("counting")
         proc = process_matcher(codec=codec)
+        odd_batches = 0
         try:
             live = []
             seen = set()
@@ -77,9 +85,17 @@ class TestInterleavingDeterminism:
                     seen.discard(victim.id)
                     assert proc.remove(victim.id) == scalar.remove(victim.id)
                 else:
+                    if odd:
+                        arg = arg + [ODD_EVENT]
+                        # One event rides the "match" op, and no shard
+                        # is probed (nothing published) while all are empty.
+                        odd_batches += len(arg) > 1 and bool(live)
                     expected = [norm(scalar.match(e)) for e in arg]
                     got = [norm(r) for r in proc.match_batch(arg)]
                     assert got == expected
+            if codec == "shm":
+                fallbacks = proc.executor_health()["shm"]["fallbacks"]
+                assert fallbacks["oddpath"] == odd_batches
             assert len(proc) == len(scalar)
             assert sorted(s.id for s in proc.iter_subscriptions()) == sorted(
                 s.id for s in scalar.iter_subscriptions()

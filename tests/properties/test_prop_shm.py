@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.batch.bitmatrix import unpack_bits
+from repro.batch.columns import ColumnarBatch
 from repro.core import Event
-from repro.system.procpool import decode_events, encode_events
+from repro.system.procpool import encode_events
 from repro.system.shm import (
     DTYPE_CODES,
     ShmArena,
@@ -128,7 +129,7 @@ class TestSlotCodec:
     @COMMON_SETTINGS
     @given(events=columnar_batches(), data=st.data())
     def test_any_columnar_batch_round_trips_exactly(self, arena, events, data):
-        payload = encode_events(events, "auto")
+        payload = encode_events(events)
         assert payload[0] == "cols"
         _, attrs, vals, presence, ints = payload
         ticket = arena.ring.acquire(1, timeout=1.0)
@@ -148,10 +149,8 @@ class TestSlotCodec:
             r_attrs, r_vals, r_pres, r_ints = arena.read_slot(
                 ticket.index, ticket.generation
             )
-            got = decode_events(
-                ("cols", list(r_attrs), r_vals.copy(), r_pres.copy(), r_ints.copy()),
-                rows,
-            )
+            batch = ColumnarBatch(list(r_attrs), r_vals.copy(), r_pres.copy(), r_ints.copy())
+            got = (batch if rows is None else batch.select(rows)).to_events()
             want = events if rows is None else [events[i] for i in rows]
             assert [e.pairs for e in got] == [e.pairs for e in want]
         finally:

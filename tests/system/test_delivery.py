@@ -502,7 +502,7 @@ class TestWalIntegration:
         broker.subscribe(Subscription("s1", [eq("a", 1)]))
         manager.register("s1", sink=lambda n: None)
         broker.publish(Event({"a": 1}))  # one unacked in-flight
-        wal.compact(broker, tmp_path / "snap.jsonl")
+        wal.compact(broker)
         wal.close()
 
         clock2 = VirtualClock()
@@ -510,11 +510,7 @@ class TestWalIntegration:
         restored = PubSubBroker(
             clock=clock2, notifier=QueueNotifier(), delivery=manager2
         )
-        report = recover_files(
-            restored,
-            snapshot_path=tmp_path / "snap.jsonl",
-            wal_path=tmp_path / "wal.jsonl",
-        )
+        report = recover_files(restored, wal_path=tmp_path / "wal.jsonl")
         # The compacted log still carries the open delivery.
         assert report.unacked_deliveries == 1
         assert manager2.inflight == 1

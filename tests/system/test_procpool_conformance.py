@@ -11,6 +11,7 @@ up here as a differential mismatch.
 import pytest
 
 from repro.core import Event, Subscription, eq, ge, le
+from repro.system.procpool import CODECS, encode_events
 from repro.system.sharding import ShardedMatcher
 from tests.matchers.test_batch_conformance import _random_workload, build, norm
 
@@ -64,14 +65,20 @@ class TestProcessMatchesThreadAndOracle:
         assert got_proc == expected
 
     def test_pickle_codec_differential(self, engine):
-        """Forcing the object-transport fallback changes nothing."""
+        """The object-pickling lane — where a batch with strings, NaN or
+        ints >= 2**53 goes under either codec — changes nothing."""
         subs, events = _random_workload(seed=11, n_subs=60, n_events=60)
+        assert encode_events(events)[0] == "objs"  # the batch is off the columnar layout
         oracle = populated(build("oracle"), subs)
         expected = [norm(oracle.match(e)) for e in events]
-        with sharded(engine, "process", codec="pickle") as proc:
-            populated(proc, subs)
-            got = [norm(ids) for ids in proc.match_batch(events)]
-        assert got == expected
+        for codec in CODECS:
+            with sharded(engine, "process", codec=codec) as proc:
+                populated(proc, subs)
+                got = [norm(ids) for ids in proc.match_batch(events)]
+                if codec == "shm":
+                    fallbacks = proc.executor_health()["shm"]["fallbacks"]
+                    assert fallbacks["oddpath"] == 1
+            assert got == expected, codec
 
     def test_shm_codec_differential(self, engine):
         """The zero-copy shared-memory transport changes nothing — the
@@ -213,3 +220,83 @@ class TestProcessExecutorSurface:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             ShardedMatcher(shards=2, executor="fiber")
+
+
+@pytest.mark.watchdog(120)
+class TestPipeLaneIsTheArenasFallback:
+    """Each reason a batch leaves the arena for the pipe, driven once:
+    the answer is still the oracle's, the reason is counted exactly
+    once, no slot stays claimed, and the next healthy batch rides the
+    arena again."""
+
+    EVENTS = [Event({"a": i % 9, "b": i * 0.5, "c": -i}) for i in range(24)]
+
+    def rig(self, n_shard0=6, n_shard1=6):
+        """A 2-shard process/shm matcher holding exactly that many
+        subscriptions per shard, its oracle, and the pool."""
+        matcher = ShardedMatcher(
+            shards=2, router="hash", inner="counting", executor="process",
+            worker_timeout=60.0, codec="shm",
+        )  # fmt: skip
+        oracle = build("oracle")
+        wanted = [n_shard0, n_shard1]
+        for i in range(10_000):
+            sub = Subscription(f"n{i}", [ge("a", i % 7), le("b", 3.5 + i % 5)])
+            shard = matcher.router.shard_for(sub)
+            if wanted[shard]:
+                wanted[shard] -= 1
+                matcher.add(sub)
+                oracle.add(sub)
+            if not any(wanted):
+                break
+        return matcher, oracle, matcher._procpool
+
+    def check(self, matcher, oracle, pool, events, reason, held=None):
+        got = [norm(ids) for ids in matcher.match_batch(events)]
+        if held is not None:
+            pool.arena.ring.ack(held)
+        assert got == [norm(oracle.match(e)) for e in events]
+        fallbacks = pool.stats()["shm"]["fallbacks"]
+        assert fallbacks == {r: int(r == reason) for r in fallbacks}
+        assert pool.arena.ring.in_flight() == 0
+
+    def check_next_batch_rides_the_arena(self, matcher, oracle, pool, reason):
+        before = pool.stats()["shm"]["bytes"]
+        self.check(matcher, oracle, pool, self.EVENTS[:8], reason)  # no new fallback
+        after = pool.stats()["shm"]["bytes"]
+        assert after["publish"] > before["publish"] and after["result"] > before["result"]
+
+    def test_oddpath(self):
+        matcher, oracle, pool = self.rig()
+        with matcher:
+            odd = self.EVENTS[:5] + [Event({"a": "text", "b": float("nan"), "c": 2**53 + 1})]
+            self.check(matcher, oracle, pool, odd, "oddpath")
+            self.check_next_batch_rides_the_arena(matcher, oracle, pool, "oddpath")
+
+    def test_slot_full(self, monkeypatch):
+        monkeypatch.setattr("repro.system.procpool._SHM_SLOT_BYTES", 512)
+        matcher, oracle, pool = self.rig()
+        with matcher:
+            assert pool.arena.slot_bytes == 512
+            self.check(matcher, oracle, pool, self.EVENTS, "slot_full")  # 24 x 3 x 8 B
+            self.check_next_batch_rides_the_arena(matcher, oracle, pool, "slot_full")
+
+    def test_slot_wait(self, monkeypatch):
+        monkeypatch.setattr("repro.system.procpool._SHM_SLOTS", 1)
+        matcher, oracle, pool = self.rig()
+        with matcher:
+            # A slow reader still holds the only slot.
+            held = pool.arena.ring.acquire(1, timeout=1.0)
+            assert held is not None
+            monkeypatch.setattr("repro.system.procpool._SLOT_WAIT_SECONDS", 0.05)
+            self.check(matcher, oracle, pool, self.EVENTS, "slot_wait", held=held)
+            self.check_next_batch_rides_the_arena(matcher, oracle, pool, "slot_wait")
+
+    def test_result_full(self, monkeypatch):
+        # 24 rows x 8 B: one result word per row (<= 64 subscriptions)
+        # fits the region, two words do not.
+        monkeypatch.setattr("repro.system.procpool._SHM_RESULT_BYTES", 32 + 24 * 8 + 64)
+        matcher, oracle, pool = self.rig(n_shard0=70, n_shard1=5)
+        with matcher:
+            self.check(matcher, oracle, pool, self.EVENTS, "result_full")
+            self.check_next_batch_rides_the_arena(matcher, oracle, pool, "result_full")

@@ -1,4 +1,4 @@
-"""Crash recovery: merging a snapshot with the WAL tail."""
+"""Crash recovery: replaying one log, compacted or not."""
 
 import io
 import json
@@ -8,6 +8,7 @@ import pytest
 from repro.core import Event, Subscription, eq
 from repro.obs import MetricsRegistry
 from repro.system import (
+    DeliveryManager,
     PubSubBroker,
     QueueNotifier,
     RecoveryError,
@@ -15,7 +16,7 @@ from repro.system import (
     WriteAheadLog,
     recover,
     recover_files,
-    save_snapshot,
+    write_compacted,
 )
 
 
@@ -31,23 +32,22 @@ def wal_text(*records, clock=0.0):
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in [header, *records])
 
 
+def compacted(broker, *tail):
+    """The log of a broker compacted now, plus hand-written *tail*
+    records appended after the compaction."""
+    buf = io.StringIO()
+    write_compacted(broker, buf)
+    return io.StringIO(
+        buf.getvalue() + "".join(json.dumps(r, sort_keys=True) + "\n" for r in tail)
+    )
+
+
 def subscribe_record(sub_id, at, ttl=None, **extra):
     sub = {"id": sub_id, "predicates": [["x", "=", at]]}
     return {"type": "subscribe", "at": at, "subscription": sub, "ttl": ttl, **extra}
 
 
 class TestSources:
-    def test_snapshot_only(self):
-        src = fresh()
-        src.subscribe(Subscription("a", [eq("x", 1)]), ttl=30.0)
-        buf = io.StringIO()
-        save_snapshot(src, buf)
-        buf.seek(0)
-        dst = fresh()
-        report = recover(dst, snapshot_fp=buf)
-        assert (report.restored, report.snapshot_records, report.wal_records) == (1, 1, 0)
-        assert dst.publish(Event({"x": 1})) == ["a"]
-
     def test_wal_only(self):
         stream = io.StringIO(
             wal_text(
@@ -73,99 +73,63 @@ class TestSources:
         src = fresh()
         src.subscribe(Subscription("a", [eq("x", 1)]))
         src.subscribe(Subscription("b", [eq("x", 2)]))
-        snap = io.StringIO()
-        save_snapshot(src, snap)
-        snap.seek(0)
-        wal = io.StringIO(wal_text({"type": "unsubscribe", "at": 1.0, "id": "a"}))
+        wal = compacted(src, {"type": "unsubscribe", "at": 1.0, "id": "a"})
         dst = fresh()
-        report = recover(dst, snapshot_fp=snap, wal_fp=wal)
+        report = recover(dst, wal_fp=wal)
         assert report.restored == 1
         assert dst.publish(Event({"x": 1})) == []
         assert dst.publish(Event({"x": 2})) == ["b"]
 
     def test_wal_subscribe_overwrites_snapshot_entry(self):
-        # Re-subscribing an id after the snapshot wins over the old copy.
+        # Re-subscribing an id after the compaction wins over the old copy.
         src = fresh()
         src.subscribe(Subscription("a", [eq("x", 1)]))
-        snap = io.StringIO()
-        save_snapshot(src, snap)
-        snap.seek(0)
         replacement = {"id": "a", "predicates": [["x", "=", 99]]}
-        wal = io.StringIO(
-            wal_text(
-                {"type": "subscribe", "at": 1.0, "subscription": replacement, "ttl": None}
-            )
+        wal = compacted(
+            src, {"type": "subscribe", "at": 1.0, "subscription": replacement, "ttl": None}
         )
         dst = fresh()
-        recover(dst, snapshot_fp=snap, wal_fp=wal)
+        recover(dst, wal_fp=wal)
         assert dst.publish(Event({"x": 99})) == ["a"]
         assert dst.publish(Event({"x": 1})) == []
 
-    def test_replay_is_idempotent_over_the_snapshot(self):
-        # A crash between compaction's snapshot rename and its log
-        # restart leaves pre-snapshot records in the WAL; replaying them
-        # over the snapshot must not change the result.
-        clock = VirtualClock()
-        wal = WriteAheadLog("/dev/null", clock=clock, opener=lambda p, m: io.StringIO())
-        src = fresh(clock, wal=wal)
-        src.subscribe(Subscription("a", [eq("x", 1)]), ttl=50.0)
-        src.subscribe(Subscription("b", [eq("x", 2)]))
-        src.unsubscribe("b")
-        snap = io.StringIO()
-        save_snapshot(src, snap)
-        log_text = wal._fp.getvalue()  # full pre-snapshot history
-        snap.seek(0)
-        dst = fresh()
-        report = recover(dst, snapshot_fp=snap, wal_fp=io.StringIO(log_text))
-        assert report.restored == 1
-        assert dst.publish(Event({"x": 1})) == ["a"]
-        assert dst.publish(Event({"x": 2})) == []
-
 
 class TestTtlAging:
-    def snapshot_with(self, ttl, clock_at=0.0):
+    def snapshot_with(self, ttl, *tail, clock_at=0.0):
         src = fresh(VirtualClock(clock_at))
         src.subscribe(Subscription("a", [eq("x", 1)]), ttl=ttl)
-        buf = io.StringIO()
-        save_snapshot(src, buf)
-        buf.seek(0)
-        return buf
+        return compacted(src, *tail)
 
     def test_anchor_ages_snapshot_ttls(self):
-        snap = self.snapshot_with(ttl=30.0)
-        wal = io.StringIO(wal_text({"type": "anchor", "at": 20.0}))
+        wal = self.snapshot_with(30.0, {"type": "anchor", "at": 20.0})
         dst_clock = VirtualClock()
         dst = fresh(dst_clock)
-        recover(dst, snapshot_fp=snap, wal_fp=wal)
+        recover(dst, wal_fp=wal)
         dst_clock.advance(9.0)  # 10 s were left at the crash
         assert dst.publish(Event({"x": 1})) == ["a"]
         dst_clock.advance(2.0)
         assert dst.publish(Event({"x": 1})) == []
 
     def test_anchor_past_expiry_skips_entry(self):
-        snap = self.snapshot_with(ttl=30.0)
-        wal = io.StringIO(wal_text({"type": "anchor", "at": 40.0}))
+        wal = self.snapshot_with(30.0, {"type": "anchor", "at": 40.0})
         dst = fresh()
-        report = recover(dst, snapshot_fp=snap, wal_fp=wal)
+        report = recover(dst, wal_fp=wal)
         assert report.restored == 0 and report.skipped_expired == 1
 
     def test_negative_skew_cannot_rewind_the_clock(self):
-        # A WAL record stamped *before* the snapshot clock (skew between
-        # two monotonic readings) must not extend anyone's validity.
-        snap = self.snapshot_with(ttl=30.0, clock_at=100.0)
-        wal = io.StringIO(wal_text({"type": "anchor", "at": 50.0}))
+        # A record stamped *before* the compaction (skew between two
+        # monotonic readings) must not extend anyone's validity.
+        wal = self.snapshot_with(30.0, {"type": "anchor", "at": 50.0}, clock_at=100.0)
         dst_clock = VirtualClock()
         dst = fresh(dst_clock)
-        report = recover(dst, snapshot_fp=snap, wal_fp=wal)
+        report = recover(dst, wal_fp=wal)
         assert report.source_clock == 100.0  # max() held the line
         dst_clock.advance(31.0)
         assert dst.publish(Event({"x": 1})) == []
 
     def test_immortal_subscriptions_ignore_aging(self):
-        snap = self.snapshot_with(ttl=None)
-        wal = io.StringIO(wal_text({"type": "anchor", "at": 1e6}))
-        dst = fresh()
-        assert recover(dst, snapshot_fp=snap, wal_fp=wal).restored == 1
+        wal = self.snapshot_with(None, {"type": "anchor", "at": 1e6})
+        assert recover(fresh(), wal_fp=wal).restored == 1
 
     def test_wal_subscribe_ttl_ages_from_its_own_timestamp(self):
         wal = io.StringIO(
@@ -184,21 +148,6 @@ class TestTtlAging:
         assert dst.publish(Event({"x": 10.0})) == ["a"]
         dst_clock.advance(1.0)
         assert dst.publish(Event({"x": 10.0})) == []
-
-    def test_legacy_snapshot_without_clock_anchors_at_first_wal_time(self):
-        legacy = io.StringIO(
-            '{"type": "repro-broker-snapshot", "version": 1}\n'
-            '{"type": "subscription", "subscription": '
-            '{"id": "a", "predicates": [["x", "=", 1]]}, "ttl_remaining": 30.0}\n'
-        )
-        wal = io.StringIO(
-            wal_text({"type": "anchor", "at": 500.0}, {"type": "anchor", "at": 520.0})
-        )
-        dst = fresh()
-        report = recover(dst, snapshot_fp=legacy, wal_fp=wal)
-        # Anchored at 500 (the earliest WAL time), aged 20 s by the
-        # crash-time estimate of 520 → 10 s remain, not expired.
-        assert report.restored == 1 and report.source_clock == 520.0
 
 
 class TestDamageTolerance:
@@ -264,15 +213,12 @@ class TestSemantics:
     def test_recovered_state_is_not_relogged(self):
         src = fresh()
         src.subscribe(Subscription("a", [eq("x", 1)]))
-        snap = io.StringIO()
-        save_snapshot(src, snap)
-        snap.seek(0)
         clock = VirtualClock()
         new_wal = WriteAheadLog(
             "/dev/null", clock=clock, opener=lambda p, m: io.StringIO()
         )
         dst = fresh(clock, wal=new_wal)
-        recover(dst, snapshot_fp=snap)
+        assert recover(dst, wal_fp=compacted(src)).restored == 1
         # Only the attach anchor; the restore itself was suppressed.
         assert new_wal.counters["appends"] == 1
 
@@ -301,14 +247,79 @@ class TestSemantics:
         assert json.loads(json.dumps(report.as_dict()))["restored"] == 1
 
 
+class TestParentFormat:
+    """A log written before compaction produced logs — every record type
+    exactly as ``wal.py``'s module docstring specifies, typed out by hand
+    so no writer under test had a say — recovers to the state the commit
+    before this format became the only one recovered it to."""
+
+    LOG = "\n".join(
+        [
+            '{"type": "repro-broker-wal", "version": 1, "clock": 100.0}',
+            '{"type": "anchor", "at": 100.0}',
+            '{"type": "subscribe", "at": 101.0, "subscription": '
+            '{"id": "plain", "predicates": [["x", "=", 1]]}, "ttl": null}',
+            '{"type": "subscribe", "at": 102.0, "subscription": '
+            '{"id": "timed", "predicates": [["x", "<=", 5]]}, "ttl": 30.0}',
+            '{"type": "subscribe", "at": 103.0, "subscription": '
+            '{"id": "f~dnf#0", "predicates": [["a", "=", 1]]}, "ttl": 60.0, "logical": "f"}',
+            '{"type": "subscribe", "at": 103.0, "subscription": '
+            '{"id": "f~dnf#1", "predicates": [["b", "=", 2]]}, "ttl": 60.0, "logical": "f"}',
+            '{"type": "subscribe", "at": 104.0, "subscription": '
+            '{"id": "gone", "predicates": [["x", "=", 1]]}, "ttl": null}',
+            '{"type": "subscribe", "at": 104.0, "subscription": '
+            '{"id": "short", "predicates": [["x", "=", 1]]}, "ttl": 2.0}',
+            '{"type": "unsubscribe", "at": 105.0, "id": "gone"}',
+            '{"type": "deliver", "at": 106.0, "sub": "plain", "seq": 0, '
+            '"event": {"pairs": {"x": 1}}}',
+            '{"type": "settle", "at": 106.5, "sub": "plain", "seq": 0, '
+            '"outcome": "ack", "attempts": 1}',
+            '{"type": "deliver", "at": 107.0, "sub": "plain", "seq": 1, '
+            '"event": {"pairs": {"x": 1, "y": 2}}}',
+            '{"type": "deliver", "at": 108.0, "sub": "timed", "seq": 0, '
+            '"event": {"pairs": {"x": 3}}}',
+            '{"type": "settle", "at": 109.0, "sub": "timed", "seq": 0, '
+            '"outcome": "dead-letter", "attempts": 3, "reason": "budget"}',
+            '{"type": "anchor", "at": 112.0}',
+            "",
+        ]
+    )
+
+    def test_recovers_as_it_did_before(self):
+        clock = VirtualClock()
+        manager = DeliveryManager(clock=clock)
+        dst = PubSubBroker(clock=clock, notifier=QueueNotifier(), delivery=manager)
+        report = recover(dst, wal_fp=io.StringIO(self.LOG))
+        assert report.as_dict() == {
+            "restored": 4, "wal_records": 14, "replayed_subscribes": 6,
+            "replayed_unsubscribes": 1, "anchors": 2, "replayed_deliveries": 3,
+            "replayed_settles": 2, "unacked_deliveries": 1, "recovered_dead_letters": 1,
+            "skipped_expired": 1, "torn_tail_discarded": 0, "unknown_unsubscribes": 0,
+            "source_clock": 112.0,
+        }  # fmt: skip
+        assert [
+            (sub_id, lease.seq, dict(lease.notification.event.items()), lease.enqueued_at)
+            for sub_id, lease in manager.outstanding_leases()
+        ] == [("plain", 1, {"x": 1, "y": 2}, 107.0)]
+        assert [d.as_dict() for d in manager.dead_letters.entries()] == [
+            {"sub": "timed", "seq": 0, "reason": "budget", "attempts": 3, "at": 109.0,
+             "event": {"x": 3}}
+        ]  # fmt: skip
+        assert dst.publish(Event({"x": 1, "a": 1, "b": 2})) == ["timed", "plain", "f"]
+        clock.advance(19.5)  # "timed" had 20 s left at the crash
+        assert sorted(dst.publish(Event({"x": 1}))) == ["plain", "timed"]
+        clock.advance(1.0)
+        assert dst.publish(Event({"x": 1})) == ["plain"]
+        clock.advance(30.0)  # the formula had 51
+        assert sorted(dst.publish(Event({"x": 1, "a": 1}))) == ["f", "plain"]
+        clock.advance(1.0)
+        assert dst.publish(Event({"x": 1, "a": 1})) == ["plain"]
+
+
 class TestRecoverFiles:
     def test_missing_files_are_an_empty_state(self, tmp_path):
         dst = fresh()
-        report = recover_files(
-            dst,
-            snapshot_path=tmp_path / "never.snap",
-            wal_path=tmp_path / "never.wal",
-        )
+        report = recover_files(dst, wal_path=tmp_path / "never.wal")
         assert report.restored == 0
 
     def test_round_trip_via_paths(self, tmp_path):
@@ -316,12 +327,11 @@ class TestRecoverFiles:
         wal = WriteAheadLog(tmp_path / "a.wal", clock=clock)
         src = fresh(clock, wal=wal)
         src.subscribe(Subscription("a", [eq("x", 1)]))
-        snap = tmp_path / "a.snap"
-        wal.compact(src, snap)
+        wal.compact(src)
         src.subscribe(Subscription("b", [eq("x", 2)]))
         wal.close()
         dst = fresh()
-        report = recover_files(dst, snapshot_path=snap, wal_path=wal.path)
+        report = recover_files(dst, wal_path=wal.path)
         assert report.restored == 2
         assert sorted(dst.publish(Event({"x": 1})) + dst.publish(Event({"x": 2}))) == [
             "a",

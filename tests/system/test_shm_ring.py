@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.batch.bitmatrix import unpack_bits
+from repro.batch.columns import ColumnarBatch
 from repro.core import Event
-from repro.system.procpool import decode_events, encode_events
+from repro.system.procpool import encode_events
 from repro.system.shm import (
     EVENT_DTYPES,
     ShmArena,
@@ -120,7 +121,7 @@ def numeric_events(n=6):
 
 
 def columnar(events):
-    payload = encode_events(events, "auto")
+    payload = encode_events(events)
     assert payload[0] == "cols", "test workload must ride the columnar layout"
     return payload[1:]  # (attrs, values, presence, ints)
 
@@ -137,9 +138,8 @@ def read_copy(arena, ticket, rows=None):
     """Read a slot and materialize events (copies — views must not
     outlive this frame, or closing the segment would raise BufferError)."""
     attrs, values, presence, ints = arena.read_slot(ticket.index, ticket.generation)
-    return decode_events(
-        ("cols", list(attrs), values.copy(), presence.copy(), ints.copy()), rows
-    )
+    batch = ColumnarBatch(list(attrs), values.copy(), presence.copy(), ints.copy())
+    return (batch if rows is None else batch.select(rows)).to_events()
 
 
 @pytest.fixture

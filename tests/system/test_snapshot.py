@@ -1,15 +1,29 @@
-"""Broker snapshot save/restore."""
+"""Broker snapshots: a snapshot is a compacted write-ahead log.
+
+``write_compacted`` (what ``repro snapshot`` and ``WriteAheadLog.compact``
+produce) saves; ``recover`` — the one reader — restores.
+"""
 
 import io
+import json
 
 import pytest
 
 from repro.bench.harness import matcher_for
+from repro.cli import main as cli_main
 from repro.core import Event, Subscription, eq, le
 from repro.core.threadsafe import ThreadSafeMatcher
 from repro.matchers import DynamicMatcher
-from repro.system import PubSubBroker, QueueNotifier, VirtualClock
-from repro.system.snapshot import SnapshotError, load_snapshot, save_snapshot
+from repro.system import (
+    PubSubBroker,
+    QueueNotifier,
+    RecoveryError,
+    VirtualClock,
+    WalError,
+    WriteAheadLog,
+    recover,
+    write_compacted,
+)
 from repro.workload.scenarios import paper_workloads
 
 #: Every matcher backend a broker can sit on, wrappers included.
@@ -45,16 +59,24 @@ def fresh(clock=None, matcher=None):
     )
 
 
+def save(broker, buf):
+    return write_compacted(broker, buf)
+
+
+def load(broker, buf):
+    return recover(broker, wal_fp=buf).restored
+
+
 class TestRoundTrip:
     def test_plain_subscriptions(self):
         src = fresh()
         src.subscribe(Subscription("a", [eq("x", 1)]))
         src.subscribe(Subscription("b", [eq("y", 2), le("z", 5)]))
         buf = io.StringIO()
-        assert save_snapshot(src, buf) == 2
+        assert save(src, buf) == 2
         buf.seek(0)
         dst = fresh()
-        assert load_snapshot(dst, buf) == 2
+        assert load(dst, buf) == 2
         assert sorted(dst.publish(Event({"x": 1, "y": 2, "z": 3}))) == ["a", "b"]
 
     def test_ttls_resume_relative(self):
@@ -63,11 +85,11 @@ class TestRoundTrip:
         src.subscribe(Subscription("short", [eq("x", 1)]), ttl=30.0)
         src_clock.advance(10)  # 20 s remaining
         buf = io.StringIO()
-        save_snapshot(src, buf)
+        save(src, buf)
         buf.seek(0)
         dst_clock = VirtualClock(0.0)
         dst = fresh(dst_clock)
-        load_snapshot(dst, buf)
+        load(dst, buf)
         dst_clock.advance(15)
         assert dst.publish(Event({"x": 1})) == ["short"]
         dst_clock.advance(6)  # past the 20 s remainder
@@ -79,16 +101,16 @@ class TestRoundTrip:
         src.subscribe(Subscription("gone", [eq("x", 1)]), ttl=5.0)
         clock.advance(6)
         buf = io.StringIO()
-        assert save_snapshot(src, buf) == 0
+        assert save(src, buf) == 0
 
     def test_formula_identity_survives(self):
         src = fresh()
         src.subscribe_formula("a = 1 or b = 2", "logical")
         buf = io.StringIO()
-        save_snapshot(src, buf)
+        save(src, buf)
         buf.seek(0)
         dst = fresh()
-        load_snapshot(dst, buf)
+        load(dst, buf)
         assert dst.publish(Event({"a": 1, "b": 2})) == ["logical"]
         dst.unsubscribe("logical")
         assert dst.publish(Event({"a": 1})) == []
@@ -97,12 +119,12 @@ class TestRoundTrip:
         src = fresh()
         src.subscribe(Subscription("a", [eq("x", 1)]))
         buf = io.StringIO()
-        save_snapshot(src, buf)
+        save(src, buf)
         buf.seek(0)
         dst = fresh()
         dst.publish(Event({"x": 1}))  # retained event pre-restore
         dst.notifier.drain()
-        load_snapshot(dst, buf)
+        load(dst, buf)
         assert dst.notifier.drain() == []
 
 
@@ -111,12 +133,12 @@ class TestValidation:
         src = fresh()
         src.subscribe(Subscription("a", [eq("x", 1)]))
         buf = io.StringIO()
-        save_snapshot(src, buf)
+        save(src, buf)
         buf.seek(0)
         dst = fresh()
         dst.subscribe(Subscription("pre", [eq("q", 1)]))
-        with pytest.raises(SnapshotError):
-            load_snapshot(dst, buf)
+        with pytest.raises(RecoveryError):
+            load(dst, buf)
 
     @pytest.mark.parametrize(
         "payload",
@@ -125,46 +147,113 @@ class TestValidation:
             "not json\n",
             '{"type": "something-else"}\n',
             '{"type": "repro-broker-snapshot", "version": 99}\n',
-            '{"type": "repro-broker-snapshot", "version": 1}\n{"type": "weird"}\n',
-            '{"type": "repro-broker-snapshot", "version": 1}\nnot json\n',
+            '{"type": "repro-broker-wal", "version": 99}\n',
         ],
     )
     def test_malformed_rejected(self, payload):
-        with pytest.raises(SnapshotError):
-            load_snapshot(fresh(), io.StringIO(payload))
+        """Nothing but a v1 log restores anything.  A readable file of
+        another kind — the retired snapshot format included — raises;
+        an unreadable first line is, by the log's contract, a header
+        torn by a crash: an empty log."""
+        dst = fresh()
+        if payload.startswith("{"):
+            with pytest.raises(WalError):
+                load(dst, io.StringIO(payload))
+        else:
+            assert load(dst, io.StringIO(payload)) == 0
+        assert dst.subscription_count == 0
+
+    @pytest.mark.parametrize("damage", ['{"type": "weird"}\n', "not json\n", '{"type": "subsc'])
+    def test_damage_mid_file_restores_the_prefix_and_says_so(self, damage):
+        """A snapshot is a log, so it is read like one: what precedes
+        the first unreadable or unknown record is restored, everything
+        after it is distrusted and counted — prefix-tolerant, where the
+        retired format was all-or-nothing."""
+        src = fresh()
+        for sid in ("a", "b", "c"):
+            src.subscribe(Subscription(sid, [eq("x", 1)]))
+        buf = io.StringIO()
+        save(src, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        assert len(lines) == 4
+        dst = fresh()
+        report = recover(dst, wal_fp=io.StringIO("".join(lines[:2]) + damage + lines[3]))
+        assert report.restored == 1
+        assert report.torn_tail_discarded >= 1
+        assert dst.publish(Event({"x": 1})) == ["a"]
+
+    def test_retired_snapshot_format_is_named(self):
+        old = (
+            '{"type": "repro-broker-snapshot", "version": 1, "clock": 0.0}\n'
+            '{"type": "subscription", "subscription": '
+            '{"id": "a", "predicates": [["x", "=", 1]]}, "ttl_remaining": 9.0}\n'
+        )
+        with pytest.raises(WalError, match="retired format.*repro snapshot"):
+            load(fresh(), io.StringIO(old))
+
+
+class TestCli:
+    """``repro snapshot`` writes what ``repro recover --wal`` reads —
+    and what a broker can go on appending to."""
+
+    def test_snapshot_then_recover_then_append(self, tmp_path):
+        subs = tmp_path / "subs.jsonl"
+        subs.write_text(
+            '{"id": "a", "predicates": [["x", "=", 1]]}\n'
+            '{"id": "b", "predicates": [["y", "=", 2]]}\n'
+        )
+        log = tmp_path / "broker.wal"
+        out = io.StringIO()
+        assert cli_main(
+            ["snapshot", "--subscriptions", str(subs), "--out", str(log), "--ttl", "60"], out=out
+        ) == 0
+        assert json.loads(out.getvalue())["subscriptions"] == 2
+        with WriteAheadLog(log, clock=VirtualClock()) as wal:
+            wal.append_unsubscribe("a", at=1.0)
+        out = io.StringIO()
+        dump = tmp_path / "recovered.jsonl"
+        assert cli_main(["recover", "--wal", str(log), "--out", str(dump)], out=out) == 0
+        assert json.loads(out.getvalue())["restored"] == 1
+        assert [json.loads(line)["id"] for line in dump.read_text().splitlines()] == ["b"]
+
+    def test_recover_names_the_retired_snapshot_format(self, tmp_path):
+        old = tmp_path / "broker.snap"
+        old.write_text('{"type": "repro-broker-snapshot", "version": 1, "clock": 0.0}\n')
+        with pytest.raises(WalError, match="retired format.*repro snapshot"):
+            cli_main(["recover", "--wal", str(old)], out=io.StringIO())
 
 
 class TestExpiredRecordRegression:
-    """An on-disk record with ``ttl_remaining: 0.0`` (writable by the
-    pre-fix save path) used to be revived *immortal*: the old restore
-    collapsed it with ``ttl or None``."""
+    """An on-disk record with ``ttl: 0.0`` must stay dead, never be
+    revived *immortal* (an early restore collapsed it with
+    ``ttl or None``)."""
 
     SNAPSHOT = (
-        '{"type": "repro-broker-snapshot", "version": 1, "clock": 0.0}\n'
-        '{"type": "subscription", "subscription": '
-        '{"id": "dead", "predicates": [["x", "=", 1]]}, "ttl_remaining": 0.0}\n'
-        '{"type": "subscription", "subscription": '
-        '{"id": "live", "predicates": [["x", "=", 2]]}, "ttl_remaining": 9.0}\n'
+        '{"type": "repro-broker-wal", "version": 1, "clock": 0.0}\n'
+        '{"type": "subscribe", "at": 0.0, "subscription": '
+        '{"id": "dead", "predicates": [["x", "=", 1]]}, "ttl": 0.0}\n'
+        '{"type": "subscribe", "at": 0.0, "subscription": '
+        '{"id": "live", "predicates": [["x", "=", 2]]}, "ttl": 9.0}\n'
     )
 
     def test_zero_ttl_record_stays_dead(self):
         clock = VirtualClock()  # frozen: nothing can expire after restore
         dst = fresh(clock)
-        assert load_snapshot(dst, io.StringIO(self.SNAPSHOT)) == 1
+        assert load(dst, io.StringIO(self.SNAPSHOT)) == 1
         assert dst.publish(Event({"x": 1})) == []  # not revived
         assert dst.publish(Event({"x": 2})) == ["live"]
 
     def test_negative_ttl_record_stays_dead(self):
-        payload = self.SNAPSHOT.replace('"ttl_remaining": 0.0', '"ttl_remaining": -3.0')
+        payload = self.SNAPSHOT.replace('"ttl": 0.0', '"ttl": -3.0')
         dst = fresh(VirtualClock())
-        assert load_snapshot(dst, io.StringIO(payload)) == 1
+        assert load(dst, io.StringIO(payload)) == 1
         assert dst.publish(Event({"x": 1})) == []
 
 
 class TestWrapperRegression:
-    """``save_snapshot`` used to read ``broker.matcher._subs`` directly,
-    which raised AttributeError on the sharded and thread-safe wrappers
-    (they hold no ``_subs`` of their own)."""
+    """The writer must go through ``iter_subscriptions``: reading
+    ``broker.matcher._subs`` raised AttributeError on the sharded and
+    thread-safe wrappers (they hold no ``_subs`` of their own)."""
 
     @pytest.mark.parametrize("name", ["sharded", "threadsafe"])
     def test_save_through_wrapper(self, name):
@@ -172,10 +261,10 @@ class TestWrapperRegression:
         src.subscribe(Subscription("a", [eq("x", 1)]))
         src.subscribe(Subscription("b", [eq("y", 2)]))
         buf = io.StringIO()
-        assert save_snapshot(src, buf) == 2  # AttributeError before the fix
+        assert save(src, buf) == 2
         buf.seek(0)
         dst = fresh(matcher=backend_matcher(name))
-        assert load_snapshot(dst, buf) == 2
+        assert load(dst, buf) == 2
         assert dst.publish(Event({"x": 1})) == ["a"]
 
 
@@ -203,10 +292,10 @@ class TestEveryBackend:
         src = fresh(matcher=backend_matcher(name))
         self.populate(src)
         buf = io.StringIO()
-        assert save_snapshot(src, buf) == 2
+        assert save(src, buf) == 2
         buf.seek(0)
         dst = fresh(matcher=backend_matcher(name))
-        assert load_snapshot(dst, buf) == 2
+        assert load(dst, buf) == 2
         assert self.matches(dst) == self.matches(src)
 
     @pytest.mark.parametrize("name", BACKENDS)

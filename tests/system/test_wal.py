@@ -216,23 +216,39 @@ class TestTornTail:
 
 
 class TestCompaction:
-    def test_compact_snapshots_and_restarts(self, tmp_path):
+    def loaded(self, tmp_path, n=4, **wal_kwargs):
         clock = VirtualClock()
-        wal = WriteAheadLog(tmp_path / "a.wal", clock=clock, fsync="always")
+        wal = WriteAheadLog(tmp_path / "a.wal", clock=clock, **wal_kwargs)
         broker = fresh_broker(clock, wal=wal)
-        for i in range(4):
+        for i in range(n):
             broker.subscribe(Subscription(f"s{i}", [eq("x", i)]))
+        return clock, wal, broker
+
+    def recovered_ids(self, path):
+        restored = fresh_broker()
+        recover_files(restored, wal_path=path)
+        return sorted(s.id for s in restored.matcher.iter_subscriptions())
+
+    def test_compact_snapshots_and_restarts(self, tmp_path):
+        _clock, wal, broker = self.loaded(tmp_path, fsync="always")
+        broker.unsubscribe("s3")
+        broker.subscribe(Subscription("s3", [eq("x", 3)]))
         grown = wal.tell()
-        snap = tmp_path / "a.snap"
-        assert wal.compact(broker, snap) == 4
+        assert wal.compact(broker) == 4
         assert wal.counters["compactions"] == 1
-        assert wal.tell() < grown  # only a fresh header remains
-        # Post-compaction mutations land in the restarted log.
+        assert wal.tell() < grown  # the churn is gone, the live set remains
+        assert wal.tell() == os.path.getsize(wal.path)
+        assert not os.path.exists(wal.path + ".tmp")
+        # The compacted file is an ordinary log: header, then subscribes.
+        lines = [json.loads(line) for line in read_lines(wal.path)]
+        assert lines[0]["type"] == HEADER_TYPE
+        assert [r["type"] for r in lines[1:]] == ["subscribe"] * 4
+        # Post-compaction mutations are appended to it.
         broker.unsubscribe("s0")
         broker.subscribe(Subscription("s9", [eq("x", 9)]))
         wal.close()
         restored = fresh_broker()
-        report = recover_files(restored, snapshot_path=snap, wal_path=wal.path)
+        report = recover_files(restored, wal_path=wal.path)
         assert report.restored == 4
         assert sorted(restored.publish(Event({"x": 1}))) == ["s1"]
         assert restored.publish(Event({"x": 9})) == ["s9"]
@@ -244,7 +260,114 @@ class TestCompaction:
         broker = fresh_broker(clock, wal=wal)
         wal.close()
         with pytest.raises(WalError):
-            wal.compact(broker, tmp_path / "a.snap")
+            wal.compact(broker)
+
+    def test_failed_rename_leaves_the_old_log_in_charge(self, tmp_path, monkeypatch):
+        _clock, wal, broker = self.loaded(tmp_path)
+        broker.unsubscribe("s1")
+        before = read_lines(wal.path)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.system.wal.os.replace", refuse)
+            with pytest.raises(OSError, match="rename refused"):
+                wal.compact(broker)
+        # Nothing was committed: same bytes, and the stale temp file is
+        # invisible to recovery.
+        assert read_lines(wal.path) == before
+        assert os.path.exists(wal.path + ".tmp")
+        assert self.recovered_ids(wal.path) == ["s0", "s2", "s3"]
+        assert wal.counters["compactions"] == 0
+        # Still appendable — by this object, and after a reopen.
+        broker.subscribe(Subscription("s4", [eq("x", 4)]))
+        wal.close()
+        clock2 = VirtualClock()
+        wal2 = WriteAheadLog(wal.path, clock=clock2)
+        broker2 = fresh_broker(clock2)
+        recover_files(broker2, wal_path=wal.path)
+        broker2.attach_wal(wal2)
+        broker2.subscribe(Subscription("s5", [eq("x", 5)]))
+        assert self.recovered_ids(wal.path) == ["s0", "s2", "s3", "s4", "s5"]
+        # The next compact overwrites the stale temp file and commits.
+        assert wal2.compact(broker2) == 5
+        assert not os.path.exists(wal.path + ".tmp")
+        wal2.close()
+        assert len(read_lines(wal.path)) == 6
+        assert self.recovered_ids(wal.path) == ["s0", "s2", "s3", "s4", "s5"]
+
+    def test_failed_reopen_after_the_rename_closes_the_log(self, tmp_path):
+        """Past the commit point the old handle points at an unlinked
+        file: appends through it would vanish, so the object must refuse
+        them by name.  What is on disk is the committed compacted log."""
+        opens = []
+
+        def opener(path, mode):
+            opens.append(mode)
+            if len(opens) == 2:  # 1: the constructor, 2: compact's reopen
+                raise OSError("too many open files")
+            return open(path, mode, encoding="utf-8")
+
+        _clock, wal, broker = self.loaded(tmp_path, opener=opener)
+        broker.unsubscribe("s1")
+        with pytest.raises(OSError, match="too many open files"):
+            wal.compact(broker)
+        assert wal.closed
+        with pytest.raises(WalError, match="closed"):
+            wal.append_anchor(1.0)
+        with pytest.raises(WalError, match="closed"):
+            wal.compact(broker)
+        wal.close()  # a no-op, not a ValueError on the dead handle
+        assert not os.path.exists(wal.path + ".tmp")
+        assert len(read_lines(wal.path)) == 4  # header + the three live
+        assert self.recovered_ids(wal.path) == ["s0", "s2", "s3"]
+        # A new log object on the path carries on from the compacted file.
+        with WriteAheadLog(wal.path, clock=VirtualClock()) as wal2:
+            wal2.append_subscribe(Subscription("s4", [eq("x", 4)]), at=1.0)
+        assert self.recovered_ids(wal.path) == ["s0", "s2", "s3", "s4"]
+
+    def test_compacted_file_is_fsynced_before_the_rename(self, tmp_path, monkeypatch):
+        """Rename-then-fsync would let a power loss commit a file whose
+        bytes never reached the disk."""
+        _clock, wal, broker = self.loaded(tmp_path, fsync="never")
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr("repro.system.wal.os.fsync", fsync)
+        monkeypatch.setattr("repro.system.wal.os.replace", replace)
+        wal.compact(broker)
+        (renamed,) = [inode for kind, inode in calls if kind == "replace"]
+        assert calls.index(("fsync", renamed)) < calls.index(("replace", renamed))
+
+    @pytest.mark.parametrize("mode", ["truncate", "garble", "drop"])
+    def test_torn_tail_after_compaction_spares_the_compacted_records(self, tmp_path, mode):
+        # The byte budget is per open, so the reopen after the rename
+        # starts a fresh one: only post-compaction appends can tear.
+        _clock, wal, broker = self.loaded(
+            tmp_path, n=3, fsync="never", opener=faulty_opener(fail_after=600, mode=mode)
+        )
+        wal.compact(broker)
+        compacted_bytes = wal.tell()
+        for i in range(3, 13):
+            broker.subscribe(Subscription(f"s{i}", [eq("x", i)]))
+        wal.close()
+        prefix_bytes, records, torn, _last_at = scan_valid_prefix(wal.path)
+        assert prefix_bytes > compacted_bytes  # something after it survived
+        assert 3 < records < 13
+        assert torn == (0 if mode == "drop" else 1)
+        assert self.recovered_ids(wal.path) == sorted(f"s{i}" for i in range(records))
+        # Reopening cuts exactly the damage, nothing of the compacted log.
+        WriteAheadLog(wal.path, clock=VirtualClock()).close()
+        assert os.path.getsize(wal.path) == prefix_bytes
 
 
 class TestBrokerIntegration:

@@ -115,6 +115,42 @@ class TestMatchSurface:
         assert not offenders, offenders
 
 
+class TestDurableSurface:
+    """One durable file, one reader; and the process layer's settable
+    values stay the ones something sets."""
+
+    @staticmethod
+    def params(func):
+        return [
+            (p.name, p.default)
+            for p in inspect.signature(func).parameters.values()
+            if p.name != "self"
+        ]
+
+    def test_a_snapshot_is_a_compacted_wal(self):
+        import repro.system as system
+
+        assert not [n for n in system.__all__ if "snapshot" in n.lower()]
+        broker = ("broker", inspect.Parameter.empty)
+        assert self.params(system.recover) == [broker, ("wal_fp", None), ("metrics", None)]
+        assert self.params(system.recover_files) == [broker, ("wal_path", None), ("metrics", None)]
+        assert self.params(system.WriteAheadLog.compact) == [broker]
+        assert not [k for k in system.RecoveryReport().as_dict() if "snapshot" in k]
+
+    def test_process_layer_constructor_surface(self):
+        from repro.system.procpool import CODECS, ProcessPool
+        from repro.system.sharding import ShardedMatcher
+
+        assert CODECS == ("auto", "shm")
+        assert [n for n, _ in self.params(ShardedMatcher.__init__)] == [
+            "shards", "router", "inner", "parallel", "breaker",
+            "slow_match_seconds", "executor", "worker_timeout", "codec",
+        ]  # fmt: skip
+        assert [n for n, _ in self.params(ProcessPool.__init__)] == [
+            "factories", "request_timeout", "codec", "metrics",
+        ]  # fmt: skip
+
+
 class _Spy(_MatcherWrapper):
     """A call-counting oracle engine (one per shard)."""
 
