@@ -5,9 +5,8 @@ originally re-encoded and re-pickled every batch once *per shard* —
 with a non-pruning router every worker receives the whole batch, so a
 4-shard fan-out shipped the same columnar matrices four times.  The
 ``shm`` codec packs each batch **once** into a shared-memory slot ring
-(:mod:`repro.system.shm`); workers map the segment read-only and write
-packed result matrices into their own regions, demoting the pipe to a
-slot-descriptor control channel.
+(:mod:`repro.system.shm`); workers map the segment read-only, and the
+pipe carries only slot descriptors out and sparse hit indices back.
 
 The workload here is deliberately **transport-bound**: a small resident
 population (phase 2 is near-free) under wide, all-numeric events, so
@@ -74,12 +73,12 @@ def _workload(n_events: int):
 
 
 def _transport_bytes(pool_stats) -> int:
-    """Total transport bytes (pipe both directions + arena both ways)."""
+    """Total transport bytes (pipe both directions + arena publishes)."""
     pipe = pool_stats["counters"]["pipe_bytes"]
     total = int(pipe["send"]) + int(pipe["recv"])
     shm = pool_stats.get("shm")
     if shm is not None:
-        total += int(shm["bytes"]["publish"]) + int(shm["bytes"]["result"])
+        total += int(shm["bytes"]["publish"])
     return total
 
 
@@ -140,7 +139,7 @@ def test_shm_codec_speedup_at_4_shards():
     submission — and their per-event results are asserted equal before
     any throughput is compared.  Bytes-per-event comes from the pool's
     own transport counters (pipe send/recv plus, for shm, the arena's
-    publish/result totals), deltas over the measured window only.
+    publish total), deltas over the measured window only.
     """
     if scaled(400_000) < 8_000:
         pytest.skip(

@@ -52,37 +52,6 @@ def pack_bits(truth: np.ndarray) -> np.ndarray:
     return padded.view("<u8")
 
 
-def pack_bits_into(truth: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`pack_bits`, but written into a caller-owned uint64 buffer.
-
-    *out* must be a C-contiguous ``(events, packed_words(slots))``
-    uint64 array — typically a view over a shared-memory result region —
-    and is returned for convenience.  Padding bits beyond the last slot
-    are zeroed, exactly like the allocating form.
-    """
-    truth = np.ascontiguousarray(truth, dtype=bool)
-    if truth.ndim != 2:
-        raise ValueError(f"expected a 2-D truth matrix, got shape {truth.shape}")
-    n_events, n_slots = truth.shape
-    words = packed_words(n_slots)
-    if out.shape != (n_events, words):
-        raise ValueError(
-            f"output buffer shape {out.shape} cannot hold a packed "
-            f"({n_events}, {n_slots}) matrix (need ({n_events}, {words}))"
-        )
-    if out.dtype != np.dtype("<u8"):
-        raise ValueError(f"output buffer must be little-endian uint64, got {out.dtype}")
-    if not out.flags["C_CONTIGUOUS"]:
-        raise ValueError("output buffer must be C-contiguous")
-    if words == 0 or n_events == 0:
-        return out
-    byte_view = out.view(np.uint8).reshape(n_events, words * _WORD_BYTES)
-    packed8 = np.packbits(truth, axis=1, bitorder="little")
-    byte_view[:, : packed8.shape[1]] = packed8
-    byte_view[:, packed8.shape[1] :] = 0
-    return out
-
-
 def unpack_bits(packed: np.ndarray, n_slots: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`: recover the boolean truth matrix."""
     packed = np.ascontiguousarray(packed, dtype="<u8")

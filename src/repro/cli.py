@@ -80,8 +80,8 @@ def _add_executor_knobs(sub: argparse.ArgumentParser) -> None:
         choices=CODECS,
         default="auto",
         help="worker transport (with --executor process): 'auto' packs "
-        "columnar batches over the pipe, 'shm' moves batches and results "
-        "through a shared-memory arena (see docs/scaling.md)",
+        "columnar batches over the pipe, 'shm' places each batch once in "
+        "a shared-memory slot ring (see docs/scaling.md)",
     )
     sub.add_argument(
         "--worker-timeout",

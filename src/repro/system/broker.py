@@ -119,7 +119,11 @@ class PubSubBroker:
         #: ``match_batch`` runs outside it (see :meth:`publish_batch`).
         self._lock = threading.RLock()
         self._events = EventStore()
-        self._sub_expiry_heap: List[Tuple[float, Any]] = []
+        #: ``(expires_at, tie, sub_id)``: *tie* orders equal deadlines by
+        #: insertion, so ids (any hashable, not mutually comparable) are
+        #: never compared.
+        self._sub_expiry_heap: List[Tuple[float, int, Any]] = []
+        self._expiry_tie = itertools.count()
         self._sub_expires: Dict[Any, float] = {}
         self._auto_id = itertools.count()
         # DNF formula support: logical id <-> disjunct subscription ids.
@@ -217,7 +221,7 @@ class PubSubBroker:
         dropped = 0
         heap = self._sub_expiry_heap
         while heap and heap[0][0] <= now:
-            _exp, sub_id = heapq.heappop(heap)
+            _exp, _tie, sub_id = heapq.heappop(heap)
             # The heap may hold stale entries for re-subscribed ids.
             expires = self._sub_expires.get(sub_id)
             if expires is not None and expires <= now:
@@ -252,7 +256,8 @@ class PubSubBroker:
         """
         if len(self._sub_expiry_heap) > 2 * len(self._sub_expires):
             self._sub_expiry_heap = [
-                (expires_at, sub_id) for sub_id, expires_at in self._sub_expires.items()
+                (expires_at, next(self._expiry_tie), sub_id)
+                for sub_id, expires_at in self._sub_expires.items()
             ]
             heapq.heapify(self._sub_expiry_heap)
 
@@ -286,7 +291,10 @@ class PubSubBroker:
             if ttl is not None:
                 expires_at = self.clock.now() + ttl
                 self._sub_expires[subscription.id] = expires_at
-                heapq.heappush(self._sub_expiry_heap, (expires_at, subscription.id))
+                heapq.heappush(
+                    self._sub_expiry_heap,
+                    (expires_at, next(self._expiry_tie), subscription.id),
+                )
             self.counters["subscribed"] += 1
             if self._wal_active():
                 # Applied-then-logged: a crash in the gap loses only this

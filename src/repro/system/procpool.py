@@ -18,11 +18,11 @@ and ``tests/properties/test_prop_procpool.py``):
   sequence its parent issued — the property the determinism tests pin.
   The parent mirrors each worker's subscription table by applying the
   same sequence locally; the mirror is the replay source after a
-  crash and the id table for decoding packed match results.
+  crash and the id table for decoding match results.
 * **Epoch checking.**  Every reply carries the worker's mutation epoch;
   a mismatch against the parent's mirror epoch (a lost command, a
   corrupted pipe) raises :class:`~repro.system.resilience.WorkerStateError`
-  instead of silently decoding match bits against the wrong id table.
+  instead of silently decoding hit indices against the wrong id table.
 * **Worker death is a shard failure, not a crash.**  A dead or hung
   worker surfaces as :class:`~repro.system.resilience.WorkerDiedError`
   from that one call; the *next* call through the shard transparently
@@ -32,10 +32,12 @@ and ``tests/properties/test_prop_procpool.py``):
   shard (degraded ``PartialResults``), and the half-open probe is what
   respawns and re-converges it.
 * **Numpy transport with a pickle fallback.**  Event batches whose
-  values are all float64-exact numbers cross the pipe as columnar
-  arrays plus packed presence/int-ness bit rows, and match results
-  return as a packed uint64 (events × shard-subscriptions) bit matrix —
-  both reusing :mod:`repro.batch.bitmatrix`'s layout.  Strings, NaN-free
+  values are all float64-exact numbers cross as a
+  :class:`~repro.batch.columns.ColumnarBatch` (pickled on the pipe, or
+  placed once in a shared-memory slot under ``codec="shm"``), and match
+  results return over the pipe as **sparse hit indices** — one int32
+  count per event plus the int32 positions of the matching ids in the
+  worker's live-id table, O(hits) however large the shard.  Strings,
   oversized ints and other odd-path values fall back to pickling the
   objects themselves (the core types pickle via their constructors).
 
@@ -52,26 +54,25 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.batch.bitmatrix import pack_bits, unpack_bits
 from repro.batch.columns import ColumnarBatch
 from repro.core.errors import UnknownSubscriptionError
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
 from repro.obs.registry import MetricsRegistry
 from repro.system.resilience import WorkerDiedError, WorkerStateError
-from repro.system.shm import ShmArena, ShmLayoutError, SlotTicket
+from repro.system.shm import ShmArena, SlotTicket
 
-#: Result/event transport codecs: ``auto`` packs bit matrices and
-#: columnar event batches over the pipe (pickling the objects themselves
-#: only for what the columnar layout cannot carry), and ``shm`` moves
-#: both directions through a shared-memory arena (write-once event
-#: slots, in-place result regions; see :mod:`repro.system.shm`) with the
-#: pipe demoted to a control channel — and to ``auto``'s lane for the
-#: batches the arena cannot take (``SHM_FALLBACK_REASONS``).
+#: Event transport codecs: ``auto`` pickles columnar event batches over
+#: the pipe (the objects themselves only for what the columnar layout
+#: cannot carry), and ``shm`` places each batch once in a shared-memory
+#: slot ring every probed worker reads in place (see
+#: :mod:`repro.system.shm`), keeping the pipe for control, for the
+#: batches the arena cannot take (``SHM_FALLBACK_REASONS``) and — under
+#: both codecs — for the sparse replies.
 CODECS = ("auto", "shm")
 
 #: Poll granularity while waiting on a worker reply.  ``Connection.poll``
@@ -84,20 +85,18 @@ _IPC_OPS = ("mutate", "match", "batch", "control")
 
 #: ``repro_shm_fallback_total`` reason label values: the batch could not
 #: ride the columnar layout at all (``oddpath``), no free slot appeared
-#: within the publish timeout (``slot_wait``), the batch was larger than
-#: one slot (``slot_full``), or a worker's result matrix outgrew its
-#: region and came back over the pipe (``result_full``).
-SHM_FALLBACK_REASONS = ("oddpath", "slot_wait", "slot_full", "result_full")
+#: within the publish timeout (``slot_wait``), or the batch was larger
+#: than one slot (``slot_full``).
+SHM_FALLBACK_REASONS = ("oddpath", "slot_wait", "slot_full")
 
 #: How long a publish waits for a free event slot before falling back to
 #: the pipe transport (slow readers should degrade, not deadlock).
 _SLOT_WAIT_SECONDS = 2.0
 
-#: Arena geometry under ``codec="shm"``: event slots in the ring, bytes
-#: per slot, bytes per worker result region.
+#: Arena geometry under ``codec="shm"``: event slots in the ring and
+#: bytes per slot.
 _SHM_SLOTS = 4
 _SHM_SLOT_BYTES = 1 << 20
-_SHM_RESULT_BYTES = 1 << 20
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -118,6 +117,8 @@ def payload_nbytes(obj: Any) -> int:
         return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
         return 8 + sum(payload_nbytes(item) for item in obj)
+    if isinstance(obj, ColumnarBatch):
+        return payload_nbytes((obj.attrs, obj.values, obj.presence, obj.ints))
     pairs = getattr(obj, "pairs", None)  # Event
     if isinstance(pairs, dict):
         return payload_nbytes(pairs)
@@ -127,82 +128,68 @@ def payload_nbytes(obj: Any) -> int:
 # ----------------------------------------------------------------------
 # wire codecs (shared by parent and worker)
 # ----------------------------------------------------------------------
-def encode_events(events: Sequence[Event]) -> Tuple[str, Any]:
-    """Encode an event batch for the pipe.
+def encode_events(events: Sequence[Event]) -> Union[ColumnarBatch, List[Event]]:
+    """Encode an event batch for the wire.
 
-    Returns ``("cols", attrs, values, presence, ints)`` — float64 value
-    matrix plus packed presence and was-int bit rows — when every value
-    is a float64-exact number, else ``("objs", list(events))``.
+    A :class:`ColumnarBatch` when every value is a float64-exact number,
+    else the events themselves (the pickled odd lane) — the type says
+    which lane a payload is on.
     """
-    if events:
-        batch = ColumnarBatch.from_events(events)
-        if batch is not None:
-            return ("cols", batch.attrs, batch.values, batch.presence, batch.ints)
-    return ("objs", list(events))
+    batch = ColumnarBatch.from_events(events)
+    return list(events) if batch is None else batch
 
 
 def match_payload(
-    matcher: Matcher, payload: Tuple[str, Any], rows: Optional[Sequence[int]] = None
+    matcher: Matcher,
+    payload: Union[ColumnarBatch, List[Event]],
+    rows: Optional[Sequence[int]] = None,
 ) -> List[List[Any]]:
     """Match one wire payload against *matcher* (the worker's hot path).
 
-    Columnar payloads reach :meth:`Matcher.match_batch` as a
-    :class:`ColumnarBatch` so the vectorized predicate phase runs
-    straight off the matrices — when *rows* is the identity routing the
-    arrays (possibly shm slot views) are used in place, otherwise the
-    routed sub-batch is copied out.  Object payloads go in as a list.
+    A :class:`ColumnarBatch` reaches :meth:`Matcher.match_batch` as it
+    is, so the vectorized predicate phase runs straight off the
+    matrices — when *rows* is the identity routing the arrays (possibly
+    shm slot views) are used in place, otherwise the routed sub-batch is
+    copied out.  The odd lane's event list goes in whole (only the
+    arena lane routes by *rows*).
     """
-    if payload[0] == "objs":
-        events = payload[1]
-        if rows is not None:
-            events = [events[r] for r in rows]
-        return matcher.match_batch(list(events))
-    batch = ColumnarBatch(*payload[1:])
-    if rows is not None and list(rows) != list(range(len(batch))):
-        batch = batch.select(rows)
-    return matcher.match_batch(batch)
-
-
-def results_truth(
-    lists: List[List[Any]], index_of: Dict[Any, int]
-) -> Optional[np.ndarray]:
-    """Per-event match lists as a boolean matrix over the id table.
-
-    None when an id falls outside the table (an exotic wrapper) — the
-    caller then ships the lists themselves.
-    """
-    truth = np.zeros((len(lists), len(index_of)), dtype=bool)
-    try:
-        for row, ids in enumerate(lists):
-            for sub_id in ids:
-                truth[row, index_of[sub_id]] = True
-    except KeyError:
-        return None
-    return truth
+    if rows is not None and list(rows) != list(range(len(payload))):
+        payload = payload.select(rows)
+    return matcher.match_batch(payload)
 
 
 def encode_results(lists: List[List[Any]], index_of: Dict[Any, int]) -> Tuple[str, Any]:
-    """Encode per-event match lists as a packed bit matrix over the
-    worker's id table (``("bits", packed)``), or the lists themselves."""
-    truth = results_truth(lists, index_of) if index_of else None
-    if truth is None:
-        # An empty table, or an id outside it (an exotic wrapper).
+    """Encode per-event match lists as sparse hits over the worker's
+    live-id table.
+
+    ``("hits", counts, cols)``: one int32 hit count per event and the
+    int32 table positions of the matching ids, ascending within each
+    event so the decode yields ids in table (mirror-insertion) order
+    whatever order the engine produced them in.  O(hits), not
+    O(events × table).  An id outside the table (an exotic wrapper)
+    ships the lists themselves, ``("lists", …)``.
+    """
+    cols: List[int] = []
+    try:
+        for ids in lists:
+            cols.extend(sorted([index_of[sub_id] for sub_id in ids]))
+    except KeyError:
         return ("lists", [list(ids) for ids in lists])
-    return ("bits", pack_bits(truth))
+    counts = np.array([len(ids) for ids in lists], dtype=np.int32)
+    return ("hits", counts, np.array(cols, dtype=np.int32))
 
 
 def decode_results(payload: Tuple[str, Any], table: List[Any]) -> List[List[Any]]:
     """Inverse of :func:`encode_results`, against the parent's mirror table."""
     if payload[0] == "lists":
         return payload[1]
-    truth = unpack_bits(payload[1], len(table))
-    # One nonzero over the whole matrix, not one per row: hit pairs come
-    # back row-major, so each row's ids append in column order exactly
-    # as the per-row scan produced them.
-    out: List[List[Any]] = [[] for _ in range(truth.shape[0])]
-    rows, cols = np.nonzero(truth)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        out[row].append(table[col])
+    _tag, counts, cols = payload
+    ids = [table[col] for col in cols.tolist()]
+    out: List[List[Any]] = []
+    start = 0
+    for count in counts.tolist():
+        out.append(ids[start : start + count])
+        start += count
     return out
 
 
@@ -218,31 +205,17 @@ def _send(conn, status: str, value: Any) -> None:
         conn.send(("err", RuntimeError(f"unpicklable worker reply: {value!r}")))
 
 
-def _serve_batch_shm(
-    arena: ShmArena,
-    worker_index: int,
-    matcher: Matcher,
-    index_of: Dict[Any, int],
-    msg: Tuple,
-) -> Tuple[str, Any]:
-    """One ``batch_shm`` request inside the worker.
+def _match_slot(
+    arena: ShmArena, matcher: Matcher, slot_index: int, generation: int, rows
+) -> List[List[Any]]:
+    """Match the rows of a published slot routed to this shard, reading
+    the slot in place.
 
-    Reads the published slot in place, matches the rows routed to this
-    shard, and writes the packed result matrix into the worker's own
-    region — replying ``("shmres", rows, words)`` — or falls back to
-    pipe bits when the matrix outgrows the region.
+    A function of its own so the slot views it takes are dropped at
+    return — a lingering view would block the arena unmap at shutdown
+    (exported-pointer semantics).
     """
-    slot_index, generation, rows = msg[1], msg[2], msg[3]
-    attrs, values, presence, ints = arena.read_slot(slot_index, generation)
-    lists = match_payload(matcher, ("cols", attrs, values, presence, ints), rows)
-    truth = results_truth(lists, index_of)
-    if truth is not None:
-        descriptor = arena.write_result(worker_index, generation, truth)
-        if descriptor is not None:
-            return ("shmres",) + descriptor
-    # Result region too small (or exotic ids): the bits ride the pipe
-    # instead — correctness over zero-copy.
-    return encode_results(lists, index_of)
+    return match_payload(matcher, arena.read_slot(slot_index, generation), rows)
 
 
 def worker_main(
@@ -254,16 +227,13 @@ def worker_main(
     start methods must import it by qualified name.
 
     Under the ``shm`` codec *shm_spec* names the parent's arena: the
-    worker attaches both segments (never unlinks — the parent owns
-    them), reads event slots in place, and writes packed results into
-    its own ``shm_spec["worker_index"]`` region.
+    worker attaches the segment (never unlinks — the parent owns it)
+    and reads event slots in place.
     """
     arena: Optional[ShmArena] = None
-    worker_index = -1
     try:
         matcher = factory()
         if shm_spec is not None:
-            worker_index = shm_spec["worker_index"]
             arena = ShmArena.attach(shm_spec)
     except BaseException as exc:
         _send(conn, "err", exc)
@@ -280,20 +250,17 @@ def worker_main(
             break
         op = msg[0]
         try:
-            if op == "batch":
-                lists = match_payload(matcher, msg[1])
-                if index_of is None:
-                    index_of = {sub_id: i for i, sub_id in enumerate(live)}
-                reply: Any = (epoch, encode_results(lists, index_of))
-            elif op == "batch_shm":
-                if arena is None:
+            if op in ("batch", "batch_shm"):
+                if op == "batch":
+                    lists = match_payload(matcher, msg[1])
+                elif arena is None:
                     raise RuntimeError("batch_shm without an attached arena")
+                else:
+                    lists = _match_slot(arena, matcher, *msg[1:])
                 if index_of is None:
                     index_of = {sub_id: i for i, sub_id in enumerate(live)}
-                # Handled in a helper so the slot views it takes are
-                # dropped at return — a lingering view would block the
-                # arena unmap at shutdown (exported-pointer semantics).
-                reply = (epoch, _serve_batch_shm(arena, worker_index, matcher, index_of, msg))
+                # One reply form under both codecs, always on the pipe.
+                reply: Any = (epoch, encode_results(lists, index_of))
             elif op == "match":
                 reply = (epoch, list(matcher.match(msg[1])))
             elif op == "add":
@@ -384,12 +351,7 @@ class ProcessPool:
         self._closed = False
         self.arena: Optional[ShmArena] = None
         if codec == "shm":
-            self.arena = ShmArena.create(
-                workers=len(self._factories),
-                slots=_SHM_SLOTS,
-                slot_bytes=_SHM_SLOT_BYTES,
-                result_bytes=_SHM_RESULT_BYTES,
-            )
+            self.arena = ShmArena.create(slots=_SHM_SLOTS, slot_bytes=_SHM_SLOT_BYTES)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._bind_metrics()
         try:
@@ -433,14 +395,11 @@ class ProcessPool:
         }
         shm_bytes = m.counter(
             "repro_shm_bytes_total",
-            "Bytes placed in (publish) and read back from (result) the "
-            "shared-memory arena.",
+            "Bytes placed in the shared-memory arena (event batches, "
+            "direction=publish; replies ride the pipe).",
             ("direction",),
         )
-        self._m_shm_bytes = {
-            direction: shm_bytes.labels(direction=direction)
-            for direction in ("publish", "result")
-        }
+        self._m_shm_bytes = {"publish": shm_bytes.labels(direction="publish")}
         self._m_shm_wait = m.histogram(
             "repro_shm_slot_wait_seconds",
             "Time a publish waited for a free event slot.",
@@ -489,11 +448,8 @@ class ProcessPool:
         if self._closed:
             raise WorkerDiedError("process pool is closed", shard=index)
         self._reap(index)
-        shm_spec = None
-        if self.arena is not None:
-            # Respawns reattach the same segments: the spec names them
-            # and pins this worker's result region.
-            shm_spec = dict(self.arena.spec(), worker_index=index)
+        # Respawns reattach the same segment: the spec names it.
+        shm_spec = None if self.arena is None else self.arena.spec()
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
@@ -564,7 +520,7 @@ class ProcessPool:
             self._reap(index)
         if self.arena is not None:
             # Workers are gone; unmapping + unlinking here is the only
-            # place the segments leave /dev/shm.
+            # place the segment leaves /dev/shm.
             self.arena.close()
         self._m_workers.set(0)
 
@@ -584,11 +540,10 @@ class ProcessPool:
             raise RuntimeError("publish_events requires the shm codec")
         if len(events) == 1:
             return None
-        payload = encode_events(events)
-        if payload[0] != "cols":
+        batch = encode_events(events)
+        if not isinstance(batch, ColumnarBatch):
             self._m_shm_fallback["oddpath"].inc()
             return None
-        _tag, attrs, values, presence, ints = payload
         waited = time.perf_counter()
         ticket = self.arena.ring.acquire(readers, timeout=_SLOT_WAIT_SECONDS)
         self._m_shm_wait.observe(time.perf_counter() - waited)
@@ -596,7 +551,7 @@ class ProcessPool:
             self._m_shm_fallback["slot_wait"].inc()
             return None
         try:
-            nbytes = self.arena.write_slot(ticket, attrs, values, presence, ints)
+            nbytes = self.arena.write_slot(ticket, batch)
         except BaseException:
             self._release_ticket(ticket)
             raise
@@ -834,27 +789,15 @@ class ProcessShard(Matcher):
 
         Consumes exactly one reader ack of *ticket* — in a ``finally``,
         so a worker that dies (or desyncs) mid-request still frees the
-        slot for the next batch.  Results arrive through this shard's
-        arena region when they fit, over the pipe otherwise.
+        slot for the next batch.
         """
         pool = self.pool
         try:
-            if not pool.alive(self.index):
-                self._heal()
             worker_epoch, results = self._call(
                 ("batch_shm", ticket.index, ticket.generation, rows), "batch"
             )
             self._check_epoch(worker_epoch)
-            table = self._id_table()
-            if results[0] == "shmres":
-                _tag, n_rows, n_words = results
-                packed = pool.arena.read_result(
-                    self.index, ticket.generation, n_rows, n_words
-                )
-                pool._m_shm_bytes["result"].inc(packed.nbytes)
-                return decode_results(("bits", packed), table)
-            pool._m_shm_fallback["result_full"].inc()
-            return decode_results(results, table)
+            return decode_results(results, self._id_table())
         finally:
             if pool.arena is not None and pool.arena.ring is not None:
                 pool.arena.ring.ack(ticket)

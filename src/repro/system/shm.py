@@ -1,25 +1,22 @@
-"""Zero-copy shared-memory data plane for the process executor.
+"""Zero-copy shared-memory event plane for the process executor.
 
 The pipe transport of :mod:`repro.system.procpool` re-serializes the
-same columnar event batch once **per shard** and copies every worker's
-packed result bit matrix back through pickle framing — four copies per
-direction on a 4-shard fan-out.  This module replaces both data hops
-with write-once/read-many placement in ``multiprocessing.shared_memory``:
+same columnar event batch once **per shard** — four pickled copies on a
+4-shard fan-out.  This module replaces that hop with write-once /
+read-many placement in ``multiprocessing.shared_memory``: one segment
+holding a small ring of fixed-size **event slots**.  The parent packs a
+:class:`~repro.batch.columns.ColumnarBatch` (attrs table, float64 value
+matrix, packed presence/int-ness bit rows) into a free slot exactly
+once; every shard worker maps the same segment and reads the slot in
+place (numpy views over the buffer, no deserialization), so N shards
+cost one write instead of N pickled sends.
 
-* **Event slots** — one segment holding a small ring of fixed-size
-  slots.  The parent packs a columnar batch (attrs table, float64 value
-  matrix, packed presence/int-ness bit rows) into a free slot exactly
-  once; every shard worker maps the same segment and reads the slot
-  in place (numpy views over the buffer, no deserialization), so N
-  shards cost one write instead of N pickled sends.
-* **Result slots** — a second segment partitioned into one fixed region
-  per worker.  Each worker packs its uint64 result bit matrix directly
-  into its own region (:func:`repro.batch.bitmatrix.pack_bits_into`),
-  and the parent decodes it from the mapped buffer — the reply pipe
-  carries only a tiny ``("shmres", rows, words)`` descriptor.
+Replies do not come back through here: a worker answers with sparse hit
+indices (:func:`repro.system.procpool.encode_results`), O(hits) bytes
+that ride the pipe under either codec.
 
-The command pipe shrinks to a control channel: slot hand-off, acks, and
-the pickle odd-path fallback for batches the columnar form cannot carry
+The command pipe carries the rest: slot hand-off, replies, and the
+pickle odd-path fallback for batches the columnar form cannot carry
 (strings, integers at or past 2**53 — the same split the batch kernel
 makes; NaN floats ride the matrix, the presence bit distinguishes them
 from missing attributes).
@@ -38,11 +35,11 @@ hypothesis suite ``tests/properties/test_prop_shm.py``):
   someone else's batch.
 * Worker death while holding a slot must not leak it: the parent-side
   request path acks in a ``finally``, so a SIGKILLed reader frees the
-  slot exactly like a healthy one, and the segments themselves are
-  owned (and unlinked) by the parent pool alone.
+  slot exactly like a healthy one, and the segment itself is owned
+  (and unlinked) by the parent pool alone.
 
-Segments are named ``repro_shm_<pid>_<token>_{ev,res}`` so the test
-suite's session leak-guard can assert nothing survives in ``/dev/shm``.
+Segments are named ``repro_shm_<pid>_<token>`` so the test suite's
+session leak-guard can assert nothing survives in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -56,7 +53,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.bitmatrix import pack_bits_into, packed_words
+from repro.batch.bitmatrix import packed_words
+from repro.batch.columns import ColumnarBatch
 
 #: ``/dev/shm`` name prefix of every segment this module creates (the
 #: session leak-guard in ``tests/conftest.py`` scans for it).
@@ -68,9 +66,6 @@ _MAGIC = int.from_bytes(b"REPROSHM", "little")
 
 #: Words (uint64) in an event-slot header.
 HEADER_WORDS = 8
-
-#: Words (uint64) in a result-region header.
-RESULT_HEADER_WORDS = 4
 
 #: Section dtype codes recorded in (and validated against) the slot
 #: header's dtype table.  The columnar batch always ships float64
@@ -85,7 +80,7 @@ EVENT_DTYPES = ("<f8", "<u8", "<u8")
 
 
 class ShmLayoutError(RuntimeError):
-    """A shared-memory slot or result region failed validation."""
+    """A shared-memory slot failed validation."""
 
 
 def _pad8(n: int) -> int:
@@ -224,29 +219,17 @@ class SlotRing:
 
 
 class ShmArena:
-    """The two shared segments plus the layout codecs over them.
+    """The shared event-slot segment plus the layout codec over it.
 
     Create with :meth:`create` in the parent (owns and unlinks the
-    segments) and :meth:`attach` in each worker (maps the same names;
-    never writes the event segment, writes only its own result region).
+    segment) and :meth:`attach` in each worker (maps the same name;
+    never writes it).
     """
 
-    def __init__(
-        self,
-        events_shm,
-        results_shm,
-        slots: int,
-        slot_bytes: int,
-        workers: int,
-        result_bytes: int,
-        owner: bool,
-    ) -> None:
-        self._events_shm = events_shm
-        self._results_shm = results_shm
+    def __init__(self, shm, slots: int, slot_bytes: int, owner: bool) -> None:
+        self._shm = shm
         self.slots = slots
         self.slot_bytes = slot_bytes
-        self.workers = workers
-        self.result_bytes = result_bytes
         self._owner = owner
         self._closed = False
         self.ring: Optional[SlotRing] = SlotRing(slots) if owner else None
@@ -255,94 +238,53 @@ class ShmArena:
     # lifecycle
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls,
-        workers: int,
-        slots: int = 4,
-        slot_bytes: int = 1 << 20,
-        result_bytes: int = 1 << 20,
-    ) -> "ShmArena":
-        """Allocate the event ring and per-worker result segments."""
+    def create(cls, slots: int, slot_bytes: int) -> "ShmArena":
+        """Allocate the event slot ring."""
         from multiprocessing import shared_memory
 
-        if workers < 1:
-            raise ValueError(f"arena needs >= 1 worker, got {workers}")
         if slots < 1:
             raise ValueError(f"arena needs >= 1 slot, got {slots}")
         min_slot = HEADER_WORDS * 8 + 16
         if slot_bytes < min_slot:
             raise ValueError(f"slot_bytes must be >= {min_slot}, got {slot_bytes}")
-        if result_bytes < RESULT_HEADER_WORDS * 8:
-            raise ValueError(
-                f"result_bytes must be >= {RESULT_HEADER_WORDS * 8}, got {result_bytes}"
-            )
         slot_bytes = _pad8(slot_bytes)
-        result_bytes = _pad8(result_bytes)
-        token = f"{os.getpid()}_{secrets.token_hex(4)}"
-        events_shm = shared_memory.SharedMemory(
-            name=f"{SHM_PREFIX}{token}_ev", create=True, size=slots * slot_bytes
+        shm = shared_memory.SharedMemory(
+            name=f"{SHM_PREFIX}{os.getpid()}_{secrets.token_hex(4)}",
+            create=True,
+            size=slots * slot_bytes,
         )
-        try:
-            results_shm = shared_memory.SharedMemory(
-                name=f"{SHM_PREFIX}{token}_res",
-                create=True,
-                size=workers * result_bytes,
-            )
-        except BaseException:
-            events_shm.close()
-            events_shm.unlink()
-            raise
-        return cls(
-            events_shm, results_shm, slots, slot_bytes, workers, result_bytes, True
-        )
+        return cls(shm, slots, slot_bytes, True)
 
     @classmethod
     def attach(cls, spec: Dict[str, Any]) -> "ShmArena":
-        """Map the segments a parent's :meth:`spec` describes (worker side)."""
+        """Map the segment a parent's :meth:`spec` describes (worker side)."""
         from multiprocessing import shared_memory
 
-        events_shm = shared_memory.SharedMemory(name=spec["events_name"])
-        try:
-            results_shm = shared_memory.SharedMemory(name=spec["results_name"])
-        except BaseException:
-            events_shm.close()
-            raise
-        return cls(
-            events_shm,
-            results_shm,
-            spec["slots"],
-            spec["slot_bytes"],
-            spec["workers"],
-            spec["result_bytes"],
-            False,
-        )
+        shm = shared_memory.SharedMemory(name=spec["name"])
+        return cls(shm, spec["slots"], spec["slot_bytes"], False)
 
     def spec(self) -> Dict[str, Any]:
         """The picklable attach recipe handed to each worker at spawn."""
         return {
-            "events_name": self._events_shm.name.lstrip("/"),
-            "results_name": self._results_shm.name.lstrip("/"),
+            "name": self._shm.name.lstrip("/"),
             "slots": self.slots,
             "slot_bytes": self.slot_bytes,
-            "workers": self.workers,
-            "result_bytes": self.result_bytes,
         }
 
     def close(self) -> None:
-        """Unmap (and, in the owner, unlink) both segments. Idempotent."""
+        """Unmap (and, in the owner, unlink) the segment. Idempotent."""
         if self._closed:
             return
         self._closed = True
-        for shm in (self._events_shm, self._results_shm):
+        try:
+            self._shm.close()
+        except (OSError, BufferError):  # pragma: no cover - platform noise
+            pass
+        if self._owner:
             try:
-                shm.close()
-            except (OSError, BufferError):  # pragma: no cover - platform noise
+                self._shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-            if self._owner:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
 
     def __enter__(self) -> "ShmArena":
         return self
@@ -353,15 +295,10 @@ class ShmArena:
     def health(self) -> Dict[str, Any]:
         """Segment/slot state for ``executor_health()``."""
         out = {
-            "segments": [
-                self._events_shm.name.lstrip("/"),
-                self._results_shm.name.lstrip("/"),
-            ],
+            "segments": [self._shm.name.lstrip("/")],
             "slots": self.slots,
             "slot_bytes": self.slot_bytes,
-            "result_bytes": self.result_bytes,
-            "workers": self.workers,
-            "bytes_total": self._events_shm.size + self._results_shm.size,
+            "bytes_total": self._shm.size,
         }
         if self.ring is not None:
             out["slots_in_flight"] = self.ring.in_flight()
@@ -375,7 +312,7 @@ class ShmArena:
             raise ShmLayoutError(f"slot index {index} out of range 0..{self.slots - 1}")
         start = index * self.slot_bytes
         return np.frombuffer(
-            self._events_shm.buf, dtype="<u8", offset=start, count=self.slot_bytes // 8
+            self._shm.buf, dtype="<u8", offset=start, count=self.slot_bytes // 8
         )
 
     def payload_bytes(
@@ -390,21 +327,15 @@ class ShmArena:
             + 2 * n_events * words * 8
         )
 
-    def write_slot(
-        self,
-        ticket: SlotTicket,
-        attrs: Sequence[str],
-        values: np.ndarray,
-        presence: np.ndarray,
-        ints: np.ndarray,
-    ) -> Optional[int]:
+    def write_slot(self, ticket: SlotTicket, batch: ColumnarBatch) -> Optional[int]:
         """Pack one columnar batch into *ticket*'s slot.
 
         Returns the payload size in bytes, or None (without writing)
         when the batch does not fit ``slot_bytes`` — the caller falls
         back to the pipe transport and releases the ticket.
         """
-        blob = json.dumps(list(attrs)).encode("utf-8")
+        values, presence, ints = batch.values, batch.presence, batch.ints
+        blob = json.dumps(batch.attrs).encode("utf-8")
         n_events, n_attrs = values.shape
         words = packed_words(n_attrs)
         need = self.payload_bytes(n_events, n_attrs, len(blob))
@@ -446,12 +377,10 @@ class ShmArena:
         )
         return need
 
-    def read_slot(
-        self, index: int, generation: int
-    ) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy views of the batch in slot *index*.
+    def read_slot(self, index: int, generation: int) -> ColumnarBatch:
+        """The batch in slot *index*, as zero-copy views.
 
-        Validates magic, generation and the dtype table; the returned
+        Validates magic, generation and the dtype table; the batch's
         arrays alias the shared buffer and are only valid until the
         reader acks (i.e. for the duration of the request).
         """
@@ -502,80 +431,4 @@ class ShmArena:
         ints = byte_view[cursor : cursor + n_bits * 8].view("<u8").reshape(
             n_events, words
         )
-        return attrs, values, presence, ints
-
-    # ------------------------------------------------------------------
-    # result-region codec (each worker writes its own, parent reads)
-    # ------------------------------------------------------------------
-    def _result_words(self, worker: int) -> np.ndarray:
-        if not 0 <= worker < self.workers:
-            raise ShmLayoutError(
-                f"worker index {worker} out of range 0..{self.workers - 1}"
-            )
-        start = worker * self.result_bytes
-        return np.frombuffer(
-            self._results_shm.buf,
-            dtype="<u8",
-            offset=start,
-            count=self.result_bytes // 8,
-        )
-
-    def result_capacity(self, n_rows: int, n_slots: int) -> bool:
-        """Does an (n_rows × n_slots-bit) packed matrix fit one region?"""
-        words = packed_words(n_slots)
-        return (
-            RESULT_HEADER_WORDS * 8 + n_rows * words * 8 <= self.result_bytes
-        )
-
-    def write_result(
-        self, worker: int, generation: int, truth: np.ndarray
-    ) -> Optional[Tuple[int, int]]:
-        """Pack a boolean (rows × slots) matrix into *worker*'s region.
-
-        Returns ``(rows, words)`` for the reply descriptor, or None
-        (region untouched) when the matrix does not fit — the worker
-        then ships the bits over the pipe instead.
-        """
-        n_rows, n_slots = truth.shape
-        words = packed_words(n_slots)
-        if not self.result_capacity(n_rows, n_slots):
-            return None
-        region = self._result_words(worker)
-        out = region[
-            RESULT_HEADER_WORDS : RESULT_HEADER_WORDS + n_rows * words
-        ].reshape(n_rows, words)
-        pack_bits_into(truth, out)
-        region[:RESULT_HEADER_WORDS] = np.array(
-            [_MAGIC, generation, n_rows, words], dtype="<u8"
-        )
-        return n_rows, words
-
-    def read_result(
-        self, worker: int, generation: int, n_rows: int, n_words: int
-    ) -> np.ndarray:
-        """The packed (rows × words) result a worker just wrote.
-
-        Validated against the request's generation and the reply's
-        descriptor; the view is only safe to read until the next request
-        to the same worker (the per-shard lock guarantees that window).
-        """
-        region = self._result_words(worker)
-        header = region[:RESULT_HEADER_WORDS]
-        if int(header[0]) != _MAGIC:
-            raise ShmLayoutError(f"worker {worker} result: bad magic")
-        if int(header[1]) != generation:
-            raise ShmLayoutError(
-                f"worker {worker} result: generation {int(header[1])}, "
-                f"expected {generation}"
-            )
-        if int(header[2]) != n_rows or int(header[3]) != n_words:
-            raise ShmLayoutError(
-                f"worker {worker} result: header shape "
-                f"({int(header[2])}, {int(header[3])}) != descriptor "
-                f"({n_rows}, {n_words})"
-            )
-        if RESULT_HEADER_WORDS * 8 + n_rows * n_words * 8 > self.result_bytes:
-            raise ShmLayoutError(f"worker {worker} result: oversized descriptor")
-        return region[
-            RESULT_HEADER_WORDS : RESULT_HEADER_WORDS + n_rows * n_words
-        ].reshape(n_rows, n_words)
+        return ColumnarBatch(attrs, values, presence, ints)

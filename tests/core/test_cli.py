@@ -167,7 +167,7 @@ class TestMatch:
         report = json.loads(out.getvalue())
         assert report["status"] == "ok"
         shm = report["executor"]["shm"]
-        assert shm["bytes"]["publish"] > 0 and shm["bytes"]["result"] > 0
+        assert shm["bytes"]["publish"] > 0 and len(shm["segments"]) == 1
         assert sum(shm["fallbacks"].values()) == 0
         assert shm["slots_in_flight"] == 0
 

@@ -5,14 +5,21 @@ process executor must produce exactly what a single-process scalar run
 of the same engine produces at every step (the ordered-command-pipe
 determinism contract), and its batch results must be invariant under
 batch splitting (the deterministic ascending-shard merge contract).
+Replies are sparse hit indices: the codec round-trips any hit lists into
+table order, and through real workers every batch row comes back in the
+shards' mirror-insertion order.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Event
 from repro.matchers import make_matcher
+from repro.system.procpool import decode_results, encode_results
 from repro.system.sharding import ShardedMatcher
 from tests.properties.strategies import events, subscriptions
 
@@ -36,6 +43,13 @@ def process_matcher(shards=2, codec="auto"):
         worker_timeout=60.0,
         codec=codec,
     )
+
+
+def mirror_order(proc):
+    """Rank of every live id in a batch row: ascending shard, then the
+    order the shard's mirror (and its worker's id table) took them in."""
+    ids = [s.id for k in range(2) for s in proc.shard(k).iter_subscriptions()]
+    return {sub_id: rank for rank, sub_id in enumerate(ids)}
 
 
 #: Nothing here has a float64-exact columnar form.
@@ -91,8 +105,11 @@ class TestInterleavingDeterminism:
                         # is probed (nothing published) while all are empty.
                         odd_batches += len(arg) > 1 and bool(live)
                     expected = [norm(scalar.match(e)) for e in arg]
-                    got = [norm(r) for r in proc.match_batch(arg)]
-                    assert got == expected
+                    rows = proc.match_batch(arg)
+                    assert [norm(r) for r in rows] == expected
+                    if len(arg) > 1:  # one event is the "match" op: engine order
+                        order = mirror_order(proc)
+                        assert all(r == sorted(r, key=order.__getitem__) for r in rows)
             if codec == "shm":
                 fallbacks = proc.executor_health()["shm"]["fallbacks"]
                 assert fallbacks["oddpath"] == odd_batches
@@ -102,6 +119,50 @@ class TestInterleavingDeterminism:
             )
         finally:
             proc.close()
+
+
+#: Subscription ids are any hashable: ints, strings, tuples.
+IDS = st.one_of(
+    st.integers(-50, 50),
+    st.text(max_size=3),
+    st.tuples(st.integers(0, 3), st.text(max_size=2)),
+)
+
+
+@st.composite
+def tables_and_hit_lists(draw):
+    """(id table, per-row hit lists in arbitrary order): rows empty,
+    partial or hitting the whole table — over a table that may be empty."""
+    table = draw(st.lists(IDS, unique=True, max_size=24))
+    row = st.just([])
+    if table:
+        row |= st.permutations(table) | st.lists(st.sampled_from(table), unique=True)
+    return table, draw(st.lists(row, max_size=8))
+
+
+class TestResultCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=tables_and_hit_lists(), outsider=st.booleans())
+    def test_hit_lists_round_trip_into_table_order(self, drawn, outsider):
+        """``decode(encode(lists))`` is each row reordered to table order
+        — exactly what ``np.nonzero`` over the retired bit matrix gave —
+        and an id outside the table ships the lists untouched."""
+        table, lists = drawn
+        index_of = {sub_id: i for i, sub_id in enumerate(table)}
+        if outsider:
+            lists = lists + [["not in the table"]]
+        payload = pickle.loads(pickle.dumps(encode_results(lists, index_of)))
+        if outsider:
+            assert payload == ("lists", lists)
+            assert decode_results(payload, table) == lists
+            return
+        tag, counts, cols = payload
+        assert tag == "hits"
+        assert counts.dtype == cols.dtype == np.int32
+        assert counts.tolist() == [len(row) for row in lists]
+        assert decode_results(payload, table) == [
+            sorted(row, key=index_of.__getitem__) for row in lists
+        ]
 
 
 @pytest.mark.slow

@@ -11,7 +11,7 @@ from repro.core import (
     le,
 )
 from repro.core.errors import ExpiredError, InvalidSubscriptionError
-from repro.system import PubSubBroker, QueueNotifier, VirtualClock
+from repro.system import PubSubBroker, QueueNotifier, VirtualClock, WriteAheadLog, read_wal
 
 
 @pytest.fixture
@@ -117,6 +117,41 @@ class TestValidityIntervals:
         clock.advance(3601)
         assert broker.purge_expired() == 10
         assert broker._sub_expiry_heap == []
+
+    def test_equal_deadlines_never_compare_subscription_ids(self, clock, tmp_path):
+        """Regression: the heap held ``(expires_at, id)``, so an ``int``
+        and a ``str`` id with one deadline raised ``TypeError`` out of
+        ``subscribe`` — after the engine had already taken the
+        subscription the broker then never recorded."""
+        removed = []
+
+        class Recording(OracleMatcher):
+            def remove(self, sub_id):
+                removed.append(sub_id)
+                return super().remove(sub_id)
+
+        ids = [7, "x", (2, "t"), 3, "a", (1, "b")]
+        with WriteAheadLog(tmp_path / "wal.jsonl", clock=clock, fsync="never") as wal:
+            broker = PubSubBroker(matcher=Recording(), clock=clock, wal=wal)
+            for sub_id in ids:
+                broker.subscribe(Subscription(sub_id, [eq("x", 1)]), ttl=5.0)
+            # Churn past the 2x bound so the rebuild orders ties too.
+            for i in range(20):
+                broker.subscribe(Subscription(("churn", i), [eq("x", 2)]), ttl=5.0)
+                broker.unsubscribe(("churn", i))
+            assert broker.publish(Event({"x": 1})) == ids
+            assert list(broker._sub_expires) == ids
+            assert [s.id for s in broker.matcher.iter_subscriptions()] == ids
+            del removed[:]
+            clock.advance(6)
+            assert broker.purge_expired() == len(ids)
+            assert removed == ids  # equal deadlines expire in insertion order
+            assert broker.subscription_count == 0 and not broker._sub_expires
+        with open(tmp_path / "wal.jsonl") as fp:
+            records, discarded = read_wal(fp)
+        journaled = [r["subscription"]["id"] for r in records if r["type"] == "subscribe"]
+        assert discarded == 0
+        assert journaled[: len(ids)] == [7, "x", [2, "t"], 3, "a", [1, "b"]]  # JSON tuples
 
     def test_event_retention_and_expiry(self, broker, clock):
         broker.publish(Event({"x": 1}))

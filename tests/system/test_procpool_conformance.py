@@ -4,9 +4,11 @@ The process backend must be observationally identical to the thread
 backend (which is itself pinned against the oracle): same matches on the
 mixed-type workload for every registered two-phase engine, same behavior
 on the edge batches (empty, size 1) and under mid-stream churn.  Anything the pipe transport mangles — string values,
-floats, NaN/inf, > 2^53 integers, the packed result bit matrix — shows
+floats, NaN/inf, > 2^53 integers, the sparse hit-index replies — shows
 up here as a differential mismatch.
 """
+
+import itertools
 
 import pytest
 
@@ -34,6 +36,24 @@ def sharded(engine, executor, **kwargs):
         executor=executor,
         **kwargs,
     )
+
+
+def recv_bytes(pool):
+    return pool.stats()["counters"]["pipe_bytes"]["recv"]
+
+
+def sparse_reply_bound(rows, probes, hits):
+    """The most the replies to one batch may put on the pipe: an int32
+    count per row per probed shard, an int32 per hit, and per reply the
+    ``("ok", (epoch, ("hits", counts, cols)))`` framing (38 B as
+    ``payload_nbytes`` counts it) — O(hits), whatever the shard holds."""
+    return 4 * (rows * probes + hits) + 64 * probes
+
+
+def dense_reply_bytes(rows, shard_sizes):
+    """What the retired bit-matrix replies cost: rows x ceil(subs / 64)
+    words per shard, hits or no hits."""
+    return sum(rows * -(-n // 64) * 8 for n in shard_sizes)
 
 
 def populated(matcher, subs):
@@ -68,7 +88,7 @@ class TestProcessMatchesThreadAndOracle:
         """The object-pickling lane — where a batch with strings, NaN or
         ints >= 2**53 goes under either codec — changes nothing."""
         subs, events = _random_workload(seed=11, n_subs=60, n_events=60)
-        assert encode_events(events)[0] == "objs"  # the batch is off the columnar layout
+        assert isinstance(encode_events(events), list)  # the batch is off the columnar layout
         oracle = populated(build("oracle"), subs)
         expected = [norm(oracle.match(e)) for e in events]
         for codec in CODECS:
@@ -96,8 +116,9 @@ class TestProcessMatchesThreadAndOracle:
         assert got == expected
 
     def test_shm_numeric_batch_rides_the_arena(self, engine):
-        """An all-numeric batch must actually transit shared memory:
-        bytes flow in both arena directions and no fallback fires."""
+        """An all-numeric batch must actually transit shared memory: the
+        arena takes its bytes, no fallback fires, and the pipe carries
+        back no more than the sparse replies."""
         subs = [
             Subscription(f"n{i}", [ge("a", i % 7), le("b", 3.5 + i % 5)])
             for i in range(45)
@@ -107,15 +128,18 @@ class TestProcessMatchesThreadAndOracle:
         expected = [norm(oracle.match(e)) for e in events]
         with sharded(engine, "process", codec="shm") as proc:
             populated(proc, subs)
+            before = recv_bytes(proc._procpool)
             got = [norm(ids) for ids in proc.match_batch(events)]
+            replies = recv_bytes(proc._procpool) - before
             shm = proc._procpool.stats()["shm"]
-            assert shm["bytes"]["publish"] > 0
-            assert shm["bytes"]["result"] > 0
+            assert set(shm["bytes"]) == {"publish"} and shm["bytes"]["publish"] > 0
             assert all(n == 0 for n in shm["fallbacks"].values())
         assert got == expected
+        hits = sum(len(ids) for ids in expected)
+        assert 0 < replies <= sparse_reply_bound(len(events), SHARDS, hits)
 
     def test_numeric_only_workload_takes_columnar_path(self, engine):
-        """All-numeric events ride the packed bit-matrix transport."""
+        """All-numeric events ride the columnar pipe transport."""
         subs = [
             Subscription(f"n{i}", [ge("a", i % 7), le("b", 3.5 + i % 5)])
             for i in range(45)
@@ -222,16 +246,22 @@ class TestProcessExecutorSurface:
             ShardedMatcher(shards=2, executor="fiber")
 
 
+def narrow_sub(i):
+    return Subscription(f"n{i}", [ge("a", i % 7), le("b", 3.5 + i % 5)])
+
+
 @pytest.mark.watchdog(120)
 class TestPipeLaneIsTheArenasFallback:
     """Each reason a batch leaves the arena for the pipe, driven once:
     the answer is still the oracle's, the reason is counted exactly
     once, no slot stays claimed, and the next healthy batch rides the
-    arena again."""
+    arena again.  Replies are not among the reasons: sparse hits ride
+    the pipe at any shard size and any hit rate, with nothing to
+    overflow."""
 
     EVENTS = [Event({"a": i % 9, "b": i * 0.5, "c": -i}) for i in range(24)]
 
-    def rig(self, n_shard0=6, n_shard1=6):
+    def rig(self, n_shard0=6, n_shard1=6, make_sub=narrow_sub):
         """A 2-shard process/shm matcher holding exactly that many
         subscriptions per shard, its oracle, and the pool."""
         matcher = ShardedMatcher(
@@ -240,8 +270,8 @@ class TestPipeLaneIsTheArenasFallback:
         )  # fmt: skip
         oracle = build("oracle")
         wanted = [n_shard0, n_shard1]
-        for i in range(10_000):
-            sub = Subscription(f"n{i}", [ge("a", i % 7), le("b", 3.5 + i % 5)])
+        for i in itertools.count():
+            sub = make_sub(i)
             shard = matcher.router.shard_for(sub)
             if wanted[shard]:
                 wanted[shard] -= 1
@@ -255,16 +285,17 @@ class TestPipeLaneIsTheArenasFallback:
         got = [norm(ids) for ids in matcher.match_batch(events)]
         if held is not None:
             pool.arena.ring.ack(held)
-        assert got == [norm(oracle.match(e)) for e in events]
+        expected = [norm(oracle.match(e)) for e in events]
+        assert got == expected
         fallbacks = pool.stats()["shm"]["fallbacks"]
         assert fallbacks == {r: int(r == reason) for r in fallbacks}
         assert pool.arena.ring.in_flight() == 0
+        return sum(len(ids) for ids in expected)
 
     def check_next_batch_rides_the_arena(self, matcher, oracle, pool, reason):
-        before = pool.stats()["shm"]["bytes"]
+        published = pool.stats()["shm"]["bytes"]["publish"]
         self.check(matcher, oracle, pool, self.EVENTS[:8], reason)  # no new fallback
-        after = pool.stats()["shm"]["bytes"]
-        assert after["publish"] > before["publish"] and after["result"] > before["result"]
+        assert pool.stats()["shm"]["bytes"]["publish"] > published
 
     def test_oddpath(self):
         matcher, oracle, pool = self.rig()
@@ -292,11 +323,32 @@ class TestPipeLaneIsTheArenasFallback:
             self.check(matcher, oracle, pool, self.EVENTS, "slot_wait", held=held)
             self.check_next_batch_rides_the_arena(matcher, oracle, pool, "slot_wait")
 
-    def test_result_full(self, monkeypatch):
-        # 24 rows x 8 B: one result word per row (<= 64 subscriptions)
-        # fits the region, two words do not.
-        monkeypatch.setattr("repro.system.procpool._SHM_RESULT_BYTES", 32 + 24 * 8 + 64)
+    def test_every_event_hits_all(self):
+        """The densest reply there is — 70 + 5 subscriptions, each event
+        satisfying all of them — costs what its hits cost, no more."""
+        events = [Event({"a": 6 + i, "b": (i % 8) * 0.5, "c": -i}) for i in range(24)]
         matcher, oracle, pool = self.rig(n_shard0=70, n_shard1=5)
         with matcher:
-            self.check(matcher, oracle, pool, self.EVENTS, "result_full")
-            self.check_next_batch_rides_the_arena(matcher, oracle, pool, "result_full")
+            before = recv_bytes(pool)
+            hits = self.check(matcher, oracle, pool, events, None)
+            assert hits == len(events) * 75
+            assert recv_bytes(pool) - before <= sparse_reply_bound(len(events), 2, hits)
+
+    @pytest.mark.slow
+    def test_large_population(self):
+        """2 x 8.3k subscriptions x 1 024 rows: as a bit matrix that was
+        1.06 MB per shard per batch — over the 1 MiB result region the
+        arena used to have, so every probe fell back.  As sparse hits it
+        is a few bytes per event and there is nothing to fall back from."""
+
+        def wide_sub(i):
+            return Subscription(f"w{i}", [eq("a", i % 2000), ge("b", i % 5)])
+
+        events = [Event({"a": j % 2000, "b": j % 7, "c": j}) for j in range(1024)]
+        matcher, oracle, pool = self.rig(8300, 8300, make_sub=wide_sub)
+        with matcher:
+            before = recv_bytes(pool)
+            hits = self.check(matcher, oracle, pool, events, None)
+            replies = recv_bytes(pool) - before
+        assert 0 < hits and replies <= sparse_reply_bound(len(events), 2, hits)
+        assert replies < dense_reply_bytes(len(events), [8300, 8300]) / 50

@@ -2,19 +2,17 @@
 
 Three layers, bottom up: the reader-acked :class:`SlotRing` (round-robin
 reuse, generation bumping, stale/over-ack detection, timeout), the slot
-and result-region codecs over a live arena (header validation, zero-copy
-round trips, graceful too-big refusals), and segment lifecycle (create →
-attach → close leaves ``/dev/shm`` exactly as it was).
+codec over a live arena (header validation, zero-copy round trips,
+graceful too-big refusals), and segment lifecycle (create → attach →
+close leaves ``/dev/shm`` exactly as it was).
 """
 
 import json
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.batch.bitmatrix import unpack_bits
 from repro.batch.columns import ColumnarBatch
 from repro.core import Event
 from repro.system.procpool import encode_events
@@ -121,30 +119,28 @@ def numeric_events(n=6):
 
 
 def columnar(events):
-    payload = encode_events(events)
-    assert payload[0] == "cols", "test workload must ride the columnar layout"
-    return payload[1:]  # (attrs, values, presence, ints)
+    batch = encode_events(events)
+    assert isinstance(batch, ColumnarBatch), "test workload must ride the columnar layout"
+    return batch
 
 
 def publish(arena, events, readers=1):
-    attrs, values, presence, ints = columnar(events)
     ticket = arena.ring.acquire(readers, timeout=1.0)
     assert ticket is not None
-    nbytes = arena.write_slot(ticket, attrs, values, presence, ints)
+    nbytes = arena.write_slot(ticket, columnar(events))
     return ticket, nbytes
 
 
 def read_copy(arena, ticket, rows=None):
-    """Read a slot and materialize events (copies — views must not
-    outlive this frame, or closing the segment would raise BufferError)."""
-    attrs, values, presence, ints = arena.read_slot(ticket.index, ticket.generation)
-    batch = ColumnarBatch(list(attrs), values.copy(), presence.copy(), ints.copy())
+    """Read a slot and materialize events (no view outlives this frame,
+    or closing the segment would raise BufferError)."""
+    batch = arena.read_slot(ticket.index, ticket.generation)
     return (batch if rows is None else batch.select(rows)).to_events()
 
 
 @pytest.fixture
 def arena():
-    with ShmArena.create(workers=2, slots=2, slot_bytes=1 << 16) as a:
+    with ShmArena.create(slots=2, slot_bytes=1 << 16) as a:
         yield a
 
 
@@ -152,7 +148,7 @@ class TestEventSlotCodec:
     def test_slot_round_trip_is_exact(self, arena):
         events = numeric_events()
         ticket, nbytes = publish(arena, events)
-        blob = json.dumps(columnar(events)[0]).encode()
+        blob = json.dumps(columnar(events).attrs).encode()
         assert nbytes == arena.payload_bytes(len(events), 3, len(blob))
         got = read_copy(arena, ticket)
         assert [e.pairs for e in got] == [e.pairs for e in events]
@@ -167,9 +163,8 @@ class TestEventSlotCodec:
 
     def test_oversized_batch_is_refused_without_writing(self, arena):
         big = [Event({f"a{j}": float(i + j) for j in range(40)}) for i in range(300)]
-        attrs, values, presence, ints = columnar(big)
         ticket = arena.ring.acquire(1, timeout=1.0)
-        assert arena.write_slot(ticket, attrs, values, presence, ints) is None
+        assert arena.write_slot(ticket, columnar(big)) is None
         arena.ring.ack(ticket)
 
     def test_unwritten_slot_fails_magic_validation(self, arena):
@@ -187,57 +182,27 @@ class TestEventSlotCodec:
             arena.read_slot(arena.slots, 1)
 
 
-class TestResultRegionCodec:
-    def test_result_round_trip_is_exact(self, arena):
-        rng = np.random.default_rng(7)
-        truth = rng.random((5, 13)) < 0.4
-        assert arena.write_result(1, generation=3, truth=truth) == (5, 1)
-        packed = arena.read_result(1, generation=3, n_rows=5, n_words=1)
-        np.testing.assert_array_equal(unpack_bits(packed.copy(), 13), truth)
-
-    def test_oversized_matrix_is_refused(self):
-        with ShmArena.create(workers=1, result_bytes=64) as tiny:
-            truth = np.ones((100, 100), dtype=bool)
-            assert tiny.write_result(0, generation=1, truth=truth) is None
-
-    def test_generation_and_shape_mismatches_are_detected(self, arena):
-        truth = np.ones((2, 3), dtype=bool)
-        arena.write_result(0, generation=5, truth=truth)
-        with pytest.raises(ShmLayoutError, match="generation"):
-            arena.read_result(0, generation=6, n_rows=2, n_words=1)
-        with pytest.raises(ShmLayoutError, match="shape"):
-            arena.read_result(0, generation=5, n_rows=3, n_words=1)
-
-    def test_worker_index_bounds_are_enforced(self, arena):
-        with pytest.raises(ShmLayoutError, match="out of range"):
-            arena.read_result(arena.workers, 1, 1, 1)
-
-
 # ----------------------------------------------------------------------
 # segment lifecycle
 # ----------------------------------------------------------------------
 class TestSegmentLifecycle:
     def test_spec_attach_shares_the_same_memory(self):
         events = numeric_events()
-        with ShmArena.create(workers=1, slots=2, slot_bytes=1 << 16) as parent:
+        with ShmArena.create(slots=2, slot_bytes=1 << 16) as parent:
             twin = ShmArena.attach(parent.spec())
             try:
                 ticket, _ = publish(parent, events)
                 got = read_copy(twin, ticket)  # worker side, zero re-encode
                 assert [e.pairs for e in got] == [e.pairs for e in events]
-                truth = np.eye(4, 9, dtype=bool)
-                assert twin.write_result(0, ticket.generation, truth) == (4, 1)
-                packed = parent.read_result(0, ticket.generation, 4, 1).copy()
-                np.testing.assert_array_equal(unpack_bits(packed, 9), truth)
                 parent.ring.ack(ticket)
             finally:
                 twin.close()
 
     def test_close_unlinks_and_is_idempotent(self):
         before = shm_entries()
-        arena = ShmArena.create(workers=1)
+        arena = ShmArena.create(slots=2, slot_bytes=1 << 16)
         created = shm_entries() - before
-        assert len(created) == 2  # event ring + result regions
+        assert len(created) == 1  # the event slot ring, nothing else
         assert set(arena.health()["segments"]) == created
         arena.close()
         assert shm_entries() == before
@@ -245,10 +210,6 @@ class TestSegmentLifecycle:
 
     def test_constructor_validates_sizes(self):
         with pytest.raises(ValueError):
-            ShmArena.create(workers=0)
+            ShmArena.create(slots=0, slot_bytes=1 << 16)
         with pytest.raises(ValueError):
-            ShmArena.create(workers=1, slots=0)
-        with pytest.raises(ValueError):
-            ShmArena.create(workers=1, slot_bytes=8)
-        with pytest.raises(ValueError):
-            ShmArena.create(workers=1, result_bytes=8)
+            ShmArena.create(slots=2, slot_bytes=8)

@@ -151,6 +151,43 @@ class TestDurableSurface:
         ]  # fmt: skip
 
 
+class TestWorkerWire:
+    """One form per direction between parent and shard workers: events
+    go out as a ``ColumnarBatch`` (through the arena's slot ring under
+    ``shm``), replies come back over the pipe as sparse hit indices.
+    The arena has no reply direction to size, fill or fall back from."""
+
+    def test_the_arena_is_an_event_slot_ring_only(self):
+        from repro.system import shm
+        from repro.system.procpool import SHM_FALLBACK_REASONS
+
+        assert SHM_FALLBACK_REASONS == ("oddpath", "slot_wait", "slot_full")
+        names = [n for n in dir(shm) + dir(shm.ShmArena) if "result" in n.lower()]
+        assert not names, names
+        assert list(inspect.signature(shm.ShmArena.create).parameters) == ["slots", "slot_bytes"]
+
+    def test_replies_have_one_form_and_one_odd_lane(self):
+        from repro.system.procpool import encode_results
+
+        index_of = {"a": 0, ("b", 1): 1, 7: 2}
+        cases = [[], [[]], [["a"], [7, "a", ("b", 1)], []], [list(index_of)] * 3]
+        assert {encode_results(lists, index_of)[0] for lists in cases} == {"hits"}
+        assert encode_results([["a"], ["stranger"]], index_of)[0] == "lists"
+        assert encode_results([], {})[0] == "hits"  # an empty table is no special case
+
+    def test_a_live_shm_pool_owns_exactly_one_segment(self):
+        from repro.system.procpool import ProcessPool
+        from tests.conftest import shm_entries
+
+        before = shm_entries()
+        with ProcessPool([repro.core.OracleMatcher] * 3, codec="shm") as pool:
+            created = shm_entries() - before
+            assert len(created) == 1
+            assert pool.stats()["shm"]["segments"] == sorted(created)
+            assert set(pool.stats()["shm"]["bytes"]) == {"publish"}
+        assert shm_entries() == before
+
+
 class _Spy(_MatcherWrapper):
     """A call-counting oracle engine (one per shard)."""
 
