@@ -27,7 +27,7 @@ which deterministically rebuilds the refcounts and the forest.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Sequence, Union
 
 from repro.aggregation.canonical import CanonicalKey, canonicalize
 from repro.aggregation.forest import CoveringForest
@@ -36,7 +36,6 @@ from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionErr
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.system.resilience import PartialResults
 
 #: How the inner engine may be specified: a ready instance, a zero-arg
@@ -80,7 +79,7 @@ class AggregatingMatcher(Matcher):
     thread_safe = False
 
     def __init__(self, inner: InnerSpec = "dynamic") -> None:
-        self._inner = _resolve_inner(inner)
+        self.inner = _resolve_inner(inner)
         self._subs: Dict[Any, Subscription] = {}
         self._group_of: Dict[Any, _Group] = {}
         self._groups: Dict[CanonicalKey, _Group] = {}
@@ -121,18 +120,10 @@ class AggregatingMatcher(Matcher):
             "repro_agg_expansions_total",
             "Subscriber ids emitted by fan-out expansion of frontier hits.",
         ).labels()
-
-    def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Attach a (shared) registry here and on the inner engine."""
-        registry = super().use_metrics(registry)
-        self._inner.use_metrics(registry)
         self._refresh_gauges()
-        return registry
 
-    def use_tracer(self, tracer: Optional[Tracer] = None) -> Tracer:
-        tracer = super().use_tracer(tracer)
-        self._inner.use_tracer(tracer)
-        return tracer
+    def inner_matchers(self) -> Sequence[Matcher]:
+        return (self.inner,)
 
     def _refresh_gauges(self) -> None:
         self._m_frontier.set(self._forest.frontier_size)
@@ -180,9 +171,9 @@ class AggregatingMatcher(Matcher):
             group = _Group(gid, key, canon_sub, _by_attribute(simplified))
             parent, demoted = self._forest.insert(gid, group.by_attr)
             if parent is None:
-                self._inner.add(canon_sub)
+                self.inner.add(canon_sub)
                 for d in demoted:
-                    self._inner.remove(d)
+                    self.inner.remove(d)
                     self._m_covered.inc()
             else:
                 self._m_covered.inc()
@@ -210,18 +201,18 @@ class AggregatingMatcher(Matcher):
         was_frontier = self._forest.is_frontier(group.gid)
         promoted, demoted = self._forest.remove(group.gid)
         if was_frontier:
-            self._inner.remove(group.gid)
+            self.inner.remove(group.gid)
         for gid in promoted:
-            self._inner.add(self._by_gid[gid].canon_sub)
+            self.inner.add(self._by_gid[gid].canon_sub)
         for gid in demoted:
-            self._inner.remove(gid)
+            self.inner.remove(gid)
             self._m_covered.inc()
 
     def match(self, event: Event) -> List[Any]:
-        return self._expand(self._inner.match(event), event)
+        return self._expand(self.inner.match(event), event)
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        hits = self._inner.match_batch(events)
+        hits = self.inner.match_batch(events)
         return [self._expand(h, e) for h, e in zip(hits, events)]
 
     def _expand(self, hits: List[Any], event: Event) -> List[Any]:
@@ -271,10 +262,6 @@ class AggregatingMatcher(Matcher):
         """Matcher-visible |S|: groups the inner engine carries."""
         return self._forest.frontier_size
 
-    @property
-    def inner(self) -> Matcher:
-        return self._inner
-
     def stats(self) -> Dict[str, Any]:
         base = super().stats()
         base["counters"] = self.counters
@@ -284,10 +271,5 @@ class AggregatingMatcher(Matcher):
             len(self._groups) - self._unsat_groups - self._forest.frontier_size
         )
         base["unsatisfiable_groups"] = self._unsat_groups
-        base["inner"] = self._inner.stats()
+        base["inner"] = self.inner.stats()
         return base
-
-    def close(self) -> None:
-        close = getattr(self._inner, "close", None)
-        if close is not None:
-            close()

@@ -184,13 +184,12 @@ class TwoPhaseMatcher(Matcher):
             events = list(events)
         if not len(events):
             return []
-        single = len(events) == 1
-        if single or self.tracer.enabled:
+        if len(events) == 1:
             # One event is the paper's scalar algorithm (the kernel's
-            # fixed per-batch cost buys nothing); per-event spans need
-            # the scalar path too, which keeps tracing exact.
+            # fixed per-batch cost buys nothing) — the only reason a
+            # batch leaves the kernel.
             if self.metrics.enabled:
-                self._mb_fallback["single" if single else "tracer"].inc()
+                self._mb_fallback.inc()
             return [self.match(e) for e in events]
         t0 = time.perf_counter_ns()
         evaluator = self._batch_evaluator()
@@ -227,8 +226,22 @@ class TwoPhaseMatcher(Matcher):
         before = self.counters["subscription_checks"]
         out = self._match_phase2_batch(events, truth)
         t2 = time.perf_counter_ns()
+        checks = self.counters["subscription_checks"] - before
+        if self.tracer.enabled:
+            # One span per batch: the per-event span's fields, summed.
+            self.tracer.finish(
+                self.tracer.start(
+                    "match_batch",
+                    engine=self.name,
+                    events=n,
+                    predicate_ns=t1 - t0,
+                    subscription_ns=t2 - t1,
+                    bits_set=satisfied,
+                    subscriptions_checked=checks,
+                    matched=sum(map(len, out)),
+                )
+            )
         if self.metrics.enabled:
-            checks = self.counters["subscription_checks"] - before
             self._m_events.inc(n)
             self._m_satisfied.inc(satisfied)
             self._m_checks.inc(checks)
@@ -297,10 +310,7 @@ class TwoPhaseMatcher(Matcher):
             "Batches that took the per-event scalar path, by reason.",
             ("engine", "shard", "reason"),
         )
-        self._mb_fallback = {
-            reason: fallback.labels(reason=reason, **labels)
-            for reason in ("tracer", "single")
-        }
+        self._mb_fallback = fallback.labels(reason="single", **labels)
         batch_phases = m.histogram(
             "repro_batch_kernel_seconds",
             "Per-batch kernel latency split by matching phase.",

@@ -137,9 +137,7 @@ def load_subscriptions(matcher: Matcher, subs: Iterable[Subscription]) -> LoadRe
     start = time.perf_counter()
     for sub in items:
         matcher.add(sub)
-    finalize = getattr(matcher, "rebuild", None)
-    if callable(finalize):
-        finalize()
+    matcher.rebuild()
     return LoadResult(len(items), time.perf_counter() - start)
 
 

@@ -319,20 +319,10 @@ def _build_matcher(args: argparse.Namespace):
     return matcher
 
 
-def _close_matcher(matcher) -> None:
-    """Release engine resources (worker processes under --executor process)."""
-    close = getattr(matcher, "close", None)
-    if callable(close):
-        close()
-
-
 def _populate(matcher, subs) -> None:
     """Insert the subscriptions and run any build step the engine has."""
-    for sub in subs:
-        matcher.add(sub)
-    rebuild = getattr(matcher, "rebuild", None)
-    if callable(rebuild):
-        rebuild()
+    matcher.add_all(subs)
+    matcher.rebuild()
 
 
 def _snapshot_context(args: argparse.Namespace, events: int) -> dict:
@@ -372,7 +362,7 @@ def _cmd_match(args: argparse.Namespace, out) -> int:
         write_json_snapshot(
             registry, args.metrics_out, context=_snapshot_context(args, len(events))
         )
-    _close_matcher(matcher)
+    matcher.close()  # worker processes under --executor process
     return 0
 
 
@@ -391,7 +381,7 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
         out.write(prometheus_text(registry))
     if args.metrics_out:
         write_json_snapshot(registry, args.metrics_out, context=context)
-    _close_matcher(matcher)
+    matcher.close()  # worker processes under --executor process
     return 0
 
 
@@ -456,9 +446,7 @@ def _cmd_health(args: argparse.Namespace, out) -> int:
         admission=args.admission,
     ) as server:
         server.submit_subscriptions(subs)
-        rebuild = getattr(matcher, "rebuild", None)
-        if callable(rebuild):
-            rebuild()
+        matcher.rebuild()
         size = max(1, args.batch_size)
         for start in range(0, len(events), size):
             try:
@@ -470,9 +458,7 @@ def _cmd_health(args: argparse.Namespace, out) -> int:
             except DeadlineExceededError:
                 client_errors["deadline"] += 1
         report = server.health()
-    closer = getattr(matcher, "close", None)
-    if callable(closer):
-        closer()
+    matcher.close()
     report["client_errors"] = client_errors
     out.write(json.dumps(report, sort_keys=True) + "\n")
     return 0

@@ -13,7 +13,7 @@ from repro.core.errors import (
     ReproError,
     UnknownSubscriptionError,
 )
-from repro.core.matcher import Matcher
+from repro.core.matcher import Matcher, MatcherWrapper
 from repro.core.oracle import OracleMatcher
 from repro.core.registry import PredicateRegistry
 from repro.core.simplify import simplify, simplify_predicates
@@ -42,6 +42,7 @@ __all__ = [
     "InvalidSubscriptionError",
     "InvalidWorkloadError",
     "Matcher",
+    "MatcherWrapper",
     "Operator",
     "OracleMatcher",
     "ParseError",

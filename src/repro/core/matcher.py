@@ -1,15 +1,19 @@
-"""The matcher interface shared by every matching algorithm.
+"""The matcher contract shared by every engine and every layer over one.
 
 All five algorithms from the paper's evaluation (counting, propagation,
 propagation-with-prefetch, static, dynamic) plus the brute-force oracle
-and the SQL-trigger strawman implement this small surface, so the
+and the SQL-trigger strawman implement :class:`Matcher`, so the
 benchmark harness, the broker and the tests can treat them uniformly.
+
+It is also the composition contract: a layer names the matchers it
+holds in :meth:`Matcher.inner_matchers`, and ``use_metrics`` /
+``use_tracer`` / ``close`` / ``rebuild`` walk them (no-ops at a leaf).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.types import Event, Subscription
 from repro.obs.registry import MetricsRegistry, NOOP_REGISTRY
@@ -114,8 +118,12 @@ class Matcher(abc.ABC):
         return [self.match(e) for e in events]
 
     # ------------------------------------------------------------------
-    # observability
+    # composition: these four reach every inner matcher
     # ------------------------------------------------------------------
+    def inner_matchers(self) -> Sequence["Matcher"]:
+        """The matchers this one is composed of (none for an engine)."""
+        return ()
+
     def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
         """Attach a metrics registry (a fresh one if None); returns it.
 
@@ -126,13 +134,27 @@ class Matcher(abc.ABC):
         registry = MetricsRegistry() if registry is None else registry
         self.metrics = registry
         self._bind_metrics()
+        for inner in self.inner_matchers():
+            inner.use_metrics(registry)
         return registry
 
     def use_tracer(self, tracer: Optional[Tracer] = None) -> Tracer:
         """Attach a span tracer (a fresh one if None); returns it."""
         tracer = Tracer() if tracer is None else tracer
         self.tracer = tracer
+        for inner in self.inner_matchers():
+            inner.use_tracer(tracer)
         return tracer
+
+    def close(self) -> None:
+        """Release resources (idempotent); an engine holds none."""
+        for inner in self.inner_matchers():
+            inner.close()
+
+    def rebuild(self) -> Any:
+        """Run the build step, if any (``static`` returns its plan)."""
+        for inner in self.inner_matchers():
+            inner.rebuild()
 
     def _bind_metrics(self) -> None:
         """Hook: (re)create instrument children on :attr:`metrics`."""
@@ -146,3 +168,54 @@ class Matcher(abc.ABC):
         (flat str → number dict); subclasses extend it.
         """
         return {"name": self.name, "subscriptions": len(self), "counters": {}}
+
+
+class MatcherWrapper(Matcher):
+    """Forwards the whole matcher surface to one inner matcher.
+
+    Every forwarded call goes through :meth:`_around` — the single hook
+    a subclass overrides to hold a lock, inject a fault or count: *op*
+    names the operation (a batch is one ``"match"``), *call* is the
+    inner bound method.
+    """
+
+    def __init__(self, inner: Matcher) -> None:
+        self.inner = inner
+
+    def inner_matchers(self) -> Sequence[Matcher]:
+        return (self.inner,)
+
+    def _around(self, op: str, call: Callable[..., Any], *args: Any) -> Any:
+        return call(*args)
+
+    @property
+    def name(self) -> str:  # type: ignore[override]
+        return self.inner.name
+
+    def add(self, subscription: Subscription) -> None:
+        self._around("add", self.inner.add, subscription)
+
+    def remove(self, sub_id: Any) -> Subscription:
+        return self._around("remove", self.inner.remove, sub_id)
+
+    def match(self, event: Event) -> List[Any]:
+        return self._around("match", self.inner.match, event)
+
+    def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
+        return self._around("match", self.inner.match_batch, events)
+
+    def get(self, sub_id: Any) -> Subscription:
+        return self._around("get", self.inner.get, sub_id)  # type: ignore[attr-defined]
+
+    def iter_subscriptions(self) -> List[Subscription]:
+        return self._around("iter_subscriptions", self.inner.iter_subscriptions)
+
+    def __len__(self) -> int:
+        return self._around("len", self.inner.__len__)
+
+    def stats(self) -> Dict[str, Any]:
+        return self._around("stats", self.inner.stats)
+
+    def rebuild(self) -> Any:
+        # Through the hook (a lock must be held); hands the plan back.
+        return self._around("rebuild", self.inner.rebuild)

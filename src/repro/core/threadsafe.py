@@ -5,60 +5,35 @@ deployments that feed one matcher from several threads can wrap it::
 
     matcher = ThreadSafeMatcher(DynamicMatcher())
 
-Every operation holds one reentrant lock — coarse-grained but correct;
-matching is short, so contention is the queueing you would otherwise
-build yourself.
+Every forwarded operation holds one reentrant lock — coarse-grained but
+correct; matching is short, so contention is the queueing you would
+otherwise build yourself.  Metrics, tracer, ``rebuild`` and ``close``
+reach the wrapped engine through the :class:`MatcherWrapper` contract.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict
 
-from repro.core.matcher import Matcher
-from repro.core.types import Event, Subscription
+from repro.core.matcher import Matcher, MatcherWrapper
 
 
-class ThreadSafeMatcher(Matcher):
+class ThreadSafeMatcher(MatcherWrapper):
     """Serializes all access to a wrapped matcher with an RLock."""
 
     #: Checked by the multi-worker server before deciding to wrap.
     thread_safe = True
 
     def __init__(self, inner: Matcher) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self._lock = threading.RLock()
 
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self.inner.name
-
-    def add(self, subscription: Subscription) -> None:
+    def _around(self, op: str, call: Callable[..., Any], *args: Any) -> Any:
         with self._lock:
-            self.inner.add(subscription)
-
-    def remove(self, sub_id: Any) -> Subscription:
-        with self._lock:
-            return self.inner.remove(sub_id)
-
-    def match(self, event: Event) -> List[Any]:
-        with self._lock:
-            return self.inner.match(event)
-
-    def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        with self._lock:
-            return self.inner.match_batch(events)
-
-    def iter_subscriptions(self) -> List[Subscription]:
-        with self._lock:
-            return self.inner.iter_subscriptions()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self.inner)
+            return call(*args)
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            stats = self.inner.stats()
+        stats = super().stats()
         stats["thread_safe"] = True
         return stats

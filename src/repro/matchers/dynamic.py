@@ -163,7 +163,7 @@ class DynamicMatcher(ClusteredMatcher):
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
         events = list(events)
-        if self.tracer.enabled or len(events) == 1:
+        if len(events) == 1:
             # The base class takes (and counts) the scalar path through
             # self.match, which does its own observation and maintenance
             # bookkeeping per event.

@@ -49,7 +49,7 @@ from repro.matchers.dynamic import DynamicMatcher
 from repro.system.clock import Clock, SystemClock
 from repro.system.delivery import DeliveryManager
 from repro.system.event_store import EventStore
-from repro.system.notifier import Notification, Notifier, NullNotifier, QueueNotifier
+from repro.system.notifier import Notification, NullNotifier, QueueNotifier, Sink, _as_callable
 from repro.system.resilience import PartialResults
 
 if TYPE_CHECKING:  # annotation only: the broker needs nothing of the module at import
@@ -66,7 +66,7 @@ class PubSubBroker:
         self,
         matcher: Optional[Matcher] = None,
         clock: Optional[Clock] = None,
-        notifier: Optional[Notifier] = None,
+        notifier: Optional[Sink] = None,
         default_subscription_ttl: Optional[float] = None,
         event_retention_ttl: Optional[float] = None,
         wal: Optional["WriteAheadLog"] = None,
@@ -81,8 +81,9 @@ class PubSubBroker:
         clock:
             time source; defaults to :class:`SystemClock`.
         notifier:
-            delivery sink; defaults to a :class:`QueueNotifier` (drain it
-            via :attr:`notifier`).
+            delivery sink — a :class:`Notifier` or a plain callable
+            taking the :class:`Notification`; defaults to a
+            :class:`QueueNotifier` (drain it via :attr:`notifier`).
         default_subscription_ttl:
             lifetime of subscriptions subscribed without an explicit
             ``ttl``; None = immortal.
@@ -106,6 +107,7 @@ class PubSubBroker:
         self.matcher = matcher if matcher is not None else DynamicMatcher()
         self.clock = clock if clock is not None else SystemClock()
         self.notifier = notifier if notifier is not None else QueueNotifier()
+        self._deliver = _as_callable(self.notifier)
         self.delivery = delivery
         self.default_subscription_ttl = default_subscription_ttl
         self.event_retention_ttl = event_retention_ttl
@@ -448,9 +450,7 @@ class PubSubBroker:
             logical_of = self._logical_of
             delivery = self.delivery
             # A discarding sink gets no Notification objects built for it.
-            notify = (
-                None if isinstance(self.notifier, NullNotifier) else self.notifier.deliver
-            )
+            notify = None if isinstance(self.notifier, NullNotifier) else self._deliver
             ttl = self.event_retention_ttl if ttl is None else ttl
             retain_until = now + ttl if ttl is not None and ttl > 0 else None
             counters = self.counters
@@ -488,7 +488,7 @@ class PubSubBroker:
         if self.delivery is not None and self.delivery.handles(sub_id):
             self.delivery.dispatch(sub_id, event, now=now)
         else:
-            self.notifier.deliver(Notification(sub_id, event, now))
+            self._deliver(Notification(sub_id, event, now))
         self.counters["notifications"] += 1
 
     # ------------------------------------------------------------------
@@ -529,9 +529,7 @@ class PubSubBroker:
         its shard worker processes.  The WAL (if attached) stays open:
         its lifetime belongs to whoever attached it.
         """
-        close = getattr(self.matcher, "close", None)
-        if callable(close):
-            close()
+        self.matcher.close()
 
     def __enter__(self) -> "PubSubBroker":
         return self

@@ -65,7 +65,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 import time
@@ -73,7 +72,7 @@ import time
 from repro.core.errors import ReproError
 from repro.obs.registry import MetricsRegistry
 from repro.system.clock import Clock, SystemClock
-from repro.system.notifier import Notification, Notifier
+from repro.system.notifier import Notification, Sink, _as_callable
 from repro.system.resilience import RetryPolicy
 
 if TYPE_CHECKING:  # runtime import would be circular (wal ← delivery)
@@ -87,10 +86,6 @@ SETTLE_OUTCOMES = ("ack", "shed", "dead-letter", "redriven")
 
 #: Reasons carried by dead letters.
 DEAD_LETTER_REASONS = ("budget", "disconnected")
-
-#: Things a channel accepts as its delivery sink.
-Sink = Union[Notifier, Callable[[Notification], None]]
-
 
 class DeliveryError(ReproError, RuntimeError):
     """Base class for delivery-layer failures."""
@@ -205,15 +200,17 @@ class DeadLetterQueue:
             }
 
 
-def _as_callable(sink: Optional[Sink]) -> Optional[Callable[[Notification], None]]:
-    if sink is None:
-        return None
-    deliver = getattr(sink, "deliver", None)
-    if callable(deliver):
-        return deliver
-    if callable(sink):
-        return sink
-    raise TypeError(f"sink must be a Notifier or callable, got {sink!r}")
+#: Per-channel lifetime counters; the manager's totals sum them.
+_COUNTER_KEYS = (
+    "dispatched",
+    "delivered",
+    "redeliveries",
+    "acks",
+    "unknown_acks",
+    "shed",
+    "dead_lettered",
+    "send_errors",
+)
 
 
 class SubscriberChannel:
@@ -251,16 +248,7 @@ class SubscriberChannel:
         self._inflight: "OrderedDict[int, Lease]" = OrderedDict()
         self._next_seq = 0
         #: Lifetime counters.
-        self.counters: Dict[str, int] = {
-            "dispatched": 0,
-            "delivered": 0,
-            "redeliveries": 0,
-            "acks": 0,
-            "unknown_acks": 0,
-            "shed": 0,
-            "dead_lettered": 0,
-            "send_errors": 0,
-        }
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTER_KEYS, 0)
 
     # -- sizing ---------------------------------------------------------
     @property
@@ -373,6 +361,9 @@ class DeliveryManager:
         #: drained into the channel the moment one registers.
         self._orphans: Dict[Any, List[Lease]] = {}
         self._seq_floor: Dict[Any, int] = {}
+        #: Counters of channels that have unregistered: ``stats()`` totals
+        #: are lifetime totals, so a departure must not shrink them.
+        self._departed: Dict[str, int] = dict.fromkeys(_COUNTER_KEYS, 0)
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
         #: Fault-injection hook (tests): called with a named crash point
@@ -548,6 +539,8 @@ class DeliveryManager:
                     self._dead_letter(channel, lease, "disconnected")
             else:
                 self._outstanding_total -= len(leases)
+            for key, value in channel.counters.items():
+                self._departed[key] += value
             self._space.notify_all()
             self._refresh_gauges()
             return len(leases)
@@ -1058,16 +1051,7 @@ class DeliveryManager:
     def stats(self) -> Dict[str, Any]:
         """Unified stats shape (same contract as the matchers)."""
         with self._lock:
-            totals = {
-                "dispatched": 0,
-                "delivered": 0,
-                "redeliveries": 0,
-                "acks": 0,
-                "unknown_acks": 0,
-                "shed": 0,
-                "dead_lettered": 0,
-                "send_errors": 0,
-            }
+            totals = dict(self._departed)
             per_channel = {}
             for sub_id, channel in self._channels.items():
                 for key in totals:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Event
@@ -67,13 +67,21 @@ class Notifier(abc.ABC):
     def deliver(self, notification: Notification) -> None:
         """Handle one notification."""
 
-    def deliver_all(self, notifications: Iterable[Notification]) -> int:
-        """Deliver many; returns the count."""
-        n = 0
-        for notification in notifications:
-            self.deliver(notification)
-            n += 1
-        return n
+
+#: What a sink may be: a :class:`Notifier` or a plain callable.
+Sink = Union[Notifier, Callable[[Notification], None]]
+
+
+def _as_callable(sink: Optional[Sink]) -> Optional[Callable[[Notification], None]]:
+    """``sink.deliver`` or *sink* itself: either form, no adapter class."""
+    if sink is None:
+        return None
+    deliver = getattr(sink, "deliver", None)
+    if callable(deliver):
+        return deliver
+    if callable(sink):
+        return sink
+    raise TypeError(f"sink must be a Notifier or callable, got {sink!r}")
 
 
 class NullNotifier(Notifier):
@@ -142,16 +150,6 @@ class QueueNotifier(Notifier):
             "maxlen": self.maxlen,
             "counters": {"dropped": self.dropped},
         }
-
-
-class CallbackNotifier(Notifier):
-    """Invokes a user callback per notification."""
-
-    def __init__(self, callback: Callable[[Notification], None]) -> None:
-        self._callback = callback
-
-    def deliver(self, notification: Notification) -> None:
-        self._callback(notification)
 
 
 class FanoutNotifier(Notifier):

@@ -276,9 +276,7 @@ def worker_main(
                 index_of = None
                 reply = epoch
             elif op == "rebuild":
-                rebuild = getattr(matcher, "rebuild", None)
-                if callable(rebuild):
-                    rebuild()
+                matcher.rebuild()
                 reply = True
             elif op == "stats":
                 reply = matcher.stats()

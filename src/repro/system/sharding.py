@@ -80,7 +80,6 @@ from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionErr
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Tracer
 from repro.system.resilience import (
     BREAKER_CLOSED,
     BREAKER_STATE_VALUES,
@@ -271,20 +270,12 @@ class ShardedMatcher(Matcher):
         ``shard`` label, so the per-engine families stay one-writer-per-
         series even when the fan-out pool probes shards concurrently.
         """
-        registry = super().use_metrics(registry)
         for index, inner in enumerate(self._shards):
             inner.metrics_shard = str(index)
-            inner.use_metrics(registry)
+        registry = super().use_metrics(registry)
         if self._procpool is not None:
             self._procpool.use_metrics(registry)
         return registry
-
-    def use_tracer(self, tracer: Optional[Tracer] = None) -> Tracer:
-        """Attach a tracer to the fan-out layer and every inner engine."""
-        tracer = super().use_tracer(tracer)
-        for inner in self._shards:
-            inner.use_tracer(tracer)
-        return tracer
 
     @property
     def counters(self) -> Dict[str, Any]:
@@ -307,6 +298,9 @@ class ShardedMatcher(Matcher):
     def shards(self) -> int:
         """Number of partitions."""
         return len(self._shards)
+
+    def inner_matchers(self) -> Sequence[Matcher]:
+        return self._shards
 
     def shard(self, index: int) -> Matcher:
         """The inner engine of one shard (for inspection/tests)."""
@@ -338,14 +332,15 @@ class ShardedMatcher(Matcher):
             return out
 
     def close(self) -> None:
-        """Shut down the fan-out thread pool and any worker processes
-        (idempotent)."""
+        """Shut down the fan-out thread pool, any worker processes and
+        the inner engines (idempotent)."""
         with self._meta:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
         if self._procpool is not None:
             self._procpool.close()
+        super().close()
 
     def executor_health(self) -> Dict[str, Any]:
         """Executor liveness for health endpoints.
@@ -454,12 +449,10 @@ class ShardedMatcher(Matcher):
         return subscription
 
     def rebuild(self) -> None:
-        """Forward to inner engines that have a rebuild step (static)."""
-        for shard, inner in enumerate(self._shards):
-            rebuild = getattr(inner, "rebuild", None)
-            if callable(rebuild):
-                with self._shard_locks[shard]:
-                    rebuild()
+        """Rebuild every inner engine, each under its shard's lock."""
+        for lock, inner in zip(self._shard_locks, self._shards):
+            with lock:
+                inner.rebuild()
 
     # ------------------------------------------------------------------
     # matching

@@ -1,6 +1,6 @@
 """Public fault-injection toolkit: broken files, crashes, sick matchers.
 
-Chaos tests and users share one harness.  Four complementary failure
+Chaos tests and users share one harness.  Complementary failure
 models:
 
 * :class:`FaultyFile` — a wrapper file object that silently *drops*,
@@ -35,6 +35,9 @@ models:
   the respawned worker finds the latch already present and stays
   disarmed, so chaos tests re-converge deterministically.
 
+The matcher wrappers override only ``MatcherWrapper._around`` (fail or
+stall *before* the call, die *after* it; a batch is one ``"match"``).
+
 Fault-file damage leaves real bytes on disk for recovery to chew on,
 which is the point: the property suite asserts that *whatever* the
 damage, recovery yields a prefix-consistent subscription set.  The
@@ -49,10 +52,9 @@ import math
 import os
 import signal
 import time
-from typing import IO, Any, Callable, Dict, List, Optional, Sequence
+from typing import IO, Any, Callable, List, Optional, Sequence
 
-from repro.core.matcher import Matcher
-from repro.core.types import Event, Subscription
+from repro.core.matcher import Matcher, MatcherWrapper
 
 #: Supported damage models for writes past the byte budget.
 FAULT_MODES = ("drop", "truncate", "garble")
@@ -154,38 +156,6 @@ def faulty_opener(fail_after: int, mode: str = "truncate"):
     return opener
 
 
-class _MatcherWrapper(Matcher):
-    """Shared transparent-delegation base for the sick-matcher wrappers."""
-
-    def __init__(self, inner: Matcher) -> None:
-        self.inner = inner
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self.inner.name
-
-    def add(self, subscription: Subscription) -> None:
-        self.inner.add(subscription)
-
-    def remove(self, sub_id: Any) -> Subscription:
-        return self.inner.remove(sub_id)
-
-    def match(self, event: Event) -> List[Any]:
-        return self.inner.match(event)
-
-    def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        return self.inner.match_batch(events)
-
-    def iter_subscriptions(self) -> List[Subscription]:
-        return self.inner.iter_subscriptions()
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def stats(self) -> Dict[str, Any]:
-        return self.inner.stats()
-
-
 def _check_ops(operations: Sequence[str]) -> tuple:
     ops = tuple(operations)
     unknown = [op for op in ops if op not in MATCHER_OPS]
@@ -194,7 +164,7 @@ def _check_ops(operations: Sequence[str]) -> tuple:
     return ops
 
 
-class FlakyMatcher(_MatcherWrapper):
+class FlakyMatcher(MatcherWrapper):
     """A matcher whose listed operations fail while a budget lasts.
 
     ``failures`` is the number of injected faults before the matcher
@@ -213,9 +183,7 @@ class FlakyMatcher(_MatcherWrapper):
         exc_factory: Callable[[str], Exception] = None,
     ) -> None:
         super().__init__(inner)
-        if failures < 0:
-            raise ValueError(f"failure budget must be >= 0, got {failures}")
-        self.failures = failures
+        self.rearm(failures)
         self.operations = _check_ops(operations)
         self.exc_factory = exc_factory or (
             lambda op: InjectedFault(f"injected {op} fault")
@@ -234,31 +202,15 @@ class FlakyMatcher(_MatcherWrapper):
         """True once the failure budget is spent."""
         return self.failures <= 0
 
-    def _maybe_fail(self, op: str) -> None:
+    def _around(self, op: str, call: Callable[..., Any], *args: Any) -> Any:
         if op in self.operations and self.failures > 0:
             self.failures -= 1
             self.injected += 1
             raise self.exc_factory(op)
-
-    def add(self, subscription: Subscription) -> None:
-        self._maybe_fail("add")
-        self.inner.add(subscription)
-
-    def remove(self, sub_id: Any) -> Subscription:
-        self._maybe_fail("remove")
-        return self.inner.remove(sub_id)
-
-    def match(self, event: Event) -> List[Any]:
-        self._maybe_fail("match")
-        return self.inner.match(event)
-
-    def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        # One batch counts as one "match" operation against the budget.
-        self._maybe_fail("match")
-        return self.inner.match_batch(events)
+        return call(*args)
 
 
-class SlowMatcher(_MatcherWrapper):
+class SlowMatcher(MatcherWrapper):
     """A matcher that sleeps before delegating the listed operations.
 
     ``sleep`` is injectable so virtual-time tests can observe the delay
@@ -282,29 +234,14 @@ class SlowMatcher(_MatcherWrapper):
         #: Operations delayed so far.
         self.delayed = 0
 
-    def _maybe_stall(self, op: str) -> None:
+    def _around(self, op: str, call: Callable[..., Any], *args: Any) -> Any:
         if op in self.operations and self.delay > 0:
             self.delayed += 1
             self.sleep(self.delay)
-
-    def add(self, subscription: Subscription) -> None:
-        self._maybe_stall("add")
-        self.inner.add(subscription)
-
-    def remove(self, sub_id: Any) -> Subscription:
-        self._maybe_stall("remove")
-        return self.inner.remove(sub_id)
-
-    def match(self, event: Event) -> List[Any]:
-        self._maybe_stall("match")
-        return self.inner.match(event)
-
-    def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        self._maybe_stall("match")
-        return self.inner.match_batch(events)
+        return call(*args)
 
 
-class KillableWorker(_MatcherWrapper):
+class KillableWorker(MatcherWrapper):
     """A matcher that SIGKILLs its own process at the Nth listed op.
 
     The real-death counterpart of :class:`FlakyMatcher`: instead of
@@ -354,38 +291,18 @@ class KillableWorker(_MatcherWrapper):
         #: Listed operations seen so far (survives disarming).
         self.seen = 0
 
-    def _maybe_die(self, op: str) -> None:
-        if op not in self.operations:
-            return
-        self.seen += 1
-        if not self.armed or self.seen < self.die_at:
-            return
-        if self.guard_pid is not None and os.getpid() == self.guard_pid:
-            raise InjectedFault(
-                f"KillableWorker reached its {op} kill point inside the "
-                f"guarded process {self.guard_pid} (not a worker) — refusing "
-                "to SIGKILL it"
-            )
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def add(self, subscription: Subscription) -> None:
-        self.inner.add(subscription)
-        self._maybe_die("add")
-
-    def remove(self, sub_id: Any) -> Subscription:
-        out = self.inner.remove(sub_id)
-        self._maybe_die("remove")
-        return out
-
-    def match(self, event: Event) -> List[Any]:
-        out = self.inner.match(event)
-        self._maybe_die("match")
-        return out
-
-    def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        # One batch counts as one "match" operation toward die_at.
-        out = self.inner.match_batch(events)
-        self._maybe_die("match")
+    def _around(self, op: str, call: Callable[..., Any], *args: Any) -> Any:
+        out = call(*args)
+        if op in self.operations:
+            self.seen += 1
+            if self.armed and self.seen >= self.die_at:
+                if self.guard_pid is not None and os.getpid() == self.guard_pid:
+                    raise InjectedFault(
+                        f"KillableWorker reached its {op} kill point inside "
+                        f"the guarded process {self.guard_pid} (not a worker) "
+                        "— refusing to SIGKILL it"
+                    )
+                os.kill(os.getpid(), signal.SIGKILL)
         return out
 
 
@@ -408,9 +325,7 @@ class CrashySubscriber:
         manager: Any = None,
         exc_factory: Callable[[Any], Exception] = None,
     ) -> None:
-        if failures < 0:
-            raise ValueError(f"failure budget must be >= 0, got {failures}")
-        self.failures = failures
+        self.rearm(failures)
         self.manager = manager
         self.exc_factory = exc_factory or (
             lambda n: InjectedFault(f"subscriber crashed delivering seq {n.seq}")

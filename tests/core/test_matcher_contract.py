@@ -1,0 +1,207 @@
+"""The composition contract, one battery over every composite.
+
+``core/matcher.py`` states what a layer owes the matchers it holds:
+``close`` / ``rebuild`` / ``use_metrics`` / ``use_tracer`` reach every
+inner matcher through ``inner_matchers()``, a batch arrives below as one
+``match_batch`` call, and the bookkeeping surface (``get`` / ``len`` /
+``iter_subscriptions`` / ``stats()``) agrees with what is stored
+underneath.  Each composite in ``src/`` faces the same assertions over
+recording leaf engines; the three defects that motivated the contract
+are pinned at the bottom.
+"""
+
+import collections
+import io
+import os
+
+import pytest
+
+from repro import cli
+from repro.aggregation import AggregatingMatcher
+from repro.bench.harness import matcher_for
+from repro.core import Event, OracleMatcher, Subscription, eq, le
+from repro.core.matcher import MatcherWrapper
+from repro.core.threadsafe import ThreadSafeMatcher
+from repro.io import dump_events, dump_subscriptions
+from repro.matchers import DynamicMatcher
+from repro.obs import MetricsRegistry, Tracer
+from repro.system import PubSubBroker, ShardedMatcher
+from repro.testing.faults import FlakyMatcher, KillableWorker, SlowMatcher
+from repro.workload.scenarios import paper_workloads
+
+from tests.conftest import shm_entries
+
+
+class Recording(OracleMatcher):
+    """A leaf engine that counts what reaches it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = collections.Counter()
+
+    def close(self):
+        self.calls["close"] += 1
+
+    def rebuild(self):
+        self.calls["rebuild"] += 1
+
+    def match(self, event):
+        self.calls["match"] += 1
+        return super().match(event)
+
+    def match_batch(self, events):
+        self.calls["match_batch"] += 1
+        return [OracleMatcher.match(self, e) for e in events]
+
+
+def _disarmed(inner, tmp_path):
+    latch = tmp_path / "latch"
+    latch.touch()  # the latch exists, so this construction stays disarmed
+    worker = KillableWorker(inner, guard_pid=os.getpid(), latch_path=str(latch))
+    assert not worker.armed
+    return worker
+
+
+#: name → build(leaves, tmp_path): *leaves* collects every Recording made.
+COMPOSITIONS = {
+    "thread-safe": lambda new, tmp: ThreadSafeMatcher(new()),
+    "flaky": lambda new, tmp: FlakyMatcher(new(), failures=0),
+    "slow": lambda new, tmp: SlowMatcher(new(), delay=0),
+    "killable": lambda new, tmp: _disarmed(new(), tmp),
+    "aggregating": lambda new, tmp: AggregatingMatcher(inner=new()),
+    "sharded": lambda new, tmp: ShardedMatcher(shards=2, router="roundrobin", inner=new),
+    "two-deep": lambda new, tmp: ThreadSafeMatcher(AggregatingMatcher(inner=new())),
+}
+
+#: Pairwise non-covering and distinct, so aggregation keeps one group each.
+SUBS = [Subscription(f"s{i}", [eq("k", i % 4), eq("n", i)]) for i in range(8)]
+EVENTS = [Event({"k": i % 4, "n": i}) for i in range(8)]
+
+
+def descendants(matcher):
+    for inner in matcher.inner_matchers():
+        yield inner
+        yield from descendants(inner)
+
+
+@pytest.fixture(params=sorted(COMPOSITIONS))
+def stack(request, tmp_path):
+    leaves = []
+
+    def new():
+        leaves.append(Recording())
+        return leaves[-1]
+
+    matcher = COMPOSITIONS[request.param](new, tmp_path)
+    matcher.add_all(SUBS)
+    yield matcher, leaves
+    matcher.close()
+
+
+class TestCompositionContract:
+    def test_inner_matchers_names_every_leaf(self, stack):
+        matcher, leaves = stack
+        found = [m for m in descendants(matcher) if isinstance(m, Recording)]
+        assert found == leaves
+
+    def test_close_and_rebuild_reach_every_inner_once(self, stack):
+        matcher, leaves = stack
+        matcher.rebuild()
+        matcher.close()
+        for leaf in leaves:
+            assert leaf.calls["rebuild"] == 1 and leaf.calls["close"] == 1
+
+    def test_metrics_and_tracer_reach_every_inner(self, stack):
+        matcher, _leaves = stack
+        registry, tracer = MetricsRegistry(), Tracer()
+        assert matcher.use_metrics(registry) is registry
+        assert matcher.use_tracer(tracer) is tracer
+        for m in [matcher, *descendants(matcher)]:
+            assert m.metrics is registry and m.tracer is tracer
+
+    def test_a_batch_arrives_as_one_match_batch(self, stack):
+        matcher, leaves = stack
+        rows = matcher.match_batch(EVENTS)
+        assert [sorted(r) for r in rows] == [[f"s{i}"] for i in range(8)]
+        for leaf in leaves:
+            assert leaf.calls["match_batch"] == 1 and leaf.calls["match"] == 0
+        assert sorted(matcher.match(EVENTS[3])) == ["s3"]
+
+    def test_bookkeeping_agrees_with_the_inner(self, stack):
+        matcher, leaves = stack
+        assert len(matcher) == sum(map(len, leaves)) == len(SUBS)
+        assert matcher.stats()["subscriptions"] == len(SUBS)
+        assert sorted(matcher.iter_subscriptions(), key=lambda s: s.id) == SUBS
+        for sub in SUBS:
+            assert matcher.get(sub.id) == sub
+        if isinstance(matcher, MatcherWrapper) and leaves[0] is matcher.inner:
+            assert matcher.name == leaves[0].name
+            assert matcher.get("s0") is leaves[0].get("s0")
+        removed = matcher.remove("s0")
+        assert removed == SUBS[0] and len(matcher) == sum(map(len, leaves)) == 7
+
+
+class TestTheDefectsThatMotivatedIt:
+    def test_engine_families_appear_through_thread_safe(self):
+        matcher = ThreadSafeMatcher(DynamicMatcher())
+        registry = matcher.use_metrics()
+        for sub in SUBS:
+            matcher.add(sub)
+        matcher.match_batch(EVENTS)
+        events = registry.family("repro_events_total")
+        assert events is not None
+        assert events.labels(engine="dynamic", shard="").value == len(EVENTS)
+
+    def test_broker_close_reaches_worker_processes_through_a_wrapper(self):
+        before = shm_entries()
+        sharded = ShardedMatcher(
+            shards=2, inner="counting", executor="process", codec="shm",
+            worker_timeout=60.0,
+        )
+        try:
+            broker = PubSubBroker(matcher=ThreadSafeMatcher(sharded))
+            broker.subscribe(SUBS[0])
+            assert sharded._procpool.alive_count() == 2
+            assert len(shm_entries() - before) == 1
+            broker.close()
+            assert sharded._procpool.alive_count() == 0
+            assert shm_entries() == before
+        finally:
+            sharded.close()
+
+    def test_populate_runs_the_optimizer_under_aggregation(self):
+        spec = paper_workloads(0.001)["W0"]
+        static = matcher_for("static", spec)
+        subs = [
+            Subscription(f"s{i}", [eq("a", i % 3), eq("b", i % 5), le("c", i)])
+            for i in range(30)
+        ]
+        cli._populate(AggregatingMatcher(inner=static), subs)
+        assert static.plan is not None
+        # ... and StaticMatcher.rebuild still hands its plan back, also
+        # through a forwarding wrapper.
+        assert ThreadSafeMatcher(static).rebuild() is static.plan
+
+    def test_cli_static_aggregate_equals_the_unaggregated_run(self, tmp_path):
+        subs = [
+            Subscription(f"s{i}", [eq("a", i % 3), eq("b", i % 5), le("c", i % 7)])
+            for i in range(60)
+        ]
+        events = [Event({"a": i % 3, "b": i % 5, "c": i % 9}) for i in range(30)]
+        with open(tmp_path / "subs.jsonl", "w") as fp:
+            dump_subscriptions(subs, fp)
+        with open(tmp_path / "events.jsonl", "w") as fp:
+            dump_events(events, fp)
+        outputs = []
+        for extra in ([], ["--aggregate"]):
+            out = io.StringIO()
+            argv = [
+                "match",
+                "--subscriptions", str(tmp_path / "subs.jsonl"),
+                "--events", str(tmp_path / "events.jsonl"),
+                "--engine", "static",
+            ]
+            assert cli.main(argv + extra, out=out) == 0
+            outputs.append(out.getvalue())
+        assert '"matched": ["s' in outputs[0]
+        assert outputs[0] == outputs[1]

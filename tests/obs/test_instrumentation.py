@@ -129,6 +129,38 @@ class TestTracerSpans:
         )
 
 
+    @pytest.mark.parametrize(
+        "engine", ["dynamic", "static", "counting", "propagation"]
+    )
+    def test_traced_batch_runs_the_kernel_with_one_span(self, engine):
+        # A tracer is no reason to leave the batch path: one kernel run,
+        # one ``match_batch`` span carrying the per-event fields summed.
+        from repro.bench.harness import matcher_for
+        from repro.workload.scenarios import paper_workloads
+
+        spec = paper_workloads(0.001)["W0"]
+        subs, events = _workload(n_subs=60, n_events=64)
+        plain, traced = matcher_for(engine, spec), matcher_for(engine, spec)
+        registry = traced.use_metrics()
+        tracer = traced.use_tracer(Tracer(capacity=128))
+        for sub in subs:
+            plain.add(sub)
+            traced.add(sub)
+        rows = traced.match_batch(events)
+        assert rows == plain.match_batch(events)
+        labels = {"engine": traced.name, "shard": ""}
+        assert _child_value(registry, "repro_batch_batches_total", **labels) == 1
+        fallback = registry.family("repro_batch_fallback_total")
+        assert [c.value for _labels, c in fallback.children()] == [0]
+        spans = tracer.spans()
+        assert [s.name for s in spans] == ["match_batch"]
+        fields = spans[0].fields
+        assert fields["engine"] == traced.name and fields["events"] == 64
+        assert fields["matched"] == sum(map(len, rows))
+        assert fields["bits_set"] >= 0 and fields["subscriptions_checked"] >= 0
+        assert fields["predicate_ns"] >= 0 and fields["subscription_ns"] >= 0
+
+
 class TestStaticExtras:
     def test_rebuild_counter_and_plan_gauge(self):
         from repro.bench.harness import uniform_statistics_for

@@ -1,6 +1,6 @@
 """Properties of the at-least-once delivery layer.
 
-Three guarantees, each hypothesis-driven under a ``VirtualClock``:
+Four guarantees, each hypothesis-driven under a ``VirtualClock``:
 
 1. **At-least-once** — whatever schedule of subscriber crashes, stalls
    and lost acks, once time runs long enough every dispatched
@@ -13,6 +13,9 @@ Three guarantees, each hypothesis-driven under a ``VirtualClock``:
    and recovering re-queues exactly the unacked in-flight set implied
    by the longest valid record prefix — computed here by an independent
    JSON-lines replay, not by the modules under test.
+4. **Lifetime totals** — ``stats()["counters"]`` never decreases across
+   any register / dispatch / ack / pump / unregister interleaving, and
+   agrees with the registry for the four families that exist in both.
 """
 
 import json
@@ -24,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import Event
+from repro.obs.registry import MetricsRegistry
 from repro.system import (
     DeliveryManager,
     RetryPolicy,
@@ -167,6 +171,60 @@ def test_surviving_subscriber_receives_everything(scripts):
     assert {n.seq for n in subscriber.received} == set(dispatched)
     assert subscriber.acked == set(dispatched)
     assert len(manager.dead_letters) == 0
+
+
+TOTALS_SUBS = ("s0", "s1", "s2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["register", "register-auto", "register-shed", "dispatch",
+                 "ack", "advance", "unregister", "unregister-drop"]
+            ),
+            st.sampled_from(TOTALS_SUBS),
+        ),
+        max_size=60,
+    )
+)
+def test_totals_are_monotone_and_equal_the_registry(ops):
+    clock = VirtualClock()
+    manager = make_manager(clock)
+    registry = manager.use_metrics(MetricsRegistry())
+    unacked = {sub_id: [] for sub_id in TOTALS_SUBS}
+    before = manager.stats()["counters"]
+    for op, sub_id in ops:
+        registered = sub_id in manager.stats()["per_channel"]
+        if op == "register":
+            manager.register(sub_id)  # pull mode: leases wait for poll / timeout
+        elif op == "register-auto":
+            manager.register(sub_id, sink=lambda n: None, auto_ack=True)
+        elif op == "register-shed":
+            manager.register(
+                sub_id, sink=lambda n: None, capacity=2, overflow="shed-oldest"
+            )
+        elif op == "dispatch" and registered:
+            unacked[sub_id].append(manager.dispatch(sub_id, Event({"n": 1})))
+        elif op == "ack" and registered and unacked[sub_id]:
+            manager.ack(sub_id, unacked[sub_id].pop(0))
+        elif op == "advance":
+            clock.advance(ACK_TIMEOUT)
+            manager.pump()
+        elif op.startswith("unregister") and registered:
+            manager.unregister(sub_id, dead_letter=op == "unregister")
+        totals = manager.stats()["counters"]
+        assert all(totals[key] >= before[key] for key in before), (op, before, totals)
+        before = totals
+
+    def family(name):
+        return sum(child.value for _labels, child in registry.family(name).children())
+
+    assert before["acks"] == family("repro_delivery_acks_total")
+    assert before["redeliveries"] == family("repro_delivery_redeliveries_total")
+    assert before["shed"] == family("repro_delivery_shed_total")
+    assert before["dead_lettered"] == family("repro_delivery_dead_lettered_total")
 
 
 def run_delivery_workload(wal_path, ops):

@@ -234,8 +234,6 @@ class TestOnePublishPath:
     def test_sink_driven_unsubscribe_takes_effect_next_batch(self, clock):
         """A batch is matched against the subscription set at batch
         start; a sink that unsubscribes mid-dispatch changes the next."""
-        from repro.system import CallbackNotifier
-
         seen = []
 
         def sink(note):
@@ -243,7 +241,7 @@ class TestOnePublishPath:
             if broker.subscription_count:
                 broker.unsubscribe("a")
 
-        broker = PubSubBroker(clock=clock, notifier=CallbackNotifier(sink))
+        broker = PubSubBroker(clock=clock, notifier=sink)
         broker.subscribe(Subscription("a", [eq("x", 1)]))
         assert broker.publish_batch([Event({"x": 1})] * 3) == [["a"]] * 3
         assert broker.publish_batch([Event({"x": 1})]) == [[]]

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import Event
+from repro.core import Event, Subscription, eq
 from repro.system import (
-    CallbackNotifier,
     EventStore,
     FanoutNotifier,
     Notification,
+    PubSubBroker,
     NullNotifier,
     QueueNotifier,
     SystemClock,
@@ -84,9 +84,15 @@ class TestNotifiers:
         assert [n.sub_id for n in q.drain()] == ["s3", "s4"]
 
     def test_callback(self):
+        # A plain callable is a sink: no adapter class between it and
+        # the broker.
         seen = []
-        CallbackNotifier(seen.append).deliver(self._note())
+        broker = PubSubBroker(notifier=seen.append)
+        broker.subscribe(Subscription("s1", [eq("a", 1)]))
+        broker.publish(Event({"a": 1}))
         assert seen[0].sub_id == "s1"
+        with pytest.raises(TypeError):
+            PubSubBroker(notifier=object())
 
     def test_null_discards(self):
         NullNotifier().deliver(self._note())  # must not raise
@@ -97,7 +103,3 @@ class TestNotifiers:
         f.deliver(self._note())
         assert len(q1) == 1 and len(q2) == 1
 
-    def test_deliver_all(self):
-        q = QueueNotifier()
-        n = q.deliver_all([self._note(), self._note()])
-        assert n == 2 and len(q) == 2

@@ -357,6 +357,27 @@ class TestMetricsAndStats:
         assert stats["per_channel"]["s1"]["mode"] == "push"
         assert stats["per_channel"]["s1"]["inflight"] == 1
 
+    def test_totals_survive_unregister(self):
+        # Lifetime totals: a departing channel's counters stay counted
+        # (they used to vanish with the channel — all zeros here).
+        registry = MetricsRegistry()
+        manager, _clock = make_manager(metrics=registry)
+        manager.register("a", sink=lambda n: None, auto_ack=True)
+        manager.register("b")
+        manager.dispatch("a", Event({"a": 1}))
+        manager.dispatch("b", Event({"a": 1}))
+        manager.unregister("a")
+        manager.unregister("b")
+        totals = manager.stats()["counters"]
+        assert totals["dispatched"] == 2
+        assert totals["delivered"] == 1
+        assert totals["acks"] == 1
+        assert totals["dead_lettered"] == 1 == len(manager.dead_letters)
+        f = registry.family
+        assert f("repro_delivery_acks_total").labels().value == totals["acks"]
+        dead = f("repro_delivery_dead_lettered_total")
+        assert dead.labels(reason="disconnected").value == totals["dead_lettered"]
+
     def test_health_shape(self):
         manager, _clock = make_manager()
         manager.register("s1", sink=lambda n: None)

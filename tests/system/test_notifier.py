@@ -2,9 +2,8 @@
 
 The basics (drain order, callback, null, fanout happy path) live in
 ``test_clock_store_notifier.py``; this file pins the failure-mode
-contracts: bounded-queue eviction is *accounted*, fan-out isolates
-per-sink errors, and ``deliver_all`` counts correctly on degenerate
-inputs.
+contracts: bounded-queue eviction is *accounted* and fan-out isolates
+per-sink errors.
 """
 
 import pytest
@@ -12,7 +11,6 @@ import pytest
 from repro.core.types import Event
 from repro.obs.registry import MetricsRegistry
 from repro.system import (
-    CallbackNotifier,
     FanoutDeliveryError,
     FanoutNotifier,
     Notification,
@@ -117,26 +115,3 @@ class TestFanoutIsolation:
 
     def test_empty_fanout_is_a_noop(self):
         FanoutNotifier([]).deliver(note())  # must not raise
-
-
-class TestDeliverAll:
-    def test_empty_iterable_counts_zero(self):
-        assert QueueNotifier().deliver_all([]) == 0
-        assert NullNotifier().deliver_all(iter(())) == 0
-
-    def test_one_shot_iterator_counts_every_item(self):
-        q = QueueNotifier()
-        count = q.deliver_all(note(f"s{i}") for i in range(5))
-        assert count == 5
-        assert [n.sub_id for n in q.drain()] == [f"s{i}" for i in range(5)]
-
-    def test_counts_against_a_bounded_queue(self):
-        # deliver_all counts *deliveries*, not survivors.
-        q = QueueNotifier(maxlen=2)
-        assert q.deliver_all([note(f"s{i}") for i in range(4)]) == 4
-        assert len(q) == 2 and q.dropped == 2
-
-    def test_callback_sink(self):
-        seen = []
-        assert CallbackNotifier(seen.append).deliver_all([note(), note("s2")]) == 2
-        assert [n.sub_id for n in seen] == ["s1", "s2"]

@@ -1,13 +1,15 @@
 """API quality gates: public surface is documented and importable."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
 
 import repro
-from repro.testing.faults import _MatcherWrapper
+from repro.core.matcher import Matcher, MatcherWrapper
 
 PACKAGES = [
     "repro",
@@ -89,22 +91,25 @@ class TestDocstrings:
         assert not undocumented, undocumented
 
 
+def _matcher_subclasses():
+    """Every ``Matcher`` subclass any imported module defines."""
+    for name in public_modules():
+        importlib.import_module(name)  # so __subclasses__ sees them all
+
+    def walk(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from walk(sub)
+
+    return set(walk(Matcher))
+
+
 class TestMatchSurface:
     def test_match_entry_points_are_exactly_match_and_match_batch(self):
         """One scalar entry point, one batch entry point — on the
         interface and on every engine and wrapper that implements it."""
-        from repro.core import Matcher
-
-        for name in public_modules():
-            importlib.import_module(name)  # so __subclasses__ sees them all
-
-        def matcher_classes(cls):
-            yield cls
-            for sub in cls.__subclasses__():
-                yield from matcher_classes(sub)
-
         offenders = {}
-        for cls in set(matcher_classes(Matcher)):
+        for cls in {Matcher, *_matcher_subclasses()}:
             surface = {
                 name
                 for name in dir(cls)
@@ -188,20 +193,110 @@ class TestWorkerWire:
         assert shm_entries() == before
 
 
-class _Spy(_MatcherWrapper):
+def _matcher_classes_in_src():
+    """The ``Matcher`` subclasses defined under ``src/repro``."""
+    return sorted(
+        (c for c in _matcher_subclasses() if c.__module__.startswith("repro.")),
+        key=lambda c: (c.__module__, c.__name__),
+    )
+
+
+class TestMatcherContract:
+    """The composition contract is stated once, in ``core/matcher.py``:
+    nothing probes for it and nothing forwards it by hand."""
+
+    CONTRACT = {"close", "rebuild", "use_metrics", "use_tracer"}
+    #: What a MatcherWrapper subclass may define besides its hook.
+    WRAPPER_MAY_DEFINE = {"_around", "__init__", "stats"}
+    FORWARDED = {
+        "add", "remove", "match", "match_batch", "get", "iter_subscriptions",
+        "__len__", "name", "inner_matchers", "rebuild", "close",
+        "use_metrics", "use_tracer",
+    }  # fmt: skip
+
+    def test_nothing_probes_for_the_contract(self):
+        probes = []
+        src = pathlib.Path(repro.__file__).parent
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in self.CONTRACT
+                ):
+                    probes.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert not probes, probes
+
+    def test_a_stored_matcher_is_a_named_part(self):
+        # A class whose __init__ stores a matcher under one of the usual
+        # names must return it from inner_matchers().
+        offenders = []
+        for cls in _matcher_classes_in_src():
+            init = cls.__dict__.get("__init__")
+            if init is None:
+                continue
+            stores = {
+                node.attr
+                for node in ast.walk(ast.parse(inspect.getsource(cls).lstrip()))
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and node.attr in ("inner", "_inner", "_shards")
+            }
+            if stores and cls.inner_matchers is Matcher.inner_matchers:
+                offenders.append(f"{cls.__module__}.{cls.__name__}: {sorted(stores)}")
+        assert not offenders, offenders
+
+    def test_one_forwarding_wrapper(self):
+        import repro.testing.faults as faults
+
+        # No second wrapper base beside the one in core: every matcher
+        # the fault toolkit defines subclasses MatcherWrapper directly.
+        indirect = [
+            c.__name__
+            for c in _matcher_classes_in_src()
+            if c.__module__ == faults.__name__ and MatcherWrapper not in c.__bases__
+        ]
+        assert not indirect, indirect
+        wrappers = [
+            c
+            for c in _matcher_classes_in_src()
+            if issubclass(c, MatcherWrapper) and c is not MatcherWrapper
+        ]
+        assert {c.__name__ for c in wrappers} >= {
+            "ThreadSafeMatcher", "FlakyMatcher", "SlowMatcher", "KillableWorker",
+        }  # fmt: skip
+        for cls in wrappers:
+            assert "_around" in cls.__dict__, cls
+            own = {n for n, v in cls.__dict__.items() if callable(v) or n == "name"}
+            assert not own & self.FORWARDED, (cls, sorted(own & self.FORWARDED))
+            dunder = {n for n in own if n.startswith("__")}
+            assert dunder <= self.WRAPPER_MAY_DEFINE, (cls, sorted(dunder))
+
+    def test_composites_declare_parts_instead_of_forwarding(self):
+        from repro.aggregation import AggregatingMatcher
+        from repro.system import ShardedMatcher
+
+        for cls in (AggregatingMatcher, ShardedMatcher):
+            assert "inner_matchers" in cls.__dict__
+            assert "use_tracer" not in cls.__dict__
+        assert "close" not in AggregatingMatcher.__dict__
+        assert "rebuild" not in AggregatingMatcher.__dict__
+
+
+class _Spy(MatcherWrapper):
     """A call-counting oracle engine (one per shard)."""
 
     def __init__(self):
         super().__init__(repro.core.OracleMatcher())
         self.calls = {"match": 0, "match_batch": 0}
 
-    def match(self, event):
-        self.calls["match"] += 1
-        return self.inner.match(event)
-
-    def match_batch(self, events):
-        self.calls["match_batch"] += 1
-        return self.inner.match_batch(events)
+    def _around(self, op, call, *args):
+        if op == "match":
+            self.calls[call.__name__] += 1
+        return call(*args)
 
 
 class TestOneFanOut:
