@@ -108,21 +108,14 @@ class TwoPhaseMatcher(Matcher):
         return sub
 
     def match(self, event: Event) -> List[Any]:
-        if self.metrics.enabled or self.tracer.enabled:
-            return self._match_observed(event)
-        self.bits.reset()
-        satisfied = self.indexes.evaluate(event, self.bits)
-        self.counters["events"] += 1
-        self.counters["predicates_satisfied"] += satisfied
-        return self._match_phase2(event)
+        """The paper's scalar algorithm — one body, observed or not.
 
-    def _match_observed(self, event: Event) -> List[Any]:
-        """The instrumented twin of :meth:`match`.
-
-        Identical matching semantics and counter updates; additionally
-        records phase timings/counts into the registry and, when a
-        tracer is attached, a per-event span tree (phase-2
-        implementations hang children off :attr:`_active_span`).
+        The clock is read unconditionally (three reads are cheaper
+        than keeping an untimed second copy of this body in step); only
+        the recording is guarded: phase timings/counts go to the
+        registry when one is attached, and a tracer gets a per-event
+        span tree (phase-2 implementations hang children off
+        :attr:`_active_span`).
         """
         t0 = time.perf_counter_ns()
         self.bits.reset()
@@ -251,23 +244,6 @@ class TwoPhaseMatcher(Matcher):
             self._mb_subscription_seconds.observe((t2 - t1) / 1e9)
         return out
 
-    def _match_phase2_batch(
-        self, events: Sequence[Event], truth: np.ndarray
-    ) -> List[List[Any]]:
-        """Batched subscription phase over the truth matrix.
-
-        The default bridges to the scalar phase 2 by loading each truth
-        row into the shared bit vector — engines with columnar cluster
-        storage override this with a row-grouped kernel.
-        """
-        out: List[List[Any]] = []
-        bits = self.bits
-        for row, event in enumerate(events):
-            bits.reset()
-            bits.set_many(np.nonzero(truth[row])[0].tolist())
-            out.append(self._match_phase2(event))
-        return out
-
     def _bind_metrics(self) -> None:
         m = self.metrics
         labels = {"engine": self.name, "shard": self.metrics_shard}
@@ -357,6 +333,12 @@ class TwoPhaseMatcher(Matcher):
 
     def _match_phase2(self, event: Event) -> List[Any]:
         """Walk candidate clusters; the bit vector is already populated."""
+        raise NotImplementedError
+
+    def _match_phase2_batch(
+        self, events: Sequence[Event], truth: np.ndarray
+    ) -> List[List[Any]]:
+        """Batched subscription phase: one id list per row of *truth*."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

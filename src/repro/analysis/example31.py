@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from repro.clustering.access import Schema, normalize_schema
+from repro.clustering.hashconfig import Schema, normalize_schema
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,14 +19,8 @@ from repro.algorithms.base import TwoPhaseMatcher
 from repro.clustering.statistics import UniformStatistics
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
-from repro.matchers import (
-    CountingMatcher,
-    DynamicMatcher,
-    PrefetchPropagationMatcher,
-    PropagationMatcher,
-    StaticMatcher,
-)
-from repro.obs import write_json_snapshot
+from repro.matchers import make_matcher
+from repro.obs import MetricsRegistry, write_json_snapshot
 from repro.workload.spec import WorkloadSpec
 
 #: Default fraction of paper scale when REPRO_SCALE is unset.
@@ -56,43 +50,18 @@ def uniform_statistics_for(spec: WorkloadSpec) -> UniformStatistics:
 
 
 def matcher_for(algorithm: str, spec: WorkloadSpec, **kwargs: Any) -> Matcher:
-    """Build one of the paper's algorithms configured for *spec*."""
-    if algorithm == "oracle":
-        from repro.core.oracle import OracleMatcher
+    """Build one of the paper's algorithms configured for *spec*.
 
-        return OracleMatcher(**kwargs)
-    if algorithm == "counting":
-        return CountingMatcher(**kwargs)
-    if algorithm == "propagation":
-        return PropagationMatcher(**kwargs)
-    if algorithm == "propagation-wp":
-        return PrefetchPropagationMatcher(**kwargs)
+    :func:`~repro.matchers.make_matcher`, plus what a workload spec
+    adds: ``static`` gets the spec's closed-form statistics, and an
+    ``inner=`` given by name is built for the same spec.
+    """
     if algorithm == "static":
         kwargs.setdefault("statistics", uniform_statistics_for(spec))
-        return StaticMatcher(**kwargs)
-    if algorithm == "dynamic":
-        return DynamicMatcher(**kwargs)
-    if algorithm == "sharded":
-        from repro.system.sharding import ShardedMatcher
-
-        inner = kwargs.pop("inner", "dynamic")
-        if isinstance(inner, str):
-            inner_name = inner
-            inner = lambda: matcher_for(inner_name, spec)
-        return ShardedMatcher(inner=inner, **kwargs)
-    if algorithm == "test-network":
-        from repro.algorithms.testnetwork import TreeMatcher
-
-        return TreeMatcher(**kwargs)
-    if algorithm == "aggregating":
-        from repro.aggregation import AggregatingMatcher
-
-        inner = kwargs.pop("inner", "dynamic")
-        if isinstance(inner, str):
-            inner_name = inner
-            inner = lambda: matcher_for(inner_name, spec)
-        return AggregatingMatcher(inner=inner, **kwargs)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    inner = kwargs.get("inner")
+    if isinstance(inner, str):
+        kwargs["inner"] = lambda: matcher_for(inner, spec)
+    return make_matcher(algorithm, **kwargs)
 
 
 #: The four algorithms compared throughout Section 6.
@@ -193,20 +162,25 @@ class PhaseSplit:
 def measure_phases(matcher: TwoPhaseMatcher, events: Sequence[Event]) -> PhaseSplit:
     """Split matching time into predicate phase and subscription phase.
 
-    Uses the two-phase matcher's internals; the sum of phases equals a
-    normal ``match`` minus bookkeeping.
+    Runs ``match`` under a private registry and reads back the phase
+    timings the engine records (``repro_match_phase_seconds``); the
+    matcher's own registry is put back afterwards.
     """
-    t_pred = 0.0
-    t_sub = 0.0
-    for event in events:
-        start = time.perf_counter()
-        matcher.bits.reset()
-        matcher.indexes.evaluate(event, matcher.bits)
-        mid = time.perf_counter()
-        matcher._match_phase2(event)
-        t_sub += time.perf_counter() - mid
-        t_pred += mid - start
-    return PhaseSplit(len(events), t_pred, t_sub)
+    attached = matcher.metrics
+    registry = matcher.use_metrics(MetricsRegistry())
+    try:
+        for event in events:
+            matcher.match(event)
+    finally:
+        matcher.use_metrics(attached)
+    phases = registry.family("repro_match_phase_seconds")
+    seconds = {
+        phase: phases.labels(
+            engine=matcher.name, shard=matcher.metrics_shard, phase=phase
+        ).sum
+        for phase in ("predicate", "subscription")
+    }
+    return PhaseSplit(len(events), seconds["predicate"], seconds["subscription"])
 
 
 def bench_snapshot_path(name: str, directory: str = ".") -> str:

@@ -73,24 +73,67 @@ ENGINES = ("oracle", "counting", "propagation", "propagation-wp", "static", "dyn
 TWO_PHASE_ENGINES = tuple(e for e in ENGINES if e != "oracle")
 
 
-def _add_executor_knobs(sub: argparse.ArgumentParser) -> None:
-    """The process-executor tuning flags shared by match/stats/health."""
+def _add_engine_flags(
+    sub: argparse.ArgumentParser,
+    engines=ENGINES,
+    executor: bool = True,
+    aggregate: bool = True,
+) -> None:
+    """The flags :func:`_build_matcher` reads, shared by
+    match/stats/explain/health.  A command without a flag group gets
+    that group's defaults, so the namespace always carries all of them."""
+    sub.add_argument("--subscriptions", required=True, help="JSON-lines file")
+    sub.add_argument("--events", required=True, help="JSON-lines file")
+    sub.add_argument("--engine", choices=engines, default="dynamic")
     sub.add_argument(
-        "--codec",
-        choices=CODECS,
-        default="auto",
-        help="worker transport (with --executor process): 'auto' packs "
-        "columnar batches over the pipe, 'shm' places each batch once in "
-        "a shared-memory slot ring (see docs/scaling.md)",
+        "--shards",
+        type=int,
+        default=1,
+        metavar="N",
+        help="partition subscriptions over N engine instances (default 1)",
     )
     sub.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill a worker whose reply exceeds this many seconds "
-        "(with --executor process; default: wait forever)",
+        "--router",
+        choices=sorted(ROUTERS),
+        default="affinity",
+        help="shard placement/pruning policy (with --shards > 1)",
     )
+    sub.set_defaults(breaker=None)  # `health` turns shard quarantine on
+    if executor:
+        sub.add_argument(
+            "--executor",
+            choices=EXECUTORS,
+            default="thread",
+            help="shard execution backend (with --shards > 1): 'process' runs "
+            "one worker process per shard for real multi-core matching",
+        )
+        sub.add_argument(
+            "--codec",
+            choices=CODECS,
+            default="auto",
+            help="worker transport (with --executor process): 'auto' packs "
+            "columnar batches over the pipe, 'shm' places each batch once in "
+            "a shared-memory slot ring (see docs/scaling.md)",
+        )
+        sub.add_argument(
+            "--worker-timeout",
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help="kill a worker whose reply exceeds this many seconds "
+            "(with --executor process; default: wait forever)",
+        )
+    else:
+        sub.set_defaults(executor="thread", codec="auto", worker_timeout=None)
+    if aggregate:
+        sub.add_argument(
+            "--aggregate",
+            action="store_true",
+            help="front the engine with the subscription-aggregation layer "
+            "(dedup + covering forest; see docs/aggregation.md)",
+        )
+    else:
+        sub.set_defaults(aggregate=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,36 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     match = commands.add_parser("match", help="match events against subscriptions")
-    match.add_argument("--subscriptions", required=True, help="JSON-lines file")
-    match.add_argument("--events", required=True, help="JSON-lines file")
-    match.add_argument("--engine", choices=ENGINES, default="dynamic")
-    match.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition subscriptions over N engine instances (default 1)",
-    )
-    match.add_argument(
-        "--router",
-        choices=sorted(ROUTERS),
-        default="affinity",
-        help="shard placement/pruning policy (with --shards > 1)",
-    )
-    match.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="thread",
-        help="shard execution backend (with --shards > 1): 'process' runs "
-        "one worker process per shard for real multi-core matching",
-    )
-    _add_executor_knobs(match)
-    match.add_argument(
-        "--aggregate",
-        action="store_true",
-        help="front the engine with the subscription-aggregation layer "
-        "(dedup + covering forest; see docs/aggregation.md)",
-    )
+    _add_engine_flags(match)
     match.add_argument(
         "--batch-size",
         type=int,
@@ -151,19 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser(
         "stats", help="run a workload instrumented and print the metrics"
     )
-    stats.add_argument("--subscriptions", required=True, help="JSON-lines file")
-    stats.add_argument("--events", required=True, help="JSON-lines file")
-    stats.add_argument("--engine", choices=ENGINES, default="dynamic")
-    stats.add_argument("--shards", type=int, default=1, metavar="N")
-    stats.add_argument("--router", choices=sorted(ROUTERS), default="affinity")
-    stats.add_argument("--executor", choices=EXECUTORS, default="thread")
-    _add_executor_knobs(stats)
-    stats.add_argument(
-        "--aggregate",
-        action="store_true",
-        help="front the engine with the subscription-aggregation layer "
-        "(dedup + covering forest; see docs/aggregation.md)",
-    )
+    _add_engine_flags(stats)
     stats.add_argument(
         "--format",
         choices=("prometheus", "json"),
@@ -180,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain = commands.add_parser(
         "explain", help="explain one event's match against the subscription set"
     )
-    explain.add_argument("--subscriptions", required=True, help="JSON-lines file")
-    explain.add_argument("--events", required=True, help="JSON-lines file")
+    _add_engine_flags(explain, engines=TWO_PHASE_ENGINES, executor=False, aggregate=False)
     explain.add_argument(
         "--event-index",
         type=int,
@@ -189,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I",
         help="which event in the file to explain (default 0)",
     )
-    explain.add_argument("--engine", choices=TWO_PHASE_ENGINES, default="dynamic")
-    explain.add_argument("--shards", type=int, default=1, metavar="N")
-    explain.add_argument("--router", choices=sorted(ROUTERS), default="affinity")
     explain.add_argument(
         "--trace",
         action="store_true",
@@ -201,13 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     health = commands.add_parser(
         "health", help="replay a workload through a bounded server, report health"
     )
-    health.add_argument("--subscriptions", required=True, help="JSON-lines file")
-    health.add_argument("--events", required=True, help="JSON-lines file")
-    health.add_argument("--engine", choices=ENGINES, default="dynamic")
-    health.add_argument("--shards", type=int, default=1, metavar="N")
-    health.add_argument("--router", choices=sorted(ROUTERS), default="affinity")
-    health.add_argument("--executor", choices=EXECUTORS, default="thread")
-    _add_executor_knobs(health)
+    _add_engine_flags(health, aggregate=False)
+    health.set_defaults(breaker=True)
     health.add_argument("--workers", type=int, default=1, metavar="N")
     health.add_argument(
         "--queue-limit",
@@ -306,13 +299,14 @@ def _build_matcher(args: argparse.Namespace):
             shards=args.shards,
             router=args.router,
             inner=lambda: matcher_for(args.engine, spec),
-            executor=getattr(args, "executor", "thread"),
-            codec=getattr(args, "codec", "auto"),
-            worker_timeout=getattr(args, "worker_timeout", None),
+            breaker=args.breaker,
+            executor=args.executor,
+            codec=args.codec,
+            worker_timeout=args.worker_timeout,
         )
     else:
         matcher = matcher_for(args.engine, spec)
-    if getattr(args, "aggregate", False):
+    if args.aggregate:
         from repro.aggregation import AggregatingMatcher
 
         matcher = AggregatingMatcher(inner=matcher)
@@ -331,10 +325,10 @@ def _snapshot_context(args: argparse.Namespace, events: int) -> dict:
         "command": args.command,
         "engine": args.engine,
         "shards": args.shards,
-        "executor": getattr(args, "executor", "thread"),
-        "codec": getattr(args, "codec", "auto"),
-        "worker_timeout": getattr(args, "worker_timeout", None),
-        "aggregate": getattr(args, "aggregate", False),
+        "executor": args.executor,
+        "codec": args.codec,
+        "worker_timeout": args.worker_timeout,
+        "aggregate": args.aggregate,
         "events": events,
     }
 
@@ -346,14 +340,11 @@ def _cmd_match(args: argparse.Namespace, out) -> int:
     matcher = _build_matcher(args)
     registry = matcher.use_metrics() if args.metrics_out else None
     _populate(matcher, subs)
-    if args.batch_size == 1:
-        results = (matcher.match(event) for event in events)
-    else:
-        results = (
-            ids
-            for start in range(0, len(events), args.batch_size)
-            for ids in matcher.match_batch(events[start : start + args.batch_size])
-        )
+    results = (
+        ids
+        for start in range(0, len(events), args.batch_size)
+        for ids in matcher.match_batch(events[start : start + args.batch_size])
+    )
     for event, ids in zip(events, results):
         matched = sorted(ids, key=str)
         out.write(json.dumps({"event": dict(event.items()), "matched": matched}))
@@ -425,19 +416,7 @@ def _cmd_health(args: argparse.Namespace, out) -> int:
     from repro.system.server import BatchServer
 
     subs, events = _load_workload(args)
-    spec = paper_workloads(0.001)["W0"]
-    if args.shards > 1:
-        matcher = ShardedMatcher(
-            shards=args.shards,
-            router=args.router,
-            inner=lambda: matcher_for(args.engine, spec),
-            breaker=True,
-            executor=args.executor,
-            codec=args.codec,
-            worker_timeout=args.worker_timeout,
-        )
-    else:
-        matcher = matcher_for(args.engine, spec)
+    matcher = _build_matcher(args)
     client_errors = {"overload": 0, "deadline": 0}
     with BatchServer(
         matcher,
@@ -509,13 +488,12 @@ def _cmd_recover(args: argparse.Namespace, out) -> int:
 
 def _read_ledger(wal_path: str):
     """Fold one WAL's delivery records into a ledger."""
-    from repro.system import DeliveryLedger, read_wal
+    from repro.system import DeliveryLedger, WalReader
 
     ledger = DeliveryLedger()
-    with open(wal_path, encoding="utf-8") as fp:
-        records, _discarded = read_wal(fp)
-    for record in records:
-        ledger.apply(record)
+    with open(wal_path, "rb") as fp:
+        for record, _end in WalReader(fp):
+            ledger.apply(record)
     return ledger
 
 

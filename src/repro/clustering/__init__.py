@@ -1,13 +1,5 @@
 """Cost-based clustering: statistics, cost model, greedy and dynamic."""
 
-from repro.clustering.access import (
-    AccessPredicate,
-    Key,
-    Schema,
-    access_for_schema,
-    key_for_schema,
-    normalize_schema,
-)
 from repro.clustering.cost import (
     CostConstants,
     CostModel,
@@ -21,7 +13,14 @@ from repro.clustering.greedy import (
     GreedyClusteringOptimizer,
     candidate_schemas,
 )
-from repro.clustering.hashconfig import HashingConfiguration, MultiAttrHashTable
+from repro.clustering.hashconfig import (
+    HashingConfiguration,
+    Key,
+    MultiAttrHashTable,
+    Schema,
+    key_for_schema,
+    normalize_schema,
+)
 from repro.clustering.statistics import (
     EventStatistics,
     Statistics,
@@ -30,7 +29,6 @@ from repro.clustering.statistics import (
 )
 
 __all__ = [
-    "AccessPredicate",
     "ClusteringPlan",
     "CostConstants",
     "CostModel",
@@ -46,7 +44,6 @@ __all__ = [
     "SignatureGroup",
     "Statistics",
     "UniformStatistics",
-    "access_for_schema",
     "candidate_schemas",
     "group_signatures",
     "key_for_schema",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.clustering.access import Schema
+from repro.clustering.hashconfig import Schema
 from repro.clustering.statistics import Statistics
 
 

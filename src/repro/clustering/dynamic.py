@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.clustering.access import Key, Schema
+from repro.clustering.hashconfig import Key, Schema
 
 #: Identity of one cluster-list entry: (table schema, probe key).
 EntryId = Tuple[Schema, Key]

@@ -16,7 +16,7 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.clustering.access import Schema
+from repro.clustering.hashconfig import Schema
 from repro.clustering.cost import CostModel, SignatureGroup, group_signatures
 from repro.clustering.greedy import ClusteringPlan, candidate_schemas
 from repro.clustering.statistics import Statistics, UniformStatistics

@@ -19,7 +19,7 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.clustering.access import Schema, normalize_schema
+from repro.clustering.hashconfig import Schema, normalize_schema
 from repro.clustering.cost import CostModel, SignatureGroup, group_signatures
 from repro.clustering.statistics import Statistics, UniformStatistics
 from repro.core.types import Subscription

@@ -1,4 +1,11 @@
-"""Multi-attribute hash tables and the hashing configuration (Section 3.1).
+"""Schemas, probe keys, multi-attribute hash tables and the hashing
+configuration (Section 3.1).
+
+An *access predicate* is the key under which a subscription is
+clustered: a conjunction of equality predicates over pairwise distinct
+attributes.  Its :data:`Schema` is the attribute set; its :data:`Key` is
+the value tuple in schema order — the probe key of the hash table for
+that schema (:func:`key_for_schema`).
 
 A :class:`MultiAttrHashTable` indexes, for one schema (attribute set), the
 cluster lists of all access predicates over that schema; probing with an
@@ -11,11 +18,40 @@ the schema of e").
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algorithms.clusters import ClusterList
-from repro.clustering.access import Key, Schema
-from repro.core.types import Event
+from repro.core.errors import ClusteringError
+from repro.core.types import Event, Subscription, Value
+
+#: A hash-table schema: attributes in sorted order.
+Schema = Tuple[str, ...]
+#: A hash-table probe key: the values of a schema's attributes, in order.
+Key = Tuple[Value, ...]
+
+
+def normalize_schema(attributes: Iterable[str]) -> Schema:
+    """Sorted, duplicate-free attribute tuple."""
+    return tuple(sorted(set(attributes)))
+
+
+def key_for_schema(sub: Subscription, schema: Schema) -> Key:
+    """Probe-key values of *sub* for *schema* (same order as the schema).
+
+    This is the key of the subscription's *access predicate* over the
+    schema (Section 3.1): its first equality predicate per schema
+    attribute, which every schema attribute must carry.
+    """
+    values: Dict[str, Value] = {}
+    for p in sub.predicates:
+        if p.operator.is_equality and p.attribute in schema and p.attribute not in values:
+            values[p.attribute] = p.value
+    try:
+        return tuple(values[a] for a in schema)
+    except KeyError as missing:
+        raise ClusteringError(
+            f"subscription {sub.id!r} lacks an equality predicate on {missing}"
+        ) from None
 
 
 class MultiAttrHashTable:

@@ -19,8 +19,12 @@ import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
 from repro.algorithms.clusters import ClusterList
-from repro.clustering.access import Key, Schema, key_for_schema
-from repro.clustering.hashconfig import HashingConfiguration
+from repro.clustering.hashconfig import (
+    HashingConfiguration,
+    Key,
+    Schema,
+    key_for_schema,
+)
 from repro.clustering.statistics import Statistics
 from repro.core.errors import ClusteringError
 from repro.core.types import Event, Operator, Predicate, Subscription

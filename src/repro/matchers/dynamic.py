@@ -24,7 +24,7 @@ import math
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.algorithms.clusters import ClusterList
-from repro.clustering.access import Key, Schema
+from repro.clustering.hashconfig import Key, Schema
 from repro.clustering.dynamic import DynamicParams, EntryId, PotentialTableTracker
 from repro.clustering.statistics import EventStatistics, Statistics
 from repro.core.types import Event, Subscription

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Optional
 
-from repro.clustering.access import Schema
+from repro.clustering.hashconfig import Schema
 from repro.clustering.cost import CostModel
 from repro.clustering.greedy import ClusteringPlan, GreedyClusteringOptimizer
 from repro.clustering.statistics import Statistics

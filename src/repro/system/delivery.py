@@ -1100,8 +1100,9 @@ class DeliveryLedger:
     def __init__(self) -> None:
         #: (sub, seq) -> {"event": pairs-dict, "at": float}
         self.outstanding: "OrderedDict[Tuple[Any, int], Dict[str, Any]]" = OrderedDict()
-        #: Settled-as-dead records, in log order.
-        self.dead: List[Dict[str, Any]] = []
+        # (sub, seq) -> its settled-as-dead records, each with the
+        # ordinal of its settle: a redrive pops a key, log order survives.
+        self._dead: Dict[Tuple[Any, int], List[Tuple[int, Dict[str, Any]]]] = {}
         self.delivers = 0
         self.settles = 0
         self.acked = 0
@@ -1127,27 +1128,29 @@ class DeliveryLedger:
             elif outcome == "shed":
                 self.shed += 1
             elif outcome == "dead-letter":
-                self.dead.append(
-                    {
-                        "sub": record.get("sub"),
-                        "seq": record.get("seq"),
-                        "event": (entry or {}).get("event", {}),
-                        "reason": record.get("reason") or "budget",
-                        "attempts": record.get("attempts", 0),
-                        "at": record.get("at", 0.0),
-                    }
-                )
+                dead = {
+                    "sub": record.get("sub"),
+                    "seq": record.get("seq"),
+                    "event": (entry or {}).get("event", {}),
+                    "reason": record.get("reason") or "budget",
+                    "attempts": record.get("attempts", 0),
+                    "at": record.get("at", 0.0),
+                }
+                self._dead.setdefault(key, []).append((self.settles, dead))
             elif outcome == "redriven":
                 # The dead letter went back into a live channel under a
                 # fresh sequence; its DLQ residency is over.
-                self.dead = [
-                    d
-                    for d in self.dead
-                    if (d["sub"], d["seq"]) != (key[0], key[1])
-                ]
+                self._dead.pop(key, None)
             self.settles += 1
             return True
         return False
+
+    @property
+    def dead(self) -> List[Dict[str, Any]]:
+        """Settled-as-dead records still dead-lettered, in log order."""
+        settled = [pair for group in self._dead.values() for pair in group]
+        settled.sort(key=lambda pair: pair[0])
+        return [dead for _ordinal, dead in settled]
 
     def summary(self) -> Dict[str, Any]:
         """Per-subscriber unacked/dead-letter totals (the CLI output)."""
@@ -1170,7 +1173,8 @@ class DeliveryLedger:
             if entry["oldest_seq"] is None:
                 entry["oldest_seq"] = seq
                 entry["oldest_at"] = info["at"]
-        for dead in self.dead:
+        dead_letters = self.dead
+        for dead in dead_letters:
             slot(dead["sub"])["dead_lettered"] += 1
         return {
             "channels": channels,
@@ -1180,6 +1184,6 @@ class DeliveryLedger:
                 "acked": self.acked,
                 "shed": self.shed,
                 "unacked": len(self.outstanding),
-                "dead_lettered": len(self.dead),
+                "dead_lettered": len(dead_letters),
             },
         }

@@ -4,8 +4,9 @@ The durable state of a broker is one file (:mod:`repro.system.wal`);
 whether it was ever compacted makes no difference to the reader.
 :func:`recover` replays it into an empty broker:
 
-1. the log's longest valid prefix is replayed in order over a table
-   keyed by subscription id — ``subscribe`` inserts/overwrites with its
+1. the log's longest valid prefix is streamed, a record at a time
+   (:class:`~repro.system.wal.WalReader`), over a table keyed by
+   subscription id — ``subscribe`` inserts/overwrites with its
    *absolute* expiry in the source broker's clock domain (``at`` +
    ``ttl``), ``unsubscribe`` deletes (including every disjunct of a
    logical formula id), ``anchor`` only advances time, and
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, Dict, Optional, Set, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Subscription
@@ -44,7 +45,7 @@ from repro.io import SerializationError, event_from_dict, subscription_from_dict
 from repro.obs.registry import MetricsRegistry
 from repro.system.broker import PubSubBroker
 from repro.system.delivery import DeliveryLedger
-from repro.system.wal import read_wal
+from repro.system.wal import RECORD_TYPES, WalReader
 
 
 class RecoveryError(ReproError, ValueError):
@@ -83,47 +84,71 @@ class RecoveryReport:
         return dataclasses.asdict(self)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class _Entry:
     subscription: Subscription
-    #: Absolute expiry in the source clock domain; None = immortal.
-    expires_src: Optional[float]
+    #: Accepted at (source clock domain); None = at the crash-time estimate.
+    at: Optional[float]
+    #: Validity window from :attr:`at`; None = immortal.
+    ttl: Optional[float]
     logical: Optional[Any]
 
 
-def _bind_metrics(registry: MetricsRegistry):
-    replayed = registry.counter(
-        "repro_recovery_replayed_total",
-        "WAL records replayed during recovery, by kind.",
-        ("kind",),
+def _subscribe_entry(record: Dict[str, Any]) -> Optional[_Entry]:
+    """The entry a ``subscribe`` record describes; None when the record
+    is structurally valid JSON but not replayable."""
+    try:
+        sub = subscription_from_dict(record["subscription"])
+    except (KeyError, TypeError, SerializationError):
+        return None
+    ttl = record.get("ttl")
+    if ttl is not None and not isinstance(ttl, (int, float)):
+        return None
+    at = record.get("at")
+    return _Entry(
+        sub, at if isinstance(at, (int, float)) else None, ttl, record.get("logical")
     )
-    return {
-        "subscribe": replayed.labels(kind="subscribe"),
-        "unsubscribe": replayed.labels(kind="unsubscribe"),
-        "anchor": replayed.labels(kind="anchor"),
-        "deliver": replayed.labels(kind="deliver"),
-        "settle": replayed.labels(kind="settle"),
-        "restored": registry.counter(
-            "repro_recovery_restored_total",
-            "Subscriptions installed into the recovering broker.",
-        ).labels(),
-        "skipped_expired": registry.counter(
-            "repro_recovery_skipped_expired_total",
-            "Entries dropped at recovery because they expired pre-crash.",
-        ).labels(),
-        "torn_tail_discarded": registry.counter(
-            "repro_recovery_torn_tail_discarded_total",
-            "WAL lines distrusted after the first damaged record.",
-        ).labels(),
-    }
+
+
+class _Table:
+    """The live subscriptions during a replay, keyed by id.
+
+    Every id ever subscribed as a formula's disjunct is also filed under
+    that formula, so an ``unsubscribe`` visits those ids — and drops the
+    ones still the formula's — instead of scanning the table.
+    """
+
+    def __init__(self) -> None:
+        self.entries: Dict[Any, _Entry] = {}
+        self._filed: Dict[Any, Set[Any]] = {}  # logical id -> entry ids
+
+    def subscribe(self, entry: _Entry) -> None:
+        """Insert, or overwrite in place."""
+        self.entries[entry.subscription.id] = entry
+        if entry.logical is not None:
+            self._filed.setdefault(entry.logical, set()).add(entry.subscription.id)
+
+    def unsubscribe(self, sub_id: Any) -> bool:
+        """Drop the entry with this id and every disjunct of the formula
+        with this id; False when there was neither."""
+        removed = self.entries.pop(sub_id, None) is not None
+        for key in self._filed.pop(sub_id, ()):
+            # Filed once, but since unsubscribed or moved to another
+            # formula (or made a plain subscription)?  Then not ours.
+            entry = self.entries.get(key)
+            if entry is not None and entry.logical == sub_id:
+                del self.entries[key]
+                removed = True
+        return removed
 
 
 def recover(
     broker: PubSubBroker,
-    wal_fp: Optional[IO[str]] = None,
+    wal_fp: Optional[Union[IO[str], IO[bytes]]] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> RecoveryReport:
-    """Restore *broker* (must be empty) from a WAL stream.
+    """Restore *broker* (must be empty) from a WAL stream, text or binary,
+    in one pass whose memory is the surviving state, not the log.
 
     No stream is an empty log.  Raises :class:`RecoveryError` on a
     non-empty broker and :class:`~repro.system.wal.WalError` on input
@@ -134,68 +159,52 @@ def recover(
         raise RecoveryError("recovery requires an empty broker")
     report = RecoveryReport()
 
-    wal_records: List[Dict[str, Any]] = []
-    if wal_fp is not None:
-        wal_records, report.torn_tail_discarded = read_wal(wal_fp)
-
-    times = [
-        float(r["at"]) for r in wal_records if isinstance(r.get("at"), (int, float))
-    ]
-    entries: Dict[Any, _Entry] = {}
+    reader = WalReader(wal_fp if wal_fp is not None else ())
+    records = iter(reader)
+    table = _Table()
     ledger = DeliveryLedger()
-    for index, record in enumerate(wal_records):
-        kind = record.get("type")
-        at = record.get("at")
-        if not isinstance(at, (int, float)):
-            at = None
-        if kind == "anchor":
-            report.anchors += 1
-        elif kind in ("deliver", "settle"):
+    replayed = dict.fromkeys(RECORD_TYPES, 0)  # kind -> records folded
+    for record, _end in records:
+        kind = record["type"]
+        if kind in ("deliver", "settle"):
             ledger.apply(record)
-            if kind == "deliver":
-                report.replayed_deliveries += 1
-            else:
-                report.replayed_settles += 1
         elif kind == "subscribe":
-            try:
-                sub = subscription_from_dict(record["subscription"])
-            except (KeyError, TypeError, SerializationError):
-                # Structurally valid JSON but not a replayable record:
-                # treat like tail damage — trust nothing further.
-                report.torn_tail_discarded += len(wal_records) - index
+            entry = _subscribe_entry(record)
+            if entry is None:
+                # Treat like tail damage — trust nothing further, but
+                # read on to count it (and keep the clock estimate).
+                report.torn_tail_discarded = 1 + sum(1 for _ in records)
                 break
-            ttl = record.get("ttl")
-            if ttl is not None and not isinstance(ttl, (int, float)):
-                report.torn_tail_discarded += len(wal_records) - index
-                break
-            base = at if at is not None else (times and max(times)) or 0.0
-            expires = None if ttl is None else base + ttl
-            entries[sub.id] = _Entry(sub, expires, record.get("logical"))
-            report.replayed_subscribes += 1
+            table.subscribe(entry)
         elif kind == "unsubscribe":
-            sid = record.get("id")
-            removed = entries.pop(sid, None) is not None
-            for key in [k for k, e in entries.items() if e.logical == sid]:
-                del entries[key]
-                removed = True
-            if not removed:
+            if not table.unsubscribe(record.get("id")):
                 report.unknown_unsubscribes += 1
-            report.replayed_unsubscribes += 1
-        report.wal_records += 1
+        replayed[kind] += 1
+    report.torn_tail_discarded += reader.discarded
+    report.wal_records = sum(replayed.values())
+    report.anchors = replayed["anchor"]
+    report.replayed_subscribes = replayed["subscribe"]
+    report.replayed_unsubscribes = replayed["unsubscribe"]
+    report.replayed_deliveries = replayed["deliver"]
+    report.replayed_settles = replayed["settle"]
 
-    now_src = max(times) if times else 0.0
-    report.source_clock = now_src if wal_records else None
+    now_src = reader.last_at if reader.last_at is not None else 0.0
+    report.source_clock = now_src if reader.records else None
 
-    for entry in entries.values():
-        remaining = None if entry.expires_src is None else entry.expires_src - now_src
-        if remaining is not None and remaining <= 0:
-            report.skipped_expired += 1
-            continue
+    for entry in table.entries.values():
+        remaining = None
+        if entry.ttl is not None:
+            accepted = entry.at if entry.at is not None else now_src
+            remaining = accepted + entry.ttl - now_src
+            if remaining <= 0:
+                report.skipped_expired += 1
+                continue
         broker.restore_subscription(entry.subscription, remaining, entry.logical)
         report.restored += 1
 
+    dead_letters = ledger.dead
     report.unacked_deliveries = len(ledger.outstanding)
-    report.recovered_dead_letters = len(ledger.dead)
+    report.recovered_dead_letters = len(dead_letters)
     delivery = getattr(broker, "delivery", None)
     if delivery is not None:
         # restore() never journals: the surviving ``deliver`` records
@@ -206,7 +215,7 @@ def recover(
             except (KeyError, TypeError, SerializationError):
                 continue  # a ledger entry we cannot reconstruct
             delivery.restore(sub_id, seq, event, at=info["at"])
-        for dead in ledger.dead:
+        for dead in dead_letters:
             try:
                 event = event_from_dict(dead["event"])
             except (KeyError, TypeError, SerializationError):
@@ -221,15 +230,22 @@ def recover(
             )
 
     if metrics is not None:
-        m = _bind_metrics(metrics)
-        m["subscribe"].inc(report.replayed_subscribes)
-        m["unsubscribe"].inc(report.replayed_unsubscribes)
-        m["anchor"].inc(report.anchors)
-        m["deliver"].inc(report.replayed_deliveries)
-        m["settle"].inc(report.replayed_settles)
-        m["restored"].inc(report.restored)
-        m["skipped_expired"].inc(report.skipped_expired)
-        m["torn_tail_discarded"].inc(report.torn_tail_discarded)
+        by_kind = metrics.counter(
+            "repro_recovery_replayed_total",
+            "WAL records replayed during recovery, by kind.",
+            ("kind",),
+        )
+        for kind, count in replayed.items():
+            by_kind.labels(kind=kind).inc(count)
+        for name, count, help_text in (
+            ("repro_recovery_restored_total", report.restored,
+             "Subscriptions installed into the recovering broker."),
+            ("repro_recovery_skipped_expired_total", report.skipped_expired,
+             "Entries dropped at recovery because they expired pre-crash."),
+            ("repro_recovery_torn_tail_discarded_total", report.torn_tail_discarded,
+             "WAL lines distrusted after the first damaged record."),
+        ):  # fmt: skip
+            metrics.counter(name, help_text).labels().inc(count)
     return report
 
 
@@ -242,5 +258,7 @@ def recover_files(
     (a broker that crashed before its first append)."""
     if wal_path is None or not os.path.exists(wal_path):
         return recover(broker, metrics=metrics)
-    with open(wal_path, encoding="utf-8") as wal_fp:
+    # Bytes, as the re-open path reads them: a tail garbled into invalid
+    # UTF-8 is damage to both, not a decode error to one.
+    with open(wal_path, "rb") as wal_fp:
         return recover(broker, wal_fp, metrics=metrics)

@@ -59,6 +59,7 @@ from repro.system.resilience import (
     DeadlineExceededError,
     ServerOverloadedError,
 )
+from repro.system.sharding import ShardedMatcher
 from repro.system.wal import WriteAheadLog
 
 #: Request kinds a batch can carry (the label set of the server families).
@@ -66,6 +67,17 @@ _KINDS = ("subscribe", "unsubscribe", "publish")
 
 #: Reasons a request can be shed (the ``repro_server_shed_total`` labels).
 _SHED_REASONS = ("overload", "deadline", "closed")
+
+
+def _sharded_layer(matcher: Matcher) -> Optional[ShardedMatcher]:
+    """The shard fan-out inside *matcher*, however deeply it is wrapped."""
+    if isinstance(matcher, ShardedMatcher):
+        return matcher
+    for inner in matcher.inner_matchers():
+        found = _sharded_layer(inner)
+        if found is not None:
+            return found
+    return None
 
 
 class ServerClosedError(ReproError, RuntimeError):
@@ -139,7 +151,7 @@ class BatchServer:
                 wal=wal,
                 delivery=delivery,
             )
-        if workers > 1 and not getattr(broker.matcher, "thread_safe", False):
+        if workers > 1 and not broker.matcher.thread_safe:
             broker.matcher = ThreadSafeMatcher(broker.matcher)
         #: The one publish path: every batch is a
         #: ``subscribe_batch`` / ``unsubscribe_batch`` / ``publish_batch``
@@ -428,15 +440,13 @@ class BatchServer:
         with self._metrics_lock:
             shed = {r: int(self._m_shed[r].value) for r in _SHED_REASONS}
         breakers: Optional[Dict[str, str]] = None
-        breaker_states = getattr(self.matcher, "breaker_states", None)
-        if callable(breaker_states):
-            states = breaker_states()
+        executor: Optional[Dict[str, Any]] = None
+        sharded = _sharded_layer(self.matcher)
+        if sharded is not None:
+            states = sharded.breaker_states()
             if states is not None:
                 breakers = {str(shard): state for shard, state in states.items()}
-        executor: Optional[Dict[str, Any]] = None
-        executor_health = getattr(self.matcher, "executor_health", None)
-        if callable(executor_health):
-            executor = executor_health()
+            executor = sharded.executor_health()
         delivery: Optional[Dict[str, Any]] = None
         if self.broker.delivery is not None:
             delivery = self.broker.delivery.health()

@@ -47,10 +47,10 @@ Durability knobs:
   is flushed to the OS).
 
 Torn tails: a crash mid-append leaves a truncated or garbled last line.
-Both the append path (re-opening an existing log truncates it back to
-its longest valid prefix) and the read path (:func:`read_wal` stops at
-the first invalid record) treat the log as *prefix-consistent*: nothing
-after the first damage is trusted.
+The log is *prefix-consistent* — nothing after the first damage is
+trusted — and :class:`WalReader` is the one place that says so: the
+append path (re-opening a log truncates it to :func:`scan_valid_prefix`),
+:func:`read_wal`, recovery and the CLI are all folds over it.
 
 Compaction: a snapshot is nothing but a log that has been compacted.
 :func:`write_compacted` writes the broker's current state as a fresh,
@@ -69,7 +69,8 @@ import json
 import os
 import threading
 import time
-from typing import IO, TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from collections.abc import Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Any, AnyStr, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Subscription
@@ -133,101 +134,101 @@ def _check_header(record: Optional[Dict[str, Any]], parsed_ok: bool) -> None:
         raise WalError(f"not a v{FORMAT_VERSION} broker WAL")
 
 
-def _parse_line(text: str) -> Tuple[Optional[Dict[str, Any]], bool]:
-    """``(record-or-None, parsed_ok)`` for one complete line."""
+def _parse_line(line: AnyStr) -> Tuple[Optional[Dict[str, Any]], bool]:
+    """``(record-or-None, parsed_ok)`` for one line; torn (no newline)
+    or garbled (not UTF-8, not JSON) is not parsed."""
+    if not line.endswith(b"\n" if isinstance(line, bytes) else "\n"):
+        return None, False
     try:
-        parsed = json.loads(text)
-    except json.JSONDecodeError:
+        parsed = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+    except ValueError:  # UnicodeDecodeError or JSONDecodeError
         return None, False
     return (parsed, True) if isinstance(parsed, dict) else (None, True)
 
 
-def scan_valid_prefix(path: Union[str, os.PathLike]) -> Tuple[int, int, int, Optional[float]]:
-    """Find the longest valid prefix of the WAL file at *path*.
+def _timestamp(value: Any) -> Optional[float]:
+    return float(value) if isinstance(value, (int, float)) else None
 
-    Returns ``(prefix_bytes, records, discarded_lines, last_at)``:
-    byte length of the trusted prefix (header included), its non-header
-    record count, the (full or partial) lines after the first damage,
-    and the newest timestamp seen.  A damaged or torn header yields an
-    empty prefix; a first line that is valid JSON but not our header
-    raises :class:`WalError` (that file is not a WAL at all).
+
+class WalReader:
+    """The one reader: stream the trusted records of a log.
+
+    *lines* is an open log, binary or text (or any iterable of its
+    lines).  Iterating yields ``(record, end)`` per non-header record of
+    the longest valid prefix, a line at a time; *end* is the offset just
+    past it in the stream's own units (bytes for a binary stream — what
+    a re-open truncates by).  The first torn, garbled or alien line ends
+    the trusted prefix: it and everything after it are only counted.  A
+    damaged header is an empty log; a first line that is valid JSON but
+    not our header raises :class:`WalError` (not a WAL at all).
+
+    A pass leaves behind :attr:`prefix_end` / :attr:`records` (the
+    trusted prefix, header included), :attr:`discarded` (final once
+    iteration ends — drain the reader to count what the caller stopped
+    trusting earlier), :attr:`header_clock` and :attr:`last_at` (the
+    newest record timestamp so far).
     """
-    prefix_bytes = 0
-    records = 0
-    last_at: Optional[float] = None
-    with open(path, "rb") as fp:
-        first = True
-        while True:
-            line = fp.readline()
-            if not line:
-                return prefix_bytes, records, 0, last_at
-            record: Optional[Dict[str, Any]] = None
-            parsed_ok = False
-            if line.endswith(b"\n"):
-                try:
-                    record, parsed_ok = _parse_line(line.decode("utf-8"))
-                except UnicodeDecodeError:
-                    record, parsed_ok = None, False
-            if first:
+
+    def __init__(self, lines: Iterable[AnyStr]) -> None:
+        self._lines = lines
+        self.prefix_end = 0
+        self.records = 0
+        self.discarded = 0
+        self.header_clock: Optional[float] = None
+        self.last_at: Optional[float] = None
+
+    def __iter__(self) -> Iterator[Tuple[Dict[str, Any], int]]:
+        lines = iter(self._lines)
+        header = True
+        for line in lines:
+            record, parsed_ok = _parse_line(line)
+            if header:
                 _check_header(record, parsed_ok)
                 if record is None:
                     break  # damaged header: trust nothing
-                clock = record.get("clock")
-                if isinstance(clock, (int, float)):
-                    last_at = float(clock)
-                first = False
-            elif record is None or record.get("type") not in RECORD_TYPES:
+                self.header_clock = _timestamp(record.get("clock"))
+                self.prefix_end += len(line)
+                header = False
+                continue
+            if record is None or record.get("type") not in RECORD_TYPES:
                 break  # first damaged/alien record: distrust the rest
-            else:
-                at = record.get("at")
-                if isinstance(at, (int, float)):
-                    last_at = at if last_at is None else max(last_at, float(at))
-                records += 1
-            prefix_bytes = fp.tell()
-        # Count the damaged line and everything after it.
-        rest = line + fp.read()
-        discarded = rest.count(b"\n")
-        if not rest.endswith(b"\n"):
-            discarded += 1
-    return prefix_bytes, records, discarded, last_at
+            at = _timestamp(record.get("at"))
+            if at is not None and (self.last_at is None or at > self.last_at):
+                self.last_at = at
+            self.prefix_end += len(line)
+            self.records += 1
+            yield record, self.prefix_end
+        else:
+            return
+        self.discarded = 1 + sum(1 for _ in lines)
 
 
-def read_wal(fp: IO[str]) -> Tuple[List[Dict[str, Any]], int]:
-    """Read WAL records from a text stream, tolerating a damaged tail.
+def scan_valid_prefix(path: Union[str, os.PathLike]) -> Tuple[int, int, int, Optional[float]]:
+    """The prefix form of :class:`WalReader`, for the file at *path*.
+
+    Returns ``(prefix_bytes, records, discarded_lines, last_at)``: byte
+    length of the trusted prefix (header included), its non-header
+    record count, the (full or partial) lines after the first damage,
+    and the newest timestamp seen (the header's clock included).
+    """
+    with open(path, "rb") as fp:
+        reader = WalReader(fp)
+        for _ in reader:
+            pass
+    stamps = [t for t in (reader.header_clock, reader.last_at) if t is not None]
+    return reader.prefix_end, reader.records, reader.discarded, max(stamps, default=None)
+
+
+def read_wal(fp: IO[AnyStr]) -> Tuple[List[Dict[str, Any]], int]:
+    """The list form of :class:`WalReader`, for an open log.
 
     Returns ``(records, discarded_lines)``: the longest valid prefix of
     non-header records, and how many trailing lines (the first torn or
-    garbled one and everything after it) were discarded.  An empty
-    stream — or one whose very header was torn mid-write — is an empty
-    log; a stream that is readable but not a WAL raises
-    :class:`WalError`.
+    garbled one and everything after it) were discarded.
     """
-    raw = fp.read()
-    if not raw:
-        return [], 0
-    torn_tail = not raw.endswith("\n")
-    chunks = raw.split("\n")
-    if chunks and chunks[-1] == "":
-        chunks.pop()  # the final newline's empty remainder, not a line
-    records: List[Dict[str, Any]] = []
-    first = True
-    for index, chunk in enumerate(chunks):
-        complete = not (torn_tail and index == len(chunks) - 1)
-        record: Optional[Dict[str, Any]] = None
-        parsed_ok = False
-        if complete:
-            record, parsed_ok = _parse_line(chunk) if chunk.strip() else (None, False)
-        if first:
-            if complete:
-                _check_header(record, parsed_ok)
-            if record is None:
-                return [], len(chunks) - index  # damaged header
-            first = False
-            continue
-        if record is None or record.get("type") not in RECORD_TYPES:
-            return records, len(chunks) - index
-        records.append(record)
-    return records, 0
+    reader = WalReader(fp)
+    records = [record for record, _end in reader]
+    return records, reader.discarded
 
 
 def _line(record: Dict[str, Any]) -> str:

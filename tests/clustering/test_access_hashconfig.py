@@ -3,15 +3,17 @@
 import pytest
 
 from repro.clustering import (
-    AccessPredicate,
     HashingConfiguration,
     MultiAttrHashTable,
-    access_for_schema,
     key_for_schema,
     normalize_schema,
 )
 from repro.core import Event, Subscription, eq, le
 from repro.core.errors import ClusteringError
+
+# The validated object form of an access predicate is the placement
+# differential's reference model; src/ keeps only ``key_for_schema``.
+from tests.properties.test_prop_placement import AccessPredicate, access_for_schema
 
 
 class TestAccessPredicate:

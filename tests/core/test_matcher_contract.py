@@ -25,7 +25,7 @@ from repro.core.threadsafe import ThreadSafeMatcher
 from repro.io import dump_events, dump_subscriptions
 from repro.matchers import DynamicMatcher
 from repro.obs import MetricsRegistry, Tracer
-from repro.system import PubSubBroker, ShardedMatcher
+from repro.system import BatchServer, PubSubBroker, ShardedMatcher
 from repro.testing.faults import FlakyMatcher, KillableWorker, SlowMatcher
 from repro.workload.scenarios import paper_workloads
 
@@ -139,6 +139,42 @@ class TestCompositionContract:
             assert matcher.get("s0") is leaves[0].get("s0")
         removed = matcher.remove("s0")
         assert removed == SUBS[0] and len(matcher) == sum(map(len, leaves)) == 7
+
+
+#: The single-inner layers of ``COMPOSITIONS``, here over a sharded engine.
+WRAPPERS = {
+    "bare": lambda sharded: sharded,
+    "thread-safe": ThreadSafeMatcher,
+    "flaky": lambda sharded: FlakyMatcher(sharded, failures=0),
+    "slow": lambda sharded: SlowMatcher(sharded, delay=0),
+    "aggregating": lambda sharded: AggregatingMatcher(inner=sharded),
+    "two-deep": lambda sharded: ThreadSafeMatcher(AggregatingMatcher(inner=sharded)),
+}
+
+
+class TestHealthSeesThroughWrappers:
+    """``BatchServer.health()`` finds the shard fan-out by walking
+    ``inner_matchers()``: an open breaker degrades the stack however many
+    layers sit between the server and the ``ShardedMatcher``."""
+
+    @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+    def test_an_open_shard_breaker_is_reported(self, wrapper):
+        sharded = ShardedMatcher(shards=2, router="roundrobin", breaker=True)
+        with BatchServer(WRAPPERS[wrapper](sharded)) as server:
+            server.submit_subscriptions(SUBS)
+            healthy = server.health()
+            assert healthy["status"] == "ok"
+            assert healthy["breakers"] == {"0": "closed", "1": "closed"}
+            sharded.breaker(1).force_open()
+            report = server.health()
+        assert report["status"] == "degraded"
+        assert report["breakers"] == {"0": "closed", "1": "open"}
+        assert report["executor"] == {"executor": "thread", "workers": 2, "alive": 2}
+
+    def test_an_unsharded_stack_reports_neither(self):
+        with BatchServer(ThreadSafeMatcher(DynamicMatcher())) as server:
+            report = server.health()
+        assert (report["status"], report["breakers"], report["executor"]) == ("ok", None, None)
 
 
 class TestTheDefectsThatMotivatedIt:

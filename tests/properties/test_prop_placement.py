@@ -6,7 +6,8 @@ builds probe key and residual refs in one pass.  The reference below
 carries the previous definitions verbatim — every decision re-derived
 from the statistics on every call, placement through
 ``access_for_schema`` → ``AccessPredicate`` → ``ordered_residual_bits``
-— and must stay indistinguishable under any interleaving of writes,
+(the first two live here: nothing in ``src/`` builds an access
+predicate object any more) — and must stay indistinguishable under any interleaving of writes,
 observation, decay, sweeps and table creation and deletion.
 """
 
@@ -16,13 +17,67 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.clustering import DynamicParams, EventStatistics, access_for_schema
+from repro.clustering import DynamicParams, EventStatistics
 from repro.clustering.dynamic import EntryId
 from repro.matchers import DynamicMatcher
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.scenarios import w0
 from repro.core import Subscription, eq
+from repro.core.errors import ClusteringError
 from tests.properties.strategies import ATTRIBUTES, events, predicates
+
+
+class AccessPredicate:
+    """Immutable conjunction of equality predicates keyed for hashing —
+    the validated form of what ``_place_under`` derives in one pass
+    (``tests/clustering/test_access_hashconfig.py`` holds it to the
+    paper's definition and to ``key_for_schema``)."""
+
+    __slots__ = ("predicates", "schema", "key")
+
+    def __init__(self, predicates):
+        preds = tuple(sorted(predicates, key=lambda p: p.attribute))
+        seen = set()
+        for p in preds:
+            if not p.operator.is_equality:
+                raise ClusteringError(f"access predicates are equality-only, got {p!r}")
+            if p.attribute in seen:
+                raise ClusteringError(
+                    f"access predicate has two predicates on {p.attribute!r}"
+                )
+            seen.add(p.attribute)
+        if not preds:
+            raise ClusteringError("access predicate must be non-empty")
+        object.__setattr__(self, "predicates", preds)
+        object.__setattr__(self, "schema", tuple(p.attribute for p in preds))
+        object.__setattr__(self, "key", tuple(p.value for p in preds))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AccessPredicate is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, AccessPredicate):
+            return NotImplemented
+        return self.predicates == other.predicates
+
+    def __hash__(self):
+        return hash(self.predicates)
+
+
+def access_for_schema(sub, schema):
+    """The access predicate of *sub* over *schema*: its first equality
+    predicate on every schema attribute (``schema ⊆ A(s)``)."""
+    wanted = set(schema)
+    chosen = []
+    for p in sub.predicates:
+        if p.operator.is_equality and p.attribute in wanted:
+            chosen.append(p)
+            wanted.discard(p.attribute)
+    if wanted:
+        raise ClusteringError(
+            f"subscription {sub.id!r} lacks equality predicates on {sorted(wanted)}"
+        )
+    return AccessPredicate(chosen)
 
 
 class UnmemoizedDynamicMatcher(DynamicMatcher):

@@ -1,11 +1,22 @@
 """Properties of crash recovery.
 
 **Any crash offset is prefix-consistent.**  The broker journals a
-random subscribe/unsubscribe/advance workload, then the WAL is
+random subscribe/formula/unsubscribe/advance workload, then the WAL is
 truncated at an arbitrary byte offset (the crash).  Recovery must restore exactly the live set implied by the longest valid
 record prefix of the damaged file — computed here by an independent
 JSON-lines parser and replay table, not by the WAL module under test —
 and the restored matcher must agree with direct predicate evaluation.
+
+**Every reader agrees on a damaged log, and recovery is what it was.**
+A log — written by a broker with formulas, leases, dead letters and
+redrives, or made up record by record (all five kinds, records without
+``at``, unreplayable subscribes, re-used ids) — is truncated at, or has
+one byte garbled at, arbitrary offsets.  The prefix form
+(``scan_valid_prefix``, what re-opening truncates to), the list form
+(``read_wal``) and ``recover`` must trust the same records and discard
+the same lines, and ``recover`` must make exactly the calls the previous
+implementation made — kept below, verbatim, as the reference: the whole
+log in memory and a table scan per ``unsubscribe``.
 
 **Compaction is invisible to recovery.**  The same plan — subscribes
 with ttls, formulas, unsubscribes, clock advances, publishes into
@@ -16,6 +27,7 @@ set, remaining ttls, one notification per formula, open leases and
 dead letters.
 """
 
+import io
 import json
 import os
 import random
@@ -27,24 +39,45 @@ from hypothesis import strategies as st
 
 from repro.aggregation import AggregatingMatcher
 from repro.core import Event, Subscription
-from repro.io import subscription_from_dict
+from repro.io import (
+    SerializationError,
+    event_from_dict,
+    subscription_from_dict,
+    subscription_to_dict,
+)
 from repro.system import (
+    DeliveryLedger,
     DeliveryManager,
     PubSubBroker,
     QueueNotifier,
     RetryPolicy,
     ShardedMatcher,
     VirtualClock,
+    WalError,
     WriteAheadLog,
+    read_wal,
+    recover,
     recover_files,
 )
+from repro.system.wal import scan_valid_prefix
 from tests.properties.strategies import VALUES, events, predicates, subscriptions
+
+#: Every disjunct of every formula is satisfied by ``FORMULA_PROBE``.
+FORMULAS = ["a = 1 or b = 2", "c = 3 or d = 4", "a = 1 or e = 5 or c = 3"]
+FORMULA_PROBE = Event({"a": 1, "b": 2, "c": 3, "d": 4, "e": 5})
 
 OPS = st.lists(
     st.one_of(
         st.tuples(
             st.just("subscribe"),
-            subscriptions(),
+            # String ids, like the formulas': the broker's expiry heap
+            # orders equal deadlines by id.
+            subscriptions().map(lambda s: Subscription(f"s{s.id}", s.predicates)),
+            st.one_of(st.none(), st.floats(min_value=1.0, max_value=50.0)),
+        ),
+        st.tuples(
+            st.just("formula"),
+            st.sampled_from(FORMULAS),
             st.one_of(st.none(), st.floats(min_value=1.0, max_value=50.0)),
         ),
         st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=30)),
@@ -62,7 +95,7 @@ def run_workload(ops, wal_path):
     wal = WriteAheadLog(wal_path, clock=clock, fsync="never")
     broker = PubSubBroker(clock=clock, notifier=QueueNotifier(), wal=wal)
     live = {}  # id -> absolute expiry (None = immortal), mirrors the broker
-    for op in ops:
+    for index, op in enumerate(ops):
         now = clock.now()
         live = {i: e for i, e in live.items() if e is None or e > now}
         if op[0] == "subscribe":
@@ -71,6 +104,10 @@ def run_workload(ops, wal_path):
                 continue  # the broker rejects duplicate live ids
             broker.subscribe(sub, ttl=ttl, notify_retained=False)
             live[sub.id] = None if ttl is None else now + ttl
+        elif op[0] == "formula":
+            _, text, ttl = op
+            fid = broker.subscribe_formula(text, f"F{index}", ttl=ttl)
+            live[fid] = None if ttl is None else now + ttl
         elif op[0] == "unsubscribe":
             candidates = sorted(live)
             if not candidates:
@@ -90,7 +127,7 @@ def oracle_live_set(wal_path):
         raw = fp.read()
     # A chunk without a trailing newline is torn, never trusted.
     chunks = raw.split(b"\n")[:-1]
-    table = {}  # id -> (subscription, expires-or-None)
+    table = {}  # id -> (subscription, expires-or-None, logical-id-or-None)
     times = []
     for index, chunk in enumerate(chunks):
         try:
@@ -108,10 +145,16 @@ def oracle_live_set(wal_path):
             sub = subscription_from_dict(record["subscription"])
             ttl = record["ttl"]
             at = record["at"]
-            table[sub.id] = (sub, None if ttl is None else at + ttl)
+            expires = None if ttl is None else at + ttl
+            table[sub.id] = (sub, expires, record.get("logical"))
             times.append(at)
         elif kind == "unsubscribe":
-            table.pop(record["id"], None)
+            # A plain id, or a formula's: then every disjunct goes.
+            table = {
+                sid: entry
+                for sid, entry in table.items()
+                if record["id"] not in (sid, entry[2])
+            }
             times.append(record["at"])
         elif kind == "anchor":
             times.append(record["at"])
@@ -119,7 +162,7 @@ def oracle_live_set(wal_path):
             break
     now = max(times) if times else 0.0
     return {
-        sid: sub for sid, (sub, expires) in table.items()
+        sid: sub for sid, (sub, expires, _logical) in table.items()
         if expires is None or expires > now
     }
 
@@ -161,10 +204,6 @@ ENGINES = {
     "aggregating": AggregatingMatcher,
 }
 
-#: Every disjunct of every formula is satisfied by ``FORMULA_PROBE``.
-FORMULAS = ["a = 1 or b = 2", "c = 3 or d = 4", "a = 1 or e = 5 or c = 3"]
-FORMULA_PROBE = Event({"a": 1, "b": 2, "c": 3, "d": 4, "e": 5})
-
 def QUARTERS(lo, hi):
     """Times are multiples of 1/4, so ``at + (expiry - at)`` is exact
     and a compacted log can be held to *equal* remaining ttls."""
@@ -188,21 +227,23 @@ WIDE_EVENTS = st.one_of(
     st.fixed_dictionaries({a: VALUES for a in "abcde"}).map(Event),
 )
 
-PLAN = st.lists(
-    st.one_of(
-        st.tuples(st.just("subscribe"), BROAD_SUBS, TTLS),
-        st.tuples(st.just("formula"), st.sampled_from(FORMULAS), TTLS),
-        st.tuples(st.just("unsubscribe"), PICK),
-        st.tuples(st.just("advance"), QUARTERS(0, 10)),
-        st.tuples(st.just("publish"), WIDE_EVENTS),
-        st.tuples(st.just("publish"), WIDE_EVENTS),
-        # The next three act on the subscriber of the PICK-th open lease.
-        st.tuples(st.just("ack"), PICK),  # lease one delivery and ack it
-        st.tuples(st.just("lease"), PICK),  # lease one and lose the ack
-        st.tuples(st.just("disconnect"), PICK),  # its leases dead-letter
-    ),
-    min_size=6,
-    max_size=30,
+PLAN_OPS = (
+    st.tuples(st.just("subscribe"), BROAD_SUBS, TTLS),
+    st.tuples(st.just("formula"), st.sampled_from(FORMULAS), TTLS),
+    st.tuples(st.just("unsubscribe"), PICK),
+    st.tuples(st.just("advance"), QUARTERS(0, 10)),
+    st.tuples(st.just("publish"), WIDE_EVENTS),
+    st.tuples(st.just("publish"), WIDE_EVENTS),
+    # The next three act on the subscriber of the PICK-th open lease.
+    st.tuples(st.just("ack"), PICK),  # lease one delivery and ack it
+    st.tuples(st.just("lease"), PICK),  # lease one and lose the ack
+    st.tuples(st.just("disconnect"), PICK),  # its leases dead-letter
+)
+PLAN = st.lists(st.one_of(*PLAN_OPS), min_size=6, max_size=30)
+#: ... plus: the subscriber of the PICK-th dead letter reconnects and
+#: its dead letters are re-driven.
+REDRIVE_PLAN = st.lists(
+    st.one_of(*PLAN_OPS, st.tuples(st.just("redrive"), PICK)), min_size=6, max_size=30
 )
 
 
@@ -248,6 +289,12 @@ def run_plan(engine, plan, wal_path, compact_after):
             clock.advance(op[1])
         elif kind == "publish":
             broker.publish(op[1])
+        elif kind == "redrive" and len(manager.dead_letters):
+            # Its subscriber reconnects; the dead letters go out again.
+            dead = manager.dead_letters.entries()
+            sub_id = dead[op[1] % len(dead)].sub_id
+            manager.register(sub_id)
+            manager.redrive(sub_id)
         elif kind in ("ack", "lease", "disconnect") and manager.inflight:
             open_leases = manager.outstanding_leases()
             sub_id = open_leases[op[1] % len(open_leases)][0]
@@ -345,5 +392,329 @@ def test_recovering_a_compacted_log_equals_recovering_the_full_history(engine, e
     @given(plan=PLAN, cuts=CUTS, probes=PROBES)
     def check(plan, cuts, probes):
         check_compaction_is_invisible(engine, plan, cuts, probes)
+
+    check()
+
+
+# ----------------------------------------------------------------------
+# every reader agrees on a damaged log, and recovery is what it was
+# ----------------------------------------------------------------------
+RECORD_TYPES = ("anchor", "subscribe", "unsubscribe", "deliver", "settle")
+
+
+def reference_read_wal(raw):
+    """The previous ``read_wal``, verbatim but for reading bytes (a line
+    that is not UTF-8 is damage, as it always was to the re-open path)."""
+    if not raw:
+        return [], 0
+    torn_tail = not raw.endswith(b"\n")
+    chunks = raw.split(b"\n")
+    if chunks and chunks[-1] == b"":
+        chunks.pop()  # the final newline's empty remainder, not a line
+    records = []
+    first = True
+    for index, chunk in enumerate(chunks):
+        complete = not (torn_tail and index == len(chunks) - 1)
+        record, parsed_ok = None, False
+        if complete and chunk.strip():
+            try:
+                parsed = json.loads(chunk.decode("utf-8"))
+            except ValueError:
+                pass
+            else:
+                record, parsed_ok = (parsed if isinstance(parsed, dict) else None), True
+        if first:
+            if complete and (
+                (record is None and parsed_ok)
+                or (
+                    record is not None
+                    and (record.get("type"), record.get("version")) != ("repro-broker-wal", 1)
+                )
+            ):
+                raise WalError("not a v1 broker WAL")
+            if record is None:
+                return [], len(chunks) - index  # damaged header
+            first = False
+            continue
+        if record is None or record.get("type") not in RECORD_TYPES:
+            return records, len(chunks) - index
+        records.append(record)
+    return records, 0
+
+
+class RecordingBroker:
+    """An empty broker that notes what recovery installs, in order."""
+
+    subscription_count = 0
+
+    def __init__(self):
+        self.calls = []
+        self.delivery = self
+
+    def restore_subscription(self, sub, remaining, logical):
+        self.calls.append(("subscription", sub, remaining, logical))
+
+    def restore(self, sub_id, seq, event, at):
+        self.calls.append(("lease", sub_id, seq, event, at))
+
+    def restore_dead_letter(self, sub_id, seq, event, reason, attempts, at):
+        self.calls.append(("dead-letter", sub_id, seq, event, reason, attempts, at))
+
+
+def reference_recover(raw):
+    """The previous ``recover``, verbatim (one defect apart, marked
+    below): the log four times in memory, the live table scanned on
+    every ``unsubscribe``, ``dead`` rebuilt on every redrive.  Returns ``(report, calls, ledger, trusted, discarded)``."""
+    wal_records, discarded = reference_read_wal(raw)
+    report = dict(
+        restored=0, wal_records=0, replayed_subscribes=0, replayed_unsubscribes=0,
+        anchors=0, replayed_deliveries=0, replayed_settles=0, unacked_deliveries=0,
+        recovered_dead_letters=0, skipped_expired=0, torn_tail_discarded=discarded,
+        unknown_unsubscribes=0, source_clock=None,
+    )  # fmt: skip
+    times = [float(r["at"]) for r in wal_records if isinstance(r.get("at"), (int, float))]
+    entries = {}  # id -> (subscription, expires_src, logical)
+    outstanding, dead = {}, []
+    for index, record in enumerate(wal_records):
+        kind = record.get("type")
+        at = record.get("at")
+        if not isinstance(at, (int, float)):
+            at = None
+        if kind == "anchor":
+            report["anchors"] += 1
+        elif kind == "deliver":
+            key = (record.get("sub"), record.get("seq"))
+            outstanding[key] = {"event": record.get("event", {}), "at": record.get("at", 0.0)}
+            report["replayed_deliveries"] += 1
+        elif kind == "settle":
+            key = (record.get("sub"), record.get("seq"))
+            entry = outstanding.pop(key, None)
+            if record.get("outcome") == "dead-letter":
+                dead.append(
+                    {
+                        "sub": key[0],
+                        "seq": key[1],
+                        "event": (entry or {}).get("event", {}),
+                        "reason": record.get("reason") or "budget",
+                        "attempts": record.get("attempts", 0),
+                        "at": record.get("at", 0.0),
+                    }
+                )
+            elif record.get("outcome") == "redriven":
+                dead = [d for d in dead if (d["sub"], d["seq"]) != key]
+            report["replayed_settles"] += 1
+        elif kind == "subscribe":
+            try:
+                sub = subscription_from_dict(record["subscription"])
+            except (KeyError, TypeError, SerializationError):
+                report["torn_tail_discarded"] += len(wal_records) - index
+                break
+            ttl = record.get("ttl")
+            if ttl is not None and not isinstance(ttl, (int, float)):
+                report["torn_tail_discarded"] += len(wal_records) - index
+                break
+            base = at if at is not None else (times and max(times)) or 0.0
+            entries[sub.id] = (sub, None if ttl is None else base + ttl, record.get("logical"))
+            report["replayed_subscribes"] += 1
+        elif kind == "unsubscribe":
+            sid = record.get("id")
+            removed = entries.pop(sid, None) is not None
+            # The one deliberate difference: the scan below used to run
+            # for an id-less record too (a garbled ``"id"`` key), where
+            # ``logical == None`` matched — and dropped — every plain
+            # subscription.  Pinned in tests/system/test_recovery.py.
+            for key in [k for k, e in entries.items() if sid is not None and e[2] == sid]:
+                del entries[key]
+                removed = True
+            if not removed:
+                report["unknown_unsubscribes"] += 1
+            report["replayed_unsubscribes"] += 1
+        report["wal_records"] += 1
+    now_src = max(times) if times else 0.0
+    report["source_clock"] = now_src if wal_records else None
+    calls = []
+    for sub, expires_src, logical in entries.values():
+        remaining = None if expires_src is None else expires_src - now_src
+        if remaining is not None and remaining <= 0:
+            report["skipped_expired"] += 1
+            continue
+        calls.append(("subscription", sub, remaining, logical))
+        report["restored"] += 1
+    report["unacked_deliveries"] = len(outstanding)
+    report["recovered_dead_letters"] = len(dead)
+    for (sub_id, seq), info in outstanding.items():
+        try:
+            event = event_from_dict(info["event"])
+        except (KeyError, TypeError, SerializationError):
+            continue
+        calls.append(("lease", sub_id, seq, event, info["at"]))
+    for d in dead:
+        try:
+            event = event_from_dict(d["event"])
+        except (KeyError, TypeError, SerializationError):
+            continue
+        calls.append(
+            ("dead-letter", d["sub"], d["seq"], event, d["reason"], d["attempts"], d["at"])
+        )
+    ledger = (list(outstanding.items()), dead)
+    return report, calls, ledger, len(wal_records), discarded
+
+
+def check_every_reader_agrees(path, raw):
+    """Prefix form, list form and ``recover`` on the bytes *raw*."""
+    with open(path, "wb") as fp:
+        fp.write(raw)
+
+    def list_form():
+        with open(path, "rb") as fp:
+            return read_wal(fp)
+
+    try:
+        report, calls, ledger_state, trusted, discarded = reference_recover(raw)
+    except WalError:
+        # Readable, but no log of ours: nobody may truncate or replay it.
+        for reader in (
+            lambda: scan_valid_prefix(path),
+            list_form,
+            lambda: recover_files(RecordingBroker(), wal_path=path),
+        ):
+            with pytest.raises(WalError):
+                reader()
+        return
+    prefix_bytes, prefix_records, prefix_discarded, _last_at = scan_valid_prefix(path)
+    records, list_discarded = list_form()
+    assert (prefix_records, prefix_discarded) == (len(records), list_discarded)
+    assert (prefix_records, prefix_discarded) == (trusted, discarded)
+    # The trusted prefix is whole lines: the header and those records —
+    # or nothing at all, when not even the header could be trusted.
+    lines = raw.split(b"\n")
+    total = len(lines) - (lines[-1] == b"")  # a torn last line counts
+    kept = 0 if discarded == total else 1 + trusted
+    assert prefix_bytes == sum(len(line) + 1 for line in lines[:kept])
+    broker = RecordingBroker()
+    got = recover_files(broker, wal_path=path)
+    assert got.as_dict() == report
+    assert broker.calls == calls
+    if got.wal_records == trusted:  # no unreplayable subscribe cut it short
+        # The CLI's fold (``repro deliveries`` / ``repro dlq``): same
+        # open leases, same dead letters, in log order.
+        ledger = DeliveryLedger()
+        for record in records:
+            ledger.apply(record)
+        assert (list(ledger.outstanding.items()), ledger.dead) == ledger_state
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    # A text stream (what ``recover`` always accepted) reads the same.
+    broker = RecordingBroker()
+    assert recover(broker, io.StringIO(text)).as_dict() == report
+    assert broker.calls == calls
+
+
+SUB_IDS = st.sampled_from(["s0", "s1", "s2", "s3"])
+LOGICAL_IDS = st.sampled_from(["f0", "f1"])
+STAMP = QUARTERS(0, 40)
+#: ``at`` now and then missing; never monotone.
+STAMPED = st.one_of(st.fixed_dictionaries({"at": STAMP}), st.just({}))
+EVENT_DICTS = st.one_of(
+    events().map(lambda e: {"pairs": dict(e.items())}),
+    st.just({"bogus": True}),  # a lease recovery cannot reconstruct
+)
+
+
+SUB_DICTS = st.builds(
+    Subscription, SUB_IDS, st.lists(predicates(), min_size=1, max_size=2)
+).map(subscription_to_dict)
+
+
+def _record(kind, fields):
+    return st.tuples(STAMPED, st.fixed_dictionaries(fields)).map(
+        lambda parts: {"type": kind, **parts[0], **parts[1]}
+    )
+
+
+SYNTHETIC_RECORDS = st.one_of(
+    _record("anchor", {}),
+    _record(
+        "subscribe",
+        {
+            # Now and then unreplayable, which ends the trusted log.
+            "subscription": st.one_of(*[SUB_DICTS] * 9, st.just({"bogus": True})),
+            "ttl": st.one_of(*[st.none(), QUARTERS(1, 50)] * 5, st.just("soon")),
+        },
+    ),
+    _record(
+        "subscribe",  # a formula disjunct; its id may move between formulas
+        {
+            "subscription": SUB_DICTS,
+            "ttl": st.one_of(st.none(), QUARTERS(1, 50)),
+            "logical": LOGICAL_IDS,
+        },
+    ),
+    _record("unsubscribe", {"id": st.one_of(SUB_IDS, LOGICAL_IDS, st.just("ghost"))}),
+    _record(
+        "deliver",
+        {"sub": SUB_IDS, "seq": st.integers(min_value=0, max_value=5), "event": EVENT_DICTS},
+    ),
+    _record(
+        "settle",
+        {
+            "sub": SUB_IDS,
+            "seq": st.integers(min_value=0, max_value=5),
+            "outcome": st.sampled_from(["ack", "shed", "dead-letter", "dead-letter", "redriven"]),
+            "attempts": st.integers(min_value=0, max_value=3),
+        },
+    ),
+)
+
+
+def _lines(records):
+    header = {"type": "repro-broker-wal", "version": 1, "clock": 0.0}
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in [header, *records]).encode()
+
+
+SYNTHETIC_LOGS = st.lists(SYNTHETIC_RECORDS, max_size=20).map(_lines)
+
+@st.composite
+def journaled_logs(draw):
+    """What a broker with formulas, leases, dead letters and redrives
+    really wrote."""
+    plan = draw(REDRIVE_PLAN)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "journal.wal")
+        broker, _clock, _formulas = run_plan("dynamic", plan, path, ())
+        broker.close()
+        with open(path, "rb") as fp:
+            return fp.read()
+
+
+#: Where the damage lands (a fraction of the log) and, for a garble, the
+#: byte written there; newline, quote and brace bytes are worth extra draws.
+DAMAGE = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.one_of(st.none(), st.integers(0, 255), st.sampled_from(list(b'\n\r"{}:, 0'))),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("examples", [200, pytest.param(2000, marks=pytest.mark.slow)])
+def test_every_reader_agrees_on_a_damaged_log_and_recovery_is_what_it_was(examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(raw=st.one_of(SYNTHETIC_LOGS, journaled_logs()), damage=DAMAGE)
+    def check(raw, damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "damaged.wal")
+            check_every_reader_agrees(path, raw)  # intact
+            for where, byte in damage:
+                offset = int(where * len(raw))
+                if byte is None:
+                    check_every_reader_agrees(path, raw[:offset])
+                elif offset < len(raw):
+                    garbled = raw[:offset] + bytes([byte]) + raw[offset + 1 :]
+                    check_every_reader_agrees(path, garbled)
 
     check()

@@ -125,3 +125,34 @@ class TestDlqCommand:
         payload = json.loads(text)
         assert payload["total"] == 5
         assert len(payload["dead_letters"]) == 2
+
+    def test_redrives_leave_the_rest_in_log_order(self, tmp_path):
+        """Every other dead letter is re-driven (and dead-lettered again
+        under its fresh sequence): what ``repro dlq`` lists is what is
+        still dead, oldest settle first."""
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", clock=clock, fsync="never")
+        manager = DeliveryManager(
+            clock=clock,
+            retry=RetryPolicy(max_attempts=1, base_delay=1.0, rng=random.Random(3)),
+            wal=wal,
+        )
+        for sub in ("s1", "s2"):
+            manager.register(sub, sink=lambda n: None)
+        for i in range(40):
+            sub = "s1" if i % 2 else "s2"
+            manager.nack(sub, manager.dispatch(sub, Event({"n": i})))
+        assert manager.redrive("s1") == 20  # fresh seqs 20..39 on s1
+        for seq in range(20, 40, 2):
+            manager.nack("s1", seq)
+        wal.close()
+        rc, text = _run(["dlq", "--wal", str(tmp_path / "wal.jsonl")])
+        assert rc == 0
+        payload = json.loads(text)
+        listed = [(d["sub"], d["seq"], d["event"]["pairs"]["n"]) for d in payload["dead_letters"]]
+        assert listed == [("s2", k, 2 * k) for k in range(20)] + [
+            ("s1", 20 + 2 * k, 4 * k + 1) for k in range(10)
+        ]
+        rc, text = _run(["deliveries", "--wal", str(tmp_path / "wal.jsonl")])
+        totals = json.loads(text)["totals"]
+        assert (totals["dead_lettered"], totals["unacked"]) == (30, 10)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -179,6 +181,182 @@ class TestDamageTolerance:
         dst = fresh()
         report = recover(dst, wal_fp=wal)
         assert report.unknown_unsubscribes == 1 and report.restored == 0
+
+
+class TestOnePass:
+    """``recover`` is one streaming fold: what used to need the whole
+    log (the final clock, the tail count) or the whole table (a logical
+    unsubscribe) is kept as the pass goes."""
+
+    def test_resubscribing_an_id_under_another_formula_moves_it(self):
+        def disjunct(logical):
+            return subscribe_record("d", at=1.0, logical=logical)
+
+        # "d" ends under g: unsubscribing f must not take it, g must.
+        for target, survivors in (("f", ["d"]), ("g", []), ("d", [])):
+            dst = fresh()
+            report = recover(
+                dst,
+                wal_fp=io.StringIO(
+                    wal_text(
+                        disjunct("f"),
+                        disjunct("g"),
+                        {"type": "unsubscribe", "at": 2.0, "id": target},
+                    )
+                ),
+            )
+            assert [s.id for s in dst.matcher.iter_subscriptions()] == survivors
+            assert report.unknown_unsubscribes == (1 if target == "f" else 0)
+
+    def test_resubscribing_a_disjunct_as_a_plain_id_unfiles_it(self):
+        dst = fresh()
+        recover(
+            dst,
+            wal_fp=io.StringIO(
+                wal_text(
+                    subscribe_record("d", at=1.0, logical="f"),
+                    subscribe_record("e", at=1.0, logical="f"),
+                    subscribe_record("d", at=2.0),  # now its own subscription
+                    {"type": "unsubscribe", "at": 3.0, "id": "f"},
+                )
+            ),
+        )
+        assert [s.id for s in dst.matcher.iter_subscriptions()] == ["d"]
+
+    def test_a_subscribe_without_at_ages_from_the_final_clock(self):
+        # The record precedes every timestamp in the log; its ttl still
+        # counts from the crash-time estimate, known only at the end.
+        timeless = subscribe_record("a", at=1.0, ttl=5.0)
+        del timeless["at"]
+        clock = VirtualClock()
+        dst = fresh(clock)
+        report = recover(
+            dst,
+            wal_fp=io.StringIO(
+                wal_text(timeless, subscribe_record("b", at=2.0, ttl=5.0),
+                         {"type": "anchor", "at": 6.0})
+            ),
+        )  # fmt: skip
+        assert report.source_clock == 6.0 and report.restored == 2
+        clock.advance(1.5)  # "b" had 1 s left, "a" its full 5
+        assert dst.purge_expired() == 1
+        assert [s.id for s in dst.matcher.iter_subscriptions()] == ["a"]
+        clock.advance(3.5)
+        assert dst.purge_expired() == 1
+
+    def test_an_unreplayable_subscribe_still_counts_and_clocks_the_rest(self):
+        report = recover(
+            fresh(),
+            wal_fp=io.StringIO(
+                wal_text(
+                    subscribe_record("a", at=1.0, ttl=10.0),
+                    subscribe_record("b", at=2.0, ttl="soon"),
+                    {"type": "anchor", "at": 9.0},
+                )
+                + '{"type": "anchor", "at": 9'
+            ),
+        )
+        # b, the anchor behind it and the torn line; the anchor's stamp
+        # still moves the crash-time estimate (as it always did).
+        assert (report.wal_records, report.torn_tail_discarded) == (1, 3)
+        assert report.source_clock == 9.0
+
+    def test_an_unsubscribe_that_names_nothing_removes_nothing(self):
+        # One garbled byte in the "id" key.  The table scan this index
+        # replaced compared every entry's formula id with the missing
+        # id — None == None — and dropped every plain subscription.
+        report = recover(
+            dst := fresh(),
+            wal_fp=io.StringIO(
+                wal_text(
+                    subscribe_record("a", at=1.0),
+                    subscribe_record("d", at=1.0, logical="f"),
+                    {"type": "unsubscribe", "at": 2.0, "ib": "f"},
+                )
+            ),
+        )
+        assert (report.restored, report.unknown_unsubscribes) == (2, 1)
+        assert [s.id for s in dst.matcher.iter_subscriptions()] == ["a", "d"]
+
+    def test_a_tail_garbled_into_invalid_utf8_is_damage_not_an_error(self, tmp_path):
+        path = tmp_path / "a.wal"
+        path.write_bytes(
+            wal_text(subscribe_record("a", at=1.0)).encode() + b'{"type": "anch\xff\xfe'
+        )
+        report = recover_files(fresh(), wal_path=path)
+        assert (report.restored, report.torn_tail_discarded) == (1, 1)
+        # ... which is what re-opening the log for append truncates to.
+        WriteAheadLog(path, clock=VirtualClock()).close()
+        assert recover_files(fresh(), wal_path=path).torn_tail_discarded == 0
+
+
+class TestCost:
+    """One linear pass whose memory is the live state.  Measured at the
+    commit before the streaming reader: the churn log below was
+    quadratic (18× the time for a 4× log), the acked log peaked at 4×
+    the memory for a 4× log."""
+
+    @staticmethod
+    def churn_log(path, n):
+        """*n* subscribes, then an unsubscribe for every other one."""
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(
+                wal_text(
+                    *(subscribe_record(f"s{i}", at=float(i)) for i in range(n)),
+                    *(
+                        {"type": "unsubscribe", "at": float(n + i), "id": f"s{i}"}
+                        for i in range(0, n, 2)
+                    ),
+                )
+            )
+
+    @staticmethod
+    def acked_log(path, pairs):
+        """*pairs* notifications, each delivered and acknowledged."""
+        event = {"pairs": {f"attr{k:02d}": k for k in range(8)}}
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(wal_text())
+            for seq in range(pairs):
+                at = float(seq)
+                for record in (
+                    {"type": "deliver", "at": at, "sub": "s", "seq": seq, "event": event},
+                    {"type": "settle", "at": at, "sub": "s", "seq": seq,
+                     "outcome": "ack", "attempts": 1},
+                ):  # fmt: skip
+                    fp.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def test_recovery_time_is_linear_in_the_log(self, tmp_path):
+        def seconds(n, runs):
+            path = tmp_path / f"churn{n}.wal"
+            self.churn_log(path, n)
+            best = float("inf")
+            for _ in range(runs):
+                dst = fresh()
+                start = time.process_time()
+                report = recover_files(dst, wal_path=path)
+                best = min(best, time.process_time() - start)
+                assert (report.restored, report.wal_records) == (n // 2, n + n // 2)
+            return best
+
+        small, large = seconds(5_000, runs=3), seconds(40_000, runs=2)
+        assert large < 20 * small, (small, large)  # linear is 8×, quadratic 64×
+
+    def test_peak_memory_is_the_live_state_not_the_log(self, tmp_path):
+        def peak(pairs):
+            path = tmp_path / f"acked{pairs}.wal"
+            self.acked_log(path, pairs)
+            dst = fresh()
+            tracemalloc.start()
+            try:
+                report = recover_files(dst, wal_path=path)
+                _current, high = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (report.replayed_settles, report.unacked_deliveries) == (pairs, 0)
+            return high
+
+        small, large = peak(6_400), peak(25_600)
+        assert large < 1.5 * small, (small, large)
 
 
 class TestSemantics:

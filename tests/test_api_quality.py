@@ -120,6 +120,41 @@ class TestMatchSurface:
         assert not offenders, offenders
 
 
+def _functions_referencing(name, attribute_of=None):
+    """``path:qualified.function`` of every function in ``src/repro``
+    whose body mentions *name* (as ``<attribute_of>.<name>`` if given),
+    the definition of *name* itself aside."""
+    src = pathlib.Path(repro.__file__).parent
+    found = []
+
+    def mentions(node):
+        if attribute_of is None:
+            return isinstance(node, ast.Name) and node.id == name
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == attribute_of
+        )
+
+    def visit(node, qualname, path):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inner = f"{qualname}.{child.name}" if qualname else child.name
+            if (
+                isinstance(child, ast.FunctionDef)
+                and child.name != name
+                and any(mentions(n) for n in ast.walk(child))
+            ):
+                found.append(f"{path}:{inner}")
+            visit(child, inner, path)
+
+    for file in sorted(src.rglob("*.py")):
+        visit(ast.parse(file.read_text(encoding="utf-8")), "", file.relative_to(src).as_posix())
+    return found
+
+
 class TestDurableSurface:
     """One durable file, one reader; and the process layer's settable
     values stay the ones something sets."""
@@ -141,6 +176,23 @@ class TestDurableSurface:
         assert self.params(system.recover_files) == [broker, ("wal_path", None), ("metrics", None)]
         assert self.params(system.WriteAheadLog.compact) == [broker]
         assert not [k for k in system.RecoveryReport().as_dict() if "snapshot" in k]
+
+    def test_one_function_parses_wal_lines(self):
+        """``_parse_line`` / ``_check_header`` — what a line means and
+        what a log's first line must be — have one caller in ``src/``:
+        the streaming reader every other reader folds over."""
+        assert _functions_referencing("_parse_line") == ["system/wal.py:WalReader.__iter__"]
+        assert _functions_referencing("_check_header") == ["system/wal.py:WalReader.__iter__"]
+        # ... and the folds do no line handling of their own.
+        import repro.cli as cli
+        import repro.system.recovery as recovery
+        import repro.system.wal as wal
+
+        for func in (wal.scan_valid_prefix, wal.read_wal, recovery.recover, cli._read_ledger):
+            source = inspect.getsource(func)
+            assert "WalReader(" in source, func
+            for banned in ("json.loads", ".split(", ".readline(", ".read()", "in RECORD_TYPES"):
+                assert banned not in source, (func, banned)
 
     def test_process_layer_constructor_surface(self):
         from repro.system.procpool import CODECS, ProcessPool
@@ -199,6 +251,34 @@ def _matcher_classes_in_src():
         (c for c in _matcher_subclasses() if c.__module__.startswith("repro.")),
         key=lambda c: (c.__module__, c.__name__),
     )
+
+
+class TestOneScalarBody:
+    def test_the_predicate_phase_has_one_caller(self):
+        """``indexes.evaluate`` — phase 1 of the scalar algorithm — runs
+        from ``TwoPhaseMatcher.match`` only: no observed twin, and the
+        bench harness reads the timings that body records."""
+        assert _functions_referencing("evaluate", attribute_of="indexes") == [
+            "algorithms/base.py:TwoPhaseMatcher.match"
+        ]
+        from repro.algorithms.base import TwoPhaseMatcher
+
+        assert "_match_observed" not in TwoPhaseMatcher.__dict__
+
+    def test_the_server_asks_matchers_plainly(self):
+        """``system/server.py`` finds the shard layer by walking
+        ``inner_matchers()``; it probes no matcher with ``getattr``."""
+        import repro.system.server as server
+
+        tree = ast.parse(inspect.getsource(server))
+        probes = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+        ]
+        assert not probes, probes
 
 
 class TestMatcherContract:
