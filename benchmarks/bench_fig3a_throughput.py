@@ -8,9 +8,12 @@ vs ``fig3a-large`` to see the scaling shape (the dynamic rows should
 barely move while counting/propagation degrade ~linearly).
 """
 
+import time
+
 import pytest
 
 from benchmarks.conftest import loaded_matcher, match_events, scaled
+from repro.algorithms import counting
 from repro.bench.harness import (
     FIGURE3_ALGORITHMS,
     bench_snapshot_path,
@@ -125,26 +128,42 @@ def test_counting_bincount_kernel_beats_scatter():
     results); this guards the *throughput* claim that motivates the
     auto-gate — one flat ``bincount`` over the association arrays beats
     a Python loop of per-bit scatters once batches clear the gate's
-    minimum.  Asserted at a modest 1.1x so scheduler noise cannot flake
-    a genuinely faster kernel.
+    minimum.  Batch size is the engine's only selector, so the kernels
+    are timed directly: the same phase-1 truth rows, each kernel under
+    its own chunk cap as ``_match_phase2_batch`` would run it.
+    Asserted at a modest 1.1x so scheduler noise cannot flake a
+    genuinely faster kernel.
     """
     spec = w0(seed=0)
     n = max(4_000, scaled(400_000))
     matcher, events = loaded_matcher("counting", spec, n, 512)
+    assoc = matcher._assoc_arrays()
+    evaluate = matcher._batch_evaluator().evaluate
+    truths = [
+        evaluate(events[s : s + 256], matcher.bits.size)
+        for s in range(0, len(events), 256)
+    ]
 
-    def rate(forced: bool) -> float:
-        matcher.batch_bincount = forced
-        return measure_batch_matching(matcher, events, 256).events_per_second
+    def rate(kernel, cells) -> float:
+        step = max(1, cells // len(assoc[0]))
+        start = time.perf_counter()
+        for truth in truths:
+            for s in range(0, len(truth), step):
+                kernel(truth[s : s + step], assoc)
+        return len(events) / (time.perf_counter() - start)
 
-    for forced in (False, True):  # warm both kernels' arrays up front
-        matcher.batch_bincount = forced
-        matcher.match_batch(events[:256])
+    lanes = (
+        (counting.CountingMatcher._counts_scatter, counting._GATHER_CELLS),
+        (counting.CountingMatcher._counts_bincount, counting._BINCOUNT_CELLS),
+    )
+    for kernel, cells in lanes:  # warm both kernels up front
+        kernel(truths[0][: max(1, cells // len(assoc[0]))], assoc)
     # Interleave the reps so a noisy stretch (GC, scheduler) hits both
     # lanes alike instead of sinking whichever ran second.
     scatter = bincount = 0.0
     for _ in range(5):
-        scatter = max(scatter, rate(False))
-        bincount = max(bincount, rate(True))
+        scatter = max(scatter, rate(*lanes[0]))
+        bincount = max(bincount, rate(*lanes[1]))
     assert bincount >= 1.1 * scatter, (
         f"bincount counting kernel at {bincount:.0f} ev/s does not beat "
         f"the scatter path at {scatter:.0f} ev/s on W0"

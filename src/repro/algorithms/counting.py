@@ -47,12 +47,6 @@ class CountingMatcher(TwoPhaseMatcher):
     #: never needs to materialize Event objects.
     phase2_needs_events = False
 
-    #: Batched counting-phase kernel choice: ``None`` auto-gates by
-    #: batch size (``_BINCOUNT_MIN_EVENTS``), ``True`` forces the
-    #: bincount kernel, ``False`` forces the per-bit scatter path.
-    #: Both produce identical results (the conformance suite runs both).
-    batch_bincount: Optional[bool] = None
-
     def __init__(self, index_kind: IndexKind = IndexKind.SORTED_ARRAY) -> None:
         super().__init__(index_kind)
         # bit -> set of sub ids containing that predicate.
@@ -209,9 +203,9 @@ class CountingMatcher(TwoPhaseMatcher):
         if assoc is None:
             return out
         sub_ids, thresholds = assoc[0], assoc[1]
-        use_bincount = self.batch_bincount
-        if use_bincount is None:
-            use_bincount = n >= _BINCOUNT_MIN_EVENTS
+        # Batch size is the only selector; both kernels produce identical
+        # results (the conformance suite straddles the gate).
+        use_bincount = n >= _BINCOUNT_MIN_EVENTS
         kernel = self._counts_bincount if use_bincount else self._counts_scatter
         touched = 0
         # Event-chunked so the hit-counter matrix stays cache-friendly.

@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Deque,
     Dict,
     Iterator,
     List,
@@ -115,6 +114,9 @@ class Lease:
     delays: Optional[Iterator[float]] = dataclasses.field(
         default=None, repr=False, compare=False
     )
+    #: Handed to the subscriber and awaiting its ack; otherwise pending
+    #: (waiting for its first send, a poll, or a backoff to elapse).
+    inflight: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,10 +244,11 @@ class SubscriberChannel:
         self.block_timeout = block_timeout
         self.auto_ack = auto_ack
         self.connected = True
-        #: Leases awaiting a (re)send — due when ``due_at`` passes.
-        self._pending: Deque[Lease] = deque()
-        #: Leases handed to the subscriber, awaiting ack.
-        self._inflight: "OrderedDict[int, Lease]" = OrderedDict()
+        #: Every unsettled lease, by seq; pending or in flight is on the
+        #: lease.  A state change re-inserts it at the back, so the
+        #: leases of one state read in the order they entered it:
+        #: pendings in send-queue order, in-flights in lease-out order.
+        self._window: Dict[int, Lease] = {}
         self._next_seq = 0
         #: Lifetime counters.
         self.counters: Dict[str, int] = dict.fromkeys(_COUNTER_KEYS, 0)
@@ -254,53 +257,50 @@ class SubscriberChannel:
     @property
     def outstanding(self) -> int:
         """Unsettled leases (pending + in-flight)."""
-        return len(self._pending) + len(self._inflight)
+        return len(self._window)
 
     def __len__(self) -> int:
         return self.outstanding
 
     # -- internals (called by the manager, under its lock) --------------
-    def _allocate_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
+    def _rest(self, lease: Lease, inflight: bool) -> None:
+        """Put *lease* at the back of the window in the given state (the
+        window's only writer; the manager's close step is its only remover)."""
+        self._window.pop(lease.seq, None)
+        self._window[lease.seq] = lease
+        lease.inflight = inflight
+        if lease.seq >= self._next_seq:  # a recovered lease: never reissue its seq
+            self._next_seq = lease.seq + 1
 
-    def _find(self, seq: int) -> Optional[Lease]:
-        lease = self._inflight.get(seq)
-        if lease is not None:
-            return lease
-        for lease in self._pending:
-            if lease.seq == seq:
-                return lease
-        return None
+    def _leases(self, inflight: bool) -> List[Lease]:
+        """A snapshot of the leases in one state, in the order they
+        entered it (safe to settle or re-rest while walking it)."""
+        return [lease for lease in self._window.values() if lease.inflight is inflight]
 
-    def _drop(self, lease: Lease) -> None:
-        """Remove *lease* from whichever structure holds it."""
-        if self._inflight.pop(lease.seq, None) is None:
-            try:
-                self._pending.remove(lease)
-            except ValueError:
-                pass
+    def _in_order(self) -> List[Lease]:
+        """Every lease, pendings first: the order a drain settles them
+        and a compaction re-journals them."""
+        return self._leases(False) + self._leases(True)
 
     def _oldest(self) -> Optional[Lease]:
         """The stalest outstanding lease (pending preferred — never
         handed out is cheaper to lose than a lease a subscriber may be
         mid-processing)."""
-        if self._pending:
-            return self._pending[0]
-        if self._inflight:
-            return next(iter(self._inflight.values()))
-        return None
+        leases = self._window.values()
+        return next(
+            (lease for lease in leases if not lease.inflight), next(iter(leases), None)
+        )
 
     def stats(self) -> Dict[str, Any]:
         """JSON-serializable channel snapshot."""
         oldest = self._oldest()
+        inflight = len(self._leases(True))
         return {
             "sub": self.sub_id,
             "mode": "push" if self._sink is not None else "pull",
             "connected": self.connected,
-            "pending": len(self._pending),
-            "inflight": len(self._inflight),
+            "pending": len(self._window) - inflight,
+            "inflight": inflight,
             "capacity": self.capacity,
             "overflow": self.overflow,
             "oldest_seq": None if oldest is None else oldest.seq,
@@ -364,6 +364,8 @@ class DeliveryManager:
         #: Counters of channels that have unregistered: ``stats()`` totals
         #: are lifetime totals, so a departure must not shrink them.
         self._departed: Dict[str, int] = dict.fromkeys(_COUNTER_KEYS, 0)
+        #: The totals :meth:`check_invariants` last saw (they never shrink).
+        self._totals_checked: Dict[str, int] = {}
         self._lock = threading.RLock()
         self._space = threading.Condition(self._lock)
         #: Fault-injection hook (tests): called with a named crash point
@@ -510,12 +512,14 @@ class DeliveryManager:
                     channel.block_timeout = block_timeout
                 channel.connected = True
             now = self.clock.now()
-            for lease in self._orphans.pop(sub_id, []):
-                lease.due_at = now  # re-send as soon as something pumps
-                if channel._sink is not None:
-                    self._wake_at(now)
-                channel._pending.append(lease)
-                channel._next_seq = max(channel._next_seq, lease.seq + 1)
+            if channel._sink is not None:
+                # Pendings queued while this was a pull channel never
+                # lowered the pump watermark.
+                for lease in channel._leases(inflight=False):
+                    self._wake_at(lease.due_at)
+            for lease in self._orphans.pop(sub_id, ()):
+                # Opened (built and counted) when restore() parked it.
+                self._queue(channel, lease, now)  # re-send as soon as something pumps
             self._refresh_gauges()
             return channel
 
@@ -524,26 +528,22 @@ class DeliveryManager:
 
         With ``dead_letter=True`` (default) every outstanding lease is
         dead-lettered with reason ``disconnected`` (re-drivable after a
-        re-register); otherwise they are dropped silently.
+        re-register); otherwise they are dropped silently — uncounted,
+        but settled ``shed`` in the log so recovery does not bring them
+        back.
         """
         with self._lock:
-            channel = self._channels.pop(sub_id, None)
-            if channel is None:
-                raise UnknownChannelError(sub_id)
-            self._seq_floor[sub_id] = channel._next_seq
-            leases = list(channel._pending) + list(channel._inflight.values())
-            channel._pending.clear()
-            channel._inflight.clear()
+            channel = self.channel(sub_id)
             if dead_letter:
-                for lease in leases:
-                    self._dead_letter(channel, lease, "disconnected")
+                dropped = self._drain(channel, "dead-letter", "disconnected")
             else:
-                self._outstanding_total -= len(leases)
+                dropped = self._drain(channel, "drop")
+            del self._channels[sub_id]
+            self._seq_floor[sub_id] = channel._next_seq
             for key, value in channel.counters.items():
                 self._departed[key] += value
-            self._space.notify_all()
             self._refresh_gauges()
-            return len(leases)
+            return dropped
 
     def channel(self, sub_id: Any) -> SubscriberChannel:
         """The channel registered for *sub_id* (:class:`UnknownChannelError`
@@ -580,11 +580,8 @@ class DeliveryManager:
         delivery's channel sequence number.
         """
         with self._lock:
-            channel = self._channels.get(sub_id)
-            if channel is None:
-                raise UnknownChannelError(sub_id)
             now = self.clock.now() if now is None else now
-            return self._dispatch_one(channel, sub_id, event, now)
+            return self._dispatch_one(self.channel(sub_id), sub_id, event, now)
 
     def dispatch_matches(
         self, sub_ids: List[Any], event: Any, now: float
@@ -629,7 +626,11 @@ class DeliveryManager:
         try:
             channel._sink(notification)
         except Exception:
-            self._auto_ack_failed(channel, notification, seq, now)
+            # Off the fast path onto the retry machinery, one attempt
+            # already spent (the ``deliver`` above covers the lease).
+            counters["send_errors"] += 1
+            self._make_room(channel, now)
+            self._schedule_retry(channel, self._open(channel, notification, attempts=1), now)
             return seq
         counters["delivered"] += 1
         counters["acks"] += 1
@@ -643,61 +644,25 @@ class DeliveryManager:
         self, channel: SubscriberChannel, sub_id: Any, event: Any, now: float
     ) -> int:
         """The non-auto-ack dispatch tail (manager lock held)."""
+        if channel.connected:
+            self._make_room(channel, now)
+        seq = channel._next_seq
+        channel._next_seq = seq + 1
+        lease = self._open(channel, Notification(sub_id, event, now, seq=seq), fresh=True)
         if not channel.connected:
             # A disconnected subscriber keeps losing its deliveries
             # to the DLQ (re-drivable on reconnect) — never blocks
             # the publisher.
-            seq = channel._allocate_seq()
-            lease = Lease(
-                seq, Notification(sub_id, event, now, seq=seq), 0, now, now
-            )
-            self._journal_deliver(sub_id, lease.seq, event, now)
-            channel.counters["dispatched"] += 1
-            self._outstanding_total += 1  # netted out by _dead_letter
-            self._dead_letter(channel, lease, "disconnected")
-            self._refresh_gauges()
-            return seq
-        self._make_room(channel, now)
-        seq = channel._allocate_seq()
-        lease = Lease(
-            seq,
-            Notification(sub_id, event, now, seq=seq),
-            0,
-            now,
-            now,
-            delays=channel.retry.delays(),
-        )
-        self._journal_deliver(sub_id, lease.seq, event, now)
-        channel.counters["dispatched"] += 1
-        self._outstanding_total += 1
-        if channel._sink is not None:
+            self._close(channel, lease, "dead-letter", "disconnected")
+        elif channel._sink is not None:
             self._send(channel, lease, now)
-        else:
-            # Pull-mode pendings are drained by poll(), not pump():
-            # they don't lower the pump watermark.
-            channel._pending.append(lease)
-        self._refresh_gauges()
+        # else pull mode: the lease rests pending until poll() leases it
+        # out; pump() ignores it, so the pump watermark stays put.
         return seq
-
-    def _auto_ack_failed(
-        self, channel: SubscriberChannel, notification: Notification, seq: int, now: float
-    ) -> None:
-        """Fall off the auto-ack fast path onto the retry machinery
-        with one attempt already spent."""
-        channel.counters["send_errors"] += 1
-        lease = Lease(
-            seq, notification, 1, now, now, delays=channel.retry.delays()
-        )
-        self._make_room(channel, now)
-        self._outstanding_total += 1
-        self._schedule_retry(channel, lease, now)
-        self._refresh_gauges()
 
     def _make_room(self, channel: SubscriberChannel, now: float) -> None:
         """Apply the channel's overflow policy until one slot is free."""
-        if channel.capacity is None:
-            return
-        if channel.outstanding < channel.capacity:
+        if channel.capacity is None or channel.outstanding < channel.capacity:
             return
         if channel.overflow == "block":
             # Wall-clock bound: block waits on real consumer progress
@@ -714,17 +679,9 @@ class DeliveryManager:
                     )
             return
         if channel.overflow == "shed-oldest":
-            while channel.outstanding >= channel.capacity:
-                victim = channel._oldest()
-                if victim is None:  # capacity >= 1 makes this unreachable
-                    return
-                channel._drop(victim)
-                self._outstanding_total -= 1
-                channel.counters["shed"] += 1
-                self._m_shed.inc()
-                self._journal_settle(
-                    channel.sub_id, victim.seq, "shed", None, victim.attempts
-                )
+            # (An empty window can still be "full": register(capacity=0).)
+            while channel._window and channel.outstanding >= channel.capacity:
+                self._close(channel, channel._oldest(), "shed")
             return
         # disconnect: quarantine the whole subscriber.
         self.disconnect(channel.sub_id)
@@ -740,80 +697,143 @@ class DeliveryManager:
         :meth:`register` reconnect plus :meth:`redrive` restores
         service.  Returns the number of dead-lettered deliveries."""
         with self._lock:
-            channel = self._channels.get(sub_id)
-            if channel is None:
-                raise UnknownChannelError(sub_id)
+            channel = self.channel(sub_id)
             channel.connected = False
-            leases = list(channel._pending) + list(channel._inflight.values())
-            channel._pending.clear()
-            channel._inflight.clear()
-            for lease in leases:
-                self._dead_letter(channel, lease, "disconnected")
-            self._space.notify_all()
-            self._refresh_gauges()
-            return len(leases)
+            return self._drain(channel, "dead-letter", "disconnected")
 
     # ------------------------------------------------------------------
-    # sending / settling (internal, lock held)
+    # the lease lifecycle (internal, lock held): one way in, one way out
     # ------------------------------------------------------------------
-    def _send(self, channel: SubscriberChannel, lease: Lease, now: float) -> None:
-        """One send attempt through the channel's sink."""
+    def _open(
+        self,
+        channel: Optional[SubscriberChannel],
+        notification: Notification,
+        attempts: int = 0,
+        fresh: bool = False,
+    ) -> Lease:
+        """The one way in: build the lease, count it, and rest it
+        pending in *channel*'s window — or, with no channel yet
+        (recovery), park it until its subscriber registers.  A *fresh*
+        dispatch journals its ``deliver`` first (write-ahead); a failed
+        auto-ack already has, and the record a lease was recovered from
+        covers a restored one."""
+        sub_id, seq, at = notification.sub_id, notification.seq, notification.timestamp
+        if fresh:
+            self._journal_deliver(sub_id, seq, notification.event, at)
+            channel.counters["dispatched"] += 1
+        # A parked lease has no channel to take a retry policy from.
+        delays = None if channel is None else channel.retry.delays()
+        lease = Lease(seq, notification, attempts, at, at, delays=delays)
+        self._outstanding_total += 1
+        if channel is None:
+            self._orphans.setdefault(sub_id, []).append(lease)
+            self._seq_floor[sub_id] = max(self._seq_floor.get(sub_id, 0), seq + 1)
+        else:
+            channel._rest(lease, inflight=False)
+        self._refresh_gauges()
+        return lease
+
+    def _close(
+        self,
+        channel: SubscriberChannel,
+        lease: Lease,
+        outcome: str,
+        reason: Optional[str] = None,
+    ) -> None:
+        """The one way out: take *lease* from the window, count the
+        outcome, journal its ``settle``, refresh the gauges and wake
+        publishers blocked on a full channel.  *outcome* is ``ack``,
+        ``shed``, ``dead-letter`` (with its *reason*) or ``drop`` — the
+        silent drop of ``unregister(dead_letter=False)``, counted
+        nowhere and journaled as ``shed``: the log must not owe a
+        delivery the operator discarded."""
+        del channel._window[lease.seq]
+        lease.inflight = False
+        self._outstanding_total -= 1
+        counters = channel.counters
+        if outcome == "ack":
+            counters["acks"] += 1
+            self._m_acks.inc()
+        elif outcome == "shed":
+            counters["shed"] += 1
+            self._m_shed.inc()
+        elif outcome == "dead-letter":
+            counters["dead_lettered"] += 1
+            self._m_dead[reason].inc()
+            self.dead_letters.append(
+                DeadLetter(
+                    channel.sub_id,
+                    lease.seq,
+                    lease.notification,
+                    reason,
+                    lease.attempts,
+                    self.clock.now(),
+                )
+            )
+        else:  # "drop"
+            outcome = "shed"
+        self._journal_settle(channel.sub_id, lease.seq, outcome, reason, lease.attempts)
+        self._refresh_gauges()
+        self._space.notify_all()
+
+    def _drain(
+        self, channel: SubscriberChannel, outcome: str, reason: Optional[str] = None
+    ) -> int:
+        """Close every lease in *channel*'s window; returns how many."""
+        leases = channel._in_order()
+        for lease in leases:
+            self._close(channel, lease, outcome, reason)
+        return len(leases)
+
+    def _lease_out(self, channel: SubscriberChannel, lease: Lease, now: float) -> None:
+        """Hand *lease* to the subscriber (a push send or a poll): one
+        more attempt, in flight until its ack deadline."""
         lease.attempts += 1
         if lease.attempts > 1:
             channel.counters["redeliveries"] += 1
             self._m_redeliveries.inc()
+        lease.due_at = now + channel.ack_timeout
+        self._wake_at(lease.due_at)
+        channel._rest(lease, inflight=True)
+
+    def _queue(self, channel: SubscriberChannel, lease: Lease, due_at: float) -> None:
+        """Rest *lease* pending at the back of the send queue, sendable
+        from *due_at*."""
+        lease.due_at = due_at
+        if channel._sink is not None:
+            # Pull-mode pendings are drained by poll(), not pump():
+            # they don't lower the pump watermark.
+            self._wake_at(due_at)
+        channel._rest(lease, inflight=False)
+
+    def _send(self, channel: SubscriberChannel, lease: Lease, now: float) -> None:
+        """One send attempt through the channel's sink."""
         # In-flight *before* the sink runs: the lock is re-entrant, so a
         # subscriber that acks from inside its deliver callback must
         # find the lease already leased to it.
-        lease.due_at = now + channel.ack_timeout
-        self._wake_at(lease.due_at)
-        channel._inflight[lease.seq] = lease
+        self._lease_out(channel, lease, now)
         try:
             channel._sink(lease.notification)
         except Exception:
             channel.counters["send_errors"] += 1
             # The sink may have settled the lease before raising; only
             # an attempt that left it in flight is retried.
-            if channel._inflight.pop(lease.seq, None) is not None:
+            if lease.inflight:
                 self._schedule_retry(channel, lease, now)
             return
         channel.counters["delivered"] += 1
-        if channel.auto_ack and channel._inflight.pop(lease.seq, None) is not None:
-            self._settle_ack(channel, lease)
+        if channel.auto_ack and lease.inflight:
+            self._close(channel, lease, "ack")
 
-    def _schedule_retry(self, channel: SubscriberChannel, lease: Lease, now: float) -> None:
-        """Queue the next attempt, or dead-letter on a spent budget."""
+    def _schedule_retry(self, channel: SubscriberChannel, lease: Lease, now: float) -> bool:
+        """Queue the next attempt (True), or dead-letter on a spent
+        budget (False)."""
         delay = None if lease.delays is None else next(lease.delays, None)
         if delay is None:
-            self._dead_letter(channel, lease, "budget")
-            return
-        lease.due_at = now + delay
-        if channel._sink is not None:
-            self._wake_at(lease.due_at)
-        channel._pending.append(lease)
-
-    def _dead_letter(self, channel: SubscriberChannel, lease: Lease, reason: str) -> None:
-        self._outstanding_total -= 1
-        channel.counters["dead_lettered"] += 1
-        self._m_dead[reason].inc()
-        entry = DeadLetter(
-            channel.sub_id,
-            lease.seq,
-            lease.notification,
-            reason,
-            lease.attempts,
-            self.clock.now(),
-        )
-        self.dead_letters.append(entry)
-        self._journal_settle(
-            channel.sub_id, lease.seq, "dead-letter", reason, lease.attempts
-        )
-
-    def _settle_ack(self, channel: SubscriberChannel, lease: Lease) -> None:
-        self._outstanding_total -= 1
-        channel.counters["acks"] += 1
-        self._m_acks.inc()
-        self._journal_settle(channel.sub_id, lease.seq, "ack", None, lease.attempts)
+            self._close(channel, lease, "dead-letter", "budget")
+            return False
+        self._queue(channel, lease, now + delay)
+        return True
 
     # ------------------------------------------------------------------
     # the subscriber surface
@@ -822,17 +842,12 @@ class DeliveryManager:
         """Acknowledge one delivery; returns False for an unknown (or
         already settled) sequence — acking is idempotent."""
         with self._lock:
-            channel = self._channels.get(sub_id)
-            if channel is None:
-                raise UnknownChannelError(sub_id)
-            lease = channel._find(seq)
+            channel = self.channel(sub_id)
+            lease = channel._window.get(seq)
             if lease is None:
                 channel.counters["unknown_acks"] += 1
                 return False
-            channel._drop(lease)
-            self._settle_ack(channel, lease)
-            self._space.notify_all()
-            self._refresh_gauges()
+            self._close(channel, lease, "ack")
             return True
 
     def nack(self, sub_id: Any, seq: int) -> bool:
@@ -840,14 +855,11 @@ class DeliveryManager:
         wants it again.  Schedules an immediate-backoff retry (consuming
         one attempt from the budget); False for unknown sequences."""
         with self._lock:
-            channel = self._channels.get(sub_id)
-            if channel is None:
-                raise UnknownChannelError(sub_id)
-            lease = channel._inflight.pop(seq, None)
-            if lease is None:
+            channel = self.channel(sub_id)
+            lease = channel._window.get(seq)
+            if lease is None or not lease.inflight:
                 return False
             self._schedule_retry(channel, lease, self.clock.now())
-            self._refresh_gauges()
             return True
 
     def poll(
@@ -860,26 +872,14 @@ class DeliveryManager:
         the channel's ``ack_timeout`` or it will be re-leased (and the
         attempt counted against the retry budget)."""
         with self._lock:
-            channel = self._channels.get(sub_id)
-            if channel is None:
-                raise UnknownChannelError(sub_id)
+            channel = self.channel(sub_id)
             now = self.clock.now() if now is None else now
             leased: List[Notification] = []
-            due: List[Lease] = []
-            for lease in channel._pending:
-                if lease.due_at <= now and (limit is None or len(due) < limit):
-                    due.append(lease)
-            for lease in due:
-                channel._pending.remove(lease)
-                lease.attempts += 1
-                if lease.attempts > 1:
-                    channel.counters["redeliveries"] += 1
-                    self._m_redeliveries.inc()
-                channel.counters["delivered"] += 1
-                lease.due_at = now + channel.ack_timeout
-                self._wake_at(lease.due_at)
-                channel._inflight[lease.seq] = lease
-                leased.append(lease.notification)
+            for lease in channel._leases(inflight=False):
+                if lease.due_at <= now and (limit is None or len(leased) < limit):
+                    self._lease_out(channel, lease, now)
+                    channel.counters["delivered"] += 1
+                    leased.append(lease.notification)
             return leased
 
     # ------------------------------------------------------------------
@@ -906,44 +906,33 @@ class DeliveryManager:
             moved = {"redelivered": 0, "expired": 0, "dead_lettered": 0}
             if now < self._next_due:
                 return moved
+            # The scan re-arms the watermark as it goes: a lease it
+            # leaves alone lowers it here, one it re-arms does so in
+            # _lease_out / _queue.
             self._next_due = float("inf")
             for channel in self._channels.values():
-                if not channel.connected:
-                    continue
+                live = channel.connected
                 # Ack deadlines: an expired in-flight lease goes back
                 # through the retry budget.
-                expired = [
-                    lease
-                    for lease in channel._inflight.values()
-                    if lease.due_at <= now
-                ]
-                for lease in expired:
-                    del channel._inflight[lease.seq]
-                    moved["expired"] += 1
-                    before = len(self.dead_letters)
-                    self._schedule_retry(channel, lease, now)
-                    moved["dead_lettered"] += len(self.dead_letters) - before
+                for lease in channel._leases(inflight=True):
+                    if live and lease.due_at <= now:
+                        moved["expired"] += 1
+                        if not self._schedule_retry(channel, lease, now):
+                            moved["dead_lettered"] += 1
+                    else:
+                        self._wake_at(lease.due_at)
                 # Pending push-mode leases whose backoff elapsed re-send
                 # now.  (Pull-mode pending is drained by poll().)
-                if channel._sink is not None:
-                    due = [
-                        lease for lease in channel._pending if lease.due_at <= now
-                    ]
-                    for lease in due:
-                        channel._pending.remove(lease)
+                if channel._sink is None:
+                    continue
+                for lease in channel._leases(inflight=False):
+                    if lease.seq not in channel._window:
+                        continue  # settled by a sink earlier in this scan
+                    if live and lease.due_at <= now:
                         self._send(channel, lease, now)
                         moved["redelivered"] += 1
-            # Re-arm the watermark from every lease the scan left
-            # behind (the _send/_schedule_retry calls above already
-            # lowered it for the leases they re-armed).
-            for channel in self._channels.values():
-                for lease in channel._inflight.values():
-                    self._wake_at(lease.due_at)
-                if channel._sink is not None:
-                    for lease in channel._pending:
+                    else:
                         self._wake_at(lease.due_at)
-            self._space.notify_all()
-            self._refresh_gauges()
             return moved
 
     # ------------------------------------------------------------------
@@ -989,25 +978,10 @@ class DeliveryManager:
         lease is parked and drained on its next :meth:`register`.
         """
         with self._lock:
-            notification = Notification(sub_id, event, at, seq=seq)
             channel = self._channels.get(sub_id)
-            self._outstanding_total += 1
-            if channel is None:
-                lease = Lease(seq, notification, 0, at, at)
-                self._orphans.setdefault(sub_id, []).append(lease)
-                self._seq_floor[sub_id] = max(
-                    self._seq_floor.get(sub_id, 0), seq + 1
-                )
-            else:
-                lease = Lease(
-                    seq, notification, 0, at, self.clock.now(),
-                    delays=channel.retry.delays(),
-                )
-                channel._pending.append(lease)
-                if channel._sink is not None:
-                    self._wake_at(lease.due_at)
-                channel._next_seq = max(channel._next_seq, seq + 1)
-            self._refresh_gauges()
+            lease = self._open(channel, Notification(sub_id, event, at, seq=seq))
+            if channel is not None:
+                self._queue(channel, lease, self.clock.now())
 
     def restore_dead_letter(
         self, sub_id: Any, seq: int, event: Any, reason: str, attempts: int, at: float
@@ -1028,16 +1002,9 @@ class DeliveryManager:
         """Every unsettled lease (compaction re-journals these into the
         restarted log so crash safety survives a compact)."""
         with self._lock:
-            out: List[Tuple[Any, Lease]] = []
-            for channel in self._channels.values():
-                for lease in channel._pending:
-                    out.append((channel.sub_id, lease))
-                for lease in channel._inflight.values():
-                    out.append((channel.sub_id, lease))
-            for sub_id, leases in self._orphans.items():
-                for lease in leases:
-                    out.append((sub_id, lease))
-            return out
+            held = [(c.sub_id, c._in_order()) for c in self._channels.values()]
+            held += self._orphans.items()
+            return [(sub_id, lease) for sub_id, leases in held for lease in leases]
 
     # ------------------------------------------------------------------
     # introspection
@@ -1080,6 +1047,30 @@ class DeliveryManager:
                 "inflight": self.inflight,
                 "dead_letters": len(self.dead_letters),
             }
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError if the bookkeeping disagrees with a
+        recount.  Intended for tests and debugging — O(leases)."""
+        with self._lock:
+            held = self.outstanding_leases()
+            assert self._outstanding_total == self.inflight == len(held), (
+                f"{self._outstanding_total} counted, {len(held)} held"
+            )
+            for channel in self._channels.values():
+                for seq, lease in channel._window.items():
+                    assert seq == lease.seq < channel._next_seq, "seq drift"
+                    if lease.inflight or channel._sink is not None:
+                        assert self._next_due <= lease.due_at, "pump watermark too late"
+                floor = self._seq_floor.get(channel.sub_id, 0)
+                assert channel._next_seq >= floor, "seq reissued after a departure"
+            for sub_id, leases in self._orphans.items():
+                assert sub_id not in self._channels, "orphans beside their channel"
+                assert all(lease.seq < self._seq_floor[sub_id] for lease in leases)
+            totals = self.stats()["counters"]
+            assert all(totals[k] >= v for k, v in self._totals_checked.items()), (
+                "a lifetime total shrank"
+            )
+            self._totals_checked = totals
 
 
 # ----------------------------------------------------------------------

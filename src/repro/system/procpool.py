@@ -280,8 +280,6 @@ def worker_main(
                 reply = True
             elif op == "stats":
                 reply = matcher.stats()
-            elif op == "ping":
-                reply = epoch
             elif op == "stop":
                 _send(conn, "ok", True)
                 break
@@ -551,22 +549,15 @@ class ProcessPool:
         try:
             nbytes = self.arena.write_slot(ticket, batch)
         except BaseException:
-            self._release_ticket(ticket)
+            self.arena.ring.release(ticket)
             raise
         if nbytes is None:
-            self._release_ticket(ticket)
+            self.arena.ring.release(ticket)
             self._m_shm_fallback["slot_full"].inc()
             return None
         ticket.nbytes = nbytes
         self._m_shm_bytes["publish"].inc(nbytes)
         return ticket
-
-    def _release_ticket(self, ticket: SlotTicket) -> None:
-        """Return an unread slot to the ring (all its readers at once)."""
-        if self.arena is None or self.arena.ring is None:
-            return
-        for _ in range(ticket.readers):
-            self.arena.ring.ack(ticket)
 
     def __enter__(self) -> "ProcessPool":
         return self

@@ -574,13 +574,13 @@ class ShardedMatcher(Matcher):
             try:
                 for s in probe:
                     outcomes.append(self._probe(s, events, rows_of[s], ticket))
-            finally:
+            except BaseException:
+                # Only an interrupt gets here (a probe reports errors,
+                # never raises); the probe it hit acked its own claim,
+                # the unreached shards' claims go back to the ring here.
                 if ticket is not None:
-                    # Only an interrupt gets here with shards unreached
-                    # (the probe it hit acked its own claim); release
-                    # theirs so the slot returns to the ring.
-                    for _ in range(len(probe) - len(outcomes) - 1):
-                        pool.arena.ring.ack(ticket)
+                    pool.arena.ring.release(ticket)
+                raise
         merged_at = time.perf_counter()
         for s, (per_event, error, elapsed) in zip(probe, outcomes):
             if breakers is None:

@@ -190,14 +190,17 @@ class SlotRing:
                         if deadline <= time.monotonic():
                             return None
 
+    def _check_generation(self, ticket: SlotTicket, what: str) -> None:
+        if self._generation[ticket.index] != ticket.generation:
+            raise ShmLayoutError(
+                f"stale {what} for slot {ticket.index}: ticket generation "
+                f"{ticket.generation}, slot at {self._generation[ticket.index]}"
+            )
+
     def ack(self, ticket: SlotTicket) -> None:
         """One reader is done with *ticket*'s slot (any order across slots)."""
         with self._cond:
-            if self._generation[ticket.index] != ticket.generation:
-                raise ShmLayoutError(
-                    f"stale ack for slot {ticket.index}: ticket generation "
-                    f"{ticket.generation}, slot at {self._generation[ticket.index]}"
-                )
+            self._check_generation(ticket, "ack")
             if self._pending[ticket.index] <= 0:
                 raise ShmLayoutError(
                     f"over-ack of slot {ticket.index} (generation "
@@ -206,6 +209,19 @@ class SlotRing:
             self._pending[ticket.index] -= 1
             if self._pending[ticket.index] == 0:
                 self._cond.notify_all()
+
+    def release(self, ticket: SlotTicket) -> int:
+        """Give back every reader claim *ticket* still holds (all of
+        them for a slot nobody will read, none once every reader acked);
+        returns how many.  A stale ticket is refused like a stale
+        :meth:`ack`: its slot carries a later batch's claims."""
+        with self._cond:
+            self._check_generation(ticket, "release")
+            held = self._pending[ticket.index]
+            if held:
+                self._pending[ticket.index] = 0
+                self._cond.notify_all()
+            return held
 
     def in_flight(self) -> int:
         """Slots currently held by at least one un-acked reader."""

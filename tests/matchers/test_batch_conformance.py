@@ -143,7 +143,10 @@ class TestBatchEqualsScalar:
         for s in subs:
             matcher.add(s)
         whole = [norm(r) for r in matcher.match_batch(events)]
-        for cut in (0, 1, 17, 63, 64):
+        # 31 / 32 / 33 straddle the counting engine's batch-size gate
+        # (_BINCOUNT_MIN_EVENTS), its only kernel selector: the scatter
+        # kernel and the bincount kernel answer the same rows.
+        for cut in (0, 1, 17, 31, 32, 33, 63, 64):
             halves = matcher.match_batch(events[:cut]) + matcher.match_batch(
                 events[cut:]
             )

@@ -1,6 +1,6 @@
 """Properties of the at-least-once delivery layer.
 
-Four guarantees, each hypothesis-driven under a ``VirtualClock``:
+Five guarantees, each hypothesis-driven under a ``VirtualClock``:
 
 1. **At-least-once** — whatever schedule of subscriber crashes, stalls
    and lost acks, once time runs long enough every dispatched
@@ -16,11 +16,18 @@ Four guarantees, each hypothesis-driven under a ``VirtualClock``:
 4. **Lifetime totals** — ``stats()["counters"]`` never decreases across
    any register / dispatch / ack / pump / unregister interleaving, and
    agrees with the registry for the four families that exist in both.
+5. **Compaction is invisible to delivery** — the log as written and
+   ``wal.compact(broker)`` of the same broker recover to the same
+   outstanding leases and the same dead letters.
+
+Both op-sequence machines call ``manager.check_invariants()`` after
+every step.
 """
 
 import json
 import os
 import random
+import shutil
 import tempfile
 
 from hypothesis import given, settings
@@ -30,9 +37,12 @@ from repro.core.types import Event
 from repro.obs.registry import MetricsRegistry
 from repro.system import (
     DeliveryManager,
+    PubSubBroker,
+    QueueNotifier,
     RetryPolicy,
     VirtualClock,
     WriteAheadLog,
+    recover_files,
 )
 
 MAX_ATTEMPTS = 3
@@ -214,6 +224,7 @@ def test_totals_are_monotone_and_equal_the_registry(ops):
             manager.pump()
         elif op.startswith("unregister") and registered:
             manager.unregister(sub_id, dead_letter=op == "unregister")
+        manager.check_invariants()
         totals = manager.stats()["counters"]
         assert all(totals[key] >= before[key] for key in before), (op, before, totals)
         before = totals
@@ -227,34 +238,55 @@ def test_totals_are_monotone_and_equal_the_registry(ops):
     assert before["dead_lettered"] == family("repro_delivery_dead_lettered_total")
 
 
+#: The workload's channels: two plain push channels and one that sheds.
+WORKLOAD_CHANNELS = {
+    "s1": {},
+    "s2": {},
+    "s3": {"capacity": 2, "overflow": "shed-oldest"},
+}
+
+
 def run_delivery_workload(wal_path, ops):
-    """Journal a delivery workload; the WAL file is the only artifact."""
+    """Journal a delivery workload; returns the live broker and its log
+    (still open — the caller closes or compacts it)."""
     clock = VirtualClock()
     wal = WriteAheadLog(wal_path, clock=clock, fsync="never")
     manager = make_manager(clock)
-    manager.wal = wal
-    manager.register("s1", sink=lambda n: None)
-    manager.register("s2", sink=lambda n: None)
-    outstanding = []  # (sub, seq) we have not acked yet
-    for op in ops:
-        if op[0] == "dispatch":
-            sub = f"s{1 + op[1] % 2}"
-            seq = manager.dispatch(sub, Event({"n": op[1]}))
-            outstanding.append((sub, seq))
-        elif op[0] == "ack":
-            if outstanding:
-                sub, seq = outstanding.pop(op[1] % len(outstanding))
-                manager.ack(sub, seq)
-        else:  # advance: ack timeouts, retries and dead-letters fire
-            clock.advance(op[1])
+    broker = PubSubBroker(
+        clock=clock, notifier=QueueNotifier(), wal=wal, delivery=manager
+    )
+    subs = sorted(WORKLOAD_CHANNELS)
+
+    def register(sub):
+        manager.register(sub, sink=lambda n: None, **WORKLOAD_CHANNELS[sub])
+
+    for sub in subs:
+        register(sub)
+    for kind, arg in ops:
+        if kind == "advance":  # ack timeouts, retries and dead-letters fire
+            clock.advance(arg)
             manager.pump()
-            outstanding = [
-                (sub, seq)
-                for sub, seq in outstanding
-                if seq in manager.channel(sub)._inflight
-                or any(l.seq == seq for l in manager.channel(sub)._pending)
-            ]
-    wal.close()
+        elif kind == "ack":
+            held = manager.outstanding_leases()  # every lease not settled yet
+            if held:
+                owner, lease = held[arg % len(held)]
+                manager.ack(owner, lease.seq)
+        else:
+            sub = subs[arg % len(subs)]
+            if kind == "register":  # reconnects, or comes back after leaving
+                register(sub)
+            elif kind == "redrive":
+                manager.redrive(sub)
+            elif not manager.handles(sub):
+                pass  # it left; nothing to dispatch to or detach
+            elif kind == "dispatch":
+                manager.dispatch(sub, Event({"n": arg}))
+            elif kind == "disconnect":
+                manager.disconnect(sub)
+            else:
+                manager.unregister(sub, dead_letter=kind == "unregister")
+        manager.check_invariants()
+    return broker, wal
 
 
 def oracle_delivery_state(wal_path):
@@ -283,6 +315,8 @@ def oracle_delivery_state(wal_path):
             outstanding.pop((record["sub"], record["seq"]), None)
             if record["outcome"] == "dead-letter":
                 dead.add((record["sub"], record["seq"]))
+            elif record["outcome"] == "redriven":
+                dead.discard((record["sub"], record["seq"]))
         elif kind not in ("anchor", "subscribe", "unsubscribe"):
             break
     return outstanding, dead
@@ -291,12 +325,29 @@ def oracle_delivery_state(wal_path):
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("dispatch"), st.integers(min_value=0, max_value=99)),
+        st.tuples(st.just("dispatch"), st.integers(min_value=0, max_value=99)),  # twice as likely
         st.tuples(st.just("ack"), st.integers(min_value=0, max_value=99)),
         st.tuples(st.just("advance"), st.floats(min_value=0.5, max_value=8.0)),
+        st.tuples(
+            st.sampled_from(
+                ["unregister", "unregister-drop", "disconnect", "register", "redrive"]
+            ),
+            st.integers(min_value=0, max_value=2),
+        ),
     ),
     min_size=1,
     max_size=30,
 )
+
+
+def recover_delivery(wal_path):
+    """The delivery manager of a fresh broker recovered from *wal_path*."""
+    manager = DeliveryManager(clock=VirtualClock())
+    broker = PubSubBroker(
+        clock=VirtualClock(), notifier=QueueNotifier(), delivery=manager
+    )
+    recover_files(broker, wal_path=wal_path)
+    return manager
 
 
 @settings(max_examples=50, deadline=None)
@@ -304,20 +355,13 @@ OPS = st.lists(
 def test_any_crash_offset_recovers_every_unacked_delivery(ops, offset_frac):
     with tempfile.TemporaryDirectory() as tmp:
         wal_path = os.path.join(tmp, "crash.wal")
-        run_delivery_workload(wal_path, ops)
+        run_delivery_workload(wal_path, ops)[1].close()
         offset = int(offset_frac * os.path.getsize(wal_path))
         with open(wal_path, "r+b") as raw:
             raw.truncate(offset)
 
         expected_outstanding, expected_dead = oracle_delivery_state(wal_path)
-
-        from repro.system import PubSubBroker, QueueNotifier, recover_files
-
-        manager = DeliveryManager(clock=VirtualClock())
-        broker = PubSubBroker(
-            clock=VirtualClock(), notifier=QueueNotifier(), delivery=manager
-        )
-        recover_files(broker, wal_path=wal_path)
+        manager = recover_delivery(wal_path)
 
         got_outstanding = {
             (sub, lease.seq): True for sub, lease in manager.outstanding_leases()
@@ -331,3 +375,25 @@ def test_any_crash_offset_recovers_every_unacked_delivery(ops, offset_frac):
         for sub, lease in manager.outstanding_leases():
             want = expected_outstanding[(sub, lease.seq)]["pairs"]
             assert dict(lease.notification.event.items()) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=OPS)
+def test_compacted_and_plain_logs_recover_the_same_delivery_state(ops):
+    def state(manager):
+        return (
+            {(sub, lease.seq) for sub, lease in manager.outstanding_leases()},
+            {(e.sub_id, e.seq) for e in manager.dead_letters},
+        )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        wal_path = os.path.join(tmp, "live.wal")
+        plain_path = os.path.join(tmp, "as-written.wal")
+        broker, wal = run_delivery_workload(wal_path, ops)
+        shutil.copyfile(wal_path, plain_path)  # every append is flushed
+        wal.compact(broker)
+        wal.close()
+        # Both logs owe exactly what the live manager still holds: a
+        # lease the operator dropped is owed by neither.
+        assert state(recover_delivery(plain_path)) == state(broker.delivery)
+        assert state(recover_delivery(wal_path)) == state(broker.delivery)

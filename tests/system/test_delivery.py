@@ -212,6 +212,69 @@ class TestPullMode:
         assert len(manager.poll("s1")) == 3
 
 
+class TestWindowOrder:
+    """A channel keeps one window; these pin the orders the two
+    containers it replaced used to give."""
+
+    def _mixed(self, **kwargs):
+        # seq 0 leased out and timed out (re-queued behind its backoff),
+        # seq 1 leased out and still in flight, seq 2 never handed out.
+        manager, clock = make_manager(**kwargs)
+        manager.register("s1")
+        manager.dispatch("s1", Event({"a": 0}))
+        assert [n.seq for n in manager.poll("s1")] == [0]
+        clock.advance(3.0)
+        manager.dispatch("s1", Event({"a": 1}))
+        assert [n.seq for n in manager.poll("s1")] == [1]
+        clock.advance(3.0)
+        manager.pump()  # seq 0's ack deadline (5.0) passed; seq 1's has not
+        manager.dispatch("s1", Event({"a": 2}))
+        stats = manager.channel("s1").stats()
+        assert (stats["pending"], stats["inflight"]) == (2, 1)
+        return manager, clock
+
+    def test_poll_reads_the_send_queue_in_queue_order(self):
+        manager, clock = self._mixed()
+        clock.advance(1.5)  # seq 0's backoff (1.0) has elapsed
+        # The re-queued seq 0 was queued before seq 2 was dispatched;
+        # seq 1 is with the subscriber.
+        assert [n.seq for n in manager.poll("s1")] == [0, 2]
+
+    def test_drain_settles_pendings_before_in_flights(self):
+        manager, _clock = self._mixed()
+        assert [lease.seq for _sub, lease in manager.outstanding_leases()] == [0, 2, 1]
+        assert manager.disconnect("s1") == 3
+        assert [e.seq for e in manager.dead_letters] == [0, 2, 1]
+
+    def test_shed_prefers_a_lease_never_handed_out(self):
+        manager, _clock = make_manager(capacity=2, overflow="shed-oldest")
+        manager.register("s1")
+        manager.dispatch("s1", Event({"a": 0}))
+        manager.poll("s1")  # seq 0 is with the subscriber
+        manager.dispatch("s1", Event({"a": 1}))
+        assert manager.channel("s1").stats()["oldest_seq"] == 1
+        manager.dispatch("s1", Event({"a": 2}))  # full: sheds pending seq 1
+        assert [lease.seq for _sub, lease in manager.outstanding_leases()] == [2, 0]
+        manager.ack("s1", 2)
+        manager.dispatch("s1", Event({"a": 3}))
+        manager.poll("s1")
+        manager.dispatch("s1", Event({"a": 4}))  # nothing pending: oldest lease-out
+        assert [lease.seq for _sub, lease in manager.outstanding_leases()] == [4, 3]
+
+    def test_pull_backlog_is_pumped_after_a_push_reregister(self):
+        # Pull-mode pendings never lower the pump watermark; turning the
+        # channel into a push channel must (they used to wait for some
+        # unrelated lease to wake the pump).
+        manager, _clock = make_manager()
+        manager.register("s1")
+        manager.dispatch("s1", Event({"a": 1}))
+        got = []
+        manager.register("s1", sink=got.append)
+        manager.pump()
+        assert [n.seq for n in got] == [0]
+        manager.check_invariants()
+
+
 class TestOverflowPolicies:
     def test_shed_oldest_evicts_and_counts(self):
         manager, _clock = make_manager(capacity=2, overflow="shed-oldest")
@@ -535,6 +598,35 @@ class TestWalIntegration:
         # The compacted log still carries the open delivery.
         assert report.unacked_deliveries == 1
         assert manager2.inflight == 1
+
+    def test_silent_drop_is_settled_in_the_log(self, tmp_path):
+        # unregister(dead_letter=False) used to journal nothing, so a
+        # crash afterwards redelivered what the operator had dropped —
+        # from the log as written, but not from a compacted one.
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync="never", clock=clock)
+        manager = DeliveryManager(clock=clock, ack_timeout=5.0)
+        broker = PubSubBroker(
+            clock=clock, notifier=QueueNotifier(), wal=wal, delivery=manager
+        )
+        broker.subscribe(Subscription("s1", [eq("a", 1)]))
+        manager.register("s1")  # pull channel
+        broker.publish(Event({"a": 1}))
+        assert manager.unregister("s1", dead_letter=False) == 1
+        # Silent: no counter moves, nothing is dead-lettered.
+        assert manager.stats()["counters"]["shed"] == 0
+        assert len(manager.dead_letters) == 0
+        wal.close()
+
+        manager2 = DeliveryManager(clock=VirtualClock())
+        restored = PubSubBroker(
+            clock=VirtualClock(), notifier=QueueNotifier(), delivery=manager2
+        )
+        report = recover_files(restored, wal_path=tmp_path / "wal.jsonl")
+        assert report.replayed_settles == 1
+        assert report.unacked_deliveries == 0
+        manager2.register("s1")
+        assert manager2.poll("s1") == []
 
     def test_attach_wal_propagates_to_delivery(self, tmp_path):
         clock = VirtualClock()

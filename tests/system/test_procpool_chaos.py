@@ -257,6 +257,36 @@ class TestShmSlotLifecycleUnderChaos:
             assert got == [norm(oracle.match(e)) for e in events]
             assert pool.arena.ring.in_flight() == 0
 
+    @pytest.mark.parametrize("reached", [0, 1])
+    def test_interrupted_serial_fanout_returns_the_unreached_claims(self, reached):
+        """An interrupt between two probes leaves reader claims nobody
+        will ack; ``SlotRing.release`` returns whatever is still held —
+        counting the probes that ran under-released by one when the
+        interrupt landed before a probe had read the slot."""
+        subs, events = workload()
+        oracle = oracle_for(subs)
+        with ShardedMatcher(
+            shards=SHARDS, router="hash", inner="counting", executor="process",
+            codec="shm", parallel=False, worker_timeout=30.0,
+        ) as m:  # fmt: skip
+            for s in subs:
+                m.add(s)
+            probe, calls = m._probe, []
+
+            def interrupted(shard, *args):
+                calls.append(shard)
+                if len(calls) > reached:
+                    raise KeyboardInterrupt
+                return probe(shard, *args)
+
+            m._probe = interrupted
+            with pytest.raises(KeyboardInterrupt):
+                m.match_batch(events)
+            del m._probe
+            assert m._procpool.arena.ring.in_flight() == 0
+            got = [norm(r) for r in m.match_batch(events)]
+            assert got == [norm(oracle.match(e)) for e in events]
+
     def test_external_sigkill_between_requests_heals_on_shm(self, tmp_path):
         """An idle-worker SIGKILL under codec='shm' self-heals silently
         and the batch still rides the arena afterwards."""

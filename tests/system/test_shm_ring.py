@@ -71,6 +71,26 @@ class TestSlotRing:
         with pytest.raises(ShmLayoutError, match="over-ack"):
             ring.ack(ticket)
 
+    @pytest.mark.parametrize("acked", [0, 2, 3])
+    def test_release_returns_the_claims_still_held(self, acked):
+        ring = SlotRing(1)
+        ticket = ring.acquire(3)
+        for _ in range(acked):
+            ring.ack(ticket)
+        assert ring.release(ticket) == 3 - acked
+        assert ring.pending() == [0]
+        fresh = ring.acquire(1, timeout=0.05)  # the slot is back in the ring
+        assert fresh is not None and fresh.generation == ticket.generation + 1
+
+    def test_stale_ticket_release_is_refused(self):
+        ring = SlotRing(1)
+        old = ring.acquire(1)
+        ring.ack(old)
+        ring.acquire(2)  # same slot, a later batch's claims
+        with pytest.raises(ShmLayoutError, match="stale release"):
+            ring.release(old)
+        assert ring.pending() == [2]
+
     def test_constructor_and_acquire_validate_arguments(self):
         with pytest.raises(ValueError):
             SlotRing(0)

@@ -245,6 +245,83 @@ class TestWorkerWire:
         assert shm_entries() == before
 
 
+class TestLeaseLifecycle:
+    """``system/delivery.py``: a lease has one way into a channel's
+    window (``_open``) and one way out (``_close``), so the bookkeeping
+    around them is written once."""
+
+    @staticmethod
+    def sites(test):
+        """The function (``Class.method``) around every node *test*
+        accepts, one entry per node, sorted."""
+        path = pathlib.Path(repro.__file__).parent / "system" / "delivery.py"
+        found = []
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                for func in cls.body:
+                    if isinstance(func, ast.FunctionDef):
+                        hits = sum(1 for node in ast.walk(func) if test(node))
+                        found += [f"{cls.name}.{func.name}"] * hits
+        return sorted(found)
+
+    @staticmethod
+    def calls(name):
+        def test(node):
+            func = getattr(node, "func", None)
+            return isinstance(node, ast.Call) and name in (
+                getattr(func, "id", None),
+                getattr(func, "attr", None),
+            )
+
+        return test
+
+    def test_the_running_count_moves_in_open_and_close_only(self):
+        def assigns(node):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            return isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+                getattr(t, "attr", None) == "_outstanding_total" for t in targets
+            )
+
+        assert self.sites(assigns) == [
+            "DeliveryManager.__init__", "DeliveryManager._close", "DeliveryManager._open",
+        ]  # fmt: skip
+
+    def test_a_settle_is_journaled_by_the_close_step(self):
+        # ... redrive (the dead letter's old seq) and the auto-ack fast
+        # path (no lease ever rests) being the two documented others.
+        assert self.sites(self.calls("append_settle")) == ["DeliveryManager._journal_settle"]
+        assert self.sites(self.calls("_journal_settle")) == [
+            "DeliveryManager._close", "DeliveryManager._dispatch_one", "DeliveryManager.redrive",
+        ]  # fmt: skip
+
+    def test_one_constructor_one_window_one_drain_one_lease_out(self):
+        assert self.sites(self.calls("Lease")) == ["DeliveryManager._open"]
+        import repro.system.delivery as delivery
+
+        assert not hasattr(delivery, "deque")
+
+        def window_store(node):
+            return (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and getattr(node.value, "attr", None) == "_window"
+            )
+
+        assert self.sites(window_store) == ["DeliveryManager._close", "SubscriberChannel._rest"]
+        assert set(self.sites(self.calls("_drain"))) == {
+            "DeliveryManager.disconnect", "DeliveryManager.unregister",
+        }  # fmt: skip
+        assert self.sites(self.calls("_lease_out")) == [
+            "DeliveryManager._send", "DeliveryManager.poll",
+        ]  # fmt: skip
+
+    def test_gauges_refresh_where_a_lease_or_a_channel_comes_or_goes(self):
+        assert self.sites(self.calls("_refresh_gauges")) == [
+            "DeliveryManager._close", "DeliveryManager._open", "DeliveryManager.register",
+            "DeliveryManager.unregister", "DeliveryManager.use_metrics",
+        ]  # fmt: skip
+
+
 def _matcher_classes_in_src():
     """The ``Matcher`` subclasses defined under ``src/repro``."""
     return sorted(
