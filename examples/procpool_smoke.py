@@ -14,7 +14,10 @@ Drives the process-per-shard backend once, at real volume:
    shard, and after cool-down the half-open probe respawns the worker,
    replays its subscriptions, and the results re-converge exactly.
 3. **Metrics** — the pool must report 4 live workers during the volume
-   stage and exactly one respawn after the chaos stage.
+   stage and exactly one respawn after the chaos stage, and the
+   2,000-subscription load must have crossed the pipes as chunked
+   ``apply`` messages (at most ⌈2,000/64⌉ + 4 of them over 4 shards),
+   not one round trip per subscription.
 
 Exits non-zero (with a diagnostic) on any divergence.
 """
@@ -81,10 +84,19 @@ def volume_stage():
         worker_timeout=60.0,
     ) as matcher:
         registry = matcher.use_metrics()
-        load_subscriptions(matcher, subs)
+        load_subscriptions(matcher, subs)  # ends in rebuild(): a barrier
         workers_up = matcher.executor_health()
         if workers_up["alive"] != SHARDS:
             fail(f"expected {SHARDS} live workers, health says {workers_up}")
+        mutate = registry.family("repro_procpool_ipc_seconds").labels(op="mutate")
+        sent = matcher.stats()["procpool"]["counters"]["mutations"]
+        budget = -(-N_SUBS // 64) + SHARDS
+        if sent != N_SUBS or not 0 < mutate.count <= budget:
+            fail(
+                f"{sent} mutations crossed the pipes in {mutate.count} apply "
+                f"messages; expected {N_SUBS} in at most {budget}"
+            )
+        print(f"  write-behind load: {sent} adds in {mutate.count} apply messages")
 
         got = []
         for start in range(0, N_EVENTS, 1024):

@@ -13,24 +13,36 @@ Design contract (pinned by ``tests/system/test_procpool_conformance.py``
 and ``tests/properties/test_prop_procpool.py``):
 
 * **One ordered command pipe per worker.**  Subscription mutations and
-  event batches travel through the *same* pipe, strictly
-  request/response, so every worker observes exactly the operation
-  sequence its parent issued — the property the determinism tests pin.
-  The parent mirrors each worker's subscription table by applying the
-  same sequence locally; the mirror is the replay source after a
-  crash and the id table for decoding match results.
+  event batches travel through the *same* pipe, so every worker
+  observes exactly the operation sequence its parent issued — the
+  property the determinism tests pin.  The parent mirrors each worker's
+  subscription table by applying the same sequence locally; the mirror
+  is the replay source after a crash and the id table for decoding
+  match results.
+* **Mutations are write-behind; every read is the barrier.**  ``add`` /
+  ``remove`` are decided against the mirror (a duplicate or unknown id
+  raises at once, with no pipe traffic), pickled, and buffered; the
+  buffer goes down the pipe as one ``apply`` message per
+  ``_APPLY_CHUNK`` ops — posted, its ack collected later, at most one
+  unacknowledged per worker — and, always, before any request that
+  reads the worker.  A read therefore sees every write before it, and
+  a mutation costs a share of one pipe message instead of a round trip.
 * **Epoch checking.**  Every reply carries the worker's mutation epoch;
   a mismatch against the parent's mirror epoch (a lost command, a
   corrupted pipe) raises :class:`~repro.system.resilience.WorkerStateError`
   instead of silently decoding hit indices against the wrong id table.
+  So does a worker that rejects a mutation the mirror accepted.
 * **Worker death is a shard failure, not a crash.**  A dead or hung
   worker surfaces as :class:`~repro.system.resilience.WorkerDiedError`
-  from that one call; the *next* call through the shard transparently
-  respawns the worker, replays its subscriptions from the mirror, and
-  proceeds.  Under ``breaker=`` the sharded layer therefore gets the
-  issue lifecycle for free: death trips the breaker, events skip the
-  shard (degraded ``PartialResults``), and the half-open probe is what
-  respawns and re-converges it.
+  from that one call; the *next* read through the shard transparently
+  respawns the worker, replays its subscriptions from the mirror (the
+  same chunked ``apply``), and proceeds.  Once the mirror has taken a
+  mutation, ``add`` / ``remove`` never raise for transport reasons: the
+  worker is marked dead and that next read heals it.  Under
+  ``breaker=`` the sharded layer therefore gets the issue lifecycle for
+  free: death trips the breaker, events skip the shard (degraded
+  ``PartialResults``), and the half-open probe is what respawns and
+  re-converges it.
 * **Numpy transport with a pickle fallback.**  Event batches whose
   values are all float64-exact numbers cross as a
   :class:`~repro.batch.columns.ColumnarBatch` (pickled on the pipe, or
@@ -46,20 +58,22 @@ matcher and reports its name/pid, so factory failures surface at
 construction) → serve → graceful ``stop`` on :meth:`ProcessPool.close`
 (abrupt ``terminate``/``kill`` for stragglers).  Metrics:
 ``repro_procpool_workers`` (live workers), ``repro_procpool_respawns_total``
-(by shard) and ``repro_procpool_ipc_seconds`` (by op).
+(by shard), ``repro_procpool_ipc_seconds`` (by op; one ``mutate`` sample
+per ``apply`` message) and ``repro_procpool_mutations_total`` (ops).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.batch.columns import ColumnarBatch
-from repro.core.errors import UnknownSubscriptionError
+from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
 from repro.obs.registry import MetricsRegistry
@@ -97,6 +111,10 @@ _SLOT_WAIT_SECONDS = 2.0
 #: bytes per slot.
 _SHM_SLOTS = 4
 _SHM_SLOT_BYTES = 1 << 20
+
+#: Mutations per ``apply`` message: a shard's buffered adds/removes go
+#: down the pipe when this many have gathered (and before every read).
+_APPLY_CHUNK = 64
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -263,17 +281,20 @@ def worker_main(
                 reply: Any = (epoch, encode_results(lists, index_of))
             elif op == "match":
                 reply = (epoch, list(matcher.match(msg[1])))
-            elif op == "add":
-                matcher.add(msg[1])
-                live[msg[1].id] = None
-                epoch += 1
+            elif op == "apply":
+                # One epoch per op, in order.  An op the engine rejects
+                # ends the message: the parent treats the error reply as
+                # a state error and replaces this worker.
                 index_of = None
-                reply = epoch
-            elif op == "remove":
-                matcher.remove(msg[1])
-                live.pop(msg[1], None)
-                epoch += 1
-                index_of = None
+                for blob in msg[1]:
+                    is_add, arg = pickle.loads(blob)
+                    if is_add:
+                        matcher.add(arg)
+                        live[arg.id] = None
+                    else:
+                        matcher.remove(arg)
+                        live.pop(arg, None)
+                    epoch += 1
                 reply = epoch
             elif op == "rebuild":
                 matcher.rebuild()
@@ -300,7 +321,7 @@ def worker_main(
 class _Worker:
     """Parent-side record of one live worker process."""
 
-    __slots__ = ("process", "conn", "name", "pid", "dead")
+    __slots__ = ("process", "conn", "name", "pid", "dead", "send_seconds")
 
     def __init__(self, process, conn, name: str, pid: int) -> None:
         self.process = process
@@ -308,6 +329,9 @@ class _Worker:
         self.name = name
         self.pid = pid
         self.dead = False
+        #: Time the last posted message spent in ``send`` (its reply's
+        #: wait is added when it is collected).
+        self.send_seconds = 0.0
 
 
 class ProcessPool:
@@ -375,10 +399,15 @@ class ProcessPool:
         ]
         ipc = m.histogram(
             "repro_procpool_ipc_seconds",
-            "Round-trip latency of one worker pipe request, by op.",
+            "Parent time spent on one worker pipe message (send plus the "
+            "wait for its reply), by op; one mutate sample per apply message.",
             ("op",),
         )
         self._m_ipc = {op: ipc.labels(op=op) for op in _IPC_OPS}
+        self._m_mutations = m.counter(
+            "repro_procpool_mutations_total",
+            "Subscription adds/removes sent to workers inside apply messages.",
+        ).labels()
         pipe_bytes = m.counter(
             "repro_procpool_bytes_total",
             "Estimated bytes moved over the worker command pipes, by "
@@ -567,16 +596,27 @@ class ProcessPool:
 
     # -- the request/response hop --------------------------------------
     def request(self, index: int, message: Tuple, op: str = "control") -> Any:
-        """One ordered round trip to shard *index*'s worker.
+        """One ordered round trip to shard *index*'s worker: :meth:`post`
+        then :meth:`collect`."""
+        self.post(index, message)
+        return self.collect(index, op)
 
-        Returns the worker's ``("ok", value)`` / ``("err", exc)`` tuple;
-        raises :class:`WorkerDiedError` (after marking the worker dead)
-        if the worker exits, the pipe breaks, or the reply exceeds
-        ``request_timeout``.
-        """
+    def _live_worker(self, index: int) -> _Worker:
         worker = self._workers[index]
         if worker is None or worker.dead:
             raise WorkerDiedError(f"shard {index} has no live worker", shard=index)
+        return worker
+
+    def post(self, index: int, message: Tuple) -> None:
+        """Send *message* to shard *index*'s worker without waiting.
+
+        Its reply must be taken with :meth:`collect` before the next
+        ``post``: with one message outstanding the worker writes its
+        (small) reply only after consuming the whole message, so neither
+        side can block on a full pipe.  Raises :class:`WorkerDiedError`
+        (after marking the worker dead) if the pipe is broken.
+        """
+        worker = self._live_worker(index)
         start = time.perf_counter()
         try:
             worker.conn.send(message)
@@ -586,10 +626,23 @@ class ProcessPool:
                 f"shard {index} worker pipe broke on send: {exc}", shard=index
             ) from exc
         self._m_pipe_bytes["send"].inc(payload_nbytes(message))
+        worker.send_seconds = time.perf_counter() - start
+
+    def collect(self, index: int, op: str = "control") -> Any:
+        """Wait for the reply to the message last posted to shard *index*.
+
+        Returns the worker's ``("ok", value)`` / ``("err", exc)`` tuple;
+        raises :class:`WorkerDiedError` (after marking the worker dead)
+        if the worker exits, the pipe breaks, or the wait exceeds
+        ``request_timeout``.  The ``op`` histogram takes the time the
+        parent spent on the message: its send plus this wait.
+        """
+        worker = self._live_worker(index)
+        start = time.perf_counter()
         reply = self._recv(worker, index)
         self._m_pipe_bytes["recv"].inc(payload_nbytes(reply))
         self._m_ipc[op if op in self._m_ipc else "control"].observe(
-            time.perf_counter() - start
+            worker.send_seconds + time.perf_counter() - start
         )
         return reply
 
@@ -645,6 +698,7 @@ class ProcessPool:
                 "ipc_seconds": float(
                     sum(h.sum for h in self._m_ipc.values())
                 ),
+                "mutations": int(self._m_mutations.value),
                 "pipe_bytes": {
                     direction: int(c.value)
                     for direction, c in self._m_pipe_bytes.items()
@@ -666,6 +720,11 @@ class ProcessPool:
         return out
 
 
+def _pickle_op(is_add: bool, arg: Any) -> bytes:
+    """One buffered mutation: ``(True, subscription)`` / ``(False, sub_id)``."""
+    return pickle.dumps((is_add, arg), pickle.HIGHEST_PROTOCOL)
+
+
 class ProcessShard(Matcher):
     """Matcher-shaped proxy for one shard's worker process.
 
@@ -673,12 +732,21 @@ class ProcessShard(Matcher):
     where an inner engine would sit, so routing, per-shard locking,
     breakers and the deterministic merge order all apply unchanged.
     Keeps the authoritative subscription mirror (the replay source and
-    result-decoding id table) on the parent side; every call transits
-    the worker's ordered command pipe through :meth:`ProcessPool.request`.
+    result-decoding id table) on the parent side.
 
-    Self-healing: if the worker is marked dead, the next call respawns
-    it and replays the mirror *before* sending — which is precisely the
-    half-open probe's job when a breaker quarantines the shard.
+    Mutations are write-behind: ``add`` / ``remove`` are decided against
+    the mirror, change it at once and leave a pickled op in a buffer
+    that reaches the worker as one ``apply`` message per
+    ``_APPLY_CHUNK`` ops.  Every call that reads the worker (``match``,
+    ``match_batch``, ``consume_slot``, ``stats``, ``rebuild``) is a
+    barrier: it first sends what is buffered and collects the
+    outstanding ack, so the worker has seen exactly the parent's op
+    sequence before it answers.
+
+    Self-healing: if the worker is marked dead, the next barrier
+    respawns it and replays the mirror *before* sending — which is
+    precisely the half-open probe's job when a breaker quarantines the
+    shard.
     """
 
     thread_safe = False  # the sharded layer serializes per-shard access
@@ -689,6 +757,13 @@ class ProcessShard(Matcher):
         self._mirror: Dict[Any, Subscription] = {}
         self._epoch = 0
         self._table: Optional[List[Any]] = None
+        #: Pickled ops the mirror has taken and the worker has not been sent.
+        self._buffer: List[bytes] = []
+        #: The epoch the one unacknowledged ``apply`` must answer with.
+        self._posted_epoch: Optional[int] = None
+        #: A state error met while a mutation was flushing a chunk; the
+        #: next barrier raises it (``add`` / ``remove`` must not).
+        self._desync: Optional[WorkerStateError] = None
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -697,13 +772,20 @@ class ProcessShard(Matcher):
 
     @property
     def epoch(self) -> int:
-        """The parent-side mutation epoch (mirrors the worker's)."""
+        """The parent-side mutation epoch: the worker's own, once it has
+        applied what is still buffered."""
         return self._epoch
 
     # -- plumbing -------------------------------------------------------
     def _call(self, message: Tuple, op: str) -> Any:
+        """One round trip that reads the worker, behind the barrier."""
+        if self._desync is not None:
+            exc, self._desync = self._desync, None
+            raise exc
         if not self.pool.alive(self.index):
             self._heal()
+        self._post_buffer()
+        self._collect_ack()
         status, value = self.pool.request(self.index, message, op)
         if status == "err":
             raise value
@@ -712,20 +794,68 @@ class ProcessShard(Matcher):
     def _heal(self) -> None:
         """Respawn the worker and replay the subscription mirror."""
         self.pool.respawn(self.index)
+        # Whatever was buffered or in flight went with the old worker;
+        # the mirror holds all of it.  A fresh worker's epoch counts
+        # only the replayed adds.
+        self._buffer = []
+        self._posted_epoch = None
+        self._epoch = 0
         for sub in self._mirror.values():
-            status, value = self.pool.request(self.index, ("add", sub), "mutate")
-            if status == "err":
-                raise value
-        # A fresh worker's epoch counts only the replayed adds.
-        self._epoch = len(self._mirror)
-        self._table = None
+            self._record(_pickle_op(True, sub))
 
-    def _check_epoch(self, worker_epoch: int) -> None:
-        if worker_epoch != self._epoch:
+    def _record(self, blob: bytes) -> None:
+        """Count one op the mirror has taken and queue it for the worker.
+
+        Never raises: the op is already in the mirror, so a transport
+        failure here only leaves the worker marked dead for the next
+        barrier to heal (an error out of ``add`` would have
+        ``ShardedMatcher`` forget a subscription the mirror still holds).
+        """
+        self._epoch += 1
+        self._table = None
+        self._buffer.append(blob)
+        if len(self._buffer) < _APPLY_CHUNK:
+            return
+        try:
+            self._post_buffer()
+        except WorkerStateError as exc:
+            self._desync = exc
+        except WorkerDiedError:
+            pass
+
+    def _post_buffer(self) -> None:
+        """Send the buffered ops as one ``apply``, not waiting for its ack."""
+        if not self._buffer:
+            return
+        # Taken before anything can raise: a failed post marks the
+        # worker dead, and the heal replays the mirror, not this list.
+        ops, self._buffer = self._buffer, []
+        self._collect_ack()
+        self.pool.post(self.index, ("apply", ops))
+        self.pool._m_mutations.inc(len(ops))
+        self._posted_epoch = self._epoch
+
+    def _collect_ack(self) -> None:
+        """Check the outstanding ``apply`` landed where the mirror says."""
+        if self._posted_epoch is None:
+            return
+        expected, self._posted_epoch = self._posted_epoch, None
+        status, value = self.pool.collect(self.index, "mutate")
+        if status == "err":
+            self.pool.note_death(self.index)
+            raise WorkerStateError(
+                f"shard {self.index} worker rejected a mutation the parent "
+                f"mirror accepted: {value!r}",
+                shard=self.index,
+            ) from value
+        self._check_epoch(value, expected)
+
+    def _check_epoch(self, worker_epoch: int, expected: int) -> None:
+        if worker_epoch != expected:
             self.pool.note_death(self.index)
             raise WorkerStateError(
                 f"shard {self.index} worker answered with epoch {worker_epoch}, "
-                f"parent mirror is at {self._epoch}",
+                f"parent mirror is at {expected}",
                 shard=self.index,
             )
 
@@ -736,23 +866,23 @@ class ProcessShard(Matcher):
 
     # -- the Matcher surface --------------------------------------------
     def add(self, subscription: Subscription) -> None:
-        worker_epoch = self._call(("add", subscription), "mutate")
+        if subscription.id in self._mirror:
+            raise DuplicateSubscriptionError(subscription.id)
+        blob = _pickle_op(True, subscription)  # an unpicklable id fails here
         self._mirror[subscription.id] = subscription
-        self._epoch += 1
-        self._table = None
-        self._check_epoch(worker_epoch)
+        self._record(blob)
 
     def remove(self, sub_id: Any) -> Subscription:
-        worker_epoch = self._call(("remove", sub_id), "mutate")
+        if sub_id not in self._mirror:
+            raise UnknownSubscriptionError(sub_id)
+        blob = _pickle_op(False, sub_id)
         subscription = self._mirror.pop(sub_id)
-        self._epoch += 1
-        self._table = None
-        self._check_epoch(worker_epoch)
+        self._record(blob)
         return subscription
 
     def match(self, event: Event) -> List[Any]:
         worker_epoch, ids = self._call(("match", event), "match")
-        self._check_epoch(worker_epoch)
+        self._check_epoch(worker_epoch, self._epoch)
         return ids
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
@@ -768,7 +898,7 @@ class ProcessShard(Matcher):
         # here only when that publish fell back — retrying the arena per
         # shard would count, and wait out, the same fallback again.
         worker_epoch, results = self._call(("batch", encode_events(events)), "batch")
-        self._check_epoch(worker_epoch)
+        self._check_epoch(worker_epoch, self._epoch)
         return decode_results(results, self._id_table())
 
     def consume_slot(
@@ -785,7 +915,7 @@ class ProcessShard(Matcher):
             worker_epoch, results = self._call(
                 ("batch_shm", ticket.index, ticket.generation, rows), "batch"
             )
-            self._check_epoch(worker_epoch)
+            self._check_epoch(worker_epoch, self._epoch)
             return decode_results(results, self._id_table())
         finally:
             if pool.arena is not None and pool.arena.ring is not None:

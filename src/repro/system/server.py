@@ -272,6 +272,11 @@ class BatchServer:
                 # n_S_b / n_E_b units).  The explicit sync sits inside
                 # the batched scope so even fsync="always" pays one disk
                 # sync per batch, not one per item plus one.
+                # Transport: the same amortization under
+                # executor="process" — each item changes its shard's
+                # parent-side mirror at once and rides to the worker in
+                # one `apply` pipe message per chunk of ops, the rest at
+                # the next publish (every read is the barrier; procpool.py).
                 wal = broker.wal
                 with wal.batched() if wal is not None else contextlib.nullcontext():
                     if request.kind == "subscribe":

@@ -421,6 +421,10 @@ class ShardedMatcher(Matcher):
             with self._shard_locks[shard]:
                 self._shards[shard].add(subscription)
         except BaseException:
+            # The rollback assumes a shard that raised did not keep the
+            # subscription.  A process shard holds to that: it raises
+            # only before its mirror takes the op, never for transport
+            # reasons after (procpool.ProcessShard._record).
             with self._meta:
                 del self._shard_of[subscription.id]
                 self._population[shard] -= 1

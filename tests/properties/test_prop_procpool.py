@@ -1,10 +1,12 @@
 """Process-executor properties: determinism under interleaving and splits.
 
-For random interleavings of subscription churn and event batches, the
-process executor must produce exactly what a single-process scalar run
-of the same engine produces at every step (the ordered-command-pipe
-determinism contract), and its batch results must be invariant under
-batch splitting (the deterministic ascending-shard merge contract).
+For random interleavings of subscription churn, event batches, worker
+kills and stats reads, the process executor must produce exactly what a
+single-process scalar run of the same engine produces at every step
+(the ordered-command-pipe determinism contract: mutations are buffered
+and every read is the barrier, so after any read each worker holds
+exactly its shard's mirror), and its batch results must be invariant
+under batch splitting (the deterministic ascending-shard merge contract).
 Replies are sparse hit indices: the codec round-trips any hit lists into
 table order, and through real workers every batch row comes back in the
 shards' mirror-insertion order.
@@ -22,6 +24,7 @@ from repro.matchers import make_matcher
 from repro.system.procpool import decode_results, encode_results
 from repro.system.sharding import ShardedMatcher
 from tests.properties.strategies import events, subscriptions
+from tests.system.test_procpool_chaos import sigkill_and_wait
 
 COMMON_SETTINGS = settings(
     max_examples=10,
@@ -55,13 +58,24 @@ def mirror_order(proc):
 #: Nothing here has a float64-exact columnar form.
 ODD_EVENT = Event({"a": "text", "b": float("nan"), "c": 2**53 + 1})
 
+
+def assert_workers_hold_their_mirrors(proc):
+    """``stats`` reads the worker, so it is a barrier (and heals a dead
+    one): what the engine holds afterwards is the shard's mirror."""
+    for k in range(2):
+        assert proc.shard(k).stats()["subscriptions"] == len(proc.shard(k))
+
+
 #: One interleaving step: subscribe (a fresh sub), unsubscribe (an index
-#: into the already-added list), or a batch (a list of events).
+#: into the already-added list), a batch (a list of events), SIGKILL one
+#: shard's worker, or read every worker's stats.
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("add"), subscriptions()),
         st.tuples(st.just("remove"), st.integers(min_value=0, max_value=60)),
         st.tuples(st.just("batch"), st.lists(events(), min_size=0, max_size=6)),
+        st.tuples(st.just("kill"), st.integers(min_value=0, max_value=1)),
+        st.tuples(st.just("stats"), st.none()),
     ),
     min_size=1,
     max_size=25,
@@ -98,6 +112,11 @@ class TestInterleavingDeterminism:
                     victim = live.pop(arg % len(live))
                     seen.discard(victim.id)
                     assert proc.remove(victim.id) == scalar.remove(victim.id)
+                elif op == "kill":
+                    if proc._procpool.alive(arg):  # else: killed, not yet healed
+                        sigkill_and_wait(proc._procpool, arg)
+                elif op == "stats":
+                    assert_workers_hold_their_mirrors(proc)
                 else:
                     if odd:
                         arg = arg + [ODD_EVENT]
@@ -110,6 +129,7 @@ class TestInterleavingDeterminism:
                     if len(arg) > 1:  # one event is the "match" op: engine order
                         order = mirror_order(proc)
                         assert all(r == sorted(r, key=order.__getitem__) for r in rows)
+                    assert_workers_hold_their_mirrors(proc)
             if codec == "shm":
                 fallbacks = proc.executor_health()["shm"]["fallbacks"]
                 assert fallbacks["oddpath"] == odd_batches

@@ -21,7 +21,8 @@ import pytest
 
 from repro.core import Event, Subscription, eq
 from repro.matchers import make_matcher
-from repro.system.resilience import PartialResults, WorkerDiedError
+from repro.system.procpool import _APPLY_CHUNK
+from repro.system.resilience import PartialResults, WorkerDiedError, WorkerStateError
 from repro.system.sharding import ShardedMatcher
 from repro.testing.faults import FlakyMatcher, InjectedFault, killable_worker
 
@@ -62,6 +63,15 @@ def chaos_matcher(tmp_path, die_at, breaker=True, codec="auto"):
         worker_timeout=30.0,
         codec=codec,
     )
+
+
+def sigkill_and_wait(pool, index):
+    """SIGKILL shard *index*'s worker from outside; return once it is gone."""
+    os.kill(pool.worker_pid(index), signal.SIGKILL)
+    deadline = time.monotonic() + 5.0
+    while pool.alive(index) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not pool.alive(index)
 
 
 @pytest.mark.watchdog(60)
@@ -187,12 +197,125 @@ class TestWorkerDeathWithoutBreaker:
         with chaos_matcher(tmp_path, die_at=10_000, breaker=False) as m:
             for s in subs:
                 m.add(s)
-            os.kill(m._procpool.worker_pid(0), signal.SIGKILL)
-            deadline = time.monotonic() + 5.0
-            while m._procpool.alive(0) and time.monotonic() < deadline:
-                time.sleep(0.01)
+            sigkill_and_wait(m._procpool, 0)
             got = [norm(r) for r in m.match_batch(events)]
             assert got == [norm(oracle.match(e)) for e in events]
+
+
+def ipc_requests(pool):
+    return pool.stats()["counters"]["ipc_requests"]
+
+
+def rejecting_once(tmp_path):
+    """A shard factory whose first-built engine rejects its first add;
+    every later build (the other shard, the respawn) is healthy."""
+    latch = str(tmp_path / "reject-latch")
+
+    def factory():
+        engine = make_matcher("counting")
+        try:
+            os.close(os.open(latch, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return engine
+        return FlakyMatcher(engine, failures=1, operations=("add",))
+
+    return factory
+
+
+@pytest.mark.watchdog(60)
+class TestWriteBehindUnderChaos:
+    """Mutations are buffered and posted, so a worker can die holding
+    less than the mirror: whatever it had, the next read heals from the
+    mirror — nothing lost, nothing applied twice."""
+
+    def plain(self, shards=SHARDS, inner=lambda: make_matcher("counting")):
+        return ShardedMatcher(
+            shards=shards, router="hash", inner=inner, executor="process",
+            worker_timeout=30.0,
+        )  # fmt: skip
+
+    def assert_converged(self, m, live, events):
+        oracle = oracle_for(live)
+        got = [norm(r) for r in m.match_batch(events)]
+        assert got == [norm(oracle.match(e)) for e in events]
+        for k in range(m.shards):
+            assert m.shard(k).stats()["subscriptions"] == len(m.shard(k))
+        assert len(m) == len(live)
+
+    def test_sigkill_with_ops_still_buffered(self):
+        """Nothing has reached the workers yet (every shard is under
+        one chunk and no read has happened) when one is killed."""
+        subs, events = workload()
+        with self.plain() as m:
+            for s in subs:
+                m.add(s)
+            for s in subs[::4]:
+                m.remove(s.id)
+            pool = m._procpool
+            assert ipc_requests(pool) == 0 and len(m.shard(0)._buffer) > 0
+            sigkill_and_wait(pool, 0)
+            live = [s for i, s in enumerate(subs) if i % 4]
+            self.assert_converged(m, live, events)
+            assert pool.stats()["counters"]["respawns"] == 1
+
+    def test_sigkill_with_an_apply_posted_and_unacked(self):
+        """A full chunk went down the pipe, its ack was never collected,
+        more ops sit in the buffer behind it — then the worker dies."""
+        subs, events = workload(n_subs=5 * _APPLY_CHUNK)
+        with self.plain() as m:
+            for s in subs:
+                m.add(s)
+            for s in subs[::3]:
+                m.remove(s.id)
+            pool, shard = m._procpool, m.shard(0)
+            assert shard._posted_epoch is not None and shard._buffer
+            sigkill_and_wait(pool, 0)
+            # churn while the worker is down: the mirror absorbs it.
+            late = Subscription("late", [eq("x", 1)])
+            m.add(late)
+            live = [s for i, s in enumerate(subs) if i % 3] + [late]
+            self.assert_converged(m, live, events)
+            assert pool.stats()["counters"]["respawns"] == 1
+
+    def test_heal_replays_in_chunks_not_per_subscription(self):
+        """A 5 000-subscription shard is back after one apply message
+        per chunk plus the read that triggered the heal."""
+        n = 5_000
+        subs = [Subscription(i, [eq("x", i % 50)]) for i in range(n)]
+        events = [Event({"x": 7}), Event({"x": 51})]
+        with self.plain(shards=1) as m:
+            for s in subs:
+                m.add(s)
+            pool = m._procpool
+            m.rebuild()  # barrier: the load is sent and acked
+            loaded = ipc_requests(pool)
+            assert loaded == -(-n // _APPLY_CHUNK) + 1
+            assert pool.stats()["counters"]["mutations"] == n
+            sigkill_and_wait(pool, 0)
+            hit, miss = m.match_batch(events)
+            assert len(hit) == n // 50 and miss == []
+            assert ipc_requests(pool) - loaded <= -(-n // _APPLY_CHUNK) + 2
+            assert pool.stats()["counters"]["mutations"] == 2 * n
+            assert m.shard(0).stats()["subscriptions"] == n
+
+    @pytest.mark.parametrize("n_subs", [40, 5 * _APPLY_CHUNK])
+    def test_worker_rejecting_an_op_is_a_state_error_at_the_barrier(
+        self, tmp_path, n_subs
+    ):
+        """The engine refuses an add the mirror accepted — while the op
+        is still buffered (40), or inside a posted chunk whose ack a
+        later ``add`` collects (5 chunks' worth).  No ``add`` raises;
+        the next read does, and the one after it heals by replay."""
+        subs, events = workload(n_subs=n_subs)
+        with self.plain(inner=rejecting_once(tmp_path)) as m:
+            for s in subs:
+                m.add(s)
+            pool = m._procpool
+            with pytest.raises(WorkerStateError):
+                m.match_batch(events)
+            assert pool.alive_count() == SHARDS - 1
+            self.assert_converged(m, subs, events)
+            assert pool.stats()["counters"]["respawns"] == 1
 
 
 @pytest.mark.watchdog(60)
@@ -295,10 +418,7 @@ class TestShmSlotLifecycleUnderChaos:
         with chaos_matcher(tmp_path, die_at=10_000, breaker=False, codec="shm") as m:
             for s in subs:
                 m.add(s)
-            os.kill(m._procpool.worker_pid(0), signal.SIGKILL)
-            deadline = time.monotonic() + 5.0
-            while m._procpool.alive(0) and time.monotonic() < deadline:
-                time.sleep(0.01)
+            sigkill_and_wait(m._procpool, 0)
             got = [norm(r) for r in m.match_batch(events)]
             assert got == [norm(oracle.match(e)) for e in events]
             stats = m._procpool.stats()
@@ -369,10 +489,7 @@ class TestRepeatedChaos:
                 live[s.id] = s
             for cycle in range(5):
                 victim = cycle % SHARDS
-                os.kill(m._procpool.worker_pid(victim), signal.SIGKILL)
-                deadline = time.monotonic() + 5.0
-                while m._procpool.alive(victim) and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                sigkill_and_wait(m._procpool, victim)
                 # churn while the worker is down (mirror absorbs it).
                 extra = Subscription(f"c{cycle}", [eq("x", cycle % 5)])
                 m.add(extra)

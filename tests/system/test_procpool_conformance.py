@@ -9,11 +9,19 @@ up here as a differential mismatch.
 """
 
 import itertools
+import pickle
 
 import pytest
 
 from repro.core import Event, Subscription, eq, ge, le
-from repro.system.procpool import CODECS, encode_events
+from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
+from repro.system.procpool import (
+    _APPLY_CHUNK,
+    CODECS,
+    _pickle_op,
+    encode_events,
+    payload_nbytes,
+)
 from repro.system.sharding import ShardedMatcher
 from tests.matchers.test_batch_conformance import _random_workload, build, norm
 
@@ -214,6 +222,35 @@ class TestProcessExecutorSurface:
             assert removed == sub
             assert len(proc) == 0
 
+    def test_duplicate_add_and_unknown_remove_are_answered_from_the_mirror(self):
+        """Neither costs a pipe message — at the sharded layer or at the
+        shard proxy under it — and both raise what an engine raises."""
+        sub = Subscription("s", [eq("x", 1)])
+        with sharded("counting", "process") as proc:
+            proc.add(sub)
+            assert norm(proc.match(Event({"x": 1}))) == ["s"]  # a barrier
+            (holder,) = [k for k in range(SHARDS) if len(proc.shard(k))]
+            counters = proc.stats()["procpool"]["counters"]
+            for target in (proc, proc.shard(holder)):
+                with pytest.raises(DuplicateSubscriptionError):
+                    target.add(sub)
+                with pytest.raises(UnknownSubscriptionError):
+                    target.remove("nobody")
+            assert proc.stats()["procpool"]["counters"] == counters
+            assert len(proc) == 1 and proc.shard(holder).epoch == 1
+
+    def test_unpicklable_subscription_fails_the_add_that_carried_it(self):
+        """Ops are pickled when buffered, not when the chunk is sent: the
+        bad one never reaches the mirror or poisons its neighbours."""
+        with sharded("counting", "process") as proc:
+            shard = proc.shard(0)
+            shard.add(Subscription("before", [eq("x", 1)]))
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                shard.add(Subscription(lambda: 0, [eq("x", 1)]))
+            shard.add(Subscription("after", [eq("x", 1)]))
+            assert len(shard) == 2 and shard.epoch == 2
+            assert norm(shard.match(Event({"x": 1}))) == ["after", "before"]
+
     def test_iter_subscriptions_answers_from_parent_mirror(self):
         subs, _ = _random_workload(seed=2, n_subs=30, n_events=1)
         with sharded("counting", "process") as proc:
@@ -232,6 +269,32 @@ class TestProcessExecutorSurface:
             health = proc.executor_health()
             assert health["executor"] == "process"
             assert health["alive"] == health["workers"] == SHARDS
+
+    def test_mutate_telemetry_is_one_sample_per_apply_message(self):
+        """``ipc_seconds{op="mutate"}`` counts messages and
+        ``mutations_total`` counts ops, so ops per message is derivable;
+        bytes are counted once per message."""
+        subs = [Subscription(i, [eq("x", i % 7)]) for i in range(6 * _APPLY_CHUNK)]
+        with sharded("counting", "process") as proc:
+            registry = proc.use_metrics()
+            for s in subs:
+                proc.add(s)
+            proc.rebuild()  # barrier: everything sent and acked
+            messages = sum(-(-len(proc.shard(k)) // _APPLY_CHUNK) for k in range(SHARDS))
+            mutate = registry.family("repro_procpool_ipc_seconds").labels(op="mutate")
+            assert mutate.count == messages
+            assert registry.family("repro_procpool_mutations_total").labels().value == len(subs)
+            counters = proc.stats()["procpool"]["counters"]
+            assert counters["mutations"] == len(subs)
+            assert counters["ipc_requests"] == messages + SHARDS  # + the rebuilds
+            sent = counters["pipe_bytes"]["send"]
+            proc.remove(0)
+            proc.rebuild()
+            counters = proc.stats()["procpool"]["counters"]
+            assert counters["mutations"] == len(subs) + 1
+            assert counters["pipe_bytes"]["send"] - sent == payload_nbytes(
+                ("apply", [_pickle_op(False, 0)])
+            ) + SHARDS * payload_nbytes(("rebuild",))
 
     def test_close_is_idempotent_and_stops_workers(self):
         proc = sharded("counting", "process")
@@ -279,6 +342,9 @@ class TestPipeLaneIsTheArenasFallback:
                 oracle.add(sub)
             if not any(wanted):
                 break
+        # A barrier on every shard: the load's buffered ops and their
+        # acks are not the reply bytes the tests below measure.
+        matcher.rebuild()
         return matcher, oracle, matcher._procpool
 
     def check(self, matcher, oracle, pool, events, reason, held=None):
