@@ -14,6 +14,7 @@ import pytest
 
 from benchmarks.conftest import loaded_matcher, match_events, scaled
 from repro.algorithms import counting
+from repro.batch import BatchPredicateEvaluator
 from repro.bench.harness import (
     FIGURE3_ALGORITHMS,
     bench_snapshot_path,
@@ -138,7 +139,7 @@ def test_counting_bincount_kernel_beats_scatter():
     n = max(4_000, scaled(400_000))
     matcher, events = loaded_matcher("counting", spec, n, 512)
     assoc = matcher._assoc_arrays()
-    evaluate = matcher._batch_evaluator().evaluate
+    evaluate = BatchPredicateEvaluator(matcher.indexes).evaluate
     truths = [
         evaluate(events[s : s + 256], matcher.bits.size)
         for s in range(0, len(events), 256)

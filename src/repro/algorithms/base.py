@@ -50,10 +50,8 @@ class TwoPhaseMatcher(Matcher):
             "predicates_satisfied": 0,
             "subscription_checks": 0,
         }
-        # Compiled batch-kernel predicate evaluator, rebuilt lazily when
-        # the registry's structural epoch moves (see match_batch).
-        self._batch_eval: Optional[BatchPredicateEvaluator] = None
-        self._batch_eval_epoch = -1
+        # Phase 1 of the batch kernel, run off the same indexes.
+        self._kernel = BatchPredicateEvaluator(self.indexes)
         # Reusable phase-1 truth buffer: one allocation serves every
         # batch of the same slot width instead of a fresh matrix each
         # call (the process workers run one batch per request, so this
@@ -154,14 +152,6 @@ class TwoPhaseMatcher(Matcher):
     # ------------------------------------------------------------------
     # the vectorized batch path
     # ------------------------------------------------------------------
-    def _batch_evaluator(self) -> BatchPredicateEvaluator:
-        """The compiled predicate-phase kernel, recompiled on epoch change."""
-        epoch = self.registry.epoch
-        if self._batch_eval is None or self._batch_eval_epoch != epoch:
-            self._batch_eval = BatchPredicateEvaluator(self.indexes.entries())
-            self._batch_eval_epoch = epoch
-        return self._batch_eval
-
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
         """The vectorized kernel, straight off a ``ColumnarBatch`` when
         given one.
@@ -185,8 +175,8 @@ class TwoPhaseMatcher(Matcher):
                 self._mb_fallback.inc()
             return [self.match(e) for e in events]
         t0 = time.perf_counter_ns()
-        evaluator = self._batch_evaluator()
-        evaluate = evaluator.evaluate_columnar if columnar else evaluator.evaluate
+        kernel = self._kernel
+        evaluate = kernel.evaluate_columnar if columnar else kernel.evaluate
         truth = evaluate(events, self.bits.size, out=self._scratch(len(events)))
         if columnar and self.phase2_needs_events:
             events = events.to_events()

@@ -46,7 +46,10 @@ class Cluster:
         if size < 0:
             raise ClusteringError(f"cluster size must be >= 0, got {size}")
         self.size = size
-        #: Back-pointer to the owning ClusterList (set by the list).
+        #: The owning ClusterList.  An engine keeps ``id → Cluster`` and
+        #: nothing else about placement: removal and ``placement_of``
+        #: reach the list — and through its ``key`` the table entry —
+        #: from here.
         self.owner = owner
         cols = _INITIAL_COLUMNS
         self._refs = np.zeros((size, cols), dtype=np.int32) if size else None
@@ -265,15 +268,14 @@ class ClusterList:
         self._count += 1
         return cluster
 
-    def remove(self, sub_id: Any, size: int) -> np.ndarray:
-        """Remove from the cluster of the given residual size."""
-        cluster = self._by_size.get(size)
-        if cluster is None:
-            raise ClusteringError(f"no cluster of size {size} holds {sub_id!r}")
-        refs = cluster.remove(sub_id)
+    def remove(self, sub_id: Any, home: Cluster) -> np.ndarray:
+        """Remove from *home*, the member cluster that holds *sub_id*."""
+        if home.owner is not self:
+            raise ClusteringError(f"{home!r} is not a cluster of {self!r}")
+        refs = home.remove(sub_id)
         self._count -= 1
-        if not len(cluster):
-            del self._by_size[size]
+        if not len(home):
+            del self._by_size[home.size]
         return refs
 
     def match(self, bits: np.ndarray, out: List[Any], vectorized: bool) -> int:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
-from repro.algorithms.clusters import ClusterList
+from repro.algorithms.clusters import Cluster, ClusterList
 from repro.core.types import Event, Predicate, Subscription, Value
 from repro.indexes.ordered import IndexKind
 
@@ -51,8 +51,9 @@ class PropagationMatcher(TwoPhaseMatcher):
         self._lists: Dict[Tuple[str, Value], ClusterList] = {}
         self._universal = ClusterList(key=None)
         self._selector = access_selector
-        # sub id -> (access predicate or None, residual size) for removal.
-        self._placement: Dict[Any, Tuple[Optional[Predicate], int]] = {}
+        # sub id -> the cluster that holds it (its list's key is the
+        # access predicate, None for the universal list).
+        self._home: Dict[Any, Cluster] = {}
 
     # ------------------------------------------------------------------
     # access-predicate choice
@@ -75,28 +76,22 @@ class PropagationMatcher(TwoPhaseMatcher):
     def _place(self, sub: Subscription, slots: Dict[Predicate, int]) -> None:
         access = self._choose_access(sub)
         if access is None:
+            lst = self._universal
             refs = self.ordered_residual_bits(sub, slots, ())
-            self._universal.add(sub.id, refs)
-            self._placement[sub.id] = (None, len(refs))
-            return
-        refs = self.ordered_residual_bits(sub, slots, (access,))
-        key = (access.attribute, access.value)
-        lst = self._lists.get(key)
-        if lst is None:
-            lst = self._lists[key] = ClusterList(key=access)
-        lst.add(sub.id, refs)
-        self._placement[sub.id] = (access, len(refs))
+        else:
+            refs = self.ordered_residual_bits(sub, slots, (access,))
+            key = (access.attribute, access.value)
+            lst = self._lists.get(key)
+            if lst is None:
+                lst = self._lists[key] = ClusterList(key=access)
+        self._home[sub.id] = lst.add(sub.id, refs)
 
     def _displace(self, sub: Subscription) -> None:
-        access, size = self._placement.pop(sub.id)
-        if access is None:
-            self._universal.remove(sub.id, size)
-            return
-        key = (access.attribute, access.value)
-        lst = self._lists[key]
-        lst.remove(sub.id, size)
-        if not lst:
-            del self._lists[key]
+        home = self._home.pop(sub.id)
+        lst = home.owner
+        lst.remove(sub.id, home)
+        if not lst and lst is not self._universal:
+            del self._lists[(lst.key.attribute, lst.key.value)]
 
     # ------------------------------------------------------------------
     # phase 2
@@ -147,23 +142,24 @@ class PropagationMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         super().check_invariants()
-        assert set(self._placement) == set(self._subs), "placement key drift"
         listed = set()
-        for lst in list(self._lists.values()) + [self._universal]:
-            assert len(lst) >= 0
+        for key, lst in [(None, self._universal), *self._lists.items()]:
+            assert lst or key is None, f"empty cluster list retained for {key!r}"
+            access = lst.key
+            if access is not None:
+                assert key == (access.attribute, access.value), "list filed under another key"
             for cluster in lst.clusters():
+                assert cluster.owner is lst, "cluster owned by another list"
                 for sid in cluster.ids():
                     assert sid not in listed, f"{sid!r} in two clusters"
                     listed.add(sid)
-        assert listed == set(self._subs), "cluster membership drift"
-        for sid, (access, size) in self._placement.items():
-            sub = self._subs[sid]
-            expected = sub.size - (1 if access is not None else 0)
-            assert size == expected, f"residual size drift for {sid!r}"
-            if access is not None:
-                assert access in sub.predicates, "access predicate not in sub"
-        for key, lst in self._lists.items():
-            assert lst, f"empty cluster list retained for {key!r}"
+                    assert self._home.get(sid) is cluster, f"home drift for {sid!r}"
+                    sub = self._subs.get(sid)
+                    assert sub is not None, f"{sid!r} stored but not live"
+                    assert access is None or access in sub.predicates
+                    expected = sub.size - (0 if access is None else 1)
+                    assert cluster.size == expected, f"residual size drift for {sid!r}"
+        assert listed == set(self._subs) == set(self._home), "cluster membership drift"
 
     # ------------------------------------------------------------------
     # introspection

@@ -24,6 +24,7 @@ path.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,27 @@ from repro.core.types import Event
 #: Largest |int| float64 represents exactly; at or past it the columnar
 #: value matrix would silently round.
 _EXACT_INT_LIMIT = 2**53
+
+
+def exact_float64(values: Sequence[Any]) -> Optional[np.ndarray]:
+    """*values* as a float64 array — or None when one of them cannot
+    ride float64 exactly: a string, or an int at or past 2**53.
+
+    The one place that decides it, for the list kernel's per-attribute
+    columns and for :meth:`ColumnarBatch.from_events` alike.
+    """
+    # No dtype: asked for float64 numpy would *parse* a numeric string;
+    # left to infer, a string anywhere makes the array non-numeric.
+    array = np.asarray(values)
+    if array.dtype.kind not in "if":
+        return None
+    array = array.astype(np.float64, copy=False)
+    if (np.abs(array) >= _EXACT_INT_LIMIT).any() and any(
+        isinstance(v, int) and abs(v) >= _EXACT_INT_LIMIT for v in values
+    ):
+        # Floats that large are exact; an int may have rounded on the way in.
+        return None
+    return array
 
 
 class ColumnarBatch:
@@ -78,27 +100,33 @@ class ColumnarBatch:
         exactly (strings, ints at or past 2**53)."""
         if not events:
             return None
-        attrs: List[str] = []
-        seen: Dict[str, int] = {}
-        for event in events:
-            for attr, value in event.items():
-                if isinstance(value, str) or (
-                    isinstance(value, int) and abs(value) >= _EXACT_INT_LIMIT
-                ):
-                    return None
-                if attr not in seen:
-                    seen[attr] = len(attrs)
-                    attrs.append(attr)
-        values = np.zeros((len(events), len(attrs)), dtype=np.float64)
-        presence = np.zeros((len(events), len(attrs)), dtype=bool)
-        ints = np.zeros((len(events), len(attrs)), dtype=bool)
-        for row, event in enumerate(events):
-            for attr, value in event.items():
-                col = seen[attr]
-                presence[row, col] = True
-                values[row, col] = value
-                ints[row, col] = isinstance(value, int)
-        return cls(attrs, values, pack_bits(presence), pack_bits(ints))
+        pairs_list = [event.pairs for event in events]
+        col_of = {
+            attr: j
+            for j, attr in enumerate(dict.fromkeys(chain.from_iterable(pairs_list)))
+        }
+        # Present cells only, row-major: what a batch costs to encode
+        # follows the pairs it carries, not rows × attributes.
+        cells = list(chain.from_iterable(map(dict.values, pairs_list)))
+        flat = exact_float64(cells)
+        if flat is None:
+            return None
+        rows = np.repeat(np.arange(len(events)), list(map(len, pairs_list)))
+        cols = np.fromiter(
+            map(col_of.__getitem__, chain.from_iterable(pairs_list)),
+            dtype=np.intp,
+            count=len(cells),
+        )
+        shape = (len(events), len(col_of))
+        values = np.zeros(shape, dtype=np.float64)
+        presence = np.zeros(shape, dtype=bool)
+        ints = np.zeros(shape, dtype=bool)
+        values[rows, cols] = flat
+        presence[rows, cols] = True
+        ints[rows, cols] = np.fromiter(
+            map(isinstance, cells, repeat(int)), dtype=bool, count=len(cells)
+        )
+        return cls(list(col_of), values, pack_bits(presence), pack_bits(ints))
 
     def select(self, rows: Sequence[int]) -> "ColumnarBatch":
         """The sub-batch of *rows*, in the given order (contiguous copies)."""

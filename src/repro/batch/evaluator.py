@@ -1,9 +1,10 @@
-"""Compiled batched predicate phase (phase 1 of the kernel).
+"""Batched predicate phase (phase 1 of the kernel).
 
 The scalar path probes per-attribute operator indexes once per event;
-here the same index contents are *compiled* into flat numpy arrays so
-each deduplicated predicate is evaluated against every event of a batch
-in one vectorized operation per (attribute, operator) group:
+here each index's constants are read as flat numpy arrays — the index's
+own compiled form (:meth:`repro.indexes.OperatorIndex.vector_form`) —
+so every deduplicated predicate is evaluated against every event of a
+batch in one vectorized operation per (attribute, operator) index:
 
 * ``=``  — ``searchsorted`` of the batch's column values into the sorted
   constant array, then a scatter of the exact hits;
@@ -14,217 +15,92 @@ in one vectorized operation per (attribute, operator) group:
 
 Exactness contract: results must be *identical* to the scalar indexes,
 which compare with full Python precision.  Vectorizing through float64
-is exact for floats and for ints with ``|v| <= 2**53``; anything else —
-strings, huge ints, NaN constants (dict identity semantics) — takes the
-"odd" per-pair path built from the same dict probes and ``bisect`` calls
-the scalar indexes use.  A group containing a constant that float64
-cannot represent exactly routes **all** of its values through the odd
-path, so an inexact constant can never produce a wrong boundary.
+is exact for floats and for ints with ``|v| < 2**53``; any other pair —
+a string, a huge int, a NaN value (dict identity semantics) — is one
+call to :meth:`PredicateIndexSet.probe`, the probe the scalar
+algorithm makes for every event pair.  An attribute with an index
+holding a constant that float64 cannot represent exactly sends **all**
+of its values that way, so an inexact constant can never produce a
+wrong boundary.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.batch.columns import exact_float64
 from repro.core.types import Event, Operator, Value
+from repro.indexes.composite import PredicateIndexSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.batch.columns import ColumnarBatch
 
-#: Largest |int| guaranteed exactly representable as float64.
-_SAFE_INT = 2**53
+#: Column filler for "attribute missing from this event".
+_NAN = float("nan")
 
 #: Cell cap for one broadcast (rows × constants) range compare.
 _BROADCAST_CELLS = 1 << 22
 
-#: Column sentinel for "attribute missing from this event".
-_NAN = float("nan")
 
-#: Second-probe sentinel distinguishing a missing attribute from a real
-#: NaN value (both read back as NaN from the float64 column).
-_ABSENT = object()
-
-
-def _float_exact(value) -> bool:
-    """Can *value* be pushed through float64 without changing equality
-    or ordering against any other exactly-represented number?"""
-    if isinstance(value, float):
-        return not math.isnan(value)
-    return -_SAFE_INT <= value <= _SAFE_INT
+def _hits(form, vals: np.ndarray):
+    """``(mask, idx)``: which of *vals* equal a constant, and which one."""
+    idx = np.searchsorted(form.keys, vals)
+    np.clip(idx, 0, len(form.keys) - 1, out=idx)
+    return form.keys[idx] == vals, idx
 
 
-class _EqGroup:
-    """All ``=`` constants of one attribute."""
-
-    __slots__ = ("by_value", "keys", "bits", "exact")
-
-    def __init__(self, pairs: List[Tuple[Value, int]]) -> None:
-        self.by_value: Dict[Value, int] = dict(pairs)
-        numeric = [(v, b) for v, b in pairs if not isinstance(v, str)]
-        safe = sorted(
-            (float(v), b) for v, b in numeric if _float_exact(v)
-        )
-        # NaN constants are unmatchable by value (dict identity only),
-        # so leaving them out of `safe` loses nothing; huge ints *can*
-        # equal a float event value, hence the exact flag.
-        self.exact = any(
-            not _float_exact(v) and not (isinstance(v, float) and math.isnan(v))
-            for v, _ in numeric
-        )
-        self.keys = np.array([k for k, _ in safe], dtype=np.float64)
-        self.bits = np.array([b for _, b in safe], dtype=np.int64)
-
-    def apply_odd(self, truth: np.ndarray, row: int, value: Value) -> None:
-        bit = self.by_value.get(value)
-        if bit is not None:
-            truth[row, bit] = True
-
-    def apply_vector(self, truth: np.ndarray, rows, vals) -> None:
-        if not len(self.keys):
-            return
-        rows = np.asarray(rows, dtype=np.intp)
-        vals = np.asarray(vals, dtype=np.float64)
-        idx = np.searchsorted(self.keys, vals)
-        np.clip(idx, 0, len(self.keys) - 1, out=idx)
-        hit = self.keys[idx] == vals
-        if hit.any():
-            truth[rows[hit], self.bits[idx[hit]]] = True
+def _apply_eq(form, truth: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    if not len(form.keys):
+        return
+    hit, idx = _hits(form, vals)
+    if hit.any():
+        truth[rows[hit], form.bits[idx[hit]]] = True
 
 
-class _NeGroup:
-    """All ``!=`` constants of one attribute."""
-
-    __slots__ = ("by_value", "all_bits", "keys", "bits", "exact")
-
-    def __init__(self, pairs: List[Tuple[Value, int]]) -> None:
-        self.by_value: Dict[Value, int] = dict(pairs)
-        self.all_bits = np.array(sorted(b for _, b in pairs), dtype=np.int64)
-        numeric = [(v, b) for v, b in pairs if not isinstance(v, str)]
-        safe = sorted(
-            (float(v), b) for v, b in numeric if _float_exact(v)
-        )
-        self.exact = any(
-            not _float_exact(v) and not (isinstance(v, float) and math.isnan(v))
-            for v, _ in numeric
-        )
-        self.keys = np.array([k for k, _ in safe], dtype=np.float64)
-        self.bits = np.array([b for _, b in safe], dtype=np.int64)
-
-    def apply_odd(self, truth: np.ndarray, row: int, value: Value) -> None:
-        truth[row, self.all_bits] = True
-        own = self.by_value.get(value)
-        if own is not None:
-            truth[row, own] = False
-
-    def apply_vector(self, truth: np.ndarray, rows, vals) -> None:
-        rows = np.asarray(rows, dtype=np.intp)
-        truth[np.ix_(rows, self.all_bits)] = True
-        if not len(self.keys):
-            return
-        vals = np.asarray(vals, dtype=np.float64)
-        idx = np.searchsorted(self.keys, vals)
-        np.clip(idx, 0, len(self.keys) - 1, out=idx)
-        hit = self.keys[idx] == vals
-        if hit.any():
-            truth[rows[hit], self.bits[idx[hit]]] = False
+def _apply_ne(form, truth: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    truth[np.ix_(rows, form.all_bits)] = True
+    if not len(form.keys):
+        return
+    hit, idx = _hits(form, vals)
+    if hit.any():
+        truth[rows[hit], form.bits[idx[hit]]] = False
 
 
-_RANGE_UFUNC = {
-    Operator.LT: np.less,
-    Operator.LE: np.less_equal,
-    Operator.GE: np.greater_equal,
-    Operator.GT: np.greater,
+def _apply_range(ufunc: np.ufunc):
+    def apply(form, truth: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+        step = max(1, _BROADCAST_CELLS // len(form.keys))
+        for s in range(0, len(rows), step):
+            cmp = ufunc(vals[s : s + step, None], form.keys[None, :])
+            truth[np.ix_(rows[s : s + step], form.bits)] = cmp
+
+    return apply
+
+
+#: The vector kernel of each operator class, over one index's compiled form.
+_KERNELS = {
+    Operator.EQ: _apply_eq,
+    Operator.NE: _apply_ne,
+    Operator.LT: _apply_range(np.less),
+    Operator.LE: _apply_range(np.less_equal),
+    Operator.GE: _apply_range(np.greater_equal),
+    Operator.GT: _apply_range(np.greater),
 }
 
 
-class _RangeGroup:
-    """All constants of one ordered operator on one attribute."""
-
-    __slots__ = ("op", "keys", "bits", "py_keys", "py_bits", "exact")
-
-    def __init__(self, op: Operator, pairs: List[Tuple[Value, int]]) -> None:
-        self.op = op
-        # NaN constants are never satisfied by any ordered compare; drop
-        # them so they cannot poison the sort.
-        clean = [
-            (v, b)
-            for v, b in pairs
-            if not (isinstance(v, float) and math.isnan(v))
-        ]
-        clean.sort(key=lambda vb: vb[0])
-        self.py_keys = [v for v, _ in clean]
-        self.py_bits = np.array([b for _, b in clean], dtype=np.int64)
-        self.exact = any(not _float_exact(v) for v in self.py_keys)
-        self.keys = np.array(self.py_keys, dtype=np.float64)
-        self.bits = self.py_bits
-
-    def apply_odd(self, truth: np.ndarray, row: int, value: Value) -> None:
-        if isinstance(value, float) and math.isnan(value):
-            return
-        op = self.op
-        keys = self.py_keys
-        # satisfied constants form a prefix/suffix of the sorted keys:
-        # v < c  → c > v  (suffix);  v > c → c < v (prefix); etc.
-        if op is Operator.LT:
-            lo, hi = bisect_right(keys, value), len(keys)
-        elif op is Operator.LE:
-            lo, hi = bisect_left(keys, value), len(keys)
-        elif op is Operator.GE:
-            lo, hi = 0, bisect_right(keys, value)
-        else:  # GT
-            lo, hi = 0, bisect_left(keys, value)
-        if lo < hi:
-            truth[row, self.py_bits[lo:hi]] = True
-
-    def apply_vector(self, truth: np.ndarray, rows, vals) -> None:
-        k = len(self.keys)
-        if not k:
-            return
-        rows = np.asarray(rows, dtype=np.intp)
-        vals = np.asarray(vals, dtype=np.float64)
-        ufunc = _RANGE_UFUNC[self.op]
-        step = max(1, _BROADCAST_CELLS // k)
-        for s in range(0, len(rows), step):
-            cmp = ufunc(vals[s : s + step, None], self.keys[None, :])
-            truth[np.ix_(rows[s : s + step], self.bits)] = cmp
-
-
 class BatchPredicateEvaluator:
-    """Predicate phase over a whole batch, compiled from index entries.
+    """Predicate phase over a whole batch, run off the live indexes.
 
-    Build from :meth:`PredicateIndexSet.entries`; recompile whenever the
-    registry's structural epoch moves (``TwoPhaseMatcher`` caches one
-    instance keyed by ``registry.epoch``).
+    Holds no copy of them: the arrays it reads are each index's own
+    compiled form, so a write to one index is the only thing the next
+    batch recompiles.
     """
 
-    __slots__ = ("_by_attr", "_groups")
+    __slots__ = ("_indexes",)
 
-    def __init__(self, entries: Iterable[Tuple[str, Operator, Value, int]]) -> None:
-        grouped: Dict[Tuple[str, Operator], List[Tuple[Value, int]]] = {}
-        for attr, op, value, bit in entries:
-            grouped.setdefault((attr, op), []).append((value, bit))
-        self._by_attr: Dict[str, List[Tuple[Operator, object]]] = {}
-        self._groups: List[object] = []
-        for (attr, op), pairs in sorted(
-            grouped.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-        ):
-            if op is Operator.EQ:
-                group = _EqGroup(pairs)
-            elif op is Operator.NE:
-                group = _NeGroup(pairs)
-            else:
-                group = _RangeGroup(op, pairs)
-            self._by_attr.setdefault(attr, []).append((op, group))
-            self._groups.append(group)
-
-    @property
-    def group_count(self) -> int:
-        """Number of compiled (attribute, operator) groups."""
-        return len(self._groups)
+    def __init__(self, indexes: PredicateIndexSet) -> None:
+        self._indexes = indexes
 
     def evaluate(
         self,
@@ -244,66 +120,38 @@ class BatchPredicateEvaluator:
         (the two-phase matchers reuse one scratch buffer across batches).
 
         The scan is column-oriented: one gather of the attribute's value
-        across the whole batch, one float64 conversion, then the
-        vectorized group kernels over the rows carrying the attribute.
-        Rows whose value cannot ride the float64 path (strings, NaN,
-        ints past 2**53) are resolved individually through the exact odd
-        path; an attribute whose column will not convert at all (string
-        values present) falls back to the per-row odd scan.
+        across the whole batch, one float64 conversion
+        (:func:`exact_float64`, the test :meth:`ColumnarBatch.from_events`
+        applies too), then the vector kernels over the rows carrying the
+        attribute.  A column float64 cannot carry (a string or an int at
+        or past 2**53 somewhere in it) is resolved row by row through
+        the exact path, as is a NaN value.
         """
         n = len(events)
         truth = self._prepare_truth(n, n_slots, out)
-        if not n or not self._by_attr:
-            return truth
         pairs_list = [e.pairs for e in events]
-        for attr, groups in self._by_attr.items():
-            vals = [p.get(attr, _NAN) for p in pairs_list]
-            try:
-                col = np.asarray(vals, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                self._evaluate_attr_odd(groups, truth, pairs_list, attr)
+        all_rows = np.arange(n)
+        for attr, forms in self._indexes.vector_forms():
+            col = exact_float64([pairs.get(attr, _NAN) for pairs in pairs_list])
+            if col is None:
+                for row, pairs in enumerate(pairs_list):
+                    if attr in pairs:
+                        self._exact(truth, row, attr, pairs[attr])
                 continue
+            rows = all_rows
             nan_mask = np.isnan(col)
             if nan_mask.any():
                 # Missing attribute — or a real NaN value, which must
                 # still probe the = / != dicts exactly like the scalar
                 # indexes (dict identity semantics and all).
                 for row in np.nonzero(nan_mask)[0]:
-                    value = pairs_list[row].get(attr, _ABSENT)
-                    if value is not _ABSENT:
-                        self._apply_odd_pair(groups, truth, int(row), value)
-            rows = np.nonzero(~nan_mask)[0]
-            if not len(rows):
-                continue
-            col = col[rows]
-            big = np.abs(col) > _SAFE_INT
-            if big.any():
-                # Magnitudes past 2**53: floats are still exact, ints
-                # may have rounded in the conversion — resolve per value.
-                keep = np.ones(len(rows), dtype=bool)
-                for i in np.nonzero(big)[0]:
-                    row = int(rows[i])
-                    value = pairs_list[row][attr]
-                    if type(value) is float:
-                        continue
-                    try:
-                        lossless = float(value) == value
-                    except OverflowError:
-                        lossless = False
-                    if not lossless:
-                        keep[i] = False
-                        self._apply_odd_pair(groups, truth, row, value)
-                rows, col = rows[keep], col[keep]
-                if not len(rows):
-                    continue
-            for _op, group in groups:
-                if group.exact:
-                    for row in rows:
-                        group.apply_odd(
-                            truth, int(row), pairs_list[int(row)][attr]
-                        )
-                else:
-                    group.apply_vector(truth, rows, col)
+                    if attr in pairs_list[row]:
+                        self._exact(truth, int(row), attr, pairs_list[row][attr])
+                rows = np.nonzero(~nan_mask)[0]
+                col = col[rows]
+            if not self._vector(truth, forms, rows, col):
+                for row in rows:
+                    self._exact(truth, int(row), attr, pairs_list[row][attr])
         return truth
 
     def evaluate_columnar(
@@ -318,19 +166,16 @@ class BatchPredicateEvaluator:
         :class:`Event` objects or per-attribute dict gathers: each
         attribute's column is sliced from the batch's float64 value
         matrix under its presence bits.  Columnar values are exact by
-        construction (strings and ints past 2**53 never encode), so the
-        only odd-path work left is real NaN values — which must probe
-        the ``=`` / ``!=`` dicts like the scalar indexes — and groups
-        whose *constants* are inexact, resolved per row with the value
-        rebuilt as int or float from the was-int bit.
+        construction (strings and ints at or past 2**53 never encode),
+        so the only exact-path work left is real NaN values and
+        attributes whose *constants* are inexact, resolved per row with
+        the value rebuilt as int or float from the was-int bit.
         """
         n = len(batch)
         truth = self._prepare_truth(n, n_slots, out)
-        if not n or not self._by_attr:
-            return truth
         col_of = {attr: j for j, attr in enumerate(batch.attrs)}
         present = ints = None
-        for attr, groups in self._by_attr.items():
+        for attr, forms in self._indexes.vector_forms():
             j = col_of.get(attr)
             if j is None:
                 continue
@@ -338,34 +183,39 @@ class BatchPredicateEvaluator:
                 present = batch.present()
                 ints = batch.int_mask()
             rows = np.nonzero(present[:, j])[0]
-            if not len(rows):
-                continue
             col = batch.values[rows, j]
             nan_mask = np.isnan(col)
             if nan_mask.any():
-                for i in np.nonzero(nan_mask)[0]:
-                    self._apply_odd_pair(
-                        groups, truth, int(rows[i]), float(col[i])
+                for row in rows[nan_mask]:
+                    self._exact(truth, int(row), attr, float("nan"))
+                rows, col = rows[~nan_mask], col[~nan_mask]
+            if not self._vector(truth, forms, rows, col):
+                for row, value in zip(rows, col.tolist()):
+                    self._exact(
+                        truth, int(row), attr, int(value) if ints[row, j] else value
                     )
-                keep = ~nan_mask
-                rows, col = rows[keep], col[keep]
-                if not len(rows):
-                    continue
-            int_col = None
-            for _op, group in groups:
-                if group.exact:
-                    if int_col is None:
-                        int_col = ints[rows, j]
-                    for i, row in enumerate(rows):
-                        value = float(col[i])
-                        group.apply_odd(
-                            truth,
-                            int(row),
-                            int(value) if int_col[i] else value,
-                        )
-                else:
-                    group.apply_vector(truth, rows, col)
         return truth
+
+    @staticmethod
+    def _vector(truth: np.ndarray, forms, rows: np.ndarray, col: np.ndarray) -> bool:
+        """Run one attribute's vector kernels (*forms*: its indexes'
+        compiled forms) over *rows*, whose values *col* float64 carries
+        exactly.  False — and nothing written — when one of the indexes
+        holds a constant float64 cannot carry: the caller sends each
+        row's own value down the exact path."""
+        for _op, form in forms:
+            if form.exact:
+                return False
+        if len(rows):
+            for op, form in forms:
+                _KERNELS[op](form, truth, rows, col)
+        return True
+
+    def _exact(self, truth: np.ndarray, row: int, attr: str, value: Value) -> None:
+        """One (row, attribute, value) through the scalar indexes."""
+        bits = []
+        self._indexes.probe(((attr, value),), bits.append)
+        truth[row, bits] = True
 
     @staticmethod
     def _prepare_truth(n: int, n_slots: int, out: "np.ndarray") -> np.ndarray:
@@ -386,23 +236,3 @@ class BatchPredicateEvaluator:
         truth = out[:n, :n_slots]
         truth[:] = False
         return truth
-
-    def _evaluate_attr_odd(
-        self, groups, truth: np.ndarray, pairs_list, attr: str
-    ) -> None:
-        """Per-row exact scan for one attribute (string columns etc.)."""
-        for row, pairs in enumerate(pairs_list):
-            value = pairs.get(attr, _ABSENT)
-            if value is not _ABSENT:
-                self._apply_odd_pair(groups, truth, row, value)
-
-    @staticmethod
-    def _apply_odd_pair(groups, truth: np.ndarray, row: int, value: Value) -> None:
-        """Exact odd-path probes of one (row, value) against all groups."""
-        if isinstance(value, str):
-            for op, group in groups:
-                if not op.is_range:
-                    group.apply_odd(truth, row, value)
-        else:
-            for _op, group in groups:
-                group.apply_odd(truth, row, value)

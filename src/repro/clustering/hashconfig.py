@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.algorithms.clusters import ClusterList
+from repro.algorithms.clusters import Cluster, ClusterList
 from repro.core.errors import ClusteringError
 from repro.core.types import Event, Subscription, Value
 
@@ -69,19 +69,22 @@ class MultiAttrHashTable:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def add(self, sub_id: Any, key: Key, bit_refs: Sequence[int]) -> ClusterList:
-        """Insert a subscription under its probe key."""
+    def add(self, sub_id: Any, key: Key, bit_refs: Sequence[int]) -> Cluster:
+        """Insert a subscription under its probe key; returns its home."""
         lst = self._entries.get(key)
         if lst is None:
             lst = self._entries[key] = ClusterList(key=(self.schema, key))
-        lst.add(sub_id, bit_refs)
+        home = lst.add(sub_id, bit_refs)
         self._count += 1
-        return lst
+        return home
 
-    def remove(self, sub_id: Any, key: Key, size: int) -> None:
-        """Remove a subscription from its entry's size-cluster."""
-        lst = self._entries[key]
-        lst.remove(sub_id, size)
+    def remove(self, sub_id: Any, home: Cluster) -> None:
+        """Remove a subscription from *home*, the cluster that holds it."""
+        lst = home.owner
+        key = lst.key[1]
+        if self._entries.get(key) is not lst:
+            raise ClusteringError(f"{home!r} is not stored in table {self.schema!r}")
+        lst.remove(sub_id, home)
         self._count -= 1
         if not lst:
             del self._entries[key]

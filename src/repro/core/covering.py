@@ -189,16 +189,6 @@ class CoverageIndex:
         self._unsat: Set[Any] = set()
         self._attr_index = AttributeIndex()
 
-    def _covers_ids(self, broad_id: Any, narrow_id: Any) -> bool:
-        """Covering between two *live* entries, from cached forms."""
-        if narrow_id in self._unsat:
-            return True
-        if broad_id in self._unsat:
-            return False
-        return covers_simplified(
-            self._simplified[broad_id], self._simplified[narrow_id]
-        )
-
     def add(self, sub: Subscription) -> Tuple[bool, List[Any]]:
         """Insert; returns ``(is_redundant, ids_now_covered_by_sub)``."""
         if sub.id in self._subs:

@@ -84,10 +84,9 @@ class PredicateRegistry:
     @property
     def epoch(self) -> int:
         """Structural version: bumps whenever the predicate ↔ slot mapping
-        changes (a distinct predicate appears or vanishes).  Refcount-only
-        churn does not move it, so compiled artifacts keyed on the epoch —
-        the batch kernel's :class:`~repro.batch.evaluator.BatchPredicateEvaluator`
-        — stay valid across duplicate-predicate subscribe/unsubscribe."""
+        changes (a distinct predicate appears or vanishes) — exactly when
+        some predicate index is written and drops its compiled form.
+        Refcount-only churn does not move it."""
         return self._epoch
 
     def slot(self, predicate: Predicate) -> Optional[int]:

@@ -9,11 +9,11 @@ predicate in the shared bit vector (paper Figure 2, step 1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.bitvector import BitVector
-from repro.core.types import Event, Operator, Predicate
-from repro.indexes.base import OperatorIndex
+from repro.core.types import Event, Operator, Predicate, Value
+from repro.indexes.base import OperatorIndex, _VectorForm
 from repro.indexes.hash_index import EqualityHashIndex
 from repro.indexes.notequal import NotEqualIndex
 from repro.indexes.ordered import IndexKind, make_ordered_index
@@ -77,28 +77,49 @@ class PredicateIndexSet:
         """Set the bit of every predicate satisfied by *event*.
 
         Returns the number of satisfied predicates (for instrumentation).
-        String event values are only routed to the = and != indexes; the
-        ordered indexes hold numeric constants exclusively, matching
+        """
+        return self.probe(event.items(), bits.set)
+
+    def probe(
+        self, pairs: Iterable[Tuple[str, Value]], hit: Callable[[int], None]
+    ) -> int:
+        """Call ``hit(bit)`` for every stored predicate some pair satisfies.
+
+        Exact for any value: the scalar algorithm runs it over an
+        event's pairs, the batch kernel over the single pairs its
+        float64 columns cannot carry.  Returns the number of hits.  The
+        one place that routes a value to operator classes: string
+        values only probe the = and != indexes; the ordered indexes
+        hold numeric constants exclusively, matching
         :meth:`Predicate.matches` semantics (ordered comparisons across
-        types are false).  NaN event values skip the ordered indexes the
-        same way — every ordered compare with NaN is false, and a bisect
+        types are false).  NaN values skip the ordered indexes the same
+        way — every ordered compare with NaN is false, and a bisect
         probe with NaN would report garbage prefixes instead.
         """
         n = 0
         by_attr = self._by_attr
-        for attribute, value in event.items():
+        for attribute, value in pairs:
             ops = by_attr.get(attribute)
             if ops is None:
                 continue
-            is_str = isinstance(value, str)
-            no_range = is_str or value != value
+            no_range = isinstance(value, str) or value != value
             for op, index in ops.items():
                 if no_range and op.is_range:
                     continue
                 for bit in index.satisfied(value):
-                    bits.set(bit)
+                    hit(bit)
                     n += 1
         return n
+
+    def vector_forms(
+        self,
+    ) -> Iterator[Tuple[str, List[Tuple[Operator, _VectorForm]]]]:
+        """Per attribute, the ``(operator, compiled form)`` of each of
+        its indexes — what the batch kernel runs its vector kernels
+        over.  Each form is its index's own
+        (:meth:`OperatorIndex.vector_form`)."""
+        for attribute, ops in self._by_attr.items():
+            yield attribute, [(op, index.vector_form()) for op, index in ops.items()]
 
     # ------------------------------------------------------------------
     # introspection

@@ -21,24 +21,23 @@ class EqualityHashIndex(OperatorIndex):
     __slots__ = ("_bits",)
 
     def __init__(self) -> None:
+        super().__init__()
         self._bits: Dict[Value, int] = {}
 
     def insert(self, value: Value, bit: int) -> None:
         if value in self._bits:
             raise KeyError(f"equality constant {value!r} already indexed")
         self._bits[value] = bit
+        self._vector = None
 
     def remove(self, value: Value) -> int:
+        self._vector = None
         return self._bits.pop(value)
 
     def satisfied(self, event_value: Value) -> Iterator[int]:
         bit = self._bits.get(event_value)
         if bit is not None:
             yield bit
-
-    def lookup(self, event_value: Value) -> int:
-        """Bit for an exact constant, or -1 (non-iterator fast path)."""
-        return self._bits.get(event_value, -1)
 
     def __len__(self) -> int:
         return len(self._bits)

@@ -22,14 +22,17 @@ class NotEqualIndex(OperatorIndex):
     __slots__ = ("_bits",)
 
     def __init__(self) -> None:
+        super().__init__()
         self._bits: Dict[Value, int] = {}
 
     def insert(self, value: Value, bit: int) -> None:
         if value in self._bits:
             raise KeyError(f"!= constant {value!r} already indexed")
         self._bits[value] = bit
+        self._vector = None
 
     def remove(self, value: Value) -> int:
+        self._vector = None
         return self._bits.pop(value)
 
     def satisfied(self, event_value: Value) -> Iterator[int]:

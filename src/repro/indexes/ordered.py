@@ -50,6 +50,7 @@ class SortedArrayOrderedIndex(OperatorIndex):
 
     def __init__(self, op: Operator) -> None:
         _require_range(op)
+        super().__init__()
         self._op = op
         self._values: List[Value] = []
         self._bits: List[int] = []
@@ -60,11 +61,13 @@ class SortedArrayOrderedIndex(OperatorIndex):
             raise KeyError(f"constant {value!r} already indexed")
         self._values.insert(i, value)
         self._bits.insert(i, bit)
+        self._vector = None
 
     def remove(self, value: Value) -> int:
         i = bisect_left(self._values, value)
         if i >= len(self._values) or self._values[i] != value:
             raise KeyError(value)
+        self._vector = None
         self._values.pop(i)
         return self._bits.pop(i)
 
@@ -98,13 +101,16 @@ class BTreeOrderedIndex(OperatorIndex):
 
     def __init__(self, op: Operator, order: int = 16) -> None:
         _require_range(op)
+        super().__init__()
         self._op = op
         self._tree = BTree(order=order)
 
     def insert(self, value: Value, bit: int) -> None:
         self._tree.insert(value, bit)
+        self._vector = None
 
     def remove(self, value: Value) -> int:
+        self._vector = None
         return self._tree.delete(value)
 
     def satisfied(self, event_value: Value) -> Iterator[int]:

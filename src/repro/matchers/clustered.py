@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
-from repro.algorithms.clusters import ClusterList
+from repro.algorithms.clusters import Cluster, ClusterList
 from repro.clustering.hashconfig import (
     HashingConfiguration,
     Key,
@@ -53,9 +53,11 @@ class ClusteredMatcher(TwoPhaseMatcher):
         self.vectorized = vectorized
         self.statistics = statistics
         self.config = HashingConfiguration()
-        self._universal = ClusterList(key=None)
-        # sub id -> (schema or None, probe key, residual size).
-        self._placement: Dict[Any, Tuple[Optional[Schema], Key, int]] = {}
+        # Keyed like a table entry — (schema, probe key) — with no schema.
+        self._universal = ClusterList(key=(None, ()))
+        # sub id -> the cluster that holds it; schema, probe key and
+        # residual size are read off the cluster and its list.
+        self._home: Dict[Any, Cluster] = {}
         # Every table's schema, cheapest first, and the (table set,
         # statistics) version that order was computed at.
         self._ranked: List[Schema] = []
@@ -158,22 +160,20 @@ class ClusteredMatcher(TwoPhaseMatcher):
                 f"subscription {sub.id!r} lacks equality predicates on {missing}"
             )
         refs = eq_bits + other_bits
-        key = tuple([values[attribute] for attribute in wanted])
         if schema is None:
-            self._universal.add(sub.id, refs)
+            home = self._universal.add(sub.id, refs)
         else:
-            self.config.ensure_table(schema).add(sub.id, key, refs)
-        self._placement[sub.id] = (schema, key, len(refs))
+            key = tuple([values[attribute] for attribute in schema])
+            home = self.config.ensure_table(schema).add(sub.id, key, refs)
+        self._home[sub.id] = home
 
     def _displace(self, sub: Subscription) -> None:
-        schema, key, size = self._placement.pop(sub.id)
-        if schema is None:
-            self._universal.remove(sub.id, size)
-            return
-        table = self.config.table(schema)
-        if table is None:
-            raise ClusteringError(f"placement references dropped table {schema!r}")
-        table.remove(sub.id, key, size)
+        home = self._home.pop(sub.id)
+        schema = home.owner.key[0]
+        holder = self._universal if schema is None else self.config.table(schema)
+        if holder is None:
+            raise ClusteringError(f"home cluster references dropped table {schema!r}")
+        holder.remove(sub.id, home)
 
     def move_subscription(self, sub_id: Any, new_schema: Optional[Schema]) -> None:
         """Re-cluster one live subscription under another schema.
@@ -187,7 +187,8 @@ class ClusteredMatcher(TwoPhaseMatcher):
 
     def placement_of(self, sub_id: Any) -> Tuple[Optional[Schema], Key, int]:
         """(schema, key, residual size) of a live subscription."""
-        return self._placement[sub_id]
+        home = self._home[sub_id]
+        return (*home.owner.key, home.size)
 
     # ------------------------------------------------------------------
     # phase 2
@@ -274,32 +275,29 @@ class ClusteredMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         super().check_invariants()
-        assert set(self._placement) == set(self._subs), "placement key drift"
-        stored = set()
+        lists = [((), self._universal)]
         for table in self.config.tables():
-            for _key, lst in table.entries():
+            for key, lst in table.entries():
                 assert lst, "empty entry retained"
-                for cluster in lst.clusters():
-                    for sid in cluster.ids():
-                        assert sid not in stored, f"{sid!r} stored twice"
-                        stored.add(sid)
-        for cluster in self._universal.clusters():
-            for sid in cluster.ids():
-                assert sid not in stored, f"{sid!r} stored twice"
-                stored.add(sid)
-        assert stored == set(self._subs), "table membership drift"
-        for sid, (schema, key, size) in self._placement.items():
-            sub = self._subs[sid]
-            if schema is None:
-                assert key == ()
-                assert size == sub.size
-                continue
-            table = self.config.table(schema)
-            assert table is not None, f"placement points at missing table {schema!r}"
-            lst = table.entry(key)
-            assert lst is not None, f"placement points at missing entry {key!r}"
-            assert sub.equality_attributes.issuperset(schema)
-            assert size == sub.size - len(schema), f"residual drift for {sid!r}"
+                assert lst.key == (table.schema, key), "entry filed under another key"
+                lists.append((table.schema, lst))
+        # Every stored id's home is the cluster its table entry reaches,
+        # and that cluster fits the subscription.
+        stored = set()
+        for schema, lst in lists:
+            for cluster in lst.clusters():
+                assert cluster.owner is lst, "cluster owned by another list"
+                for sid in cluster.ids():
+                    assert sid not in stored, f"{sid!r} stored twice"
+                    stored.add(sid)
+                    assert self._home.get(sid) is cluster, f"home drift for {sid!r}"
+                    sub = self._subs.get(sid)
+                    assert sub is not None, f"{sid!r} stored but not live"
+                    assert sub.equality_attributes.issuperset(schema)
+                    assert cluster.size == sub.size - len(schema), (
+                        f"residual drift for {sid!r}"
+                    )
+        assert stored == set(self._subs) == set(self._home), "table membership drift"
 
     # ------------------------------------------------------------------
     # introspection

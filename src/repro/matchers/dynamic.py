@@ -142,9 +142,9 @@ class DynamicMatcher(ClusteredMatcher):
     # ------------------------------------------------------------------
     def add(self, subscription: Subscription) -> None:
         super().add(subscription)
-        schema, key, _size = self._placement[subscription.id]
-        if schema is not None:
-            self._touch_entry(self.config.table(schema).entry(key))
+        lst = self._home[subscription.id].owner
+        if lst is not self._universal:
+            self._touch_entry(lst)
         self._tick()
 
     def remove(self, sub_id: Any) -> Subscription:
@@ -193,14 +193,13 @@ class DynamicMatcher(ClusteredMatcher):
                 self.sweep()
 
     def _displace(self, sub: Subscription) -> None:
-        schema, key, _size = self._placement[sub.id]
+        lst = self._home[sub.id].owner
         super()._displace(sub)
         # What is remembered about an entry dies with it: a re-created
         # entry starts from scratch, and drifting keys leave nothing behind.
-        if schema is not None and self.config.table(schema).entry(key) is None:
-            entry: EntryId = (schema, key)
-            self._last_handled.pop(entry, None)
-            self._entry_nus.pop(entry, None)
+        if not lst:
+            self._last_handled.pop(lst.key, None)
+            self._entry_nus.pop(lst.key, None)
 
     # ------------------------------------------------------------------
     # the "no change" strategy of Figure 4

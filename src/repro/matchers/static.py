@@ -99,16 +99,15 @@ class StaticMatcher(ClusteredMatcher):
 
         Returns the resulting plan (also stored on :attr:`plan`).
         """
-        subs = [self.get(sid) for sid in list(self._placement)]
+        subs = [self.get(sid) for sid in list(self._home)]
         plan = self._optimizer.optimize(subs)
         self.plan = plan
         # Pre-create the plan's tables, then repack.
         for schema in plan.schemas:
             self.config.ensure_table(schema)
         for sub in subs:
-            current_schema, _key, _size = self._placement[sub.id]
             target = self._choose_schema(sub)
-            if target != current_schema:
+            if target != self.placement_of(sub.id)[0]:
                 self.move_subscription(sub.id, target)
         self._drop_empty_tables()
         if self.metrics.enabled:

@@ -71,7 +71,7 @@ HEADER_WORDS = 8
 #: header's dtype table.  The columnar batch always ships float64
 #: values plus uint64-packed presence/int bit rows today; the table
 #: exists so a future layout bump is a readable error, not corruption.
-DTYPE_CODES: Dict[str, int] = {"<f8": 1, "<u8": 2, "<i8": 3, "<u1": 4}
+DTYPE_CODES: Dict[str, int] = {"<f8": 1, "<u8": 2}
 _CODE_DTYPES = {code: dtype for dtype, code in DTYPE_CODES.items()}
 
 #: The dtype table of the current columnar layout:

@@ -162,16 +162,19 @@ class TestClusterList:
 
     def test_remove_prunes_empty_cluster(self):
         lst = ClusterList()
-        lst.add("a", [0])
-        lst.remove("a", 1)
+        home = lst.add("a", [0])
+        assert home.owner is lst
+        lst.remove("a", home)
         assert len(lst) == 0 and not lst
         assert list(lst.clusters()) == []
 
-    def test_remove_wrong_size_raises(self):
+    def test_remove_from_another_lists_cluster_raises(self):
         lst = ClusterList()
         lst.add("a", [0])
+        foreign = ClusterList().add("a", [0])
         with pytest.raises(ClusteringError):
-            lst.remove("a", 2)
+            lst.remove("a", foreign)
+        assert len(lst) == 1
 
     def test_match_across_size_groups(self):
         lst = ClusterList()

@@ -99,9 +99,18 @@ class TestMultiAttrHashTable:
 
     def test_remove_prunes_entry(self):
         t = MultiAttrHashTable(("a",))
-        t.add("s1", (1,), [5])
-        t.remove("s1", (1,), 1)
+        home = t.add("s1", (1,), [5])
+        assert home.owner.key == (("a",), (1,)) and home.size == 1
+        t.remove("s1", home)
         assert t.entry_count == 0 and len(t) == 0
+
+    def test_remove_from_another_tables_cluster_raises(self):
+        t = MultiAttrHashTable(("a",))
+        t.add("s1", (1,), [5])
+        foreign = MultiAttrHashTable(("a",)).add("s1", (1,), [5])
+        with pytest.raises(ClusteringError):
+            t.remove("s1", foreign)
+        assert len(t) == 1
 
     def test_counts(self):
         t = MultiAttrHashTable(("a",))

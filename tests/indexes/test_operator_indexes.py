@@ -20,11 +20,19 @@ class TestEqualityHashIndex:
         assert list(idx.satisfied(5)) == [100]
         assert list(idx.satisfied(6)) == []
 
-    def test_lookup_fast_path(self):
+    def test_vector_form_is_the_indexes_own_and_dropped_by_its_writes(self):
         idx = EqualityHashIndex()
         idx.insert("gd", 7)
-        assert idx.lookup("gd") == 7
-        assert idx.lookup("other") == -1
+        idx.insert(3, 1)
+        idx.insert(2.5, 4)
+        form = idx.vector_form()
+        assert idx.vector_form() is form
+        assert form.keys.tolist() == [2.5, 3.0] and form.bits.tolist() == [4, 1]
+        assert form.all_bits.tolist() == [1, 4, 7] and not form.exact
+        idx.insert(2**53 + 1, 9)
+        assert idx.vector_form() is not form and idx.vector_form().exact
+        idx.remove(2**53 + 1)
+        assert not idx.vector_form().exact
 
     def test_duplicate_constant_rejected(self):
         idx = EqualityHashIndex()

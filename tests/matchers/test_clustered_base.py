@@ -94,3 +94,46 @@ class TestPlacement:
         with pytest.raises(RuntimeError):
             m.add(Subscription("s", [eq("a", 1)]))
         assert len(m.registry) == 0 and len(m) == 0
+
+
+class TestHomes:
+    """``id → Cluster`` is all an engine keeps about placement."""
+
+    def loaded(self):
+        m = matcher()
+        m.config.ensure_table(("a",))
+        m.add(Subscription("s", [eq("a", 1), le("p", 5)]))
+        m.add(Subscription("t", [eq("a", 2)]))
+        m.add(Subscription("u", [le("p", 5)]))
+        return m
+
+    def test_the_home_holds_the_id_and_hangs_off_its_table_entry(self):
+        m = self.loaded()
+        for sid, schema, key in (("s", ("a",), (1,)), ("t", ("a",), (2,))):
+            home = m._home[sid]
+            assert sid in home
+            assert home.owner is m.config.table(schema).entry(key)
+            assert m.placement_of(sid) == (schema, key, home.size)
+        assert m._home["u"].owner is m._universal
+        assert m.placement_of("u") == (None, (), 1)
+        m.check_invariants()
+
+    def test_check_invariants_catches_a_home_the_entry_does_not_reach(self):
+        m = self.loaded()
+        m._home["s"], m._home["t"] = m._home["t"], m._home["s"]
+        with pytest.raises(AssertionError, match="home drift"):
+            m.check_invariants()
+
+    def test_check_invariants_catches_an_entry_filed_under_another_key(self):
+        m = self.loaded()
+        entries = m.config.table(("a",))._entries
+        entries[(1,)], entries[(2,)] = entries[(2,)], entries[(1,)]
+        with pytest.raises(AssertionError, match="another key"):
+            m.check_invariants()
+
+    def test_remove_leaves_no_home_behind(self):
+        m = self.loaded()
+        for sid in ("s", "t", "u"):
+            m.remove(sid)
+        assert not m._home and m.table_sizes() == {("a",): 0}
+        m.check_invariants()

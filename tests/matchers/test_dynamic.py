@@ -155,3 +155,30 @@ class TestObservation:
         s = m.stats()
         assert s["name"] == "dynamic"
         assert "maintenance" in s and "potential_tables" in s
+
+
+def test_resident_bytes_per_subscription_stay_under_200():
+    """What the engine itself holds for a W0 subscription (the caller
+    keeps the ``Subscription`` objects, as the e2e harness does): the
+    registry, the clusters and one ``id → Cluster`` entry.  279 B while
+    every placement also kept a ``(schema, key, size)`` tuple."""
+    import gc
+    import tracemalloc
+
+    from repro.workload.generator import WorkloadGenerator
+    from repro.workload.scenarios import w0
+
+    n = 20_000
+    subs = list(WorkloadGenerator(w0(n_subscriptions=n, seed=0)).subscriptions(n))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matcher = DynamicMatcher()
+        for sub in subs:
+            matcher.add(sub)
+        gc.collect()
+        resident, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(matcher) == n
+    assert resident / n <= 200, f"{resident / n:.0f} B/subscription"

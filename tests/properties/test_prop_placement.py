@@ -81,7 +81,16 @@ def access_for_schema(sub, schema):
 
 
 class UnmemoizedDynamicMatcher(DynamicMatcher):
-    """The placement path as it was before decisions were versioned."""
+    """The placement path as it was before decisions were versioned —
+    and before a subscription's home cluster was the only record of
+    where it lives: this reference still writes the ``(schema, key,
+    residual size)`` tuple per placement and answers ``placement_of``
+    from it, so the engine's answer (read off the home cluster and its
+    list) is compared with independent bookkeeping."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tuples = {}
 
     def _choose_schema(self, sub):
         eq_attrs = sub.equality_attributes
@@ -95,14 +104,21 @@ class UnmemoizedDynamicMatcher(DynamicMatcher):
     def _place_under(self, sub, slots, schema):
         if schema is None:
             refs = self.ordered_residual_bits(sub, slots, ())
-            self._universal.add(sub.id, refs)
-            self._placement[sub.id] = (None, (), len(refs))
+            self._home[sub.id] = self._universal.add(sub.id, refs)
+            self._tuples[sub.id] = (None, (), len(refs))
             return
         ap = access_for_schema(sub, schema)
         refs = self.ordered_residual_bits(sub, slots, ap.predicates)
         table = self.config.ensure_table(schema)
-        table.add(sub.id, ap.key, refs)
-        self._placement[sub.id] = (schema, ap.key, len(refs))
+        self._home[sub.id] = table.add(sub.id, ap.key, refs)
+        self._tuples[sub.id] = (schema, ap.key, len(refs))
+
+    def _displace(self, sub):
+        super()._displace(sub)
+        del self._tuples[sub.id]
+
+    def placement_of(self, sub_id):
+        return self._tuples[sub_id]
 
     def _touch_entry(self, lst):
         schema, key = lst.key

@@ -120,12 +120,34 @@ class TestMatchSurface:
         assert not offenders, offenders
 
 
+def _functions_where(test, skip=None):
+    """``path:qualified.function`` of every function in ``src/repro``
+    (one named *skip* aside) whose body holds a node *test* accepts."""
+    src = pathlib.Path(repro.__file__).parent
+    found = []
+
+    def visit(node, qualname, path):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inner = f"{qualname}.{child.name}" if qualname else child.name
+            if (
+                isinstance(child, ast.FunctionDef)
+                and child.name != skip
+                and any(test(n) for n in ast.walk(child))
+            ):
+                found.append(f"{path}:{inner}")
+            visit(child, inner, path)
+
+    for file in sorted(src.rglob("*.py")):
+        visit(ast.parse(file.read_text(encoding="utf-8")), "", file.relative_to(src).as_posix())
+    return found
+
+
 def _functions_referencing(name, attribute_of=None):
     """``path:qualified.function`` of every function in ``src/repro``
     whose body mentions *name* (as ``<attribute_of>.<name>`` if given),
     the definition of *name* itself aside."""
-    src = pathlib.Path(repro.__file__).parent
-    found = []
 
     def mentions(node):
         if attribute_of is None:
@@ -137,22 +159,7 @@ def _functions_referencing(name, attribute_of=None):
             and node.value.attr == attribute_of
         )
 
-    def visit(node, qualname, path):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            inner = f"{qualname}.{child.name}" if qualname else child.name
-            if (
-                isinstance(child, ast.FunctionDef)
-                and child.name != name
-                and any(mentions(n) for n in ast.walk(child))
-            ):
-                found.append(f"{path}:{inner}")
-            visit(child, inner, path)
-
-    for file in sorted(src.rglob("*.py")):
-        visit(ast.parse(file.read_text(encoding="utf-8")), "", file.relative_to(src).as_posix())
-    return found
+    return _functions_where(mentions, skip=name)
 
 
 class TestDurableSurface:
@@ -356,6 +363,63 @@ class TestOneScalarBody:
             and node.func.id in ("getattr", "hasattr")
         ]
         assert not probes, probes
+
+
+class TestOneCopyOfEachEngineFact:
+    """Where a subscription lives is the cluster that holds it, and the
+    batch kernel's exact path is the scalar index: the per-placement
+    tuples, the per-group re-implemented probes and the matcher-level
+    evaluator cache have no second life under another spelling."""
+
+    RETIRED = ("_placement", "apply_odd", "_batch_eval")
+
+    def test_nothing_defines_or_reads_the_retired_names(self):
+        src = pathlib.Path(repro.__file__).parent
+        found = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                spellings = [getattr(node, f, None) for f in ("id", "attr", "name", "arg")]
+                if isinstance(node, ast.Constant):  # __slots__ entries, getattr probes
+                    spellings.append(node.value)
+                for text in spellings:
+                    if (
+                        isinstance(text, str)
+                        and text.isidentifier()
+                        and any(retired in text for retired in self.RETIRED)
+                    ):
+                        found.append(f"{path.relative_to(src)}:{node.lineno}: {text}")
+        assert not found, found
+
+    def test_one_body_routes_a_value_to_operator_classes(self):
+        """Which indexes a string or a NaN probes is decided in
+        ``PredicateIndexSet.probe`` — the scalar algorithm and the batch
+        kernel's exact path both call it."""
+        engine = ("indexes/", "batch/")
+        routing = _functions_where(lambda n: getattr(n, "attr", None) == "is_range")
+        assert [w for w in routing if w.startswith(engine)] == [
+            "indexes/composite.py:PredicateIndexSet.probe",
+            "indexes/ordered.py:_require_range",
+        ]
+        callers = _functions_where(
+            lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "probe"
+        )
+        assert sorted(w for w in callers if w.startswith(engine)) == [
+            "batch/evaluator.py:BatchPredicateEvaluator._exact",
+            "indexes/composite.py:PredicateIndexSet.evaluate",
+        ]
+
+    def test_the_home_cluster_is_read_through_its_owner(self):
+        readers = _functions_where(
+            lambda n: isinstance(n, ast.Attribute)
+            and n.attr == "owner"
+            and isinstance(n.ctx, ast.Load)
+        )
+        assert {
+            "algorithms/propagation.py:PropagationMatcher._displace",
+            "clustering/hashconfig.py:MultiAttrHashTable.remove",
+            "matchers/clustered.py:ClusteredMatcher._displace",
+            "matchers/clustered.py:ClusteredMatcher.placement_of",
+        } <= set(readers)
 
 
 class TestMatcherContract:
