@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import sys
 from typing import Iterator, List, Union
 
 from repro.core.errors import ParseError
@@ -111,7 +112,9 @@ def _scan(text: str) -> Iterator[Token]:
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] in "_."):
                 j += 1
-            word = text[i:j]
+            # Interned: every formula naming an attribute shares one
+            # string, and dict lookups on it hit by identity.
+            word = sys.intern(text[i:j])
             kind = _KEYWORDS.get(word.lower())
             if kind is not None:
                 yield Token(kind, word, i)

@@ -55,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -62,6 +63,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Tuple,
 )
@@ -98,7 +100,7 @@ class ChannelOverflowError(DeliveryError):
     """A ``block`` channel stayed full past its ``block_timeout``."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True, eq=False)
 class Lease:
     """One outstanding (dispatched, not yet settled) notification."""
 
@@ -110,10 +112,12 @@ class Lease:
     #: When the lease next needs attention: a pending lease becomes
     #: sendable, an in-flight lease's ack deadline passes.
     due_at: float = 0.0
-    #: Remaining backoff delays (one per allowed re-send).
-    delays: Optional[Iterator[float]] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
+    #: The policy its backoff is drawn from (None for a lease parked
+    #: without a channel: its first failed attempt dead-letters it).
+    retry: Optional[RetryPolicy] = dataclasses.field(default=None, repr=False)
+    #: Remaining backoff delays (one per allowed re-send), drawn from
+    #: ``retry`` at the first retry — most leases never need one.
+    delays: Optional[Iterator[float]] = dataclasses.field(default=None, repr=False)
     #: Handed to the subscriber and awaiting its ack; otherwise pending
     #: (waiting for its first send, a poll, or a backoff to elapse).
     inflight: bool = False
@@ -202,7 +206,39 @@ class DeadLetterQueue:
             }
 
 
-#: Per-channel lifetime counters; the manager's totals sum them.
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ChannelPolicy:
+    """A channel's knobs (see :class:`DeliveryManager`).  Immutable, so
+    every channel registered with the manager's defaults shares one; an
+    override builds a new one through the same checks."""
+
+    ack_timeout: float
+    retry: RetryPolicy
+    capacity: Optional[int]
+    overflow: str
+    block_timeout: float
+
+    def __post_init__(self) -> None:
+        if self.overflow not in OVERFLOW_POLICIES:
+            raise DeliveryError(
+                f"unknown overflow policy {self.overflow!r}; "
+                f"known: {', '.join(OVERFLOW_POLICIES)}"
+            )
+        if self.ack_timeout <= 0:
+            raise DeliveryError(f"ack timeout must be positive, got {self.ack_timeout}")
+        if self.capacity is not None and self.capacity < 1:
+            raise DeliveryError(f"channel capacity must be >= 1, got {self.capacity}")
+        if self.block_timeout < 0:
+            raise DeliveryError(f"block timeout must be >= 0, got {self.block_timeout}")
+
+    def updated(self, **knobs: Any) -> "_ChannelPolicy":
+        """This policy with every non-None knob applied (itself when
+        that changes nothing)."""
+        changed = {k: v for k, v in knobs.items() if v is not None and v != getattr(self, k)}
+        return dataclasses.replace(self, **changed) if changed else self
+
+
+#: Per-channel lifetime counters (int slots); the manager's totals sum them.
 _COUNTER_KEYS = (
     "dispatched",
     "delivered",
@@ -214,6 +250,11 @@ _COUNTER_KEYS = (
     "send_errors",
 )
 
+#: Every empty window: one shared read-only mapping, so an idle channel
+#: owns no dict.  ``_rest`` swaps a real one in; ``_close`` puts this
+#: back when the last lease leaves.
+_EMPTY_WINDOW: Mapping[int, Lease] = MappingProxyType({})
+
 
 class SubscriberChannel:
     """One subscriber's acked delivery window.
@@ -222,36 +263,33 @@ class SubscriberChannel:
     and owns channels; all mutation happens under the manager's lock.
     """
 
+    __slots__ = (
+        "sub_id", "_sink", "_policy", "auto_ack", "connected", "_window", "_next_seq",
+        *_COUNTER_KEYS,
+    )  # fmt: skip
+
     def __init__(
-        self,
-        manager: "DeliveryManager",
-        sub_id: Any,
-        sink: Optional[Sink],
-        ack_timeout: float,
-        retry: RetryPolicy,
-        capacity: Optional[int],
-        overflow: str,
-        block_timeout: float,
-        auto_ack: bool,
+        self, sub_id: Any, sink: Optional[Sink], policy: _ChannelPolicy, auto_ack: bool
     ) -> None:
-        self._manager = manager
         self.sub_id = sub_id
         self._sink = _as_callable(sink)
-        self.ack_timeout = ack_timeout
-        self.retry = retry
-        self.capacity = capacity
-        self.overflow = overflow
-        self.block_timeout = block_timeout
+        self._policy = policy
         self.auto_ack = auto_ack
         self.connected = True
         #: Every unsettled lease, by seq; pending or in flight is on the
         #: lease.  A state change re-inserts it at the back, so the
         #: leases of one state read in the order they entered it:
         #: pendings in send-queue order, in-flights in lease-out order.
-        self._window: Dict[int, Lease] = {}
+        self._window: Mapping[int, Lease] = _EMPTY_WINDOW
         self._next_seq = 0
-        #: Lifetime counters.
-        self.counters: Dict[str, int] = dict.fromkeys(_COUNTER_KEYS, 0)
+        for key in _COUNTER_KEYS:
+            setattr(self, key, 0)
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """A snapshot of the lifetime counters (the hot path writes the
+        slots: ``channel.acks += 1``)."""
+        return {key: getattr(self, key) for key in _COUNTER_KEYS}
 
     # -- sizing ---------------------------------------------------------
     @property
@@ -266,7 +304,10 @@ class SubscriberChannel:
     def _rest(self, lease: Lease, inflight: bool) -> None:
         """Put *lease* at the back of the window in the given state (the
         window's only writer; the manager's close step is its only remover)."""
-        self._window.pop(lease.seq, None)
+        if self._window is _EMPTY_WINDOW:
+            self._window = {}
+        else:
+            self._window.pop(lease.seq, None)
         self._window[lease.seq] = lease
         lease.inflight = inflight
         if lease.seq >= self._next_seq:  # a recovered lease: never reissue its seq
@@ -301,10 +342,10 @@ class SubscriberChannel:
             "connected": self.connected,
             "pending": len(self._window) - inflight,
             "inflight": inflight,
-            "capacity": self.capacity,
-            "overflow": self.overflow,
+            "capacity": self._policy.capacity,
+            "overflow": self._policy.overflow,
             "oldest_seq": None if oldest is None else oldest.seq,
-            "counters": dict(self.counters),
+            "counters": self.counters,
         }
 
 
@@ -331,22 +372,11 @@ class DeliveryManager:
         block_timeout: float = 5.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if overflow not in OVERFLOW_POLICIES:
-            raise DeliveryError(
-                f"unknown overflow policy {overflow!r}; "
-                f"known: {', '.join(OVERFLOW_POLICIES)}"
-            )
-        if ack_timeout <= 0:
-            raise DeliveryError(f"ack timeout must be positive, got {ack_timeout}")
-        if capacity is not None and capacity < 1:
-            raise DeliveryError(f"channel capacity must be >= 1, got {capacity}")
+        retry = retry if retry is not None else RetryPolicy()
+        #: The defaults, shared by every channel that overrides none.
+        self._policy = _ChannelPolicy(ack_timeout, retry, capacity, overflow, block_timeout)
         self.clock = clock if clock is not None else SystemClock()
         self.wal = wal
-        self.default_ack_timeout = ack_timeout
-        self.default_retry = retry if retry is not None else RetryPolicy()
-        self.default_capacity = capacity
-        self.default_overflow = overflow
-        self.default_block_timeout = block_timeout
         self.dead_letters = DeadLetterQueue()
         self._channels: Dict[Any, SubscriberChannel] = {}
         #: Running count of unsettled leases (channels + orphans) — the
@@ -472,44 +502,27 @@ class DeliveryManager:
         knobs and reconnects a ``disconnect``-ed channel; its
         outstanding leases and sequence numbering are preserved.  Any
         unacked deliveries recovered for *sub_id* before it registered
-        (crash recovery) are queued for redelivery immediately.
+        (crash recovery) are queued for redelivery immediately.  The
+        knobs go through the constructor's checks; ``overflow``, left
+        out of a re-register, reverts to the manager's default.
         """
-        overflow = self.default_overflow if overflow is None else overflow
-        if overflow not in OVERFLOW_POLICIES:
-            raise DeliveryError(
-                f"unknown overflow policy {overflow!r}; "
-                f"known: {', '.join(OVERFLOW_POLICIES)}"
-            )
         with self._lock:
             channel = self._channels.get(sub_id)
+            policy = (self._policy if channel is None else channel._policy).updated(
+                ack_timeout=ack_timeout,
+                retry=retry,
+                capacity=capacity,
+                overflow=self._policy.overflow if overflow is None else overflow,
+                block_timeout=block_timeout,
+            )
             if channel is None:
-                channel = SubscriberChannel(
-                    self,
-                    sub_id,
-                    sink,
-                    self.default_ack_timeout if ack_timeout is None else ack_timeout,
-                    retry if retry is not None else self.default_retry,
-                    self.default_capacity if capacity is None else capacity,
-                    overflow,
-                    self.default_block_timeout
-                    if block_timeout is None
-                    else block_timeout,
-                    auto_ack,
-                )
+                channel = SubscriberChannel(sub_id, sink, policy, auto_ack)
                 channel._next_seq = self._seq_floor.get(sub_id, 0)
                 self._channels[sub_id] = channel
             else:
                 channel._sink = _as_callable(sink)
+                channel._policy = policy
                 channel.auto_ack = auto_ack
-                if ack_timeout is not None:
-                    channel.ack_timeout = ack_timeout
-                if retry is not None:
-                    channel.retry = retry
-                if capacity is not None:
-                    channel.capacity = capacity
-                channel.overflow = overflow
-                if block_timeout is not None:
-                    channel.block_timeout = block_timeout
                 channel.connected = True
             now = self.clock.now()
             if channel._sink is not None:
@@ -621,19 +634,18 @@ class DeliveryManager:
         wal = self.wal
         if wal is not None:
             self._journal_deliver(sub_id, seq, event, now)
-        counters = channel.counters
-        counters["dispatched"] += 1
+        channel.dispatched += 1
         try:
             channel._sink(notification)
         except Exception:
             # Off the fast path onto the retry machinery, one attempt
             # already spent (the ``deliver`` above covers the lease).
-            counters["send_errors"] += 1
+            channel.send_errors += 1
             self._make_room(channel, now)
             self._schedule_retry(channel, self._open(channel, notification, attempts=1), now)
             return seq
-        counters["delivered"] += 1
-        counters["acks"] += 1
+        channel.delivered += 1
+        channel.acks += 1
         # Counter.inc() is just `value += n`; skip the call.
         self._m_acks.value += 1
         if wal is not None:
@@ -662,32 +674,33 @@ class DeliveryManager:
 
     def _make_room(self, channel: SubscriberChannel, now: float) -> None:
         """Apply the channel's overflow policy until one slot is free."""
-        if channel.capacity is None or channel.outstanding < channel.capacity:
+        policy = channel._policy
+        if policy.capacity is None or channel.outstanding < policy.capacity:
             return
-        if channel.overflow == "block":
+        if policy.overflow == "block":
             # Wall-clock bound: block waits on real consumer progress
             # (acks arrive from other threads), so the timeout must be
             # real time even under VirtualClock.
-            deadline = time.monotonic() + channel.block_timeout
-            while channel.outstanding >= channel.capacity and channel.connected:
+            deadline = time.monotonic() + policy.block_timeout
+            while channel.outstanding >= policy.capacity and channel.connected:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._space.wait(timeout=remaining):
                     raise ChannelOverflowError(
                         f"channel {channel.sub_id!r} full "
-                        f"({channel.capacity} outstanding) for more than "
-                        f"{channel.block_timeout}s"
+                        f"({policy.capacity} outstanding) for more than "
+                        f"{policy.block_timeout}s"
                     )
             return
-        if channel.overflow == "shed-oldest":
-            # (An empty window can still be "full": register(capacity=0).)
-            while channel._window and channel.outstanding >= channel.capacity:
+        if policy.overflow == "shed-oldest":
+            # Capacity is at least 1, so a full window has a lease to shed.
+            while channel.outstanding >= policy.capacity:
                 self._close(channel, channel._oldest(), "shed")
             return
         # disconnect: quarantine the whole subscriber.
         self.disconnect(channel.sub_id)
         raise ChannelOverflowError(
             f"channel {channel.sub_id!r} exceeded its window "
-            f"({channel.capacity}); subscriber disconnected and its "
+            f"({policy.capacity}); subscriber disconnected and its "
             f"outstanding deliveries dead-lettered"
         )
 
@@ -720,10 +733,10 @@ class DeliveryManager:
         sub_id, seq, at = notification.sub_id, notification.seq, notification.timestamp
         if fresh:
             self._journal_deliver(sub_id, seq, notification.event, at)
-            channel.counters["dispatched"] += 1
+            channel.dispatched += 1
         # A parked lease has no channel to take a retry policy from.
-        delays = None if channel is None else channel.retry.delays()
-        lease = Lease(seq, notification, attempts, at, at, delays=delays)
+        retry = None if channel is None else channel._policy.retry
+        lease = Lease(seq, notification, attempts, at, at, retry)
         self._outstanding_total += 1
         if channel is None:
             self._orphans.setdefault(sub_id, []).append(lease)
@@ -748,17 +761,18 @@ class DeliveryManager:
         nowhere and journaled as ``shed``: the log must not owe a
         delivery the operator discarded."""
         del channel._window[lease.seq]
+        if not channel._window:
+            channel._window = _EMPTY_WINDOW
         lease.inflight = False
         self._outstanding_total -= 1
-        counters = channel.counters
         if outcome == "ack":
-            counters["acks"] += 1
+            channel.acks += 1
             self._m_acks.inc()
         elif outcome == "shed":
-            counters["shed"] += 1
+            channel.shed += 1
             self._m_shed.inc()
         elif outcome == "dead-letter":
-            counters["dead_lettered"] += 1
+            channel.dead_lettered += 1
             self._m_dead[reason].inc()
             self.dead_letters.append(
                 DeadLetter(
@@ -790,9 +804,9 @@ class DeliveryManager:
         more attempt, in flight until its ack deadline."""
         lease.attempts += 1
         if lease.attempts > 1:
-            channel.counters["redeliveries"] += 1
+            channel.redeliveries += 1
             self._m_redeliveries.inc()
-        lease.due_at = now + channel.ack_timeout
+        lease.due_at = now + channel._policy.ack_timeout
         self._wake_at(lease.due_at)
         channel._rest(lease, inflight=True)
 
@@ -815,19 +829,21 @@ class DeliveryManager:
         try:
             channel._sink(lease.notification)
         except Exception:
-            channel.counters["send_errors"] += 1
+            channel.send_errors += 1
             # The sink may have settled the lease before raising; only
             # an attempt that left it in flight is retried.
             if lease.inflight:
                 self._schedule_retry(channel, lease, now)
             return
-        channel.counters["delivered"] += 1
+        channel.delivered += 1
         if channel.auto_ack and lease.inflight:
             self._close(channel, lease, "ack")
 
     def _schedule_retry(self, channel: SubscriberChannel, lease: Lease, now: float) -> bool:
         """Queue the next attempt (True), or dead-letter on a spent
         budget (False)."""
+        if lease.delays is None and lease.retry is not None:
+            lease.delays = lease.retry.delays()
         delay = None if lease.delays is None else next(lease.delays, None)
         if delay is None:
             self._close(channel, lease, "dead-letter", "budget")
@@ -845,7 +861,7 @@ class DeliveryManager:
             channel = self.channel(sub_id)
             lease = channel._window.get(seq)
             if lease is None:
-                channel.counters["unknown_acks"] += 1
+                channel.unknown_acks += 1
                 return False
             self._close(channel, lease, "ack")
             return True
@@ -878,7 +894,7 @@ class DeliveryManager:
             for lease in channel._leases(inflight=False):
                 if lease.due_at <= now and (limit is None or len(leased) < limit):
                     self._lease_out(channel, lease, now)
-                    channel.counters["delivered"] += 1
+                    channel.delivered += 1
                     leased.append(lease.notification)
             return leased
 
@@ -1021,9 +1037,9 @@ class DeliveryManager:
             totals = dict(self._departed)
             per_channel = {}
             for sub_id, channel in self._channels.items():
-                for key in totals:
-                    totals[key] += channel.counters[key]
-                per_channel[str(sub_id)] = channel.stats()
+                snapshot = per_channel[str(sub_id)] = channel.stats()
+                for key, value in snapshot["counters"].items():
+                    totals[key] += value
             return {
                 "name": "delivery",
                 "channels": len(self._channels),
@@ -1057,6 +1073,7 @@ class DeliveryManager:
                 f"{self._outstanding_total} counted, {len(held)} held"
             )
             for channel in self._channels.values():
+                assert channel._window or channel._window is _EMPTY_WINDOW, "empty window dict"
                 for seq, lease in channel._window.items():
                     assert seq == lease.seq < channel._next_seq, "seq drift"
                     if lease.inflight or channel._sink is not None:

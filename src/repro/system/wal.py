@@ -231,8 +231,14 @@ def read_wal(fp: IO[AnyStr]) -> Tuple[List[Dict[str, Any]], int]:
     return records, reader.discarded
 
 
+#: ``json.dumps(sort_keys=True)`` builds an encoder per call; this is
+#: that encoder, built once.  Its output is ASCII (``ensure_ascii``), so
+#: a line's length is its size in bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _line(record: Dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
+    return _ENCODER.encode(record) + "\n"
 
 
 def _header_record(at: float) -> Dict[str, Any]:
@@ -428,8 +434,8 @@ class WriteAheadLog:
         line = _line(_header_record(at))
         self._fp.write(line)
         self._fp.flush()
-        self._bytes += len(line.encode("utf-8"))
-        self._m_bytes.inc(len(line.encode("utf-8")))
+        self._bytes += len(line)
+        self._m_bytes.inc(len(line))
 
     def _append(self, record: Dict[str, Any]) -> None:
         if self._closed:
@@ -439,15 +445,14 @@ class WriteAheadLog:
 
     def _append_locked(self, record: Dict[str, Any]) -> None:
         line = _line(record)
-        encoded = len(line.encode("utf-8"))
         self._fp.write(line)
         # Always hand the bytes to the OS: a *process* crash then
         # loses nothing; only the fsync policy decides what a
         # *machine* crash can lose.
         self._fp.flush()
-        self._bytes += encoded
+        self._bytes += len(line)
         self._unsynced += 1
-        self._m_bytes.inc(encoded)
+        self._m_bytes.inc(len(line))
         self._m_appends[record["type"]].inc()
         self._m_unsynced.set(self._unsynced)
         if self._batch_depth:

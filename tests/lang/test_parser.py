@@ -31,6 +31,15 @@ class TestPredicates:
         with pytest.raises(ParseError):
             parse_subscription("x <= 'abc'", "s")
 
+    def test_formulas_share_one_attribute_string(self):
+        # Built at run time, so only the lexer's interning can make the
+        # two parses hold the same object.
+        name = "".join(["attr", "00"])
+        first = parse_subscription(f"{name} = 1", "s1").predicates[0]
+        second = parse_subscriptions(f"({name} = 2) or (b = 3)", "s2")[0].predicates[0]
+        assert first.attribute == second.attribute == name
+        assert first.attribute is second.attribute
+
 
 class TestBooleanStructure:
     def test_or_expands_to_two_subscriptions(self):

@@ -5,8 +5,10 @@ delays and dead-letter deadlines are driven deterministically by
 ``manager.pump()`` — no sleeps, no threads.
 """
 
+import gc
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -74,15 +76,42 @@ class TestChannelLifecycle:
             manager.channel("ghost")
 
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(DeliveryError):
-            DeliveryManager(overflow="bogus")
-        with pytest.raises(DeliveryError):
-            DeliveryManager(ack_timeout=0)
-        with pytest.raises(DeliveryError):
-            DeliveryManager(capacity=0)
+        # The constructor and register() share one rule.  register() used
+        # to take all but the first: with ack_timeout=0 a push lease was
+        # due the moment it went out and was re-sent on every pump until
+        # its budget dead-lettered it.
+        for knob in (
+            {"overflow": "bogus"},
+            {"ack_timeout": 0},
+            {"ack_timeout": -1.0},
+            {"capacity": 0},
+            {"capacity": -3},
+            {"block_timeout": -0.5},
+        ):
+            with pytest.raises(DeliveryError) as built:
+                DeliveryManager(**knob)
+            manager, _clock = make_manager()
+            with pytest.raises(DeliveryError) as registered:
+                manager.register("s1", **knob)
+            assert str(registered.value) == str(built.value), knob
+            assert not manager.handles("s1")
+            # A re-register is checked too; a rejected one changes nothing.
+            got = []
+            manager.register("s1", sink=got.append, capacity=2)
+            with pytest.raises(DeliveryError):
+                manager.register("s1", **knob)
+            assert manager.channel("s1").stats()["capacity"] == 2
+            manager.dispatch("s1", Event({"a": 1}))
+            assert len(got) == 1
+
+    def test_channels_on_the_defaults_share_one_policy(self):
         manager, _clock = make_manager()
-        with pytest.raises(DeliveryError):
-            manager.register("s1", overflow="bogus")
+        plain = [manager.register(f"s{i}", sink=lambda n: None) for i in range(3)]
+        manager.register("s0")  # a re-register with no override keeps it
+        custom = manager.register("c", capacity=4)
+        assert len({id(c._policy) for c in plain}) == 1
+        assert custom._policy is not plain[0]._policy
+        assert custom._policy.retry is plain[0]._policy.retry
 
     def test_unregister_dead_letters_outstanding(self):
         manager, _clock = make_manager()
@@ -168,6 +197,32 @@ class TestRedelivery:
         drive(manager, clock, 120.0)
         assert len(got) == 1
         assert len(manager.dead_letters) == 0
+
+    def test_a_lease_draws_its_backoff_at_its_first_retry(self):
+        def seeded():
+            return RetryPolicy(max_attempts=4, base_delay=1.0, rng=random.Random(11))
+
+        retry = seeded()
+        manager, clock = make_manager(retry=retry)
+        manager.register("pull")
+        untouched = retry.rng.getstate()
+        manager.dispatch("pull", Event({"a": 0}))
+        assert retry.rng.getstate() == untouched  # never retried, never drawn
+
+        def down(notification):
+            raise RuntimeError("down")
+
+        manager.register("s1", sink=down)
+        manager.dispatch("s1", Event({"a": 1}))
+        waits = []
+        while manager.channel("s1").outstanding:
+            (lease,) = [lease for sub, lease in manager.outstanding_leases() if sub == "s1"]
+            waits.append(lease.due_at - clock.now())
+            clock.advance(waits[-1])
+            manager.pump()
+        # Draw for draw the schedule an eagerly opened generator gave.
+        assert waits == pytest.approx(list(seeded().delays()))
+        assert [e.attempts for e in manager.dead_letters] == [4]
 
 
 class TestPullMode:
@@ -655,3 +710,73 @@ class TestServerHealth:
             health = server.health()
             assert health["status"] == "degraded"
             assert health["delivery"]["disconnected"] == ["s1"]
+
+
+def _resident_bytes_per_step(setup, step, n):
+    """What *n* calls of ``step(state, i)`` leave resident, per call
+    (tracemalloc; ``setup()`` builds the state outside the trace)."""
+    state = setup()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            step(state, i)
+        gc.collect()
+        resident = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return state, resident / n
+
+
+class TestResidentBytes:
+    """What an idle subscriber and an unacked delivery cost: slots, slot
+    counters, one shared empty window and one shared policy; a lease
+    draws its retry schedule only when it first needs a retry."""
+
+    N = 10_000
+
+    def test_an_idle_auto_ack_channel_stays_under_190_bytes(self):
+        # 541 B while a channel carried a __dict__, a counters dict, an
+        # empty window dict and its own five knobs.
+        def setup():
+            return make_manager()[0], [f"s{i}" for i in range(self.N)]
+
+        def step(state, i):
+            state[0].register(state[1][i], sink=len, auto_ack=True)
+
+        (manager, _ids), per_channel = _resident_bytes_per_step(setup, step, self.N)
+        assert len(manager.channels()) == self.N
+        manager.check_invariants()
+        assert per_channel <= 190, f"{per_channel:.0f} B/channel"
+
+    def test_a_pending_explicit_ack_lease_stays_under_320_bytes(self):
+        # 581 B while a lease carried a __dict__ and a retry generator
+        # opened at dispatch.
+        event = Event({"a": 1})
+
+        def setup():
+            manager = make_manager()[0]
+            manager.register("s1")  # pull: every lease rests pending
+            return manager
+
+        def step(manager, _i):
+            manager.dispatch("s1", event)
+
+        manager, per_lease = _resident_bytes_per_step(setup, step, self.N)
+        assert manager.inflight == self.N
+        assert all(lease.delays is None for _sub, lease in manager.outstanding_leases())
+        assert per_lease <= 320, f"{per_lease:.0f} B/lease"
+
+    def test_an_emptied_window_is_the_shared_one_again(self):
+        manager, _clock = make_manager()
+        channel = manager.register("s1", sink=lambda n: None)
+        idle = channel._window
+        manager.ack("s1", manager.dispatch("s1", Event({"a": 1})))
+        assert channel._window is idle and not idle
+        assert manager.register("s2")._window is idle
+        with pytest.raises(TypeError):
+            idle[0] = None  # read-only: no channel can write into it
+        channel._window = {}
+        with pytest.raises(AssertionError, match="empty window"):
+            manager.check_invariants()

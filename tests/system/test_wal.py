@@ -69,6 +69,28 @@ class TestFormat:
         subs = [r for r in records if r["type"] == "subscribe"]
         assert len(subs) == 2 and all(r["logical"] == "logical" for r in subs)
 
+    def test_byte_count_is_the_file_size_with_non_ascii_text(self, tmp_path):
+        # Lines are ASCII (non-ASCII text is \u-escaped), so the count a
+        # line adds is its length — for the header, for appends, and for
+        # appends after a re-open.
+        path = tmp_path / "a.wal"
+        wal = WriteAheadLog(path, fsync="never", clock=VirtualClock())
+        wal.append_subscribe(Subscription("café", [eq("ville", "Zürich")]), ttl=5.0)
+        wal.append_deliver("δέλτα", 0, Event({"名前": "値", "n": 1}))
+        wal.append_settle("δέλτα", 0, "dead-letter", reason="budget", attempts=2)
+        wal.append_unsubscribe("café")
+        wal.close()
+        assert wal.counters["bytes"] == wal.stats()["bytes"] == os.path.getsize(path)
+        assert path.read_bytes().isascii()
+        reopened = WriteAheadLog(path, fsync="never", clock=VirtualClock())
+        reopened.append_unsubscribe("ñandú")
+        reopened.close()
+        assert reopened.stats()["bytes"] == os.path.getsize(path)
+        with open(path, encoding="utf-8") as fp:
+            records, _ = read_wal(fp)
+        assert records[0]["subscription"]["id"] == "café"
+        assert records[1]["event"] == {"pairs": {"名前": "値", "n": 1}}
+
     def test_alien_file_rejected(self, tmp_path):
         path = tmp_path / "alien.json"
         path.write_text('{"type": "something-else"}\n{"more": 1}\n')

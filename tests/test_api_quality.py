@@ -329,6 +329,39 @@ class TestLeaseLifecycle:
         ]  # fmt: skip
 
 
+class TestFlatDeliveryState:
+    """``system/delivery.py``: an idle subscriber costs bytes, not
+    objects.  Channels, leases and the shared channel policy are slotted;
+    a channel's counters are int slots and ``counters`` is a snapshot, so
+    a write through it would vanish; the dead manager back-reference
+    stays gone."""
+
+    def test_channels_leases_and_policies_are_slotted(self):
+        from repro.system.delivery import Lease, SubscriberChannel, _ChannelPolicy
+
+        for cls in (SubscriberChannel, Lease, _ChannelPolicy):
+            assert "__slots__" in vars(cls), cls
+            assert not [k for k in cls.__mro__ if "__dict__" in vars(k)], cls
+
+    def test_nothing_writes_through_a_counters_snapshot(self):
+        def writes_counters(node, foreign_only):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            return isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+                isinstance(t, ast.Subscript)
+                and getattr(t.value, "attr", None) == "counters"
+                and not (foreign_only and getattr(t.value.value, "id", None) == "self")
+                for t in targets
+            )
+
+        foreign = _functions_where(lambda n: writes_counters(n, foreign_only=True))
+        assert not [w for w in foreign if w.startswith("system/")], foreign
+        own = _functions_where(lambda n: writes_counters(n, foreign_only=False))
+        assert not [w for w in own if w.startswith("system/delivery.py")], own
+
+    def test_nothing_holds_a_manager_back_reference(self):
+        assert not _functions_where(lambda n: getattr(n, "attr", None) == "_manager")
+
+
 def _matcher_classes_in_src():
     """The ``Matcher`` subclasses defined under ``src/repro``."""
     return sorted(
