@@ -19,10 +19,11 @@ test-all:
 	$(PYTEST) -q
 
 # A quick end-to-end sanity run of the sharding sweep (small scale, the
-# plain speedup assertion plus the timed benchmark in one file) and of
-# the Figure 3(d) loading lane (every algorithm loads 6k subscriptions).
+# plain speedup assertion plus the timed benchmark in one file), of the
+# Figure 3(d) loading lane (every algorithm loads 6k subscriptions) and
+# of the Figure 3(c) resident-size lane (every algorithm at 12k).
 bench-smoke:
-	REPRO_SCALE=0.004 PYTHONPATH=src:. $(PYTHON) -m pytest -q --benchmark-disable benchmarks/bench_sharding.py benchmarks/bench_shm.py benchmarks/bench_fig3d_loading.py
+	REPRO_SCALE=0.004 PYTHONPATH=src:. $(PYTHON) -m pytest -q --benchmark-disable benchmarks/bench_sharding.py benchmarks/bench_shm.py benchmarks/bench_fig3d_loading.py benchmarks/bench_fig3c_memory.py
 
 # The end-to-end benchmark's own checks (BENCHMARK.json +
 # benchmarks/e2e/): every workload built at reduced scale, oracle-gated

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import operator as _op
+import weakref
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import (
@@ -98,11 +99,8 @@ _NEGATIONS: Dict[Operator, Operator] = {
 }
 
 
-def _check_value(value: Value, op: Operator, context: str) -> Value:
-    """Validate a predicate or event value; normalize bools to ints."""
-    if isinstance(value, bool):
-        # bool is an int subclass; normalize so True == 1 dedups cleanly.
-        return int(value)
+def _check_value(value: Value, op: Operator, context: str) -> None:
+    """Validate a predicate value (bools are already ints)."""
     if isinstance(value, (int, float)):
         if op.is_range and value != value:
             # An ordered compare against NaN is always false, and a NaN
@@ -110,16 +108,43 @@ def _check_value(value: Value, op: Operator, context: str) -> Value:
             raise InvalidPredicateError(
                 f"{context}: NaN cannot be a range-operator constant"
             )
-        return value
+        return
     if isinstance(value, str):
         if op.is_range:
             raise InvalidPredicateError(
                 f"{context}: string values only support = and !=, got {op.value!r}"
             )
-        return value
+        return
     raise InvalidPredicateError(
         f"{context}: unsupported value type {type(value).__name__}"
     )
+
+
+class _Table(dict):
+    """The canonical predicates of one ``(attribute, operator, value
+    type)``, by value; ``key`` is where it is filed in ``_CANONICAL``."""
+
+    __slots__ = ("key",)
+
+
+class _Canonical(weakref.ref):
+    """A table entry: a weak reference to the canonical predicate that
+    remembers where it is filed, so its callback can unfile it."""
+
+    __slots__ = ("table", "value")
+
+
+_CANONICAL: Dict[Tuple[str, Operator, type], _Table] = {}
+
+
+def _unfile(entry: _Canonical) -> None:
+    """Weak-reference callback: a canonical predicate died, so drop its
+    entry, and its table once that is empty."""
+    table = entry.table
+    if table.get(entry.value) is entry:
+        table.pop(entry.value, None)
+        if not table and _CANONICAL.get(table.key) is table:
+            _CANONICAL.pop(table.key, None)
 
 
 class Predicate:
@@ -129,21 +154,49 @@ class Predicate:
     predicates coming from different subscriptions collapse to one entry
     in the predicate registry — the basis of the paper's shared
     predicate bit vector.
+
+    Construction returns the process-wide canonical instance: equal
+    arguments give the *same* object for as long as anything holds it
+    (a weak table; pickle goes through the constructor too).  The value's
+    type is part of the identity (``1`` and ``1.0`` are two objects);
+    NaN (unequal to itself) and zero floats (``-0.0 == 0.0`` would lose
+    the sign) are never shared.  Two threads missing at once may each
+    mint an object; equality and hashing never look at identity, so a
+    race only costs bytes.
     """
 
-    __slots__ = ("attribute", "operator", "value", "_hash")
+    __slots__ = ("attribute", "operator", "value", "_hash", "__weakref__")
 
-    def __init__(self, attribute: str, operator: Operator, value: Value) -> None:
+    def __new__(cls, attribute: str, operator: Operator, value: Value) -> "Predicate":
+        if type(value) is bool:
+            # bool is an int subclass; normalize so True == 1 dedups cleanly.
+            value = int(value)
+        key = (attribute, operator, type(value))
+        try:
+            canonical = _CANONICAL[key][value]()
+        except (KeyError, TypeError):
+            canonical = None
+        if canonical is not None:
+            return canonical
         if not isinstance(attribute, str) or not attribute:
             raise InvalidPredicateError("predicate attribute must be a non-empty string")
         if not isinstance(operator, Operator):
-            operator = Operator.from_symbol(str(operator))
+            return cls(attribute, Operator.from_symbol(str(operator)), value)
+        _check_value(value, operator, f"predicate on {attribute!r}")
+        self = object.__new__(cls)
         object.__setattr__(self, "attribute", attribute)
         object.__setattr__(self, "operator", operator)
-        object.__setattr__(
-            self, "value", _check_value(value, operator, f"predicate on {attribute!r}")
-        )
-        object.__setattr__(self, "_hash", hash((attribute, operator, self.value)))
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash((attribute, operator, value)))
+        if value == value and (value != 0 or type(value) is int):
+            table = _CANONICAL.get(key)
+            if table is None:
+                table = _CANONICAL[key] = _Table()
+                table.key = key
+            entry = _Canonical(self, _unfile)
+            entry.table, entry.value = table, value
+            table[value] = entry
+        return self
 
     def __setattr__(self, name: str, value: Any) -> None:  # pragma: no cover
         raise AttributeError("Predicate is immutable")
@@ -151,7 +204,8 @@ class Predicate:
     def __reduce__(self):
         # The immutability guard breaks pickle's default slot restore, so
         # rebuild through the constructor (revalidating on the way in —
-        # the process-pool workers deserialize untrusted-ish pipe data).
+        # the process-pool workers deserialize untrusted-ish pipe data),
+        # which also hands back this process's canonical instance.
         return (Predicate, (self.attribute, self.operator, self.value))
 
     def matches(self, event_value: Value) -> bool:
@@ -275,7 +329,7 @@ class Subscription:
     :attr:`equality_attributes` is ``A(s)``.
     """
 
-    __slots__ = ("id", "predicates", "_hash")
+    __slots__ = ("id", "predicates")
 
     def __init__(self, sub_id: Any, predicates: Iterable[Predicate]) -> None:
         preds = []
@@ -294,7 +348,6 @@ class Subscription:
             )
         object.__setattr__(self, "id", sub_id)
         object.__setattr__(self, "predicates", tuple(preds))
-        object.__setattr__(self, "_hash", hash((sub_id, self.predicates)))
 
     def __setattr__(self, name: str, value: Any) -> None:  # pragma: no cover
         raise AttributeError("Subscription is immutable")
@@ -392,7 +445,9 @@ class Subscription:
         return self.id == other.id and set(self.predicates) == set(other.predicates)
 
     def __hash__(self) -> int:
-        return self._hash
+        # Equality ignores predicate order, so the hash must too; equal
+        # subscriptions share their id.
+        return hash(self.id)
 
     def __iter__(self) -> Iterator[Predicate]:
         return iter(self.predicates)

@@ -362,6 +362,33 @@ class TestFlatDeliveryState:
         assert not _functions_where(lambda n: getattr(n, "attr", None) == "_manager")
 
 
+class TestOneObjectPerDistinctPredicate:
+    """``core/types.py``: ``Predicate.__new__`` is the one construction
+    path (it hands out the canonical instance), and a subscription's hash
+    is its id's — no cached hash that could disagree with ``__eq__``."""
+
+    def test_predicate_has_one_construction_path(self):
+        from repro.core.types import Predicate
+
+        assert "__init__" not in vars(Predicate)
+        assert "__new__" in vars(Predicate)
+
+    def test_nothing_bypasses_the_predicate_constructor(self):
+        def bypasses(node):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__"):
+                return False
+            receiver = getattr(node.func.value, "id", None)
+            first = getattr(node.args[0], "id", None) if node.args else None
+            return receiver == "Predicate" or first == "Predicate"
+
+        assert [w for w in _functions_where(bypasses) if not w.startswith("core/types.py:")] == []
+
+    def test_a_subscription_caches_no_hash(self):
+        from repro.core.types import Subscription
+
+        assert "_hash" not in Subscription.__slots__
+
+
 def _matcher_classes_in_src():
     """The ``Matcher`` subclasses defined under ``src/repro``."""
     return sorted(
