@@ -214,7 +214,7 @@ class TreeMatcher(Matcher):
     def match(self, event: Event) -> List[Any]:
         out: List[Any] = []
         stack = [self._root]
-        pairs = event.pairs
+        shape, values = event.shape, event.values
         visited = 0
         while stack:
             node = stack.pop()
@@ -228,9 +228,10 @@ class TreeMatcher(Matcher):
             # satisfy subscriptions that skip this attribute.
             if node.dont_care is not None:
                 stack.append(node.dont_care)
-            if attribute not in pairs:
+            pos = shape.position(attribute)
+            if pos is None:
                 continue
-            value = pairs[attribute]
+            value = values[pos]
             child = node.eq_edges.get(value)
             if child is not None:
                 stack.append(child)

@@ -25,7 +25,8 @@ path.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,13 +37,15 @@ from repro.core.types import Event
 #: value matrix would silently round.
 _EXACT_INT_LIMIT = 2**53
 
+_SHAPE, _ATTRS, _VALUES = attrgetter("shape"), attrgetter("attrs"), attrgetter("values")
+
 
 def exact_float64(values: Sequence[Any]) -> Optional[np.ndarray]:
     """*values* as a float64 array — or None when one of them cannot
     ride float64 exactly: a string, or an int at or past 2**53.
 
-    The one place that decides it, for the list kernel's per-attribute
-    columns and for :meth:`ColumnarBatch.from_events` alike.
+    The one place that decides it, for the list kernel and for
+    :meth:`ColumnarBatch.from_events` alike.
     """
     # No dtype: asked for float64 numpy would *parse* a numeric string;
     # left to infer, a string anywhere makes the array non-numeric.
@@ -56,6 +59,37 @@ def exact_float64(values: Sequence[Any]) -> Optional[np.ndarray]:
         # Floats that large are exact; an int may have rounded on the way in.
         return None
     return array
+
+
+def cell_table(
+    events: Sequence[Event],
+) -> Tuple[Dict[str, int], List[Any], np.ndarray, np.ndarray]:
+    """Every value *events* carry, row-major: ``(col_of, cells, rows, cols)``.
+
+    ``col_of`` numbers the batch's attributes in first-seen order;
+    ``cells[i]`` is a value, ``rows[i]`` the event it came from and
+    ``cols[i]`` its attribute's number.  What this costs follows the
+    pairs the batch carries, not rows × attributes.
+    """
+    shapes = list(map(_SHAPE, events))
+    distinct = dict.fromkeys(shapes)
+    col_of = {
+        attr: j
+        for j, attr in enumerate(dict.fromkeys(chain.from_iterable(map(_ATTRS, distinct))))
+    }
+    number = col_of.__getitem__
+    if 2 * len(distinct) <= len(events):
+        # Shapes are shared (a W0 batch has one): number each one once.
+        for shape in distinct:
+            distinct[shape] = tuple(map(number, shape.attrs))
+        numbered = chain.from_iterable(map(distinct.__getitem__, shapes))
+    else:
+        # Most events bring their own shape: number the cells directly.
+        numbered = map(number, chain.from_iterable(map(_ATTRS, shapes)))
+    cells = list(chain.from_iterable(map(_VALUES, events)))
+    rows = np.repeat(np.arange(len(events)), list(map(len, map(_ATTRS, shapes))))
+    cols = np.fromiter(numbered, dtype=np.intp, count=len(cells))
+    return col_of, cells, rows, cols
 
 
 class ColumnarBatch:
@@ -100,23 +134,10 @@ class ColumnarBatch:
         exactly (strings, ints at or past 2**53)."""
         if not events:
             return None
-        pairs_list = [event.pairs for event in events]
-        col_of = {
-            attr: j
-            for j, attr in enumerate(dict.fromkeys(chain.from_iterable(pairs_list)))
-        }
-        # Present cells only, row-major: what a batch costs to encode
-        # follows the pairs it carries, not rows × attributes.
-        cells = list(chain.from_iterable(map(dict.values, pairs_list)))
+        col_of, cells, rows, cols = cell_table(events)
         flat = exact_float64(cells)
         if flat is None:
             return None
-        rows = np.repeat(np.arange(len(events)), list(map(len, pairs_list)))
-        cols = np.fromiter(
-            map(col_of.__getitem__, chain.from_iterable(pairs_list)),
-            dtype=np.intp,
-            count=len(cells),
-        )
         shape = (len(events), len(col_of))
         values = np.zeros(shape, dtype=np.float64)
         presence = np.zeros(shape, dtype=bool)

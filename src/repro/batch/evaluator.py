@@ -30,15 +30,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.batch.columns import exact_float64
+from repro.batch.columns import cell_table, exact_float64
 from repro.core.types import Event, Operator, Value
 from repro.indexes.composite import PredicateIndexSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.batch.columns import ColumnarBatch
-
-#: Column filler for "attribute missing from this event".
-_NAN = float("nan")
 
 #: Cell cap for one broadcast (rows × constants) range compare.
 _BROADCAST_CELLS = 1 << 22
@@ -119,39 +116,39 @@ class BatchPredicateEvaluator:
         written in place instead of allocating a fresh matrix per batch
         (the two-phase matchers reuse one scratch buffer across batches).
 
-        The scan is column-oriented: one gather of the attribute's value
-        across the whole batch, one float64 conversion
-        (:func:`exact_float64`, the test :meth:`ColumnarBatch.from_events`
-        applies too), then the vector kernels over the rows carrying the
-        attribute.  A column float64 cannot carry (a string or an int at
-        or past 2**53 somewhere in it) is resolved row by row through
-        the exact path, as is a NaN value.
+        The scan is column-oriented whatever the events' shapes: every
+        value of the batch is converted once (:func:`exact_float64`, the
+        test :meth:`ColumnarBatch.from_events` applies too), its cells
+        are sorted by attribute, and each indexed attribute's cells run
+        through the vector kernels in one call.  When the batch as a
+        whole cannot ride float64 (a string or an int at or past 2**53
+        somewhere in it) each attribute's cells convert on their own,
+        and an attribute whose cells still cannot is resolved cell by
+        cell through the exact path, as is a NaN value.
         """
-        n = len(events)
-        truth = self._prepare_truth(n, n_slots, out)
-        pairs_list = [e.pairs for e in events]
-        all_rows = np.arange(n)
+        truth = self._prepare_truth(len(events), n_slots, out)
+        col_of, cells, rows, cols = cell_table(events)
+        flat = exact_float64(cells)
+        by_attr = np.argsort(cols, kind="stable")
+        bounds = np.searchsorted(cols, np.arange(len(col_of) + 1), sorter=by_attr)
         for attr, forms in self._indexes.vector_forms():
-            col = exact_float64([pairs.get(attr, _NAN) for pairs in pairs_list])
-            if col is None:
-                for row, pairs in enumerate(pairs_list):
-                    if attr in pairs:
-                        self._exact(truth, row, attr, pairs[attr])
+            j = col_of.get(attr)
+            if j is None:
                 continue
-            rows = all_rows
+            at = by_attr[bounds[j] : bounds[j + 1]]  # its cells, in row order
+            col = flat[at] if flat is not None else exact_float64([cells[i] for i in at.tolist()])
+            if col is None:
+                self._exact_cells(truth, attr, cells, rows, at)
+                continue
             nan_mask = np.isnan(col)
             if nan_mask.any():
-                # Missing attribute — or a real NaN value, which must
-                # still probe the = / != dicts exactly like the scalar
-                # indexes (dict identity semantics and all).
-                for row in np.nonzero(nan_mask)[0]:
-                    if attr in pairs_list[row]:
-                        self._exact(truth, int(row), attr, pairs_list[row][attr])
-                rows = np.nonzero(~nan_mask)[0]
-                col = col[rows]
-            if not self._vector(truth, forms, rows, col):
-                for row in rows:
-                    self._exact(truth, int(row), attr, pairs_list[row][attr])
+                # A real NaN value must still probe the = / != dicts
+                # exactly like the scalar indexes (dict identity
+                # semantics and all).
+                self._exact_cells(truth, attr, cells, rows, at[nan_mask])
+                at, col = at[~nan_mask], col[~nan_mask]
+            if not self._vector(truth, forms, rows[at], col):
+                self._exact_cells(truth, attr, cells, rows, at)
         return truth
 
     def evaluate_columnar(
@@ -216,6 +213,12 @@ class BatchPredicateEvaluator:
         bits = []
         self._indexes.probe(((attr, value),), bits.append)
         truth[row, bits] = True
+
+    def _exact_cells(self, truth, attr: str, cells, rows: np.ndarray, at: np.ndarray) -> None:
+        """:meth:`_exact` for each of the cells *at* (indexes into *cells*
+        and *rows*), each with its own value object."""
+        for row, i in zip(rows[at].tolist(), at.tolist()):
+            self._exact(truth, row, attr, cells[i])
 
     @staticmethod
     def _prepare_truth(n: int, n_slots: int, out: "np.ndarray") -> np.ndarray:

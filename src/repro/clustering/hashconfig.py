@@ -98,13 +98,13 @@ class MultiAttrHashTable:
         Returns None when the event lacks a schema attribute (μ filter)
         or no subscription carries this value combination.
         """
-        pairs = event.pairs
+        position, values = event.shape.position, event.values
         key: List[Any] = []
         for attribute in self.schema:
-            value = pairs.get(attribute)
-            if value is None and attribute not in pairs:
+            pos = position(attribute)
+            if pos is None:
                 return None
-            key.append(value)
+            key.append(values[pos])
         return self._entries.get(tuple(key))
 
     def entry(self, key: Key) -> Optional[ClusterList]:

@@ -383,11 +383,10 @@ class Subscription:
 
     def is_satisfied_by(self, event: "Event") -> bool:
         """Direct (index-free) satisfaction test; the correctness oracle."""
+        position, values = event.shape.position, event.values
         for p in self.predicates:
-            v = event.get(p.attribute)
-            if v is None and not event.has(p.attribute):
-                return False
-            if not p.matches(v):
+            pos = position(p.attribute)
+            if pos is None or not p.matches(values[pos]):
                 return False
         return True
 
@@ -462,33 +461,107 @@ class Subscription:
         return f"Subscription({self.id!r}: {body})"
 
 
-class Event:
-    """An immutable set of attribute/value pairs (no duplicate attribute)."""
+def _check_attributes(attrs: Iterable[Any]) -> None:
+    """Raise the first attribute error in *attrs* (event order)."""
+    seen = set()
+    for attr in attrs:
+        if not isinstance(attr, str) or not attr:
+            raise InvalidEventError("event attribute must be a non-empty string")
+        if attr in seen:
+            raise InvalidEventError(f"duplicate attribute {attr!r} in event")
+        seen.add(attr)
 
-    __slots__ = ("pairs", "_hash")
+
+class EventShape:
+    """The attribute sequence of an event, shared by every event that
+    carries the same attributes in the same order.
+
+    An :class:`Event` is its shape plus a tuple of values in the shape's
+    order, so a batch of like events holds one copy of its attribute
+    names and one name → position index, and a consumer resolves an
+    attribute to a position once per shape instead of once per event.
+    Shapes are hash-consed in a weak table keyed by the attribute tuple:
+    one lives as long as some event holds it.  Two threads missing at
+    once may each mint a shape; events compare by content, so a race
+    only costs bytes.  Immutable, as every event of the shape shares it.
+    """
+
+    __slots__ = ("attrs", "_index", "__weakref__")
+
+    def __init__(self, attrs: Tuple[str, ...]) -> None:
+        object.__setattr__(self, "attrs", attrs)
+        object.__setattr__(self, "_index", None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("EventShape is immutable")
+
+    def position(self, attribute: str) -> Optional[int]:
+        """Where *attribute* sits in this shape's value tuples, or None."""
+        index = self._index
+        if index is None:
+            # Built on first use: an event that is only iterated (encoded
+            # into columns, serialized) never pays for it.
+            index = {attr: i for i, attr in enumerate(self.attrs)}
+            object.__setattr__(self, "_index", index)
+        return index.get(attribute)
+
+    def positions(self, attributes: Iterable[str]) -> Optional[Tuple[int, ...]]:
+        """The position of each of *attributes*, or None when one is absent."""
+        out = []
+        for attribute in attributes:
+            pos = self.position(attribute)
+            if pos is None:
+                return None
+            out.append(pos)
+        return tuple(out)
+
+
+_SHAPES: "weakref.WeakValueDictionary[Tuple[str, ...], EventShape]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _shape(attrs: Tuple[str, ...]) -> EventShape:
+    """The canonical shape of *attrs*, validated and filed on a miss."""
+    try:
+        shape = _SHAPES.get(attrs)
+    except TypeError:  # an unhashable attribute: reported just below
+        shape = None
+    if shape is None:
+        _check_attributes(attrs)
+        shape = _SHAPES[attrs] = EventShape(attrs)
+    return shape
+
+
+class Event:
+    """An immutable set of attribute/value pairs (no duplicate attribute).
+
+    Stored as a shared :class:`EventShape` (the attribute order) plus a
+    ``values`` tuple in that order.  Equality and hashing are by content
+    and ignore the order; iteration follows it.
+    """
+
+    __slots__ = ("shape", "values")
 
     def __init__(self, pairs: Union[Mapping[str, Value], Iterable[Tuple[str, Value]]]) -> None:
-        if isinstance(pairs, Mapping):
-            items = list(pairs.items())
-        else:
-            items = list(pairs)
-        mapping: Dict[str, Value] = {}
-        for attr, value in items:
-            if not isinstance(attr, str) or not attr:
-                raise InvalidEventError("event attribute must be a non-empty string")
-            if attr in mapping:
-                raise InvalidEventError(f"duplicate attribute {attr!r} in event")
-            if isinstance(value, bool):
-                value = int(value)
-            if not isinstance(value, (int, float, str)):
-                raise InvalidEventError(
-                    f"event value for {attr!r} has unsupported type {type(value).__name__}"
-                )
-            mapping[attr] = value
-        if not mapping:
+        attrs = []
+        values = []
+        for attr, value in pairs.items() if isinstance(pairs, Mapping) else pairs:
+            kind = type(value)
+            if kind is not int and kind is not float and kind is not str:
+                if isinstance(value, bool):
+                    value = int(value)
+                elif not isinstance(value, (int, float, str)):
+                    _check_attributes(attrs + [attr])
+                    raise InvalidEventError(
+                        f"event value for {attr!r} has unsupported type {kind.__name__}"
+                    )
+            attrs.append(attr)
+            values.append(value)
+        if not attrs:
             raise InvalidEventError("event must contain at least one pair")
-        object.__setattr__(self, "pairs", dict(mapping))
-        object.__setattr__(self, "_hash", hash(frozenset(mapping.items())))
+        object.__setattr__(self, "shape", _shape(tuple(attrs)))
+        object.__setattr__(self, "values", tuple(values))
 
     def __setattr__(self, name: str, value: Any) -> None:  # pragma: no cover
         raise AttributeError("Event is immutable")
@@ -498,39 +571,52 @@ class Event:
         return (Event, (self.pairs,))
 
     @property
+    def pairs(self) -> Dict[str, Value]:
+        """A new ``{attribute: value}`` dict (changing it leaves the event alone)."""
+        return dict(zip(self.shape.attrs, self.values))
+
+    @property
     def schema(self) -> frozenset:
         """The set of attributes present in the event."""
-        return frozenset(self.pairs)
+        return frozenset(self.shape.attrs)
 
     def get(self, attribute: str, default: Optional[Value] = None) -> Optional[Value]:
         """Value of *attribute*, or *default* when absent."""
-        return self.pairs.get(attribute, default)
+        pos = self.shape.position(attribute)
+        return default if pos is None else self.values[pos]
 
     def has(self, attribute: str) -> bool:
         """Is *attribute* present?"""
-        return attribute in self.pairs
+        return self.shape.position(attribute) is not None
 
-    def items(self) -> Iterable[Tuple[str, Value]]:
+    def items(self) -> Iterator[Tuple[str, Value]]:
         """Iterate over ``(attribute, value)`` pairs."""
-        return self.pairs.items()
+        return zip(self.shape.attrs, self.values)
 
     def __contains__(self, attribute: str) -> bool:
-        return attribute in self.pairs
+        return self.shape.position(attribute) is not None
 
     def __getitem__(self, attribute: str) -> Value:
-        return self.pairs[attribute]
+        pos = self.shape.position(attribute)
+        if pos is None:
+            raise KeyError(attribute)
+        return self.values[pos]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
-        return self.pairs == other.pairs
+        if self.shape is other.shape:
+            return self.values == other.values
+        return len(self.values) == len(other.values) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return self._hash
+        # Not cached: a slot would cost every event 8 bytes plus its int,
+        # and nothing on the match path hashes events.
+        return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{a}={v!r}" for a, v in sorted(self.pairs.items()))
+        body = ", ".join(f"{a}={v!r}" for a, v in sorted(self.items()))
         return f"Event({body})"

@@ -245,22 +245,19 @@ class ClusteredMatcher(TwoPhaseMatcher):
         if len(self._universal):
             all_rows = np.arange(len(events), dtype=np.intp)
             reads += self._universal.match_rows(truth, all_rows, out)
+        shapes = dict.fromkeys(event.shape for event in events)
         for table in self.config.tables():
             if not len(table):
                 continue
-            schema = table.schema
+            # The schema's positions are resolved once per event shape.
+            positions_of = {shape: shape.positions(table.schema) for shape in shapes}
             rows_of: Dict[Tuple, List[int]] = {}
             for row, event in enumerate(events):
-                pairs = event.pairs
-                key: List[Any] = []
-                for attribute in schema:
-                    value = pairs.get(attribute)
-                    if value is None and attribute not in pairs:
-                        key = None
-                        break
-                    key.append(value)
-                if key is not None:
-                    rows_of.setdefault(tuple(key), []).append(row)
+                positions = positions_of[event.shape]
+                if positions is not None:
+                    values = event.values
+                    key = tuple([values[pos] for pos in positions])
+                    rows_of.setdefault(key, []).append(row)
             for key, rows in rows_of.items():
                 lst = table.entry(key)
                 if lst is not None:

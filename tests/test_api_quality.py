@@ -389,6 +389,25 @@ class TestOneObjectPerDistinctPredicate:
         assert "_hash" not in Subscription.__slots__
 
 
+class TestEventIsAShapePlusValues:
+    """``core/types.py``: an event holds its shared shape and its value
+    tuple and nothing else, and code under ``src/repro`` reads it through
+    positions (``shape.position(s)``, ``values``, ``items()``, ``get``)
+    — never through ``pairs``, which builds a dict per call."""
+
+    def test_an_event_holds_two_slots(self):
+        from repro.core.types import Event, EventShape
+
+        assert Event.__slots__ == ("shape", "values")
+        assert "__weakref__" in EventShape.__slots__
+
+    def test_nothing_in_src_reads_pairs(self):
+        readers = _functions_where(
+            lambda n: isinstance(n, ast.Attribute) and n.attr == "pairs" and isinstance(n.ctx, ast.Load)
+        )
+        assert [r for r in readers if not r.startswith("core/types.py:Event.")] == []
+
+
 def _matcher_classes_in_src():
     """The ``Matcher`` subclasses defined under ``src/repro``."""
     return sorted(
