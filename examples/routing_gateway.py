@@ -5,11 +5,14 @@ Run:  python examples/routing_gateway.py
 An edge broker aggregates local subscriptions and forwards a *minimal
 covering set* to its upstream peer (the classic content-based-routing
 optimization): a subscription need not travel upstream if a broader one
-already did.  Locally, every subscriber is still matched exactly.
+already did.  The covering forest keeps that set as its frontier.
+Locally, every subscriber is still matched exactly.
 """
 
 from repro import DynamicMatcher, Subscription, eq, ge, le
-from repro.core.covering import CoverageIndex, covers
+from repro.aggregation.forest import CoveringForest
+from repro.core.covering import _by_attribute, covers
+from repro.core.simplify import simplify_predicates
 from repro.lang import parse_event
 
 LOCAL_SUBSCRIPTIONS = [
@@ -23,18 +26,24 @@ LOCAL_SUBSCRIPTIONS = [
 
 def main() -> None:
     local = DynamicMatcher()
-    upstream_filter = CoverageIndex()
+    upstream_filter = CoveringForest()
+    by_id = {sub.id: sub for sub in LOCAL_SUBSCRIPTIONS}
 
     print("local subscriptions arriving at the edge broker:")
     for sub in LOCAL_SUBSCRIPTIONS:
         local.add(sub)
-        redundant, now_covered = upstream_filter.add(sub)
-        note = "suppressed upstream (covered)" if redundant else "forwarded upstream"
-        if now_covered:
-            note += f"; supersedes {now_covered} upstream"
+        parent, demoted = upstream_filter.insert(
+            sub.id, _by_attribute(simplify_predicates(sub.predicates))
+        )
+        if parent is not None:
+            note = f"suppressed upstream (covered by {parent})"
+        else:
+            note = "forwarded upstream"
+        if demoted:
+            note += f"; supersedes {demoted} upstream"
         print(f"  {sub.id:6s} {note}")
 
-    forwarding = upstream_filter.covering_set()
+    forwarding = [by_id[gid] for gid in upstream_filter.frontier()]
     print(f"\nminimal upstream forwarding set "
           f"({len(forwarding)} of {len(LOCAL_SUBSCRIPTIONS)}):")
     for sub in forwarding:

@@ -153,17 +153,15 @@ class TwoPhaseMatcher(Matcher):
     # the vectorized batch path
     # ------------------------------------------------------------------
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
-        """The vectorized kernel, straight off a ``ColumnarBatch`` when
-        given one.
+        """The vectorized kernel, over an event list or a ``ColumnarBatch``.
 
-        For a columnar batch phase 1 runs on the column matrices
-        without ever building Event objects; phase 2 materializes them
-        only when the engine's cluster walk reads event contents
-        (:attr:`phase2_needs_events`) — otherwise the batch itself
-        stands in (it has ``len``).
+        Phase 1 takes either form (:meth:`BatchPredicateEvaluator.evaluate`
+        reads a columnar batch's matrices without building Event
+        objects).  Phase 2 materializes them only when the engine's
+        cluster walk reads event contents (:attr:`phase2_needs_events`)
+        — otherwise the batch itself stands in (it has ``len``).
         """
-        columnar = isinstance(events, ColumnarBatch)
-        if not columnar:
+        if not isinstance(events, ColumnarBatch):
             events = list(events)
         if not len(events):
             return []
@@ -175,10 +173,8 @@ class TwoPhaseMatcher(Matcher):
                 self._mb_fallback.inc()
             return [self.match(e) for e in events]
         t0 = time.perf_counter_ns()
-        kernel = self._kernel
-        evaluate = kernel.evaluate_columnar if columnar else kernel.evaluate
-        truth = evaluate(events, self.bits.size, out=self._scratch(len(events)))
-        if columnar and self.phase2_needs_events:
+        truth = self._kernel.evaluate(events, self.bits.size, out=self._scratch(len(events)))
+        if self.phase2_needs_events and isinstance(events, ColumnarBatch):
             events = events.to_events()
         return self._finish_batch(events, truth, t0)
 

@@ -8,11 +8,11 @@ one encode can feed any number of consumers:
 
 * the process-executor transports ship its arrays (pickled on the pipe,
   placed in a shared-memory slot by :mod:`repro.system.shm`);
-* :meth:`repro.batch.evaluator.BatchPredicateEvaluator.evaluate_columnar`
-  runs phase 1 straight off the matrices — no :class:`Event` objects,
-  no per-attribute dict gathers;
+* :meth:`repro.batch.evaluator.BatchPredicateEvaluator.evaluate`
+  runs phase 1 straight off the matrices — no :class:`Event` objects;
 * :meth:`to_events` materializes real events only where object
-  semantics are required (cluster phase 2 probes, scalar fallbacks).
+  semantics are required (cluster phase 2 probes, the dynamic engine's
+  event statistics, scalar fallbacks).
 
 Exactness contract (shared with the evaluator): a batch is columnar
 only when **every** value rides float64 without rounding — floats

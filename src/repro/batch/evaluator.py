@@ -26,16 +26,13 @@ wrong boundary.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Any, List, Sequence, Union
 
 import numpy as np
 
-from repro.batch.columns import cell_table, exact_float64
-from repro.core.types import Event, Operator, Value
+from repro.batch.columns import ColumnarBatch, cell_table, exact_float64
+from repro.core.types import Event, Operator
 from repro.indexes.composite import PredicateIndexSet
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.batch.columns import ColumnarBatch
 
 #: Cell cap for one broadcast (rows × constants) range compare.
 _BROADCAST_CELLS = 1 << 22
@@ -86,6 +83,47 @@ _KERNELS = {
 }
 
 
+def _cells_by_attribute(batch: Union[Sequence[Event], ColumnarBatch]):
+    """Every cell of *batch* grouped by attribute, each group in row order.
+
+    ``(col_of, rows, bounds, flat, values_at)``: the cells of attribute
+    ``j = col_of[attr]`` are positions ``bounds[j]:bounds[j + 1]``;
+    ``rows[i]`` is cell *i*'s event, ``flat[i]`` its float64 value
+    (``flat`` is None when the batch as a whole cannot ride float64) and
+    ``values_at(positions)`` the exact value objects of the cells at
+    *positions* (a slice or an index array).
+
+    Each input form builds the table its cheapest way.  An event list
+    numbers its cells row-major (:func:`cell_table`) and sorts them by
+    attribute, stably.  A :class:`ColumnarBatch` reads its presence
+    matrix column-major, which needs no sort; its values are exact by
+    construction, and an exact value is rebuilt as int or float from
+    the was-int bit.
+    """
+    if isinstance(batch, ColumnarBatch):
+        col_of = {attr: j for j, attr in enumerate(batch.attrs)}
+        cols, rows = np.nonzero(batch.present().T)
+        flat = batch.values[rows, cols]
+
+        def values_at(at) -> List[Any]:
+            ints = batch.int_mask()[rows[at], cols[at]].tolist()
+            return [int(v) if i else v for v, i in zip(flat[at].tolist(), ints)]
+
+    else:
+        col_of, cells, rows, cols = cell_table(batch)
+        flat = exact_float64(cells)
+        order = np.argsort(cols, kind="stable")
+        rows = rows[order]
+        if flat is not None:
+            flat = flat[order]
+
+        def values_at(at) -> List[Any]:
+            return [cells[i] for i in order[at].tolist()]
+
+    bounds = [0, *np.cumsum(np.bincount(cols, minlength=len(col_of))).tolist()]
+    return col_of, rows, bounds, flat, values_at
+
+
 class BatchPredicateEvaluator:
     """Predicate phase over a whole batch, run off the live indexes.
 
@@ -101,96 +139,51 @@ class BatchPredicateEvaluator:
 
     def evaluate(
         self,
-        events: Sequence[Event],
+        batch: Union[Sequence[Event], ColumnarBatch],
         n_slots: int,
         out: "np.ndarray" = None,
     ) -> np.ndarray:
-        """Boolean ``(len(events), n_slots)`` truth matrix.
+        """Boolean ``(len(batch), n_slots)`` truth matrix.
 
-        Cell ``[e, b]`` is True iff event *e* satisfies the predicate in
+        *batch* is an event list or a :class:`ColumnarBatch`.  Cell
+        ``[e, b]`` is True iff event *e* satisfies the predicate in
         registry slot *b* — exactly the bit vector the scalar phase 1
         would produce for each event in turn.
 
         *out*, when given, must be a boolean array with at least
-        ``(len(events), n_slots)`` cells; the leading view is zeroed and
+        ``(len(batch), n_slots)`` cells; the leading view is zeroed and
         written in place instead of allocating a fresh matrix per batch
         (the two-phase matchers reuse one scratch buffer across batches).
 
-        The scan is column-oriented whatever the events' shapes: every
-        value of the batch is converted once (:func:`exact_float64`, the
-        test :meth:`ColumnarBatch.from_events` applies too), its cells
-        are sorted by attribute, and each indexed attribute's cells run
-        through the vector kernels in one call.  When the batch as a
-        whole cannot ride float64 (a string or an int at or past 2**53
-        somewhere in it) each attribute's cells convert on their own,
-        and an attribute whose cells still cannot is resolved cell by
-        cell through the exact path, as is a NaN value.
+        One scan whatever the form: the batch's cells, grouped by
+        attribute (:func:`_cells_by_attribute`), run through each
+        indexed attribute's vector kernels in one call.  When the batch
+        as a whole cannot ride float64 each attribute's cells convert on
+        their own; an attribute whose cells still cannot, a NaN value
+        and an attribute with an inexact constant are resolved cell by
+        cell through the exact path.
         """
-        truth = self._prepare_truth(len(events), n_slots, out)
-        col_of, cells, rows, cols = cell_table(events)
-        flat = exact_float64(cells)
-        by_attr = np.argsort(cols, kind="stable")
-        bounds = np.searchsorted(cols, np.arange(len(col_of) + 1), sorter=by_attr)
+        truth = self._prepare_truth(len(batch), n_slots, out)
+        col_of, rows, bounds, flat, values_at = _cells_by_attribute(batch)
         for attr, forms in self._indexes.vector_forms():
             j = col_of.get(attr)
             if j is None:
                 continue
-            at = by_attr[bounds[j] : bounds[j + 1]]  # its cells, in row order
-            col = flat[at] if flat is not None else exact_float64([cells[i] for i in at.tolist()])
-            if col is None:
-                self._exact_cells(truth, attr, cells, rows, at)
-                continue
-            nan_mask = np.isnan(col)
-            if nan_mask.any():
-                # A real NaN value must still probe the = / != dicts
-                # exactly like the scalar indexes (dict identity
-                # semantics and all).
-                self._exact_cells(truth, attr, cells, rows, at[nan_mask])
-                at, col = at[~nan_mask], col[~nan_mask]
-            if not self._vector(truth, forms, rows[at], col):
-                self._exact_cells(truth, attr, cells, rows, at)
-        return truth
-
-    def evaluate_columnar(
-        self,
-        batch: "ColumnarBatch",
-        n_slots: int,
-        out: "np.ndarray" = None,
-    ) -> np.ndarray:
-        """:meth:`evaluate` straight off a :class:`ColumnarBatch`.
-
-        Identical truth matrix, but phase 1 never materializes
-        :class:`Event` objects or per-attribute dict gathers: each
-        attribute's column is sliced from the batch's float64 value
-        matrix under its presence bits.  Columnar values are exact by
-        construction (strings and ints at or past 2**53 never encode),
-        so the only exact-path work left is real NaN values and
-        attributes whose *constants* are inexact, resolved per row with
-        the value rebuilt as int or float from the was-int bit.
-        """
-        n = len(batch)
-        truth = self._prepare_truth(n, n_slots, out)
-        col_of = {attr: j for j, attr in enumerate(batch.attrs)}
-        present = ints = None
-        for attr, forms in self._indexes.vector_forms():
-            j = col_of.get(attr)
-            if j is None:
-                continue
-            if present is None:
-                present = batch.present()
-                ints = batch.int_mask()
-            rows = np.nonzero(present[:, j])[0]
-            col = batch.values[rows, j]
-            nan_mask = np.isnan(col)
-            if nan_mask.any():
-                for row in rows[nan_mask]:
-                    self._exact(truth, int(row), attr, float("nan"))
-                rows, col = rows[~nan_mask], col[~nan_mask]
-            if not self._vector(truth, forms, rows, col):
-                for row, value in zip(rows, col.tolist()):
-                    self._exact(
-                        truth, int(row), attr, int(value) if ints[row, j] else value
-                    )
+            at = slice(bounds[j], bounds[j + 1])  # its cells, in row order
+            col = flat[at] if flat is not None else exact_float64(values_at(at))
+            if col is not None:
+                nan_mask = np.isnan(col)
+                if nan_mask.any():
+                    # A real NaN value must still probe the = / != dicts
+                    # exactly like the scalar indexes (dict identity
+                    # semantics and all).
+                    at = np.arange(at.start, at.stop)
+                    nan_at = at[nan_mask]
+                    self._exact(truth, attr, rows[nan_at], values_at(nan_at))
+                    at, col = at[~nan_mask], col[~nan_mask]
+                if self._vector(truth, forms, rows[at], col):
+                    continue
+            self._exact(truth, attr, rows[at], values_at(at))
         return truth
 
     @staticmethod
@@ -208,17 +201,13 @@ class BatchPredicateEvaluator:
                 _KERNELS[op](form, truth, rows, col)
         return True
 
-    def _exact(self, truth: np.ndarray, row: int, attr: str, value: Value) -> None:
-        """One (row, attribute, value) through the scalar indexes."""
-        bits = []
-        self._indexes.probe(((attr, value),), bits.append)
-        truth[row, bits] = True
-
-    def _exact_cells(self, truth, attr: str, cells, rows: np.ndarray, at: np.ndarray) -> None:
-        """:meth:`_exact` for each of the cells *at* (indexes into *cells*
-        and *rows*), each with its own value object."""
-        for row, i in zip(rows[at].tolist(), at.tolist()):
-            self._exact(truth, row, attr, cells[i])
+    def _exact(self, truth: np.ndarray, attr: str, rows: np.ndarray, values: List[Any]) -> None:
+        """Each (row, value) cell of *attr* through the scalar indexes,
+        with its own value object."""
+        for row, value in zip(rows.tolist(), values):
+            bits: List[int] = []
+            self._indexes.probe(((attr, value),), bits.append)
+            truth[row, bits] = True
 
     @staticmethod
     def _prepare_truth(n: int, n_slots: int, out: "np.ndarray") -> np.ndarray:

@@ -12,10 +12,10 @@ implication is provable per attribute (conjunctions decompose
 attribute-wise because distinct attributes are independent); incomplete
 cases (e.g. ``!=`` nets over finite domains) answer False.
 
-Two building blocks here serve the aggregation layer
-(:mod:`repro.aggregation`), which runs covering checks on every
-subscribe/unsubscribe and therefore cannot afford the O(n) pairwise
-scan :class:`CoverageIndex` started with:
+Two building blocks here serve the aggregation layer's covering forest
+(:class:`repro.aggregation.forest.CoveringForest`, the one covering
+structure), which runs covering checks on every subscribe/unsubscribe
+and therefore cannot afford an O(n) pairwise scan:
 
 * :class:`AttributeIndex` — per-attribute postings over attribute
   *signatures*.  A coverer's attribute set must be a subset of the
@@ -29,7 +29,7 @@ scan :class:`CoverageIndex` started with:
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Set
 
 from repro.core.errors import InvalidSubscriptionError
 from repro.core.simplify import simplify_predicates
@@ -164,114 +164,3 @@ class AttributeIndex:
 
     def __len__(self) -> int:
         return len(self._attrs_of)
-
-
-class CoverageIndex:
-    """Tracks a set of subscriptions with covering relations.
-
-    ``add`` reports whether the newcomer is *redundant* (covered by a
-    live subscription) and which live subscriptions it covers; ``remove``
-    reports which live subscriptions the departure left *uncovered* —
-    everything a routing layer needs to decide what to forward upstream
-    and what to cancel or re-announce.  Candidate pairs are pruned
-    through an :class:`AttributeIndex` (a coverer's attributes must be a
-    subset of the coveree's), so cost tracks the candidate set rather
-    than the population.
-
-    Unsatisfiable subscriptions are vacuously covered by everything and
-    can never become uncovered; they are tracked but never reported by
-    ``remove``.
-    """
-
-    def __init__(self) -> None:
-        self._subs: Dict[Any, Subscription] = {}
-        self._simplified: Dict[Any, Dict[str, List[Predicate]]] = {}
-        self._unsat: Set[Any] = set()
-        self._attr_index = AttributeIndex()
-
-    def add(self, sub: Subscription) -> Tuple[bool, List[Any]]:
-        """Insert; returns ``(is_redundant, ids_now_covered_by_sub)``."""
-        if sub.id in self._subs:
-            raise InvalidSubscriptionError(f"duplicate id {sub.id!r}")
-        try:
-            simplified = _by_attribute(simplify_predicates(sub.predicates))
-        except InvalidSubscriptionError:
-            simplified = None
-        if simplified is None:
-            # Unsatisfiable: covered by anything live, covers only the
-            # other unsatisfiable entries (vacuously).
-            redundant = bool(self._subs)
-            newly_covered = sorted(self._unsat, key=str)
-            self._subs[sub.id] = sub
-            self._unsat.add(sub.id)
-            return redundant, newly_covered
-        redundant = any(
-            self._covers_ids_simplified(cand, simplified)
-            for cand in self._attr_index.subset_candidates(simplified)
-        )
-        newly_covered = [
-            sid
-            for sid in self._attr_index.superset_candidates(simplified)
-            if covers_simplified(simplified, self._simplified[sid])
-        ]
-        newly_covered.extend(self._unsat)  # vacuously covered by anything
-        self._subs[sub.id] = sub
-        self._simplified[sub.id] = simplified
-        self._attr_index.add(sub.id, simplified)
-        return redundant, newly_covered
-
-    def _covers_ids_simplified(
-        self, broad_id: Any, narrow_attrs: Dict[str, List[Predicate]]
-    ) -> bool:
-        return covers_simplified(self._simplified[broad_id], narrow_attrs)
-
-    def remove(self, sub_id: Any) -> Tuple[Subscription, List[Any]]:
-        """Remove by id (KeyError when absent).
-
-        Returns ``(subscription, newly_uncovered_ids)``: the live
-        subscriptions that were covered by the departing one and are
-        covered by no remaining one — the mirror of ``add``'s
-        ``newly_covered``, closing the lifecycle so routing layers can
-        re-announce what the departure exposed.
-        """
-        sub = self._subs.pop(sub_id)
-        if sub_id in self._unsat:
-            # Covered only other unsatisfiable entries, which remain
-            # vacuously covered (they can never match anything).
-            self._unsat.discard(sub_id)
-            return sub, []
-        simplified = self._simplified.pop(sub_id)
-        self._attr_index.remove(sub_id)
-        newly_uncovered = []
-        for sid in self._attr_index.superset_candidates(simplified):
-            if sid in self._unsat:
-                continue
-            if not covers_simplified(simplified, self._simplified[sid]):
-                continue  # was never covered by the departing sub
-            still_covered = any(
-                self._covers_ids_simplified(cand, self._simplified[sid])
-                for cand in self._attr_index.subset_candidates(self._simplified[sid])
-                if cand != sid
-            )
-            if not still_covered:
-                newly_uncovered.append(sid)
-        return sub, newly_uncovered
-
-    def covering_set(self) -> List[Subscription]:
-        """A minimal forwarding set: subscriptions not covered by others.
-
-        Mutually-covering (equivalent) subscriptions keep their first
-        member (insertion order).
-        """
-        kept: List[Subscription] = []
-        for sub in self._subs.values():
-            if not any(covers(k, sub) for k in kept):
-                kept = [k for k in kept if not covers(sub, k)]
-                kept.append(sub)
-        return kept
-
-    def __len__(self) -> int:
-        return len(self._subs)
-
-    def __contains__(self, sub_id: Any) -> bool:
-        return sub_id in self._subs

@@ -111,9 +111,12 @@ class Matcher(abc.ABC):
 
         *events* may also be a ``repro.batch.columns.ColumnarBatch``
         (what a process-executor worker holds): it has a length and
-        iterates as its events.  Only the two-phase engines read the
-        columns directly; every other implementation — this default
-        included — iterates, which materializes the events.
+        iterates as its events.  Counting reads it end to end (phase 1
+        off the matrices, phase 2 off the truth matrix); the clustered
+        engines run phase 1 off the matrices and build events for their
+        phase-2 probe keys; dynamic builds them up front, for
+        ``EventStatistics.observe``; every other implementation — this
+        default included — iterates, which builds the events.
         """
         return [self.match(e) for e in events]
 

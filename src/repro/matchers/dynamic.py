@@ -162,6 +162,8 @@ class DynamicMatcher(ClusteredMatcher):
         return result
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
+        # A ColumnarBatch becomes its events here: observation samples
+        # Event objects, and phase 2 probes clusters with them anyway.
         events = list(events)
         if len(events) == 1:
             # The base class takes (and counts) the scalar path through

@@ -95,7 +95,7 @@ CODECS = ("auto", "shm")
 _POLL_SECONDS = 0.02
 
 #: IPC op label values (the ``repro_procpool_ipc_seconds`` label set).
-_IPC_OPS = ("mutate", "match", "batch", "control")
+_IPC_OPS = ("mutate", "batch", "control")
 
 #: ``repro_shm_fallback_total`` reason label values: the batch could not
 #: ride the columnar layout at all (``oddpath``), no free slot appeared
@@ -279,8 +279,6 @@ def worker_main(
                     index_of = {sub_id: i for i, sub_id in enumerate(live)}
                 # One reply form under both codecs, always on the pipe.
                 reply: Any = (epoch, encode_results(lists, index_of))
-            elif op == "match":
-                reply = (epoch, list(matcher.match(msg[1])))
             elif op == "apply":
                 # One epoch per op, in order.  An op the engine rejects
                 # ends the message: the parent treats the error reply as
@@ -558,13 +556,10 @@ class ProcessPool:
         when the batch must take the pipe instead — odd-path values,
         a batch bigger than one slot, or no slot freeing up in time,
         each counted in ``repro_shm_fallback_total``.  A single event
-        is not a fallback: it rides the ``"match"`` op by design
-        (:meth:`ProcessShard.match_batch`), so it gets None uncounted.
+        is a batch of one like any other.
         """
         if self.arena is None or self.arena.ring is None:
             raise RuntimeError("publish_events requires the shm codec")
-        if len(events) == 1:
-            return None
         batch = encode_events(events)
         if not isinstance(batch, ColumnarBatch):
             self._m_shm_fallback["oddpath"].inc()
@@ -881,18 +876,13 @@ class ProcessShard(Matcher):
         return subscription
 
     def match(self, event: Event) -> List[Any]:
-        worker_epoch, ids = self._call(("match", event), "match")
-        self._check_epoch(worker_epoch, self._epoch)
-        return ids
+        """A batch of one: its row comes back in mirror order too."""
+        return self.match_batch([event])[0]
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
         events = list(events)
         if not events:
             return []
-        if len(events) == 1:
-            # One event is the "match" op's wire form: a scalar call
-            # never touches the arena or the batch codec.
-            return [self.match(events[0])]
         # Always the pipe: the sharded layer publishes a batch to the
         # arena once for all its shards (:meth:`consume_slot`) and comes
         # here only when that publish fell back — retrying the arena per

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import Subscription, eq, ge, gt, le, lt, ne
-from repro.core.covering import AttributeIndex, CoverageIndex, covers
+from repro.aggregation.forest import CoveringForest
+from repro.core import InvalidSubscriptionError, Subscription, eq, ge, gt, le, lt, ne
+from repro.core.covering import AttributeIndex, _by_attribute, covers
+from repro.core.simplify import simplify_predicates
 
 
 def sub(sid, *preds):
@@ -75,121 +77,73 @@ class TestCovers:
                         assert a.is_satisfied_by(e), (a, b, e)
 
 
-class TestCoverageIndex:
-    def test_redundant_detection(self):
-        idx = CoverageIndex()
-        idx.add(sub("broad", le("p", 100)))
-        redundant, covered = idx.add(sub("narrow", le("p", 50)))
-        assert redundant and covered == []
-
-    def test_newly_covered_reported(self):
-        idx = CoverageIndex()
-        idx.add(sub("narrow", le("p", 50)))
-        redundant, covered = idx.add(sub("broad", le("p", 100)))
-        assert not redundant and covered == ["narrow"]
-
-    def test_covering_set_minimal(self):
-        idx = CoverageIndex()
-        idx.add(sub("a", le("p", 100)))
-        idx.add(sub("b", le("p", 50)))
-        idx.add(sub("c", eq("q", 1)))
-        kept = {s.id for s in idx.covering_set()}
-        assert kept == {"a", "c"}
-
-    def test_equivalent_subscriptions_keep_one(self):
-        idx = CoverageIndex()
-        idx.add(sub("first", le("p", 10)))
-        idx.add(sub("second", le("p", 10)))
-        assert [s.id for s in idx.covering_set()] == ["first"]
-
-    def test_remove(self):
-        idx = CoverageIndex()
-        idx.add(sub("a", le("p", 100)))
-        idx.remove("a")
-        assert len(idx) == 0 and "a" not in idx
-        with pytest.raises(KeyError):
-            idx.remove("a")
-
-    def test_duplicate_id_rejected(self):
-        from repro.core import InvalidSubscriptionError
-
-        idx = CoverageIndex()
-        idx.add(sub("a", le("p", 1)))
-        with pytest.raises(InvalidSubscriptionError):
-            idx.add(sub("a", le("p", 2)))
+def forest_of(*subs):
+    """A covering forest holding *subs*, inserted in order."""
+    forest = CoveringForest()
+    for s in subs:
+        forest.insert(s.id, _by_attribute(simplify_predicates(s.predicates)))
+    return forest
 
 
 class TestRemoveLifecycle:
-    """Regression: ``remove`` must report newly-uncovered subscriptions.
+    """Removing a coverer reports what it left uncovered.
 
-    The seed silently dropped covering relations on removal, so a
-    routing/aggregation layer built on the index could never learn that
-    a departure exposed previously-covered subscriptions — stale
-    frontier state.  ``remove`` now mirrors ``add``.
+    The covering forest (the one covering structure) keeps the minimal
+    forwarding set as its frontier; ``remove`` returns the orphans it
+    had to promote onto it, so a routing layer learns which covered
+    subscriptions a departure exposed.
     """
 
     def test_removing_coverer_reports_uncovered(self):
-        idx = CoverageIndex()
-        idx.add(sub("broad", le("p", 100)))
-        idx.add(sub("narrow", le("p", 50)))
-        removed, uncovered = idx.remove("broad")
-        assert removed.id == "broad"
-        assert uncovered == ["narrow"]
+        forest = forest_of(sub("broad", le("p", 100)), sub("narrow", le("p", 50)))
+        assert forest.remove("broad") == (["narrow"], [])
+        assert forest.frontier() == ["narrow"]
 
     def test_backup_coverer_keeps_sub_covered(self):
-        idx = CoverageIndex()
-        idx.add(sub("broad1", le("p", 100)))
-        idx.add(sub("broad2", le("p", 90)))
-        idx.add(sub("narrow", le("p", 50)))
-        _, uncovered = idx.remove("broad1")
-        # narrow stays covered by broad2; broad2 itself (covered only
-        # by the departing broad1) is what surfaces.
-        assert uncovered == ["broad2"]
-        _, uncovered = idx.remove("broad2")
-        assert uncovered == ["narrow"]
+        forest = forest_of(
+            sub("broad1", le("p", 100)),
+            sub("broad2", le("p", 90)),
+            sub("narrow", le("p", 50)),
+        )
+        # narrow re-homes under broad2; broad2 itself (covered only by
+        # the departing broad1) is what surfaces.
+        assert forest.remove("broad1") == (["broad2"], [])
+        assert forest.parent("narrow") == "broad2"
+        assert forest.remove("broad2") == (["narrow"], [])
 
     def test_removing_covered_sub_uncovers_nothing(self):
-        idx = CoverageIndex()
-        idx.add(sub("broad", le("p", 100)))
-        idx.add(sub("narrow", le("p", 50)))
-        _, uncovered = idx.remove("narrow")
-        assert uncovered == []
+        forest = forest_of(sub("broad", le("p", 100)), sub("narrow", le("p", 50)))
+        assert forest.remove("narrow") == ([], [])
 
     def test_removing_unrelated_sub_uncovers_nothing(self):
-        idx = CoverageIndex()
-        idx.add(sub("a", eq("x", 1)))
-        idx.add(sub("b", eq("y", 1)))
-        _, uncovered = idx.remove("a")
-        assert uncovered == []
+        forest = forest_of(sub("a", eq("x", 1)), sub("b", eq("y", 1)))
+        assert forest.remove("a") == ([], [])
 
     def test_multiple_newly_uncovered(self):
-        idx = CoverageIndex()
-        idx.add(sub("broad", le("p", 100)))
-        idx.add(sub("n1", le("p", 50)))
-        idx.add(sub("n2", eq("q", 1)))
-        _, uncovered = idx.remove("broad")
-        assert sorted(uncovered) == ["n1"]  # n2 was never covered
-        idx.add(sub("wide", le("p", 80), ge("p", 0)))
-        _, uncovered = idx.remove("n1")
-        assert uncovered == []  # wide is incomparable, nothing exposed
+        forest = forest_of(
+            sub("broad", le("p", 100)), sub("n1", le("p", 50)), sub("n2", eq("q", 1))
+        )
+        assert forest.remove("broad") == (["n1"], [])  # n2 was never covered
+        forest.insert("wide", _by_attribute(simplify_predicates([le("p", 80), ge("p", 0)])))
+        assert forest.remove("n1") == ([], [])  # wide is incomparable, nothing exposed
 
     def test_unsatisfiable_subs_never_reported_uncovered(self):
-        idx = CoverageIndex()
-        idx.add(sub("broad", le("p", 100)))
-        idx.add(sub("never", eq("p", 1), eq("p", 2)))
-        _, uncovered = idx.remove("broad")
-        assert uncovered == []  # vacuously covered forever
+        never = sub("never", eq("p", 1), eq("p", 2))
+        assert covers(sub("broad", le("p", 100)), never)  # vacuously, forever
+        # It has no canonical form, so it never joins the forest.
+        with pytest.raises(InvalidSubscriptionError):
+            simplify_predicates(never.predicates)
+        assert forest_of(sub("broad", le("p", 100))).remove("broad") == ([], [])
 
     def test_add_remove_symmetry(self):
-        """What add reports covered, removing the coverer reports back."""
-        idx = CoverageIndex()
-        idx.add(sub("n1", le("p", 50)))
-        idx.add(sub("n2", le("p", 40)))
-        _, covered = idx.add(sub("broad", le("p", 100)))
-        assert sorted(covered) == ["n1", "n2"]
-        _, uncovered = idx.remove("broad")
+        """What an insert demotes, removing the coverer promotes back."""
+        forest = forest_of(sub("n1", le("p", 50)), sub("n2", le("p", 40)))
+        parent, demoted = forest.insert("broad", _by_attribute(simplify_predicates([le("p", 100)])))
+        assert parent is None and demoted == ["n1"]  # n2 rides along under it
+        assert forest.parent("n2") == "broad"
         # n2 stays covered by n1 (p<=50 covers p<=40); only n1 surfaces.
-        assert sorted(uncovered) == ["n1"]
+        assert forest.remove("broad") == (["n1"], [])
+        assert forest.parent("n2") == "n1"
 
 
 class TestAttributeIndex:

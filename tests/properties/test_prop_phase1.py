@@ -7,13 +7,17 @@ the previous design kept verbatim — one evaluator compiled whole from
 ``indexes.entries()`` — and after every step of any interleaving of
 adds, removes and batches each live form must equal what that
 from-scratch compile yields, and every truth row must equal the scalar
-``indexes.evaluate`` of the same event.  Values are the awkward ones:
+``indexes.evaluate`` of the same event — whether the batch reached
+``evaluate`` as an event list or as its ``ColumnarBatch``.  Values are
+the awkward ones:
 strings (numeric-looking too), NaN, ints at and past 2**53, constants
 float64 cannot carry.  An incremental patch of the arrays (ROADMAP 3a)
 has to keep this green.
 """
 
+import itertools
 import math
+import random
 
 import numpy as np
 from hypothesis import settings
@@ -25,6 +29,7 @@ from repro.batch.columns import ColumnarBatch
 from repro.core import BitVector, Event, Operator, Predicate, Subscription
 from repro.indexes import IndexKind
 from repro.matchers import CountingMatcher
+from repro.workload import WorkloadGenerator, w0
 
 _SAFE_INT = 2**53
 #: Event values share one NaN object (the list kernel must hand the
@@ -146,6 +151,23 @@ def rows_of(results):
     return [sorted(row) for row in results]
 
 
+def assert_both_forms_equal_the_scalar_rows(engine, events):
+    """Phase 1 has one entry for both batch forms: ``evaluate`` over the
+    event list and over its ``ColumnarBatch`` (when the batch encodes)
+    must each give the scalar truth matrix, and so must the engine's
+    ``match_batch`` rows."""
+    kernel = BatchPredicateEvaluator(engine.indexes)
+    n_slots = engine.bits.size
+    expected = scalar_rows(engine.indexes, events, n_slots)
+    assert np.array_equal(kernel.evaluate(events, n_slots), expected)
+    scalar = rows_of(engine.match(e) for e in events)
+    assert rows_of(engine.match_batch(events)) == scalar
+    columnar = ColumnarBatch.from_events(events)
+    if columnar is not None:
+        assert np.array_equal(kernel.evaluate(columnar, n_slots), expected)
+        assert rows_of(engine.match_batch(columnar)) == scalar
+
+
 class PhaseOneMachine(RuleBasedStateMachine):
     """Both index kinds get every operation."""
 
@@ -173,26 +195,8 @@ class PhaseOneMachine(RuleBasedStateMachine):
 
     @rule(events=st.lists(odd_events(), min_size=2, max_size=6))
     def match_batch(self, events):
-        columnar = ColumnarBatch.from_events(events)
         for engine in self.engines:
-            kernel = BatchPredicateEvaluator(engine.indexes)
-            n_slots = engine.bits.size
-            assert np.array_equal(
-                kernel.evaluate(events, n_slots),
-                scalar_rows(engine.indexes, events, n_slots),
-            )
-            assert rows_of(engine.match_batch(events)) == rows_of(
-                engine.match(e) for e in events
-            )
-            if columnar is not None:
-                rebuilt = columnar.to_events()
-                assert np.array_equal(
-                    kernel.evaluate_columnar(columnar, n_slots),
-                    scalar_rows(engine.indexes, rebuilt, n_slots),
-                )
-                assert rows_of(engine.match_batch(columnar)) == rows_of(
-                    engine.match(e) for e in rebuilt
-                )
+            assert_both_forms_equal_the_scalar_rows(engine, events)
 
     @invariant()
     def one_copy(self):
@@ -205,6 +209,63 @@ TestPhaseOneHasOneCopy = PhaseOneMachine.TestCase
 TestPhaseOneHasOneCopy.settings = settings(
     max_examples=150, stateful_step_count=25, deadline=None
 )
+
+
+def shard_shm_shaped():
+    """A counting engine and ``shard_shm``-shaped traffic: 8 of 24
+    attributes in random order, ints and floats mixed, so nearly every
+    event is its own shape."""
+    rng = random.Random(5)
+    attrs = [f"a{i:02d}" for i in range(24)]
+    engine = CountingMatcher()
+    for i in range(400):
+        engine.add(
+            Subscription(
+                i,
+                [
+                    Predicate(attr, rng.choice(list(Operator)), rng.randint(0, 9))
+                    for attr in rng.sample(attrs, rng.randint(1, 3))
+                ],
+            )
+        )
+    events = [
+        Event({a: rng.choice([v, float(v)]) for a, v in zip(rng.sample(attrs, 8), range(0, 16, 2))})
+        for _ in range(96)
+    ]
+    return engine, events
+
+
+def test_both_forms_when_every_event_brings_its_own_shape():
+    engine, events = shard_shm_shaped()
+    assert len({e.shape for e in events}) > 90
+    assert_both_forms_equal_the_scalar_rows(engine, events)
+
+
+def test_counting_reads_a_columnar_batch_end_to_end(monkeypatch):
+    """What a process worker running counting does with an arena slot:
+    phase 1 reads the matrices and phase 2 only the truth matrix, so no
+    Event is ever built from the batch."""
+    engine, events = shard_shm_shaped()
+    expected = engine.match_batch(events)
+    batch = ColumnarBatch.from_events(events)
+
+    def refuse(self):
+        raise AssertionError("the columnar batch was turned into events")
+
+    monkeypatch.setattr(ColumnarBatch, "to_events", refuse)
+    monkeypatch.setattr(ColumnarBatch, "__iter__", refuse)
+    assert engine.match_batch(batch) == expected
+
+
+def test_both_forms_on_a_dense_w0_batch():
+    """W0: every event carries every attribute, one shared shape."""
+    gen = WorkloadGenerator(w0(n_subscriptions=2000, seed=11))
+    engine = CountingMatcher()
+    for sub in gen.subscriptions():
+        engine.add(sub)
+    events = list(itertools.islice(gen.events(), 128))
+    assert len({e.shape for e in events}) == 1
+    assert_both_forms_equal_the_scalar_rows(engine, events)
 
 
 def test_a_numeric_string_is_a_string_to_the_batch_kernel():

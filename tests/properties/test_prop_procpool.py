@@ -89,9 +89,10 @@ class TestInterleavingDeterminism:
         """Apply one random churn/batch interleaving to the process
         executor and to a plain single-process engine; every batch's
         results must agree, and so must the final subscription set.
-        With *odd*, every multi-event batch carries a string, a NaN and
-        an int >= 2**53, so it leaves the columnar layout for the
-        object-pickling lane — counted as ``oddpath`` under ``shm``."""
+        With *odd*, every batch — a batch of one too — carries a string,
+        a NaN and an int >= 2**53, so it leaves the columnar layout for
+        the object-pickling lane, counted as ``oddpath`` under ``shm``.
+        Every row, a batch of one's included, is in mirror order."""
         scalar = make_matcher("counting")
         proc = process_matcher(codec=codec)
         odd_batches = 0
@@ -120,15 +121,14 @@ class TestInterleavingDeterminism:
                 else:
                     if odd:
                         arg = arg + [ODD_EVENT]
-                        # One event rides the "match" op, and no shard
-                        # is probed (nothing published) while all are empty.
-                        odd_batches += len(arg) > 1 and bool(live)
+                        # A batch of one included; no shard is probed
+                        # (nothing published) while all are empty.
+                        odd_batches += bool(live)
                     expected = [norm(scalar.match(e)) for e in arg]
                     rows = proc.match_batch(arg)
                     assert [norm(r) for r in rows] == expected
-                    if len(arg) > 1:  # one event is the "match" op: engine order
-                        order = mirror_order(proc)
-                        assert all(r == sorted(r, key=order.__getitem__) for r in rows)
+                    order = mirror_order(proc)
+                    assert all(r == sorted(r, key=order.__getitem__) for r in rows)
                     assert_workers_hold_their_mirrors(proc)
             if codec == "shm":
                 fallbacks = proc.executor_health()["shm"]["fallbacks"]

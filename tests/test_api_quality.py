@@ -239,6 +239,11 @@ class TestWorkerWire:
         assert encode_results([["a"], ["stranger"]], index_of)[0] == "lists"
         assert encode_results([], {})[0] == "hits"  # an empty table is no special case
 
+    def test_one_event_is_a_batch_of_one_on_the_pipe(self):
+        from repro.system import procpool
+
+        assert procpool._IPC_OPS == ("mutate", "batch", "control")
+
     def test_a_live_shm_pool_owns_exactly_one_segment(self):
         from repro.system.procpool import ProcessPool
         from tests.conftest import shm_entries
@@ -486,6 +491,13 @@ class TestOneCopyOfEachEngineFact:
             "batch/evaluator.py:BatchPredicateEvaluator._exact",
             "indexes/composite.py:PredicateIndexSet.evaluate",
         ]
+
+    def test_phase_one_has_one_entry_for_both_batch_forms(self):
+        """An event list and a ``ColumnarBatch`` take the same scan."""
+        from repro.batch import BatchPredicateEvaluator
+
+        public = {n for n in dir(BatchPredicateEvaluator) if not n.startswith("_")}
+        assert public == {"evaluate"}
 
     def test_the_home_cluster_is_read_through_its_owner(self):
         readers = _functions_where(
