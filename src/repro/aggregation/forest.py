@@ -7,19 +7,19 @@ the groups' canonical predicate forms).  Only frontier groups need to
 reach the inner matcher; a frontier hit is expanded by testing its
 covered children against the event.
 
-Invariants (pinned by ``tests/aggregation/``):
+Invariants (:meth:`CoveringForest.check_invariants` asserts them):
 
 * every covered group's parent is a frontier group (depth ≤ 2 — the
   forest is flat by construction, which keeps expansion a single loop
   over the hit group's children);
-* every parent *semantically* covers each of its children.  Attachment
+* every parent *provably* covers each of its children.  Attachment
   always follows a provable ``covers`` edge; re-parenting on demotion
-  or root removal follows chains of provable edges, and semantic
-  covering is transitive, so the invariant survives restructuring even
-  though the direct parent→child edge may no longer be *provable*.
-  This is the no-miss guarantee: any event matching a covered group
-  also matches its frontier parent, so the inner matcher's frontier
-  hits reach every group that could match;
+  or root removal follows chains of provable edges, and the
+  per-attribute implication behind them is transitive, so the direct
+  parent→child edge stays provable.  This is the no-miss guarantee:
+  any event matching a covered group also matches its frontier parent,
+  so the inner matcher's frontier hits reach every group that could
+  match;
 * frontier groups are mutually non-covering *for provable coverings
   discovered on insert*: a newcomer that provably covers frontier
   members demotes them under itself.
@@ -92,23 +92,8 @@ class CoveringForest:
         if gid in self._parent:
             raise KeyError(f"duplicate group {gid!r}")
         self._by_attr[gid] = by_attr
-        coverer = self._find_frontier_coverer(by_attr)
-        if coverer is not None:
-            self._parent[gid] = coverer
-            self._children[coverer].add(gid)
-            return coverer, []
-        demoted = sorted(
-            (
-                cand
-                for cand in self._frontier.superset_candidates(by_attr)
-                if covers_simplified(by_attr, self._by_attr[cand])
-            ),
-            key=str,
-        )
-        self._make_frontier(gid)
-        for d in demoted:
-            self._demote(d, gid)
-        return None, demoted
+        coverer = self._attach(gid)
+        return (coverer, []) if coverer is not None else (None, self._promote(gid))
 
     def remove(self, gid: Any) -> Tuple[List[Any], List[Any]]:
         """Delete a group; returns ``(promoted, demoted)``.
@@ -133,50 +118,66 @@ class CoveringForest:
         promoted: List[Any] = []
         demoted: List[Any] = []
         for orphan in orphans:
-            by_attr = self._by_attr[orphan]
-            coverer = self._find_frontier_coverer(by_attr)
-            if coverer is not None:
-                self._parent[orphan] = coverer
-                self._children[coverer].add(orphan)
-                continue
-            now_covered = sorted(
-                (
-                    cand
-                    for cand in self._frontier.superset_candidates(by_attr)
-                    if covers_simplified(by_attr, self._by_attr[cand])
-                ),
-                key=str,
-            )
-            self._make_frontier(orphan)
-            promoted.append(orphan)
-            for d in now_covered:
-                self._demote(d, orphan)
-                demoted.append(d)
+            if self._attach(orphan) is None:
+                demoted.extend(self._promote(orphan))
+                promoted.append(orphan)
         promoted_set, demoted_set = set(promoted), set(demoted)
         return (
             [p for p in promoted if p not in demoted_set],
             [d for d in demoted if d not in promoted_set],
         )
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless parents and children are inverse
+        maps, the frontier index holds exactly the parentless groups and
+        every parent provably covers each child.  For tests — O(groups)."""
+        assert self._by_attr.keys() == self._parent.keys(), "a group without its form"
+        roots = {gid for gid, parent in self._parent.items() if parent is None}
+        assert self._children.keys() == roots, "children filed under a covered group"
+        edges = [(child, gid) for gid, kids in self._children.items() for child in kids]
+        assert len(edges) == len(self._parent) - len(roots) and dict(edges) == {
+            g: p for g, p in self._parent.items() if p is not None
+        }, "parent and children maps are not inverses"
+        assert len(self._frontier) == len(roots) and all(g in self._frontier for g in roots)
+        for child, parent in edges:
+            assert covers_simplified(self._by_attr[parent], self._by_attr[child]), (child, parent)
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _find_frontier_coverer(self, by_attr: AttrMap) -> Optional[Any]:
-        """A frontier gid provably covering *by_attr*, or None.
+    def _attach(self, gid: Any) -> Optional[Any]:
+        """Attach *gid* under a frontier group that provably covers it;
+        returns that group, or None when there is none.
 
         Deterministic: candidates are examined in sorted order so churn
         histories rebuild identically (WAL replay, process respawn).
         """
-        candidates = sorted(self._frontier.subset_candidates(by_attr), key=str)
-        for cand in candidates:
+        by_attr = self._by_attr[gid]
+        for cand in sorted(self._frontier.subset_candidates(by_attr), key=str):
             if covers_simplified(self._by_attr[cand], by_attr):
+                self._parent[gid] = cand
+                self._children[cand].add(gid)
                 return cand
         return None
 
-    def _make_frontier(self, gid: Any) -> None:
+    def _promote(self, gid: Any) -> List[Any]:
+        """Make *gid* a frontier group and demote under it the frontier
+        groups it provably covers; returns those, in sorted order."""
+        by_attr = self._by_attr[gid]
+        covered = sorted(
+            (
+                cand
+                for cand in self._frontier.superset_candidates(by_attr)
+                if covers_simplified(by_attr, self._by_attr[cand])
+            ),
+            key=str,
+        )
         self._parent[gid] = None
         self._children[gid] = set()
-        self._frontier.add(gid, self._by_attr[gid])
+        self._frontier.add(gid, by_attr)
+        for d in covered:
+            self._demote(d, gid)
+        return covered
 
     def _demote(self, gid: Any, new_parent: Any) -> None:
         """Move frontier *gid* (and its children) under *new_parent*."""

@@ -487,13 +487,15 @@ def _cmd_recover(args: argparse.Namespace, out) -> int:
 
 
 def _read_ledger(wal_path: str):
-    """Fold one WAL's delivery records into a ledger."""
+    """Fold one WAL's delivery records into a ledger, up to the first
+    one it cannot replay (where recovery stops trusting the log too)."""
     from repro.system import DeliveryLedger, WalReader
 
     ledger = DeliveryLedger()
     with open(wal_path, "rb") as fp:
         for record, _end in WalReader(fp):
-            ledger.apply(record)
+            if not ledger.apply(record):
+                break
     return ledger
 
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
+import json
 import threading
+from collections.abc import Hashable
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -29,10 +31,10 @@ from typing import (
     ContextManager,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -57,6 +59,87 @@ if TYPE_CHECKING:  # annotation only: the broker needs nothing of the module at 
 
 #: Things subscribe() accepts: a full Subscription or bare predicates.
 SubscriptionLike = Union[Subscription, Sequence[Predicate]]
+
+
+class SubscriptionTable:
+    """A subscription's deadline and formula, kept beside the matcher
+    that holds it: the one copy of the expiry, formula and unsubscribe
+    rules, for a live broker and for recovery's replay of its log (in
+    the source clock domain).  An immortal plain subscription costs
+    nothing here."""
+
+    def __init__(self) -> None:
+        self._sub_expires: Dict[Any, float] = {}  # id -> absolute expiry
+        #: ``(expires_at, tie, sub_id)``: *tie* orders equal deadlines by
+        #: insertion, so ids (any hashable) are never compared.  A
+        #: dropped id's entry stays until popped or trimmed.
+        self._sub_expiry_heap: List[Tuple[float, int, Any]] = []
+        self._expiry_tie = itertools.count()
+        #: disjunct id -> formula id (publish reads it; only this class writes it).
+        self.logical_of: Dict[Any, Any] = {}
+        self._formula_disjuncts: Dict[Any, List[Any]] = {}  # and back
+
+    def add(self, sub_id: Any, expires_at: Optional[float], logical: Optional[Any]) -> None:
+        """The one way in: an untracked id, its deadline (None =
+        immortal) and its formula (None = a plain subscription)."""
+        if expires_at is not None:
+            self._sub_expires[sub_id] = expires_at
+            heapq.heappush(self._sub_expiry_heap, (expires_at, next(self._expiry_tie), sub_id))
+        if logical is not None:
+            self.logical_of[sub_id] = logical
+            self._formula_disjuncts.setdefault(logical, []).append(sub_id)
+
+    def drop(self, sub_id: Any) -> None:
+        """The one way out; a formula goes with its last disjunct."""
+        if self._sub_expires.pop(sub_id, None) is not None:
+            # A drop before the deadline leaves a stale heap entry: rebuild
+            # once they outnumber live ones (amortized O(1) under churn).
+            if len(self._sub_expiry_heap) > 2 * len(self._sub_expires):
+                tie = self._expiry_tie
+                self._sub_expiry_heap = [(at, next(tie), i) for i, at in self._sub_expires.items()]
+                heapq.heapify(self._sub_expiry_heap)
+        logical = self.logical_of.pop(sub_id, None)
+        if logical is not None:
+            siblings = self._formula_disjuncts[logical]
+            siblings.remove(sub_id)
+            if not siblings:
+                del self._formula_disjuncts[logical]
+
+    def targets(self, sub_id: Any) -> List[Any]:
+        """What ``unsubscribe(sub_id)`` removes: the subscription
+        *sub_id* if live (the caller knows), then every disjunct of the
+        formula *sub_id*."""
+        return [sub_id, *(d for d in self._formula_disjuncts.get(sub_id, ()) if d != sub_id)]
+
+    def due(self, now: float) -> List[Any]:
+        """Each id whose validity ended by *now*, once, for the caller to drop."""
+        heap, expires, out = self._sub_expiry_heap, self._sub_expires, {}
+        while heap and heap[0][0] <= now:
+            sub_id = heapq.heappop(heap)[2]
+            expires_at = expires.get(sub_id)  # None, or later: a stale entry
+            if expires_at is not None and expires_at <= now:
+                out[sub_id] = None
+        return list(out)
+
+    def state(self, sub_id: Any, now: float) -> Tuple[Optional[float], Optional[Any]]:
+        """``(validity left at *now*, formula id)``, None for none."""
+        expires_at = self._sub_expires.get(sub_id)
+        remaining = None if expires_at is None else expires_at - now
+        return remaining, self.logical_of.get(sub_id)
+
+    def check_invariants(self, live: Set[Any]) -> None:
+        """Raise AssertionError unless the heap holds every deadline
+        within its trim bound, the formula maps are exact inverses with
+        no empty formula, and every tracked id is in *live*."""
+        heap, expires, formulas = self._sub_expiry_heap, self._sub_expires, self._formula_disjuncts
+        assert len(heap) <= 2 * len(expires), "expiry heap past its trim bound"
+        queued = {(at, sub_id) for at, _tie, sub_id in heap}
+        assert queued >= {(at, sub_id) for sub_id, at in expires.items()}, "deadline off the heap"
+        filed = {(d, logical) for logical, ds in formulas.items() for d in ds}
+        assert sum(map(len, formulas.values())) == len(filed) == len(self.logical_of)
+        assert all(formulas.values()) and filed == self.logical_of.items(), "formula maps"
+        tracked = expires.keys() | self.logical_of.keys()
+        assert tracked <= live, f"tracked but not live: {tracked - live!r}"
 
 
 class PubSubBroker:
@@ -112,7 +195,6 @@ class PubSubBroker:
         self.default_subscription_ttl = default_subscription_ttl
         self.event_retention_ttl = event_retention_ttl
         self.wal: Optional["WriteAheadLog"] = None
-        self._wal_suppress = 0
         #: Fault-injection hook (tests): called with a named crash point
         #: around every durability-relevant step; raising from it
         #: simulates a crash at that exact point.
@@ -121,16 +203,9 @@ class PubSubBroker:
         #: ``match_batch`` runs outside it (see :meth:`publish_batch`).
         self._lock = threading.RLock()
         self._events = EventStore()
-        #: ``(expires_at, tie, sub_id)``: *tie* orders equal deadlines by
-        #: insertion, so ids (any hashable, not mutually comparable) are
-        #: never compared.
-        self._sub_expiry_heap: List[Tuple[float, int, Any]] = []
-        self._expiry_tie = itertools.count()
-        self._sub_expires: Dict[Any, float] = {}
+        #: Deadlines and formulas; the matcher holds the subscriptions.
+        self._table = SubscriptionTable()
         self._auto_id = itertools.count()
-        # DNF formula support: logical id <-> disjunct subscription ids.
-        self._formula_disjuncts: Dict[Any, List[Any]] = {}
-        self._logical_of: Dict[Any, Any] = {}
         #: Lifetime counters.
         self.counters: Dict[str, int] = {
             "published": 0,
@@ -160,16 +235,6 @@ class PubSubBroker:
         if self.delivery is not None and self.delivery.wal is None:
             self.delivery.wal = wal
 
-    @contextlib.contextmanager
-    def wal_suppressed(self) -> Iterator[None]:
-        """Suspend WAL journaling (recovery replay: the durable copy
-        already exists, re-logging it would double it)."""
-        self._wal_suppress += 1
-        try:
-            yield
-        finally:
-            self._wal_suppress -= 1
-
     def durable_subscriptions(
         self, now: float
     ) -> List[Tuple[Subscription, Optional[float], Optional[Any]]]:
@@ -177,38 +242,89 @@ class PubSubBroker:
         every subscription still live at *now* — what a compacted log
         records.  Works through any matcher backend's public
         :meth:`~repro.core.matcher.Matcher.iter_subscriptions`."""
-        with self._lock, self.wal_suppressed():
-            self._expire(now)
-            expires, logical_of = self._sub_expires, self._logical_of
-            return [
-                (
-                    sub,
-                    expires[sub.id] - now if sub.id in expires else None,
-                    logical_of.get(sub.id),
-                )
-                for sub in self.matcher.iter_subscriptions()
-            ]
+        with self._lock:
+            state = self._table.state
+            durable = [(sub, *state(sub.id, now)) for sub in self.matcher.iter_subscriptions()]
+            return [entry for entry in durable if entry[1] is None or entry[1] > 0]
 
     def restore_subscription(
         self, subscription: Subscription, ttl: Optional[float], logical: Optional[Any] = None
     ) -> None:
         """Install one :meth:`durable_subscriptions` triple (recovery):
-        validity resumes with *ttl* measured from this broker's clock,
-        a formula disjunct rejoins its *logical* id; nothing is
-        journaled and retained events are not retro-matched — the
-        subscription already saw its past."""
-        with self._lock, self.wal_suppressed():
-            self.subscribe(subscription, ttl=ttl, notify_retained=False)
-            if logical is not None:
-                self._logical_of[subscription.id] = logical
-                self._formula_disjuncts.setdefault(logical, []).append(subscription.id)
+        validity resumes with *ttl* (None = immortal) measured from this
+        broker's clock, a formula disjunct rejoins its *logical* id;
+        nothing is journaled and retained events are not retro-matched —
+        the subscription already saw its past."""
+        with self._lock:
+            expires_at = None if ttl is None else self.clock.now() + ttl
+            self._install(subscription, expires_at, logical)
+            self.counters["subscribed"] += 1
 
-    def _wal_active(self) -> bool:
-        return self.wal is not None and not self._wal_suppress
+    def check_invariants(self) -> None:
+        """Raise AssertionError if the subscription table disagrees with
+        itself or with the matcher.  For tests — O(subscriptions)."""
+        with self._lock:
+            self._table.check_invariants({s.id for s in self.matcher.iter_subscriptions()})
 
     def _crash_point(self, name: str) -> None:
         if self.crash_hook is not None:
             self.crash_hook(name)
+
+    def _check_journaled_id(self, sub_id: Any) -> None:
+        """A journaling broker takes only ids its log gives back as
+        themselves: JSON turns a tuple into a list (unhashable) and NaN
+        into an unequal NaN, and recovery could key neither."""
+        if self.wal is None:
+            return
+        try:
+            back = json.loads(json.dumps(sub_id))
+            reads_back = isinstance(back, Hashable) and back == sub_id
+        except (TypeError, ValueError):  # no JSON form at all
+            reads_back = False
+        if not reads_back:
+            raise InvalidSubscriptionError(f"id {sub_id!r} would not read back from the log")
+
+    # ------------------------------------------------------------------
+    # the one way in and out: matcher plus table, never journaled
+    # ------------------------------------------------------------------
+    def _install(
+        self, subscription: Subscription, expires_at: Optional[float], logical: Optional[Any]
+    ) -> None:
+        self.matcher.add(subscription)
+        self._table.add(subscription.id, expires_at, logical)
+
+    def _uninstall(self, sub_id: Any) -> Subscription:
+        removed = self.matcher.remove(sub_id)
+        self._table.drop(sub_id)
+        return removed
+
+    def _admit(
+        self, subscriptions: List[Subscription], ttl: Optional[float], logical: Optional[Any]
+    ) -> None:
+        """Install *subscriptions* whole or not at all (an id already
+        taken rolls back the ones before it), then journal them."""
+        self.purge_expired()
+        ttl = self.default_subscription_ttl if ttl is None else ttl
+        if ttl is not None and ttl <= 0:
+            raise ExpiredError(f"subscription ttl must be positive, got {ttl}")
+        now = self.clock.now()
+        expires_at = None if ttl is None else now + ttl
+        self._crash_point("subscribe:pre-apply")
+        for done, sub in enumerate(subscriptions):
+            try:
+                self._install(sub, expires_at, logical)
+            except BaseException:
+                for prior in subscriptions[:done]:
+                    self._uninstall(prior.id)
+                raise
+        self.counters["subscribed"] += len(subscriptions)
+        if self.wal is not None:
+            # Applied-then-logged: a crash in the gap loses only this
+            # not-yet-acknowledged mutation — still a consistent prefix.
+            self._crash_point("subscribe:pre-log")
+            for sub in subscriptions:
+                self.wal.append_subscribe(sub, ttl=ttl, logical=logical, at=now)
+            self._crash_point("subscribe:post-log")
 
     # ------------------------------------------------------------------
     # expiry plumbing
@@ -220,48 +336,16 @@ class PubSubBroker:
 
     def _expire(self, now: float) -> int:
         self._events.purge(now)
-        dropped = 0
-        heap = self._sub_expiry_heap
-        while heap and heap[0][0] <= now:
-            _exp, _tie, sub_id = heapq.heappop(heap)
-            # The heap may hold stale entries for re-subscribed ids.
-            expires = self._sub_expires.get(sub_id)
-            if expires is not None and expires <= now:
-                del self._sub_expires[sub_id]
-                logical = self._logical_of.pop(sub_id, None)
-                if logical is not None:
-                    # The formula goes with its last live disjunct.
-                    siblings = self._formula_disjuncts[logical]
-                    siblings.remove(sub_id)
-                    if not siblings:
-                        del self._formula_disjuncts[logical]
-                try:
-                    self.matcher.remove(sub_id)
-                    dropped += 1
-                except KeyError:
-                    # Already unsubscribed explicitly; the heap entry is stale.
-                    pass
-        self.counters["expired_subscriptions"] += dropped
-        if dropped and self._wal_active():
+        due = self._table.due(now)
+        for sub_id in due:
+            self._uninstall(sub_id)
+        self.counters["expired_subscriptions"] += len(due)
+        if due and self.wal is not None:
             # Expiry is recomputed from ttls at recovery, so it is not
             # journaled per subscription — but an anchor pins the clock
             # so recovery's crash-time estimate keeps pace.
             self.wal.append_anchor(now)
-        return dropped
-
-    def _trim_expiry_heap(self) -> None:
-        """Rebuild the heap once stale entries outnumber live ones.
-
-        An explicit unsubscribe leaves its heap entry behind until the
-        deadline; under join/leave churn with long ttls that is
-        unbounded growth.  Rebuilding at 2x keeps it amortized O(1).
-        """
-        if len(self._sub_expiry_heap) > 2 * len(self._sub_expires):
-            self._sub_expiry_heap = [
-                (expires_at, next(self._expiry_tie), sub_id)
-                for sub_id, expires_at in self._sub_expires.items()
-            ]
-            heapq.heapify(self._sub_expiry_heap)
+        return len(due)
 
     # ------------------------------------------------------------------
     # subscribe / unsubscribe
@@ -276,34 +360,14 @@ class PubSubBroker:
 
         Bare predicate sequences get an auto-generated id.  When events
         are retained, still-valid past events are matched immediately and
-        notified (set ``notify_retained=False`` to skip).
+        notified (set ``notify_retained=False`` to skip).  A journaling
+        broker refuses an id its log would not give back as itself.
         """
         with self._lock:
-            self.purge_expired()
             if not isinstance(subscription, Subscription):
-                preds = list(subscription)
-                if not preds:
-                    raise InvalidSubscriptionError("empty predicate list")
-                subscription = Subscription(f"sub-{next(self._auto_id)}", preds)
-            ttl = self.default_subscription_ttl if ttl is None else ttl
-            if ttl is not None and ttl <= 0:
-                raise ExpiredError(f"subscription ttl must be positive, got {ttl}")
-            self._crash_point("subscribe:pre-apply")
-            self.matcher.add(subscription)
-            if ttl is not None:
-                expires_at = self.clock.now() + ttl
-                self._sub_expires[subscription.id] = expires_at
-                heapq.heappush(
-                    self._sub_expiry_heap,
-                    (expires_at, next(self._expiry_tie), subscription.id),
-                )
-            self.counters["subscribed"] += 1
-            if self._wal_active():
-                # Applied-then-logged: a crash in the gap loses only this
-                # not-yet-acknowledged mutation — still a consistent prefix.
-                self._crash_point("subscribe:pre-log")
-                self.wal.append_subscribe(subscription, ttl=ttl, at=self.clock.now())
-                self._crash_point("subscribe:post-log")
+                subscription = Subscription(f"sub-{next(self._auto_id)}", subscription)
+            self._check_journaled_id(subscription.id)
+            self._admit([subscription], ttl, None)
             if notify_retained and len(self._events):
                 now = self.clock.now()
                 for event in self._events.retro_match(subscription, now):
@@ -321,30 +385,15 @@ class PubSubBroker:
         subscription language consisting of disjunctive normal form
         conditions"); each disjunct becomes an internal subscription,
         but notifications carry the one logical id and each event
-        notifies it at most once.
+        notifies it at most once.  The disjuncts are installed whole or
+        not at all: one whose id is taken rolls back the others.
         """
         with self._lock:
             if sub_id is None:
                 sub_id = f"sub-{next(self._auto_id)}"
+            self._check_journaled_id(sub_id)
             disjuncts = parse_subscriptions(text, f"{sub_id}~dnf")
-            ids = []
-            # Disjuncts are journaled below with their logical id attached,
-            # so the per-disjunct subscribe must not log them bare.
-            with self.wal_suppressed():
-                for disjunct in disjuncts:
-                    ids.append(self.subscribe(disjunct, ttl=ttl, notify_retained=False))
-            self._formula_disjuncts[sub_id] = ids
-            for did in ids:
-                self._logical_of[did] = sub_id
-            if self._wal_active():
-                effective_ttl = self.default_subscription_ttl if ttl is None else ttl
-                now = self.clock.now()
-                self._crash_point("subscribe:pre-log")
-                for disjunct in disjuncts:
-                    self.wal.append_subscribe(
-                        disjunct, ttl=effective_ttl, logical=sub_id, at=now
-                    )
-                self._crash_point("subscribe:post-log")
+            self._admit(disjuncts, ttl, sub_id)
             # Retro-match once at the logical level (deduplicated).
             if len(self._events):
                 now = self.clock.now()
@@ -354,31 +403,19 @@ class PubSubBroker:
             return sub_id
 
     def unsubscribe(self, sub_id: Any) -> Subscription:
-        """Remove a subscription before its interval ends.
-
-        For formula subscriptions every disjunct is removed and the
-        first disjunct's Subscription is returned.
+        """Remove a subscription before its interval ends: the
+        subscription *sub_id* if live, then every disjunct of the
+        formula *sub_id*; returns the first one removed.
         """
         with self._lock:
-            disjuncts = self._formula_disjuncts.pop(sub_id, None)
-            if disjuncts is None:
-                removed = [self.matcher.remove(sub_id)]
-                self._sub_expires.pop(sub_id, None)
-            else:
-                removed = []
-                for did in disjuncts:
-                    self._logical_of.pop(did, None)
-                    self._sub_expires.pop(did, None)
-                    try:
-                        removed.append(self.matcher.remove(did))
-                    except KeyError:
-                        # The disjunct already expired; fine.
-                        pass
-                if not removed:
-                    raise UnknownSubscriptionError(sub_id)
-            self._trim_expiry_heap()
+            removed = []
+            for target in self._table.targets(sub_id):
+                with contextlib.suppress(KeyError):  # no plain subscription by that id
+                    removed.append(self._uninstall(target))
+            if not removed:
+                raise UnknownSubscriptionError(sub_id)
             self.counters["unsubscribed"] += 1
-            if self._wal_active():
+            if self.wal is not None:
                 self._crash_point("unsubscribe:pre-log")
                 self.wal.append_unsubscribe(sub_id, at=self.clock.now())
                 self._crash_point("unsubscribe:post-log")
@@ -388,7 +425,7 @@ class PubSubBroker:
         """One WAL durability boundary (:meth:`WriteAheadLog.batched`)
         around a mutation batch: under the ``always`` fsync policy the
         batch costs a single fsync instead of one per item."""
-        return self.wal.batched() if self._wal_active() else contextlib.nullcontext()
+        return self.wal.batched() if self.wal is not None else contextlib.nullcontext()
 
     def subscribe_batch(
         self, subscriptions: Iterable[SubscriptionLike], ttl: Optional[float] = None
@@ -447,7 +484,7 @@ class PubSubBroker:
                 self.delivery.pump(now)
         raw_lists = self.matcher.match_batch(events)
         with self._lock:
-            logical_of = self._logical_of
+            logical_of = self._table.logical_of
             delivery = self.delivery
             # A discarding sink gets no Notification objects built for it.
             notify = None if isinstance(self.notifier, NullNotifier) else self._deliver

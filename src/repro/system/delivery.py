@@ -55,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -1117,41 +1118,44 @@ class DeliveryLedger:
         self.shed = 0
 
     def apply(self, record: Dict[str, Any]) -> bool:
-        """Apply one WAL record; returns True when it was delivery-kind."""
+        """Fold one WAL record (kinds but ``deliver`` / ``settle`` are
+        no-ops); False, changing nothing, when its ``sub`` or ``seq`` is
+        a list or an object, which cannot key the ledger: trust no more."""
         kind = record.get("type")
+        if kind not in ("deliver", "settle"):
+            return True
+        key = (record.get("sub"), record.get("seq"))
+        if not all(isinstance(part, Hashable) for part in key):
+            return False
         if kind == "deliver":
-            key = (record.get("sub"), record.get("seq"))
             self.outstanding[key] = {
                 "event": record.get("event", {}),
                 "at": record.get("at", 0.0),
             }
             self.delivers += 1
             return True
-        if kind == "settle":
-            key = (record.get("sub"), record.get("seq"))
-            entry = self.outstanding.pop(key, None)
-            outcome = record.get("outcome")
-            if outcome == "ack":
-                self.acked += 1
-            elif outcome == "shed":
-                self.shed += 1
-            elif outcome == "dead-letter":
-                dead = {
-                    "sub": record.get("sub"),
-                    "seq": record.get("seq"),
-                    "event": (entry or {}).get("event", {}),
-                    "reason": record.get("reason") or "budget",
-                    "attempts": record.get("attempts", 0),
-                    "at": record.get("at", 0.0),
-                }
-                self._dead.setdefault(key, []).append((self.settles, dead))
-            elif outcome == "redriven":
-                # The dead letter went back into a live channel under a
-                # fresh sequence; its DLQ residency is over.
-                self._dead.pop(key, None)
-            self.settles += 1
-            return True
-        return False
+        entry = self.outstanding.pop(key, None)
+        outcome = record.get("outcome")
+        if outcome == "ack":
+            self.acked += 1
+        elif outcome == "shed":
+            self.shed += 1
+        elif outcome == "dead-letter":
+            dead = {
+                "sub": record.get("sub"),
+                "seq": record.get("seq"),
+                "event": (entry or {}).get("event", {}),
+                "reason": record.get("reason") or "budget",
+                "attempts": record.get("attempts", 0),
+                "at": record.get("at", 0.0),
+            }
+            self._dead.setdefault(key, []).append((self.settles, dead))
+        elif outcome == "redriven":
+            # The dead letter went back into a live channel under a
+            # fresh sequence; its DLQ residency is over.
+            self._dead.pop(key, None)
+        self.settles += 1
+        return True
 
     @property
     def dead(self) -> List[Dict[str, Any]]:

@@ -5,11 +5,11 @@ whether it was ever compacted makes no difference to the reader.
 :func:`recover` replays it into an empty broker:
 
 1. the log's longest valid prefix is streamed, a record at a time
-   (:class:`~repro.system.wal.WalReader`), over a table keyed by
-   subscription id — ``subscribe`` inserts/overwrites with its
-   *absolute* expiry in the source broker's clock domain (``at`` +
-   ``ttl``), ``unsubscribe`` deletes (including every disjunct of a
-   logical formula id), ``anchor`` only advances time, and
+   (:class:`~repro.system.wal.WalReader`), into the live broker's own
+   :class:`~repro.system.broker.SubscriptionTable` — ``subscribe``
+   inserts/overwrites with its *absolute* expiry in the source broker's
+   clock domain (``at`` + ``ttl``), ``unsubscribe`` removes what the
+   live broker's did, ``anchor`` only advances time, and
    ``deliver``/``settle`` pairs fold into a
    :class:`~repro.system.delivery.DeliveryLedger` whose still-open
    entries (dispatched, never settled) are exactly the unacked
@@ -22,7 +22,8 @@ whether it was ever compacted makes no difference to the reader.
    that already expired before the crash are skipped.
 
 Everything after the first damaged record is discarded — recovery
-yields a *prefix-consistent* state, never a partially-trusted one.
+yields a *prefix-consistent* state, never a partially-trusted one —
+and so is everything from a record that parses but cannot be replayed.
 
 When the recovering broker carries a
 :class:`~repro.system.delivery.DeliveryManager` (``broker.delivery``),
@@ -37,13 +38,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import IO, Any, Dict, Optional, Set, Union
+from collections.abc import Hashable
+from typing import IO, Any, Dict, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Subscription
 from repro.io import SerializationError, event_from_dict, subscription_from_dict
 from repro.obs.registry import MetricsRegistry
-from repro.system.broker import PubSubBroker
+from repro.system.broker import PubSubBroker, SubscriptionTable
 from repro.system.delivery import DeliveryLedger
 from repro.system.wal import RECORD_TYPES, WalReader
 
@@ -84,64 +86,6 @@ class RecoveryReport:
         return dataclasses.asdict(self)
 
 
-@dataclasses.dataclass(slots=True)
-class _Entry:
-    subscription: Subscription
-    #: Accepted at (source clock domain); None = at the crash-time estimate.
-    at: Optional[float]
-    #: Validity window from :attr:`at`; None = immortal.
-    ttl: Optional[float]
-    logical: Optional[Any]
-
-
-def _subscribe_entry(record: Dict[str, Any]) -> Optional[_Entry]:
-    """The entry a ``subscribe`` record describes; None when the record
-    is structurally valid JSON but not replayable."""
-    try:
-        sub = subscription_from_dict(record["subscription"])
-    except (KeyError, TypeError, SerializationError):
-        return None
-    ttl = record.get("ttl")
-    if ttl is not None and not isinstance(ttl, (int, float)):
-        return None
-    at = record.get("at")
-    return _Entry(
-        sub, at if isinstance(at, (int, float)) else None, ttl, record.get("logical")
-    )
-
-
-class _Table:
-    """The live subscriptions during a replay, keyed by id.
-
-    Every id ever subscribed as a formula's disjunct is also filed under
-    that formula, so an ``unsubscribe`` visits those ids — and drops the
-    ones still the formula's — instead of scanning the table.
-    """
-
-    def __init__(self) -> None:
-        self.entries: Dict[Any, _Entry] = {}
-        self._filed: Dict[Any, Set[Any]] = {}  # logical id -> entry ids
-
-    def subscribe(self, entry: _Entry) -> None:
-        """Insert, or overwrite in place."""
-        self.entries[entry.subscription.id] = entry
-        if entry.logical is not None:
-            self._filed.setdefault(entry.logical, set()).add(entry.subscription.id)
-
-    def unsubscribe(self, sub_id: Any) -> bool:
-        """Drop the entry with this id and every disjunct of the formula
-        with this id; False when there was neither."""
-        removed = self.entries.pop(sub_id, None) is not None
-        for key in self._filed.pop(sub_id, ()):
-            # Filed once, but since unsubscribed or moved to another
-            # formula (or made a plain subscription)?  Then not ours.
-            entry = self.entries.get(key)
-            if entry is not None and entry.logical == sub_id:
-                del self.entries[key]
-                removed = True
-        return removed
-
-
 def recover(
     broker: PubSubBroker,
     wal_fp: Optional[Union[IO[str], IO[bytes]]] = None,
@@ -161,24 +105,51 @@ def recover(
 
     reader = WalReader(wal_fp if wal_fp is not None else ())
     records = iter(reader)
-    table = _Table()
+    # The live set in install order, each with the ttl of a subscribe
+    # without ``at`` (valid from the crash-time estimate on); deadlines
+    # (source clock domain) and formulas in the live broker's own table.
+    subs: Dict[Any, Tuple[Subscription, Optional[float]]] = {}
+    table = SubscriptionTable()
     ledger = DeliveryLedger()
     replayed = dict.fromkeys(RECORD_TYPES, 0)  # kind -> records folded
     for record, _end in records:
         kind = record["type"]
-        if kind in ("deliver", "settle"):
-            ledger.apply(record)
-        elif kind == "subscribe":
-            entry = _subscribe_entry(record)
-            if entry is None:
-                # Treat like tail damage — trust nothing further, but
-                # read on to count it (and keep the clock estimate).
-                report.torn_tail_discarded = 1 + sum(1 for _ in records)
-                break
-            table.subscribe(entry)
+        if kind == "subscribe":
+            try:
+                sub = subscription_from_dict(record["subscription"])
+            except (KeyError, TypeError, SerializationError):
+                sub = None
+            at, ttl, logical = record.get("at"), record.get("ttl"), record.get("logical")
+            # Replayable: a body, a numeric ttl, ids JSON did not make lists.
+            trusted = (
+                sub is not None
+                and isinstance(sub.id, Hashable)
+                and isinstance(logical, Hashable)
+                and (ttl is None or isinstance(ttl, (int, float)))
+            )
+            if trusted:
+                if sub.id in subs:  # overwritten in place
+                    table.drop(sub.id)
+                dated = isinstance(at, (int, float))
+                table.add(sub.id, at + ttl if dated and ttl is not None else None, logical)
+                subs[sub.id] = (sub, None if dated else ttl)
         elif kind == "unsubscribe":
-            if not table.unsubscribe(record.get("id")):
-                report.unknown_unsubscribes += 1
+            sub_id = record.get("id")
+            trusted = isinstance(sub_id, Hashable)
+            if trusted:
+                targets = [t for t in table.targets(sub_id) if t in subs]
+                for target in targets:
+                    table.drop(target)
+                    del subs[target]
+                if not targets:
+                    report.unknown_unsubscribes += 1
+        else:
+            trusted = ledger.apply(record)
+        if not trusted:
+            # Treat like tail damage — trust nothing further, but read
+            # on to count it (and keep the clock estimate).
+            report.torn_tail_discarded = 1 + sum(1 for _ in records)
+            break
         replayed[kind] += 1
     report.torn_tail_discarded += reader.discarded
     report.wal_records = sum(replayed.values())
@@ -191,15 +162,14 @@ def recover(
     now_src = reader.last_at if reader.last_at is not None else 0.0
     report.source_clock = now_src if reader.records else None
 
-    for entry in table.entries.values():
-        remaining = None
-        if entry.ttl is not None:
-            accepted = entry.at if entry.at is not None else now_src
-            remaining = accepted + entry.ttl - now_src
-            if remaining <= 0:
-                report.skipped_expired += 1
-                continue
-        broker.restore_subscription(entry.subscription, remaining, entry.logical)
+    for sub_id, (sub, undated_ttl) in subs.items():
+        remaining, logical = table.state(sub_id, now_src)
+        if undated_ttl is not None:
+            remaining = now_src + undated_ttl - now_src
+        if remaining is not None and remaining <= 0:
+            report.skipped_expired += 1
+            continue
+        broker.restore_subscription(sub, remaining, logical)
         report.restored += 1
 
     dead_letters = ledger.dead

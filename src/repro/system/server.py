@@ -51,7 +51,6 @@ from repro.core.threadsafe import ThreadSafeMatcher
 from repro.core.types import Event, Subscription
 from repro.obs.registry import MetricsRegistry
 from repro.system.broker import PubSubBroker
-from repro.system.delivery import DeliveryManager
 from repro.system.notifier import NullNotifier
 from repro.system.resilience import (
     ADMISSION_POLICIES,
@@ -60,7 +59,6 @@ from repro.system.resilience import (
     ServerOverloadedError,
 )
 from repro.system.sharding import ShardedMatcher
-from repro.system.wal import WriteAheadLog
 
 #: Request kinds a batch can carry (the label set of the server families).
 _KINDS = ("subscribe", "unsubscribe", "publish")
@@ -114,16 +112,12 @@ class BatchServer:
         matcher: Union[Matcher, PubSubBroker, None] = None,
         workers: int = 1,
         metrics: Optional[MetricsRegistry] = None,
-        wal: Optional[WriteAheadLog] = None,
         queue_limit: Optional[int] = None,
         admission: str = "block",
-        delivery: Optional[DeliveryManager] = None,
     ) -> None:
         """*matcher* is the engine to serve, or a ready
         :class:`PubSubBroker` (TTLs, formulas, its own WAL and delivery
-        manager) to queue in front of.  ``wal`` / ``delivery`` configure
-        the broker built around a bare engine and are rejected next to a
-        broker, which already has its own."""
+        manager) to queue in front of."""
         if workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
         if queue_limit is not None and queue_limit < 1:
@@ -134,23 +128,12 @@ class BatchServer:
                 f"known: {', '.join(ADMISSION_POLICIES)}"
             )
         if isinstance(matcher, PubSubBroker):
-            if wal is not None or delivery is not None:
-                raise ValueError(
-                    "a broker brings its own wal/delivery; pass them to "
-                    "PubSubBroker, not to the server in front of it"
-                )
             broker = matcher
         else:
             # A bare engine is served through a broker that discards
             # notifications: match lists go back in the reply and, with
             # no channel registered, nothing else happens per match.
-            broker = PubSubBroker(
-                matcher=matcher,
-                clock=wal.clock if wal is not None else None,
-                notifier=NullNotifier(),
-                wal=wal,
-                delivery=delivery,
-            )
+            broker = PubSubBroker(matcher=matcher, notifier=NullNotifier())
         if workers > 1 and not broker.matcher.thread_safe:
             broker.matcher = ThreadSafeMatcher(broker.matcher)
         #: The one publish path: every batch is a

@@ -119,6 +119,7 @@ class TestRemove:
         for gid, preds in specs.items():
             f.insert(gid, attrs_of(*preds))
         f.remove(2)  # the broadest root dies; everyone re-homes
+        f.check_invariants()  # the direct edges stay provable, too
         for gid in (0, 1, 3):
             parent = f.parent(gid)
             if parent is not None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import Event, Subscription, ge
+from repro.lang import parse_subscriptions
 from repro.matchers import DynamicMatcher
 from repro.system import (
     DeliveryManager,
@@ -23,13 +24,31 @@ from repro.testing.faults import FlakyMatcher
 from tests.properties.strategies import events, subscriptions
 
 
+FORMULAS = st.builds(
+    lambda a, x, b, y: f"{a} = {x} or ({b} = {y} and {a} >= {x})",
+    st.sampled_from(["a", "b"]), st.integers(0, 8),
+    st.sampled_from(["c", "d"]), st.integers(0, 8),
+)
+
+
+class _Formula:
+    """A formula in the model: satisfied when any disjunct is."""
+
+    def __init__(self, text):
+        self.disjuncts = parse_subscriptions(text, "model")
+
+    def is_satisfied_by(self, event):
+        return any(d.is_satisfied_by(event) for d in self.disjuncts)
+
+
 class BrokerMachine(RuleBasedStateMachine):
     """Broker vs a dict-of-subscriptions + list-of-events model.
 
     Checks, after every operation: publish returns exactly the model's
-    satisfied live subscriptions; expiry removes exactly the timed-out
-    ones; retro-matching on subscribe notifies exactly the valid stored
-    events the subscription satisfies.
+    satisfied live subscriptions and formulas; expiry removes exactly
+    the timed-out ones; retro-matching on subscribe notifies exactly the
+    valid stored events the subscription satisfies; the broker's own
+    bookkeeping passes ``check_invariants``.
     """
 
     def __init__(self):
@@ -67,6 +86,20 @@ class BrokerMachine(RuleBasedStateMachine):
         notes = self.inbox.drain()
         assert [n.event for n in notes] == expected
 
+    @rule(text=FORMULAS, ttl=st.one_of(st.none(), st.integers(1, 100)))
+    def subscribe_formula(self, text, ttl):
+        self.counter += 1
+        fid = f"f{self.counter}"
+        now = self.clock.now()
+        self.inbox.drain()
+        self.broker.subscribe_formula(text, fid, ttl=ttl)
+        formula = _Formula(text)
+        self.model_subs[fid] = (formula, now + ttl if ttl else None)
+        expected = [
+            e for e, exp in self.model_events if exp > now and formula.is_satisfied_by(e)
+        ]
+        assert [n.event for n in self.inbox.drain()] == expected
+
     @rule(event=events())
     def publish(self, event):
         now = self.clock.now()
@@ -96,7 +129,14 @@ class BrokerMachine(RuleBasedStateMachine):
     @invariant()
     def counts_agree(self):
         self.broker.purge_expired()
-        assert self.broker.subscription_count == len(self._live_subs())
+        assert self.broker.subscription_count == sum(
+            len(sub.disjuncts) if isinstance(sub, _Formula) else 1
+            for sub in self._live_subs().values()
+        )
+
+    @invariant()
+    def bookkeeping_agrees(self):
+        self.broker.check_invariants()
 
 
 TestBroker = BrokerMachine.TestCase
@@ -174,11 +214,6 @@ class _Twin:
             return read_wal(fp)[0]
 
 
-FORMULAS = st.builds(
-    lambda a, x, b, y: f"{a} = {x} or ({b} = {y} and {a} >= {x})",
-    st.sampled_from(["a", "b"]), st.integers(0, 8),
-    st.sampled_from(["c", "d"]), st.integers(0, 8),
-)
 TTLS = st.one_of(st.none(), st.sampled_from([3, 6]))
 
 

@@ -11,7 +11,8 @@ Two claims:
   canonical keys and covering chains) its expanded results equal the
   brute-force oracle over the raw subscriptions — before and after
   churn that removes frontier members, forcing covered groups to
-  promote.
+  promote.  After every add and remove its covering forest passes
+  :meth:`~repro.aggregation.forest.CoveringForest.check_invariants`.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -31,6 +32,16 @@ COMMON_SETTINGS = settings(
 
 def norm(ids):
     return sorted(ids, key=str)
+
+
+def add(agg, sub):
+    agg.add(sub)
+    agg._forest.check_invariants()
+
+
+def remove(agg, sub_id):
+    agg.remove(sub_id)
+    agg._forest.check_invariants()
 
 
 class TestCoveringSoundness:
@@ -66,7 +77,7 @@ class TestAggregationConformance:
             # Re-id to guarantee uniqueness; reuse of predicate pools
             # still produces duplicate canonical keys and coverings.
             s = Subscription(f"u{i}", s.predicates)
-            agg.add(s)
+            add(agg, s)
             oracle.add(s)
             added.append(s)
         assert len(agg) == len(oracle)
@@ -76,7 +87,7 @@ class TestAggregationConformance:
         # Churn: remove a deterministic slice — frontier members among
         # them, exercising promotion of covered groups — then re-check.
         for s in added[::churn_seed]:
-            agg.remove(s.id)
+            remove(agg, s.id)
             oracle.remove(s.id)
         for e in evs:
             assert norm(agg.match(e)) == norm(oracle.match(e))
@@ -94,12 +105,12 @@ class TestAggregationConformance:
         ]
         agg, oracle = AggregatingMatcher(), OracleMatcher()
         for s in subs:
-            agg.add(s)
+            add(agg, s)
             oracle.add(s)
         for s in subs:
-            agg.remove(s.id)
+            remove(agg, s.id)
         assert len(agg) == 0 and agg.frontier_size == 0
         for s in subs:
-            agg.add(s)
+            add(agg, s)
         for e in evs:
             assert norm(agg.match(e)) == norm(oracle.match(e))

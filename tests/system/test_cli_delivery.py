@@ -156,3 +156,22 @@ class TestDlqCommand:
         rc, text = _run(["deliveries", "--wal", str(tmp_path / "wal.jsonl")])
         totals = json.loads(text)["totals"]
         assert (totals["dead_lettered"], totals["unacked"]) == (30, 10)
+
+    def test_a_record_the_ledger_cannot_key_ends_the_fold(self, tmp_path):
+        """JSON gives a tuple channel id back as a list: both commands
+        fold up to that record, where recovery stops trusting the log,
+        instead of raising."""
+        path = tmp_path / "wal.jsonl"
+        records = [
+            {"type": "repro-broker-wal", "version": 1, "clock": 0.0},
+            {"type": "deliver", "at": 1.0, "sub": "s1", "seq": 0, "event": {"pairs": {"n": 0}}},
+            {"type": "deliver", "at": 2.0, "sub": ["t", 1], "seq": 0, "event": {"pairs": {}}},
+            {"type": "settle", "at": 3.0, "sub": "s1", "seq": 0, "outcome": "dead-letter"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc, text = _run(["deliveries", "--wal", str(path)])
+        assert rc == 0
+        assert json.loads(text)["totals"]["unacked"] == 1
+        rc, text = _run(["dlq", "--wal", str(path)])
+        assert rc == 0
+        assert json.loads(text)["total"] == 0

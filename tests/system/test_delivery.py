@@ -700,9 +700,9 @@ class TestServerHealth:
     def test_health_reports_delivery_block(self):
         from repro.system import BatchServer
 
-        manager, _clock = make_manager()
+        manager, clock = make_manager()
         manager.register("s1", sink=lambda n: None)
-        with BatchServer(delivery=manager) as server:
+        with BatchServer(PubSubBroker(clock=clock, delivery=manager)) as server:
             health = server.health()
             assert health["status"] == "ok"
             assert health["delivery"]["channels"] == 1

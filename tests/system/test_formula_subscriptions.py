@@ -69,8 +69,9 @@ class TestFormulaLifecycle:
         broker.clock.advance(5)
         assert broker.publish(Event({"a": 9})) == ["keeper"]
         assert broker.subscription_count == 2
-        assert set(broker._formula_disjuncts) == {"keeper"}
-        assert set(broker._logical_of.values()) == {"keeper"}
+        assert set(broker._table._formula_disjuncts) == {"keeper"}
+        assert set(broker._table.logical_of.values()) == {"keeper"}
+        broker.check_invariants()
         with pytest.raises(UnknownSubscriptionError):
             broker.unsubscribe("f0")
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core import Event, Subscription, eq
+from repro.core import Event, InvalidSubscriptionError, Subscription, eq
 from repro.obs import MetricsRegistry
 from repro.system import (
     DeliveryManager,
@@ -181,6 +181,48 @@ class TestDamageTolerance:
         dst = fresh()
         report = recover(dst, wal_fp=wal)
         assert report.unknown_unsubscribes == 1 and report.restored == 0
+
+
+class TestIdsTheLogCannotGiveBack:
+    """JSON writes a tuple id as a list, which nothing can key by."""
+
+    @pytest.mark.parametrize("sub_id", [("t", 1), float("nan"), frozenset({1})])
+    def test_a_journaling_broker_refuses_them_before_applying_anything(self, tmp_path, sub_id):
+        clock = VirtualClock()
+        with WriteAheadLog(tmp_path / "a.wal", clock=clock, fsync="never") as wal:
+            broker = fresh(clock, wal=wal)
+            with pytest.raises(InvalidSubscriptionError):
+                broker.subscribe(Subscription(sub_id, [eq("x", 1)]))
+            with pytest.raises(InvalidSubscriptionError):
+                broker.subscribe_formula("x = 1 or y = 2", sub_id=sub_id)
+            assert broker.subscription_count == 0
+            assert wal.counters["appends"] == 1  # the attach anchor
+        # A broker without a log takes any hashable id, as before.
+        unlogged = fresh()
+        unlogged.subscribe(Subscription(sub_id, [eq("x", 1)]))
+        assert unlogged.subscription_count == 1
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            subscribe_record(["t", 1], at=2.0),
+            subscribe_record("f~dnf#0", at=2.0, logical=["t", 1]),
+            {"type": "unsubscribe", "at": 2.0, "id": ["t", 1]},
+            {"type": "deliver", "at": 2.0, "sub": ["t", 1], "seq": 0, "event": {"pairs": {}}},
+            {"type": "settle", "at": 2.0, "sub": "a", "seq": {"n": 0}, "outcome": "ack"},
+        ],
+        ids=["subscribe", "logical", "unsubscribe", "deliver", "settle"],
+    )
+    def test_a_log_holding_one_is_trusted_up_to_it(self, tmp_path, record):
+        path = tmp_path / "a.wal"
+        path.write_text(
+            wal_text(subscribe_record("a", at=1.0), record, subscribe_record("b", at=3.0))
+        )
+        dst = PubSubBroker(clock=VirtualClock(), delivery=DeliveryManager(clock=VirtualClock()))
+        report = recover_files(dst, wal_path=path)
+        assert (report.wal_records, report.torn_tail_discarded) == (1, 2)
+        assert [s.id for s in dst.matcher.iter_subscriptions()] == ["a"]
+        assert report.source_clock == 3.0  # the distrusted tail still ages ttls
 
 
 class TestOnePass:

@@ -25,6 +25,7 @@ from repro.system import (
     CircuitBreaker,
     DeadlineExceededError,
     PartialResults,
+    PubSubBroker,
     RetryBudgetExceededError,
     RetryPolicy,
     RetryingClient,
@@ -762,7 +763,7 @@ class TestHealth:
         clock = VirtualClock()
         matcher, flaky = _quarantine_matcher(clock)
         wal = WriteAheadLog(tmp_path / "server.wal", fsync="never")
-        server = BatchServer(matcher, wal=wal)
+        server = BatchServer(PubSubBroker(matcher, clock=wal.clock, wal=wal))
         try:
             server.submit_subscriptions(
                 [Subscription(f"s{i}", [eq("x", 1)]) for i in range(6)]

@@ -315,14 +315,6 @@ class TestServerOverBroker:
         restored_clock.advance(20)
         assert restored.publish(Event({"x": 1})) == []
 
-    def test_wal_or_delivery_next_to_a_broker_is_rejected(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "x.wal", fsync="never")
-        with pytest.raises(ValueError):
-            BatchServer(PubSubBroker(), wal=wal)
-        with pytest.raises(ValueError):
-            BatchServer(PubSubBroker(), delivery=DeliveryManager())
-        wal.close()
-
     def test_multi_worker_wraps_the_brokers_engine(self):
         broker = PubSubBroker(matcher=DynamicMatcher())
         with BatchServer(broker, workers=2) as srv:

@@ -405,14 +405,6 @@ class TestBrokerIntegration:
             records, _ = read_wal(fp)
         assert [r["type"] for r in records] == ["anchor", "subscribe", "unsubscribe"]
 
-    def test_suppression_skips_journaling(self, tmp_path):
-        clock = VirtualClock()
-        wal = WriteAheadLog(tmp_path / "a.wal", clock=clock)
-        broker = fresh_broker(clock, wal=wal)
-        with broker.wal_suppressed():
-            broker.subscribe(Subscription("quiet", [eq("x", 1)]))
-        assert wal.counters["appends"] == 1  # just the attach anchor
-
     def test_expiry_appends_anchor(self, tmp_path):
         clock = VirtualClock()
         wal = WriteAheadLog(tmp_path / "a.wal", clock=clock)
@@ -461,7 +453,7 @@ class TestBatchServer:
             tmp_path / "a.wal", clock=VirtualClock(), fsync="interval",
             fsync_interval=3600.0,
         )
-        with BatchServer(wal=wal) as server:
+        with BatchServer(PubSubBroker(clock=wal.clock, wal=wal)) as server:
             subs = [Subscription(f"s{i}", [eq("x", i)]) for i in range(5)]
             assert server.submit_subscriptions(subs).results == 5
             assert server.submit_unsubscriptions(["s0", "s1"]).results == ["s0", "s1"]

@@ -201,6 +201,13 @@ class TestDurableSurface:
             for banned in ("json.loads", ".split(", ".readline(", ".read()", "in RECORD_TYPES"):
                 assert banned not in source, (func, banned)
 
+    def test_a_server_takes_a_ready_broker_for_its_wal_and_delivery(self):
+        from repro.system import BatchServer
+
+        assert [n for n, _ in self.params(BatchServer.__init__)] == [
+            "matcher", "workers", "metrics", "queue_limit", "admission",
+        ]  # fmt: skip
+
     def test_process_layer_constructor_surface(self):
         from repro.system.procpool import CODECS, ProcessPool
         from repro.system.sharding import ShardedMatcher
@@ -365,6 +372,61 @@ class TestFlatDeliveryState:
 
     def test_nothing_holds_a_manager_back_reference(self):
         assert not _functions_where(lambda n: getattr(n, "attr", None) == "_manager")
+
+
+class TestOneSubscriptionTable:
+    """``system/broker.py``: a subscription's deadline and formula live
+    in one ``SubscriptionTable``, written by one way in and one way out,
+    and recovery replays into the same class."""
+
+    TABLE_STATE = ("_sub_expires", "_sub_expiry_heap", "_expiry_tie", "_formula_disjuncts")
+
+    def test_only_the_table_touches_its_maps_and_heap(self):
+        def inside(found):
+            return [f for f in found if not f.startswith("system/broker.py:SubscriptionTable.")]
+
+        touching = _functions_where(
+            lambda n: isinstance(n, ast.Attribute) and n.attr in self.TABLE_STATE
+        )
+        assert touching and not inside(touching), touching
+        # ``logical_of`` is read once per publish batch, written nowhere else.
+        readers = _functions_where(
+            lambda n: isinstance(n, ast.Attribute) and n.attr == "logical_of"
+        )
+        assert inside(readers) == ["system/broker.py:PubSubBroker.publish_batch"], readers
+
+        def writes_logical_of(node):
+            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+                return False
+            for target in getattr(node, "targets", None) or [node.target]:
+                owner = getattr(target, "value", None)  # ``x.logical_of[k] = v``
+                if "logical_of" in (getattr(target, "attr", None), getattr(owner, "attr", None)):
+                    return True
+            return False
+
+        assert not inside(_functions_where(writes_logical_of))
+
+    def test_the_matcher_is_written_only_by_install_and_uninstall(self):
+        for op, writer in (("add", "_install"), ("remove", "_uninstall")):
+            found = _functions_referencing(op, attribute_of="matcher")
+            assert [f for f in found if f.startswith("system/broker.py:")] == [
+                f"system/broker.py:PubSubBroker.{writer}"
+            ], found
+
+    def test_recovery_keeps_no_table_of_its_own(self):
+        import repro.system.recovery as recovery
+
+        tree = ast.parse(inspect.getsource(recovery))
+        classes = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+        assert not classes & {"_Table", "_Entry"}, classes
+        assert "SubscriptionTable()" in inspect.getsource(recovery.recover)
+
+    def test_formulas_and_restores_journal_nothing_to_suppress(self):
+        from repro.system import PubSubBroker
+
+        assert not hasattr(PubSubBroker, "wal_suppressed")
+        for method in (PubSubBroker.subscribe_formula, PubSubBroker.restore_subscription):
+            assert "wal_suppressed" not in inspect.getsource(method), method
 
 
 class TestOneObjectPerDistinctPredicate:
