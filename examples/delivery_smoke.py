@@ -9,9 +9,10 @@ Drives the full acked-channel story once, at small scale:
    hold exactly its notifications — inspected via the library *and*
    the ``repro dlq`` CLI — and ``redrive`` must drain it once a
    healthy sink reconnects;
-3. the crash: the process dies with deliveries unacked in flight;
-   a fresh broker recovers from the WAL and the redelivered set is
-   differentially checked against the pre-crash unacked oracle;
+3. the crash: the process dies with deliveries unacked in flight, the
+   log compacted mid-burst; a fresh broker recovers from the WAL and
+   the redelivered set is differentially checked against the
+   pre-crash unacked oracle;
 4. the ``repro deliveries`` ledger summary must agree with the
    recovered manager's own accounting.
 
@@ -145,6 +146,8 @@ def main(workdir=".delivery-smoke"):
     broker.subscribe(Subscription("stalled", [eq("topic", "alerts")]))
     manager.register("stalled", sink=stalled.append)
     for i in range(7):
+        if i == 4:
+            wal.compact()  # the rest of the burst is the compacted log's tail
         broker.publish(Event({"topic": "alerts", "n": 200 + i}))
     unacked_oracle = sorted(
         (str(sub), lease.seq) for sub, lease in manager.outstanding_leases()

@@ -5,8 +5,9 @@ Drives the full durable-broker story once, at small scale:
 1. a broker journals a churning workload (subscribes with mixed ttls,
    unsubscribes, clock advances) to a write-ahead log with
    ``fsync="always"``;
-2. mid-stream, the log is compacted in place (a snapshot is a
-   compacted log: write-temp, fsync, rename);
+2. mid-stream, the log compacts itself: recovery's fold of the log is
+   written to a temp file, fsynced and renamed over it (a snapshot is
+   a compacted log);
 3. the crash: a half-written record is torn onto the WAL tail;
 4. a fresh broker recovers from that one file — via the library *and*
    via the ``repro recover`` CLI;
@@ -60,7 +61,7 @@ def main(workdir=".durability-smoke"):
     for sub in subs[140:150]:
         broker.unsubscribe(sub.id)
     grown = wal.tell()
-    compacted = wal.compact(broker)
+    compacted = wal.compact()
     if compacted != 140 or wal.tell() >= grown:
         fail(f"compaction kept {compacted} subscriptions in {wal.tell()} bytes (was {grown})")
 

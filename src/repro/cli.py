@@ -23,9 +23,9 @@ Commands
     states, WAL lag) as JSON — the operational view of
     ``docs/resilience.md``.
 ``snapshot``
-    Load JSON-lines subscriptions into a broker and write its state as
-    a compacted write-ahead log (a snapshot *is* a compacted log: the
-    file ``recover --wal`` reads and a broker can go on appending to).
+    Load JSON-lines subscriptions into a broker journaling to a fresh
+    write-ahead log, then compact it (a snapshot *is* a compacted log:
+    the file ``recover --wal`` reads and a broker can go on appending to).
 ``recover``
     Rebuild a broker from a write-ahead log, print the recovery report
     as JSON, optionally dump the recovered subscription set as JSON
@@ -460,15 +460,14 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace, out) -> int:
-    from repro.system import PubSubBroker, write_compacted
+    from repro.system import PubSubBroker, WriteAheadLog
 
     with open(args.subscriptions) as fp:
         subs = load_subscriptions(fp)
-    broker = PubSubBroker()
-    for sub in subs:
-        broker.subscribe(sub, ttl=args.ttl, notify_retained=False)
-    with open(args.out, "w", encoding="utf-8") as fp:
-        count = write_compacted(broker, fp)
+    open(args.out, "w").close()  # overwritten, never appended to
+    with WriteAheadLog(args.out) as wal:
+        PubSubBroker(wal=wal).subscribe_batch(subs, ttl=args.ttl)
+        count = wal.compact()
     out.write(json.dumps({"subscriptions": count, "out": args.out}) + "\n")
     return 0
 
@@ -487,16 +486,12 @@ def _cmd_recover(args: argparse.Namespace, out) -> int:
 
 
 def _read_ledger(wal_path: str):
-    """Fold one WAL's delivery records into a ledger, up to the first
-    one it cannot replay (where recovery stops trusting the log too)."""
-    from repro.system import DeliveryLedger, WalReader
+    """The delivery ledger recovery folds one WAL into."""
+    from repro.system import WalReader
+    from repro.system.recovery import fold_log
 
-    ledger = DeliveryLedger()
     with open(wal_path, "rb") as fp:
-        for record, _end in WalReader(fp):
-            if not ledger.apply(record):
-                break
-    return ledger
+        return fold_log(WalReader(fp)).ledger
 
 
 def _cmd_deliveries(args: argparse.Namespace, out) -> int:

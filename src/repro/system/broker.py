@@ -235,26 +235,14 @@ class PubSubBroker:
         if self.delivery is not None and self.delivery.wal is None:
             self.delivery.wal = wal
 
-    def durable_subscriptions(
-        self, now: float
-    ) -> List[Tuple[Subscription, Optional[float], Optional[Any]]]:
-        """``(subscription, remaining ttl at *now*, logical id)`` for
-        every subscription still live at *now* — what a compacted log
-        records.  Works through any matcher backend's public
-        :meth:`~repro.core.matcher.Matcher.iter_subscriptions`."""
-        with self._lock:
-            state = self._table.state
-            durable = [(sub, *state(sub.id, now)) for sub in self.matcher.iter_subscriptions()]
-            return [entry for entry in durable if entry[1] is None or entry[1] > 0]
-
     def restore_subscription(
         self, subscription: Subscription, ttl: Optional[float], logical: Optional[Any] = None
     ) -> None:
-        """Install one :meth:`durable_subscriptions` triple (recovery):
-        validity resumes with *ttl* (None = immortal) measured from this
-        broker's clock, a formula disjunct rejoins its *logical* id;
-        nothing is journaled and retained events are not retro-matched —
-        the subscription already saw its past."""
+        """Install one survivor of a log (recovery): validity resumes
+        with *ttl* (None = immortal) measured from this broker's clock, a
+        formula disjunct rejoins its *logical* id; nothing is journaled
+        and retained events are not retro-matched — the subscription
+        already saw its past."""
         with self._lock:
             expires_at = None if ttl is None else self.clock.now() + ttl
             self._install(subscription, expires_at, logical)

@@ -320,8 +320,7 @@ class SubscriberChannel:
         return [lease for lease in self._window.values() if lease.inflight is inflight]
 
     def _in_order(self) -> List[Lease]:
-        """Every lease, pendings first: the order a drain settles them
-        and a compaction re-journals them."""
+        """Every lease, pendings first: the order a drain settles them."""
         return self._leases(False) + self._leases(True)
 
     def _oldest(self) -> Optional[Lease]:
@@ -1016,8 +1015,7 @@ class DeliveryManager:
                 channel._next_seq = max(channel._next_seq, seq + 1)
 
     def outstanding_leases(self) -> List[Tuple[Any, Lease]]:
-        """Every unsettled lease (compaction re-journals these into the
-        restarted log so crash safety survives a compact)."""
+        """Every unsettled lease, channel by channel, orphans last."""
         with self._lock:
             held = [(c.sub_id, c._in_order()) for c in self._channels.values()]
             held += self._orphans.items()

@@ -1,8 +1,8 @@
 """Crash recovery: rebuild a broker by replaying its write-ahead log.
 
 The durable state of a broker is one file (:mod:`repro.system.wal`);
-whether it was ever compacted makes no difference to the reader.
-:func:`recover` replays it into an empty broker:
+:func:`fold_log` says what survives, for :func:`recover` to install
+into an empty broker and for compaction to write back as a log:
 
 1. the log's longest valid prefix is streamed, a record at a time
    (:class:`~repro.system.wal.WalReader`), into the live broker's own
@@ -17,9 +17,9 @@ whether it was ever compacted makes no difference to the reader.
 2. the crash time is estimated as the newest timestamp seen anywhere
    (so clock anchors tighten ttl aging even across mutation-free
    stretches, and records with negative clock skew cannot move it
-   backwards); every surviving entry is installed with its *remaining*
-   validity, re-anchored on the recovering broker's clock, and entries
-   that already expired before the crash are skipped.
+   backwards); entries that already expired before it are skipped, and
+   :func:`recover` installs every survivor with its *remaining*
+   validity, re-anchored on the recovering broker's clock.
 
 Everything after the first damaged record is discarded — recovery
 yields a *prefix-consistent* state, never a partially-trusted one —
@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from collections.abc import Hashable
-from typing import IO, Any, Dict, Optional, Tuple, Union
+from typing import IO, Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Subscription
@@ -86,29 +86,23 @@ class RecoveryReport:
         return dataclasses.asdict(self)
 
 
-def recover(
-    broker: PubSubBroker,
-    wal_fp: Optional[Union[IO[str], IO[bytes]]] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> RecoveryReport:
-    """Restore *broker* (must be empty) from a WAL stream, text or binary,
-    in one pass whose memory is the surviving state, not the log.
+class FoldedLog(NamedTuple):
+    """What a log says survives (:func:`fold_log`): per survivor in install
+    order ``(subscription, validity left at the crash, formula id, ttl of
+    an at-less subscribe)``; the ledger; records per kind; the report."""
 
-    No stream is an empty log.  Raises :class:`RecoveryError` on a
-    non-empty broker and :class:`~repro.system.wal.WalError` on input
-    that is not a WAL at all.  The rebuilt state is *not* re-logged to
-    any attached WAL — compact afterwards to re-establish durability.
-    """
-    if broker.subscription_count:
-        raise RecoveryError("recovery requires an empty broker")
+    survivors: List[Tuple[Subscription, Optional[float], Optional[Any], Optional[float]]]
+    ledger: DeliveryLedger
+    replayed: Dict[str, int]
+    report: RecoveryReport
+
+
+def fold_log(reader: WalReader) -> FoldedLog:
+    """Fold *reader*'s records into what survives, in one pass whose
+    memory is the surviving state, not the log."""
     report = RecoveryReport()
-
-    reader = WalReader(wal_fp if wal_fp is not None else ())
     records = iter(reader)
-    # The live set in install order, each with the ttl of a subscribe
-    # without ``at`` (valid from the crash-time estimate on); deadlines
-    # (source clock domain) and formulas in the live broker's own table.
-    subs: Dict[Any, Tuple[Subscription, Optional[float]]] = {}
+    subs: Dict[Any, Tuple[Subscription, Optional[float]]] = {}  # install order
     table = SubscriptionTable()
     ledger = DeliveryLedger()
     replayed = dict.fromkeys(RECORD_TYPES, 0)  # kind -> records folded
@@ -158,19 +152,38 @@ def recover(
     report.replayed_unsubscribes = replayed["unsubscribe"]
     report.replayed_deliveries = replayed["deliver"]
     report.replayed_settles = replayed["settle"]
-
     now_src = reader.last_at if reader.last_at is not None else 0.0
     report.source_clock = now_src if reader.records else None
-
+    survivors = []
     for sub_id, (sub, undated_ttl) in subs.items():
         remaining, logical = table.state(sub_id, now_src)
         if undated_ttl is not None:
             remaining = now_src + undated_ttl - now_src
-        if remaining is not None and remaining <= 0:
-            report.skipped_expired += 1
-            continue
+        if remaining is None or remaining > 0:
+            survivors.append((sub, remaining, logical, undated_ttl))
+    report.skipped_expired = len(subs) - len(survivors)
+    return FoldedLog(survivors, ledger, replayed, report)
+
+
+def recover(
+    broker: PubSubBroker,
+    wal_fp: Optional[Union[IO[str], IO[bytes]]] = None,
+    metrics: Optional[MetricsRegistry] = None,
+) -> RecoveryReport:
+    """Restore *broker* (must be empty) from a WAL stream, text or binary:
+    :func:`fold_log`, then install what survives.
+
+    No stream is an empty log.  Raises :class:`RecoveryError` on a
+    non-empty broker and :class:`~repro.system.wal.WalError` on input
+    that is not a WAL at all.  The log holds only what was journaled to
+    it: to go on journaling, open the ``WriteAheadLog`` on the same file.
+    """
+    if broker.subscription_count:
+        raise RecoveryError("recovery requires an empty broker")
+    survivors, ledger, replayed, report = fold_log(WalReader(wal_fp if wal_fp is not None else ()))
+    for sub, remaining, logical, _undated_ttl in survivors:
         broker.restore_subscription(sub, remaining, logical)
-        report.restored += 1
+    report.restored = len(survivors)
 
     dead_letters = ledger.dead
     report.unacked_deliveries = len(ledger.outstanding)

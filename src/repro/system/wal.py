@@ -53,13 +53,11 @@ append path (re-opening a log truncates it to :func:`scan_valid_prefix`),
 :func:`read_wal`, recovery and the CLI are all folds over it.
 
 Compaction: a snapshot is nothing but a log that has been compacted.
-:func:`write_compacted` writes the broker's current state as a fresh,
-ordinary log — one ``subscribe`` per live subscription carrying its
-*remaining* ttl, then the still-open deliveries and dead letters — and
-:meth:`WriteAheadLog.compact` swaps it in for the live one (temp file,
-fsync, rename), bounding replay work.  The rename is the only commit
-point: a crash before it leaves the old log, a crash after it the new
-one, and both replay to the same state.
+:meth:`WriteAheadLog.compact` runs recovery's fold over the log, writes
+what survives back as a fresh, ordinary log followed by whatever was
+appended meanwhile, and swaps it in (temp file, fsync, rename — the one
+commit point), bounding replay work.  Its only input is the log, so a
+compacted log recovers to exactly what the log as written recovers to.
 """
 
 from __future__ import annotations
@@ -67,6 +65,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import shutil
 import threading
 import time
 from collections.abc import Iterable, Iterator
@@ -78,8 +77,8 @@ from repro.io import event_to_dict, subscription_to_dict
 from repro.obs.registry import MetricsRegistry
 from repro.system.clock import Clock, SystemClock
 
-if TYPE_CHECKING:  # the broker carries a WAL; a runtime import would be circular
-    from repro.system.broker import PubSubBroker
+if TYPE_CHECKING:  # recovery reads logs through this module
+    from repro.system.recovery import FoldedLog
 
 #: WAL format version (bump on incompatible changes).
 FORMAT_VERSION = 1
@@ -95,6 +94,10 @@ RECORD_TYPES = ("anchor", "subscribe", "unsubscribe", "deliver", "settle")
 
 #: Supported fsync policies.
 FSYNC_POLICIES = ("always", "interval", "never")
+
+#: A compaction's file buffer: each refill of a small one drops and retakes
+#: the GIL, and 8 KiB starved a publishing thread for most of a fold.
+_IO_BUFFER = 1 << 20
 
 #: How log files are opened (injectable so the fault harness can wrap
 #: the file object; see ``repro.testing.faults``).
@@ -246,25 +249,26 @@ def _header_record(at: float) -> Dict[str, Any]:
 
 
 def _subscribe_record(
-    at: float, subscription: Subscription, ttl: Optional[float], logical: Optional[Any]
+    at: Optional[float], subscription: Subscription, ttl: Optional[float], logical: Optional[Any]
 ) -> Dict[str, Any]:
     record: Dict[str, Any] = {
         "type": "subscribe",
-        "at": at,
         "subscription": subscription_to_dict(subscription),
         "ttl": ttl,
     }
+    if at is not None:  # at-less: the ttl runs from the crash-time estimate
+        record["at"] = at
     if logical is not None:
         record["logical"] = logical
     return record
 
 
-def _deliver_record(at: float, sub_id: Any, seq: int, event: Any) -> Dict[str, Any]:
-    return {"type": "deliver", "at": at, "sub": sub_id, "seq": seq, "event": event_to_dict(event)}
+def _deliver_record(at: Any, sub_id: Any, seq: Any, event: Dict[str, Any]) -> Dict[str, Any]:
+    return {"type": "deliver", "at": at, "sub": sub_id, "seq": seq, "event": event}
 
 
 def _settle_record(
-    at: float, sub_id: Any, seq: int, outcome: str, reason: Optional[str], attempts: int
+    at: Any, sub_id: Any, seq: Any, outcome: str, reason: Optional[str], attempts: Any
 ) -> Dict[str, Any]:
     record: Dict[str, Any] = {
         "type": "settle",
@@ -279,42 +283,44 @@ def _settle_record(
     return record
 
 
-def write_compacted(broker: "PubSubBroker", fp: IO[str]) -> int:
-    """Write *broker*'s durable state to *fp* as a fresh log; returns
-    the subscriptions written.
-
-    The output is an ordinary version-1 log (what ``repro snapshot``
-    produces and :meth:`WriteAheadLog.compact` swaps in): header, one
-    ``subscribe`` per live subscription stamped *now* with its remaining
-    validity, then the at-least-once state a restart must not lose —
-    every unsettled lease as its ``deliver``, every dead letter as a
-    ``deliver`` + ``settle`` pair.  Works with any matcher backend
-    (sharded and thread-safe wrappers included).
-    """
+def _write_folded(log: "FoldedLog", out: IO[bytes]) -> int:
+    """Write the fold *log* to *out* as a fresh log; returns the number of
+    survivors: header, each survivor stamped at the crash-time estimate
+    with the validity it has left (an at-less one stays at-less), each
+    dead letter as ``deliver`` + ``settle``, then each open ``deliver``
+    (so a ``(sub, seq)`` both dead and open reads back as both)."""
     def emit(record: Dict[str, Any]) -> None:
-        fp.write(_line(record))
+        out.write(_line(record).encode("ascii"))
 
-    now = broker.clock.now()
-    emit(_header_record(now))
-    durable = broker.durable_subscriptions(now)
-    for subscription, ttl, logical in durable:
-        emit(_subscribe_record(now, subscription, ttl, logical))
-    if broker.delivery is not None:
-        for sub_id, lease in broker.delivery.outstanding_leases():
-            emit(_deliver_record(lease.enqueued_at, sub_id, lease.seq, lease.notification.event))
-        for dead in broker.delivery.dead_letters.entries():
-            at, sub_id, seq = dead.at, dead.sub_id, dead.seq
-            emit(_deliver_record(at, sub_id, seq, dead.notification.event))
-            emit(_settle_record(at, sub_id, seq, "dead-letter", dead.reason, dead.attempts))
-    return len(durable)
+    at = log.report.source_clock or 0.0
+    emit(_header_record(at))
+    for subscription, remaining, logical, undated_ttl in log.survivors:
+        if undated_ttl is None:
+            emit(_subscribe_record(at, subscription, remaining, logical))
+        else:
+            emit(_subscribe_record(None, subscription, undated_ttl, logical))
+    for dead in log.ledger.dead:
+        key = dead["at"], dead["sub"], dead["seq"]
+        emit(_deliver_record(*key, dead["event"]))
+        emit(_settle_record(*key, "dead-letter", dead["reason"], dead["attempts"]))
+    for (sub_id, seq), info in log.ledger.outstanding.items():
+        emit(_deliver_record(info["at"], sub_id, seq, info["event"]))
+    return len(log.survivors)
+
+
+def _head(fp: IO[bytes], size: int) -> Iterator[bytes]:
+    """The lines of *fp*'s first *size* bytes, a line at a time."""
+    while size > 0 and (line := fp.readline(size)):
+        size -= len(line)
+        yield line
 
 
 class WriteAheadLog:
     """Append-only JSON-lines journal with pluggable fsync policy.
 
-    Thread-safe: one internal lock serializes appends, syncs and
-    compactions, so a multi-worker :class:`~repro.system.server.BatchServer`
-    can share one log.
+    Thread-safe: one internal lock serializes appends, syncs and a
+    compaction's seal and swap, so a multi-worker
+    :class:`~repro.system.server.BatchServer` can share one log.
     """
 
     def __init__(
@@ -337,6 +343,7 @@ class WriteAheadLog:
         self.clock = clock if clock is not None else SystemClock()
         self._opener = opener
         self._lock = threading.Lock()
+        self._compacting = threading.Lock()  # one compaction at a time
         self._batch_depth = 0
         self._bytes = 0
         self._unsynced = 0
@@ -438,32 +445,22 @@ class WriteAheadLog:
         self._m_bytes.inc(len(line))
 
     def _append(self, record: Dict[str, Any]) -> None:
-        if self._closed:
-            raise WalError("append to a closed WAL")
-        with self._lock:
-            self._append_locked(record)
-
-    def _append_locked(self, record: Dict[str, Any]) -> None:
         line = _line(record)
-        self._fp.write(line)
-        # Always hand the bytes to the OS: a *process* crash then
-        # loses nothing; only the fsync policy decides what a
-        # *machine* crash can lose.
-        self._fp.flush()
-        self._bytes += len(line)
-        self._unsynced += 1
-        self._m_bytes.inc(len(line))
-        self._m_appends[record["type"]].inc()
-        self._m_unsynced.set(self._unsynced)
-        if self._batch_depth:
-            return  # durability decision deferred to the batch end
-        if self.fsync_policy == "always":
-            self._sync_locked()
-        elif (
-            self.fsync_policy == "interval"
-            and time.monotonic() - self._last_sync >= self.fsync_interval
-        ):
-            self._sync_locked()
+        with self._lock:
+            if self._closed:  # checked under the lock: close() may have just run
+                raise WalError("append to a closed WAL")
+            self._fp.write(line)
+            # Always hand the bytes to the OS: a *process* crash then
+            # loses nothing; only the fsync policy decides what a
+            # *machine* crash can lose.
+            self._fp.flush()
+            self._bytes += len(line)
+            self._unsynced += 1
+            self._m_bytes.inc(len(line))
+            self._m_appends[record["type"]].inc()
+            self._m_unsynced.set(self._unsynced)
+            if not self._batch_depth:  # else deferred to the batch end
+                self._sync_if_due_locked()
 
     def append_subscribe(
         self,
@@ -492,7 +489,7 @@ class WriteAheadLog:
         """Journal one dispatched at-least-once delivery (write-ahead:
         appended *before* the first send attempt)."""
         at = self.clock.now() if at is None else at
-        self._append(_deliver_record(at, sub_id, seq, event))
+        self._append(_deliver_record(at, sub_id, seq, event_to_dict(event)))
 
     def append_settle(
         self,
@@ -517,6 +514,14 @@ class WriteAheadLog:
         self._unsynced = 0
         self._m_fsyncs.inc()
         self._m_unsynced.set(0)
+
+    def _sync_if_due_locked(self) -> None:
+        """Keep the fsync policy's promise for what was appended."""
+        if self.fsync_policy == "always" or (
+            self.fsync_policy == "interval"
+            and time.monotonic() - self._last_sync >= self.fsync_interval
+        ):
+            self._sync_locked()
 
     def sync(self) -> None:
         """Flush and fsync now, regardless of policy (batch boundaries)."""
@@ -546,13 +551,7 @@ class WriteAheadLog:
             with self._lock:
                 self._batch_depth -= 1
                 if self._batch_depth == 0 and not self._closed and self._unsynced:
-                    if self.fsync_policy == "always":
-                        self._sync_locked()
-                    elif (
-                        self.fsync_policy == "interval"
-                        and time.monotonic() - self._last_sync >= self.fsync_interval
-                    ):
-                        self._sync_locked()
+                    self._sync_if_due_locked()
 
     def tell(self) -> int:
         """Bytes in the trusted log (header included)."""
@@ -562,44 +561,53 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # compaction
     # ------------------------------------------------------------------
-    def compact(self, broker: "PubSubBroker") -> int:
-        """Replace the log by its compacted form; returns subs persisted.
+    def compact(self) -> int:
+        """Replace the log by what it recovers to; returns the survivors.
 
-        :func:`write_compacted` goes to ``<path>.tmp``, is fsynced, and
-        is renamed over the live log — the one commit point.  A crash
-        (or an ``os.replace`` that raises) before it leaves the old log
-        untouched and this object still appendable (the stale ``.tmp``
-        is never read); a failed reopen after it closes this object.
+        One at a time: **seal** (under the lock: flush, note the size),
+        **fold** the sealed bytes with recovery's own ``fold_log`` into
+        ``<path>.tmp`` off every lock, then under the lock copy what was
+        appended meanwhile (unless the fold stopped trusting the log, as
+        recovery would), fsync and rename — the one commit point.  A
+        failure before the rename leaves the old log in charge; a failed
+        reopen after it closes this object.
         """
-        tmp_path = self.path + ".tmp"
-        with contextlib.ExitStack() as stack:
-            # Mutations journal holding broker → delivery manager → WAL;
-            # taking them in that order keeps any record from landing in
-            # the old log after its state was read.
-            stack.enter_context(broker._lock)
-            if broker.delivery is not None:
-                stack.enter_context(broker.delivery._lock)
-            stack.enter_context(self._lock)
-            if self._closed:
-                raise WalError("compact on a closed WAL")
-            with open(tmp_path, "w", encoding="utf-8") as tmp:
-                count = write_compacted(broker, tmp)
-                tmp.flush()
-                _fsync(tmp)  # before the rename, or a power loss commits garbage
-            os.replace(tmp_path, self.path)
-            self._fp.close()
-            try:
-                self._fp = self._opener(self.path, "a")
-            except BaseException:
-                # The old file is unlinked: refuse appends rather than
-                # lose them.  A new WriteAheadLog on the path works.
-                self._closed = True
-                raise
-            self._bytes = os.path.getsize(self.path)
-            self._m_bytes.inc(self._bytes)
-            self._sync_locked()  # already durable; resets the lag counters
-            self._m_compactions.inc()
-        return count
+        from repro.system.recovery import fold_log  # it imports this module
+
+        with self._compacting:
+            with self._lock:
+                if self._closed:
+                    raise WalError("compact on a closed WAL")
+                self._fp.flush()
+                sealed = self._bytes
+            tmp_path = self.path + ".tmp"
+            with open(self.path, "rb", _IO_BUFFER) as log, open(tmp_path, "wb", _IO_BUFFER) as tmp:
+                folded = fold_log(WalReader(_head(log, sealed)))
+                kept = _write_folded(folded, tmp)
+                tmp.flush()  # durable before the rename; the bulk off the lock
+                _fsync(tmp)
+                with self._lock:
+                    if self._closed:
+                        raise WalError("compact on a closed WAL")
+                    if not folded.report.torn_tail_discarded:
+                        log.seek(sealed)
+                        shutil.copyfileobj(log, tmp)
+                        tmp.flush()
+                        _fsync(tmp)
+                    os.replace(tmp_path, self.path)
+                    self._bytes = tmp.tell()
+                    self._fp.close()
+                    try:
+                        self._fp = self._opener(self.path, "a")
+                    except BaseException:
+                        # The old file is unlinked: refuse appends rather
+                        # than lose them.  A new WriteAheadLog on the path works.
+                        self._closed = True
+                        raise
+                    self._m_bytes.inc(self._bytes)
+                    self._sync_locked()  # already durable; resets the lag counters
+                    self._m_compactions.inc()
+        return kept
 
     # ------------------------------------------------------------------
     # lifecycle

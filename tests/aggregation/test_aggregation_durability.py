@@ -1,7 +1,7 @@
 """Aggregated state through the durability layer.
 
-The aggregation layer persists nothing of its own: ``iter_subscriptions``
-exposes the *raw* subscriptions, so a compacted log records them and WAL
+The aggregation layer persists nothing of its own: the broker journals
+the *raw* subscriptions, so the log, compacted or not, records them and WAL
 replay re-adds them through ``AggregatingMatcher.add``, which
 deterministically rebuilds the refcounts and the covering forest.  These tests pin that round trip —
 including refcounts, frontier size, and differential equality with the
@@ -96,7 +96,7 @@ class TestRecoveryRoundTrip:
         for s in subs[:200]:
             src.subscribe(s)
             oracle.add(s)
-        src.wal.compact(src)
+        src.wal.compact()
         # Post-compaction churn is the log's tail.
         for s in subs[200:]:
             src.subscribe(s)

@@ -177,3 +177,29 @@ class TestBenchCommand:
         out = io.StringIO()
         assert main(["bench", "example3.1"], out=out) == 0
         assert "Example 3.1" in out.getvalue()
+
+
+class TestSnapshotCommand:
+    def test_snapshot_overwrites_out_and_recovers_exactly_the_input(self, tmp_path):
+        log = tmp_path / "broker.wal"
+
+        def snapshot(count, seed):
+            subs = tmp_path / f"subs-{seed}.jsonl"
+            with open(subs, "w") as fp:
+                main(
+                    ["generate", "--kind", "subscriptions", "--count", str(count),
+                     "--workload", "W0", "--seed", str(seed)],
+                    out=fp,
+                )  # fmt: skip
+            out = io.StringIO()
+            assert main(["snapshot", "--subscriptions", str(subs), "--out", str(log)], out=out) == 0
+            assert json.loads(out.getvalue()) == {"subscriptions": count, "out": str(log)}
+            return sorted(line for line in subs.read_text().splitlines() if line)
+
+        snapshot(40, seed=1)  # ids overlap: appending would leave ten behind
+        wanted = snapshot(30, seed=2)
+        dump = tmp_path / "recovered.jsonl"
+        out = io.StringIO()
+        assert main(["recover", "--wal", str(log), "--out", str(dump)], out=out) == 0
+        assert json.loads(out.getvalue())["restored"] == 30
+        assert sorted(dump.read_text().splitlines()) == wanted

@@ -17,7 +17,7 @@ Five guarantees, each hypothesis-driven under a ``VirtualClock``:
    any register / dispatch / ack / pump / unregister interleaving, and
    agrees with the registry for the four families that exist in both.
 5. **Compaction is invisible to delivery** — the log as written and
-   ``wal.compact(broker)`` of the same broker recover to the same
+   the same log after ``wal.compact()`` recover to the same
    outstanding leases and the same dead letters.
 
 Both op-sequence machines call ``manager.check_invariants()`` after
@@ -391,7 +391,7 @@ def test_compacted_and_plain_logs_recover_the_same_delivery_state(ops):
         plain_path = os.path.join(tmp, "as-written.wal")
         broker, wal = run_delivery_workload(wal_path, ops)
         shutil.copyfile(wal_path, plain_path)  # every append is flushed
-        wal.compact(broker)
+        wal.compact()
         wal.close()
         # Both logs owe exactly what the live manager still holds: a
         # lease the operator dropped is owed by neither.

@@ -14,9 +14,10 @@ redrives, or made up record by record (all five kinds, records without
 one byte garbled at, arbitrary offsets.  The prefix form
 (``scan_valid_prefix``, what re-opening truncates to), the list form
 (``read_wal``) and ``recover`` must trust the same records and discard
-the same lines, and ``recover`` must make exactly the calls the previous
+the same lines, ``recover`` must make exactly the calls the previous
 implementation made — kept below, verbatim, as the reference: the whole
-log in memory and a table scan per ``unsubscribe``.
+log in memory and a table scan per ``unsubscribe`` — and so must
+``recover`` of the file after ``WriteAheadLog.compact``.
 
 **Compaction is invisible to recovery.**  The same plan — subscribes
 with ttls, formulas, unsubscribes, clock advances, publishes into
@@ -345,7 +346,7 @@ def run_plan(engine, plan, wal_path, compact_after):
                     if kind == "ack":
                         manager.ack(sub_id, note.seq)
         if index in compact_after:
-            wal.compact(broker)
+            wal.compact()
         broker.check_invariants()
     # Pin the crash time, so ttl aging lands on the live broker's now.
     broker.purge_expired()
@@ -633,7 +634,7 @@ def reference_recover(raw):
 
 
 def check_every_reader_agrees(path, raw):
-    """Prefix form, list form and ``recover`` on the bytes *raw*."""
+    """Prefix form, list form, ``recover`` and compaction on the bytes *raw*."""
     with open(path, "wb") as fp:
         fp.write(raw)
 
@@ -666,6 +667,17 @@ def check_every_reader_agrees(path, raw):
     broker = RecordingBroker()
     got = recover_files(broker, wal_path=path)
     assert got.as_dict() == report
+    assert broker.calls == calls
+    # Compaction is one more reader: the file compacted recovers to the
+    # same subscriptions, remaining ttls, formulas, leases and dead
+    # letters as the file itself.
+    compacted = path + ".compacted"
+    with open(compacted, "wb") as fp:
+        fp.write(raw)
+    with WriteAheadLog(compacted, clock=VirtualClock(), fsync="never") as wal:
+        wal.compact()
+    broker = RecordingBroker()
+    recover_files(broker, wal_path=compacted)
     assert broker.calls == calls
     if got.wal_records == trusted:  # no unreplayable subscribe cut it short
         # The CLI's fold (``repro deliveries`` / ``repro dlq``): same

@@ -641,7 +641,7 @@ class TestWalIntegration:
         broker.subscribe(Subscription("s1", [eq("a", 1)]))
         manager.register("s1", sink=lambda n: None)
         broker.publish(Event({"a": 1}))  # one unacked in-flight
-        wal.compact(broker)
+        wal.compact()
         wal.close()
 
         clock2 = VirtualClock()

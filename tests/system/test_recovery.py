@@ -18,7 +18,6 @@ from repro.system import (
     WriteAheadLog,
     recover,
     recover_files,
-    write_compacted,
 )
 
 
@@ -34,14 +33,20 @@ def wal_text(*records, clock=0.0):
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in [header, *records])
 
 
+def journaling(tmp_path, clock=None):
+    """A broker journaling to a log in *tmp_path*."""
+    clock = clock or VirtualClock()
+    return fresh(clock, wal=WriteAheadLog(tmp_path / "src.wal", clock=clock))
+
+
 def compacted(broker, *tail):
-    """The log of a broker compacted now, plus hand-written *tail*
-    records appended after the compaction."""
-    buf = io.StringIO()
-    write_compacted(broker, buf)
-    return io.StringIO(
-        buf.getvalue() + "".join(json.dumps(r, sort_keys=True) + "\n" for r in tail)
-    )
+    """The log of a journaling broker compacted now, plus hand-written
+    *tail* records appended after the compaction."""
+    broker.wal.compact()
+    broker.wal.close()
+    with open(broker.wal.path, encoding="utf-8") as fp:
+        text = fp.read()
+    return io.StringIO(text + "".join(json.dumps(r, sort_keys=True) + "\n" for r in tail))
 
 
 def subscribe_record(sub_id, at, ttl=None, **extra):
@@ -71,8 +76,8 @@ class TestSources:
         report = recover(dst)
         assert report.restored == 0 and report.source_clock is None
 
-    def test_wal_unsubscribe_removes_snapshot_resident_sub(self):
-        src = fresh()
+    def test_wal_unsubscribe_removes_snapshot_resident_sub(self, tmp_path):
+        src = journaling(tmp_path)
         src.subscribe(Subscription("a", [eq("x", 1)]))
         src.subscribe(Subscription("b", [eq("x", 2)]))
         wal = compacted(src, {"type": "unsubscribe", "at": 1.0, "id": "a"})
@@ -82,9 +87,9 @@ class TestSources:
         assert dst.publish(Event({"x": 1})) == []
         assert dst.publish(Event({"x": 2})) == ["b"]
 
-    def test_wal_subscribe_overwrites_snapshot_entry(self):
+    def test_wal_subscribe_overwrites_snapshot_entry(self, tmp_path):
         # Re-subscribing an id after the compaction wins over the old copy.
-        src = fresh()
+        src = journaling(tmp_path)
         src.subscribe(Subscription("a", [eq("x", 1)]))
         replacement = {"id": "a", "predicates": [["x", "=", 99]]}
         wal = compacted(
@@ -97,13 +102,13 @@ class TestSources:
 
 
 class TestTtlAging:
-    def snapshot_with(self, ttl, *tail, clock_at=0.0):
-        src = fresh(VirtualClock(clock_at))
+    def snapshot_with(self, tmp_path, ttl, *tail, clock_at=0.0):
+        src = journaling(tmp_path, VirtualClock(clock_at))
         src.subscribe(Subscription("a", [eq("x", 1)]), ttl=ttl)
         return compacted(src, *tail)
 
-    def test_anchor_ages_snapshot_ttls(self):
-        wal = self.snapshot_with(30.0, {"type": "anchor", "at": 20.0})
+    def test_anchor_ages_snapshot_ttls(self, tmp_path):
+        wal = self.snapshot_with(tmp_path, 30.0, {"type": "anchor", "at": 20.0})
         dst_clock = VirtualClock()
         dst = fresh(dst_clock)
         recover(dst, wal_fp=wal)
@@ -112,16 +117,16 @@ class TestTtlAging:
         dst_clock.advance(2.0)
         assert dst.publish(Event({"x": 1})) == []
 
-    def test_anchor_past_expiry_skips_entry(self):
-        wal = self.snapshot_with(30.0, {"type": "anchor", "at": 40.0})
+    def test_anchor_past_expiry_skips_entry(self, tmp_path):
+        wal = self.snapshot_with(tmp_path, 30.0, {"type": "anchor", "at": 40.0})
         dst = fresh()
         report = recover(dst, wal_fp=wal)
         assert report.restored == 0 and report.skipped_expired == 1
 
-    def test_negative_skew_cannot_rewind_the_clock(self):
+    def test_negative_skew_cannot_rewind_the_clock(self, tmp_path):
         # A record stamped *before* the compaction (skew between two
         # monotonic readings) must not extend anyone's validity.
-        wal = self.snapshot_with(30.0, {"type": "anchor", "at": 50.0}, clock_at=100.0)
+        wal = self.snapshot_with(tmp_path, 30.0, {"type": "anchor", "at": 50.0}, clock_at=100.0)
         dst_clock = VirtualClock()
         dst = fresh(dst_clock)
         report = recover(dst, wal_fp=wal)
@@ -129,8 +134,8 @@ class TestTtlAging:
         dst_clock.advance(31.0)
         assert dst.publish(Event({"x": 1})) == []
 
-    def test_immortal_subscriptions_ignore_aging(self):
-        wal = self.snapshot_with(None, {"type": "anchor", "at": 1e6})
+    def test_immortal_subscriptions_ignore_aging(self, tmp_path):
+        wal = self.snapshot_with(tmp_path, None, {"type": "anchor", "at": 1e6})
         assert recover(fresh(), wal_fp=wal).restored == 1
 
     def test_wal_subscribe_ttl_ages_from_its_own_timestamp(self):
@@ -430,8 +435,8 @@ class TestSemantics:
         assert report.restored == 0
         assert dst.publish(Event({"a": 1})) == []
 
-    def test_recovered_state_is_not_relogged(self):
-        src = fresh()
+    def test_recovered_state_is_not_relogged(self, tmp_path):
+        src = journaling(tmp_path)
         src.subscribe(Subscription("a", [eq("x", 1)]))
         clock = VirtualClock()
         new_wal = WriteAheadLog(
@@ -547,7 +552,7 @@ class TestRecoverFiles:
         wal = WriteAheadLog(tmp_path / "a.wal", clock=clock)
         src = fresh(clock, wal=wal)
         src.subscribe(Subscription("a", [eq("x", 1)]))
-        wal.compact(src)
+        wal.compact()
         src.subscribe(Subscription("b", [eq("x", 2)]))
         wal.close()
         dst = fresh()

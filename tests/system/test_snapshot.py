@@ -1,7 +1,8 @@
 """Broker snapshots: a snapshot is a compacted write-ahead log.
 
-``write_compacted`` (what ``repro snapshot`` and ``WriteAheadLog.compact``
-produce) saves; ``recover`` — the one reader — restores.
+A broker journals to a log and ``WriteAheadLog.compact`` rewrites it
+(what ``repro snapshot`` does) to save; ``recover`` — the one reader —
+restores.
 """
 
 import io
@@ -22,7 +23,6 @@ from repro.system import (
     WalError,
     WriteAheadLog,
     recover,
-    write_compacted,
 )
 from repro.workload.scenarios import paper_workloads
 
@@ -59,8 +59,19 @@ def fresh(clock=None, matcher=None):
     )
 
 
+def journaling(tmp_path, clock=None, matcher=None):
+    """A source broker journaling to a log in *tmp_path*."""
+    broker = fresh(clock, matcher)
+    broker.attach_wal(WriteAheadLog(tmp_path / "src.wal", clock=broker.clock))
+    return broker
+
+
 def save(broker, buf):
-    return write_compacted(broker, buf)
+    """Compact *broker*'s log into *buf*; returns the subscriptions kept."""
+    kept = broker.wal.compact()
+    with open(broker.wal.path, encoding="utf-8") as fp:
+        buf.write(fp.read())
+    return kept
 
 
 def load(broker, buf):
@@ -68,8 +79,8 @@ def load(broker, buf):
 
 
 class TestRoundTrip:
-    def test_plain_subscriptions(self):
-        src = fresh()
+    def test_plain_subscriptions(self, tmp_path):
+        src = journaling(tmp_path)
         src.subscribe(Subscription("a", [eq("x", 1)]))
         src.subscribe(Subscription("b", [eq("y", 2), le("z", 5)]))
         buf = io.StringIO()
@@ -79,11 +90,12 @@ class TestRoundTrip:
         assert load(dst, buf) == 2
         assert sorted(dst.publish(Event({"x": 1, "y": 2, "z": 3}))) == ["a", "b"]
 
-    def test_ttls_resume_relative(self):
+    def test_ttls_resume_relative(self, tmp_path):
         src_clock = VirtualClock(1000.0)
-        src = fresh(src_clock)
+        src = journaling(tmp_path, src_clock)
         src.subscribe(Subscription("short", [eq("x", 1)]), ttl=30.0)
-        src_clock.advance(10)  # 20 s remaining
+        src_clock.advance(10)  # 20 s remaining ...
+        src.wal.append_anchor(src_clock.now())  # ... once the log knows the time
         buf = io.StringIO()
         save(src, buf)
         buf.seek(0)
@@ -95,16 +107,17 @@ class TestRoundTrip:
         dst_clock.advance(6)  # past the 20 s remainder
         assert dst.publish(Event({"x": 1})) == []
 
-    def test_expired_not_persisted(self):
+    def test_expired_not_persisted(self, tmp_path):
         clock = VirtualClock()
-        src = fresh(clock)
+        src = journaling(tmp_path, clock)
         src.subscribe(Subscription("gone", [eq("x", 1)]), ttl=5.0)
         clock.advance(6)
+        assert src.purge_expired() == 1  # journals the anchor that dates the expiry
         buf = io.StringIO()
         assert save(src, buf) == 0
 
-    def test_formula_identity_survives(self):
-        src = fresh()
+    def test_formula_identity_survives(self, tmp_path):
+        src = journaling(tmp_path)
         src.subscribe_formula("a = 1 or b = 2", "logical")
         buf = io.StringIO()
         save(src, buf)
@@ -115,8 +128,8 @@ class TestRoundTrip:
         dst.unsubscribe("logical")
         assert dst.publish(Event({"a": 1})) == []
 
-    def test_no_retro_notifications_on_restore(self):
-        src = fresh()
+    def test_no_retro_notifications_on_restore(self, tmp_path):
+        src = journaling(tmp_path)
         src.subscribe(Subscription("a", [eq("x", 1)]))
         buf = io.StringIO()
         save(src, buf)
@@ -129,8 +142,8 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_restore_requires_empty_broker(self):
-        src = fresh()
+    def test_restore_requires_empty_broker(self, tmp_path):
+        src = journaling(tmp_path)
         src.subscribe(Subscription("a", [eq("x", 1)]))
         buf = io.StringIO()
         save(src, buf)
@@ -164,12 +177,12 @@ class TestValidation:
         assert dst.subscription_count == 0
 
     @pytest.mark.parametrize("damage", ['{"type": "weird"}\n', "not json\n", '{"type": "subsc'])
-    def test_damage_mid_file_restores_the_prefix_and_says_so(self, damage):
+    def test_damage_mid_file_restores_the_prefix_and_says_so(self, tmp_path, damage):
         """A snapshot is a log, so it is read like one: what precedes
         the first unreadable or unknown record is restored, everything
         after it is distrusted and counted — prefix-tolerant, where the
         retired format was all-or-nothing."""
-        src = fresh()
+        src = journaling(tmp_path)
         for sid in ("a", "b", "c"):
             src.subscribe(Subscription(sid, [eq("x", 1)]))
         buf = io.StringIO()
@@ -251,13 +264,13 @@ class TestExpiredRecordRegression:
 
 
 class TestWrapperRegression:
-    """The writer must go through ``iter_subscriptions``: reading
-    ``broker.matcher._subs`` raised AttributeError on the sharded and
-    thread-safe wrappers (they hold no ``_subs`` of their own)."""
+    """A broker on the sharded and thread-safe wrappers saves like any
+    other (an early writer read ``broker.matcher._subs``, which they do
+    not have)."""
 
     @pytest.mark.parametrize("name", ["sharded", "threadsafe"])
-    def test_save_through_wrapper(self, name):
-        src = fresh(matcher=backend_matcher(name))
+    def test_save_through_wrapper(self, tmp_path, name):
+        src = journaling(tmp_path, matcher=backend_matcher(name))
         src.subscribe(Subscription("a", [eq("x", 1)]))
         src.subscribe(Subscription("b", [eq("y", 2)]))
         buf = io.StringIO()
@@ -288,8 +301,8 @@ class TestEveryBackend:
         return [sorted(broker.publish(e)) for e in self.EVENTS]
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_snapshot_round_trip(self, name):
-        src = fresh(matcher=backend_matcher(name))
+    def test_snapshot_round_trip(self, tmp_path, name):
+        src = journaling(tmp_path, matcher=backend_matcher(name))
         self.populate(src)
         buf = io.StringIO()
         assert save(src, buf) == 2

@@ -2,12 +2,16 @@
 
 import json
 import os
+import shutil
+import threading
+import time
 
 import pytest
 
 from repro.core import Event, Subscription, eq
 from repro.system import (
     BatchServer,
+    DeliveryManager,
     PubSubBroker,
     QueueNotifier,
     VirtualClock,
@@ -24,6 +28,25 @@ def fresh_broker(clock=None, wal=None):
     return PubSubBroker(
         clock=clock or VirtualClock(), notifier=QueueNotifier(), wal=wal
     )
+
+
+def delivering_broker(clock, wal):
+    return PubSubBroker(
+        clock=clock, notifier=QueueNotifier(), wal=wal, delivery=DeliveryManager(clock=clock)
+    )
+
+
+def recovered_state(path):
+    """``(subscription ids, open (sub, seq) leases)`` a log recovers to."""
+    clock = VirtualClock()
+    broker = delivering_broker(clock, None)
+    recover_files(broker, wal_path=path)
+    return live_state(broker)
+
+
+def live_state(broker):
+    ids = sorted(s.id for s in broker.matcher.iter_subscriptions())
+    return ids, sorted((sub, lease.seq) for sub, lease in broker.delivery.outstanding_leases())
 
 
 def read_lines(path):
@@ -256,7 +279,7 @@ class TestCompaction:
         broker.unsubscribe("s3")
         broker.subscribe(Subscription("s3", [eq("x", 3)]))
         grown = wal.tell()
-        assert wal.compact(broker) == 4
+        assert wal.compact() == 4
         assert wal.counters["compactions"] == 1
         assert wal.tell() < grown  # the churn is gone, the live set remains
         assert wal.tell() == os.path.getsize(wal.path)
@@ -282,7 +305,7 @@ class TestCompaction:
         broker = fresh_broker(clock, wal=wal)
         wal.close()
         with pytest.raises(WalError):
-            wal.compact(broker)
+            wal.compact()
 
     def test_failed_rename_leaves_the_old_log_in_charge(self, tmp_path, monkeypatch):
         _clock, wal, broker = self.loaded(tmp_path)
@@ -295,7 +318,7 @@ class TestCompaction:
         with monkeypatch.context() as patched:
             patched.setattr("repro.system.wal.os.replace", refuse)
             with pytest.raises(OSError, match="rename refused"):
-                wal.compact(broker)
+                wal.compact()
         # Nothing was committed: same bytes, and the stale temp file is
         # invisible to recovery.
         assert read_lines(wal.path) == before
@@ -313,7 +336,7 @@ class TestCompaction:
         broker2.subscribe(Subscription("s5", [eq("x", 5)]))
         assert self.recovered_ids(wal.path) == ["s0", "s2", "s3", "s4", "s5"]
         # The next compact overwrites the stale temp file and commits.
-        assert wal2.compact(broker2) == 5
+        assert wal2.compact() == 5
         assert not os.path.exists(wal.path + ".tmp")
         wal2.close()
         assert len(read_lines(wal.path)) == 6
@@ -334,12 +357,12 @@ class TestCompaction:
         _clock, wal, broker = self.loaded(tmp_path, opener=opener)
         broker.unsubscribe("s1")
         with pytest.raises(OSError, match="too many open files"):
-            wal.compact(broker)
+            wal.compact()
         assert wal.closed
         with pytest.raises(WalError, match="closed"):
             wal.append_anchor(1.0)
         with pytest.raises(WalError, match="closed"):
-            wal.compact(broker)
+            wal.compact()
         wal.close()  # a no-op, not a ValueError on the dead handle
         assert not os.path.exists(wal.path + ".tmp")
         assert len(read_lines(wal.path)) == 4  # header + the three live
@@ -366,7 +389,7 @@ class TestCompaction:
 
         monkeypatch.setattr("repro.system.wal.os.fsync", fsync)
         monkeypatch.setattr("repro.system.wal.os.replace", replace)
-        wal.compact(broker)
+        wal.compact()
         (renamed,) = [inode for kind, inode in calls if kind == "replace"]
         assert calls.index(("fsync", renamed)) < calls.index(("replace", renamed))
 
@@ -377,7 +400,7 @@ class TestCompaction:
         _clock, wal, broker = self.loaded(
             tmp_path, n=3, fsync="never", opener=faulty_opener(fail_after=600, mode=mode)
         )
-        wal.compact(broker)
+        wal.compact()
         compacted_bytes = wal.tell()
         for i in range(3, 13):
             broker.subscribe(Subscription(f"s{i}", [eq("x", i)]))
@@ -390,6 +413,169 @@ class TestCompaction:
         # Reopening cuts exactly the damage, nothing of the compacted log.
         WriteAheadLog(wal.path, clock=VirtualClock()).close()
         assert os.path.getsize(wal.path) == prefix_bytes
+
+
+    @pytest.mark.parametrize(
+        "point", ["subscribe:pre-log", "unsubscribe:pre-log", "settle:pre-log"]
+    )
+    def test_an_append_that_failed_stays_undone_through_compaction(self, tmp_path, point):
+        """A journal append fails and the process lives on: the broker
+        is ahead of its log.  Compaction keeps the log's word — a
+        subscribe, an unsubscribe or an ack that was never journaled
+        was never acknowledged, and must not become durable."""
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "a.wal", clock=clock)
+        broker = delivering_broker(clock, wal)
+        manager = broker.delivery
+        broker.subscribe(Subscription("kept", [eq("x", 1)]))
+        manager.register("kept")  # pull: the lease stays open until acked
+        broker.publish(Event({"x": 1}))
+        broker.crash_hook = manager.crash_hook = crash_at(point)
+        with pytest.raises(SimulatedCrash):
+            if point == "subscribe:pre-log":
+                broker.subscribe(Subscription("lost", [eq("x", 2)]))
+            elif point == "unsubscribe:pre-log":
+                broker.unsubscribe("kept")
+            else:
+                (note,) = manager.poll("kept")
+                manager.ack("kept", note.seq)
+        as_written = tmp_path / "as-written.wal"
+        shutil.copyfile(wal.path, as_written)
+        wal.compact()
+        wal.close()
+        assert recovered_state(as_written) == (["kept"], [("kept", 0)])
+        assert recovered_state(wal.path) == recovered_state(as_written)
+
+    def test_an_at_less_subscribe_stays_at_less(self, tmp_path):
+        """Its ttl runs from whatever crash-time estimate recovery makes,
+        so records appended after the compaction must not age it."""
+        header = {"type": HEADER_TYPE, "version": 1, "clock": 0.0}
+        sub = {"id": "a", "predicates": [["x", "=", 1]]}
+        records = [header, {"type": "subscribe", "subscription": sub, "ttl": 10.0}]
+        path = tmp_path / "a.wal"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with WriteAheadLog(path, clock=VirtualClock()) as wal:
+            wal.append_anchor(5.0)
+        as_written = tmp_path / "as-written.wal"
+        shutil.copyfile(path, as_written)
+        with WriteAheadLog(path, clock=VirtualClock()) as wal:
+            wal.compact()
+        for log in (as_written, path):  # the same tail on both
+            with WriteAheadLog(log, clock=VirtualClock()) as wal:
+                wal.append_anchor(100.0)
+        for log in (as_written, path):
+            clock = VirtualClock()
+            broker = fresh_broker(clock)
+            assert recover_files(broker, wal_path=log).restored == 1
+            clock.advance(9.0)
+            assert broker.publish(Event({"x": 1})) == ["a"]
+
+    def test_appends_racing_a_compaction_land_in_its_tail(self, tmp_path, monkeypatch):
+        """The fold runs off the lock: a thread subscribing and
+        publishing (acked and unacked deliveries) goes on journaling
+        meanwhile, and the tail copy carries what it wrote."""
+        import repro.system.recovery as recovery
+
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "a.wal", clock=clock, fsync="never")
+        broker = delivering_broker(clock, wal)
+        manager = broker.delivery
+        folding, raced, stop = threading.Event(), threading.Event(), threading.Event()
+        fold = recovery.fold_log
+
+        def held_fold(reader):
+            folding.set()
+            assert raced.wait(10), "no append landed during the fold"
+            return fold(reader)
+
+        monkeypatch.setattr(recovery, "fold_log", held_fold)
+        errors = []
+
+        def churn():
+            try:
+                i = during = 0
+                while not stop.is_set():
+                    sub_id = f"s{i}"
+                    broker.subscribe(Subscription(sub_id, [eq("x", i % 3)]))
+                    if i % 2:
+                        manager.register(sub_id, sink=lambda n: None, auto_ack=True)
+                    else:
+                        manager.register(sub_id)  # pull: its leases stay open
+                    broker.publish(Event({"x": i % 3}))
+                    if i % 5 == 4:
+                        broker.unsubscribe(f"s{i - 3}")
+                    i += 1
+                    during += folding.is_set()
+                    if during >= 5:
+                        raced.set()
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+                raced.set()
+
+        worker = threading.Thread(target=churn)
+        worker.start()
+        try:
+            wal.compact()
+            wal.compact()
+        finally:
+            stop.set()
+            worker.join(10)
+        assert not errors and not worker.is_alive()
+        wal.close()
+        assert wal.counters["compactions"] == 2
+        live = live_state(broker)
+        assert len(live[0]) > 5 and live[1]
+        assert recovered_state(wal.path) == live
+
+    def test_concurrent_compactions_run_one_at_a_time(self, tmp_path, monkeypatch):
+        import repro.system.recovery as recovery
+
+        clock, wal, broker = self.loaded(tmp_path, n=6)
+        broker.unsubscribe("s0")
+        active, overlap, fold = [], [], recovery.fold_log
+
+        def slow_fold(reader):
+            active.append(1)
+            overlap.append(len(active))
+            time.sleep(0.05)  # time for the other caller to arrive
+            try:
+                return fold(reader)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(recovery, "fold_log", slow_fold)
+        kept = []
+        callers = [threading.Thread(target=lambda: kept.append(wal.compact())) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(10)
+        assert kept == [5, 5] and overlap == [1, 1]
+        assert wal.counters["compactions"] == 2
+        assert not os.path.exists(wal.path + ".tmp")
+        broker.subscribe(Subscription("s9", [eq("x", 9)]))
+        wal.close()
+        assert self.recovered_ids(wal.path) == ["s1", "s2", "s3", "s4", "s5", "s9"]
+
+    def test_an_append_racing_close_is_refused_by_name(self, tmp_path):
+        """``close()`` may win the lock between an append's start and
+        its write: the append must see the closed log, not write to a
+        closed file."""
+        wal = WriteAheadLog(tmp_path / "a.wal", clock=VirtualClock())
+        lock = wal._lock
+
+        class CloseWinsTheLock:
+            def __enter__(self):
+                wal._lock = lock
+                wal.close()
+                return lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return lock.__exit__(*exc_info)
+
+        wal._lock = CloseWinsTheLock()
+        with pytest.raises(WalError, match="closed"):
+            wal.append_anchor(1.0)
 
 
 class TestBrokerIntegration:

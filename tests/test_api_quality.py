@@ -181,7 +181,7 @@ class TestDurableSurface:
         broker = ("broker", inspect.Parameter.empty)
         assert self.params(system.recover) == [broker, ("wal_fp", None), ("metrics", None)]
         assert self.params(system.recover_files) == [broker, ("wal_path", None), ("metrics", None)]
-        assert self.params(system.WriteAheadLog.compact) == [broker]
+        assert self.params(system.WriteAheadLog.compact) == []
         assert not [k for k in system.RecoveryReport().as_dict() if "snapshot" in k]
 
     def test_one_function_parses_wal_lines(self):
@@ -419,7 +419,7 @@ class TestOneSubscriptionTable:
         tree = ast.parse(inspect.getsource(recovery))
         classes = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
         assert not classes & {"_Table", "_Entry"}, classes
-        assert "SubscriptionTable()" in inspect.getsource(recovery.recover)
+        assert "SubscriptionTable()" in inspect.getsource(recovery.fold_log)
 
     def test_formulas_and_restores_journal_nothing_to_suppress(self):
         from repro.system import PubSubBroker
@@ -427,6 +427,59 @@ class TestOneSubscriptionTable:
         assert not hasattr(PubSubBroker, "wal_suppressed")
         for method in (PubSubBroker.subscribe_formula, PubSubBroker.restore_subscription):
             assert "wal_suppressed" not in inspect.getsource(method), method
+
+
+class TestTheLogCompactsItself:
+    """``WriteAheadLog.compact`` runs recovery's fold over the log and
+    writes the result back: it reads no broker or delivery-manager
+    state, so a compacted log recovers to what the log as written does."""
+
+    def test_the_log_module_imports_neither_broker_nor_delivery(self):
+        import repro.system.wal as wal
+
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(wal))):  # TYPE_CHECKING blocks too
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        assert imported and not [
+            name for name in imported if {"broker", "delivery"} & set(name.split("."))
+        ], sorted(imported)
+
+    def test_compact_takes_no_broker(self):
+        from repro.system import WriteAheadLog
+
+        assert list(inspect.signature(WriteAheadLog.compact).parameters) == ["self"]
+
+    def test_the_live_state_writers_are_gone(self):
+        import repro.system as system
+        import repro.system.wal as wal
+        from repro.system import PubSubBroker
+
+        assert not hasattr(wal, "write_compacted") and not hasattr(system, "write_compacted")
+        assert "write_compacted" not in system.__all__
+        assert not hasattr(PubSubBroker, "durable_subscriptions")
+
+    def test_one_fold_for_recovery_and_compaction(self, tmp_path, monkeypatch):
+        import repro.system.recovery as recovery
+        from repro.core import Subscription, eq
+        from repro.system import PubSubBroker, VirtualClock, WriteAheadLog, recover_files
+
+        assert _functions_referencing("fold_log") == [
+            "cli.py:_read_ledger",  # ``repro deliveries`` / ``repro dlq``
+            "system/recovery.py:recover",
+            "system/wal.py:WriteAheadLog.compact",
+        ]
+        folds, fold = [], recovery.fold_log
+        monkeypatch.setattr(recovery, "fold_log", lambda reader: folds.append(1) or fold(reader))
+        clock = VirtualClock()
+        with WriteAheadLog(tmp_path / "a.wal", clock=clock) as wal:
+            PubSubBroker(clock=clock, wal=wal).subscribe(Subscription("a", [eq("x", 1)]))
+            assert wal.compact() == 1
+        assert len(folds) == 1
+        assert recover_files(PubSubBroker(), wal_path=tmp_path / "a.wal").restored == 1
+        assert len(folds) == 2
 
 
 class TestOneObjectPerDistinctPredicate:
