@@ -8,13 +8,9 @@ vs ``fig3a-large`` to see the scaling shape (the dynamic rows should
 barely move while counting/propagation degrade ~linearly).
 """
 
-import time
-
 import pytest
 
 from benchmarks.conftest import loaded_matcher, match_events, scaled
-from repro.algorithms import counting
-from repro.batch import BatchPredicateEvaluator
 from repro.bench.harness import (
     FIGURE3_ALGORITHMS,
     bench_snapshot_path,
@@ -118,54 +114,4 @@ def test_batch_kernel_speedup():
     assert headline >= 5.0, (
         f"propagation batch-256 kernel is only {headline:.1f}x the "
         f"single-event loop on W0 (needs >= 5x): {lanes['propagation']}"
-    )
-
-
-def test_counting_bincount_kernel_beats_scatter():
-    """The batched counting phase's ``np.bincount`` kernel must not lose
-    to the per-bit scatter path it gates over (W0, batch 256).
-
-    Both kernels are exact (the batch-conformance suite pins identical
-    results); this guards the *throughput* claim that motivates the
-    auto-gate — one flat ``bincount`` over the association arrays beats
-    a Python loop of per-bit scatters once batches clear the gate's
-    minimum.  Batch size is the engine's only selector, so the kernels
-    are timed directly: the same phase-1 truth rows, each kernel under
-    its own chunk cap as ``_match_phase2_batch`` would run it.
-    Asserted at a modest 1.1x so scheduler noise cannot flake a
-    genuinely faster kernel.
-    """
-    spec = w0(seed=0)
-    n = max(4_000, scaled(400_000))
-    matcher, events = loaded_matcher("counting", spec, n, 512)
-    assoc = matcher._assoc_arrays()
-    evaluate = BatchPredicateEvaluator(matcher.indexes).evaluate
-    truths = [
-        evaluate(events[s : s + 256], matcher.bits.size)
-        for s in range(0, len(events), 256)
-    ]
-
-    def rate(kernel, cells) -> float:
-        step = max(1, cells // len(assoc[0]))
-        start = time.perf_counter()
-        for truth in truths:
-            for s in range(0, len(truth), step):
-                kernel(truth[s : s + step], assoc)
-        return len(events) / (time.perf_counter() - start)
-
-    lanes = (
-        (counting.CountingMatcher._counts_scatter, counting._GATHER_CELLS),
-        (counting.CountingMatcher._counts_bincount, counting._BINCOUNT_CELLS),
-    )
-    for kernel, cells in lanes:  # warm both kernels up front
-        kernel(truths[0][: max(1, cells // len(assoc[0]))], assoc)
-    # Interleave the reps so a noisy stretch (GC, scheduler) hits both
-    # lanes alike instead of sinking whichever ran second.
-    scatter = bincount = 0.0
-    for _ in range(5):
-        scatter = max(scatter, rate(*lanes[0]))
-        bincount = max(bincount, rate(*lanes[1]))
-    assert bincount >= 1.1 * scatter, (
-        f"bincount counting kernel at {bincount:.0f} ev/s does not beat "
-        f"the scatter path at {scatter:.0f} ev/s on W0"
     )

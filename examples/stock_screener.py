@@ -50,7 +50,7 @@ def main() -> None:
     # fresh broker (ids carry the logical owner as a prefix).
     buf = io.StringIO()
     n = dump_subscriptions(
-        (broker.matcher.get(sid) for sid in sorted(broker.matcher._subs, key=str)),
+        sorted(broker.matcher.iter_subscriptions(), key=lambda sub: str(sub.id)),
         buf,
     )
     print(f"\npersisted {n} conjunctions "

@@ -15,7 +15,7 @@ import numpy as np
 from repro.batch.columns import ColumnarBatch
 from repro.batch.evaluator import BatchPredicateEvaluator
 from repro.core.bitvector import BitVector
-from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
+from repro.core.handles import HandleTable
 from repro.core.matcher import Matcher
 from repro.core.registry import PredicateRegistry
 from repro.core.types import Event, Predicate, Subscription
@@ -43,7 +43,9 @@ class TwoPhaseMatcher(Matcher):
         self.registry = PredicateRegistry()
         self.bits: BitVector = self.registry.bits
         self.indexes = PredicateIndexSet(index_kind)
-        self._subs: Dict[Any, Subscription] = {}
+        #: The one numbering: a handle per subscription, the caller's id
+        #: only at the match boundary.
+        self._subs = HandleTable()
         #: Cumulative instrumentation counters (events, predicate evals, reads).
         self.counters: Dict[str, int] = {
             "events": 0,
@@ -82,25 +84,23 @@ class TwoPhaseMatcher(Matcher):
     # Matcher surface
     # ------------------------------------------------------------------
     def add(self, subscription: Subscription) -> None:
-        if subscription.id in self._subs:
-            raise DuplicateSubscriptionError(subscription.id)
+        handle = self._subs.put(subscription)
         slots = self._intern_predicates(subscription)
         try:
-            self._place(subscription, slots)
+            self._place(handle, subscription, slots)
         except Exception:
             self._release_predicates(subscription)
+            self._subs.drop(subscription.id)
             raise
-        self._subs[subscription.id] = subscription
         if self.metrics.enabled:
             self._m_subscriptions.set(len(self._subs))
 
     def remove(self, sub_id: Any) -> Subscription:
-        sub = self._subs.get(sub_id)
-        if sub is None:
-            raise UnknownSubscriptionError(sub_id)
-        self._displace(sub)
+        handle = self._subs.handle_of(sub_id)
+        sub = self._subs.get(handle)
+        self._displace(handle, sub)
         self._release_predicates(sub)
-        del self._subs[sub_id]
+        self._subs.drop(sub_id)
         if self.metrics.enabled:
             self._m_subscriptions.set(len(self._subs))
         return sub
@@ -127,7 +127,7 @@ class TwoPhaseMatcher(Matcher):
             self._active_span = span
         before = self.counters["subscription_checks"]
         try:
-            matched = self._match_phase2(event)
+            matched = self._subs.ids(self._match_phase2(event))
         finally:
             self._active_span = None
         t2 = time.perf_counter_ns()
@@ -203,7 +203,8 @@ class TwoPhaseMatcher(Matcher):
         self.counters["events"] += n
         self.counters["predicates_satisfied"] += satisfied
         before = self.counters["subscription_checks"]
-        out = self._match_phase2_batch(events, truth)
+        ids = self._subs.ids
+        out = [ids(row) for row in self._match_phase2_batch(events, truth)]
         t2 = time.perf_counter_ns()
         checks = self.counters["subscription_checks"] - before
         if self.tracer.enabled:
@@ -283,16 +284,14 @@ class TwoPhaseMatcher(Matcher):
 
     def get(self, sub_id: Any) -> Subscription:
         """Look up a stored subscription by id."""
-        try:
-            return self._subs[sub_id]
-        except KeyError:
-            raise UnknownSubscriptionError(sub_id) from None
+        return self._subs.get(self._subs.handle_of(sub_id))
 
     def __contains__(self, sub_id: Any) -> bool:
         return sub_id in self._subs
 
     def iter_subscriptions(self) -> List[Subscription]:
-        return list(self._subs.values())
+        """Live subscriptions in ascending handle order."""
+        return [sub for _handle, sub in self._subs.items()]
 
     def __len__(self) -> int:
         return len(self._subs)
@@ -309,22 +308,24 @@ class TwoPhaseMatcher(Matcher):
     # ------------------------------------------------------------------
     # subclass responsibilities
     # ------------------------------------------------------------------
-    def _place(self, sub: Subscription, slots: Dict[Predicate, int]) -> None:
-        """Store *sub* in phase-2 structures (bits already interned)."""
+    def _place(self, handle: int, sub: Subscription, slots: Dict[Predicate, int]) -> None:
+        """Store *sub* under *handle* in phase-2 structures (bits
+        already interned)."""
         raise NotImplementedError
 
-    def _displace(self, sub: Subscription) -> None:
-        """Remove *sub* from phase-2 structures."""
+    def _displace(self, handle: int, sub: Subscription) -> None:
+        """Remove *sub* (under *handle*) from phase-2 structures."""
         raise NotImplementedError
 
-    def _match_phase2(self, event: Event) -> List[Any]:
-        """Walk candidate clusters; the bit vector is already populated."""
+    def _match_phase2(self, event: Event) -> List[int]:
+        """Walk candidate clusters; the bit vector is already populated.
+        Returns the matched handles."""
         raise NotImplementedError
 
     def _match_phase2_batch(
         self, events: Sequence[Event], truth: np.ndarray
-    ) -> List[List[Any]]:
-        """Batched subscription phase: one id list per row of *truth*."""
+    ) -> List[List[int]]:
+        """Batched subscription phase: one handle list per row of *truth*."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -336,9 +337,10 @@ class TwoPhaseMatcher(Matcher):
         Intended for tests and debugging — O(subscriptions × predicates).
         Subclasses extend with their phase-2 structure checks.
         """
+        self._subs.check_invariants()
         # Registry refcounts must equal live predicate usage exactly.
         usage: Dict[Predicate, int] = {}
-        for sub in self._subs.values():
+        for _handle, sub in self._subs.items():
             for pred in sub.predicates:
                 usage[pred] = usage.get(pred, 0) + 1
         assert set(self.registry) == set(usage), "registry tracks wrong predicates"

@@ -2,11 +2,11 @@
 
 A :class:`Cluster` holds every subscription sharing one *access predicate*
 and one *residual size* (number of predicates left to check once the
-access predicate is known true).  Storage is **column-wise**: a
-``(size, capacity)`` int32 matrix of bit-vector references plus a parallel
-subscription line of ids.  Column ``j`` lists the residual predicate bits
-of subscription ``j``; the subscription matches iff all bits in its
-column are set.
+access predicate is known true).  Storage is **column-wise**: one
+``(1 + size, capacity)`` int32 matrix whose row 0 is the paper's
+*subscription line* of member handles (:mod:`repro.core.handles`) and
+whose column ``j`` below it lists subscription ``j``'s residual bit
+refs; it matches iff all of them are set.  The kernels emit handles.
 
 Two check kernels are provided:
 
@@ -22,12 +22,13 @@ inequality bits unless all equalities hold, reproducing the behaviour the
 paper describes in Section 6.2.1.
 
 A :class:`ClusterList` groups the clusters of one access predicate by
-size (the paper's per-access-predicate "collection of predicate arrays").
+size (the paper's per-access-predicate "collection of predicate arrays");
+:class:`Homes` holds every handle's cluster and column.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,31 +38,37 @@ from repro.core.errors import ClusteringError
 _INITIAL_COLUMNS = 8
 
 
+def _doubled(array: np.ndarray) -> np.ndarray:
+    """*array* with its last axis twice as long (zero-filled)."""
+    grown = np.zeros(array.shape[:-1] + (2 * array.shape[-1],), dtype=array.dtype)
+    grown[..., : array.shape[-1]] = array
+    return grown
+
+
 class Cluster:
     """All subscriptions with one access predicate and one residual size."""
 
-    __slots__ = ("size", "_refs", "_ids", "_col_of", "_count", "owner")
+    __slots__ = ("size", "_columns", "_count", "owner")
 
     def __init__(self, size: int, owner: Any = None) -> None:
         if size < 0:
             raise ClusteringError(f"cluster size must be >= 0, got {size}")
         self.size = size
-        #: The owning ClusterList.  An engine keeps ``id → Cluster`` and
-        #: nothing else about placement: removal and ``placement_of``
-        #: reach the list — and through its ``key`` the table entry —
-        #: from here.
+        #: The owning ClusterList.  An engine keeps each handle's home
+        #: cluster (:class:`Homes`) and nothing else about placement:
+        #: removal and ``placement_of`` reach the list — and through its
+        #: ``key`` the table entry — from here.
         self.owner = owner
-        cols = _INITIAL_COLUMNS
-        self._refs = np.zeros((size, cols), dtype=np.int32) if size else None
-        self._ids: List[Any] = []
-        self._col_of: Dict[Any, int] = {}
+        #: Row 0: the subscription line (member handles); rows 1…size:
+        #: the members' residual bit refs.
+        self._columns = np.zeros((1 + size, _INITIAL_COLUMNS), dtype=np.int32)
         self._count = 0
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def add(self, sub_id: Any, bit_refs: Sequence[int]) -> None:
-        """Append a subscription column.
+    def add(self, handle: int, bit_refs: Sequence[int]) -> None:
+        """Append a subscription column (the new last one).
 
         *bit_refs* must hold exactly :attr:`size` bit indexes, equality
         bits first.
@@ -70,60 +77,41 @@ class Cluster:
             raise ClusteringError(
                 f"expected {self.size} bit refs, got {len(bit_refs)}"
             )
-        if sub_id in self._col_of:
-            raise ClusteringError(f"subscription {sub_id!r} already in cluster")
         j = self._count
-        if self.size:
-            if j == self._refs.shape[1]:
-                grown = np.zeros((self.size, self._refs.shape[1] * 2), dtype=np.int32)
-                grown[:, : self._refs.shape[1]] = self._refs
-                self._refs = grown
-            self._refs[:, j] = bit_refs
-        self._ids.append(sub_id)
-        self._col_of[sub_id] = j
+        if j == self._columns.shape[1]:
+            self._columns = _doubled(self._columns)
+        self._columns[0, j] = handle
+        self._columns[1:, j] = bit_refs
         self._count += 1
 
-    def remove(self, sub_id: Any) -> np.ndarray:
-        """Remove a subscription column (swap-with-last); returns its refs."""
-        j = self._col_of.pop(sub_id, None)
-        if j is None:
-            raise ClusteringError(f"subscription {sub_id!r} not in cluster")
+    def remove(self, column: int) -> Optional[int]:
+        """Remove the member at *column* by swap-with-last; returns the
+        handle moved into *column* (None if it was the last)."""
         last = self._count - 1
-        refs = self._refs[:, j].copy() if self.size else np.empty(0, dtype=np.int32)
-        if j != last:
-            moved = self._ids[last]
-            self._ids[j] = moved
-            self._col_of[moved] = j
-            if self.size:
-                self._refs[:, j] = self._refs[:, last]
-        self._ids.pop()
-        self._count -= 1
-        return refs
-
-    def refs_of(self, sub_id: Any) -> np.ndarray:
-        """Residual bit refs of one member (copy)."""
-        j = self._col_of[sub_id]
-        if not self.size:
-            return np.empty(0, dtype=np.int32)
-        return self._refs[:, j].copy()
-
-    def __contains__(self, sub_id: Any) -> bool:
-        return sub_id in self._col_of
+        if not 0 <= column <= last:
+            raise ClusteringError(f"no column {column} in {self!r}")
+        moved = None
+        if column != last:
+            columns = self._columns
+            columns[:, column] = columns[:, last]
+            moved = int(columns[0, column])
+        self._count = last
+        return moved
 
     def __len__(self) -> int:
         return self._count
 
-    def ids(self) -> Tuple[Any, ...]:
-        """Snapshot of member ids."""
-        return tuple(self._ids)
+    def handles(self) -> List[int]:
+        """Snapshot of member handles, in column order."""
+        return self._columns[0, : self._count].tolist()
 
     # ------------------------------------------------------------------
     # check kernels
     # ------------------------------------------------------------------
-    def match_scalar(self, bits: np.ndarray, out: List[Any]) -> int:
+    def match_scalar(self, bits: np.ndarray, out: List[int]) -> int:
         """Row-by-row short-circuit check (the non-prefetch kernel).
 
-        Appends matching ids to *out*; returns the number of
+        Appends matching handles to *out*; returns the number of
         subscriptions checked (the paper's unit of phase-2 work).
 
         Mirrors the paper's implementation strategy: "a collection of
@@ -134,70 +122,47 @@ class Cluster:
         nested loop.
         """
         m = self._count
-        if m == 0:
-            return 0
         size = self.size
+        columns = self._columns
         if size == 0:
-            out.extend(self._ids)
-            return m
-        if size <= 3:
-            return self._match_scalar_specialized(bits, out)
-        refs = self._refs
-        ids = self._ids
-        for j in range(m):
-            ok = True
-            for i in range(size):
-                if not bits[refs[i, j]]:
-                    ok = False
-                    break
-            if ok:
-                out.append(ids[j])
-        return m
-
-    def _match_scalar_specialized(self, bits: np.ndarray, out: List[Any]) -> int:
-        """Unrolled scalar kernels for residual sizes 1–3."""
-        m = self._count
-        refs = self._refs
-        ids = self._ids
-        if self.size == 1:
-            row0 = refs[0]
-            for j in range(m):
-                if bits[row0[j]]:
-                    out.append(ids[j])
-        elif self.size == 2:
-            row0, row1 = refs[0], refs[1]
-            for j in range(m):
-                if bits[row0[j]] and bits[row1[j]]:
-                    out.append(ids[j])
+            hits = range(m)
+        elif size == 1:
+            row1 = columns[1]
+            hits = [j for j in range(m) if bits[row1[j]]]
+        elif size == 2:
+            row1, row2 = columns[1], columns[2]
+            hits = [j for j in range(m) if bits[row1[j]] and bits[row2[j]]]
+        elif size == 3:
+            row1, row2, row3 = columns[1], columns[2], columns[3]
+            hits = [
+                j for j in range(m) if bits[row1[j]] and bits[row2[j]] and bits[row3[j]]
+            ]
         else:
-            row0, row1, row2 = refs[0], refs[1], refs[2]
+            hits = []
             for j in range(m):
-                if bits[row0[j]] and bits[row1[j]] and bits[row2[j]]:
-                    out.append(ids[j])
+                for i in range(1, size + 1):
+                    if not bits[columns[i, j]]:
+                        break
+                else:
+                    hits.append(j)
+        if hits:
+            out.extend(columns[0, hits].tolist())
         return m
 
-    def match_vector(self, bits: np.ndarray, out: List[Any]) -> int:
+    def match_vector(self, bits: np.ndarray, out: List[int]) -> int:
         """Columnar gather + AND-reduce (the prefetch-analogue kernel).
 
         Returns the number of subscriptions checked, like
         :meth:`match_scalar`.
         """
         m = self._count
-        if m == 0:
-            return 0
-        if self.size == 0:
-            out.extend(self._ids)
-            return m
-        active = self._refs[:, :m]
-        truth = bits[active]
+        truth = bits[self._columns[1:, :m]]
         hits = np.nonzero(truth.all(axis=0))[0]
-        ids = self._ids
-        for j in hits:
-            out.append(ids[j])
+        out.extend(self._columns[0, hits].tolist())
         return m
 
     def match_rows(
-        self, truth: np.ndarray, rows: np.ndarray, out: List[List[Any]]
+        self, truth: np.ndarray, rows: np.ndarray, out: List[List[int]]
     ) -> int:
         """Batched columnar check: many events against every member.
 
@@ -213,16 +178,13 @@ class Cluster:
         n_rows = len(rows)
         if m == 0 or n_rows == 0:
             return 0
-        ids = self._ids
-        if self.size == 0:
-            for r in rows:
-                out[r].extend(ids)
-            return m * n_rows
-        active = self._refs[:, :m]
+        active = self._columns[1:, :m]
         cells = truth[np.ix_(rows, active.ravel())]
         hits = cells.reshape(n_rows, self.size, m).all(axis=1)
-        for r, j in zip(*np.nonzero(hits)):
-            out[rows[r]].append(ids[j])
+        hit_rows, hit_cols = np.nonzero(hits)
+        handles = self._columns[0, hit_cols].tolist()
+        for r, handle in zip(rows[hit_rows].tolist(), handles):
+            out[r].append(handle)
         return m * n_rows
 
     # ------------------------------------------------------------------
@@ -233,15 +195,11 @@ class Cluster:
         """Active (size, count) view of the refs matrix, or None if size 0."""
         if not self.size:
             return None
-        return self._refs[:, : self._count]
+        return self._columns[1:, : self._count]
 
     def memory_bytes(self) -> int:
-        """Approximate resident bytes of this cluster's arrays."""
-        n = 0
-        if self.size:
-            n += self._refs.nbytes
-        n += len(self._ids) * 8
-        return n
+        """Approximate resident bytes of this cluster's matrix."""
+        return self._columns.nbytes
 
     def __repr__(self) -> str:
         return f"Cluster(size={self.size}, members={self._count})"
@@ -258,45 +216,40 @@ class ClusterList:
         self._by_size: Dict[int, Cluster] = {}
         self._count = 0
 
-    def add(self, sub_id: Any, bit_refs: Sequence[int]) -> Cluster:
+    def add(self, handle: int, bit_refs: Sequence[int]) -> Cluster:
         """Insert into the size-appropriate cluster, creating it on demand."""
         size = len(bit_refs)
         cluster = self._by_size.get(size)
         if cluster is None:
             cluster = self._by_size[size] = Cluster(size, owner=self)
-        cluster.add(sub_id, bit_refs)
+        cluster.add(handle, bit_refs)
         self._count += 1
         return cluster
 
-    def remove(self, sub_id: Any, home: Cluster) -> np.ndarray:
-        """Remove from *home*, the member cluster that holds *sub_id*."""
+    def remove(self, home: Cluster, column: int) -> Optional[int]:
+        """Remove *home*'s member at *column*; returns the handle moved there."""
         if home.owner is not self:
             raise ClusteringError(f"{home!r} is not a cluster of {self!r}")
-        refs = home.remove(sub_id)
+        moved = home.remove(column)
         self._count -= 1
         if not len(home):
             del self._by_size[home.size]
-        return refs
+        return moved
 
-    def match(self, bits: np.ndarray, out: List[Any], vectorized: bool) -> int:
+    def match(self, bits: np.ndarray, out: List[int], vectorized: bool) -> int:
         """Check every member cluster; returns subscriptions checked."""
-        reads = 0
-        if vectorized:
-            for cluster in self._by_size.values():
-                reads += cluster.match_vector(bits, out)
-        else:
-            for cluster in self._by_size.values():
-                reads += cluster.match_scalar(bits, out)
-        return reads
+        kernel = Cluster.match_vector if vectorized else Cluster.match_scalar
+        return sum(kernel(cluster, bits, out) for cluster in self._by_size.values())
 
     def match_rows(
-        self, truth: np.ndarray, rows: np.ndarray, out: List[List[Any]]
+        self, truth: np.ndarray, rows: np.ndarray, out: List[List[int]]
     ) -> int:
         """Batched check of every member cluster for the given event rows."""
-        reads = 0
-        for cluster in self._by_size.values():
-            reads += cluster.match_rows(truth, rows, out)
-        return reads
+        return sum(cluster.match_rows(truth, rows, out) for cluster in self._by_size.values())
+
+    def handles(self) -> List[int]:
+        """Snapshot of member handles (ascending size, then column)."""
+        return [handle for cluster in self.clusters() for handle in cluster.handles()]
 
     def clusters(self) -> Iterator[Cluster]:
         """Iterate member clusters (ascending size for determinism)."""
@@ -322,3 +275,55 @@ class ClusterList:
     def __repr__(self) -> str:
         sizes = {s: len(c) for s, c in sorted(self._by_size.items())}
         return f"ClusterList(key={self.key!r}, sizes={sizes})"
+
+
+class Homes:
+    """Every placed handle's cluster and column: the engine-wide half of
+    the subscription line, so a removal is an O(1) swap-with-last."""
+
+    __slots__ = ("_cluster", "_column")
+
+    def __init__(self) -> None:
+        self._cluster: List[Optional[Cluster]] = []
+        self._column = np.zeros(_INITIAL_COLUMNS, dtype=np.int32)
+
+    def __getitem__(self, handle: int) -> Optional[Cluster]:
+        """The cluster holding *handle* (None while it is unplaced)."""
+        return self._cluster[handle]
+
+    def settle(self, handle: int, home: Cluster) -> None:
+        """Record that *handle* was just appended to *home* (handles are
+        dense: a new one is the next past the end)."""
+        if handle == len(self._cluster):
+            self._cluster.append(home)
+            if handle == len(self._column):
+                self._column = _doubled(self._column)
+        else:
+            self._cluster[handle] = home
+        self._column[handle] = len(home) - 1
+
+    def evict(self, handle: int, holder: Any) -> None:
+        """Remove *handle* from its home through *holder*, the list or
+        table that owns the home."""
+        column = int(self._column[handle])
+        moved = holder.remove(self._cluster[handle], column)
+        if moved is not None:
+            self._column[moved] = column
+        self._cluster[handle] = None
+
+    def members(self, lists: Iterable[ClusterList], live: Iterable[int]) -> Dict[int, Cluster]:
+        """Assert every member of *lists* is homed at its own column,
+        once, and exactly the *live* handles are placed; returns
+        ``handle → cluster`` for the engine's own checks."""
+        found: Dict[int, Cluster] = {}
+        for lst in lists:
+            for cluster in lst.clusters():
+                assert cluster.owner is lst, "cluster owned by another list"
+                for column, handle in enumerate(cluster.handles()):
+                    assert handle not in found, f"handle {handle} stored twice"
+                    found[handle] = cluster
+                    assert self._cluster[handle] is cluster, f"home drift for {handle}"
+                    assert self._column[handle] == column, f"column drift for {handle}"
+        placed = {h for h, home in enumerate(self._cluster) if home is not None}
+        assert set(found) == set(live) == placed, "membership drift"
+        return found

@@ -13,7 +13,8 @@ predicate is satisfied.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,20 +22,10 @@ from repro.algorithms.base import TwoPhaseMatcher
 from repro.core.types import Event, Predicate, Subscription
 from repro.indexes.ordered import IndexKind
 
-#: Cell cap for one (events × subscriptions) hit-counter chunk.
-_GATHER_CELLS = 1 << 22
-
-#: Cell cap per bincount chunk.  Tighter than ``_GATHER_CELLS`` because
-#: ``np.bincount`` materializes an int64 counts matrix (4× the scatter
-#: path's int16): past ~8 MB the reduction turns memory-bound and the
-#: win over the scatter loop evaporates.
+#: Cell cap per hit-counter chunk: ``np.bincount`` materializes an int64
+#: (events × handles) counts matrix, and past ~8 MB the reduction turns
+#: memory-bound.
 _BINCOUNT_CELLS = 1 << 20
-
-#: Auto-gate for the bincount counting kernel: batches with at least
-#: this many rows amortize its setup (flattened index arithmetic) over
-#: enough association entries to beat the per-bit scatter loop, whose
-#: Python-level iteration count grows with *live bits*, not rows.
-_BINCOUNT_MIN_EVENTS = 32
 
 
 class CountingMatcher(TwoPhaseMatcher):
@@ -49,10 +40,12 @@ class CountingMatcher(TwoPhaseMatcher):
 
     def __init__(self, index_kind: IndexKind = IndexKind.SORTED_ARRAY) -> None:
         super().__init__(index_kind)
-        # bit -> set of sub ids containing that predicate.
-        self._subs_of_bit: Dict[int, Set[Any]] = {}
-        # sub id -> number of (distinct) predicates, the match threshold.
-        self._threshold: Dict[Any, int] = {}
+        # bit -> handles of the subscriptions containing it: a list, one
+        # pointer per entry where a set costs five (a removal scans it).
+        self._subs_of_bit: Dict[int, List[int]] = {}
+        # handle -> number of (distinct) predicates, the match threshold;
+        # -1 (never reached) on a free handle.
+        self._threshold = np.full(8, -1, dtype=np.int16)
         # Flattened association arrays for the batch kernel; invalidated
         # on every placement change (refcount-only churn changes the
         # association too, so the registry epoch alone is not enough).
@@ -61,28 +54,29 @@ class CountingMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def _place(self, sub: Subscription, slots: Dict[Predicate, int]) -> None:
+    def _place(self, handle: int, sub: Subscription, slots: Dict[Predicate, int]) -> None:
         for bit in slots.values():
-            self._subs_of_bit.setdefault(bit, set()).add(sub.id)
-        self._threshold[sub.id] = sub.size
+            self._subs_of_bit.setdefault(bit, []).append(handle)
+        if handle == len(self._threshold):  # handles are dense
+            self._threshold = np.concatenate([self._threshold, np.full(handle, -1, np.int16)])
+        self._threshold[handle] = sub.size
         self._assoc = None
 
-    def _displace(self, sub: Subscription) -> None:
+    def _displace(self, handle: int, sub: Subscription) -> None:
         for pred in sub.predicates:
             bit = self.registry.slot(pred)
-            members = self._subs_of_bit.get(bit)
-            if members is not None:
-                members.discard(sub.id)
-                if not members:
-                    del self._subs_of_bit[bit]
-        del self._threshold[sub.id]
+            members = self._subs_of_bit[bit]
+            members.remove(handle)
+            if not members:
+                del self._subs_of_bit[bit]
+        self._threshold[handle] = -1
         self._assoc = None
 
     # ------------------------------------------------------------------
     # phase 2
     # ------------------------------------------------------------------
-    def _match_phase2(self, event: Event) -> List[Any]:
-        hits: Dict[Any, int] = {}
+    def _match_phase2(self, event: Event) -> List[int]:
+        hits: Dict[int, int] = {}
         subs_of_bit = self._subs_of_bit
         touched = 0
         for bit in self.bits.set_indexes():
@@ -90,98 +84,54 @@ class CountingMatcher(TwoPhaseMatcher):
             if not members:
                 continue
             touched += len(members)
-            for sid in members:
-                hits[sid] = hits.get(sid, 0) + 1
+            for handle in members:
+                hits[handle] = hits.get(handle, 0) + 1
         self.counters["subscription_checks"] += touched
-        threshold = self._threshold
-        return [sid for sid, n in hits.items() if n == threshold[sid]]
+        handles = np.fromiter(hits, dtype=np.intp, count=len(hits))
+        counts = np.fromiter(hits.values(), dtype=np.int16, count=len(hits))
+        # Ascending handle order, like a row of the batch kernel.
+        return np.sort(handles[counts == self._threshold[handles]]).tolist()
 
     def _assoc_arrays(self) -> Optional[Tuple]:
         """Columnar association table for the batch kernel.
 
-        Subscriptions get dense column indexes; each live bit carries
-        the column array of its members, so the kernel's work stays
+        A subscription's column is its handle.  The live bits' member
+        handles lie back to back in one array, each bit's segment
+        addressed by (offset, count), so the kernel turns a chunk's
+        satisfied entries into index arithmetic: its work stays
         proportional to *satisfied* association entries — the same cost
         model as the scalar walk, vectorized across the batch rows.
+        Free handles are dead columns: their threshold is never reached.
         """
-        assoc = self._assoc
-        if assoc is None:
-            sub_ids = list(self._threshold)
-            if not sub_ids:
-                return None
-            col_of = {sid: i for i, sid in enumerate(sub_ids)}
-            thresholds = np.array(
-                [self._threshold[s] for s in sub_ids], dtype=np.int16
-            )
-            bit_list = list(self._subs_of_bit)
-            members_list = [
-                np.array(
-                    sorted(col_of[sid] for sid in self._subs_of_bit[b]),
-                    dtype=np.intp,
-                )
-                for b in bit_list
-            ]
-            # Flattened form for the bincount kernel: one contiguous
-            # member-column array, with each bit's segment addressed by
-            # (offset, count) — so the whole chunk's satisfied entries
-            # become index arithmetic instead of a per-bit Python loop.
-            bit_arr = np.array(bit_list, dtype=np.intp)
-            entry_counts = np.array(
-                [len(m) for m in members_list], dtype=np.intp
-            )
-            entry_offsets = np.cumsum(entry_counts) - entry_counts
-            entry_cols = (
-                np.concatenate(members_list)
-                if members_list
-                else np.zeros(0, dtype=np.intp)
-            )
-            assoc = self._assoc = (
-                sub_ids,
-                thresholds,
-                bit_list,
-                members_list,
-                bit_arr,
-                entry_cols,
+        if self._assoc is None and len(self._subs):
+            members = self._subs_of_bit.values()
+            entry_counts = np.array([len(m) for m in members], dtype=np.intp)
+            self._assoc = (
+                self._threshold[: self._subs.capacity],
+                np.array(list(self._subs_of_bit), dtype=np.intp),
+                np.fromiter(chain.from_iterable(members), dtype=np.intp),
                 entry_counts,
-                entry_offsets,
+                np.cumsum(entry_counts) - entry_counts,
             )
-        return assoc
+        return self._assoc
 
     @staticmethod
-    def _counts_scatter(chunk: np.ndarray, assoc: Tuple) -> Tuple[np.ndarray, int]:
-        """Hit counters via one fancy-indexed scatter per live bit."""
-        sub_ids, _thresholds, bit_list, members_list = assoc[:4]
-        counts = np.zeros((chunk.shape[0], len(sub_ids)), dtype=np.int16)
-        touched = 0
-        for bit, members in zip(bit_list, members_list):
-            rows_b = np.nonzero(chunk[:, bit])[0]
-            if not len(rows_b):
-                continue
-            touched += len(rows_b) * len(members)
-            counts[np.ix_(rows_b, members)] += 1
-        return counts, touched
-
-    @staticmethod
-    def _counts_bincount(chunk: np.ndarray, assoc: Tuple) -> Tuple[np.ndarray, int]:
+    def _hit_counts(chunk: np.ndarray, assoc: Tuple) -> Tuple[np.ndarray, int]:
         """Hit counters via one ``np.bincount`` over flattened cells.
 
         Every satisfied (row, bit) pair expands — by pure index
         arithmetic over the flattened association segments — to the
         linearized ``row * n_subs + member_column`` cells it increments;
-        one bincount then reduces them all at once.  Work remains
-        proportional to satisfied association entries, like the scatter
-        path, but without a Python-level loop over live bits.
+        one bincount then reduces them all at once, with no Python-level
+        loop over live bits.
         """
-        sub_ids = assoc[0]
-        bit_arr, entry_cols, entry_counts, entry_offsets = assoc[4:]
-        n_subs = len(sub_ids)
+        thresholds, bit_arr, entry_cols, entry_counts, entry_offsets = assoc
+        n_subs = len(thresholds)
         rows = chunk.shape[0]
         r_idx, b_idx = np.nonzero(chunk[:, bit_arr])
-        if not len(r_idx):
-            return np.zeros((rows, n_subs), dtype=np.int64), 0
         lens = entry_counts[b_idx]
         total = int(lens.sum())
-        if not total:  # pragma: no cover - empty member lists are pruned
+        if not total:
             return np.zeros((rows, n_subs), dtype=np.int64), 0
         # For each satisfied pair k, its member columns live at
         # entry_cols[offset_k : offset_k + lens_k]; `seq` enumerates all
@@ -196,26 +146,22 @@ class CountingMatcher(TwoPhaseMatcher):
 
     def _match_phase2_batch(
         self, events: Sequence[Event], truth: np.ndarray
-    ) -> List[List[Any]]:
+    ) -> List[List[int]]:
         n = len(events)
-        out: List[List[Any]] = [[] for _ in range(n)]
+        out: List[List[int]] = [[] for _ in range(n)]
         assoc = self._assoc_arrays()
         if assoc is None:
             return out
-        sub_ids, thresholds = assoc[0], assoc[1]
-        # Batch size is the only selector; both kernels produce identical
-        # results (the conformance suite straddles the gate).
-        use_bincount = n >= _BINCOUNT_MIN_EVENTS
-        kernel = self._counts_bincount if use_bincount else self._counts_scatter
+        thresholds = assoc[0]
         touched = 0
         # Event-chunked so the hit-counter matrix stays cache-friendly.
-        cells = _BINCOUNT_CELLS if use_bincount else _GATHER_CELLS
-        step = max(1, cells // max(1, len(sub_ids)))
+        step = max(1, _BINCOUNT_CELLS // len(thresholds))
         for s in range(0, n, step):
-            counts, t = kernel(truth[s : s + step], assoc)
+            counts, t = self._hit_counts(truth[s : s + step], assoc)
             touched += t
-            for r, c in zip(*np.nonzero(counts == thresholds)):
-                out[s + r].append(sub_ids[c])
+            rows, handles = np.nonzero(counts == thresholds)
+            for r, handle in zip(rows.tolist(), handles.tolist()):
+                out[s + r].append(handle)
         self.counters["subscription_checks"] += touched
         return out
 
@@ -226,14 +172,14 @@ class CountingMatcher(TwoPhaseMatcher):
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        assert set(self._threshold) == set(self._subs), "threshold key drift"
-        for sid, threshold in self._threshold.items():
-            assert threshold == self._subs[sid].size
-        # The association table must list exactly each sub under each of
-        # its predicates' bits.
-        expected: Dict[int, set] = {}
-        for sid, sub in self._subs.items():
+        expected_thresholds = np.full(len(self._threshold), -1, dtype=np.int16)
+        # The association table must list exactly each handle under each
+        # of its predicates' bits, once.
+        expected: Dict[int, List[int]] = {}
+        for handle, sub in self._subs.items():
+            expected_thresholds[handle] = sub.size
             for pred in sub.predicates:
-                expected.setdefault(self.registry.slot(pred), set()).add(sid)
-        actual = {bit: set(m) for bit, m in self._subs_of_bit.items() if m}
+                expected.setdefault(self.registry.slot(pred), []).append(handle)
+        assert (self._threshold == expected_thresholds).all(), "threshold drift"
+        actual = {bit: sorted(m) for bit, m in self._subs_of_bit.items()}
         assert actual == expected, "association table drift"

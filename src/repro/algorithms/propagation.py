@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
-from repro.algorithms.clusters import Cluster, ClusterList
+from repro.algorithms.clusters import ClusterList, Homes
 from repro.core.types import Event, Predicate, Subscription, Value
 from repro.indexes.ordered import IndexKind
 
@@ -51,9 +51,9 @@ class PropagationMatcher(TwoPhaseMatcher):
         self._lists: Dict[Tuple[str, Value], ClusterList] = {}
         self._universal = ClusterList(key=None)
         self._selector = access_selector
-        # sub id -> the cluster that holds it (its list's key is the
-        # access predicate, None for the universal list).
-        self._home: Dict[Any, Cluster] = {}
+        # handle -> the cluster (and column) that holds it; its list's
+        # key is the access predicate, None for the universal list.
+        self._home = Homes()
 
     # ------------------------------------------------------------------
     # access-predicate choice
@@ -73,7 +73,7 @@ class PropagationMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def _place(self, sub: Subscription, slots: Dict[Predicate, int]) -> None:
+    def _place(self, handle: int, sub: Subscription, slots: Dict[Predicate, int]) -> None:
         access = self._choose_access(sub)
         if access is None:
             lst = self._universal
@@ -84,20 +84,19 @@ class PropagationMatcher(TwoPhaseMatcher):
             lst = self._lists.get(key)
             if lst is None:
                 lst = self._lists[key] = ClusterList(key=access)
-        self._home[sub.id] = lst.add(sub.id, refs)
+        self._home.settle(handle, lst.add(handle, refs))
 
-    def _displace(self, sub: Subscription) -> None:
-        home = self._home.pop(sub.id)
-        lst = home.owner
-        lst.remove(sub.id, home)
+    def _displace(self, handle: int, sub: Subscription) -> None:
+        lst = self._home[handle].owner
+        self._home.evict(handle, lst)
         if not lst and lst is not self._universal:
             del self._lists[(lst.key.attribute, lst.key.value)]
 
     # ------------------------------------------------------------------
     # phase 2
     # ------------------------------------------------------------------
-    def _match_phase2(self, event: Event) -> List[Any]:
-        out: List[Any] = []
+    def _match_phase2(self, event: Event) -> List[int]:
+        out: List[int] = []
         bits = self.bits.array
         reads = 0
         if len(self._universal):
@@ -112,14 +111,14 @@ class PropagationMatcher(TwoPhaseMatcher):
 
     def _match_phase2_batch(
         self, events: Sequence[Event], truth: np.ndarray
-    ) -> List[List[Any]]:
+    ) -> List[List[int]]:
         """Row-grouped cluster walk: each probed list is visited once.
 
         Events are grouped by (attribute, value) pair, so a cluster list
         probed by many events of the batch runs one gather over all
         their truth rows instead of one walk per event.
         """
-        out: List[List[Any]] = [[] for _ in events]
+        out: List[List[int]] = [[] for _ in events]
         reads = 0
         if len(self._universal):
             all_rows = np.arange(len(events), dtype=np.intp)
@@ -142,24 +141,16 @@ class PropagationMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         super().check_invariants()
-        listed = set()
-        for key, lst in [(None, self._universal), *self._lists.items()]:
-            assert lst or key is None, f"empty cluster list retained for {key!r}"
-            access = lst.key
-            if access is not None:
-                assert key == (access.attribute, access.value), "list filed under another key"
-            for cluster in lst.clusters():
-                assert cluster.owner is lst, "cluster owned by another list"
-                for sid in cluster.ids():
-                    assert sid not in listed, f"{sid!r} in two clusters"
-                    listed.add(sid)
-                    assert self._home.get(sid) is cluster, f"home drift for {sid!r}"
-                    sub = self._subs.get(sid)
-                    assert sub is not None, f"{sid!r} stored but not live"
-                    assert access is None or access in sub.predicates
-                    expected = sub.size - (0 if access is None else 1)
-                    assert cluster.size == expected, f"residual size drift for {sid!r}"
-        assert listed == set(self._subs) == set(self._home), "cluster membership drift"
+        for key, lst in self._lists.items():
+            assert lst, f"empty cluster list retained for {key!r}"
+            assert key == (lst.key.attribute, lst.key.value), "list filed under another key"
+        lists = [self._universal, *self._lists.values()]
+        homes = self._home.members(lists, (handle for handle, _sub in self._subs.items()))
+        for handle, cluster in homes.items():
+            sub, access = self._subs.get(handle), cluster.owner.key
+            assert access is None or access in sub.predicates
+            expected = sub.size - (0 if access is None else 1)
+            assert cluster.size == expected, f"residual size drift for {sub.id!r}"
 
     # ------------------------------------------------------------------
     # introspection

@@ -69,25 +69,26 @@ class MultiAttrHashTable:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def add(self, sub_id: Any, key: Key, bit_refs: Sequence[int]) -> Cluster:
+    def add(self, handle: int, key: Key, bit_refs: Sequence[int]) -> Cluster:
         """Insert a subscription under its probe key; returns its home."""
         lst = self._entries.get(key)
         if lst is None:
             lst = self._entries[key] = ClusterList(key=(self.schema, key))
-        home = lst.add(sub_id, bit_refs)
+        home = lst.add(handle, bit_refs)
         self._count += 1
         return home
 
-    def remove(self, sub_id: Any, home: Cluster) -> None:
-        """Remove a subscription from *home*, the cluster that holds it."""
+    def remove(self, home: Cluster, column: int) -> Optional[int]:
+        """Remove *home*'s member at *column*; returns the handle moved there."""
         lst = home.owner
         key = lst.key[1]
         if self._entries.get(key) is not lst:
             raise ClusteringError(f"{home!r} is not stored in table {self.schema!r}")
-        lst.remove(sub_id, home)
+        moved = lst.remove(home, column)
         self._count -= 1
         if not lst:
             del self._entries[key]
+        return moved
 
     # ------------------------------------------------------------------
     # probing

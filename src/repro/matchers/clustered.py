@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
-from repro.algorithms.clusters import Cluster, ClusterList
+from repro.algorithms.clusters import ClusterList, Homes
 from repro.clustering.hashconfig import (
     HashingConfiguration,
     Key,
@@ -55,9 +55,9 @@ class ClusteredMatcher(TwoPhaseMatcher):
         self.config = HashingConfiguration()
         # Keyed like a table entry — (schema, probe key) — with no schema.
         self._universal = ClusterList(key=(None, ()))
-        # sub id -> the cluster that holds it; schema, probe key and
-        # residual size are read off the cluster and its list.
-        self._home: Dict[Any, Cluster] = {}
+        # handle -> the cluster (and column) that holds it; schema, probe
+        # key and residual size are read off the cluster and its list.
+        self._home = Homes()
         # Every table's schema, cheapest first, and the (table set,
         # statistics) version that order was computed at.
         self._ranked: List[Schema] = []
@@ -117,21 +117,12 @@ class ClusteredMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     # placement plumbing
     # ------------------------------------------------------------------
-    def _slots_of(self, sub: Subscription) -> Dict[Predicate, int]:
-        """Current registry slots for an already-interned subscription."""
-        slots = {}
-        for pred in sub.predicates:
-            bit = self.registry.slot(pred)
-            if bit is None:
-                raise ClusteringError(f"predicate not interned: {pred!r}")
-            slots[pred] = bit
-        return slots
-
-    def _place(self, sub: Subscription, slots: Dict[Predicate, int]) -> None:
-        self._place_under(sub, slots, self._choose_schema(sub))
+    def _place(self, handle: int, sub: Subscription, slots: Dict[Predicate, int]) -> None:
+        self._place_under(handle, sub, slots, self._choose_schema(sub))
 
     def _place_under(
         self,
+        handle: int,
         sub: Subscription,
         slots: Dict[Predicate, int],
         schema: Optional[Schema],
@@ -161,19 +152,18 @@ class ClusteredMatcher(TwoPhaseMatcher):
             )
         refs = eq_bits + other_bits
         if schema is None:
-            home = self._universal.add(sub.id, refs)
+            home = self._universal.add(handle, refs)
         else:
             key = tuple([values[attribute] for attribute in schema])
-            home = self.config.ensure_table(schema).add(sub.id, key, refs)
-        self._home[sub.id] = home
+            home = self.config.ensure_table(schema).add(handle, key, refs)
+        self._home.settle(handle, home)
 
-    def _displace(self, sub: Subscription) -> None:
-        home = self._home.pop(sub.id)
-        schema = home.owner.key[0]
+    def _displace(self, handle: int, sub: Subscription) -> None:
+        schema = self._home[handle].owner.key[0]
         holder = self._universal if schema is None else self.config.table(schema)
         if holder is None:
             raise ClusteringError(f"home cluster references dropped table {schema!r}")
-        holder.remove(sub.id, home)
+        self._home.evict(handle, holder)
 
     def move_subscription(self, sub_id: Any, new_schema: Optional[Schema]) -> None:
         """Re-cluster one live subscription under another schema.
@@ -181,20 +171,22 @@ class ClusteredMatcher(TwoPhaseMatcher):
         Predicates stay interned (the subscription itself is unchanged);
         only phase-2 placement moves.
         """
-        sub = self.get(sub_id)
-        self._displace(sub)
-        self._place_under(sub, self._slots_of(sub), new_schema)
+        handle = self._subs.handle_of(sub_id)
+        sub = self._subs.get(handle)
+        self._displace(handle, sub)
+        slots = {pred: self.registry.slot(pred) for pred in sub.predicates}
+        self._place_under(handle, sub, slots, new_schema)
 
     def placement_of(self, sub_id: Any) -> Tuple[Optional[Schema], Key, int]:
         """(schema, key, residual size) of a live subscription."""
-        home = self._home[sub_id]
+        home = self._home[self._subs.handle_of(sub_id)]
         return (*home.owner.key, home.size)
 
     # ------------------------------------------------------------------
     # phase 2
     # ------------------------------------------------------------------
-    def _match_phase2(self, event: Event) -> List[Any]:
-        out: List[Any] = []
+    def _match_phase2(self, event: Event) -> List[int]:
+        out: List[int] = []
         bits = self.bits.array
         reads = 0
         span = self._active_span
@@ -233,14 +225,14 @@ class ClusteredMatcher(TwoPhaseMatcher):
 
     def _match_phase2_batch(
         self, events: Sequence[Event], truth: np.ndarray
-    ) -> List[List[Any]]:
+    ) -> List[List[int]]:
         """Row-grouped table probing: one gather per probed entry.
 
         For each table, batch events are bucketed by their probe key so
         a cluster list reached by many events runs a single columnar
         kernel over all their truth rows.
         """
-        out: List[List[Any]] = [[] for _ in events]
+        out: List[List[int]] = [[] for _ in events]
         reads = 0
         if len(self._universal):
             all_rows = np.arange(len(events), dtype=np.intp)
@@ -272,29 +264,19 @@ class ClusteredMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         super().check_invariants()
-        lists = [((), self._universal)]
+        lists = [self._universal]
         for table in self.config.tables():
             for key, lst in table.entries():
                 assert lst, "empty entry retained"
                 assert lst.key == (table.schema, key), "entry filed under another key"
-                lists.append((table.schema, lst))
-        # Every stored id's home is the cluster its table entry reaches,
-        # and that cluster fits the subscription.
-        stored = set()
-        for schema, lst in lists:
-            for cluster in lst.clusters():
-                assert cluster.owner is lst, "cluster owned by another list"
-                for sid in cluster.ids():
-                    assert sid not in stored, f"{sid!r} stored twice"
-                    stored.add(sid)
-                    assert self._home.get(sid) is cluster, f"home drift for {sid!r}"
-                    sub = self._subs.get(sid)
-                    assert sub is not None, f"{sid!r} stored but not live"
-                    assert sub.equality_attributes.issuperset(schema)
-                    assert cluster.size == sub.size - len(schema), (
-                        f"residual drift for {sid!r}"
-                    )
-        assert stored == set(self._subs) == set(self._home), "table membership drift"
+                lists.append(lst)
+        # Every handle's home is the cluster its table entry reaches, and
+        # that cluster fits the subscription.
+        homes = self._home.members(lists, (handle for handle, _sub in self._subs.items()))
+        for handle, cluster in homes.items():
+            sub, schema = self._subs.get(handle), cluster.owner.key[0] or ()
+            assert sub.equality_attributes.issuperset(schema)
+            assert cluster.size == sub.size - len(schema), f"residual drift for {sub.id!r}"
 
     # ------------------------------------------------------------------
     # introspection

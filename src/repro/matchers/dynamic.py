@@ -142,7 +142,7 @@ class DynamicMatcher(ClusteredMatcher):
     # ------------------------------------------------------------------
     def add(self, subscription: Subscription) -> None:
         super().add(subscription)
-        lst = self._home[subscription.id].owner
+        lst = self._home[self._subs.handle_of(subscription.id)].owner
         if lst is not self._universal:
             self._touch_entry(lst)
         self._tick()
@@ -194,9 +194,9 @@ class DynamicMatcher(ClusteredMatcher):
             for _ in range(due):
                 self.sweep()
 
-    def _displace(self, sub: Subscription) -> None:
-        lst = self._home[sub.id].owner
-        super()._displace(sub)
+    def _displace(self, handle: int, sub: Subscription) -> None:
+        lst = self._home[handle].owner
+        super()._displace(handle, sub)
         # What is remembered about an entry dies with it: a re-created
         # entry starts from scratch, and drifting keys leave nothing behind.
         if not lst:
@@ -264,13 +264,11 @@ class DynamicMatcher(ClusteredMatcher):
             return 0.0
         entry_nu = self._entry_nu(schema, key)
         total = 0.0
-        for cluster in lst.clusters():
-            for sid in cluster.ids():
-                sub = self.get(sid)
-                full = self.statistics.nu_of_pairs(
-                    (p.attribute, p.value) for p in sub.equality_predicates()
-                )
-                total += max(0.0, entry_nu - full)
+        for sub in map(self._subs.get, lst.handles()):
+            full = self.statistics.nu_of_pairs(
+                (p.attribute, p.value) for p in sub.equality_predicates()
+            )
+            total += max(0.0, entry_nu - full)
         return total
 
     def _touch_entry(self, lst: ClusterList) -> None:
@@ -331,10 +329,8 @@ class DynamicMatcher(ClusteredMatcher):
         self._note_maintenance("distributions")
         entry: EntryId = (schema, key)
         entry_nu = self._entry_nu(schema, key)
-        members = [sid for cluster in lst.clusters() for sid in cluster.ids()]
-        stayers: List[Any] = []
-        for sid in members:
-            sub = self.get(sid)
+        stayers: List[Subscription] = []
+        for sub in map(self._subs.get, lst.handles()):
             eligible = self.config.eligible_schemas(sub.equality_attributes)
             best_schema = None
             best_bucket = self._sub_nu_bucket(sub, schema)
@@ -345,21 +341,20 @@ class DynamicMatcher(ClusteredMatcher):
                 if bucket <= best_bucket - self._gap:
                     best_schema, best_bucket = cand, bucket
             if best_schema is not None:
-                self.move_subscription(sid, best_schema)
-                if self._tracker.is_marked(sid):
+                self.move_subscription(sub.id, best_schema)
+                if self._tracker.is_marked(sub.id):
                     self._tracker.reset_votes(sub.equality_attributes)
-                    self._tracker.unmark(sid)
+                    self._tracker.unmark(sub.id)
                 self._note_maintenance("moves")
             else:
-                stayers.append(sid)
+                stayers.append(sub)
         # Redistribution not enough: vote for potential tables.
         if entry_nu * len(stayers) > params.bm_max:
-            for sid in stayers:
-                if self._tracker.is_marked(sid):
+            for sub in stayers:
+                if self._tracker.is_marked(sub.id):
                     continue
-                sub = self.get(sid)
                 potentials = self._potential_schemas(sub, entry_nu)
-                self._tracker.note(sid, potentials, entry)
+                self._tracker.note(sub.id, potentials, entry)
             for new_schema in self._tracker.ready(params.b_create):
                 self._create_table(new_schema)
 
@@ -400,16 +395,14 @@ class DynamicMatcher(ClusteredMatcher):
             lst = table.entry(src_key)
             if lst is None:
                 continue
-            movers = [sid for cluster in lst.clusters() for sid in cluster.ids()]
-            for sid in movers:
-                sub = self.get(sid)
+            for sub in map(self._subs.get, lst.handles()):
                 if not sub.equality_attributes.issuperset(schema):
                     continue
                 cur_bucket = self._sub_nu_bucket(sub, src_schema)
                 new_bucket = self._sub_nu_bucket(sub, schema)
                 if new_bucket <= cur_bucket - self._gap:
-                    self.move_subscription(sid, schema)
-                    self._tracker.unmark(sid)
+                    self.move_subscription(sub.id, schema)
+                    self._tracker.unmark(sub.id)
                     self._note_maintenance("moves")
 
     def _drop_table(self, schema: Schema) -> None:
@@ -417,14 +410,8 @@ class DynamicMatcher(ClusteredMatcher):
         table = self.config.table(schema)
         if table is None:
             return
-        members = [
-            sid
-            for _key, lst in list(table.entries())
-            for cluster in lst.clusters()
-            for sid in cluster.ids()
-        ]
-        for sid in members:
-            sub = self.get(sid)
+        members = [handle for _key, lst in table.entries() for handle in lst.handles()]
+        for sub in map(self._subs.get, members):
             eligible = [
                 s
                 for s in self.config.eligible_schemas(sub.equality_attributes)
@@ -435,7 +422,7 @@ class DynamicMatcher(ClusteredMatcher):
                 if eligible
                 else None
             )
-            self.move_subscription(sid, target)
+            self.move_subscription(sub.id, target)
             self._note_maintenance("moves")
         self.config.drop_table(schema)
         self._note_maintenance("tables_dropped")

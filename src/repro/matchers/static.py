@@ -99,7 +99,7 @@ class StaticMatcher(ClusteredMatcher):
 
         Returns the resulting plan (also stored on :attr:`plan`).
         """
-        subs = [self.get(sid) for sid in list(self._home)]
+        subs = self.iter_subscriptions()
         plan = self._optimizer.optimize(subs)
         self.plan = plan
         # Pre-create the plan's tables, then repack.

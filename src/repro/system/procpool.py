@@ -16,9 +16,10 @@ and ``tests/properties/test_prop_procpool.py``):
   event batches travel through the *same* pipe, so every worker
   observes exactly the operation sequence its parent issued — the
   property the determinism tests pin.  The parent mirrors each worker's
-  subscription table by applying the same sequence locally; the mirror
-  is the replay source after a crash and the id table for decoding
-  match results.
+  subscriptions in a :class:`~repro.core.handles.HandleTable`: the mirror
+  numbers every subscription, each add op carries its handle, and the
+  mirror is the replay source after a crash and the table that turns
+  the worker's hit handles back into ids.
 * **Mutations are write-behind; every read is the barrier.**  ``add`` /
   ``remove`` are decided against the mirror (a duplicate or unknown id
   raises at once, with no pipe traffic), pickled, and buffered; the
@@ -30,7 +31,7 @@ and ``tests/properties/test_prop_procpool.py``):
 * **Epoch checking.**  Every reply carries the worker's mutation epoch;
   a mismatch against the parent's mirror epoch (a lost command, a
   corrupted pipe) raises :class:`~repro.system.resilience.WorkerStateError`
-  instead of silently decoding hit indices against the wrong id table.
+  instead of silently decoding hit handles against the wrong table.
   So does a worker that rejects a mutation the mirror accepted.
 * **Worker death is a shard failure, not a crash.**  A dead or hung
   worker surfaces as :class:`~repro.system.resilience.WorkerDiedError`
@@ -47,9 +48,9 @@ and ``tests/properties/test_prop_procpool.py``):
   values are all float64-exact numbers cross as a
   :class:`~repro.batch.columns.ColumnarBatch` (pickled on the pipe, or
   placed once in a shared-memory slot under ``codec="shm"``), and match
-  results return over the pipe as **sparse hit indices** — one int32
-  count per event plus the int32 positions of the matching ids in the
-  worker's live-id table, O(hits) however large the shard.  Strings,
+  results return over the pipe as **sparse hit handles** — one int32
+  count per event plus the int32 handles the parent's mirror gave the
+  matching subscriptions, O(hits) however large the shard.  Strings,
   oversized ints and other odd-path values fall back to pickling the
   objects themselves (the core types pickle via their constructors).
 
@@ -73,7 +74,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.batch.columns import ColumnarBatch
-from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
+from repro.core.handles import HandleTable
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
 from repro.obs.registry import MetricsRegistry
@@ -176,33 +177,33 @@ def match_payload(
     return matcher.match_batch(payload)
 
 
-def encode_results(lists: List[List[Any]], index_of: Dict[Any, int]) -> Tuple[str, Any]:
-    """Encode per-event match lists as sparse hits over the worker's
-    live-id table.
+def encode_results(lists: List[List[Any]], handle_of: Dict[Any, int]) -> Tuple[str, Any]:
+    """Encode per-event match lists as sparse hits over the parent's
+    handles.
 
-    ``("hits", counts, cols)``: one int32 hit count per event and the
-    int32 table positions of the matching ids, ascending within each
-    event so the decode yields ids in table (mirror-insertion) order
-    whatever order the engine produced them in.  O(hits), not
-    O(events × table).  An id outside the table (an exotic wrapper)
-    ships the lists themselves, ``("lists", …)``.
+    ``("hits", counts, handles)``: one int32 hit count per event and the
+    int32 handles of the matching ids, ascending within each event so
+    the decode yields ids in ascending handle order whatever order the
+    engine produced them in.  O(hits), not O(events × table).  An id
+    with no handle (an exotic wrapper) ships the lists themselves,
+    ``("lists", …)``.
     """
-    cols: List[int] = []
+    handles: List[int] = []
     try:
         for ids in lists:
-            cols.extend(sorted([index_of[sub_id] for sub_id in ids]))
+            handles.extend(sorted([handle_of[sub_id] for sub_id in ids]))
     except KeyError:
         return ("lists", [list(ids) for ids in lists])
     counts = np.array([len(ids) for ids in lists], dtype=np.int32)
-    return ("hits", counts, np.array(cols, dtype=np.int32))
+    return ("hits", counts, np.array(handles, dtype=np.int32))
 
 
-def decode_results(payload: Tuple[str, Any], table: List[Any]) -> List[List[Any]]:
-    """Inverse of :func:`encode_results`, against the parent's mirror table."""
+def decode_results(payload: Tuple[str, Any], table: HandleTable) -> List[List[Any]]:
+    """Inverse of :func:`encode_results`, through the parent's mirror."""
     if payload[0] == "lists":
         return payload[1]
-    _tag, counts, cols = payload
-    ids = [table[col] for col in cols.tolist()]
+    _tag, counts, handles = payload
+    ids = table.ids(handles.tolist())
     out: List[List[Any]] = []
     start = 0
     for count in counts.tolist():
@@ -258,9 +259,8 @@ def worker_main(
         conn.close()
         return
     _send(conn, "ok", {"name": getattr(matcher, "name", "?"), "pid": os.getpid()})
-    live: Dict[Any, None] = {}  # insertion-ordered live sub ids
+    handle_of: Dict[Any, int] = {}  # the parent's handle of every live id
     epoch = 0
-    index_of: Optional[Dict[Any, int]] = None
     while True:
         try:
             msg = conn.recv()
@@ -275,23 +275,21 @@ def worker_main(
                     raise RuntimeError("batch_shm without an attached arena")
                 else:
                     lists = _match_slot(arena, matcher, *msg[1:])
-                if index_of is None:
-                    index_of = {sub_id: i for i, sub_id in enumerate(live)}
                 # One reply form under both codecs, always on the pipe.
-                reply: Any = (epoch, encode_results(lists, index_of))
+                reply: Any = (epoch, encode_results(lists, handle_of))
             elif op == "apply":
                 # One epoch per op, in order.  An op the engine rejects
                 # ends the message: the parent treats the error reply as
                 # a state error and replaces this worker.
-                index_of = None
                 for blob in msg[1]:
-                    is_add, arg = pickle.loads(blob)
-                    if is_add:
-                        matcher.add(arg)
-                        live[arg.id] = None
+                    mutation = pickle.loads(blob)
+                    if mutation[0]:
+                        _add, handle, sub = mutation
+                        matcher.add(sub)
+                        handle_of[sub.id] = handle
                     else:
-                        matcher.remove(arg)
-                        live.pop(arg, None)
+                        matcher.remove(mutation[1])
+                        del handle_of[mutation[1]]
                     epoch += 1
                 reply = epoch
             elif op == "rebuild":
@@ -715,9 +713,10 @@ class ProcessPool:
         return out
 
 
-def _pickle_op(is_add: bool, arg: Any) -> bytes:
-    """One buffered mutation: ``(True, subscription)`` / ``(False, sub_id)``."""
-    return pickle.dumps((is_add, arg), pickle.HIGHEST_PROTOCOL)
+def _pickle_op(*mutation: Any) -> bytes:
+    """One buffered mutation: ``(True, handle, subscription)`` /
+    ``(False, sub_id)``."""
+    return pickle.dumps(mutation, pickle.HIGHEST_PROTOCOL)
 
 
 class ProcessShard(Matcher):
@@ -726,8 +725,9 @@ class ProcessShard(Matcher):
     Drops into :class:`~repro.system.sharding.ShardedMatcher` exactly
     where an inner engine would sit, so routing, per-shard locking,
     breakers and the deterministic merge order all apply unchanged.
-    Keeps the authoritative subscription mirror (the replay source and
-    result-decoding id table) on the parent side.
+    Keeps the authoritative subscription mirror on the parent side: a
+    :class:`~repro.core.handles.HandleTable`, the replay source and the
+    decoder of hit handles (rows come back in ascending handle order).
 
     Mutations are write-behind: ``add`` / ``remove`` are decided against
     the mirror, change it at once and leave a pickled op in a buffer
@@ -749,9 +749,8 @@ class ProcessShard(Matcher):
     def __init__(self, pool: ProcessPool, index: int) -> None:
         self.pool = pool
         self.index = index
-        self._mirror: Dict[Any, Subscription] = {}
+        self._mirror = HandleTable()
         self._epoch = 0
-        self._table: Optional[List[Any]] = None
         #: Pickled ops the mirror has taken and the worker has not been sent.
         self._buffer: List[bytes] = []
         #: The epoch the one unacknowledged ``apply`` must answer with.
@@ -795,8 +794,8 @@ class ProcessShard(Matcher):
         self._buffer = []
         self._posted_epoch = None
         self._epoch = 0
-        for sub in self._mirror.values():
-            self._record(_pickle_op(True, sub))
+        for handle, sub in self._mirror.items():
+            self._record(_pickle_op(True, handle, sub))
 
     def _record(self, blob: bytes) -> None:
         """Count one op the mirror has taken and queue it for the worker.
@@ -807,7 +806,6 @@ class ProcessShard(Matcher):
         ``ShardedMatcher`` forget a subscription the mirror still holds).
         """
         self._epoch += 1
-        self._table = None
         self._buffer.append(blob)
         if len(self._buffer) < _APPLY_CHUNK:
             return
@@ -854,29 +852,20 @@ class ProcessShard(Matcher):
                 shard=self.index,
             )
 
-    def _id_table(self) -> List[Any]:
-        if self._table is None:
-            self._table = list(self._mirror)
-        return self._table
-
     # -- the Matcher surface --------------------------------------------
     def add(self, subscription: Subscription) -> None:
-        if subscription.id in self._mirror:
-            raise DuplicateSubscriptionError(subscription.id)
-        blob = _pickle_op(True, subscription)  # an unpicklable id fails here
-        self._mirror[subscription.id] = subscription
+        # An unpicklable id fails here, before the mirror takes a handle.
+        blob = _pickle_op(True, self._mirror.next_handle, subscription)
+        self._mirror.put(subscription)
         self._record(blob)
 
     def remove(self, sub_id: Any) -> Subscription:
-        if sub_id not in self._mirror:
-            raise UnknownSubscriptionError(sub_id)
-        blob = _pickle_op(False, sub_id)
-        subscription = self._mirror.pop(sub_id)
-        self._record(blob)
+        _handle, subscription = self._mirror.drop(sub_id)
+        self._record(_pickle_op(False, sub_id))
         return subscription
 
     def match(self, event: Event) -> List[Any]:
-        """A batch of one: its row comes back in mirror order too."""
+        """A batch of one: its row comes back in handle order too."""
         return self.match_batch([event])[0]
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
@@ -889,7 +878,7 @@ class ProcessShard(Matcher):
         # shard would count, and wait out, the same fallback again.
         worker_epoch, results = self._call(("batch", encode_events(events)), "batch")
         self._check_epoch(worker_epoch, self._epoch)
-        return decode_results(results, self._id_table())
+        return decode_results(results, self._mirror)
 
     def consume_slot(
         self, ticket: SlotTicket, rows: Optional[List[int]]
@@ -906,7 +895,7 @@ class ProcessShard(Matcher):
                 ("batch_shm", ticket.index, ticket.generation, rows), "batch"
             )
             self._check_epoch(worker_epoch, self._epoch)
-            return decode_results(results, self._id_table())
+            return decode_results(results, self._mirror)
         finally:
             if pool.arena is not None and pool.arena.ring is not None:
                 pool.arena.ring.ack(ticket)
@@ -917,13 +906,11 @@ class ProcessShard(Matcher):
 
     def get(self, sub_id: Any) -> Subscription:
         """Mirror lookup (authoritative; works even while the worker is down)."""
-        try:
-            return self._mirror[sub_id]
-        except KeyError:
-            raise UnknownSubscriptionError(sub_id) from None
+        return self._mirror.get(self._mirror.handle_of(sub_id))
 
     def iter_subscriptions(self) -> List[Subscription]:
-        return list(self._mirror.values())
+        """The mirror's subscriptions in ascending handle order."""
+        return [sub for _handle, sub in self._mirror.items()]
 
     def __len__(self) -> int:
         return len(self._mirror)

@@ -95,7 +95,7 @@ class WorkerStateError(WorkerDiedError):
     mutations through the same ordered command pipe as event batches;
     each reply carries the worker's mutation epoch so a desynchronized
     worker (a lost command, a corrupted pipe) is *detected* instead of
-    silently decoding hit indices against the wrong id table.  Treated
+    silently decoding hit handles against the wrong mirror.  Treated
     exactly like a dead worker: the next use respawns and replays.
     """
 

@@ -12,7 +12,7 @@ place (numpy views over the buffer, no deserialization), so N shards
 cost one write instead of N pickled sends.
 
 Replies do not come back through here: a worker answers with sparse hit
-indices (:func:`repro.system.procpool.encode_results`), O(hits) bytes
+handles (:func:`repro.system.procpool.encode_results`), O(hits) bytes
 that ride the pipe under either codec.
 
 The command pipe carries the rest: slot hand-off, replies, and the

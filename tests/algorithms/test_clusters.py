@@ -1,10 +1,21 @@
-"""Cluster storage and the two check kernels."""
+"""Cluster storage and the two check kernels.
+
+A cluster's subscription line holds int handles (what an engine's
+``HandleTable`` hands out); the engine, not the cluster, turns them
+into ids.
+"""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import Cluster, ClusterList
+from repro.algorithms.clusters import Homes
 from repro.core.errors import ClusteringError
+
+
+#: Handles of the kernel fixtures' members.
+BOTH, FIRST, NONE = 0, 1, 2
+ONE, TWO, ZERO = 0, 1, 2
 
 
 def bits_with(set_indexes, size=32):
@@ -16,21 +27,17 @@ def bits_with(set_indexes, size=32):
 class TestClusterMaintenance:
     def test_add_and_len(self):
         c = Cluster(size=2)
-        c.add("s1", [0, 1])
-        c.add("s2", [2, 3])
+        c.add(4, [0, 1])
+        c.add(9, [2, 3])
         assert len(c) == 2
-        assert "s1" in c and "s3" not in c
+        assert c.handles() == [4, 9]
+        assert c.refs_matrix.tolist() == [[0, 2], [1, 3]]
 
     def test_wrong_ref_count_rejected(self):
         c = Cluster(size=2)
         with pytest.raises(ClusteringError):
-            c.add("s1", [0])
-
-    def test_duplicate_member_rejected(self):
-        c = Cluster(size=1)
-        c.add("s1", [0])
-        with pytest.raises(ClusteringError):
-            c.add("s1", [1])
+            c.add(1, [0])
+        assert len(c) == 0
 
     def test_negative_size_rejected(self):
         with pytest.raises(ClusteringError):
@@ -39,34 +46,44 @@ class TestClusterMaintenance:
     def test_remove_swaps_with_last(self):
         c = Cluster(size=1)
         for i in range(4):
-            c.add(f"s{i}", [i])
-        refs = c.remove("s1")
-        assert refs.tolist() == [1]
+            c.add(10 + i, [i])
+        # the last member takes column 1 and is reported as moved
+        assert c.remove(1) == 13
         assert len(c) == 3
-        # the last member took s1's column; refs must still be correct
-        assert c.refs_of("s3").tolist() == [3]
+        assert c.handles() == [10, 13, 12]
+        assert c.refs_matrix.tolist() == [[0, 3, 2]]
+        # removing the last column moves nobody
+        assert c.remove(2) is None
+        assert c.handles() == [10, 13]
 
     def test_remove_unknown_raises(self):
         c = Cluster(size=1)
-        with pytest.raises(ClusteringError):
-            c.remove("nope")
+        c.add(0, [0])
+        for column in (-1, 1):
+            with pytest.raises(ClusteringError):
+                c.remove(column)
+        assert c.handles() == [0]
 
     def test_growth_beyond_initial_capacity(self):
         c = Cluster(size=3)
         for i in range(100):
-            c.add(f"s{i}", [i % 5, (i + 1) % 5, (i + 2) % 5])
+            c.add(i, [i % 5, (i + 1) % 5, (i + 2) % 5])
         assert len(c) == 100
-        assert c.refs_of("s73").tolist() == [73 % 5, 74 % 5, 75 % 5]
+        assert c.handles() == list(range(100))
+        assert c.refs_matrix[:, 73].tolist() == [73 % 5, 74 % 5, 75 % 5]
 
     def test_ids_snapshot(self):
         c = Cluster(size=0)
-        c.add("a", [])
-        c.add("b", [])
-        assert c.ids() == ("a", "b")
+        c.add(7, [])
+        c.add(3, [])
+        snapshot = c.handles()
+        assert snapshot == [7, 3]
+        c.remove(0)
+        assert snapshot == [7, 3] and c.handles() == [3]
 
     def test_memory_bytes_positive(self):
         c = Cluster(size=2)
-        c.add("s", [0, 1])
+        c.add(0, [0, 1])
         assert c.memory_bytes() > 0
 
 
@@ -74,22 +91,22 @@ class TestKernels:
     @pytest.fixture
     def cluster(self):
         c = Cluster(size=2)
-        c.add("both", [0, 1])     # needs bits 0 and 1
-        c.add("first", [0, 5])    # needs bits 0 and 5
-        c.add("none", [6, 7])     # needs bits 6 and 7
+        c.add(BOTH, [0, 1])     # needs bits 0 and 1
+        c.add(FIRST, [0, 5])    # needs bits 0 and 5
+        c.add(NONE, [6, 7])     # needs bits 6 and 7
         return c
 
     def test_scalar_matches(self, cluster):
         bits = bits_with({0, 1, 5})
         out = []
         cluster.match_scalar(bits, out)
-        assert sorted(out) == ["both", "first"]
+        assert out == [BOTH, FIRST]
 
     def test_vector_matches(self, cluster):
         bits = bits_with({0, 1, 5})
         out = []
         cluster.match_vector(bits, out)
-        assert sorted(out) == ["both", "first"]
+        assert out == [BOTH, FIRST]
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
     def test_kernels_agree_on_random_data(self, size):
@@ -134,13 +151,13 @@ class TestKernels:
 
     def test_size_zero_cluster_always_matches(self):
         c = Cluster(size=0)
-        c.add("s1", [])
+        c.add(5, [])
         out = []
         c.match_scalar(bits_with(set()), out)
-        assert out == ["s1"]
+        assert out == [5]
         out2 = []
         c.match_vector(bits_with(set()), out2)
-        assert out2 == ["s1"]
+        assert out2 == [5]
 
     def test_empty_cluster(self):
         c = Cluster(size=2)
@@ -153,43 +170,72 @@ class TestKernels:
 class TestClusterList:
     def test_groups_by_size(self):
         lst = ClusterList("key")
-        lst.add("a", [0])
-        lst.add("b", [0, 1])
-        lst.add("c", [2])
+        lst.add(0, [0])
+        lst.add(1, [0, 1])
+        lst.add(2, [2])
         sizes = [c.size for c in lst.clusters()]
         assert sizes == [1, 2]
         assert len(lst) == 3
 
     def test_remove_prunes_empty_cluster(self):
         lst = ClusterList()
-        home = lst.add("a", [0])
+        home = lst.add(0, [0])
         assert home.owner is lst
-        lst.remove("a", home)
+        assert lst.remove(home, 0) is None
         assert len(lst) == 0 and not lst
         assert list(lst.clusters()) == []
 
     def test_remove_from_another_lists_cluster_raises(self):
         lst = ClusterList()
-        lst.add("a", [0])
-        foreign = ClusterList().add("a", [0])
+        lst.add(0, [0])
+        foreign = ClusterList().add(0, [0])
         with pytest.raises(ClusteringError):
-            lst.remove("a", foreign)
-        assert len(lst) == 1
+            lst.remove(foreign, 0)
+        assert len(lst) == 1 and len(foreign) == 1
 
     def test_match_across_size_groups(self):
         lst = ClusterList()
-        lst.add("one", [0])
-        lst.add("two", [0, 1])
-        lst.add("zero", [])
+        lst.add(ONE, [0])
+        lst.add(TWO, [0, 1])
+        lst.add(ZERO, [])
         bits = bits_with({0})
         out = []
         lst.match(bits, out, vectorized=False)
-        assert sorted(out) == ["one", "zero"]
+        assert sorted(out) == [ONE, ZERO]
         out2 = []
         lst.match(bits, out2, vectorized=True)
-        assert sorted(out2) == ["one", "zero"]
+        assert sorted(out2) == [ONE, ZERO]
 
     def test_memory_bytes(self):
         lst = ClusterList()
-        lst.add("a", [0, 1, 2])
+        lst.add(0, [0, 1, 2])
         assert lst.memory_bytes() > 0
+
+
+class TestHomes:
+    """The engine-wide half of the subscription line: every handle's
+    cluster and column, kept right across swap-with-last removals."""
+
+    def test_evict_updates_the_moved_handles_column(self):
+        lst, homes = ClusterList(), Homes()
+        for handle in range(4):
+            homes.settle(handle, lst.add(handle, [handle]))
+        home = homes[1]
+        assert homes.members([lst], range(4)) == dict.fromkeys(range(4), home)
+        homes.evict(1, lst)
+        assert homes[1] is None
+        assert home.handles() == [0, 3, 2]
+        assert homes.members([lst], [0, 2, 3]) == dict.fromkeys([0, 3, 2], home)
+        homes._column[3] = 2
+        with pytest.raises(AssertionError, match="column drift"):
+            homes.members([lst], [0, 2, 3])
+
+    def test_a_freed_handle_is_settled_again(self):
+        lst, homes = ClusterList(), Homes()
+        for handle in range(20):
+            homes.settle(handle, lst.add(handle, [0, 1][: handle % 2]))
+        homes.evict(5, lst)
+        with pytest.raises(AssertionError, match="membership drift"):
+            homes.members([lst], range(20))
+        homes.settle(5, lst.add(5, []))
+        assert sorted(homes.members([lst], range(20))) == list(range(20))

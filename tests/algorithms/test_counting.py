@@ -72,3 +72,31 @@ class TestCounting:
         assert s["association_entries"] >= 3
         assert s["counters"]["events"] == 1
         assert s["distinct_predicates"] == 4
+
+
+def test_resident_bytes_per_subscription_stay_under_129():
+    """What the engine itself holds for a W0 subscription (the caller
+    keeps the ``Subscription`` objects): the registry, its handle, its
+    threshold and one association entry per predicate.  290 B while
+    the association held sets of ids and thresholds a dict; 118 B with
+    handles in per-bit lists (the bound is that + 10 %)."""
+    import gc
+    import tracemalloc
+
+    from repro.workload.generator import WorkloadGenerator
+    from repro.workload.scenarios import w0
+
+    n = 20_000
+    subs = list(WorkloadGenerator(w0(n_subscriptions=n, seed=0)).subscriptions(n))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matcher = CountingMatcher()
+        for sub in subs:
+            matcher.add(sub)
+        gc.collect()
+        resident, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(matcher) == n
+    assert resident / n <= 129, f"{resident / n:.0f} B/subscription"

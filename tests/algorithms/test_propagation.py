@@ -93,18 +93,21 @@ class TestSharedPredicates:
 
 
 class TestHomes:
-    """``id → Cluster`` is all the engine keeps about placement."""
+    """``handle → (Cluster, column)`` is all the engine keeps about placement."""
 
     def test_the_home_holds_the_id_and_hangs_off_its_access_list(self):
         m = PropagationMatcher()
         m.add(Subscription("s", [eq("a", 1), le("p", 5)]))
         m.add(Subscription("u", [le("p", 5)]))
-        home = m._home["s"]
-        assert "s" in home and home.owner is m._lists[("a", 1)]
+        s, u = m._subs.handle_of("s"), m._subs.handle_of("u")
+        home = m._home[s]
+        assert s in home.handles()
+        assert home.owner is m._lists[("a", 1)]
         assert home.owner.key == eq("a", 1) and home.size == 1
-        assert m._home["u"].owner is m._universal
+        assert m._home[u].owner is m._universal
         m.check_invariants()
-        m._home["s"], m._home["u"] = m._home["u"], m._home["s"]
+        homes = m._home._cluster
+        homes[s], homes[u] = homes[u], homes[s]
         with pytest.raises(AssertionError, match="home drift"):
             m.check_invariants()
 
@@ -114,5 +117,5 @@ class TestHomes:
         m.add(Subscription("u", [le("p", 5)]))
         m.remove("s")
         m.remove("u")
-        assert not m._home and not m._lists
+        assert not any(m._home._cluster) and not m._lists
         m.check_invariants()

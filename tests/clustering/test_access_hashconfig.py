@@ -83,45 +83,45 @@ class TestMultiAttrHashTable:
 
     def test_add_probe(self):
         t = MultiAttrHashTable(("a", "b"))
-        t.add("s1", (1, 2), [7])
+        t.add(0, (1, 2), [7])
         lst = t.probe(Event({"a": 1, "b": 2, "c": 9}))
         assert lst is not None and len(lst) == 1
 
     def test_probe_missing_attribute_is_none(self):
         t = MultiAttrHashTable(("a", "b"))
-        t.add("s1", (1, 2), [7])
+        t.add(0, (1, 2), [7])
         assert t.probe(Event({"a": 1})) is None
 
     def test_probe_unknown_combination_is_none(self):
         t = MultiAttrHashTable(("a",))
-        t.add("s1", (1,), [])
+        t.add(0, (1,), [])
         assert t.probe(Event({"a": 99})) is None
 
     def test_remove_prunes_entry(self):
         t = MultiAttrHashTable(("a",))
-        home = t.add("s1", (1,), [5])
+        home = t.add(0, (1,), [5])
         assert home.owner.key == (("a",), (1,)) and home.size == 1
-        t.remove("s1", home)
+        assert t.remove(home, 0) is None
         assert t.entry_count == 0 and len(t) == 0
 
     def test_remove_from_another_tables_cluster_raises(self):
         t = MultiAttrHashTable(("a",))
-        t.add("s1", (1,), [5])
-        foreign = MultiAttrHashTable(("a",)).add("s1", (1,), [5])
+        t.add(0, (1,), [5])
+        foreign = MultiAttrHashTable(("a",)).add(0, (1,), [5])
         with pytest.raises(ClusteringError):
-            t.remove("s1", foreign)
+            t.remove(foreign, 0)
         assert len(t) == 1
 
     def test_counts(self):
         t = MultiAttrHashTable(("a",))
-        t.add("s1", (1,), [5])
-        t.add("s2", (1,), [6])
-        t.add("s3", (2,), [7])
+        t.add(0, (1,), [5])
+        t.add(1, (1,), [6])
+        t.add(2, (2,), [7])
         assert len(t) == 3 and t.entry_count == 2
 
     def test_memory_bytes(self):
         t = MultiAttrHashTable(("a",))
-        t.add("s1", (1,), [5])
+        t.add(0, (1,), [5])
         assert t.memory_bytes() > 0
 
 
@@ -143,7 +143,7 @@ class TestHashingConfiguration:
         seen = [cfg.version]
         cfg.ensure_table(("a",))
         seen.append(cfg.version)
-        cfg.ensure_table(("a",)).add("s1", (1,), [5])  # no new table
+        cfg.ensure_table(("a",)).add(0, (1,), [5])  # no new table
         assert cfg.version == seen[-1]
         cfg.drop_table(("a",))
         seen.append(cfg.version)

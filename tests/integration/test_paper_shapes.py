@@ -125,18 +125,23 @@ class TestTriggerShape:
     def test_linear_growth(self):
         from repro.sqltrigger import TriggerMatcher
 
+        import time
+
         spec = w0(seed=3)
         per_event = []
         for n in (200, 1600):
             subs, events = materialize(spec, n, 15)
             t = TriggerMatcher(columns=spec.attribute_names)
             load_subscriptions(t, subs)
-            import time
-
-            start = time.perf_counter()
-            for e in events:
-                t.match(e)
-            per_event.append((time.perf_counter() - start) / len(events))
+            # The fastest of several passes over the same events: one
+            # pass is short enough for a scheduler hiccup to decide it.
+            runs = []
+            for _ in range(5):
+                start = time.perf_counter()
+                for e in events:
+                    t.match(e)
+                runs.append((time.perf_counter() - start) / len(events))
+            per_event.append(min(runs))
         # 8× the triggers should cost several times more per event; the
         # loose factor absorbs scheduler noise under a loaded test run.
         assert per_event[1] > 3.0 * per_event[0]

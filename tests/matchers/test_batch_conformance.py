@@ -143,9 +143,7 @@ class TestBatchEqualsScalar:
         for s in subs:
             matcher.add(s)
         whole = [norm(r) for r in matcher.match_batch(events)]
-        # 31 / 32 / 33 straddle the counting engine's batch-size gate
-        # (_BINCOUNT_MIN_EVENTS), its only kernel selector: the scatter
-        # kernel and the bincount kernel answer the same rows.
+        # Cuts at every size, a batch of one (the scalar path) included.
         for cut in (0, 1, 17, 31, 32, 33, 63, 64):
             halves = matcher.match_batch(events[:cut]) + matcher.match_batch(
                 events[cut:]

@@ -63,9 +63,7 @@ class TestPlacement:
         table = m.config.table(("a",))
         lst = table.entry((1,))
         cluster = next(iter(lst.clusters()))
-        refs = cluster.refs_of("s")
-        from repro.core import Predicate, Operator
-
+        refs = cluster.refs_matrix[:, 0]
         eq_bit = m.registry.slot(eq("b", 2))
         le_bit = m.registry.slot(le("p", 5))
         assert refs.tolist() == [eq_bit, le_bit]
@@ -87,17 +85,18 @@ class TestPlacement:
 
     def test_failed_place_rolls_back_predicates(self):
         class Exploding(StaticMatcher):
-            def _place(self, sub, slots):
+            def _place(self, handle, sub, slots):
                 raise RuntimeError("boom")
 
         m = Exploding(UniformStatistics())
         with pytest.raises(RuntimeError):
             m.add(Subscription("s", [eq("a", 1)]))
         assert len(m.registry) == 0 and len(m) == 0
+        m.check_invariants()
 
 
 class TestHomes:
-    """``id → Cluster`` is all an engine keeps about placement."""
+    """``handle → (Cluster, column)`` is all an engine keeps about placement."""
 
     def loaded(self):
         m = matcher()
@@ -110,17 +109,20 @@ class TestHomes:
     def test_the_home_holds_the_id_and_hangs_off_its_table_entry(self):
         m = self.loaded()
         for sid, schema, key in (("s", ("a",), (1,)), ("t", ("a",), (2,))):
-            home = m._home[sid]
-            assert sid in home
+            handle = m._subs.handle_of(sid)
+            home = m._home[handle]
+            assert handle in home.handles()
             assert home.owner is m.config.table(schema).entry(key)
             assert m.placement_of(sid) == (schema, key, home.size)
-        assert m._home["u"].owner is m._universal
+        assert m._home[m._subs.handle_of("u")].owner is m._universal
         assert m.placement_of("u") == (None, (), 1)
         m.check_invariants()
 
     def test_check_invariants_catches_a_home_the_entry_does_not_reach(self):
         m = self.loaded()
-        m._home["s"], m._home["t"] = m._home["t"], m._home["s"]
+        s, t = m._subs.handle_of("s"), m._subs.handle_of("t")
+        homes = m._home._cluster
+        homes[s], homes[t] = homes[t], homes[s]
         with pytest.raises(AssertionError, match="home drift"):
             m.check_invariants()
 
@@ -135,5 +137,5 @@ class TestHomes:
         m = self.loaded()
         for sid in ("s", "t", "u"):
             m.remove(sid)
-        assert not m._home and m.table_sizes() == {("a",): 0}
+        assert not any(m._home._cluster) and m.table_sizes() == {("a",): 0}
         m.check_invariants()

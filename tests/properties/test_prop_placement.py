@@ -101,20 +101,20 @@ class UnmemoizedDynamicMatcher(DynamicMatcher):
         eligible = self.config.eligible_schemas(eq_attrs)
         return min(eligible, key=lambda s: (self._nu_bucket(s), s))
 
-    def _place_under(self, sub, slots, schema):
+    def _place_under(self, handle, sub, slots, schema):
         if schema is None:
             refs = self.ordered_residual_bits(sub, slots, ())
-            self._home[sub.id] = self._universal.add(sub.id, refs)
+            self._home.settle(handle, self._universal.add(handle, refs))
             self._tuples[sub.id] = (None, (), len(refs))
             return
         ap = access_for_schema(sub, schema)
         refs = self.ordered_residual_bits(sub, slots, ap.predicates)
         table = self.config.ensure_table(schema)
-        self._home[sub.id] = table.add(sub.id, ap.key, refs)
+        self._home.settle(handle, table.add(handle, ap.key, refs))
         self._tuples[sub.id] = (schema, ap.key, len(refs))
 
-    def _displace(self, sub):
-        super()._displace(sub)
+    def _displace(self, handle, sub):
+        super()._displace(handle, sub)
         del self._tuples[sub.id]
 
     def placement_of(self, sub_id):

@@ -7,21 +7,24 @@ single-process scalar run of the same engine produces at every step
 and every read is the barrier, so after any read each worker holds
 exactly its shard's mirror), and its batch results must be invariant
 under batch splitting (the deterministic ascending-shard merge contract).
-Replies are sparse hit indices: the codec round-trips any hit lists into
-table order, and through real workers every batch row comes back in the
-shards' mirror-insertion order.
+Replies are sparse hit handles: the codec round-trips any hit lists into
+ascending handle order, and through real workers every batch row comes
+back in the shards' ascending handle order — also after a worker is
+healed over a mirror whose numbering has holes.
 """
 
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Event
+from repro.core import Event, Subscription, eq
+from repro.core.handles import HandleTable
 from repro.matchers import make_matcher
 from repro.system.procpool import decode_results, encode_results
+from repro.system.router import HashRouter
 from repro.system.sharding import ShardedMatcher
 from tests.properties.strategies import events, subscriptions
 from tests.system.test_procpool_chaos import sigkill_and_wait
@@ -48,11 +51,17 @@ def process_matcher(shards=2, codec="auto"):
     )
 
 
-def mirror_order(proc):
-    """Rank of every live id in a batch row: ascending shard, then the
-    order the shard's mirror (and its worker's id table) took them in."""
+def handle_order(proc):
+    """Rank of every live id in a batch row: ascending shard, then
+    ascending handle in the shard's mirror (the order
+    ``iter_subscriptions`` walks)."""
     ids = [s.id for k in range(2) for s in proc.shard(k).iter_subscriptions()]
     return {sub_id: rank for rank, sub_id in enumerate(ids)}
+
+
+#: Two subscriptions the hash router sends to one shard (shard 0 of 2),
+#: so removing the first leaves a hole below the second's handle.
+HOLE_IDS = [i for i in range(40) if HashRouter(2).shard_for(Subscription(i, [eq("x", 1)])) == 0][:2]
 
 
 #: Nothing here has a float64-exact columnar form.
@@ -85,6 +94,19 @@ steps = st.lists(
 class TestInterleavingDeterminism:
     @COMMON_SETTINGS
     @given(plan=steps, codec=st.sampled_from(["auto", "shm"]), odd=st.booleans())
+    @example(
+        # add, add, remove, kill, batch: the worker is healed over a
+        # mirror whose handle 0 is free, and must decode handle 1.
+        plan=[
+            ("add", Subscription(HOLE_IDS[0], [eq("x", 1)])),
+            ("add", Subscription(HOLE_IDS[1], [eq("x", 1)])),
+            ("remove", 0),
+            ("kill", 0),
+            ("batch", [Event({"x": 1}), Event({"x": 2})]),
+        ],
+        codec="auto",
+        odd=False,
+    )
     def test_process_equals_scalar_at_every_step(self, plan, codec, odd):
         """Apply one random churn/batch interleaving to the process
         executor and to a plain single-process engine; every batch's
@@ -92,7 +114,8 @@ class TestInterleavingDeterminism:
         With *odd*, every batch — a batch of one too — carries a string,
         a NaN and an int >= 2**53, so it leaves the columnar layout for
         the object-pickling lane, counted as ``oddpath`` under ``shm``.
-        Every row, a batch of one's included, is in mirror order."""
+        Every row, a batch of one's included, is in ascending handle
+        order."""
         scalar = make_matcher("counting")
         proc = process_matcher(codec=codec)
         odd_batches = 0
@@ -127,7 +150,7 @@ class TestInterleavingDeterminism:
                     expected = [norm(scalar.match(e)) for e in arg]
                     rows = proc.match_batch(arg)
                     assert [norm(r) for r in rows] == expected
-                    order = mirror_order(proc)
+                    order = handle_order(proc)
                     assert all(r == sorted(r, key=order.__getitem__) for r in rows)
                     assert_workers_hold_their_mirrors(proc)
             if codec == "shm":
@@ -151,37 +174,46 @@ IDS = st.one_of(
 
 @st.composite
 def tables_and_hit_lists(draw):
-    """(id table, per-row hit lists in arbitrary order): rows empty,
-    partial or hitting the whole table — over a table that may be empty."""
-    table = draw(st.lists(IDS, unique=True, max_size=24))
+    """(handle table, per-row hit lists in arbitrary order): rows empty,
+    partial or hitting every live id — over a table that may be empty
+    and whose numbering has holes (ids dropped after they were put)."""
+    ids = draw(st.lists(IDS, unique=True, max_size=24))
+    dropped = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    table = HandleTable()
+    for sub_id in ids:
+        table.put(Subscription(sub_id, [eq("x", 1)]))
+    for sub_id, drop in zip(ids, dropped):
+        if drop:
+            table.drop(sub_id)
+    live = [sub_id for sub_id, drop in zip(ids, dropped) if not drop]
     row = st.just([])
-    if table:
-        row |= st.permutations(table) | st.lists(st.sampled_from(table), unique=True)
-    return table, draw(st.lists(row, max_size=8))
+    if live:
+        row |= st.permutations(live) | st.lists(st.sampled_from(live), unique=True)
+    return table, live, draw(st.lists(row, max_size=8))
 
 
 class TestResultCodec:
     @settings(max_examples=200, deadline=None)
     @given(drawn=tables_and_hit_lists(), outsider=st.booleans())
     def test_hit_lists_round_trip_into_table_order(self, drawn, outsider):
-        """``decode(encode(lists))`` is each row reordered to table order
-        — exactly what ``np.nonzero`` over the retired bit matrix gave —
-        and an id outside the table ships the lists untouched."""
-        table, lists = drawn
-        index_of = {sub_id: i for i, sub_id in enumerate(table)}
+        """``decode(encode(lists))`` is each row reordered to ascending
+        handle order, whatever holes the numbering has, and an id with no
+        handle ships the lists untouched."""
+        table, live, lists = drawn
+        handle_of = {sub_id: table.handle_of(sub_id) for sub_id in live}
         if outsider:
             lists = lists + [["not in the table"]]
-        payload = pickle.loads(pickle.dumps(encode_results(lists, index_of)))
+        payload = pickle.loads(pickle.dumps(encode_results(lists, handle_of)))
         if outsider:
             assert payload == ("lists", lists)
             assert decode_results(payload, table) == lists
             return
-        tag, counts, cols = payload
+        tag, counts, handles = payload
         assert tag == "hits"
-        assert counts.dtype == cols.dtype == np.int32
+        assert counts.dtype == handles.dtype == np.int32
         assert counts.tolist() == [len(row) for row in lists]
         assert decode_results(payload, table) == [
-            sorted(row, key=index_of.__getitem__) for row in lists
+            sorted(row, key=handle_of.__getitem__) for row in lists
         ]
 
 

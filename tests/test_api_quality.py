@@ -238,12 +238,20 @@ class TestWorkerWire:
         assert list(inspect.signature(shm.ShmArena.create).parameters) == ["slots", "slot_bytes"]
 
     def test_replies_have_one_form_and_one_odd_lane(self):
-        from repro.system.procpool import encode_results
+        from repro.core.handles import HandleTable
+        from repro.system.procpool import decode_results, encode_results
 
-        index_of = {"a": 0, ("b", 1): 1, 7: 2}
-        cases = [[], [[]], [["a"], [7, "a", ("b", 1)], []], [list(index_of)] * 3]
-        assert {encode_results(lists, index_of)[0] for lists in cases} == {"hits"}
-        assert encode_results([["a"], ["stranger"]], index_of)[0] == "lists"
+        table = HandleTable()
+        for sub_id in ("gone", "a", ("b", 1), 7):
+            table.put(repro.core.Subscription(sub_id, [repro.core.eq("x", 1)]))
+        table.drop("gone")  # handle 0 is a hole
+        handle_of = {sub_id: table.handle_of(sub_id) for sub_id in ("a", ("b", 1), 7)}
+        cases = [[], [[]], [["a"], [7, "a", ("b", 1)], []], [list(handle_of)] * 3]
+        assert {encode_results(lists, handle_of)[0] for lists in cases} == {"hits"}
+        assert decode_results(encode_results(cases[2], handle_of), table) == [
+            ["a"], ["a", ("b", 1), 7], []
+        ]
+        assert encode_results([["a"], ["stranger"]], handle_of)[0] == "lists"
         assert encode_results([], {})[0] == "hits"  # an empty table is no special case
 
     def test_one_event_is_a_batch_of_one_on_the_pipe(self):
@@ -626,6 +634,77 @@ class TestOneCopyOfEachEngineFact:
             "matchers/clustered.py:ClusteredMatcher._displace",
             "matchers/clustered.py:ClusteredMatcher.placement_of",
         } <= set(readers)
+
+
+class TestOneNumbering:
+    """One ``HandleTable`` numbers the subscriptions: clusters, counting's
+    association arrays and the process-shard codec read its handles and
+    keep no id ↔ position map of their own."""
+
+    TWO_PHASE = ("counting", "dynamic", "propagation", "propagation-wp", "static")
+
+    def test_a_cluster_keeps_no_id_map(self):
+        from repro.algorithms.clusters import Cluster
+
+        assert not {"_ids", "_col_of"} & set(Cluster.__slots__)
+        assert not [n for n in dir(Cluster) if n in ("_ids", "_col_of", "ids", "refs_of")]
+
+    def test_no_two_phase_engine_has_a_home_dict(self):
+        from repro.algorithms.base import TwoPhaseMatcher
+        from repro.core.handles import HandleTable
+        from tests.matchers.test_batch_conformance import build
+
+        for engine in self.TWO_PHASE:
+            matcher = build(engine)
+            assert isinstance(matcher, TwoPhaseMatcher)
+            assert isinstance(matcher._subs, HandleTable), engine
+            assert not isinstance(getattr(matcher, "_home", None), dict), engine
+
+    def test_the_process_codec_rebuilds_no_position_map(self):
+        import repro.system.procpool as procpool
+
+        tree = ast.parse(inspect.getsource(procpool))
+        spellings = set()
+        for node in ast.walk(tree):
+            for field in ("id", "attr", "name", "arg"):
+                spellings.add(getattr(node, field, None))
+        assert not {"index_of", "_id_table", "_table", "live"} & spellings
+
+    def test_counting_builds_its_association_from_handles(self):
+        from repro.algorithms.counting import CountingMatcher
+
+        tree = ast.parse(inspect.getsource(CountingMatcher._assoc_arrays).lstrip())
+        dicts = [
+            n
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Dict, ast.DictComp))
+            or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "dict")
+        ]
+        assert not dicts
+
+    def test_the_handle_table_is_the_only_allocator(self):
+        makers = _functions_where(
+            lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "HandleTable"
+        )
+        assert sorted(makers) == [
+            "algorithms/base.py:TwoPhaseMatcher.__init__",
+            "system/procpool.py:ProcessShard.__init__",
+        ]
+        # The registry's free list numbers predicates (bit slots), not
+        # subscriptions.
+        free_lists = [
+            f
+            for f in _functions_where(lambda n: getattr(n, "attr", None) == "_free")
+            if not f.startswith("core/registry.py:PredicateRegistry.")
+        ]
+        assert free_lists and all(f.startswith("core/handles.py:HandleTable.") for f in free_lists)
+        putters = _functions_where(
+            lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "put"
+        )
+        assert [p for p in putters if "Matcher" in p or "Shard" in p] == [
+            "algorithms/base.py:TwoPhaseMatcher.add",
+            "system/procpool.py:ProcessShard.add",
+        ]
 
 
 class TestMatcherContract:
