@@ -7,9 +7,11 @@ functionalities:
 * ``publish_batch`` (``publish`` is a batch of one) — find the live
   subscriptions each event satisfies and notify their owners
   (optionally retaining the event);
-* ``subscribe`` — register the subscription and, when events are being
-  retained, immediately evaluate it against the still-valid events
-  (retroactive notifications).
+* ``subscribe_batch`` (``subscribe`` is a batch of one, a formula a
+  unit of its disjuncts) — register the subscriptions whole or not at
+  all and, when events are being retained, immediately evaluate them
+  against the still-valid events (retroactive notifications, sent the
+  way a publish sends its matches).
 
 The matching engine is pluggable (:class:`DynamicMatcher` by default —
 the paper's recommended configuration); expiry is lazy, driven by the
@@ -28,7 +30,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     List,
@@ -89,9 +90,11 @@ class SubscriptionTable:
             self.logical_of[sub_id] = logical
             self._formula_disjuncts.setdefault(logical, []).append(sub_id)
 
-    def drop(self, sub_id: Any) -> None:
-        """The one way out; a formula goes with its last disjunct."""
-        if self._sub_expires.pop(sub_id, None) is not None:
+    def drop(self, sub_id: Any) -> Tuple[Optional[float], Optional[Any]]:
+        """The one way out; a formula goes with its last disjunct.
+        Returns what :meth:`add` took: the deadline and the formula."""
+        expires_at = self._sub_expires.pop(sub_id, None)
+        if expires_at is not None:
             # A drop before the deadline leaves a stale heap entry: rebuild
             # once they outnumber live ones (amortized O(1) under churn).
             if len(self._sub_expiry_heap) > 2 * len(self._sub_expires):
@@ -104,6 +107,7 @@ class SubscriptionTable:
             siblings.remove(sub_id)
             if not siblings:
                 del self._formula_disjuncts[logical]
+        return expires_at, logical
 
     def targets(self, sub_id: Any) -> List[Any]:
         """What ``unsubscribe(sub_id)`` removes: the subscription
@@ -262,7 +266,7 @@ class PubSubBroker:
         """A journaling broker takes only ids its log gives back as
         themselves: JSON turns a tuple into a list (unhashable) and NaN
         into an unequal NaN, and recovery could key neither."""
-        if self.wal is None:
+        if self.wal is None or type(sub_id) is str:  # every str reads back; skip the round trip
             return
         try:
             back = json.loads(json.dumps(sub_id))
@@ -281,38 +285,53 @@ class PubSubBroker:
         self.matcher.add(subscription)
         self._table.add(subscription.id, expires_at, logical)
 
-    def _uninstall(self, sub_id: Any) -> Subscription:
+    def _uninstall(self, sub_id: Any) -> Tuple[Subscription, Optional[float], Optional[Any]]:
+        """Remove *sub_id*; returns what :meth:`_install` takes to put it back."""
         removed = self.matcher.remove(sub_id)
-        self._table.drop(sub_id)
-        return removed
+        return (removed, *self._table.drop(sub_id))
 
     def _admit(
-        self, subscriptions: List[Subscription], ttl: Optional[float], logical: Optional[Any]
+        self, units: List[Tuple[Any, List[Subscription]]], ttl: Optional[float], retro: bool
     ) -> None:
-        """Install *subscriptions* whole or not at all (an id already
-        taken rolls back the ones before it), then journal them."""
-        self.purge_expired()
+        """The one write path in: install every unit — ``(id, its
+        subscriptions)``: ``(s.id, [s])``, or a formula's id and its
+        disjuncts, whose ids all differ from it — whole or not at all,
+        journal them under one durability boundary, then retro-match
+        each unit.  Lock held by the caller."""
+        now = self.clock.now()
+        self._expire(now)
         ttl = self.default_subscription_ttl if ttl is None else ttl
         if ttl is not None and ttl <= 0:
             raise ExpiredError(f"subscription ttl must be positive, got {ttl}")
-        now = self.clock.now()
+        for unit_id, _subs in units:
+            self._check_journaled_id(unit_id)
         expires_at = None if ttl is None else now + ttl
         self._crash_point("subscribe:pre-apply")
-        for done, sub in enumerate(subscriptions):
-            try:
-                self._install(sub, expires_at, logical)
-            except BaseException:
-                for prior in subscriptions[:done]:
-                    self._uninstall(prior.id)
-                raise
-        self.counters["subscribed"] += len(subscriptions)
+        installed: List[Any] = []
+        try:
+            for unit_id, subs in units:
+                for sub in subs:
+                    self._install(sub, expires_at, None if sub.id == unit_id else unit_id)
+                    installed.append(sub.id)
+        except BaseException:  # an id already taken: roll back the batch
+            for sub_id in installed:
+                self._uninstall(sub_id)
+            raise
+        self.counters["subscribed"] += len(installed)
         if self.wal is not None:
             # Applied-then-logged: a crash in the gap loses only this
-            # not-yet-acknowledged mutation — still a consistent prefix.
-            self._crash_point("subscribe:pre-log")
-            for sub in subscriptions:
-                self.wal.append_subscribe(sub, ttl=ttl, logical=logical, at=now)
-            self._crash_point("subscribe:post-log")
+            # not-yet-acknowledged batch — still a consistent prefix.
+            with self.wal.batched():
+                self._crash_point("subscribe:pre-log")
+                for unit_id, subs in units:
+                    for sub in subs:
+                        logical = None if sub.id == unit_id else unit_id
+                        self.wal.append_subscribe(sub, ttl=ttl, logical=logical, at=now)
+                self._crash_point("subscribe:post-log")
+        if retro and len(self._events):
+            for unit_id, subs in units:
+                for event in self._events.retro_match(subs, now):
+                    self._dispatch([unit_id], event, now)
 
     # ------------------------------------------------------------------
     # expiry plumbing
@@ -344,23 +363,39 @@ class PubSubBroker:
         ttl: Optional[float] = None,
         notify_retained: bool = True,
     ) -> Any:
-        """Register a subscription; returns its id.
+        """Register a subscription; returns its id.  A batch of one
+        (see :meth:`subscribe_batch`).
 
         Bare predicate sequences get an auto-generated id.  When events
         are retained, still-valid past events are matched immediately and
         notified (set ``notify_retained=False`` to skip).  A journaling
         broker refuses an id its log would not give back as itself.
         """
+        return self._subscribe_batch([subscription], ttl, notify_retained)[0]
+
+    def subscribe_batch(
+        self, subscriptions: Iterable[SubscriptionLike], ttl: Optional[float] = None
+    ) -> List[Any]:
+        """Register a batch (the paper submits in ``n_S_b`` batches);
+        returns the ids.  Whole or not at all: an id already taken (in
+        the broker or earlier in the batch), an id the log would not
+        give back, or a non-positive ttl leaves the broker and its log
+        as they were.  One clock reading, one WAL durability boundary;
+        each subscription is then retro-matched in batch order."""
+        return self._subscribe_batch(subscriptions, ttl, True)
+
+    def _subscribe_batch(
+        self, subscriptions: Iterable[SubscriptionLike], ttl: Optional[float], notify_retained: bool
+    ) -> List[Any]:
         with self._lock:
-            if not isinstance(subscription, Subscription):
-                subscription = Subscription(f"sub-{next(self._auto_id)}", subscription)
-            self._check_journaled_id(subscription.id)
-            self._admit([subscription], ttl, None)
-            if notify_retained and len(self._events):
-                now = self.clock.now()
-                for event in self._events.retro_match(subscription, now):
-                    self._notify(subscription.id, event, now)
-            return subscription.id
+            ids, units = [], []
+            for sub in subscriptions:
+                if not isinstance(sub, Subscription):
+                    sub = Subscription(f"sub-{next(self._auto_id)}", sub)
+                ids.append(sub.id)
+                units.append((sub.id, [sub]))
+            self._admit(units, ttl, notify_retained)
+            return ids
 
     def subscribe_formula(
         self, text: str, sub_id: Any = None, ttl: Optional[float] = None
@@ -379,54 +414,50 @@ class PubSubBroker:
         with self._lock:
             if sub_id is None:
                 sub_id = f"sub-{next(self._auto_id)}"
-            self._check_journaled_id(sub_id)
-            disjuncts = parse_subscriptions(text, f"{sub_id}~dnf")
-            self._admit(disjuncts, ttl, sub_id)
-            # Retro-match once at the logical level (deduplicated).
-            if len(self._events):
-                now = self.clock.now()
-                for event in self._events.valid_events(now):
-                    if any(d.is_satisfied_by(event) for d in disjuncts):
-                        self._notify(sub_id, event, now)
+            self._admit([(sub_id, parse_subscriptions(text, f"{sub_id}~dnf"))], ttl, True)
             return sub_id
 
     def unsubscribe(self, sub_id: Any) -> Subscription:
         """Remove a subscription before its interval ends: the
         subscription *sub_id* if live, then every disjunct of the
-        formula *sub_id*; returns the first one removed.
+        formula *sub_id*; returns the first one removed.  A batch of
+        one (see :meth:`unsubscribe_batch`).
         """
-        with self._lock:
-            removed = []
-            for target in self._table.targets(sub_id):
-                with contextlib.suppress(KeyError):  # no plain subscription by that id
-                    removed.append(self._uninstall(target))
-            if not removed:
-                raise UnknownSubscriptionError(sub_id)
-            self.counters["unsubscribed"] += 1
-            if self.wal is not None:
-                self._crash_point("unsubscribe:pre-log")
-                self.wal.append_unsubscribe(sub_id, at=self.clock.now())
-                self._crash_point("unsubscribe:post-log")
-            return removed[0]
-
-    def _wal_batch(self) -> ContextManager[Any]:
-        """One WAL durability boundary (:meth:`WriteAheadLog.batched`)
-        around a mutation batch: under the ``always`` fsync policy the
-        batch costs a single fsync instead of one per item."""
-        return self.wal.batched() if self.wal is not None else contextlib.nullcontext()
-
-    def subscribe_batch(
-        self, subscriptions: Iterable[SubscriptionLike], ttl: Optional[float] = None
-    ) -> List[Any]:
-        """Batch submission (the paper submits in ``n_S_b`` batches);
-        the whole batch shares one WAL durability boundary."""
-        with self._wal_batch():
-            return [self.subscribe(s, ttl=ttl) for s in subscriptions]
+        return self.unsubscribe_batch([sub_id])[0]
 
     def unsubscribe_batch(self, sub_ids: Iterable[Any]) -> List[Subscription]:
-        """Batch removal under one WAL durability boundary."""
-        with self._wal_batch():
-            return [self.unsubscribe(s) for s in sub_ids]
+        """Remove every id as :meth:`unsubscribe` does; returns the first
+        subscription removed for each.  Whole or not at all: at the
+        first id with nothing live to remove, whatever the batch removed
+        goes back with its deadline and formula, nothing is journaled,
+        and :class:`UnknownSubscriptionError` is raised.  The ids are
+        journaled under one WAL durability boundary."""
+        with self._lock:
+            sub_ids = list(sub_ids)
+            removed: List[Tuple[Subscription, Optional[float], Optional[Any]]] = []
+            firsts: List[Subscription] = []
+            try:
+                for sub_id in sub_ids:
+                    before = len(removed)
+                    for target in self._table.targets(sub_id):
+                        with contextlib.suppress(KeyError):  # no plain subscription by that id
+                            removed.append(self._uninstall(target))
+                    if len(removed) == before:
+                        raise UnknownSubscriptionError(sub_id)
+                    firsts.append(removed[before][0])
+            except BaseException:
+                for entry in removed:  # in removal order: a formula's disjuncts keep theirs
+                    self._install(*entry)
+                raise
+            self.counters["unsubscribed"] += len(sub_ids)
+            if self.wal is not None:
+                now = self.clock.now()
+                with self.wal.batched():
+                    self._crash_point("unsubscribe:pre-log")
+                    for sub_id in sub_ids:
+                        self.wal.append_unsubscribe(sub_id, at=now)
+                    self._crash_point("unsubscribe:post-log")
+            return firsts
 
     # ------------------------------------------------------------------
     # publish
@@ -455,10 +486,9 @@ class PubSubBroker:
            concurrent batches;
         3. per event, under the lock and in event order: **collapse**
            formula disjunct ids onto their logical id (once per event),
-           **dispatch** through ``delivery.dispatch_matches`` with the
-           ids it does not handle going to the notifier, **retain** the
-           event when retention is on (constructor or per-call ``ttl``),
-           **count**.
+           **dispatch** (:meth:`_dispatch`, the step a retro-match goes
+           through too), **retain** the event when retention is on
+           (constructor or per-call ``ttl``), **count**.
 
         Each result keeps the engine's own list type: a quarantining
         engine's :class:`PartialResults` (``degraded`` when a sick shard
@@ -473,9 +503,6 @@ class PubSubBroker:
         raw_lists = self.matcher.match_batch(events)
         with self._lock:
             logical_of = self._table.logical_of
-            delivery = self.delivery
-            # A discarding sink gets no Notification objects built for it.
-            notify = None if isinstance(self.notifier, NullNotifier) else self._deliver
             ttl = self.event_retention_ttl if ttl is None else ttl
             retain_until = now + ttl if ttl is not None and ttl > 0 else None
             counters = self.counters
@@ -490,17 +517,7 @@ class PubSubBroker:
                         )
                     matched = collapsed
                 if matched:
-                    # One manager lock for the whole match list; ids
-                    # without a channel come back for the notifier.
-                    unhandled = (
-                        matched
-                        if delivery is None
-                        else delivery.dispatch_matches(matched, event, now)
-                    )
-                    if notify is not None:
-                        for sub_id in unhandled:
-                            notify(Notification(sub_id, event, now))
-                    counters["notifications"] += len(matched)
+                    self._dispatch(matched, event, now)
                 if retain_until is not None:
                     self._events.add(event, retain_until)
                 counters["published"] += 1
@@ -509,12 +526,19 @@ class PubSubBroker:
                 out.append(matched)
             return out
 
-    def _notify(self, sub_id: Any, event: Event, now: float) -> None:
-        if self.delivery is not None and self.delivery.handles(sub_id):
-            self.delivery.dispatch(sub_id, event, now=now)
-        else:
-            self._deliver(Notification(sub_id, event, now))
-        self.counters["notifications"] += 1
+    def _dispatch(self, sub_ids: List[Any], event: Event, now: float) -> None:
+        """The one way to a subscriber, for a published event and a
+        retained one alike: *sub_ids* (logical ids *event* matched) go
+        through ``delivery.dispatch_matches`` under one manager lock,
+        the ids with no channel to the notifier.  Lock held."""
+        delivery = self.delivery
+        unhandled = sub_ids if delivery is None else delivery.dispatch_matches(sub_ids, event, now)
+        # A discarding sink gets no Notification objects built for it.
+        if unhandled and not isinstance(self.notifier, NullNotifier):
+            deliver = self._deliver
+            for sub_id in unhandled:
+                deliver(Notification(sub_id, event, now))
+        self.counters["notifications"] += len(sub_ids)
 
     # ------------------------------------------------------------------
     # introspection

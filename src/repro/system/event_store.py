@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 from repro.core.types import Event, Subscription, Value
 
@@ -68,39 +68,34 @@ class EventStore:
                 dropped += 1
         return dropped
 
-    def valid_events(self, now: float) -> Iterator[Event]:
-        """Iterate events still valid at *now* (publication order)."""
-        for seq in sorted(self._live):
-            event, expires_at = self._live[seq]
-            if expires_at > now:
-                yield event
-
     # ------------------------------------------------------------------
     # retro-matching
     # ------------------------------------------------------------------
-    def retro_match(self, subscription: Subscription, now: float) -> List[Event]:
-        """Valid events satisfying *subscription*, in publication order.
+    def retro_match(self, subscriptions: Sequence[Subscription], now: float) -> List[Event]:
+        """Valid events satisfying any of *subscriptions* — one plain
+        subscription, or a formula's disjuncts — each once, in
+        publication order.
 
-        Equality predicates narrow the candidate set through the pair
-        index (probing the rarest pair); the survivors get a full check.
+        Each subscription's equality predicates narrow its candidates
+        through the pair index (probing the rarest pair); the survivors
+        get a full check.
         """
-        candidates: Optional[Set[int]] = None
-        for pred in subscription.equality_predicates():
-            bucket = self._by_pair.get((pred.attribute, pred.value))
-            if not bucket:
-                return []
-            if candidates is None or len(bucket) < len(candidates):
-                candidates = bucket
-        seqs = sorted(candidates) if candidates is not None else sorted(self._live)
-        out = []
-        for seq in seqs:
-            entry = self._live.get(seq)
-            if entry is None:
-                continue
-            event, expires_at = entry
-            if expires_at > now and subscription.is_satisfied_by(event):
-                out.append(event)
-        return out
+        live, hits = self._live, set()
+        for sub in subscriptions:
+            candidates: Collection[int] = live.keys()
+            for pred in sub.equality_predicates():
+                bucket = self._by_pair.get((pred.attribute, pred.value))
+                if not bucket:
+                    candidates = ()
+                    break
+                if len(bucket) < len(candidates):
+                    candidates = bucket
+            for seq in candidates:
+                if seq not in hits:
+                    event, expires_at = live[seq]
+                    if expires_at > now and sub.is_satisfied_by(event):
+                        hits.add(seq)
+        return [live[seq][0] for seq in sorted(hits)]
 
     def __len__(self) -> int:
         return len(self._live)

@@ -69,6 +69,7 @@ import multiprocessing
 import os
 import pickle
 import time
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -118,32 +119,6 @@ _SHM_SLOT_BYTES = 1 << 20
 _APPLY_CHUNK = 64
 
 
-def payload_nbytes(obj: Any) -> int:
-    """Cheap structural size estimate of one pipe payload, in bytes.
-
-    Feeds ``repro_procpool_bytes_total`` without re-serializing: arrays
-    report their buffers, containers recurse, scalars count one machine
-    word.  Close enough to pickle framing to compare transports by
-    bytes-moved; not an exact wire size.
-    """
-    if obj is None or isinstance(obj, (bool, int, float)):
-        return 8
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (str, bytes, bytearray)):
-        return len(obj)
-    if isinstance(obj, dict):
-        return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 8 + sum(payload_nbytes(item) for item in obj)
-    if isinstance(obj, ColumnarBatch):
-        return payload_nbytes((obj.attrs, obj.values, obj.presence, obj.ints))
-    pairs = getattr(obj, "pairs", None)  # Event
-    if isinstance(pairs, dict):
-        return payload_nbytes(pairs)
-    return 64
-
-
 # ----------------------------------------------------------------------
 # wire codecs (shared by parent and worker)
 # ----------------------------------------------------------------------
@@ -184,24 +159,20 @@ def encode_results(lists: List[List[Any]], handle_of: Dict[Any, int]) -> Tuple[s
     ``("hits", counts, handles)``: one int32 hit count per event and the
     int32 handles of the matching ids, ascending within each event so
     the decode yields ids in ascending handle order whatever order the
-    engine produced them in.  O(hits), not O(events × table).  An id
-    with no handle (an exotic wrapper) ships the lists themselves,
-    ``("lists", …)``.
+    engine produced them in.  O(hits), not O(events × table).  The
+    worker holds a handle for every id it was given, so an id without
+    one (an engine inventing ids) raises :class:`KeyError`, which the
+    worker sends back as its error.
     """
     handles: List[int] = []
-    try:
-        for ids in lists:
-            handles.extend(sorted([handle_of[sub_id] for sub_id in ids]))
-    except KeyError:
-        return ("lists", [list(ids) for ids in lists])
+    for ids in lists:
+        handles.extend(sorted([handle_of[sub_id] for sub_id in ids]))
     counts = np.array([len(ids) for ids in lists], dtype=np.int32)
     return ("hits", counts, np.array(handles, dtype=np.int32))
 
 
 def decode_results(payload: Tuple[str, Any], table: HandleTable) -> List[List[Any]]:
     """Inverse of :func:`encode_results`, through the parent's mirror."""
-    if payload[0] == "lists":
-        return payload[1]
     _tag, counts, handles = payload
     ids = table.ids(handles.tolist())
     out: List[List[Any]] = []
@@ -482,7 +453,7 @@ class ProcessPool:
         child_conn.close()  # EOF detection needs the parent copy gone
         worker = _Worker(process, parent_conn, "?", process.pid or -1)
         try:
-            status, value = self._recv(worker, index)
+            status, value = pickle.loads(self._recv(worker, index))
         except WorkerDiedError:
             self._m_workers.set(self.alive_count())
             raise
@@ -577,7 +548,6 @@ class ProcessPool:
             self.arena.ring.release(ticket)
             self._m_shm_fallback["slot_full"].inc()
             return None
-        ticket.nbytes = nbytes
         self._m_shm_bytes["publish"].inc(nbytes)
         return ticket
 
@@ -611,14 +581,15 @@ class ProcessPool:
         """
         worker = self._live_worker(index)
         start = time.perf_counter()
+        buf = ForkingPickler.dumps(message)  # what ``Connection.send`` would write
         try:
-            worker.conn.send(message)
+            worker.conn.send_bytes(buf)
         except (OSError, ValueError, BrokenPipeError) as exc:
             self.note_death(index)
             raise WorkerDiedError(
                 f"shard {index} worker pipe broke on send: {exc}", shard=index
             ) from exc
-        self._m_pipe_bytes["send"].inc(payload_nbytes(message))
+        self._m_pipe_bytes["send"].inc(len(buf))
         worker.send_seconds = time.perf_counter() - start
 
     def collect(self, index: int, op: str = "control") -> Any:
@@ -632,14 +603,16 @@ class ProcessPool:
         """
         worker = self._live_worker(index)
         start = time.perf_counter()
-        reply = self._recv(worker, index)
-        self._m_pipe_bytes["recv"].inc(payload_nbytes(reply))
+        buf = self._recv(worker, index)
+        reply = pickle.loads(buf)
+        self._m_pipe_bytes["recv"].inc(len(buf))
         self._m_ipc[op if op in self._m_ipc else "control"].observe(
             worker.send_seconds + time.perf_counter() - start
         )
         return reply
 
-    def _recv(self, worker: _Worker, index: int) -> Any:
+    def _recv(self, worker: _Worker, index: int) -> bytes:
+        """The next message from *worker*, still pickled."""
         deadline = (
             None
             if self.request_timeout is None
@@ -648,7 +621,7 @@ class ProcessPool:
         while True:
             try:
                 if worker.conn.poll(_POLL_SECONDS):
-                    return worker.conn.recv()
+                    return worker.conn.recv_bytes()
             except (EOFError, OSError) as exc:
                 self.note_death(index)
                 raise WorkerDiedError(
@@ -658,7 +631,7 @@ class ProcessPool:
                 # Drain a reply that raced the exit before declaring death.
                 try:
                     if worker.conn.poll(0):
-                        return worker.conn.recv()
+                        return worker.conn.recv_bytes()
                 except (EOFError, OSError):
                     pass
                 self.note_death(index)

@@ -122,13 +122,12 @@ class SlotTicket:
     death cannot leak the slot.
     """
 
-    __slots__ = ("index", "generation", "readers", "nbytes")
+    __slots__ = ("index", "generation", "readers")
 
-    def __init__(self, index: int, generation: int, readers: int, nbytes: int = 0) -> None:
+    def __init__(self, index: int, generation: int, readers: int) -> None:
         self.index = index
         self.generation = generation
         self.readers = readers
-        self.nbytes = nbytes
 
     def __repr__(self) -> str:
         return (

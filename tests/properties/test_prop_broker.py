@@ -3,11 +3,13 @@
 import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import Event, Subscription, ge
+from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
 from repro.lang import parse_subscriptions
 from repro.matchers import DynamicMatcher
 from repro.system import (
@@ -19,6 +21,7 @@ from repro.system import (
     VirtualClock,
     WriteAheadLog,
     read_wal,
+    recover_files,
 )
 from repro.testing.faults import FlakyMatcher
 from tests.properties.strategies import events, subscriptions
@@ -47,16 +50,21 @@ class BrokerMachine(RuleBasedStateMachine):
     Checks, after every operation: publish returns exactly the model's
     satisfied live subscriptions and formulas; expiry removes exactly
     the timed-out ones; retro-matching on subscribe notifies exactly the
-    valid stored events the subscription satisfies; the broker's own
-    bookkeeping passes ``check_invariants``.
+    valid stored events the subscription satisfies; a batch that may
+    hold one bad item applies whole or not at all, and its log recovers
+    to what the broker holds; the broker's own bookkeeping passes
+    ``check_invariants``.
     """
 
     def __init__(self):
         super().__init__()
         self.clock = VirtualClock()
         self.inbox = QueueNotifier()
+        self.tmp = tempfile.TemporaryDirectory()
+        self.wal_path = os.path.join(self.tmp.name, "broker.wal")
+        self.wal = WriteAheadLog(self.wal_path, fsync="never", clock=self.clock)
         self.broker = PubSubBroker(
-            clock=self.clock, notifier=self.inbox, event_retention_ttl=50.0
+            clock=self.clock, notifier=self.inbox, event_retention_ttl=50.0, wal=self.wal
         )
         self.model_subs = {}      # id -> (subscription, expires_at or None)
         self.model_events = []    # (event, expires_at)
@@ -80,11 +88,7 @@ class BrokerMachine(RuleBasedStateMachine):
         self.broker.subscribe(sub, ttl=ttl)
         self.model_subs[sid] = (sub, now + ttl if ttl else None)
         # retro notifications must match the model's valid events
-        expected = [
-            e for e, exp in self.model_events if exp > now and sub.is_satisfied_by(e)
-        ]
-        notes = self.inbox.drain()
-        assert [n.event for n in notes] == expected
+        assert [n.event for n in self.inbox.drain()] == self._retro_expected(sub, now)
 
     @rule(text=FORMULAS, ttl=st.one_of(st.none(), st.integers(1, 100)))
     def subscribe_formula(self, text, ttl):
@@ -95,10 +99,7 @@ class BrokerMachine(RuleBasedStateMachine):
         self.broker.subscribe_formula(text, fid, ttl=ttl)
         formula = _Formula(text)
         self.model_subs[fid] = (formula, now + ttl if ttl else None)
-        expected = [
-            e for e, exp in self.model_events if exp > now and formula.is_satisfied_by(e)
-        ]
-        assert [n.event for n in self.inbox.drain()] == expected
+        assert [n.event for n in self.inbox.drain()] == self._retro_expected(formula, now)
 
     @rule(event=events())
     def publish(self, event):
@@ -125,6 +126,75 @@ class BrokerMachine(RuleBasedStateMachine):
         sid = data.draw(st.sampled_from(live))
         self.broker.unsubscribe(sid)
         del self.model_subs[sid]
+
+    def _retro_expected(self, sub, now):
+        return [e for e, exp in self.model_events if exp > now and sub.is_satisfied_by(e)]
+
+    def _live_ids(self):
+        return {s.id for s in self.broker.matcher.iter_subscriptions()}
+
+    def _assert_recovers_to_live(self):
+        fresh = PubSubBroker(clock=VirtualClock(self.clock.now()), notifier=QueueNotifier())
+        recover_files(fresh, wal_path=self.wal_path)
+        assert {s.id for s in fresh.matcher.iter_subscriptions()} == self._live_ids()
+
+    @rule(
+        subs=st.lists(subscriptions(), min_size=1, max_size=4),
+        ttl=st.one_of(st.none(), st.integers(1, 100)),
+        bad=st.sampled_from([None, None, "taken", "twice"]),
+        data=st.data(),
+    )
+    def subscribe_batch(self, subs, ttl, bad, data):
+        batch = []
+        for sub in subs:
+            self.counter += 1
+            batch.append(type(sub)(f"m{self.counter}", sub.predicates))
+        live = sorted(sid for sid in self._live_subs() if sid.startswith("m"))
+        if bad == "taken" and live:
+            batch.insert(data.draw(st.integers(0, len(batch))), type(subs[0])(
+                data.draw(st.sampled_from(live)), subs[0].predicates
+            ))
+        elif bad == "twice":
+            batch.append(batch[data.draw(st.integers(0, len(batch) - 1))])
+        else:
+            bad = None
+        now = self.clock.now()
+        self.broker.purge_expired()
+        self.inbox.drain()
+        before = self._live_ids()
+        if bad:
+            with pytest.raises(DuplicateSubscriptionError):
+                self.broker.subscribe_batch(batch, ttl=ttl)
+            assert self._live_ids() == before
+            assert self.inbox.drain() == []
+            self._assert_recovers_to_live()
+            return
+        assert self.broker.subscribe_batch(batch, ttl=ttl) == [sub.id for sub in batch]
+        expected = []
+        for sub in batch:
+            self.model_subs[sub.id] = (sub, now + ttl if ttl else None)
+            expected += [(sub.id, e) for e in self._retro_expected(sub, now)]
+        assert [(n.sub_id, n.event) for n in self.inbox.drain()] == expected
+
+    @rule(data=st.data(), bad=st.booleans())
+    def unsubscribe_batch(self, data, bad):
+        live = sorted(self._live_subs())
+        ids = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+        if bad:
+            ids.insert(data.draw(st.integers(0, len(ids))), "nobody")
+            before = self._live_ids()
+            with pytest.raises(UnknownSubscriptionError):
+                self.broker.unsubscribe_batch(ids)
+            assert self._live_ids() == before
+            self._assert_recovers_to_live()
+            return
+        self.broker.unsubscribe_batch(ids)
+        for sid in ids:
+            del self.model_subs[sid]
+
+    def teardown(self):
+        self.wal.close()
+        self.tmp.cleanup()
 
     @invariant()
     def counts_agree(self):

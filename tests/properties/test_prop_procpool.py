@@ -198,16 +198,14 @@ class TestResultCodec:
     def test_hit_lists_round_trip_into_table_order(self, drawn, outsider):
         """``decode(encode(lists))`` is each row reordered to ascending
         handle order, whatever holes the numbering has, and an id with no
-        handle ships the lists untouched."""
+        handle (an engine inventing ids) is an error, not a reply."""
         table, live, lists = drawn
         handle_of = {sub_id: table.handle_of(sub_id) for sub_id in live}
         if outsider:
-            lists = lists + [["not in the table"]]
-        payload = pickle.loads(pickle.dumps(encode_results(lists, handle_of)))
-        if outsider:
-            assert payload == ("lists", lists)
-            assert decode_results(payload, table) == lists
+            with pytest.raises(KeyError):
+                encode_results(lists + [["not in the table"]], handle_of)
             return
+        payload = pickle.loads(pickle.dumps(encode_results(lists, handle_of)))
         tag, counts, handles = payload
         assert tag == "hits"
         assert counts.dtype == handles.dtype == np.int32

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Event, Subscription, eq
+from repro.core import Event, Subscription, eq, ge
 from repro.system import (
     EventStore,
     FanoutNotifier,
@@ -44,7 +44,8 @@ class TestEventStore:
         store.add(Event({"a": 1}), expires_at=10.0)
         store.add(Event({"b": 2}), expires_at=20.0)
         assert len(store) == 2
-        assert [e for e in store.valid_events(15.0)] == [Event({"b": 2})]
+        either = [Subscription("a", [ge("a", 0)]), Subscription("b", [ge("b", 0)])]
+        assert store.retro_match(either, 15.0) == [Event({"b": 2})]
 
     def test_purge(self):
         store = EventStore()
@@ -62,7 +63,8 @@ class TestEventStore:
         store = EventStore()
         for i in range(5):
             store.add(Event({"n": i}), 100.0)
-        assert [e["n"] for e in store.valid_events(0.0)] == [0, 1, 2, 3, 4]
+        events = store.retro_match([Subscription("s", [ge("n", 0)])], 0.0)
+        assert [e["n"] for e in events] == [0, 1, 2, 3, 4]
 
 
 class TestNotifiers:

@@ -10,7 +10,9 @@ up here as a differential mismatch.
 
 import itertools
 import pickle
+from multiprocessing.reduction import ForkingPickler
 
+import numpy as np
 import pytest
 
 from repro.core import Event, Subscription, eq, ge, le
@@ -20,7 +22,6 @@ from repro.system.procpool import (
     CODECS,
     _pickle_op,
     encode_events,
-    payload_nbytes,
 )
 from repro.system.sharding import ShardedMatcher
 from tests.matchers.test_batch_conformance import _random_workload, build, norm
@@ -50,12 +51,20 @@ def recv_bytes(pool):
     return pool.stats()["counters"]["pipe_bytes"]["recv"]
 
 
+#: The pickled ``("ok", (epoch, ("hits", counts, cols)))`` reply around
+#: two empty arrays: the framing every reply pays (≈ 200 B, mostly the
+#: two arrays' reduce headers).
+REPLY_FRAMING = len(
+    ForkingPickler.dumps(("ok", (2**31, ("hits", np.zeros(0, np.int32), np.zeros(0, np.int32)))))
+)
+
+
 def sparse_reply_bound(rows, probes, hits):
     """The most the replies to one batch may put on the pipe: an int32
     count per row per probed shard, an int32 per hit, and per reply the
-    ``("ok", (epoch, ("hits", counts, cols)))`` framing (38 B as
-    ``payload_nbytes`` counts it) — O(hits), whatever the shard holds."""
-    return 4 * (rows * probes + hits) + 64 * probes
+    framing (plus 16 B for the array shapes' wider ints) — O(hits),
+    whatever the shard holds."""
+    return 4 * (rows * probes + hits) + (REPLY_FRAMING + 16) * probes
 
 
 def dense_reply_bytes(rows, shard_sizes):
@@ -292,9 +301,9 @@ class TestProcessExecutorSurface:
             proc.rebuild()
             counters = proc.stats()["procpool"]["counters"]
             assert counters["mutations"] == len(subs) + 1
-            assert counters["pipe_bytes"]["send"] - sent == payload_nbytes(
-                ("apply", [_pickle_op(False, 0)])
-            ) + SHARDS * payload_nbytes(("rebuild",))
+            assert counters["pipe_bytes"]["send"] - sent == len(
+                ForkingPickler.dumps(("apply", [_pickle_op(False, 0)]))
+            ) + SHARDS * len(ForkingPickler.dumps(("rebuild",)))
 
     def test_close_is_idempotent_and_stops_workers(self):
         proc = sharded("counting", "process")

@@ -207,6 +207,15 @@ class TestIdsTheLogCannotGiveBack:
         unlogged.subscribe(Subscription(sub_id, [eq("x", 1)]))
         assert unlogged.subscription_count == 1
 
+    def test_every_string_reads_back(self, tmp_path):
+        ids = ["", "a\x00b", "\ud800", "ünï ☃", "1", "null"]
+        clock = VirtualClock()
+        with WriteAheadLog(tmp_path / "s.wal", clock=clock, fsync="never") as wal:
+            fresh(clock, wal=wal).subscribe_batch([Subscription(i, [eq("x", 1)]) for i in ids])
+        dst = fresh(clock)
+        recover_files(dst, wal_path=tmp_path / "s.wal")
+        assert sorted(s.id for s in dst.matcher.iter_subscriptions()) == sorted(ids)
+
     @pytest.mark.parametrize(
         "record",
         [

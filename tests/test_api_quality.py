@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import textwrap
 
 import pytest
 
@@ -237,7 +238,7 @@ class TestWorkerWire:
         assert not names, names
         assert list(inspect.signature(shm.ShmArena.create).parameters) == ["slots", "slot_bytes"]
 
-    def test_replies_have_one_form_and_one_odd_lane(self):
+    def test_replies_have_one_form(self):
         from repro.core.handles import HandleTable
         from repro.system.procpool import decode_results, encode_results
 
@@ -251,7 +252,8 @@ class TestWorkerWire:
         assert decode_results(encode_results(cases[2], handle_of), table) == [
             ["a"], ["a", ("b", 1), 7], []
         ]
-        assert encode_results([["a"], ["stranger"]], handle_of)[0] == "lists"
+        with pytest.raises(KeyError):  # an engine inventing ids is a worker error
+            encode_results([["a"], ["stranger"]], handle_of)
         assert encode_results([], {})[0] == "hits"  # an empty table is no special case
 
     def test_one_event_is_a_batch_of_one_on_the_pipe(self):
@@ -435,6 +437,61 @@ class TestOneSubscriptionTable:
         assert not hasattr(PubSubBroker, "wal_suppressed")
         for method in (PubSubBroker.subscribe_formula, PubSubBroker.restore_subscription):
             assert "wal_suppressed" not in inspect.getsource(method), method
+
+
+class TestOneWritePath:
+    """``system/broker.py``: ``subscribe_batch`` / ``unsubscribe_batch``
+    are the bodies and the single calls are batches of one; a retained
+    event reaches a new subscriber through the pair index and the same
+    dispatch step as a published one."""
+
+    @staticmethod
+    def _body(method):
+        return ast.parse(textwrap.dedent(inspect.getsource(method))).body[0]
+
+    def _self_calls(self, method):
+        return {
+            node.func.attr
+            for node in ast.walk(self._body(method))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "self"
+        }
+
+    def test_the_retired_paths_are_gone(self):
+        from repro.system import EventStore, PubSubBroker
+
+        assert not hasattr(PubSubBroker, "_notify")
+        assert not hasattr(EventStore, "valid_events")
+        assert not hasattr(PubSubBroker, "_wal_batch")
+
+    def test_the_single_calls_are_batches_of_one(self):
+        from repro.system import PubSubBroker as B
+
+        loops = (ast.For, ast.While, ast.comprehension)
+        pairs = ((B.subscribe, "_subscribe_batch"), (B.unsubscribe, "unsubscribe_batch"))
+        for single, batch in pairs:
+            assert not [n for n in ast.walk(self._body(single)) if isinstance(n, loops)], single
+            assert self._self_calls(single) == {batch}, single
+        assert self._self_calls(B.subscribe_batch) == {"_subscribe_batch"}
+        assert "subscribe" not in self._self_calls(B._subscribe_batch)
+        assert "unsubscribe" not in self._self_calls(B.unsubscribe_batch)
+
+    def test_one_admit_one_retro_match_one_dispatch(self):
+        from repro.system import PubSubBroker as B
+
+        for entry in (B._subscribe_batch, B.subscribe_formula):
+            assert "_admit" in self._self_calls(entry), entry
+        assert _functions_referencing("retro_match", attribute_of="_events") == [
+            "system/broker.py:PubSubBroker._admit"
+        ]
+        for sends in (
+            lambda n: getattr(n, "attr", None) in ("dispatch_matches", "dispatch"),
+            lambda n: getattr(n, "id", None) == "Notification",
+        ):
+            found = [f for f in _functions_where(sends) if f.startswith("system/broker.py:")]
+            assert found == ["system/broker.py:PubSubBroker._dispatch"], found
+        assert {"_dispatch"} <= self._self_calls(B.publish_batch) & self._self_calls(B._admit)
 
 
 class TestTheLogCompactsItself:
