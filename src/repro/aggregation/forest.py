@@ -40,6 +40,9 @@ from repro.core.covering import AttributeIndex, covers_simplified
 from repro.core.types import Predicate
 
 AttrMap = Dict[str, List[Predicate]]
+#: A group's place: ``(covering frontier gid, [])`` or ``(None, the
+#: frontier gids it covers)``.
+Placement = Tuple[Optional[Any], List[Any]]
 
 
 class CoveringForest:
@@ -81,19 +84,40 @@ class CoveringForest:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def insert(self, gid: Any, by_attr: AttrMap) -> Tuple[Optional[Any], List[Any]]:
+    def placement(self, by_attr: AttrMap) -> Placement:
+        """What :meth:`insert` of a group with *by_attr* would return,
+        changing nothing, so a caller can act on it first.
+
+        Deterministic: candidates are examined in sorted order so churn
+        histories rebuild identically (WAL replay, process respawn).
+        """
+        for cand in sorted(self._frontier.subset_candidates(by_attr), key=str):
+            if covers_simplified(self._by_attr[cand], by_attr):
+                return cand, []
+        covered = self._frontier.superset_candidates(by_attr)
+        return None, sorted(
+            (c for c in covered if covers_simplified(by_attr, self._by_attr[c])), key=str
+        )
+
+    def insert(self, gid: Any, by_attr: AttrMap, placement: Optional[Placement] = None) -> Placement:
         """Place a new group; returns ``(parent, demoted)``.
 
         ``parent`` is the covering frontier gid the group was attached
         under, or ``None`` if the group joined the frontier itself —
         in which case ``demoted`` lists the frontier gids the newcomer
-        covers, now re-attached (with their children) under it.
+        covers, now re-attached (with their children) under it.  A
+        *placement* is :meth:`placement`'s answer, taken since nothing
+        changed.
         """
         if gid in self._parent:
             raise KeyError(f"duplicate group {gid!r}")
+        parent, demoted = self.placement(by_attr) if placement is None else placement
         self._by_attr[gid] = by_attr
-        coverer = self._attach(gid)
-        return (coverer, []) if coverer is not None else (None, self._promote(gid))
+        if parent is not None:
+            self._attach(gid, parent)
+        else:
+            self._promote(gid, demoted)
+        return parent, demoted
 
     def remove(self, gid: Any) -> Tuple[List[Any], List[Any]]:
         """Delete a group; returns ``(promoted, demoted)``.
@@ -118,14 +142,35 @@ class CoveringForest:
         promoted: List[Any] = []
         demoted: List[Any] = []
         for orphan in orphans:
-            if self._attach(orphan) is None:
-                demoted.extend(self._promote(orphan))
+            coverer, covered = self.placement(self._by_attr[orphan])
+            if coverer is not None:
+                self._attach(orphan, coverer)
+            else:
+                self._promote(orphan, covered)
+                demoted.extend(covered)
                 promoted.append(orphan)
         promoted_set, demoted_set = set(promoted), set(demoted)
         return (
             [p for p in promoted if p not in demoted_set],
             [d for d in demoted if d not in promoted_set],
         )
+
+    def restore(self, gid: Any, by_attr: AttrMap, children: Set[Any]) -> None:
+        """Undo :meth:`remove` of the frontier group *gid*: put it back
+        with its former *children* under it.  Exact, as frontier groups
+        never cover one another: a removal moves only its orphans."""
+        for child in children:
+            parent = self._parent[child]
+            if parent is None:
+                self._frontier.remove(child)
+                del self._children[child]
+            elif parent not in children:
+                self._children[parent].discard(child)
+            self._parent[child] = gid
+        self._by_attr[gid] = by_attr
+        self._parent[gid] = None
+        self._children[gid] = set(children)
+        self._frontier.add(gid, by_attr)
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless parents and children are inverse
@@ -145,45 +190,23 @@ class CoveringForest:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _attach(self, gid: Any) -> Optional[Any]:
-        """Attach *gid* under a frontier group that provably covers it;
-        returns that group, or None when there is none.
+    def _attach(self, gid: Any, parent: Any) -> None:
+        """Hang *gid* under the frontier group *parent*."""
+        self._parent[gid] = parent
+        self._children[parent].add(gid)
 
-        Deterministic: candidates are examined in sorted order so churn
-        histories rebuild identically (WAL replay, process respawn).
-        """
-        by_attr = self._by_attr[gid]
-        for cand in sorted(self._frontier.subset_candidates(by_attr), key=str):
-            if covers_simplified(self._by_attr[cand], by_attr):
-                self._parent[gid] = cand
-                self._children[cand].add(gid)
-                return cand
-        return None
-
-    def _promote(self, gid: Any) -> List[Any]:
+    def _promote(self, gid: Any, covered: List[Any]) -> None:
         """Make *gid* a frontier group and demote under it the frontier
-        groups it provably covers; returns those, in sorted order."""
-        by_attr = self._by_attr[gid]
-        covered = sorted(
-            (
-                cand
-                for cand in self._frontier.superset_candidates(by_attr)
-                if covers_simplified(by_attr, self._by_attr[cand])
-            ),
-            key=str,
-        )
+        groups it *covered* (from :meth:`placement`)."""
         self._parent[gid] = None
         self._children[gid] = set()
-        self._frontier.add(gid, by_attr)
+        self._frontier.add(gid, self._by_attr[gid])
         for d in covered:
             self._demote(d, gid)
-        return covered
 
     def _demote(self, gid: Any, new_parent: Any) -> None:
         """Move frontier *gid* (and its children) under *new_parent*."""
         self._frontier.remove(gid)
         for child in self._children.pop(gid):
-            self._parent[child] = new_parent
-            self._children[new_parent].add(child)
-        self._parent[gid] = new_parent
-        self._children[new_parent].add(gid)
+            self._attach(child, new_parent)
+        self._attach(gid, new_parent)

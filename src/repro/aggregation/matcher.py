@@ -26,8 +26,7 @@ which deterministically rebuilds the refcounts and the forest.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, List, Sequence, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from repro.aggregation.canonical import CanonicalKey, canonicalize
 from repro.aggregation.forest import CoveringForest
@@ -85,7 +84,7 @@ class AggregatingMatcher(Matcher):
         self._groups: Dict[CanonicalKey, _Group] = {}
         self._by_gid: Dict[Any, _Group] = {}
         self._forest = CoveringForest()
-        self._gids = itertools.count()
+        self._next_gid = 0
         self._unsat_groups = 0
         # The aggregation layer records a handful of samples per
         # operation, so (like the sharded fan-out) it carries a live
@@ -99,14 +98,14 @@ class AggregatingMatcher(Matcher):
     # ------------------------------------------------------------------
     def _bind_metrics(self) -> None:
         m = self.metrics
-        self._m_frontier = m.gauge(
+        m.gauge(
             "repro_agg_frontier_size",
             "Frontier groups — the matcher-visible |S| after aggregation.",
-        ).labels()
-        self._m_subscribers = m.gauge(
+        ).read(self, lambda: self._forest.frontier_size)
+        m.gauge(
             "repro_agg_subscribers",
             "Raw subscriber ids behind the aggregation layer.",
-        ).labels()
+        ).read(self, lambda: len(self._subs))
         self._m_duplicates = m.counter(
             "repro_agg_duplicates_total",
             "Subscriptions absorbed into an existing canonical group.",
@@ -120,14 +119,9 @@ class AggregatingMatcher(Matcher):
             "repro_agg_expansions_total",
             "Subscriber ids emitted by fan-out expansion of frontier hits.",
         ).labels()
-        self._refresh_gauges()
 
     def inner_matchers(self) -> Sequence[Matcher]:
         return (self.inner,)
-
-    def _refresh_gauges(self) -> None:
-        self._m_frontier.set(self._forest.frontier_size)
-        self._m_subscribers.set(len(self._subs))
 
     @property
     def counters(self) -> Dict[str, Any]:
@@ -148,18 +142,17 @@ class AggregatingMatcher(Matcher):
             )
         key, simplified = canonicalize(subscription.predicates)
         group = self._groups.get(key)
-        if group is not None:
-            group.ids[subscription.id] = None
-            self._m_duplicates.inc()
-        else:
+        if group is None:
             group = self._new_group(key, simplified)
-            group.ids[subscription.id] = None
+        else:
+            self._m_duplicates.inc()
+        group.ids[subscription.id] = None
         self._subs[subscription.id] = subscription
         self._group_of[subscription.id] = group
-        self._refresh_gauges()
 
     def _new_group(self, key: CanonicalKey, simplified) -> _Group:
-        gid = next(self._gids)
+        """File a new group; a raising inner write leaves no trace."""
+        gid = self._next_gid
         if simplified is None:
             # Unsatisfiable: stored (it occupies an id, it can be
             # removed) but never shown to the forest or the inner
@@ -167,46 +160,70 @@ class AggregatingMatcher(Matcher):
             group = _Group(gid, key, None, None)
             self._unsat_groups += 1
         else:
-            canon_sub = Subscription(gid, simplified)
-            group = _Group(gid, key, canon_sub, _by_attribute(simplified))
-            parent, demoted = self._forest.insert(gid, group.by_attr)
+            group = _Group(gid, key, Subscription(gid, simplified), _by_attribute(simplified))
+            placement = parent, demoted = self._forest.placement(group.by_attr)
             if parent is None:
-                self.inner.add(canon_sub)
-                for d in demoted:
-                    self.inner.remove(d)
-                    self._m_covered.inc()
-            else:
-                self._m_covered.inc()
+                self._write_inner(
+                    [(group.canon_sub, True)]
+                    + [(self._by_gid[d].canon_sub, False) for d in demoted]
+                )
+            self._forest.insert(gid, group.by_attr, placement)
+            self._m_covered.inc(1 if parent is not None else len(demoted))
+        self._next_gid += 1
         self._groups[key] = group
         self._by_gid[gid] = group
         return group
 
     def remove(self, sub_id: Any) -> Subscription:
-        group = self._group_of.pop(sub_id, None)
+        group = self._group_of.get(sub_id)
         if group is None:
             raise UnknownSubscriptionError(f"unknown subscription {sub_id!r}")
-        subscription = self._subs.pop(sub_id)
-        del group.ids[sub_id]
-        if not group.ids:
+        if len(group.ids) == 1:
             self._dissolve_group(group)
-        self._refresh_gauges()
-        return subscription
+        del group.ids[sub_id]
+        del self._group_of[sub_id]
+        return self._subs.pop(sub_id)
 
     def _dissolve_group(self, group: _Group) -> None:
-        del self._groups[group.key]
-        del self._by_gid[group.gid]
+        """Drop a group; a raising inner write leaves no trace."""
+        gid, forest = group.gid, self._forest
         if group.by_attr is None:
             self._unsat_groups -= 1
-            return
-        was_frontier = self._forest.is_frontier(group.gid)
-        promoted, demoted = self._forest.remove(group.gid)
-        if was_frontier:
-            self.inner.remove(group.gid)
-        for gid in promoted:
-            self.inner.add(self._by_gid[gid].canon_sub)
-        for gid in demoted:
-            self.inner.remove(gid)
-            self._m_covered.inc()
+        elif not forest.is_frontier(gid):
+            forest.remove(gid)  # covered: the inner matcher never held it
+        else:
+            children = set(forest.children(gid))
+            promoted, demoted = forest.remove(gid)
+            try:
+                self._write_inner(
+                    [(group.canon_sub, False)]
+                    + [(self._by_gid[p].canon_sub, True) for p in promoted]
+                    + [(self._by_gid[d].canon_sub, False) for d in demoted]
+                )
+            except BaseException:
+                forest.restore(gid, group.by_attr, children)
+                raise
+            self._m_covered.inc(len(demoted))
+        del self._groups[group.key]
+        del self._by_gid[gid]
+
+    def _write_inner(self, writes: List[Tuple[Subscription, bool]]) -> None:
+        """Apply ``(canonical subscription, add?)`` writes to the inner
+        matcher in order, all or nothing: when one raises, the ones
+        before it are undone and the error propagates."""
+        for done, (sub, adding) in enumerate(writes):
+            try:
+                self._write(sub, adding)
+            except BaseException:
+                for undone, added in reversed(writes[:done]):
+                    self._write(undone, not added)
+                raise
+
+    def _write(self, sub: Subscription, adding: bool) -> None:
+        if adding:
+            self.inner.add(sub)
+        else:
+            self.inner.remove(sub.id)
 
     def match(self, event: Event) -> List[Any]:
         return self._expand(self.inner.match(event), event)

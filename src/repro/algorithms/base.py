@@ -92,8 +92,6 @@ class TwoPhaseMatcher(Matcher):
             self._release_predicates(subscription)
             self._subs.drop(subscription.id)
             raise
-        if self.metrics.enabled:
-            self._m_subscriptions.set(len(self._subs))
 
     def remove(self, sub_id: Any) -> Subscription:
         handle = self._subs.handle_of(sub_id)
@@ -101,8 +99,6 @@ class TwoPhaseMatcher(Matcher):
         self._displace(handle, sub)
         self._release_predicates(sub)
         self._subs.drop(sub_id)
-        if self.metrics.enabled:
-            self._m_subscriptions.set(len(self._subs))
         return sub
 
     def match(self, event: Event) -> List[Any]:
@@ -110,10 +106,10 @@ class TwoPhaseMatcher(Matcher):
 
         The clock is read unconditionally (three reads are cheaper
         than keeping an untimed second copy of this body in step); only
-        the recording is guarded: phase timings/counts go to the
-        registry when one is attached, and a tracer gets a per-event
-        span tree (phase-2 implementations hang children off
-        :attr:`_active_span`).
+        the recording is guarded: phase timings go to the registry
+        when one is attached (its counts read :attr:`counters`), and a
+        tracer gets a per-event span tree (phase-2 implementations hang
+        children off :attr:`_active_span`).
         """
         t0 = time.perf_counter_ns()
         self.bits.reset()
@@ -133,9 +129,6 @@ class TwoPhaseMatcher(Matcher):
         t2 = time.perf_counter_ns()
         checks = self.counters["subscription_checks"] - before
         if self.metrics.enabled:
-            self._m_events.inc()
-            self._m_satisfied.inc(satisfied)
-            self._m_checks.inc(checks)
             self._m_predicate_seconds.observe((t1 - t0) / 1e9)
             self._m_subscription_seconds.observe((t2 - t1) / 1e9)
         if span is not None:
@@ -222,9 +215,6 @@ class TwoPhaseMatcher(Matcher):
                 )
             )
         if self.metrics.enabled:
-            self._m_events.inc(n)
-            self._m_satisfied.inc(satisfied)
-            self._m_checks.inc(checks)
             self._mb_batches.inc()
             self._mb_events.inc(n)
             self._mb_predicate_seconds.observe((t1 - t0) / 1e9)
@@ -235,22 +225,17 @@ class TwoPhaseMatcher(Matcher):
         m = self.metrics
         labels = {"engine": self.name, "shard": self.metrics_shard}
         names = ("engine", "shard")
-        self._m_events = m.counter(
-            "repro_events_total", "Events matched.", names
-        ).labels(**labels)
-        self._m_satisfied = m.counter(
-            "repro_predicates_satisfied_total",
-            "Distinct predicates the predicate phase set bits for.",
-            names,
-        ).labels(**labels)
-        self._m_checks = m.counter(
-            "repro_subscription_checks_total",
-            "Subscriptions the subscription phase read (the paper's unit of phase-2 work).",
-            names,
-        ).labels(**labels)
-        self._m_subscriptions = m.gauge(
-            "repro_subscriptions", "Live subscriptions.", names
-        ).labels(**labels)
+        for key, name, help in (
+            ("events", "repro_events_total", "Events matched."),
+            ("predicates_satisfied", "repro_predicates_satisfied_total",
+             "Distinct predicates the predicate phase set bits for."),
+            ("subscription_checks", "repro_subscription_checks_total",
+             "Subscriptions the subscription phase read (the paper's unit of phase-2 work)."),
+        ):  # fmt: skip
+            m.counter(name, help, names).read(self, lambda k=key: self.counters[k], **labels)
+        m.gauge("repro_subscriptions", "Live subscriptions.", names).read(
+            self, lambda: len(self._subs), **labels
+        )
         phases = m.histogram(
             "repro_match_phase_seconds",
             "Per-event latency split by matching phase.",

@@ -16,11 +16,11 @@ import abc
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.types import Event, Subscription
-from repro.obs.registry import MetricsRegistry, NOOP_REGISTRY
+from repro.obs.registry import Instrumented, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
-class Matcher(abc.ABC):
+class Matcher(Instrumented, abc.ABC):
     """Abstract subscription matcher.
 
     Implementations must tolerate interleaved ``add`` / ``remove`` /
@@ -36,10 +36,6 @@ class Matcher(abc.ABC):
     #: The paper's engines are single-threaded; only wrappers that add
     #: their own locking (ThreadSafeMatcher, ShardedMatcher) flip this.
     thread_safe: bool = False
-
-    #: Metrics sink; the no-op default costs one ``enabled`` check on the
-    #: hot path until :meth:`use_metrics` attaches a real registry.
-    metrics: MetricsRegistry = NOOP_REGISTRY
 
     #: Trace sink; disabled by default (see :meth:`use_tracer`).
     tracer: Tracer = NULL_TRACER
@@ -128,15 +124,9 @@ class Matcher(abc.ABC):
         return ()
 
     def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Attach a metrics registry (a fresh one if None); returns it.
-
-        Subclasses bind their instrument children in :meth:`_bind_metrics`;
-        until this is called the class-level no-op registry keeps the
-        instrumentation cost at a single boolean check per event.
-        """
-        registry = MetricsRegistry() if registry is None else registry
-        self.metrics = registry
-        self._bind_metrics()
+        """Attach a registry (a fresh one if None) here and on every
+        inner matcher; returns it."""
+        registry = super().use_metrics(registry)
         for inner in self.inner_matchers():
             inner.use_metrics(registry)
         return registry
@@ -158,9 +148,6 @@ class Matcher(abc.ABC):
         """Run the build step, if any (``static`` returns its plan)."""
         for inner in self.inner_matchers():
             inner.rebuild()
-
-    def _bind_metrics(self) -> None:
-        """Hook: (re)create instrument children on :attr:`metrics`."""
 
     def stats(self) -> Dict[str, Any]:
         """Implementation-specific statistics (sizes, counters).

@@ -96,9 +96,8 @@ class DynamicMatcher(ClusteredMatcher):
             "Maintenance actions of the dynamic clustering algorithm, by kind.",
             ("engine", "shard", "kind"),
         )
-        self._m_maintenance = {
-            kind: maint.labels(kind=kind, **labels) for kind in self.maintenance
-        }
+        for kind in self.maintenance:
+            maint.read(self, lambda k=kind: self.maintenance[k], kind=kind, **labels)
         thresholds = self.metrics.counter(
             "repro_dynamic_threshold_crossings_total",
             "Times a Section-4 maintenance threshold (BMmax, Bcreate, Bdelete) fired.",
@@ -109,12 +108,6 @@ class DynamicMatcher(ClusteredMatcher):
             for name in ("bm_max", "b_create", "b_delete")
         }
         self._tracker.on_ready = lambda schema: self._note_threshold("b_create")
-
-    def _note_maintenance(self, kind: str, n: int = 1) -> None:
-        """Bump one maintenance counter (dict always, registry if enabled)."""
-        self.maintenance[kind] += n
-        if self.metrics.enabled:
-            self._m_maintenance[kind].inc(n)
 
     def _note_threshold(self, which: str) -> None:
         """Record one threshold crossing in the registry."""
@@ -326,7 +319,7 @@ class DynamicMatcher(ClusteredMatcher):
         lst = table.entry(key)
         if lst is None:
             return
-        self._note_maintenance("distributions")
+        self.maintenance["distributions"] += 1
         entry: EntryId = (schema, key)
         entry_nu = self._entry_nu(schema, key)
         stayers: List[Subscription] = []
@@ -345,7 +338,7 @@ class DynamicMatcher(ClusteredMatcher):
                 if self._tracker.is_marked(sub.id):
                     self._tracker.reset_votes(sub.equality_attributes)
                     self._tracker.unmark(sub.id)
-                self._note_maintenance("moves")
+                self.maintenance["moves"] += 1
             else:
                 stayers.append(sub)
         # Redistribution not enough: vote for potential tables.
@@ -387,7 +380,7 @@ class DynamicMatcher(ClusteredMatcher):
         if schema in self.config:
             return
         self.config.ensure_table(schema)
-        self._note_maintenance("tables_created")
+        self.maintenance["tables_created"] += 1
         for src_schema, src_key in candidates:
             table = self.config.table(src_schema)
             if table is None:
@@ -403,7 +396,7 @@ class DynamicMatcher(ClusteredMatcher):
                 if new_bucket <= cur_bucket - self._gap:
                     self.move_subscription(sub.id, schema)
                     self._tracker.unmark(sub.id)
-                    self._note_maintenance("moves")
+                    self.maintenance["moves"] += 1
 
     def _drop_table(self, schema: Schema) -> None:
         """Delete a table, redistributing its members to the best rest."""
@@ -423,9 +416,9 @@ class DynamicMatcher(ClusteredMatcher):
                 else None
             )
             self.move_subscription(sub.id, target)
-            self._note_maintenance("moves")
+            self.maintenance["moves"] += 1
         self.config.drop_table(schema)
-        self._note_maintenance("tables_dropped")
+        self.maintenance["tables_dropped"] += 1
 
     # ------------------------------------------------------------------
     # periodic sweep
@@ -433,7 +426,7 @@ class DynamicMatcher(ClusteredMatcher):
     def sweep(self) -> None:
         """Periodic maintenance: oversized entries, underused tables."""
         params = self.params
-        self._note_maintenance("sweeps")
+        self.maintenance["sweeps"] += 1
         if not self._frozen:
             for table in list(self.config.tables()):
                 for _key, lst in list(table.entries()):

@@ -64,11 +64,11 @@ class StaticMatcher(ClusteredMatcher):
             "From-scratch greedy reorganizations (the Figure 3(d) loading cost).",
             names,
         ).labels(**labels)
-        self._m_plan_schemas = self.metrics.gauge(
+        self.metrics.gauge(
             "repro_static_plan_schemas",
             "Hash-table schemas chosen by the current greedy plan.",
             names,
-        ).labels(**labels)
+        ).read(self, lambda: 0 if self.plan is None else len(self.plan.schemas), **labels)
 
     # ------------------------------------------------------------------
     # schema choice
@@ -112,7 +112,6 @@ class StaticMatcher(ClusteredMatcher):
         self._drop_empty_tables()
         if self.metrics.enabled:
             self._m_rebuilds.inc()
-            self._m_plan_schemas.set(len(plan.schemas))
         return plan
 
     def _drop_empty_tables(self) -> None:

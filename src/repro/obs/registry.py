@@ -1,7 +1,7 @@
 """Dependency-free metrics primitives: counters, gauges, histograms.
 
-The registry is the single source of truth for operational metrics
-across every engine layer (matchers, sharding, server, benchmarks).
+The registry is the one place every layer's operational metrics are
+read from (matchers, sharding, server, benchmarks).
 Three instrument kinds are provided, deliberately mirroring the
 Prometheus data model so the text exporter in :mod:`repro.obs.export`
 is a straight serialization:
@@ -15,7 +15,9 @@ is a straight serialization:
 Instruments are grouped into labeled :class:`Family` objects
 (``registry.counter(name, help, labelnames)``); hot paths hold the
 *child* returned by :meth:`Family.labels` so recording is one attribute
-update.  The default registry on every matcher is :data:`NOOP_REGISTRY`
+update.  A number its owner keeps anyway (a size, a lifetime count) is
+not recorded at all: :meth:`Family.read` binds a reader for it instead.
+The default registry on every matcher is :data:`NOOP_REGISTRY`
 — a singleton whose instruments do nothing — so instrumentation costs
 one ``enabled`` check until a real registry is attached with
 ``matcher.use_metrics()``.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 def exponential_buckets(start: float, factor: float, count: int) -> Tuple[float, ...]:
@@ -47,42 +49,53 @@ def exponential_buckets(start: float, factor: float, count: int) -> Tuple[float,
 DEFAULT_BUCKETS = exponential_buckets(1e-6, 4.0, 12)
 
 
-class Counter:
-    """A monotonically increasing value (one labeled child)."""
+class _Child:
+    """A counter or gauge child: what was pushed plus what its readers
+    (:meth:`Family.read`) say, one per owner, read when the value is."""
 
-    __slots__ = ("value",)
-    kind = "counter"
+    __slots__ = ("_pushed", "_readers")
 
     def __init__(self) -> None:
-        self.value: float = 0
+        self._pushed: float = 0
+        self._readers: Dict[int, Callable[[], float]] = {}
+
+    @property
+    def value(self) -> float:
+        """The pushed value plus every bound reader's, read now."""
+        # A tuple copy: another thread may bind an owner meanwhile.
+        return self._pushed + sum(read() for read in tuple(self._readers.values()))
+
+
+class Counter(_Child):
+    """A monotonically increasing value (one labeled child)."""
+
+    __slots__ = ()
+    kind = "counter"
 
     def inc(self, n: float = 1) -> None:
         """Add *n* (must be >= 0) to the counter."""
         if n < 0:
             raise ValueError(f"counters only go up, got inc({n})")
-        self.value += n
+        self._pushed += n
 
 
-class Gauge:
+class Gauge(_Child):
     """A value that can move both ways (one labeled child)."""
 
-    __slots__ = ("value",)
+    __slots__ = ()
     kind = "gauge"
-
-    def __init__(self) -> None:
-        self.value: float = 0
 
     def set(self, value: float) -> None:
         """Set the gauge to an absolute value."""
-        self.value = value
+        self._pushed = value
 
     def inc(self, n: float = 1) -> None:
         """Add *n* to the gauge."""
-        self.value += n
+        self._pushed += n
 
     def dec(self, n: float = 1) -> None:
         """Subtract *n* from the gauge."""
-        self.value -= n
+        self._pushed -= n
 
 
 class Histogram:
@@ -171,6 +184,18 @@ class Family:
             else:
                 child = Histogram(self._buckets or DEFAULT_BUCKETS)
             self._children[key] = child
+        return child
+
+    def read(self, owner: Any, read: Callable[[], float], **labels: Any) -> Any:
+        """Bind *read* as *owner*'s part of one counter or gauge child,
+        called whenever the child's value is read; returns the child.
+
+        Nothing then runs at mutation time and nothing can drift.  Binding
+        the same owner again replaces its reader; owners on one child add
+        up.  The registry holds the reader and its owner: counts never drop.
+        """
+        child = self.labels(**labels)
+        child._readers[id(owner)] = read
         return child
 
     def children(self) -> Iterator[Tuple[Tuple[str, ...], Any]]:
@@ -333,6 +358,10 @@ class _NoopInstrument:
     def set(self, value: float) -> None:
         """Discard the value."""
 
+    def read(self, owner: Any, read: Callable[[], float], **labels: Any) -> "_NoopInstrument":
+        """Bind nothing: a no-op registry never asks."""
+        return self
+
     def observe(self, value: float) -> None:
         """Discard the observation."""
 
@@ -357,3 +386,21 @@ class NoopRegistry(MetricsRegistry):
 #: Singleton default for every matcher; attach a real registry with
 #: ``matcher.use_metrics()`` to start recording.
 NOOP_REGISTRY = NoopRegistry()
+
+
+class Instrumented:
+    """A component that records into :attr:`metrics`, its instrument
+    children (and readers) bound in :meth:`_bind_metrics`.  The no-op
+    default costs one ``enabled`` check on a hot path until
+    :meth:`use_metrics` attaches a real registry."""
+
+    metrics: MetricsRegistry = NOOP_REGISTRY
+
+    def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+        """Attach a (shared) registry, a fresh one if None; returns it."""
+        self.metrics = MetricsRegistry() if registry is None else registry
+        self._bind_metrics()
+        return self.metrics
+
+    def _bind_metrics(self) -> None:
+        """Hook: (re)create instrument children on :attr:`metrics`."""

@@ -72,7 +72,7 @@ from typing import (
 import time
 
 from repro.core.errors import ReproError
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Instrumented, MetricsRegistry
 from repro.system.clock import Clock, SystemClock
 from repro.system.notifier import Notification, Sink, _as_callable
 from repro.system.resilience import RetryPolicy
@@ -349,7 +349,7 @@ class SubscriberChannel:
         }
 
 
-class DeliveryManager:
+class DeliveryManager(Instrumented):
     """At-least-once fan-out from match results to subscriber channels.
 
     Thread-safe (one re-entrant lock; ``block`` overflow waits on a
@@ -404,50 +404,37 @@ class DeliveryManager:
         # Delivery is I/O-shaped (one update per notification, not per
         # predicate), so a live registry is the default — same reasoning
         # as the WAL and the sharded fan-out layer.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._bind_metrics()
+        self.use_metrics(metrics)
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     def _bind_metrics(self) -> None:
         m = self.metrics
-        self._m_inflight = m.gauge(
+        m.gauge(
             "repro_delivery_inflight",
             "Unacked notifications outstanding across all channels.",
-        ).labels()
-        self._m_channels = m.gauge(
+        ).read(self, lambda: self.inflight)
+        m.gauge(
             "repro_delivery_channels", "Registered subscriber channels."
-        ).labels()
-        self._m_redeliveries = m.counter(
+        ).read(self, lambda: len(self._channels))
+        m.counter(
             "repro_delivery_redeliveries_total",
             "Notification re-sends after an ack timeout or a sink error.",
-        ).labels()
+        ).read(self, lambda: self._total("redeliveries"))
         dead = m.counter(
             "repro_delivery_dead_lettered_total",
             "Notifications moved to the dead-letter queue, by reason.",
             ("reason",),
         )
         self._m_dead = {r: dead.labels(reason=r) for r in DEAD_LETTER_REASONS}
-        self._m_acks = m.counter(
+        m.counter(
             "repro_delivery_acks_total", "Notifications acknowledged by subscribers."
-        ).labels()
-        self._m_shed = m.counter(
+        ).read(self, lambda: self._total("acks"))
+        m.counter(
             "repro_delivery_shed_total",
             "Notifications shed by full channels (overflow=shed-oldest).",
-        ).labels()
-
-    def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Attach a (shared) metrics registry; returns it."""
-        registry = MetricsRegistry() if registry is None else registry
-        self.metrics = registry
-        self._bind_metrics()
-        self._refresh_gauges()
-        return registry
-
-    def _refresh_gauges(self) -> None:
-        self._m_inflight.set(self._outstanding_total)
-        self._m_channels.set(len(self._channels))
+        ).read(self, lambda: self._total("shed"))
 
     def _wake_at(self, when: float) -> None:
         """Lower the pump watermark to *when* (a new due time)."""
@@ -533,7 +520,6 @@ class DeliveryManager:
             for lease in self._orphans.pop(sub_id, ()):
                 # Opened (built and counted) when restore() parked it.
                 self._queue(channel, lease, now)  # re-send as soon as something pumps
-            self._refresh_gauges()
             return channel
 
     def unregister(self, sub_id: Any, dead_letter: bool = True) -> int:
@@ -555,7 +541,6 @@ class DeliveryManager:
             self._seq_floor[sub_id] = channel._next_seq
             for key, value in channel.counters.items():
                 self._departed[key] += value
-            self._refresh_gauges()
             return dropped
 
     def channel(self, sub_id: Any) -> SubscriberChannel:
@@ -626,8 +611,8 @@ class DeliveryManager:
             return self._dispatch_slow(channel, sub_id, event, now)
         # Fast path: a successful auto-acked send settles synchronously
         # — the lease never rests in the window — so the full
-        # bookkeeping (window insertion, watermark, gauge refresh) is
-        # skipped.  This is the publish hot path.
+        # bookkeeping (window insertion, watermark) is skipped.  This is
+        # the publish hot path.
         seq = channel._next_seq
         channel._next_seq = seq + 1
         notification = Notification(sub_id, event, now, seq=seq)
@@ -646,8 +631,6 @@ class DeliveryManager:
             return seq
         channel.delivered += 1
         channel.acks += 1
-        # Counter.inc() is just `value += n`; skip the call.
-        self._m_acks.value += 1
         if wal is not None:
             self._journal_settle(sub_id, seq, "ack", None, 1)
         return seq
@@ -743,7 +726,6 @@ class DeliveryManager:
             self._seq_floor[sub_id] = max(self._seq_floor.get(sub_id, 0), seq + 1)
         else:
             channel._rest(lease, inflight=False)
-        self._refresh_gauges()
         return lease
 
     def _close(
@@ -754,12 +736,12 @@ class DeliveryManager:
         reason: Optional[str] = None,
     ) -> None:
         """The one way out: take *lease* from the window, count the
-        outcome, journal its ``settle``, refresh the gauges and wake
-        publishers blocked on a full channel.  *outcome* is ``ack``,
-        ``shed``, ``dead-letter`` (with its *reason*) or ``drop`` — the
-        silent drop of ``unregister(dead_letter=False)``, counted
-        nowhere and journaled as ``shed``: the log must not owe a
-        delivery the operator discarded."""
+        outcome, journal its ``settle`` and wake publishers blocked on a
+        full channel.  *outcome* is ``ack``, ``shed``, ``dead-letter``
+        (with its *reason*) or ``drop`` — the silent drop of
+        ``unregister(dead_letter=False)``, counted nowhere and journaled
+        as ``shed``: the log must not owe a delivery the operator
+        discarded."""
         del channel._window[lease.seq]
         if not channel._window:
             channel._window = _EMPTY_WINDOW
@@ -767,10 +749,8 @@ class DeliveryManager:
         self._outstanding_total -= 1
         if outcome == "ack":
             channel.acks += 1
-            self._m_acks.inc()
         elif outcome == "shed":
             channel.shed += 1
-            self._m_shed.inc()
         elif outcome == "dead-letter":
             channel.dead_lettered += 1
             self._m_dead[reason].inc()
@@ -787,7 +767,6 @@ class DeliveryManager:
         else:  # "drop"
             outcome = "shed"
         self._journal_settle(channel.sub_id, lease.seq, outcome, reason, lease.attempts)
-        self._refresh_gauges()
         self._space.notify_all()
 
     def _drain(
@@ -805,7 +784,6 @@ class DeliveryManager:
         lease.attempts += 1
         if lease.attempts > 1:
             channel.redeliveries += 1
-            self._m_redeliveries.inc()
         lease.due_at = now + channel._policy.ack_timeout
         self._wake_at(lease.due_at)
         channel._rest(lease, inflight=True)
@@ -1030,22 +1008,23 @@ class DeliveryManager:
         with self._lock:
             return self._outstanding_total
 
+    def _total(self, key: str) -> int:
+        """One lifetime counter summed over every channel, departed ones
+        included (the ``repro_delivery_*_total`` readers)."""
+        with self._lock:
+            channels = self._channels.values()
+            return self._departed[key] + sum(getattr(c, key) for c in channels)
+
     def stats(self) -> Dict[str, Any]:
         """Unified stats shape (same contract as the matchers)."""
         with self._lock:
-            totals = dict(self._departed)
-            per_channel = {}
-            for sub_id, channel in self._channels.items():
-                snapshot = per_channel[str(sub_id)] = channel.stats()
-                for key, value in snapshot["counters"].items():
-                    totals[key] += value
             return {
                 "name": "delivery",
                 "channels": len(self._channels),
                 "inflight": self.inflight,
                 "dead_letters": len(self.dead_letters),
-                "counters": totals,
-                "per_channel": per_channel,
+                "counters": {key: self._total(key) for key in _COUNTER_KEYS},
+                "per_channel": {str(s): c.stats() for s, c in self._channels.items()},
                 "dead_letter_queue": self.dead_letters.stats(),
             }
 

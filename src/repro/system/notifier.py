@@ -21,7 +21,7 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Event
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Instrumented, MetricsRegistry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +91,7 @@ class NullNotifier(Notifier):
         pass
 
 
-class QueueNotifier(Notifier):
+class QueueNotifier(Instrumented, Notifier):
     """Collects notifications in order for later draining.
 
     With ``maxlen`` the queue is bounded and keeps the *newest*
@@ -108,21 +108,13 @@ class QueueNotifier(Notifier):
         self._queue: Deque[Notification] = deque(maxlen=self.maxlen)
         #: Notifications evicted by maxlen overflow since construction.
         self.dropped = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._bind_metrics()
+        self.use_metrics(metrics)
 
     def _bind_metrics(self) -> None:
         self._m_dropped = self.metrics.counter(
             "repro_notifier_dropped_total",
             "Notifications evicted by a bounded QueueNotifier (maxlen overflow).",
         ).labels()
-
-    def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Attach a (shared) metrics registry; returns it."""
-        registry = MetricsRegistry() if registry is None else registry
-        self.metrics = registry
-        self._bind_metrics()
-        return registry
 
     def deliver(self, notification: Notification) -> None:
         if self.maxlen is not None and len(self._queue) == self.maxlen:

@@ -78,7 +78,7 @@ from repro.batch.columns import ColumnarBatch
 from repro.core.handles import HandleTable
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Instrumented, MetricsRegistry
 from repro.system.resilience import WorkerDiedError, WorkerStateError
 from repro.system.shm import ShmArena, SlotTicket
 
@@ -301,7 +301,7 @@ class _Worker:
         self.send_seconds = 0.0
 
 
-class ProcessPool:
+class ProcessPool(Instrumented):
     """N worker processes, one per shard, each serving one matcher.
 
     ``request_timeout`` bounds any single IPC round trip: a worker that
@@ -339,8 +339,7 @@ class ProcessPool:
         self.arena: Optional[ShmArena] = None
         if codec == "shm":
             self.arena = ShmArena.create(slots=_SHM_SLOTS, slot_bytes=_SHM_SLOT_BYTES)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._bind_metrics()
+        self.use_metrics(metrics)
         try:
             for index in range(len(factories)):
                 self.spawn(index)
@@ -353,9 +352,9 @@ class ProcessPool:
     # -- observability --------------------------------------------------
     def _bind_metrics(self) -> None:
         m = self.metrics
-        self._m_workers = m.gauge(
-            "repro_procpool_workers", "Live shard worker processes."
-        ).labels()
+        m.gauge("repro_procpool_workers", "Live shard worker processes.").read(
+            self, self.alive_count
+        )
         respawns = m.counter(
             "repro_procpool_respawns_total",
             "Worker respawns after a death, by shard.",
@@ -406,13 +405,6 @@ class ProcessPool:
             reason: shm_fallback.labels(reason=reason)
             for reason in SHM_FALLBACK_REASONS
         }
-        self._m_workers.set(self.alive_count())
-
-    def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Attach a (shared) registry and rebind the pool families."""
-        self.metrics = MetricsRegistry() if registry is None else registry
-        self._bind_metrics()
-        return self.metrics
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -452,11 +444,7 @@ class ProcessPool:
         process.start()
         child_conn.close()  # EOF detection needs the parent copy gone
         worker = _Worker(process, parent_conn, "?", process.pid or -1)
-        try:
-            status, value = pickle.loads(self._recv(worker, index))
-        except WorkerDiedError:
-            self._m_workers.set(self.alive_count())
-            raise
+        status, value = pickle.loads(self._recv(worker, index))
         if status == "err":
             process.join(timeout=1.0)
             parent_conn.close()
@@ -464,7 +452,6 @@ class ProcessPool:
         worker.name = value.get("name", "?")
         worker.pid = value.get("pid", worker.pid)
         self._workers[index] = worker
-        self._m_workers.set(self.alive_count())
 
     def respawn(self, index: int) -> None:
         """Replace a dead worker (counted in ``repro_procpool_respawns_total``)."""
@@ -477,7 +464,6 @@ class ProcessPool:
         if worker is not None:
             worker.dead = True
         self._reap(index)
-        self._m_workers.set(self.alive_count())
 
     def _reap(self, index: int) -> None:
         worker = self._workers[index]
@@ -514,7 +500,6 @@ class ProcessPool:
             # Workers are gone; unmapping + unlinking here is the only
             # place the segment leaves /dev/shm.
             self.arena.close()
-        self._m_workers.set(0)
 
     # -- shared-memory publish path ------------------------------------
     def publish_events(self, events: Sequence[Event], readers: int) -> Optional[SlotTicket]:

@@ -172,14 +172,13 @@ class BatchServer:
 
     def _bind_metrics(self) -> None:
         m = self.metrics
-        self._m_queue_depth = m.gauge(
+        m.gauge(
             "repro_server_queue_depth", "Batches waiting in the request queue."
-        ).labels()
-        self._m_queue_limit = m.gauge(
+        ).read(self, self._requests.qsize)
+        m.gauge(
             "repro_server_queue_limit",
             "Configured request-queue bound (0 = unbounded).",
-        ).labels()
-        self._m_queue_limit.set(self.queue_limit or 0)
+        ).read(self, lambda: self.queue_limit or 0)
         shed = m.counter(
             "repro_server_shed_total",
             "Requests shed without being processed, by reason.",
@@ -249,12 +248,15 @@ class BatchServer:
             if request.kind == "publish":
                 results: Any = broker.publish_batch(request.payload)
             else:
-                # Durability: mutations are journaled per item but
-                # fsynced once per *batch* — the batch boundary is the
-                # natural amortization point (the paper submits in
-                # n_S_b / n_E_b units).  The explicit sync sits inside
-                # the batched scope so even fsync="always" pays one disk
-                # sync per batch, not one per item plus one.
+                # Durability: the broker journals the batch whole under
+                # its own ``wal.batched()``, and the reply waits for one
+                # fsync per *batch* — the batch boundary is the natural
+                # amortization point (the paper submits in n_S_b /
+                # n_E_b units).  The outer scope is what keeps that one
+                # under fsync="always": alone, the broker's scope would
+                # fsync at its exit and ``sync()`` again after it;
+                # nested, the inner exit defers to this scope, and
+                # ``sync()`` leaves it nothing to sync.
                 # Transport: the same amortization under
                 # executor="process" — each item changes its shard's
                 # parent-side mirror at once and rides to the worker in
@@ -274,7 +276,6 @@ class BatchServer:
                 self._m_batches[request.kind].inc()
                 self._m_items[request.kind].inc(len(request.payload))
                 self._m_batch_seconds[request.kind].observe(elapsed)
-                self._m_queue_depth.set(self._requests.qsize())
             request.reply_queue.put((results, elapsed, None))
         except Exception as exc:  # deliver failures to the caller
             request.reply_queue.put((None, 0.0, exc))
@@ -356,8 +357,6 @@ class BatchServer:
         submitted = time.perf_counter()
         deadline_at = None if deadline is None else time.monotonic() + deadline
         self._admit(_Request(kind, payload, reply, submitted, deadline_at))
-        with self._metrics_lock:
-            self._m_queue_depth.set(self._requests.qsize())
         results, processing, error = reply.get()
         if error is not None:
             raise error

@@ -74,7 +74,7 @@ from typing import IO, TYPE_CHECKING, Any, AnyStr, Callable, Dict, List, Optiona
 from repro.core.errors import ReproError
 from repro.core.types import Subscription
 from repro.io import event_to_dict, subscription_to_dict
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Instrumented
 from repro.system.clock import Clock, SystemClock
 
 if TYPE_CHECKING:  # recovery reads logs through this module
@@ -315,7 +315,7 @@ def _head(fp: IO[bytes], size: int) -> Iterator[bytes]:
         yield line
 
 
-class WriteAheadLog:
+class WriteAheadLog(Instrumented):
     """Append-only JSON-lines journal with pluggable fsync policy.
 
     Thread-safe: one internal lock serializes appends, syncs and a
@@ -352,8 +352,7 @@ class WriteAheadLog:
         # Appends are I/O-bound, so a live registry is the default (the
         # same reasoning as the sharded fan-out layer); ``use_metrics``
         # swaps in a shared one.
-        self.metrics = MetricsRegistry()
-        self._bind_metrics()
+        self.use_metrics()
         torn = 0
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             # Re-opening an existing log: distrust any damaged tail
@@ -396,17 +395,10 @@ class WriteAheadLog:
             "repro_wal_torn_tail_discarded_total",
             "Damaged tail lines discarded when re-opening an existing log.",
         ).labels()
-        self._m_unsynced = m.gauge(
+        m.gauge(
             "repro_wal_unsynced_appends",
             "Records appended since the last fsync (WAL lag).",
-        ).labels()
-
-    def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Attach a (shared) metrics registry; returns it."""
-        registry = MetricsRegistry() if registry is None else registry
-        self.metrics = registry
-        self._bind_metrics()
-        return registry
+        ).read(self, lambda: self._unsynced)
 
     @property
     def counters(self) -> Dict[str, Any]:
@@ -458,7 +450,6 @@ class WriteAheadLog:
             self._unsynced += 1
             self._m_bytes.inc(len(line))
             self._m_appends[record["type"]].inc()
-            self._m_unsynced.set(self._unsynced)
             if not self._batch_depth:  # else deferred to the batch end
                 self._sync_if_due_locked()
 
@@ -513,7 +504,6 @@ class WriteAheadLog:
         self._last_sync = time.monotonic()
         self._unsynced = 0
         self._m_fsyncs.inc()
-        self._m_unsynced.set(0)
 
     def _sync_if_due_locked(self) -> None:
         """Keep the fsync policy's promise for what was appended."""
@@ -623,7 +613,6 @@ class WriteAheadLog:
                 _fsync(self._fp)
                 self._m_fsyncs.inc()
                 self._unsynced = 0
-                self._m_unsynced.set(0)
             self._fp.close()
 
     @property

@@ -16,6 +16,7 @@ from repro.core.oracle import OracleMatcher
 from repro.matchers import MATCHER_FACTORIES, make_matcher
 from repro.system.resilience import PartialResults
 from repro.system.sharding import ShardedMatcher
+from repro.testing.faults import FlakyMatcher, InjectedFault
 from repro.workload import WorkloadGenerator, w0
 
 
@@ -104,6 +105,78 @@ class TestCovering:
         assert m.match(Event({"x": 1})) == []
         assert m.remove("never").id == "never"
         assert len(m) == 0
+
+
+class TestFailedInnerWrite:
+    """A write the inner matcher refuses changes nothing: the forest,
+    the group maps and the inner matcher stay as they were, and a retry
+    gives the oracle's answer."""
+
+    EVENTS = [Event({"a": 0}), Event({"a": 2}), Event({"a": 6})]
+
+    @staticmethod
+    def flaky(op):
+        return FlakyMatcher(make_matcher("dynamic"), failures=0, operations=(op,))
+
+    def observed(self, m):
+        return (
+            len(m),
+            m.frontier_size,
+            len(m.inner),
+            [norm(m.match(e)) for e in self.EVENTS],
+        )
+
+    def fail_once(self, m, op, call):
+        m.inner.rearm(1)
+        before = self.observed(m)
+        with pytest.raises(InjectedFault):
+            call()
+        assert m.inner.healed
+        assert self.observed(m) == before
+        m._forest.check_invariants()
+
+    def assert_oracle(self, m, subs):
+        oracle = OracleMatcher()
+        for s in subs:
+            oracle.add(s)
+        assert [norm(m.match(e)) for e in self.EVENTS] == [
+            norm(oracle.match(e)) for e in self.EVENTS
+        ]
+
+    def test_a_failed_add_leaves_no_ghost_group(self):
+        m = AggregatingMatcher(inner=self.flaky("add"))
+        x, y = sub("x", ge("a", 1)), sub("y", ge("a", 5))
+        self.fail_once(m, "add", lambda: m.add(x))
+        m.add(y)  # was filed under the ghost of x and matched nothing
+        assert norm(m.match(Event({"a": 6}))) == ["y"]
+        m.add(x)
+        self.assert_oracle(m, [x, y])
+
+    @pytest.mark.parametrize("op", ["add", "remove"])
+    def test_a_failed_demoting_add_changes_nothing(self, op):
+        # x's group is demoted under the broader newcomer z: the inner
+        # add of z or the inner remove of x may fail.
+        m = AggregatingMatcher(inner=self.flaky(op))
+        x, z = sub("x", ge("a", 5)), sub("z", ge("a", 1))
+        m.add(x)
+        self.fail_once(m, op, lambda: m.add(z))
+        m.add(z)
+        assert m.frontier_size == 1
+        self.assert_oracle(m, [x, z])
+
+    @pytest.mark.parametrize("op", ["remove", "add"])
+    def test_a_failed_remove_leaves_the_group_in_place(self, op):
+        # Removing frontier x removes it from the inner matcher and
+        # promotes the covered y into it: either write may fail.
+        m = AggregatingMatcher(inner=self.flaky(op))
+        x, y = sub("x", ge("a", 1)), sub("y", ge("a", 5))
+        m.add(x)
+        m.add(y)
+        self.fail_once(m, op, lambda: m.remove("x"))
+        assert m.get("x") is x
+        m.remove("x")
+        self.assert_oracle(m, [y])
+        m._forest.check_invariants()
 
 
 class TestMatcherSurface:

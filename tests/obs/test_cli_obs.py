@@ -75,6 +75,27 @@ class TestStatsCommand:
         assert snap["context"]["events"] == 2
         assert {m["name"] for m in snap["metrics"]} >= {"repro_events_total"}
 
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_json_counts_equal_the_workload(self, workload_files, shards):
+        subs, events = workload_files
+        rc, text = _run(
+            ["stats", "--subscriptions", subs, "--events", events,
+             "--format", "json", "--shards", shards]
+        )
+        assert rc == 0
+        values = {
+            m["name"]: {s["labels"].get("shard", ""): s["value"] for s in m["samples"]}
+            for m in json.loads(text)["metrics"]
+            if m["type"] != "histogram"
+        }
+        assert sum(values["repro_subscriptions"].values()) == 3
+        if shards == "1":
+            assert values["repro_events_total"] == {"": 2}
+        else:
+            # Each shard's engine matched exactly the events routed to it.
+            assert values["repro_sharded_events_total"] == {"": 2}
+            assert values["repro_events_total"] == values["repro_sharded_shard_visits_total"]
+
     def test_metrics_out_passes_schema(self, workload_files, tmp_path):
         subs, events = workload_files
         snapshot = tmp_path / "snap.json"

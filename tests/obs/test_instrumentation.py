@@ -94,6 +94,92 @@ class TestTwoPhaseMetrics:
             )
 
 
+class TestRegistryReadsTheOwner:
+    """A registry attached to a component that already holds state reads
+    that state: gauges and mirrored counters are read from their owner
+    when exported, as lifetime values, not copied in at the next
+    mutation."""
+
+    @pytest.mark.parametrize("engine", ["dynamic", "counting"])
+    def test_subscriptions_gauge_attached_after_loading(self, engine):
+        from repro.matchers import make_matcher
+
+        subs, events = _workload(n_subs=10)
+        matcher = make_matcher(engine)
+        for sub in subs:
+            matcher.add(sub)
+        matcher.match_batch(events)
+        registry = matcher.use_metrics()
+        labels = {"engine": engine, "shard": ""}
+        assert _child_value(registry, "repro_subscriptions", **labels) == len(matcher) == 10
+        assert _child_value(registry, "repro_events_total", **labels) == len(events)
+
+    def test_wal_lag_gauge_attached_after_appends(self, tmp_path):
+        from repro.system.wal import WriteAheadLog
+
+        wal = WriteAheadLog(tmp_path / "w.wal", fsync="never")
+        for _ in range(5):
+            wal.append_anchor()
+        registry = MetricsRegistry()
+        wal.use_metrics(registry)
+        lag = registry.family("repro_wal_unsynced_appends").labels()
+        assert lag.value == wal.stats()["unsynced_appends"] == 5
+        wal.sync()
+        assert lag.value == 0
+        wal.close()
+
+    def test_plan_gauge_attached_after_rebuild(self):
+        from repro.bench.harness import uniform_statistics_for
+        from repro.workload.scenarios import paper_workloads
+
+        matcher = StaticMatcher(statistics=uniform_statistics_for(paper_workloads(0.001)["W0"]))
+        for sub in _workload()[0]:
+            matcher.add(sub)
+        plan = matcher.rebuild()
+        registry = matcher.use_metrics()
+        labels = {"engine": "static", "shard": ""}
+        assert _child_value(registry, "repro_static_plan_schemas", **labels) == len(
+            plan.schemas
+        ) > 0
+
+    def test_attaching_twice_counts_once(self):
+        subs, events = _workload()
+        matcher = DynamicMatcher()
+        registry = MetricsRegistry()
+        matcher.use_metrics(registry)
+        for sub in subs:
+            matcher.add(sub)
+        matcher.use_metrics(registry)
+        for event in events:
+            matcher.match(event)
+        labels = {"engine": "dynamic", "shard": ""}
+        assert _child_value(registry, "repro_events_total", **labels) == len(events)
+        assert (
+            _child_value(registry, "repro_subscription_checks_total", **labels)
+            == matcher.counters["subscription_checks"]
+        )
+        assert _child_value(registry, "repro_subscriptions", **labels) == len(subs)
+        maintenance = registry.family("repro_dynamic_maintenance_total")
+        assert {k[-1]: c.value for k, c in maintenance.children()} == matcher.maintenance
+
+    def test_two_owners_on_one_child_sum(self):
+        subs, events = _workload()
+        first, second = DynamicMatcher(), DynamicMatcher()
+        registry = MetricsRegistry()
+        for matcher in (first, second):
+            matcher.use_metrics(registry)
+        for sub in subs:
+            first.add(sub)
+        for sub in subs[:5]:
+            second.add(sub)
+        for event in events:
+            first.match(event)
+        second.match(events[0])
+        labels = {"engine": "dynamic", "shard": ""}
+        assert _child_value(registry, "repro_subscriptions", **labels) == len(subs) + 5
+        assert _child_value(registry, "repro_events_total", **labels) == len(events) + 1
+
+
 class TestTracerSpans:
     def test_match_span_fields(self):
         subs, events = _workload()

@@ -39,6 +39,28 @@ class TestGauge:
         assert g.value == 12.0
 
 
+class TestReaders:
+    def test_a_reader_is_asked_when_the_value_is_read(self):
+        owner = {"n": 0}
+        child = MetricsRegistry().gauge("g").read(owner, lambda: owner["n"])
+        owner["n"] = 7
+        assert child.value == 7
+
+    def test_rebinding_an_owner_replaces_its_reader_and_owners_add_up(self):
+        family = MetricsRegistry().counter("c", "", ("k",))
+        first, second = object(), object()
+        family.read(first, lambda: 1, k="x")
+        family.read(first, lambda: 10, k="x")
+        child = family.read(second, lambda: 100, k="x")
+        child.inc(1000)
+        assert child.value == 1110
+        assert family.labels(k="y").value == 0
+
+    def test_the_noop_registry_binds_nothing(self):
+        child = NOOP_REGISTRY.counter("c").read(object(), lambda: 1 / 0)
+        assert child.value == 0
+
+
 class TestHistogramBuckets:
     def test_exponential_buckets_shape(self):
         bounds = exponential_buckets(1.0, 2.0, 4)

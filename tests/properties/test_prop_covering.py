@@ -13,6 +13,8 @@ Two claims:
   churn that removes frontier members, forcing covered groups to
   promote.  After every add and remove its covering forest passes
   :meth:`~repro.aggregation.forest.CoveringForest.check_invariants`.
+  An add or remove whose inner write raises changes nothing, and its
+  retry converges on the oracle like any other write.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 from repro.aggregation import AggregatingMatcher
 from repro.core import OracleMatcher, Subscription
 from repro.core.covering import covers
+from repro.matchers import DynamicMatcher
+from repro.testing.faults import FlakyMatcher, InjectedFault
 from tests.properties.strategies import events, subscriptions
 
 COMMON_SETTINGS = settings(
@@ -112,5 +116,41 @@ class TestAggregationConformance:
         assert len(agg) == 0 and agg.frontier_size == 0
         for s in subs:
             add(agg, s)
+        for e in evs:
+            assert norm(agg.match(e)) == norm(oracle.match(e))
+
+    @COMMON_SETTINGS
+    @given(
+        population=st.lists(subscriptions(), min_size=2, max_size=15),
+        evs=st.lists(events(), min_size=1, max_size=8),
+        faults=st.lists(st.booleans(), min_size=30, max_size=30),
+    )
+    def test_a_refused_inner_write_changes_nothing(self, population, evs, faults):
+        subs = [
+            Subscription(f"u{i}", s.predicates) for i, s in enumerate(population)
+        ]
+        inner = FlakyMatcher(DynamicMatcher(), failures=0, operations=("add", "remove"))
+        agg, oracle = AggregatingMatcher(inner=inner), OracleMatcher()
+
+        def observed():
+            return (
+                len(agg), agg.frontier_size, len(inner),
+                [norm(agg.match(e)) for e in evs],
+            )  # fmt: skip
+
+        writes = [(agg.add, oracle.add, s) for s in subs]
+        writes += [(agg.remove, oracle.remove, s.id) for s in subs[::2]]
+        for (write, mirror, arg), fault in zip(writes, faults):
+            inner.rearm(1 if fault else 0)
+            before = observed()
+            try:
+                write(arg)
+            except InjectedFault:
+                assert observed() == before
+                agg._forest.check_invariants()
+                write(arg)  # the fault is spent: the retry goes through
+            inner.rearm(0)
+            mirror(arg)
+            agg._forest.check_invariants()
         for e in evs:
             assert norm(agg.match(e)) == norm(oracle.match(e))

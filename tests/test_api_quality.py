@@ -344,11 +344,46 @@ class TestLeaseLifecycle:
             "DeliveryManager._send", "DeliveryManager.poll",
         ]  # fmt: skip
 
-    def test_gauges_refresh_where_a_lease_or_a_channel_comes_or_goes(self):
-        assert self.sites(self.calls("_refresh_gauges")) == [
-            "DeliveryManager._close", "DeliveryManager._open", "DeliveryManager.register",
-            "DeliveryManager.unregister", "DeliveryManager.use_metrics",
-        ]  # fmt: skip
+
+
+class TestOneCountPerFact:
+    """A number its owner keeps (a size, a lifetime count) reaches the
+    registry through a reader bound once in ``_bind_metrics``; nothing
+    copies it in at mutation sites, so the two cannot drift apart."""
+
+    #: The one gauge still set by hand, and why.
+    SET_ALLOWED = {
+        # ``repro_breaker_state``: reading ``CircuitBreaker.state``
+        # advances open -> half-open, and a metrics read must not
+        # change state, so the breaker's transition hook pushes it.
+        "system/sharding.py:ShardedMatcher._bind_metrics",
+        "system/sharding.py:ShardedMatcher._on_breaker_transition",
+    }
+
+    def test_nothing_refreshes_gauges(self):
+        def mentions(node):  # a definition, a call or any other reference
+            name = getattr(node, "name", None) or getattr(node, "attr", None)
+            return isinstance(name, str) and "refresh_gauges" in name
+
+        assert _functions_where(mentions) == []
+
+    def test_no_gauge_is_set_outside_obs_but_the_breaker_state(self):
+        def sets(node):
+            func = getattr(node, "func", None)
+            return (
+                isinstance(node, ast.Call)
+                and getattr(func, "attr", None) == "set"
+                and len(node.args) == 1
+            )
+
+        found = {f for f in _functions_where(sets) if not f.startswith("obs/")}
+        assert found == self.SET_ALLOWED
+
+    def test_the_auto_ack_fast_path_counts_in_the_channel_only(self):
+        touched = TestLeaseLifecycle.sites(
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "_m_acks"
+        )
+        assert touched == []  # _dispatch_one bumped it beside channel.acks
 
 
 class TestFlatDeliveryState:
