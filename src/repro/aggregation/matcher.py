@@ -26,7 +26,7 @@ which deterministically rebuilds the refcounts and the forest.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Union
 
 from repro.aggregation.canonical import CanonicalKey, canonicalize
 from repro.aggregation.forest import CoveringForest
@@ -163,10 +163,7 @@ class AggregatingMatcher(Matcher):
             group = _Group(gid, key, Subscription(gid, simplified), _by_attribute(simplified))
             placement = parent, demoted = self._forest.placement(group.by_attr)
             if parent is None:
-                self._write_inner(
-                    [(group.canon_sub, True)]
-                    + [(self._by_gid[d].canon_sub, False) for d in demoted]
-                )
+                self._move_frontier([self._by_gid[d].canon_sub for d in demoted], [group.canon_sub])
             self._forest.insert(gid, group.by_attr, placement)
             self._m_covered.inc(1 if parent is not None else len(demoted))
         self._next_gid += 1
@@ -195,10 +192,9 @@ class AggregatingMatcher(Matcher):
             children = set(forest.children(gid))
             promoted, demoted = forest.remove(gid)
             try:
-                self._write_inner(
-                    [(group.canon_sub, False)]
-                    + [(self._by_gid[p].canon_sub, True) for p in promoted]
-                    + [(self._by_gid[d].canon_sub, False) for d in demoted]
+                self._move_frontier(
+                    [group.canon_sub, *(self._by_gid[d].canon_sub for d in demoted)],
+                    [self._by_gid[p].canon_sub for p in promoted],
                 )
             except BaseException:
                 forest.restore(gid, group.by_attr, children)
@@ -207,23 +203,17 @@ class AggregatingMatcher(Matcher):
         del self._groups[group.key]
         del self._by_gid[gid]
 
-    def _write_inner(self, writes: List[Tuple[Subscription, bool]]) -> None:
-        """Apply ``(canonical subscription, add?)`` writes to the inner
-        matcher in order, all or nothing: when one raises, the ones
-        before it are undone and the error propagates."""
-        for done, (sub, adding) in enumerate(writes):
+    def _move_frontier(self, leaving: List[Subscription], joining: List[Subscription]) -> None:
+        """One frontier delta on the inner matcher, whole or not at all:
+        *leaving* goes as one batch, then (the ids are distinct) *joining*
+        comes as one; if that raises, the ones that left come back."""
+        left = self.inner.remove_batch([sub.id for sub in leaving]) if leaving else []
+        if joining:
             try:
-                self._write(sub, adding)
+                self.inner.add_batch(joining)
             except BaseException:
-                for undone, added in reversed(writes[:done]):
-                    self._write(undone, not added)
+                self.inner.add_batch(left)
                 raise
-
-    def _write(self, sub: Subscription, adding: bool) -> None:
-        if adding:
-            self.inner.add(sub)
-        else:
-            self.inner.remove(sub.id)
 
     def match(self, event: Event) -> List[Any]:
         return self._expand(self.inner.match(event), event)

@@ -241,6 +241,12 @@ class TreeMatcher(Matcher):
         self.nodes_visited += visited
         return out
 
+    def get(self, sub_id: Any) -> Subscription:
+        sub = self._subs.get(sub_id)
+        if sub is None:
+            raise UnknownSubscriptionError(sub_id)
+        return sub
+
     def iter_subscriptions(self) -> List[Subscription]:
         return list(self._subs.values())
 

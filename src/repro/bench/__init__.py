@@ -13,7 +13,6 @@ from repro.bench.harness import (
     measure_batch_matching,
     measure_matching,
     measure_phases,
-    run_series,
     uniform_statistics_for,
 )
 from repro.bench.memory import bytes_per_subscription, deep_sizeof, matcher_memory_bytes
@@ -38,6 +37,5 @@ __all__ = [
     "measure_matching",
     "measure_phases",
     "print_table",
-    "run_series",
     "uniform_statistics_for",
 ]

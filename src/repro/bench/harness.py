@@ -13,14 +13,14 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.algorithms.base import TwoPhaseMatcher
 from repro.clustering.statistics import UniformStatistics
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
 from repro.matchers import make_matcher
-from repro.obs import MetricsRegistry, write_json_snapshot
+from repro.obs import MetricsRegistry
 from repro.workload.spec import WorkloadSpec
 
 #: Default fraction of paper scale when REPRO_SCALE is unset.
@@ -101,11 +101,10 @@ class MatchResult:
 
 
 def load_subscriptions(matcher: Matcher, subs: Iterable[Subscription]) -> LoadResult:
-    """Timed bulk insert."""
+    """Timed bulk insert: one write batch, then the build step."""
     items = list(subs)
     start = time.perf_counter()
-    for sub in items:
-        matcher.add(sub)
+    matcher.add_batch(items)
     matcher.rebuild()
     return LoadResult(len(items), time.perf_counter() - start)
 
@@ -194,35 +193,3 @@ def bench_snapshot_path(name: str, directory: str = ".") -> str:
     if not safe:
         raise ValueError(f"cannot derive a bench file name from {name!r}")
     return os.path.join(directory, f"BENCH_{safe}.json")
-
-
-def run_series(
-    build: Callable[[], Matcher],
-    subs: Sequence[Subscription],
-    events: Sequence[Event],
-    metrics_out: Optional[str] = None,
-    context: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Load-then-match convenience returning a flat result dict.
-
-    With *metrics_out* set, the matcher runs fully instrumented and a
-    JSON metrics snapshot (same schema as ``repro stats --metrics-out``)
-    is written there, with the timing results — and *context*, if given —
-    embedded under the snapshot's ``context`` key.
-    """
-    matcher = build()
-    registry = matcher.use_metrics() if metrics_out else None
-    load = load_subscriptions(matcher, subs)
-    match = measure_matching(matcher, events)
-    results = {
-        "load_seconds": load.seconds,
-        "match_seconds": match.seconds,
-        "events_per_second": match.events_per_second,
-        "ms_per_event": match.ms_per_event,
-        "total_matches": match.total_matches,
-    }
-    if registry is not None:
-        merged = dict(context or {})
-        merged["results"] = results
-        write_json_snapshot(registry, metrics_out, context=merged)
-    return results

@@ -315,7 +315,7 @@ def _build_matcher(args: argparse.Namespace):
 
 def _populate(matcher, subs) -> None:
     """Insert the subscriptions and run any build step the engine has."""
-    matcher.add_all(subs)
+    matcher.add_batch(subs)
     matcher.rebuild()
 
 

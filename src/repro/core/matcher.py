@@ -62,6 +62,11 @@ class Matcher(Instrumented, abc.ABC):
         """
 
     @abc.abstractmethod
+    def get(self, sub_id: Any) -> Subscription:
+        """The stored subscription *sub_id*; raises
+        :class:`~repro.core.errors.UnknownSubscriptionError` if absent."""
+
+    @abc.abstractmethod
     def match(self, event: Event) -> List[Any]:
         """Return the ids of all subscriptions satisfied by *event*."""
 
@@ -82,15 +87,34 @@ class Matcher(Instrumented, abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    # conveniences shared by all matchers
+    # the write batch: whole or not at all
     # ------------------------------------------------------------------
-    def add_all(self, subscriptions: Iterable[Subscription]) -> int:
-        """Insert many subscriptions; returns how many were inserted."""
-        n = 0
-        for sub in subscriptions:
-            self.add(sub)
-            n += 1
-        return n
+    def add_batch(self, subscriptions: Iterable[Subscription]) -> None:
+        """:meth:`add` each subscription in order, whole or not at all:
+        at the first that raises (leaving nothing behind), the ones
+        added are removed again, in reverse, and the error propagates."""
+        added: List[Any] = []
+        try:
+            for sub in subscriptions:
+                self.add(sub)
+                added.append(sub.id)
+        except BaseException:
+            for sub_id in reversed(added):
+                self.remove(sub_id)
+            raise
+
+    def remove_batch(self, sub_ids: Iterable[Any]) -> List[Subscription]:
+        """:meth:`remove` each id in order and return what it removed,
+        whole or not at all, as :meth:`add_batch` adds."""
+        removed: List[Subscription] = []
+        try:
+            for sub_id in sub_ids:
+                removed.append(self.remove(sub_id))
+        except BaseException:
+            for sub in reversed(removed):
+                self.add(sub)
+            raise
+        return removed
 
     def match_batch(self, events: Sequence[Event]) -> List[List[Any]]:
         """Match *events* as one batch; returns one id-list per event.
@@ -165,8 +189,9 @@ class MatcherWrapper(Matcher):
 
     Every forwarded call goes through :meth:`_around` — the single hook
     a subclass overrides to hold a lock, inject a fault or count: *op*
-    names the operation (a batch is one ``"match"``), *call* is the
-    inner bound method.
+    names the operation (a batch is one ``"match"``, a write batch one
+    ``"add"`` or ``"remove"``: ``add`` / ``remove`` are batches of one),
+    *call* is the inner bound method.
     """
 
     def __init__(self, inner: Matcher) -> None:
@@ -183,10 +208,16 @@ class MatcherWrapper(Matcher):
         return self.inner.name
 
     def add(self, subscription: Subscription) -> None:
-        self._around("add", self.inner.add, subscription)
+        self.add_batch([subscription])
 
     def remove(self, sub_id: Any) -> Subscription:
-        return self._around("remove", self.inner.remove, sub_id)
+        return self.remove_batch([sub_id])[0]
+
+    def add_batch(self, subscriptions: Iterable[Subscription]) -> None:
+        self._around("add", self.inner.add_batch, subscriptions)
+
+    def remove_batch(self, sub_ids: Iterable[Any]) -> List[Subscription]:
+        return self._around("remove", self.inner.remove_batch, sub_ids)
 
     def match(self, event: Event) -> List[Any]:
         return self._around("match", self.inner.match, event)
@@ -195,7 +226,7 @@ class MatcherWrapper(Matcher):
         return self._around("match", self.inner.match_batch, events)
 
     def get(self, sub_id: Any) -> Subscription:
-        return self._around("get", self.inner.get, sub_id)  # type: ignore[attr-defined]
+        return self._around("get", self.inner.get, sub_id)
 
     def iter_subscriptions(self) -> List[Subscription]:
         return self._around("iter_subscriptions", self.inner.iter_subscriptions)

@@ -3,7 +3,7 @@
 Usage pattern matching the paper's evaluation:
 
 1. construct with a statistics provider;
-2. ``add_all(subscriptions)`` — before a plan exists, subscriptions land
+2. ``add_batch(subscriptions)`` — before a plan exists, subscriptions land
    under singleton schemas (the "natural" clustering);
 3. ``rebuild()`` — run the greedy optimizer over the current
    subscriptions and repack everything under the chosen schemas.

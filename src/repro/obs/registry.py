@@ -277,6 +277,13 @@ class MetricsRegistry:
         """Get or create a histogram family (default log-scale buckets)."""
         return self._register("histogram", name, help, labelnames, buckets)
 
+    def unbind(self, owner: Any) -> None:
+        """Drop every reader *owner* bound here (:meth:`Family.read`)."""
+        for family in self._families.values():
+            if family.kind != "histogram":
+                for child in family._children.values():
+                    child._readers.pop(id(owner), None)
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -397,8 +404,10 @@ class Instrumented:
     metrics: MetricsRegistry = NOOP_REGISTRY
 
     def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-        """Attach a (shared) registry, a fresh one if None; returns it."""
+        """Attach a (shared) registry, a fresh one if None; returns it.
+        Rebinding drops this component's earlier readers there first."""
         self.metrics = MetricsRegistry() if registry is None else registry
+        self.metrics.unbind(self)
         self._bind_metrics()
         return self.metrics
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.errors import UnknownSubscriptionError
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Subscription
 from repro.sqltrigger.minidb import UniversalTable
@@ -52,6 +53,12 @@ class TriggerMatcher(Matcher):
         self._ensure_columns(event.schema)
         fired = self._table.insert_event(event)
         return [self._id_of_trigger[name] for name in fired]
+
+    def get(self, sub_id: Any) -> Subscription:
+        try:
+            return self._subs[sub_id]
+        except KeyError:
+            raise UnknownSubscriptionError(sub_id) from None
 
     def iter_subscriptions(self) -> List[Subscription]:
         return list(self._subs.values())

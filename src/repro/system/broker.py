@@ -20,7 +20,6 @@ injected clock.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 import json
@@ -90,9 +89,8 @@ class SubscriptionTable:
             self.logical_of[sub_id] = logical
             self._formula_disjuncts.setdefault(logical, []).append(sub_id)
 
-    def drop(self, sub_id: Any) -> Tuple[Optional[float], Optional[Any]]:
-        """The one way out; a formula goes with its last disjunct.
-        Returns what :meth:`add` took: the deadline and the formula."""
+    def drop(self, sub_id: Any) -> None:
+        """The one way out; a formula goes with its last disjunct."""
         expires_at = self._sub_expires.pop(sub_id, None)
         if expires_at is not None:
             # A drop before the deadline leaves a stale heap entry: rebuild
@@ -107,7 +105,6 @@ class SubscriptionTable:
             siblings.remove(sub_id)
             if not siblings:
                 del self._formula_disjuncts[logical]
-        return expires_at, logical
 
     def targets(self, sub_id: Any) -> List[Any]:
         """What ``unsubscribe(sub_id)`` removes: the subscription
@@ -239,18 +236,20 @@ class PubSubBroker:
         if self.delivery is not None and self.delivery.wal is None:
             self.delivery.wal = wal
 
-    def restore_subscription(
-        self, subscription: Subscription, ttl: Optional[float], logical: Optional[Any] = None
+    def restore_subscriptions(
+        self, survivors: Iterable[Tuple[Subscription, Optional[float], Optional[Any]]]
     ) -> None:
-        """Install one survivor of a log (recovery): validity resumes
-        with *ttl* (None = immortal) measured from this broker's clock, a
-        formula disjunct rejoins its *logical* id; nothing is journaled
-        and retained events are not retro-matched — the subscription
-        already saw its past."""
+        """Install a log's ``(subscription, ttl, formula id)`` survivors
+        (recovery) as one batch: validity resumes with *ttl* (None =
+        immortal) from one clock reading; nothing is journaled and nothing
+        is retro-matched — the subscriptions already saw their past."""
         with self._lock:
-            expires_at = None if ttl is None else self.clock.now() + ttl
-            self._install(subscription, expires_at, logical)
-            self.counters["subscribed"] += 1
+            now = self.clock.now()
+            entries = [
+                (sub, None if ttl is None else now + ttl, logical)
+                for sub, ttl, logical in survivors
+            ]
+            self._install(entries)
 
     def check_invariants(self) -> None:
         """Raise AssertionError if the subscription table disagrees with
@@ -270,25 +269,30 @@ class PubSubBroker:
             return
         try:
             back = json.loads(json.dumps(sub_id))
-            reads_back = isinstance(back, Hashable) and back == sub_id
-        except (TypeError, ValueError):  # no JSON form at all
-            reads_back = False
-        if not reads_back:
-            raise InvalidSubscriptionError(f"id {sub_id!r} would not read back from the log")
+            if isinstance(back, Hashable) and back == sub_id:
+                return
+            shown = repr(sub_id)
+        except (TypeError, ValueError):  # no JSON form (an int past the digit limit has no repr)
+            shown = f"of type {type(sub_id).__name__}"
+        raise InvalidSubscriptionError(f"id {shown} would not read back from the log")
 
     # ------------------------------------------------------------------
     # the one way in and out: matcher plus table, never journaled
     # ------------------------------------------------------------------
-    def _install(
-        self, subscription: Subscription, expires_at: Optional[float], logical: Optional[Any]
-    ) -> None:
-        self.matcher.add(subscription)
-        self._table.add(subscription.id, expires_at, logical)
+    def _install(self, entries: List[Tuple[Subscription, Optional[float], Optional[Any]]]) -> None:
+        """Add ``(subscription, deadline, formula id)`` entries as one
+        matcher batch (whole or not at all), then file them in the table."""
+        self.matcher.add_batch([sub for sub, _expires_at, _logical in entries])
+        for sub, expires_at, logical in entries:
+            self._table.add(sub.id, expires_at, logical)
+        self.counters["subscribed"] += len(entries)
 
-    def _uninstall(self, sub_id: Any) -> Tuple[Subscription, Optional[float], Optional[Any]]:
-        """Remove *sub_id*; returns what :meth:`_install` takes to put it back."""
-        removed = self.matcher.remove(sub_id)
-        return (removed, *self._table.drop(sub_id))
+    def _uninstall(self, sub_ids: List[Any]) -> List[Subscription]:
+        """Remove live *sub_ids* as one matcher batch; returns them."""
+        removed = self.matcher.remove_batch(sub_ids)
+        for sub_id in sub_ids:
+            self._table.drop(sub_id)
+        return removed
 
     def _admit(
         self, units: List[Tuple[Any, List[Subscription]]], ttl: Optional[float], retro: bool
@@ -307,17 +311,12 @@ class PubSubBroker:
             self._check_journaled_id(unit_id)
         expires_at = None if ttl is None else now + ttl
         self._crash_point("subscribe:pre-apply")
-        installed: List[Any] = []
-        try:
-            for unit_id, subs in units:
-                for sub in subs:
-                    self._install(sub, expires_at, None if sub.id == unit_id else unit_id)
-                    installed.append(sub.id)
-        except BaseException:  # an id already taken: roll back the batch
-            for sub_id in installed:
-                self._uninstall(sub_id)
-            raise
-        self.counters["subscribed"] += len(installed)
+        entries = [
+            (sub, expires_at, None if sub.id == unit_id else unit_id)
+            for unit_id, subs in units
+            for sub in subs
+        ]
+        self._install(entries)
         if self.wal is not None:
             # Applied-then-logged: a crash in the gap loses only this
             # not-yet-acknowledged batch — still a consistent prefix.
@@ -344,8 +343,8 @@ class PubSubBroker:
     def _expire(self, now: float) -> int:
         self._events.purge(now)
         due = self._table.due(now)
-        for sub_id in due:
-            self._uninstall(sub_id)
+        if due:
+            self._uninstall(due)
         self.counters["expired_subscriptions"] += len(due)
         if due and self.wal is not None:
             # Expiry is recomputed from ttls at recovery, so it is not
@@ -427,28 +426,25 @@ class PubSubBroker:
 
     def unsubscribe_batch(self, sub_ids: Iterable[Any]) -> List[Subscription]:
         """Remove every id as :meth:`unsubscribe` does; returns the first
-        subscription removed for each.  Whole or not at all: at the
-        first id with nothing live to remove, whatever the batch removed
-        goes back with its deadline and formula, nothing is journaled,
-        and :class:`UnknownSubscriptionError` is raised.  The ids are
-        journaled under one WAL durability boundary."""
+        subscription removed for each.  Whole or not at all: the targets
+        of every id are found first, and an id with nothing live left to
+        remove raises :class:`UnknownSubscriptionError` before anything
+        changes.  The ids are journaled under one WAL durability
+        boundary."""
         with self._lock:
             sub_ids = list(sub_ids)
-            removed: List[Tuple[Subscription, Optional[float], Optional[Any]]] = []
-            firsts: List[Subscription] = []
-            try:
-                for sub_id in sub_ids:
-                    before = len(removed)
-                    for target in self._table.targets(sub_id):
-                        with contextlib.suppress(KeyError):  # no plain subscription by that id
-                            removed.append(self._uninstall(target))
-                    if len(removed) == before:
-                        raise UnknownSubscriptionError(sub_id)
-                    firsts.append(removed[before][0])
-            except BaseException:
-                for entry in removed:  # in removal order: a formula's disjuncts keep theirs
-                    self._install(*entry)
-                raise
+            targets: Dict[Any, None] = {}  # in removal order
+            firsts: List[int] = []  # where each id's targets start
+            for sub_id in sub_ids:
+                head, *disjuncts = self._table.targets(sub_id)
+                # The table tracks live ids only; the matcher knows *head*.
+                live = [head, *disjuncts] if self._holds(head) else disjuncts
+                found = [t for t in live if t not in targets]
+                if not found:
+                    raise UnknownSubscriptionError(sub_id)
+                firsts.append(len(targets))
+                targets.update(dict.fromkeys(found))
+            removed = self._uninstall(list(targets))
             self.counters["unsubscribed"] += len(sub_ids)
             if self.wal is not None:
                 now = self.clock.now()
@@ -457,7 +453,13 @@ class PubSubBroker:
                     for sub_id in sub_ids:
                         self.wal.append_unsubscribe(sub_id, at=now)
                     self._crash_point("unsubscribe:post-log")
-            return firsts
+            return [removed[i] for i in firsts]
+
+    def _holds(self, sub_id: Any) -> bool:
+        try:
+            return self.matcher.get(sub_id) is not None
+        except UnknownSubscriptionError:
+            return False
 
     # ------------------------------------------------------------------
     # publish

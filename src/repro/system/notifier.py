@@ -111,10 +111,10 @@ class QueueNotifier(Instrumented, Notifier):
         self.use_metrics(metrics)
 
     def _bind_metrics(self) -> None:
-        self._m_dropped = self.metrics.counter(
+        self.metrics.counter(
             "repro_notifier_dropped_total",
             "Notifications evicted by a bounded QueueNotifier (maxlen overflow).",
-        ).labels()
+        ).read(self, lambda: self.dropped)
 
     def deliver(self, notification: Notification) -> None:
         if self.maxlen is not None and len(self._queue) == self.maxlen:
@@ -122,7 +122,6 @@ class QueueNotifier(Instrumented, Notifier):
             # the loss is observable.
             self._queue.popleft()
             self.dropped += 1
-            self._m_dropped.inc()
         self._queue.append(notification)
 
     def drain(self) -> List[Notification]:

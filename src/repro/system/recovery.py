@@ -18,8 +18,8 @@ into an empty broker and for compaction to write back as a log:
    (so clock anchors tighten ttl aging even across mutation-free
    stretches, and records with negative clock skew cannot move it
    backwards); entries that already expired before it are skipped, and
-   :func:`recover` installs every survivor with its *remaining*
-   validity, re-anchored on the recovering broker's clock.
+   :func:`recover` installs the survivors as one batch, each with its
+   *remaining* validity, re-anchored on the recovering broker's clock.
 
 Everything after the first damaged record is discarded — recovery
 yields a *prefix-consistent* state, never a partially-trusted one —
@@ -181,8 +181,7 @@ def recover(
     if broker.subscription_count:
         raise RecoveryError("recovery requires an empty broker")
     survivors, ledger, replayed, report = fold_log(WalReader(wal_fp if wal_fp is not None else ()))
-    for sub, remaining, logical, _undated_ttl in survivors:
-        broker.restore_subscription(sub, remaining, logical)
+    broker.restore_subscriptions((sub, left, logical) for sub, left, logical, _ttl in survivors)
     report.restored = len(survivors)
 
     dead_letters = ledger.dead

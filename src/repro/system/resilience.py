@@ -137,8 +137,7 @@ class CircuitBreaker:
 
     Thread-safe; the clock is injectable (:class:`VirtualClock` in
     tests).  ``on_transition(old, new)`` fires outside hot paths on
-    every state change — the sharded engine uses it to keep the
-    ``repro_breaker_state`` gauge current.
+    every state change — the sharded engine counts transitions with it.
     """
 
     def __init__(

@@ -205,7 +205,6 @@ class ShardedMatcher(Matcher):
 
     def _on_breaker_transition(self, shard: int, new_state: str) -> None:
         with self._meta:
-            self._m_breaker_state[shard].set(BREAKER_STATE_VALUES[new_state])
             self._m_breaker_transitions.labels(shard=str(shard), state=new_state).inc()
 
     # ------------------------------------------------------------------
@@ -239,9 +238,12 @@ class ShardedMatcher(Matcher):
             "Per-shard breaker state (0 closed, 1 half-open, 2 open).",
             ("shard",),
         )
-        self._m_breaker_state = [
-            breaker_state.labels(shard=str(i)) for i in range(len(self._shards))
-        ]
+        for i, b in enumerate(self._breakers or [None] * len(self._shards)):
+            # ``b._state``, not ``b.state``: reading ``state`` advances a
+            # cooled-down breaker to half-open, and a metrics read must not.
+            breaker_state.read(
+                self, lambda b=b: 0 if b is None else BREAKER_STATE_VALUES[b._state], shard=str(i)
+            )
         self._m_breaker_transitions = m.counter(
             "repro_breaker_transitions_total",
             "Breaker state transitions, by shard and entered state.",
@@ -259,9 +261,6 @@ class ShardedMatcher(Matcher):
             "repro_sharded_rerouted_total",
             "Subscriptions overflow-placed away from a quarantined shard.",
         ).labels()
-        if self._breakers is not None:
-            for i, b in enumerate(self._breakers):
-                self._m_breaker_state[i].set(BREAKER_STATE_VALUES[b.state])
 
     def use_metrics(self, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
         """Attach a (shared) registry here *and* on every inner engine.
@@ -652,13 +651,13 @@ class ShardedMatcher(Matcher):
     # introspection
     # ------------------------------------------------------------------
     def get(self, sub_id: Any) -> Subscription:
-        """Look up a stored subscription by id (any backend supporting it)."""
+        """Look up a stored subscription by id."""
         with self._meta:
             shard = self._shard_of.get(sub_id)
             if shard is None:
                 raise UnknownSubscriptionError(sub_id)
         with self._shard_locks[shard]:
-            return self._shards[shard].get(sub_id)  # type: ignore[attr-defined]
+            return self._shards[shard].get(sub_id)
 
     def iter_subscriptions(self) -> List[Subscription]:
         out: List[Subscription] = []

@@ -40,32 +40,26 @@ class SubscriptionChurn:
         return len(self._fifo)
 
     def populate(self, generator: WorkloadGenerator, n: Optional[int] = None) -> int:
-        """Fill the matcher from *generator* (default: its spec's ``n_S``)."""
-        added = 0
-        for sub in generator.subscriptions(n):
-            self.matcher.add(sub)
-            self._fifo.append(sub.id)
-            added += 1
-        return added
+        """Fill the matcher from *generator* (default: its spec's ``n_S``)
+        as one batch."""
+        subs = list(generator.subscriptions(n))
+        self.matcher.add_batch(subs)
+        self._fifo.extend(sub.id for sub in subs)
+        return len(subs)
 
     def step(self, generator: WorkloadGenerator) -> Tuple[List[Any], List[Subscription]]:
-        """One virtual second: delete the oldest ``churn_rate``, insert as many.
+        """One virtual second: delete the oldest ``churn_rate``, insert as
+        many, each as one batch.
 
         New subscriptions come from *generator* — switch generators to
         drift the population (old entries age out over ~lifetime/rate
         steps, exactly the paper's 16-hour transition).
         """
-        deleted: List[Any] = []
-        for _ in range(min(self.churn_rate, len(self._fifo))):
-            sub_id = self._fifo.popleft()
-            self.matcher.remove(sub_id)
-            deleted.append(sub_id)
-        inserted: List[Subscription] = []
-        for _ in range(self.churn_rate):
-            sub = generator.next_subscription()
-            self.matcher.add(sub)
-            self._fifo.append(sub.id)
-            inserted.append(sub)
+        deleted = [self._fifo.popleft() for _ in range(min(self.churn_rate, len(self._fifo)))]
+        self.matcher.remove_batch(deleted)
+        inserted = [generator.next_subscription() for _ in range(self.churn_rate)]
+        self.matcher.add_batch(inserted)
+        self._fifo.extend(sub.id for sub in inserted)
         return deleted, inserted
 
 

@@ -12,7 +12,6 @@ from repro.bench import (
     measure_batch_matching,
     measure_matching,
     measure_phases,
-    run_series,
     uniform_statistics_for,
 )
 from repro.bench.memory import bytes_per_subscription, deep_sizeof, matcher_memory_bytes
@@ -98,30 +97,6 @@ class TestMeasurement:
         # measure_phases must not corrupt state
         measure_phases(m1, events)
         assert [sorted(m1.match(e), key=str) for e in events] == expected
-
-    def test_run_series(self):
-        subs, events = self._population()
-        out = run_series(CountingMatcher, subs, events)
-        assert set(out) >= {"load_seconds", "events_per_second", "total_matches"}
-
-    def test_run_series_metrics_out(self, tmp_path):
-        import json
-
-        from repro.matchers import DynamicMatcher
-        from repro.obs.check import validate_file
-
-        subs, events = self._population()
-        path = bench_snapshot_path("smoke", directory=str(tmp_path))
-        assert path.endswith("BENCH_SMOKE.json")
-        out = run_series(
-            DynamicMatcher, subs, events, metrics_out=path, context={"figure": "t1"}
-        )
-        assert validate_file(path, "schemas/metrics_snapshot.schema.json") == []
-        snap = json.loads(open(path).read())
-        assert snap["context"]["figure"] == "t1"
-        assert snap["context"]["results"]["total_matches"] == out["total_matches"]
-        names = {m["name"] for m in snap["metrics"]}
-        assert "repro_events_total" in names
 
     def test_bench_snapshot_path_sanitizes(self):
         assert bench_snapshot_path("fig3a") == "./BENCH_FIG3A.json"

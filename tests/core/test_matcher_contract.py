@@ -12,24 +12,29 @@ are pinned at the bottom.
 
 import collections
 import io
+import itertools
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import cli
 from repro.aggregation import AggregatingMatcher
 from repro.bench.harness import matcher_for
 from repro.core import Event, OracleMatcher, Subscription, eq, le
+from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
 from repro.core.matcher import MatcherWrapper
 from repro.core.threadsafe import ThreadSafeMatcher
 from repro.io import dump_events, dump_subscriptions
-from repro.matchers import DynamicMatcher
+from repro.matchers import MATCHER_FACTORIES, DynamicMatcher, make_matcher
 from repro.obs import MetricsRegistry, Tracer
 from repro.system import BatchServer, PubSubBroker, ShardedMatcher
-from repro.testing.faults import FlakyMatcher, KillableWorker, SlowMatcher
+from repro.testing.faults import FlakyMatcher, InjectedFault, KillableWorker, SlowMatcher
 from repro.workload.scenarios import paper_workloads
 
 from tests.conftest import shm_entries
+from tests.properties.strategies import predicates
 
 
 class Recording(OracleMatcher):
@@ -93,7 +98,7 @@ def stack(request, tmp_path):
         return leaves[-1]
 
     matcher = COMPOSITIONS[request.param](new, tmp_path)
-    matcher.add_all(SUBS)
+    matcher.add_batch(SUBS)
     yield matcher, leaves
     matcher.close()
 
@@ -241,3 +246,140 @@ class TestTheDefectsThatMotivatedIt:
             outputs.append(out.getvalue())
         assert '"matched": ["s' in outputs[0]
         assert outputs[0] == outputs[1]
+
+
+def _engine(name):
+    if name == "static":
+        return matcher_for("static", paper_workloads(0.001)["W0"])
+    if name == "sharded":
+        return make_matcher("sharded", shards=2)
+    return make_matcher(name)
+
+
+#: Every registered engine (``sharded`` and ``aggregating`` over
+#: dynamic among them), and the wrappers a write batch crosses.
+WRITE_STACKS = {
+    **{name: lambda name=name: _engine(name) for name in MATCHER_FACTORIES},
+    "thread-safe": lambda: ThreadSafeMatcher(DynamicMatcher()),
+    "flaky": lambda: FlakyMatcher(DynamicMatcher(), failures=0),
+    "aggregating(flaky add)": lambda: AggregatingMatcher(
+        inner=FlakyMatcher(DynamicMatcher(), failures=0, operations=("add",))
+    ),
+}
+
+#: Every (a, b, c) over 0..3, half of them carrying the fresh attribute z.
+WRITE_EVENTS = [
+    Event({"a": a, "b": b, "c": c, **({"z": a} if b % 2 else {})})
+    for a, b, c in itertools.product(range(4), repeat=3)
+]
+
+
+def _observed(matcher, ordered=True):
+    """What a write may change: stored ids (in ``iter_subscriptions``
+    order, or as a set), ``len`` and the match rows; the invariants of
+    every layer that checks its own are asserted on the way."""
+    for m in [matcher, *descendants(matcher)]:
+        if hasattr(m, "check_invariants"):
+            m.check_invariants()
+        if isinstance(m, AggregatingMatcher):
+            m._forest.check_invariants()
+    ids = [s.id for s in matcher.iter_subscriptions()]
+    rows = [sorted(row, key=str) for row in matcher.match_batch(WRITE_EVENTS)]
+    return (ids if ordered else sorted(ids), len(matcher), rows)
+
+
+def _chunked(items, cuts):
+    """*items* cut at the sorted positions *cuts* (empty chunks kept)."""
+    bounds = [0, *sorted(min(c, len(items)) for c in cuts), len(items)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestOneWriteRule:
+    """``Matcher.add_batch`` / ``remove_batch``: a batch under any
+    chunking equals the one-at-a-time loop, and a batch with one bad
+    item raises having changed nothing — for every engine and every
+    layer a write crosses."""
+
+    @pytest.mark.parametrize("stack", sorted(WRITE_STACKS))
+    @settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_a_batch_is_the_loop_and_a_bad_batch_changes_nothing(self, stack, data):
+        preds = st.lists(predicates(), min_size=1, max_size=3)
+        subs = [
+            Subscription(f"s{i}", p)
+            for i, p in enumerate(data.draw(st.lists(preds, min_size=1, max_size=10)))
+        ]
+        cuts = st.lists(st.integers(0, len(subs)), max_size=3)
+        loop, batched = WRITE_STACKS[stack](), WRITE_STACKS[stack]()
+        try:
+            for sub in subs:
+                loop.add(sub)
+            for chunk in _chunked(subs, data.draw(cuts)):
+                batched.add_batch(chunk)
+            assert _observed(batched) == _observed(loop)
+
+            ids = [sub.id for sub in subs]
+            gone = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids)))
+            removed = [loop.remove(sub_id) for sub_id in gone]
+            chunks = _chunked(gone, data.draw(st.lists(st.integers(0, len(gone)), max_size=3)))
+            assert [sub for chunk in chunks for sub in batched.remove_batch(chunk)] == removed
+            assert _observed(batched) == _observed(loop)
+
+            # A bad batch raises and changes nothing; a write undone may
+            # move a subscription in ``iter_subscriptions`` order.
+            live = [sub_id for sub_id in ids if sub_id not in gone]
+            before = _observed(batched, ordered=False)
+            n_fresh = data.draw(st.integers(1, 4))
+            fresh = [Subscription(f"n{i}", [eq("z", i)]) for i in range(n_fresh)]
+            at = data.draw(st.integers(0, len(fresh)))
+            if live and data.draw(st.booleans()):  # a live id
+                bad = Subscription(data.draw(st.sampled_from(live)), [eq("z", 9)])
+            else:  # an id twice
+                at = max(at, 1)
+                bad = fresh[data.draw(st.integers(0, at - 1))]
+            with pytest.raises(DuplicateSubscriptionError):
+                batched.add_batch(fresh[:at] + [bad] + fresh[at:])
+            assert _observed(batched, ordered=False) == before
+
+            some = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+            at = data.draw(st.integers(0, len(some)))
+            if some and data.draw(st.booleans()):  # an id twice
+                at = max(at, 1)
+                bad_id = some[data.draw(st.integers(0, at - 1))]
+            else:  # an unknown id
+                bad_id = "ghost"
+            with pytest.raises(UnknownSubscriptionError):
+                batched.remove_batch(some[:at] + [bad_id] + some[at:])
+            assert _observed(batched, ordered=False) == before
+        finally:
+            loop.close()
+            batched.close()
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(
+        population=st.lists(st.lists(predicates(), min_size=1, max_size=3), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_an_inner_fault_mid_batch_changes_nothing(self, population, data):
+        """Aggregation over an inner whose ``add`` fails once: the batch's
+        items before the fault are canonical duplicates (no inner write),
+        the first fresh group faults, and the whole batch is undone."""
+        inner = FlakyMatcher(DynamicMatcher(), failures=0, operations=("add",))
+        agg = AggregatingMatcher(inner=inner)
+        subs = [Subscription(f"s{i}", p) for i, p in enumerate(population)]
+        agg.add_batch(subs)
+        before = _observed(agg, ordered=False)
+        dups = [
+            Subscription(f"d{i}", data.draw(st.sampled_from(subs)).predicates)
+            for i in range(data.draw(st.integers(0, 3)))
+        ]
+        fresh = [Subscription(f"n{i}", [eq("z", i)]) for i in range(data.draw(st.integers(1, 3)))]
+        inner.rearm(1)
+        with pytest.raises(InjectedFault):
+            agg.add_batch(dups + fresh)
+        assert inner.healed and inner.injected == 1
+        assert _observed(agg, ordered=False) == before
+        agg.add_batch(dups + fresh)  # the fault is spent: the retry goes through
+        oracle = OracleMatcher()
+        oracle.add_batch(subs + dups + fresh)
+        assert _observed(agg, ordered=False)[1:] == _observed(oracle, ordered=False)[1:]

@@ -52,10 +52,12 @@ class TestOracle:
 
 
 class TestMatcherConveniences:
-    def test_add_all(self):
+    def test_add_batch(self):
         m = OracleMatcher()
-        n = m.add_all(Subscription(f"s{i}", [eq("x", i)]) for i in range(5))
-        assert n == 5 and len(m) == 5
+        m.add_batch(Subscription(f"s{i}", [eq("x", i)]) for i in range(5))
+        assert len(m) == 5
+        assert [s.id for s in m.remove_batch(["s3", "s1"])] == ["s3", "s1"]
+        assert len(m) == 3
 
     def test_match_batch(self):
         m = OracleMatcher()

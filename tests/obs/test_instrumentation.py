@@ -179,6 +179,20 @@ class TestRegistryReadsTheOwner:
         assert _child_value(registry, "repro_subscriptions", **labels) == len(subs) + 5
         assert _child_value(registry, "repro_events_total", **labels) == len(events) + 1
 
+    def test_a_relabelled_owner_leaves_no_reader_behind(self):
+        subs, _events = _workload(n_subs=10)
+        sharded = ShardedMatcher(shards=2, router="roundrobin", inner="dynamic")
+        for sub in subs:
+            sharded.add(sub)
+        registry = MetricsRegistry()
+        for index in range(sharded.shards):
+            sharded.shard(index).use_metrics(registry)  # bound under shard=""
+        sharded.use_metrics(registry)  # rebound under shard="0" / "1"
+        family = registry.family("repro_subscriptions")
+        values = {key: child.value for key, child in family.children()}
+        assert values == {("dynamic", ""): 0, ("dynamic", "0"): 5, ("dynamic", "1"): 5}
+        sharded.close()
+
 
 class TestTracerSpans:
     def test_match_span_fields(self):

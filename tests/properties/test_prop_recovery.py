@@ -524,8 +524,9 @@ class RecordingBroker:
         self.calls = []
         self.delivery = self
 
-    def restore_subscription(self, sub, remaining, logical):
-        self.calls.append(("subscription", sub, remaining, logical))
+    def restore_subscriptions(self, survivors):
+        for sub, remaining, logical in survivors:
+            self.calls.append(("subscription", sub, remaining, logical))
 
     def restore(self, sub_id, seq, event, at):
         self.calls.append(("lease", sub_id, seq, event, at))

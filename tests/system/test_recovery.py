@@ -207,6 +207,17 @@ class TestIdsTheLogCannotGiveBack:
         unlogged.subscribe(Subscription(sub_id, [eq("x", 1)]))
         assert unlogged.subscription_count == 1
 
+    def test_an_int_past_the_digit_limit_is_refused_not_crashed_on(self, tmp_path):
+        # Neither JSON nor ``repr`` turns it into a string: the refusal
+        # must not die building its own message.
+        clock = VirtualClock()
+        with WriteAheadLog(tmp_path / "h.wal", clock=clock, fsync="never") as wal:
+            broker = fresh(clock, wal=wal)
+            with pytest.raises(InvalidSubscriptionError, match="would not read back"):
+                broker.subscribe(Subscription(10**5000, [eq("x", 1)]))
+            assert broker.subscription_count == 0
+            assert wal.counters["appends"] == 1  # the attach anchor
+
     def test_every_string_reads_back(self, tmp_path):
         ids = ["", "a\x00b", "\ud800", "ünï ☃", "1", "null"]
         clock = VirtualClock()

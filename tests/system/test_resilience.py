@@ -677,6 +677,19 @@ class TestShardQuarantine:
         assert degraded.labels().value == 2
         matcher.close()
 
+    def test_attaching_a_registry_does_not_move_a_breaker(self):
+        clock = VirtualClock()
+        matcher, _flaky = _quarantine_matcher(clock)
+        breaker = matcher.breaker(0)
+        breaker.force_open()
+        clock.advance(10)  # past the 5 s cool-down: the next read would half-open it
+        transitions = dict(breaker.counters)
+        registry = matcher.use_metrics()
+        assert breaker._state == BREAKER_OPEN and breaker.counters == transitions
+        assert registry.family("repro_breaker_state").labels(shard="0").value == 2
+        assert matcher.breaker_states()[0] == BREAKER_HALF_OPEN  # reading it does, as documented
+        matcher.close()
+
     def test_one_failing_probe_degrades_its_whole_sub_batch_once(self):
         """The unit of failure is the probe: shard 0 failing one call of
         a 4-event batch costs all four rows that shard's ids, and its

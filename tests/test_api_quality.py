@@ -351,14 +351,9 @@ class TestOneCountPerFact:
     registry through a reader bound once in ``_bind_metrics``; nothing
     copies it in at mutation sites, so the two cannot drift apart."""
 
-    #: The one gauge still set by hand, and why.
-    SET_ALLOWED = {
-        # ``repro_breaker_state``: reading ``CircuitBreaker.state``
-        # advances open -> half-open, and a metrics read must not
-        # change state, so the breaker's transition hook pushes it.
-        "system/sharding.py:ShardedMatcher._bind_metrics",
-        "system/sharding.py:ShardedMatcher._on_breaker_transition",
-    }
+    #: Gauges still set by hand: none.  ``repro_breaker_state`` reads the
+    #: breaker's state as last moved, without advancing it.
+    SET_ALLOWED = set()
 
     def test_nothing_refreshes_gauges(self):
         def mentions(node):  # a definition, a call or any other reference
@@ -452,11 +447,14 @@ class TestOneSubscriptionTable:
         assert not inside(_functions_where(writes_logical_of))
 
     def test_the_matcher_is_written_only_by_install_and_uninstall(self):
-        for op, writer in (("add", "_install"), ("remove", "_uninstall")):
+        for op, writer in (("add_batch", "_install"), ("remove_batch", "_uninstall")):
             found = _functions_referencing(op, attribute_of="matcher")
             assert [f for f in found if f.startswith("system/broker.py:")] == [
                 f"system/broker.py:PubSubBroker.{writer}"
             ], found
+        for op in ("add", "remove"):
+            found = _functions_referencing(op, attribute_of="matcher")
+            assert not [f for f in found if f.startswith("system/broker.py:")], found
 
     def test_recovery_keeps_no_table_of_its_own(self):
         import repro.system.recovery as recovery
@@ -470,7 +468,7 @@ class TestOneSubscriptionTable:
         from repro.system import PubSubBroker
 
         assert not hasattr(PubSubBroker, "wal_suppressed")
-        for method in (PubSubBroker.subscribe_formula, PubSubBroker.restore_subscription):
+        for method in (PubSubBroker.subscribe_formula, PubSubBroker.restore_subscriptions):
             assert "wal_suppressed" not in inspect.getsource(method), method
 
 
@@ -527,6 +525,50 @@ class TestOneWritePath:
             found = [f for f in _functions_where(sends) if f.startswith("system/broker.py:")]
             assert found == ["system/broker.py:PubSubBroker._dispatch"], found
         assert {"_dispatch"} <= self._self_calls(B.publish_batch) & self._self_calls(B._admit)
+
+    def test_a_write_batch_is_undone_in_one_place(self):
+        """``Matcher.add_batch`` / ``remove_batch`` hold the one undo of a
+        failed write batch; the broker and the aggregation layer call
+        them instead of rolling back by hand."""
+        import repro.aggregation.matcher as aggregation
+
+        assert not hasattr(Matcher, "add_all")
+        assert _functions_where(lambda n: getattr(n, "attr", None) == "add_all") == []
+
+        def undoes(node):  # ``except BaseException:`` or ``contextlib.suppress``
+            if isinstance(node, ast.ExceptHandler):
+                return getattr(node.type, "id", None) == "BaseException"
+            return getattr(node, "attr", None) == "suppress"
+
+        assert [f for f in _functions_where(undoes) if f.startswith("system/broker.py:")] == []
+        tree = ast.parse(inspect.getsource(aggregation))
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert not {name for name in defined if name.startswith("_write")}, defined
+
+    def test_a_wrapper_forwards_writes_only_as_batches(self):
+        body = ast.parse(textwrap.dedent(inspect.getsource(MatcherWrapper)))
+        inner_calls = {
+            node.attr
+            for node in ast.walk(body)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "inner"
+        }
+        assert {"add_batch", "remove_batch"} <= inner_calls
+        assert not {"add", "remove"} & inner_calls, inner_calls
+        ops = []
+
+        class Counting(MatcherWrapper):
+            def _around(self, op, call, *args):
+                ops.append((op, call.__name__))
+                return call(*args)
+
+        from repro.core import OracleMatcher, Subscription, eq
+
+        wrapper = Counting(OracleMatcher())
+        wrapper.add(Subscription("a", [eq("x", 1)]))
+        wrapper.add_batch([Subscription("b", [eq("x", 1)]), Subscription("c", [eq("x", 2)])])
+        wrapper.remove("a")
+        wrapper.remove_batch(["b", "c"])
+        assert ops == [("add", "add_batch")] * 2 + [("remove", "remove_batch")] * 2
 
 
 class TestTheLogCompactsItself:
@@ -807,7 +849,8 @@ class TestMatcherContract:
     #: What a MatcherWrapper subclass may define besides its hook.
     WRAPPER_MAY_DEFINE = {"_around", "__init__", "stats"}
     FORWARDED = {
-        "add", "remove", "match", "match_batch", "get", "iter_subscriptions",
+        "add", "remove", "add_batch", "remove_batch", "match", "match_batch", "get",
+        "iter_subscriptions",
         "__len__", "name", "inner_matchers", "rebuild", "close",
         "use_metrics", "use_tracer",
     }  # fmt: skip
