@@ -73,9 +73,6 @@ class AggregatingMatcher(Matcher):
     """Dedup + covering-forest aggregation over any inner matcher."""
 
     name = "aggregating"
-    #: Single-writer like the paper's engines; the multi-worker server
-    #: wraps it in a ThreadSafeMatcher exactly as it does for them.
-    thread_safe = False
 
     def __init__(self, inner: InnerSpec = "dynamic") -> None:
         self.inner = _resolve_inner(inner)
@@ -137,9 +134,7 @@ class AggregatingMatcher(Matcher):
     # ------------------------------------------------------------------
     def add(self, subscription: Subscription) -> None:
         if subscription.id in self._subs:
-            raise DuplicateSubscriptionError(
-                f"subscription {subscription.id!r} already registered"
-            )
+            raise DuplicateSubscriptionError(subscription.id)
         key, simplified = canonicalize(subscription.predicates)
         group = self._groups.get(key)
         if group is None:
@@ -174,7 +169,7 @@ class AggregatingMatcher(Matcher):
     def remove(self, sub_id: Any) -> Subscription:
         group = self._group_of.get(sub_id)
         if group is None:
-            raise UnknownSubscriptionError(f"unknown subscription {sub_id!r}")
+            raise UnknownSubscriptionError(sub_id)
         if len(group.ids) == 1:
             self._dissolve_group(group)
         del group.ids[sub_id]
@@ -207,13 +202,12 @@ class AggregatingMatcher(Matcher):
         """One frontier delta on the inner matcher, whole or not at all:
         *leaving* goes as one batch, then (the ids are distinct) *joining*
         comes as one; if that raises, the ones that left come back."""
-        left = self.inner.remove_batch([sub.id for sub in leaving]) if leaving else []
-        if joining:
-            try:
-                self.inner.add_batch(joining)
-            except BaseException:
-                self.inner.add_batch(left)
-                raise
+        left = self.inner.remove_batch([sub.id for sub in leaving])
+        try:
+            self.inner.add_batch(joining)
+        except BaseException:
+            self.inner.add_batch(left)
+            raise
 
     def match(self, event: Event) -> List[Any]:
         return self._expand(self.inner.match(event), event)
@@ -254,7 +248,7 @@ class AggregatingMatcher(Matcher):
         try:
             return self._subs[sub_id]
         except KeyError:
-            raise UnknownSubscriptionError(f"unknown subscription {sub_id!r}") from None
+            raise UnknownSubscriptionError(sub_id) from None
 
     def iter_subscriptions(self) -> List[Subscription]:
         """The *raw* subscriptions, so durability round-trips rebuild

@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_flags(health, aggregate=False)
     health.set_defaults(breaker=True)
-    health.add_argument("--workers", type=int, default=1, metavar="N")
     health.add_argument(
         "--queue-limit",
         type=int,
@@ -419,10 +418,7 @@ def _cmd_health(args: argparse.Namespace, out) -> int:
     matcher = _build_matcher(args)
     client_errors = {"overload": 0, "deadline": 0}
     with BatchServer(
-        matcher,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        admission=args.admission,
+        matcher, queue_limit=args.queue_limit, admission=args.admission
     ) as server:
         server.submit_subscriptions(subs)
         matcher.rebuild()

@@ -25,11 +25,28 @@ class InvalidEventError(ReproError, ValueError):
     """An event is malformed (duplicate attribute, empty, bad value type)."""
 
 
-class DuplicateSubscriptionError(ReproError, KeyError):
+class _SubscriptionIdError(ReproError, KeyError):
+    """Carries the offending subscription id as its one argument, shown
+    as ``repr`` shows it — or, for an int past Python's str digit limit
+    (which has no ``repr``), by its size, so the error always prints."""
+
+    def __str__(self) -> str:
+        try:
+            return super().__str__()
+        except ValueError:  # an int past the digit limit, or an id holding one
+            sub_id = self.args[0]
+            size = f" of {sub_id.bit_length()} bits" if isinstance(sub_id, int) else ""
+            return f"<{type(sub_id).__name__}{size}>"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class DuplicateSubscriptionError(_SubscriptionIdError):
     """A subscription id was inserted twice into the same matcher/broker."""
 
 
-class UnknownSubscriptionError(ReproError, KeyError):
+class UnknownSubscriptionError(_SubscriptionIdError):
     """A subscription id was removed/queried but never inserted."""
 
 

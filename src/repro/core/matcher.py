@@ -26,16 +26,13 @@ class Matcher(Instrumented, abc.ABC):
     Implementations must tolerate interleaved ``add`` / ``remove`` /
     ``match`` calls: the paper's target deployment is a broker at
     *equilibrium* where 50 insertions and 50 deletions happen per second
-    while events stream through.
+    while events stream through.  A matcher has one caller at a time;
+    :class:`~repro.core.threadsafe.ThreadSafeMatcher` shares one across
+    threads.
     """
 
     #: Short machine-readable name used by benchmarks and reports.
     name: str = "abstract"
-
-    #: Whether concurrent callers may share this instance without locking.
-    #: The paper's engines are single-threaded; only wrappers that add
-    #: their own locking (ThreadSafeMatcher, ShardedMatcher) flip this.
-    thread_safe: bool = False
 
     #: Trace sink; disabled by default (see :meth:`use_tracer`).
     tracer: Tracer = NULL_TRACER
@@ -190,8 +187,9 @@ class MatcherWrapper(Matcher):
     Every forwarded call goes through :meth:`_around` — the single hook
     a subclass overrides to hold a lock, inject a fault or count: *op*
     names the operation (a batch is one ``"match"``, a write batch one
-    ``"add"`` or ``"remove"``: ``add`` / ``remove`` are batches of one),
-    *call* is the inner bound method.
+    ``"add"`` or ``"remove"``: ``add`` / ``remove`` are batches of one,
+    and an empty write batch is no operation), *call* is the inner bound
+    method.
     """
 
     def __init__(self, inner: Matcher) -> None:
@@ -214,10 +212,13 @@ class MatcherWrapper(Matcher):
         return self.remove_batch([sub_id])[0]
 
     def add_batch(self, subscriptions: Iterable[Subscription]) -> None:
-        self._around("add", self.inner.add_batch, subscriptions)
+        subscriptions = list(subscriptions)
+        if subscriptions:
+            self._around("add", self.inner.add_batch, subscriptions)
 
     def remove_batch(self, sub_ids: Iterable[Any]) -> List[Subscription]:
-        return self._around("remove", self.inner.remove_batch, sub_ids)
+        sub_ids = list(sub_ids)
+        return self._around("remove", self.inner.remove_batch, sub_ids) if sub_ids else []
 
     def match(self, event: Event) -> List[Any]:
         return self._around("match", self.inner.match, event)

@@ -22,9 +22,6 @@ from repro.core.matcher import Matcher, MatcherWrapper
 class ThreadSafeMatcher(MatcherWrapper):
     """Serializes all access to a wrapped matcher with an RLock."""
 
-    #: Checked by the multi-worker server before deciding to wrap.
-    thread_safe = True
-
     def __init__(self, inner: Matcher) -> None:
         super().__init__(inner)
         self._lock = threading.RLock()

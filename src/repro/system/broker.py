@@ -200,8 +200,10 @@ class PubSubBroker:
         #: around every durability-relevant step; raising from it
         #: simulates a crash at that exact point.
         self.crash_hook: Optional[Callable[[str], None]] = None
-        #: Guards every stage that touches broker state; the engine's
-        #: ``match_batch`` runs outside it (see :meth:`publish_batch`).
+        #: The one lock in front of the engine: every engine call this
+        #: broker makes runs under it, so several threads may share one
+        #: broker over any engine.  The delivery manager's ack, nack and
+        #: poll take only its own lock and never wait behind matching.
         self._lock = threading.RLock()
         self._events = EventStore()
         #: Deadlines and formulas; the matcher holds the subscriptions.
@@ -483,18 +485,17 @@ class PubSubBroker:
            expired subscriptions and retained events, advance the
            delivery manager's redelivery state machine (lazily, like
            expiry, so a publish-driven workload needs no thread);
-        2. **match** — one ``matcher.match_batch(events)`` call, made
-           *outside* the broker lock so a thread-safe engine overlaps
-           concurrent batches;
-        3. per event, under the lock and in event order: **collapse**
-           formula disjunct ids onto their logical id (once per event),
-           **dispatch** (:meth:`_dispatch`, the step a retro-match goes
-           through too), **retain** the event when retention is on
-           (constructor or per-call ``ttl``), **count**.
+        2. **match** — one ``matcher.match_batch(events)`` call;
+        3. per event, in event order: **collapse** formula disjunct ids
+           onto their logical id (once per event), **dispatch**
+           (:meth:`_dispatch`, the step a retro-match goes through too),
+           **retain** the event when retention is on (constructor or
+           per-call ``ttl``), **count**.
 
         Each result keeps the engine's own list type: a quarantining
         engine's :class:`PartialResults` (``degraded`` when a sick shard
-        could not contribute) reach the publisher as such.
+        could not contribute) reach the publisher as such.  The broker
+        lock is held once, across all three stages.
         """
         events = list(events)
         with self._lock:
@@ -502,8 +503,7 @@ class PubSubBroker:
             self._expire(now)
             if self.delivery is not None:
                 self.delivery.pump(now)
-        raw_lists = self.matcher.match_batch(events)
-        with self._lock:
+            raw_lists = self.matcher.match_batch(events)
             logical_of = self._table.logical_of
             ttl = self.event_retention_ttl if ttl is None else ttl
             retain_until = now + ttl if ttl is not None and ttl > 0 else None
@@ -548,7 +548,8 @@ class PubSubBroker:
     @property
     def subscription_count(self) -> int:
         """Live subscriptions (before lazy expiry)."""
-        return len(self.matcher)
+        with self._lock:
+            return len(self.matcher)
 
     @property
     def retained_event_count(self) -> int:
@@ -557,12 +558,13 @@ class PubSubBroker:
 
     def stats(self) -> Dict[str, Any]:
         """Broker counters plus the engine's own statistics."""
-        out = {
-            "subscriptions": self.subscription_count,
-            "retained_events": self.retained_event_count,
-            "counters": dict(self.counters),
-            "matcher": self.matcher.stats(),
-        }
+        with self._lock:
+            out = {
+                "subscriptions": len(self.matcher),
+                "retained_events": self.retained_event_count,
+                "counters": dict(self.counters),
+                "matcher": self.matcher.stats(),
+            }
         if self.wal is not None:
             out["wal"] = self.wal.stats()
         if self.delivery is not None:
@@ -580,7 +582,8 @@ class PubSubBroker:
         its shard worker processes.  The WAL (if attached) stays open:
         its lifetime belongs to whoever attached it.
         """
-        self.matcher.close()
+        with self._lock:
+            self.matcher.close()
 
     def __enter__(self) -> "PubSubBroker":
         return self

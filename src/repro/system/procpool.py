@@ -681,8 +681,8 @@ class ProcessShard(Matcher):
     """Matcher-shaped proxy for one shard's worker process.
 
     Drops into :class:`~repro.system.sharding.ShardedMatcher` exactly
-    where an inner engine would sit, so routing, per-shard locking,
-    breakers and the deterministic merge order all apply unchanged.
+    where an inner engine would sit, so routing, breakers and the
+    deterministic merge order all apply unchanged.
     Keeps the authoritative subscription mirror on the parent side: a
     :class:`~repro.core.handles.HandleTable`, the replay source and the
     decoder of hit handles (rows come back in ascending handle order).
@@ -701,8 +701,6 @@ class ProcessShard(Matcher):
     precisely the half-open probe's job when a breaker quarantines the
     shard.
     """
-
-    thread_safe = False  # the sharded layer serializes per-shard access
 
     def __init__(self, pool: ProcessPool, index: int) -> None:
         self.pool = pool

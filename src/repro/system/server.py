@@ -4,7 +4,7 @@ Section 6.1: "The workload generation task ran as a separate process …
 timings therefore include the interprocess communication times and
 individual timings account for the processing of an entire batch."
 This module provides the in-process equivalent: a
-:class:`~repro.system.broker.PubSubBroker` runs on a dedicated worker
+:class:`~repro.system.broker.PubSubBroker` runs on a dedicated serving
 thread, clients submit fixed-size batches through queues, and the reply
 carries both the results and the server-side processing time — so
 harnesses can measure *with* the submission hop (like the paper) or
@@ -13,13 +13,10 @@ subtract it.  The server only queues: admission, deadlines, metrics and
 are the broker's one publish path, reached through three calls
 (``subscribe_batch`` / ``unsubscribe_batch`` / ``publish_batch``).
 
-Multi-worker mode (``workers > 1``) serves the queue from several
-threads at once.  Matchers that declare ``thread_safe = True`` (the
-:class:`~repro.system.sharding.ShardedMatcher`, whose per-shard locks
-let concurrent batches pipeline across shards) are used as-is; any
-other matcher is wrapped in a
-:class:`~repro.core.threadsafe.ThreadSafeMatcher`, which keeps the
-results correct but serializes the actual matching.
+One serving thread drives the broker, and through it the engine: the
+paper's matcher is single-threaded, and the only parallelism below it
+is the process shards'.  Two serving threads measured 0.83–1.06× of
+one on a 2-vCPU host (``docs/scaling.md``), so the server runs one.
 
 Overload safety (see ``docs/resilience.md``): by default the request
 queue is unbounded (a harness measuring the paper's figures must never
@@ -47,7 +44,6 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.errors import ReproError
 from repro.core.matcher import Matcher
-from repro.core.threadsafe import ThreadSafeMatcher
 from repro.core.types import Event, Subscription
 from repro.obs.registry import MetricsRegistry
 from repro.system.broker import PubSubBroker
@@ -88,7 +84,7 @@ class BatchReply:
 
     #: Per-event match lists (events) or accepted count (subscriptions).
     results: Any
-    #: Seconds the worker spent processing the batch (excl. queueing).
+    #: Seconds the server spent processing the batch (excl. queueing).
     processing_seconds: float
     #: Seconds from submit to reply as seen by the client (incl. hop).
     round_trip_seconds: float
@@ -105,7 +101,7 @@ class _Request:
 
 
 class BatchServer:
-    """A broker on one or more worker threads, fed through a request queue."""
+    """A broker on one serving thread, fed through a request queue."""
 
     def __init__(
         self,
@@ -117,9 +113,10 @@ class BatchServer:
     ) -> None:
         """*matcher* is the engine to serve, or a ready
         :class:`PubSubBroker` (TTLs, formulas, its own WAL and delivery
-        manager) to queue in front of."""
-        if workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {workers}")
+        manager) to queue in front of.  *workers* must be 1: one thread
+        serves the queue."""
+        if workers != 1:
+            raise ValueError(f"the server runs one serving thread, got workers={workers}")
         if queue_limit is not None and queue_limit < 1:
             raise ValueError(f"queue limit must be >= 1, got {queue_limit}")
         if admission not in ADMISSION_POLICIES:
@@ -134,14 +131,12 @@ class BatchServer:
             # notifications: match lists go back in the reply and, with
             # no channel registered, nothing else happens per match.
             broker = PubSubBroker(matcher=matcher, notifier=NullNotifier())
-        if workers > 1 and not broker.matcher.thread_safe:
-            broker.matcher = ThreadSafeMatcher(broker.matcher)
         #: The one publish path: every batch is a
         #: ``subscribe_batch`` / ``unsubscribe_batch`` / ``publish_batch``
         #: call on this broker, which owns journaling (its ``wal``) and
         #: the last hop (its ``delivery`` manager and notifier).
         self.broker = broker
-        self.workers = workers
+        self.workers = 1
         self.queue_limit = queue_limit
         self.admission = admission
         self._requests: "queue.Queue[Optional[_Request]]" = queue.Queue(
@@ -149,25 +144,22 @@ class BatchServer:
         )
         self._closed = False
         self._close_lock = threading.Lock()
-        #: Unexpected worker-loop failures (not per-request errors, which
+        #: Unexpected serve-loop failures (not per-request errors, which
         #: are delivered to their caller); ``__exit__`` re-raises these.
         self._worker_errors: List[BaseException] = []
         # Server-side observability: one sample per *batch*, so a live
-        # registry is the default.  Workers share children — updates are
-        # serialized by this lock, not by the GIL.
+        # registry is the default.  The serving thread is the one writer
+        # of the per-batch families; the shed counter is also written by
+        # client threads (admission, close), so it takes this lock.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics_lock = threading.Lock()
         self._bind_metrics()
-        self._threads = [
-            threading.Thread(target=self._serve, daemon=True, name=f"repro-server-{i}")
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(target=self._serve, daemon=True, name="repro-server")
+        self._thread.start()
 
     @property
     def matcher(self) -> Matcher:
-        """The engine behind the broker (wrapped for ``workers > 1``)."""
+        """The engine behind the broker."""
         return self.broker.matcher
 
     def _bind_metrics(self) -> None:
@@ -207,7 +199,7 @@ class BatchServer:
             self._m_shed[reason].inc()
 
     # ------------------------------------------------------------------
-    # worker
+    # the serving thread
     # ------------------------------------------------------------------
     def _serve(self) -> None:
         while True:
@@ -218,8 +210,8 @@ class BatchServer:
                 self._handle(request)
             except BaseException as exc:  # a bug in the serve loop itself
                 # Per-request failures are delivered by _handle; anything
-                # landing here killed the worker.  Answer the in-flight
-                # caller (nobody else will) before dying.
+                # landing here killed the serving thread.  Answer the
+                # in-flight caller (nobody else will) before dying.
                 self._worker_errors.append(exc)
                 request.reply_queue.put((None, 0.0, exc))
                 raise
@@ -272,10 +264,9 @@ class BatchServer:
                     if wal is not None:
                         wal.sync()  # flush-on-batch boundary
             elapsed = time.perf_counter() - start
-            with self._metrics_lock:
-                self._m_batches[request.kind].inc()
-                self._m_items[request.kind].inc(len(request.payload))
-                self._m_batch_seconds[request.kind].observe(elapsed)
+            self._m_batches[request.kind].inc()
+            self._m_items[request.kind].inc(len(request.payload))
+            self._m_batch_seconds[request.kind].observe(elapsed)
             request.reply_queue.put((results, elapsed, None))
         except Exception as exc:  # deliver failures to the caller
             request.reply_queue.put((None, 0.0, exc))
@@ -314,9 +305,9 @@ class BatchServer:
                 ) from None
             return
         # shed-oldest: evict stale work in favour of fresh work.  The
-        # loop races benignly with workers draining the queue — every
-        # iteration either enqueues, sheds one victim, or observes the
-        # queue momentarily empty and retries.
+        # loop races benignly with the serving thread draining the
+        # queue — every iteration either enqueues, sheds one victim, or
+        # observes the queue momentarily empty and retries.
         while True:
             try:
                 requests.put_nowait(request)
@@ -390,27 +381,26 @@ class BatchServer:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """Unified stats shape: server counters plus the engine's own."""
-        with self._metrics_lock:
-            counters: Dict[str, Any] = {}
-            for kind in _KINDS:
-                counters[f"batches_{kind}"] = self._m_batches[kind].value
-                counters[f"items_{kind}"] = self._m_items[kind].value
-                counters[f"seconds_{kind}"] = self._m_batch_seconds[kind].sum
-            for reason in _SHED_REASONS:
-                counters[f"shed_{reason}"] = self._m_shed[reason].value
-        wal = self.broker.wal
+        counters: Dict[str, Any] = {}
+        for kind in _KINDS:
+            counters[f"batches_{kind}"] = self._m_batches[kind].value
+            counters[f"items_{kind}"] = self._m_items[kind].value
+            counters[f"seconds_{kind}"] = self._m_batch_seconds[kind].sum
+        for reason in _SHED_REASONS:
+            counters[f"shed_{reason}"] = self._m_shed[reason].value
+        broker = self.broker.stats()  # the engine's, under the broker's lock
         out = {
             "name": "batch-server",
-            "subscriptions": len(self.matcher),
+            "subscriptions": broker["subscriptions"],
             "workers": self.workers,
             "queue_depth": self._requests.qsize(),
             "queue_limit": self.queue_limit or 0,
             "admission": self.admission,
             "counters": counters,
-            "matcher": self.matcher.stats(),
+            "matcher": broker["matcher"],
         }
-        if wal is not None:
-            out["wal"] = wal.stats()
+        if "wal" in broker:
+            out["wal"] = broker["wal"]
         return out
 
     def health(self) -> Dict[str, Any]:
@@ -419,13 +409,12 @@ class BatchServer:
         ``status`` is ``"ok"``, ``"degraded"`` (any shard breaker not
         closed, or any delivery channel disconnected), or ``"closed"``.
         Also reports queue depth vs. limit, per-reason shed counts,
-        worker liveness, per-shard breaker states (when the engine
+        serving-thread liveness, per-shard breaker states (when the engine
         quarantines), WAL lag (appends not yet fsynced), and — when a
         delivery manager is attached — the at-least-once channel and
         dead-letter state.  This is what ``repro health`` prints.
         """
-        with self._metrics_lock:
-            shed = {r: int(self._m_shed[r].value) for r in _SHED_REASONS}
+        shed = {r: int(self._m_shed[r].value) for r in _SHED_REASONS}
         breakers: Optional[Dict[str, str]] = None
         executor: Optional[Dict[str, Any]] = None
         sharded = _sharded_layer(self.matcher)
@@ -453,7 +442,7 @@ class BatchServer:
         out: Dict[str, Any] = {
             "status": status,
             "workers": self.workers,
-            "workers_alive": sum(t.is_alive() for t in self._threads),
+            "workers_alive": int(self._thread.is_alive()),
             "queue_depth": self._requests.qsize(),
             "queue_limit": self.queue_limit or 0,
             "admission": self.admission,
@@ -476,23 +465,22 @@ class BatchServer:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the workers (idempotent); pending batches finish first.
+        """Stop the serving thread (idempotent); pending batches finish first.
 
-        Workers drain everything queued ahead of the stop sentinels, so
-        in-flight batches get real replies; anything that slips in
-        behind the sentinels (a submit racing with close) is answered
+        The thread drains everything queued ahead of the stop sentinel,
+        so in-flight batches get real replies; anything that slips in
+        behind the sentinel (a submit racing with close) is answered
         with :class:`ServerClosedError` instead of hanging its caller.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        for _ in self._threads:
-            self._requests.put(None)
-        for thread in self._threads:
-            thread.join(timeout=10.0)
+        self._requests.put(None)
+        self._thread.join(timeout=10.0)
         # Drain-on-close: fail leftovers (racing submits, or requests a
-        # dead worker never reached) rather than leaving callers blocked.
+        # dead serving thread never reached) rather than leaving callers
+        # blocked.
         while True:
             try:
                 request = self._requests.get_nowait()

@@ -17,13 +17,14 @@ disjoint and the union is exactly what a single matcher over the full
 set would return; ``tests/properties/test_prop_sharding.py`` pins that
 equivalence against the brute-force oracle for every router.
 
-Thread safety: one reentrant metadata lock guards placement maps,
-counters and the router; one lock per shard serializes access to that
-inner engine (the inner matchers mutate internal state even on
-``match``).  Concurrent callers therefore pipeline across shards — the
-design the multi-worker :class:`~repro.system.server.BatchServer`
-relies on — while each inner engine still sees strictly serial
-operations.
+Thread safety: a :class:`ShardedMatcher` has one caller at a time, like
+every other engine (a :class:`~repro.system.broker.PubSubBroker` calls
+it under its lock; :class:`~repro.core.threadsafe.ThreadSafeMatcher`
+shares a bare one).  Inside a batch the fan-out pool's threads each
+probe their own shard while the caller waits for all of them, so no
+inner engine ever sees two operations at once.  The one lock guards the
+breaker-transition counter, which a health check's breaker read may
+bump from another thread.
 
 Observability: routing counters live in a
 :class:`~repro.obs.registry.MetricsRegistry` (per-shard populations,
@@ -33,8 +34,9 @@ histograms), so the benefit of affinity routing is measurable
 layer is coarse-grained, so it carries a live registry by default;
 ``use_metrics`` swaps in a shared registry and propagates it to every
 inner engine with a distinct ``shard`` label (keeping each series
-single-writer under that shard's lock).  ``use_tracer`` records one
-``fanout`` span per batch with one child per probed shard.
+single-writer while the fan-out pool probes shards at once).
+``use_tracer`` records one ``fanout`` span per batch with one child per
+probed shard.
 
 Shard quarantine (``breaker=``; see ``docs/resilience.md``): with
 per-shard :class:`~repro.system.resilience.CircuitBreaker` protection
@@ -61,7 +63,7 @@ each shard's engine in its own worker process
 :class:`~repro.system.procpool.ProcessPool`), making the fan-out
 parallelism literal: the thread pool blocks in pipe ``recv`` (releasing
 the GIL) while N workers match on N cores.  Everything above the shard
-boundary — routing, per-shard locks, breakers, the deterministic
+boundary — routing, breakers, the deterministic
 ascending-shard merge — is shared between both executors, and a dead
 worker surfaces as :class:`~repro.system.resilience.WorkerDiedError`,
 which the breaker machinery treats like any other shard failure:
@@ -113,9 +115,6 @@ class ShardedMatcher(Matcher):
     """Hash-partitioned fan-out over N inner matchers."""
 
     name = "sharded"
-    #: Safe for concurrent callers (per-shard locking); the multi-worker
-    #: server checks this flag before deciding whether to wrap.
-    thread_safe = True
 
     def __init__(
         self,
@@ -158,8 +157,9 @@ class ShardedMatcher(Matcher):
             ]
         else:
             self._shards = [factory() for _ in range(shards)]
-        self._shard_locks = [threading.Lock() for _ in range(shards)]
-        self._meta = threading.RLock()
+        #: Guards the transition counter: breaker reads fire transitions
+        #: from whichever thread reads (``BatchServer.health``).
+        self._transitions_lock = threading.Lock()
         self._shard_of: Dict[Any, int] = {}
         self._population = [0] * shards
         self._parallel = parallel and shards > 1
@@ -204,7 +204,7 @@ class ShardedMatcher(Matcher):
         return built
 
     def _on_breaker_transition(self, shard: int, new_state: str) -> None:
-        with self._meta:
+        with self._transitions_lock:
             self._m_breaker_transitions.labels(shard=str(shard), state=new_state).inc()
 
     # ------------------------------------------------------------------
@@ -324,17 +324,15 @@ class ShardedMatcher(Matcher):
 
     def shard_ids(self) -> List[List[Any]]:
         """Per-shard lists of resident subscription ids."""
-        with self._meta:
-            out: List[List[Any]] = [[] for _ in self._shards]
-            for sub_id, shard in self._shard_of.items():
-                out[shard].append(sub_id)
-            return out
+        out: List[List[Any]] = [[] for _ in self._shards]
+        for sub_id, shard in self._shard_of.items():
+            out[shard].append(sub_id)
+        return out
 
     def close(self) -> None:
         """Shut down the fan-out thread pool, any worker processes and
         the inner engines (idempotent)."""
-        with self._meta:
-            pool, self._pool = self._pool, None
+        pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
         if self._procpool is not None:
@@ -374,12 +372,11 @@ class ShardedMatcher(Matcher):
         self.close()
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._meta:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=len(self._shards), thread_name_prefix="repro-shard"
-                )
-            return self._pool
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=len(self._shards), thread_name_prefix="repro-shard"
+            )
+        return self._pool
 
     # ------------------------------------------------------------------
     # mutation
@@ -395,67 +392,50 @@ class ShardedMatcher(Matcher):
         return preferred
 
     def add(self, subscription: Subscription) -> None:
-        with self._meta:
-            if subscription.id in self._shard_of:
-                raise DuplicateSubscriptionError(subscription.id)
-            preferred = self.router.shard_for(subscription)
-            shard = preferred
-            if (
-                self._breakers is not None
-                and self._breakers[preferred].state != BREAKER_CLOSED
-            ):
-                # Quarantined destination: overflow-place on a healthy
-                # neighbour.  The preferred shard is remembered so the
-                # router's bookkeeping stays exact on removal, and the
-                # overflow count keeps the actual shard probe-eligible
-                # for every event (routing soundness for any router).
-                shard = self._healthy_shard_near(preferred)
-                if shard != preferred:
-                    self._overflow[shard] += 1
-                    self._routed_of[subscription.id] = preferred
-                    self._m_rerouted.inc()
-            self._shard_of[subscription.id] = shard
-            self._population[shard] += 1
+        if subscription.id in self._shard_of:
+            raise DuplicateSubscriptionError(subscription.id)
+        preferred = self.router.shard_for(subscription)
+        shard = preferred
+        if (
+            self._breakers is not None
+            and self._breakers[preferred].state != BREAKER_CLOSED
+        ):
+            # Quarantined destination: overflow-place on a healthy
+            # neighbour.  The preferred shard is remembered so the
+            # router's bookkeeping stays exact on removal, and the
+            # overflow count keeps the actual shard probe-eligible for
+            # every event (routing soundness for any router).
+            shard = self._healthy_shard_near(preferred)
         try:
-            with self._shard_locks[shard]:
-                self._shards[shard].add(subscription)
+            self._shards[shard].add(subscription)
         except BaseException:
-            # The rollback assumes a shard that raised did not keep the
-            # subscription.  A process shard holds to that: it raises
-            # only before its mirror takes the op, never for transport
-            # reasons after (procpool.ProcessShard._record).
-            with self._meta:
-                del self._shard_of[subscription.id]
-                self._population[shard] -= 1
-                preferred = self._routed_of.pop(subscription.id, shard)
-                if preferred != shard:
-                    self._overflow[shard] -= 1
-                self.router.on_remove(subscription, preferred)
+            # Undoing only the router assumes a shard that raised did
+            # not keep the subscription.  A process shard holds to that:
+            # it raises only before its mirror takes the op, never for
+            # transport reasons after (procpool.ProcessShard._record).
+            self.router.on_remove(subscription, preferred)
             if self._breakers is not None:
                 self._breakers[shard].record_failure()
             raise
+        self._shard_of[subscription.id] = shard
+        self._population[shard] += 1
+        if shard != preferred:
+            self._overflow[shard] += 1
+            self._routed_of[subscription.id] = preferred
+            self._m_rerouted.inc()
 
     def remove(self, sub_id: Any) -> Subscription:
-        with self._meta:
-            shard = self._shard_of.get(sub_id)
-            if shard is None:
-                raise UnknownSubscriptionError(sub_id)
-        with self._shard_locks[shard]:
-            subscription = self._shards[shard].remove(sub_id)
-        with self._meta:
-            del self._shard_of[sub_id]
-            self._population[shard] -= 1
-            preferred = self._routed_of.pop(sub_id, shard)
-            if preferred != shard:
-                self._overflow[shard] -= 1
-            self.router.on_remove(subscription, preferred)
+        shard = self._shard_of.get(sub_id)
+        if shard is None:
+            raise UnknownSubscriptionError(sub_id)
+        subscription = self._shards[shard].remove(sub_id)
+        del self._shard_of[sub_id]
+        self._population[shard] -= 1
+        preferred = self._routed_of.pop(sub_id, shard)
+        if preferred != shard:
+            self._overflow[shard] -= 1
+        self.router.on_remove(subscription, preferred)
         return subscription
-
-    def rebuild(self) -> None:
-        """Rebuild every inner engine, each under its shard's lock."""
-        for lock, inner in zip(self._shard_locks, self._shards):
-            with lock:
-                inner.rebuild()
 
     # ------------------------------------------------------------------
     # matching
@@ -478,13 +458,12 @@ class ShardedMatcher(Matcher):
         """
         start = time.perf_counter()
         try:
-            with self._shard_locks[shard]:
-                if ticket is not None:
-                    result = self._shards[shard].consume_slot(ticket, rows)
-                else:
-                    result = self._shards[shard].match_batch(
-                        events if rows is None else [events[r] for r in rows]
-                    )
+            if ticket is not None:
+                result = self._shards[shard].consume_slot(ticket, rows)
+            else:
+                result = self._shards[shard].match_batch(
+                    events if rows is None else [events[r] for r in rows]
+                )
         except Exception as exc:
             return None, exc, time.perf_counter() - start
         return result, None, time.perf_counter() - start
@@ -494,7 +473,7 @@ class ShardedMatcher(Matcher):
 
         Route, gate each candidate shard through its breaker once,
         publish the batch to the shm arena when there is one, run one
-        *probe* (a single call into a single shard, under its lock) per
+        *probe* (a single call into a single shard) per
         admitted shard, record one breaker verdict per probe, and
         concatenate per-event results in ascending shard order —
         deterministic regardless of completion order.  ``match(e)`` is
@@ -520,40 +499,37 @@ class ShardedMatcher(Matcher):
         # batch in order — so broadcast fan-outs never build, pickle or
         # re-gather per-event row lists at all.
         rows_of: Dict[int, Optional[List[int]]] = {}
-        with self._meta:
-            population = self._population
-            if self.router.prunes():
-                # Overflow shards hold subscriptions whose router-
-                # preferred home was quarantined at add time; the router
-                # does not know about them, so they are always probed.
-                always = [s for s, k in enumerate(self._overflow) if k]
-                for row, event in enumerate(events):
-                    candidates = set(self.router.candidate_shards(event))
-                    candidates.update(always)
-                    for s in candidates:
-                        if population[s]:
-                            rows_of.setdefault(s, []).append(row)
-                routed = {s: len(rows) for s, rows in rows_of.items()}
-            else:
-                rows_of = {s: None for s in range(n_shards) if population[s]}
-                routed = dict.fromkeys(rows_of, n)
-            self._m_events.inc(n)
-            self._m_skipped.inc(n_shards * n - sum(routed.values()))
-        # Breaker gating happens outside the metadata lock (the breakers
-        # carry their own locks), once per batch: a quarantined shard is
-        # skipped and its rows flagged degraded — their subscriptions
-        # exist but cannot be checked right now.
+        population = self._population
+        if self.router.prunes():
+            # Overflow shards hold subscriptions whose router-preferred
+            # home was quarantined at add time; the router does not know
+            # about them, so they are always probed.
+            always = [s for s, k in enumerate(self._overflow) if k]
+            for row, event in enumerate(events):
+                candidates = set(self.router.candidate_shards(event))
+                candidates.update(always)
+                for s in candidates:
+                    if population[s]:
+                        rows_of.setdefault(s, []).append(row)
+            routed = {s: len(rows) for s, rows in rows_of.items()}
+        else:
+            rows_of = {s: None for s in range(n_shards) if population[s]}
+            routed = dict.fromkeys(rows_of, n)
+        self._m_events.inc(n)
+        self._m_skipped.inc(n_shards * n - sum(routed.values()))
+        # Breaker gating, once per batch: a quarantined shard is skipped
+        # and its rows flagged degraded — their subscriptions exist but
+        # cannot be checked right now.
         probe = sorted(rows_of)
         failed: List[int] = []
         if breakers is not None:
             failed = [s for s in probe if not breakers[s].allow()]
             probe = [s for s in probe if s not in failed]
         quarantined = len(failed)
-        with self._meta:
-            for s in probe:
-                self._m_visits[s].inc(routed[s])
-            if failed:
-                self._m_quarantine_skips.inc(sum(routed[s] for s in failed))
+        for s in probe:
+            self._m_visits[s].inc(routed[s])
+        if failed:
+            self._m_quarantine_skips.inc(sum(routed[s] for s in failed))
         row = list if breakers is None else PartialResults
         out: List[List[Any]] = [row() for _ in events]
         start = time.perf_counter()
@@ -616,12 +592,11 @@ class ShardedMatcher(Matcher):
             out[r].failed_shards = tuple(shards)
         degraded = len(failed_of)
         done = time.perf_counter()
-        with self._meta:
-            if probe:
-                self._m_fanout_seconds.observe(merged_at - start)
-                self._m_merge_seconds.observe(done - merged_at)
-            if degraded:
-                self._m_degraded.inc(degraded)
+        if probe:
+            self._m_fanout_seconds.observe(merged_at - start)
+            self._m_merge_seconds.observe(done - merged_at)
+        if degraded:
+            self._m_degraded.inc(degraded)
         if self.tracer.enabled:
             span = self.tracer.start(
                 "fanout",
@@ -652,44 +627,30 @@ class ShardedMatcher(Matcher):
     # ------------------------------------------------------------------
     def get(self, sub_id: Any) -> Subscription:
         """Look up a stored subscription by id."""
-        with self._meta:
-            shard = self._shard_of.get(sub_id)
-            if shard is None:
-                raise UnknownSubscriptionError(sub_id)
-        with self._shard_locks[shard]:
-            return self._shards[shard].get(sub_id)
+        shard = self._shard_of.get(sub_id)
+        if shard is None:
+            raise UnknownSubscriptionError(sub_id)
+        return self._shards[shard].get(sub_id)
 
     def iter_subscriptions(self) -> List[Subscription]:
-        out: List[Subscription] = []
-        for shard, inner in enumerate(self._shards):
-            with self._shard_locks[shard]:
-                out.extend(inner.iter_subscriptions())
-        return out
+        return [sub for inner in self._shards for sub in inner.iter_subscriptions()]
 
     def __len__(self) -> int:
-        with self._meta:
-            return sum(self._population)
+        return sum(self._population)
 
     def stats(self) -> Dict[str, Any]:
-        breakers = None
+        base = super().stats()
+        base["shards"] = len(self._shards)
+        base["inner"] = self._shards[0].name
+        base["parallel"] = self._parallel
+        base["executor"] = self.executor
+        if self._procpool is not None:
+            base["procpool"] = self._procpool.stats()
+        base["per_shard_subscriptions"] = list(self._population)
+        base["per_shard_events_routed"] = [c.value for c in self._m_visits]
+        base["counters"] = self.counters
+        base["router"] = self.router.stats()
         if self._breakers is not None:
-            # Collected outside the metadata lock: reading a breaker's
-            # state may fire its transition callback, which re-enters
-            # the (reentrant) lock but is tidier kept out of it.
-            breakers = {str(i): b.stats() for i, b in enumerate(self._breakers)}
-        with self._meta:
-            base = super().stats()
-            base["shards"] = len(self._shards)
-            base["inner"] = self._shards[0].name
-            base["parallel"] = self._parallel
-            base["executor"] = self.executor
-            if self._procpool is not None:
-                base["procpool"] = self._procpool.stats()
-            base["per_shard_subscriptions"] = list(self._population)
-            base["per_shard_events_routed"] = [c.value for c in self._m_visits]
-            base["counters"] = self.counters
-            base["router"] = self.router.stats()
-            if breakers is not None:
-                base["breakers"] = breakers
-                base["overflow_per_shard"] = list(self._overflow)
+            base["breakers"] = {str(i): b.stats() for i, b in enumerate(self._breakers)}
+            base["overflow_per_shard"] = list(self._overflow)
         return base

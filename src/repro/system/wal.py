@@ -319,8 +319,8 @@ class WriteAheadLog(Instrumented):
     """Append-only JSON-lines journal with pluggable fsync policy.
 
     Thread-safe: one internal lock serializes appends, syncs and a
-    compaction's seal and swap, so a multi-worker
-    :class:`~repro.system.server.BatchServer` can share one log.
+    compaction's seal and swap, so a broker's writers and its delivery
+    manager's settlements can share one log.
     """
 
     def __init__(

@@ -383,3 +383,39 @@ class TestOneWriteRule:
         oracle = OracleMatcher()
         oracle.add_batch(subs + dups + fresh)
         assert _observed(agg, ordered=False)[1:] == _observed(oracle, ordered=False)[1:]
+
+
+def _id_writes(owner):
+    """The add and remove of a broker, the aggregation layer or an engine."""
+    if owner == "broker":
+        broker = PubSubBroker()
+        return broker.subscribe, broker.unsubscribe
+    matcher = AggregatingMatcher() if owner == "aggregating" else DynamicMatcher()
+    return matcher.add, matcher.remove
+
+
+class TestIdsAndEmptyBatches:
+    @pytest.mark.parametrize("owner", ["broker", "aggregating", "dynamic"])
+    def test_an_id_past_the_digit_limit_still_prints(self, owner):
+        """``str(10**5000)`` raises: the error naming such an id must not."""
+        huge = 10**5000
+        add, remove = _id_writes(owner)
+        with pytest.raises(UnknownSubscriptionError) as unknown:
+            remove(huge)
+        add(Subscription(huge, [eq("x", 1)]))
+        with pytest.raises(DuplicateSubscriptionError) as duplicate:
+            add(Subscription(huge, [eq("x", 2)]))
+        for error in (unknown.value, duplicate.value):
+            assert str(error) == f"<int of {huge.bit_length()} bits>"
+            assert repr(error).endswith(f"(<int of {huge.bit_length()} bits>)")
+
+    def test_an_empty_write_batch_spends_no_fault(self):
+        flaky = FlakyMatcher(DynamicMatcher(), failures=1, operations=("add", "remove"))
+        broker = PubSubBroker(matcher=flaky)
+        flaky.add_batch([])
+        assert flaky.remove_batch([]) == []
+        assert broker.subscribe_batch([]) == [] and broker.unsubscribe_batch([]) == []
+        assert flaky.injected == 0
+        with pytest.raises(InjectedFault):
+            broker.subscribe_batch([Subscription("a", [eq("x", 1)])])
+        assert flaky.injected == 1 and len(broker.matcher) == 0

@@ -1,5 +1,7 @@
 """The publish/subscribe broker: validity intervals, notifications."""
 
+import threading
+
 import pytest
 
 from repro.core import (
@@ -246,6 +248,33 @@ class TestOnePublishPath:
         assert broker.publish_batch([Event({"x": 1})] * 3) == [["a"]] * 3
         assert broker.publish_batch([Event({"x": 1})]) == [[]]
         assert seen == ["a"] * 3
+
+    def test_the_engine_matches_under_the_broker_lock(self, clock, inbox):
+        """One lock in front of the engine: while ``match_batch`` runs,
+        no other thread can take the broker's lock."""
+        free_during_match = []
+
+        class LockSpy(OracleMatcher):
+            def match_batch(self, events):
+                probe = threading.Thread(
+                    target=lambda: free_during_match.append(_try_lock(broker._lock))
+                )
+                probe.start()
+                probe.join(timeout=10.0)
+                return super().match_batch(events)
+
+        broker = PubSubBroker(matcher=LockSpy(), clock=clock, notifier=inbox)
+        broker.subscribe(Subscription("a", [eq("x", 1)]))
+        assert broker.publish_batch([Event({"x": 1}), Event({"x": 2})]) == [["a"], []]
+        assert free_during_match == [False]
+
+
+def _try_lock(lock):
+    """Whether *lock* could be taken at once (released again if so)."""
+    if not lock.acquire(blocking=False):
+        return False
+    lock.release()
+    return True
 
 
 class TestPluggableMatcher:

@@ -238,8 +238,8 @@ class TestRetryingClient:
             RetryPolicy(budget_seconds=-1)
 
 
-def _gated_server(queue_limit, admission, workers=1):
-    """A server whose (single) worker blocks on a gate we control."""
+def _gated_server(queue_limit, admission):
+    """A server whose serving thread blocks on a gate we control."""
     gate = threading.Event()
     matcher = SlowMatcher(
         DynamicMatcher(),
@@ -247,9 +247,7 @@ def _gated_server(queue_limit, admission, workers=1):
         operations=("match",),
         sleep=lambda _d: gate.wait(timeout=10.0),
     )
-    server = BatchServer(
-        matcher, workers=workers, queue_limit=queue_limit, admission=admission
-    )
+    server = BatchServer(matcher, queue_limit=queue_limit, admission=admission)
     return server, gate
 
 
@@ -442,12 +440,12 @@ class TestLifecycle:
             server.submit_subscriptions([Subscription("a", [eq("x", 1)])])
 
     def test_close_drains_unserved_requests(self):
-        # Kill the workers first so queued requests can never be served,
-        # then verify close() answers them instead of leaving callers
-        # blocked forever.
+        # Stop the serving thread first so queued requests can never be
+        # served, then verify close() answers them instead of leaving
+        # callers blocked forever.
         server = BatchServer()
-        server._requests.put(None)  # worker exits as if closing
-        assert _wait_for(lambda: not server._threads[0].is_alive())
+        server._requests.put(None)  # the serving thread exits as if closing
+        assert _wait_for(lambda: not server._thread.is_alive())
         outcome = {}
 
         def client():

@@ -122,30 +122,18 @@ class TestMultiWorker:
         with BatchServer() as srv:
             assert srv.workers == 1
 
-    def test_plain_matcher_gets_wrapped(self):
-        from repro.core import OracleMatcher
-
-        with BatchServer(OracleMatcher(), workers=3) as srv:
-            assert isinstance(srv.matcher, ThreadSafeMatcher)
-
-    def test_thread_safe_matcher_not_wrapped(self):
-        matcher = ShardedMatcher(shards=2, parallel=False)
-        with BatchServer(matcher, workers=3) as srv:
-            assert srv.matcher is matcher
-        matcher.close()
-
     def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            BatchServer(workers=0)
+        for workers in (0, 2):
+            with pytest.raises(ValueError):
+                BatchServer(workers=workers)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_no_lost_or_duplicate_replies_under_churn(self, workers):
+    def test_no_lost_or_duplicate_replies_under_churn(self):
         """Concurrent publishers + subscription churn: every submitted
         batch gets exactly one complete reply, and matches only ever
         name subscriptions that existed at some point."""
         matcher = ShardedMatcher(shards=4, router="affinity", parallel=False)
         ever_added = {f"base{i}" for i in range(20)}
-        with BatchServer(matcher, workers=workers) as srv:
+        with BatchServer(matcher) as srv:
             srv.submit_subscriptions(
                 [Subscription(f"base{i}", [eq("x", i % 5)]) for i in range(20)]
             )
@@ -195,6 +183,57 @@ class TestMultiWorker:
         with pytest.raises(ServerClosedError):
             srv.submit_subscriptions([Subscription("late", [eq("x", 1)])])
         matcher.close()
+
+    def test_health_answers_while_serving(self):
+        """A client thread polls ``health()`` and ``len(matcher)`` while
+        publishers and a churner run through the one serving thread over
+        a breaker-guarded sharded engine: no read races the engine."""
+        matcher = ShardedMatcher(shards=4, breaker=True)
+        errors, reports, sizes = [], [], set()
+        serving_done = threading.Event()
+
+        def guarded(work):
+            def run():
+                try:
+                    work()
+                except Exception as exc:
+                    errors.append(exc)
+
+            return threading.Thread(target=run)
+
+        with BatchServer(matcher) as srv:
+            srv.submit_subscriptions(
+                [Subscription(f"base{i}", [eq("x", i % 5)]) for i in range(20)]
+            )
+
+            def publish(k):
+                for i in range(25):
+                    srv.submit_events([Event({"x": (k + i) % 5, "y": i})] * 8)
+
+            def churn():
+                for i in range(60):
+                    srv.submit_subscriptions([Subscription(f"churn{i}", [eq("x", i % 5)])])
+                    srv.submit_unsubscriptions([f"churn{i}"])
+
+            def poll():
+                while not serving_done.is_set():
+                    reports.append(srv.health())
+                    sizes.add(len(srv.matcher))
+
+            poller = guarded(poll)
+            serving = [guarded(lambda k=k: publish(k)) for k in range(4)] + [guarded(churn)]
+            poller.start()
+            for t in serving:
+                t.start()
+            for t in serving:
+                t.join(timeout=60.0)
+            serving_done.set()
+            poller.join(timeout=10.0)
+            assert not any(t.is_alive() for t in [poller, *serving])
+        matcher.close()
+        assert not errors
+        assert reports and {r["status"] for r in reports} == {"ok"}
+        assert sizes <= {20, 21}
 
 
 class _KernelSpy(ThreadSafeMatcher):
@@ -314,9 +353,3 @@ class TestServerOverBroker:
         assert restored.publish(Event({"x": 1})) == ["s1"]
         restored_clock.advance(20)
         assert restored.publish(Event({"x": 1})) == []
-
-    def test_multi_worker_wraps_the_brokers_engine(self):
-        broker = PubSubBroker(matcher=DynamicMatcher())
-        with BatchServer(broker, workers=2) as srv:
-            assert isinstance(srv.matcher, ThreadSafeMatcher)
-            assert broker.matcher is srv.matcher
