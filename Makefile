@@ -5,9 +5,9 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all bench-smoke bench-e2e-smoke bench-e2e metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke shm-smoke delivery-smoke
+.PHONY: test test-all bench-smoke bench-e2e-smoke bench-e2e metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke delivery-smoke
 
-# The seven script-backed smokes (examples/*_smoke.py) are not
+# The six script-backed smokes (examples/*_smoke.py) are not
 # prerequisites: tests/integration/test_examples.py runs every
 # examples/*.py inside the pytest step, so listing them here ran each
 # one twice.  Their targets below stay for hand use.  metrics-smoke
@@ -86,10 +86,12 @@ batch-smoke:
 	PYTHONPATH=src $(PYTHON) examples/batch_smoke.py
 
 # End-to-end process-executor check: 10k events over 4 worker processes
-# through both match entry points, differentially checked against
-# the oracle, plus one induced worker SIGKILL driven through the
-# degrade -> quarantine -> respawn -> converge lifecycle. Part of
-# tier-1 through tests/integration/test_examples.py.
+# through the shm slot ring and both match entry points, differentially
+# checked against the oracle with the arena byte counters asserted hot
+# (zero pipe fallbacks), one induced worker SIGKILL driven through the
+# degrade -> quarantine -> respawn (arena re-attach) -> converge
+# lifecycle, and a /dev/shm leak sweep. Part of tier-1 through
+# tests/integration/test_examples.py.
 procpool-smoke:
 	PYTHONPATH=src $(PYTHON) examples/procpool_smoke.py
 
@@ -100,15 +102,6 @@ procpool-smoke:
 # tests/integration/test_examples.py.
 aggregation-smoke:
 	PYTHONPATH=src $(PYTHON) examples/aggregation_smoke.py
-
-# End-to-end shared-memory data-plane check: 10k events through the
-# shm slot ring of a 4-shard process matcher, differentially checked
-# against the oracle with the arena byte counters asserted hot (zero
-# pipe fallbacks), one induced SIGKILL driven through the respawn +
-# arena re-attach lifecycle, and a /dev/shm leak sweep. Part of tier-1
-# through tests/integration/test_examples.py.
-shm-smoke:
-	PYTHONPATH=src $(PYTHON) examples/shm_smoke.py
 
 # End-to-end at-least-once delivery check: a burst through crash-heal
 # and healthy subscribers (redelivery must lose nothing), a dead

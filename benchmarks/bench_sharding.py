@@ -131,7 +131,7 @@ def test_sharding_sweep_process_executor(benchmark, shards):
     matcher, events = _loaded_sharded(
         shards, "affinity", "counting", n, N_EVENTS, executor="process"
     )
-    matcher.match_batch(events[:8])  # warm the workers and the codec
+    matcher.match_batch(events[:8])  # warm the workers and the arena
     total = benchmark(
         lambda: sum(len(ids) for ids in matcher.match_batch(events))
     )

@@ -1,28 +1,38 @@
 """End-to-end process-executor smoke test (the tier-1 ``make procpool-smoke``).
 
-Drives the process-per-shard backend once, at real volume:
+Drives the process-per-shard backend and its shared-memory data plane
+once, at real volume:
 
-1. **Differential volume check** — 10,000 W0 events cross the worker
-   pipes of a 4-shard process :class:`ShardedMatcher` through both
-   entry points (batched bit-matrix ``match_batch``, scalar ``match``)
-   and must agree event-for-event with a brute-force
-   oracle: the transport may reorder ids within one event's result,
-   never change the set.
-2. **Worker-death lifecycle** — a breaker-guarded 2-shard process
-   matcher takes one induced SIGKILL mid-request: the in-flight answer
-   degrades (healthy shard still correct), the breaker quarantines the
-   shard, and after cool-down the half-open probe respawns the worker,
-   replays its subscriptions, and the results re-converge exactly.
-3. **Metrics** — the pool must report 4 live workers during the volume
-   stage and exactly one respawn after the chaos stage, and the
+1. **Differential volume check** — 10,000 W0 events ride the
+   shared-memory slot ring of a 4-shard process :class:`ShardedMatcher`
+   through both entry points (batched ``match_batch``, scalar ``match``)
+   and must agree event-for-event with a brute-force oracle: the
+   transport may reorder ids within one event's result, never change
+   the set.  The pool's own counters must show the arena carried the
+   traffic — nonzero publish bytes, zero fallbacks to the pipe — and
+   that the sparse replies cost the pipe less per event than a dense
+   bit matrix would.
+2. **Metrics** — the pool must report 4 live workers, the
    2,000-subscription load must have crossed the pipes as chunked
    ``apply`` messages (at most ⌈2,000/64⌉ + 4 of them over 4 shards),
-   not one round trip per subscription.
+   not one round trip per subscription, and ``repro_shm_bytes_total``
+   (publish) must export the value the pool reported.
+3. **Worker-death lifecycle** — a breaker-guarded 2-shard process
+   matcher takes one induced SIGKILL mid-request: the in-flight answer
+   degrades (healthy shard still correct), the breaker quarantines the
+   shard, and after cool-down the half-open probe respawns the worker
+   (which re-attaches to the arena), replays its subscriptions, and the
+   results re-converge exactly — with exactly one respawn counted.
+4. **Segment hygiene** — after both stages close their matchers,
+   ``/dev/shm`` holds no new ``repro_shm_*`` segments (the same
+   invariant the session-scoped leak guard in ``tests/conftest.py``
+   enforces for the pytest suites).
 
 Exits non-zero (with a diagnostic) on any divergence.
 """
 
 import dataclasses
+import os
 import sys
 import tempfile
 import time
@@ -32,6 +42,7 @@ from repro.bench.harness import load_subscriptions
 from repro.core import OracleMatcher
 from repro.matchers import make_matcher
 from repro.system import ShardedMatcher
+from repro.system.shm import SHM_PREFIX
 from repro.testing.faults import killable_worker
 from repro.workload import w0
 
@@ -60,8 +71,28 @@ def norm(ids):
     return sorted(ids, key=repr)
 
 
+def shm_segments():
+    """Names of this module's live segments under ``/dev/shm``."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith(SHM_PREFIX)}
+    except FileNotFoundError:  # non-tmpfs platform: hygiene check is moot
+        return set()
+
+
+def metric_value(registry, name, **labels):
+    """Sum of a metric's samples matching the given label subset."""
+    total = None
+    for metric in registry.snapshot()["metrics"]:
+        if metric["name"] != name:
+            continue
+        for sample in metric["samples"]:
+            if all(sample["labels"].get(k) == v for k, v in labels.items()):
+                total = (total or 0) + sample["value"]
+    return total
+
+
 def volume_stage():
-    """10k events through the pipes, both entry points, vs oracle."""
+    """10k events through the slot ring, both entry points, vs oracle."""
     spec = dense_spec()
     subs, events = materialize(spec, N_SUBS, N_EVENTS)
     oracle = OracleMatcher()
@@ -98,13 +129,16 @@ def volume_stage():
             )
         print(f"  write-behind load: {sent} adds in {mutate.count} apply messages")
 
+        pool = matcher._procpool
+        recv_before = pool.stats()["counters"]["pipe_bytes"]["recv"]
         got = []
         for start in range(0, N_EVENTS, 1024):
             got.extend(matcher.match_batch(events[start : start + 1024]))
         for row, (ids, want) in enumerate(zip(got, expected)):
             if norm(ids) != want:
                 fail(f"batch: event {row} matched {norm(ids)!r}, oracle {want!r}")
-        print("  batched bit-matrix lane: OK")
+        replies = (pool.stats()["counters"]["pipe_bytes"]["recv"] - recv_before) / N_EVENTS
+        print("  batched slot-ring lane: OK")
 
         for row in range(0, 200, 4):
             ids = matcher.match(events[row])
@@ -115,14 +149,38 @@ def volume_stage():
                 )
         print("  scalar match lane: OK")
 
-        workers_metric = max(
-            sample["value"]
-            for metric in registry.snapshot()["metrics"]
-            if metric["name"] == "repro_procpool_workers"
-            for sample in metric["samples"]
+        shm = pool.stats()["shm"]
+        if shm["bytes"]["publish"] <= 0:
+            fail(f"arena moved no bytes: {shm['bytes']}")
+        hot = {k: v for k, v in shm["fallbacks"].items() if v}
+        if hot:
+            fail(f"batches fell back from the arena to the pipe: {hot}")
+        dense = sum(
+            -(-n // 64) * 8 for n in matcher.stats()["per_shard_subscriptions"]
         )
+        if not 0 < replies < dense:
+            fail(
+                f"replies cost {replies:.1f} B/event on the pipe; a dense bit "
+                f"matrix over these shards is {dense} B/event"
+            )
+        print(
+            f"  arena carried the traffic: {shm['bytes']['publish']} B "
+            f"published, 0 fallbacks; sparse replies {replies:.1f} B/event "
+            f"on the pipe (dense: {dense})"
+        )
+
+        workers_metric = metric_value(registry, "repro_procpool_workers")
         if workers_metric != SHARDS:
             fail(f"repro_procpool_workers={workers_metric}, expected {SHARDS}")
+        published = metric_value(
+            registry, "repro_shm_bytes_total", direction="publish"
+        )
+        if published != shm["bytes"]["publish"]:
+            fail(
+                f"repro_shm_bytes_total{{direction=publish}}={published} "
+                f"disagrees with pool counter {shm['bytes']['publish']}"
+            )
+        print("  metrics: worker gauge and shm byte counter exported and consistent")
 
 
 def chaos_stage():
@@ -168,15 +226,23 @@ def chaos_stage():
                 fail("results still degraded after the half-open respawn")
             if [norm(r) for r in healed] != expected:
                 fail("post-heal results diverge from the oracle")
+            batched = matcher.match_batch(events)
+            if [norm(ids) for ids in batched] != expected:
+                fail("post-heal batched (slot ring) results diverge from oracle")
             respawns = matcher._procpool.stats()["counters"]["respawns"]
             if respawns != 1:
                 fail(f"expected exactly 1 respawn, pool counted {respawns}")
-            print("  respawn + replay: OK (1 respawn, oracle equality restored)")
+            print("  respawn + replay + arena re-attach: OK (1 respawn, oracle equality restored)")
 
 
 def main():
+    before = shm_segments()
     volume_stage()
     chaos_stage()
+    leaked = shm_segments() - before
+    if leaked:
+        fail(f"leaked /dev/shm segments: {sorted(leaked)}")
+    print("  /dev/shm hygiene: no leaked segments")
     print("procpool smoke passed")
 
 

@@ -60,7 +60,6 @@ from repro.io import (
 )
 from repro.obs import MetricsRegistry, json_snapshot, prometheus_text, write_json_snapshot
 from repro.system.resilience import ADMISSION_POLICIES, DeadlineExceededError, ServerOverloadedError
-from repro.system.procpool import CODECS
 from repro.system.router import ROUTERS
 from repro.system.sharding import EXECUTORS, ShardedMatcher
 from repro.workload.generator import WorkloadGenerator
@@ -108,14 +107,6 @@ def _add_engine_flags(
             "one worker process per shard for real multi-core matching",
         )
         sub.add_argument(
-            "--codec",
-            choices=CODECS,
-            default="auto",
-            help="worker transport (with --executor process): 'auto' packs "
-            "columnar batches over the pipe, 'shm' places each batch once in "
-            "a shared-memory slot ring (see docs/scaling.md)",
-        )
-        sub.add_argument(
             "--worker-timeout",
             type=float,
             default=None,
@@ -124,7 +115,7 @@ def _add_engine_flags(
             "(with --executor process; default: wait forever)",
         )
     else:
-        sub.set_defaults(executor="thread", codec="auto", worker_timeout=None)
+        sub.set_defaults(executor="thread", worker_timeout=None)
     if aggregate:
         sub.add_argument(
             "--aggregate",
@@ -300,7 +291,6 @@ def _build_matcher(args: argparse.Namespace):
             inner=lambda: matcher_for(args.engine, spec),
             breaker=args.breaker,
             executor=args.executor,
-            codec=args.codec,
             worker_timeout=args.worker_timeout,
         )
     else:
@@ -325,7 +315,6 @@ def _snapshot_context(args: argparse.Namespace, events: int) -> dict:
         "engine": args.engine,
         "shards": args.shards,
         "executor": args.executor,
-        "codec": args.codec,
         "worker_timeout": args.worker_timeout,
         "aggregate": args.aggregate,
         "events": events,

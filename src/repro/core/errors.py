@@ -8,6 +8,19 @@ context in its message to act on.
 
 from __future__ import annotations
 
+from typing import Any
+
+
+def id_repr(sub_id: Any) -> str:
+    """*sub_id* as ``repr`` shows it — or, for an int past Python's str
+    digit limit (which has no ``repr``) or an id holding one, by its type
+    and size, so a message naming the id can always be built."""
+    try:
+        return repr(sub_id)
+    except ValueError:
+        size = f" of {sub_id.bit_length()} bits" if isinstance(sub_id, int) else ""
+        return f"<{type(sub_id).__name__}{size}>"
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -27,16 +40,13 @@ class InvalidEventError(ReproError, ValueError):
 
 class _SubscriptionIdError(ReproError, KeyError):
     """Carries the offending subscription id as its one argument, shown
-    as ``repr`` shows it — or, for an int past Python's str digit limit
-    (which has no ``repr``), by its size, so the error always prints."""
+    by :func:`id_repr`, so the error always prints."""
 
     def __str__(self) -> str:
         try:
             return super().__str__()
         except ValueError:  # an int past the digit limit, or an id holding one
-            sub_id = self.args[0]
-            size = f" of {sub_id.bit_length()} bits" if isinstance(sub_id, int) else ""
-            return f"<{type(sub_id).__name__}{size}>"
+            return id_repr(self.args[0])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

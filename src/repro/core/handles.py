@@ -2,8 +2,8 @@
 
 The paper keeps a cluster's *subscription line* beside its bit refs
 (Sections 2.2, 3).  Ours holds the small ints a :class:`HandleTable`
-hands out; clusters, counting's association arrays and the process-shard
-codec speak handles, and the caller's id appears only where
+hands out; clusters, counting's association arrays and the process
+shards' replies speak handles, and the caller's id appears only where
 :meth:`HandleTable.ids` gathers them back.
 """
 

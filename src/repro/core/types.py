@@ -28,6 +28,7 @@ from repro.core.errors import (
     InvalidEventError,
     InvalidPredicateError,
     InvalidSubscriptionError,
+    id_repr,
 )
 
 #: Values an attribute may take.  The paper uses positive-integer domains;
@@ -337,14 +338,15 @@ class Subscription:
         for p in predicates:
             if not isinstance(p, Predicate):
                 raise InvalidSubscriptionError(
-                    f"subscription {sub_id!r}: expected Predicate, got {type(p).__name__}"
+                    f"subscription {id_repr(sub_id)}: expected Predicate, "
+                    f"got {type(p).__name__}"
                 )
             if p not in seen:
                 seen.add(p)
                 preds.append(p)
         if not preds:
             raise InvalidSubscriptionError(
-                f"subscription {sub_id!r} must contain at least one predicate"
+                f"subscription {id_repr(sub_id)} must contain at least one predicate"
             )
         object.__setattr__(self, "id", sub_id)
         object.__setattr__(self, "predicates", tuple(preds))

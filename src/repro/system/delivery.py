@@ -71,7 +71,7 @@ from typing import (
 
 import time
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, id_repr
 from repro.obs.registry import Instrumented, MetricsRegistry
 from repro.system.clock import Clock, SystemClock
 from repro.system.notifier import Notification, Sink, _as_callable
@@ -669,7 +669,7 @@ class DeliveryManager(Instrumented):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._space.wait(timeout=remaining):
                     raise ChannelOverflowError(
-                        f"channel {channel.sub_id!r} full "
+                        f"channel {id_repr(channel.sub_id)} full "
                         f"({policy.capacity} outstanding) for more than "
                         f"{policy.block_timeout}s"
                     )
@@ -682,7 +682,7 @@ class DeliveryManager(Instrumented):
         # disconnect: quarantine the whole subscriber.
         self.disconnect(channel.sub_id)
         raise ChannelOverflowError(
-            f"channel {channel.sub_id!r} exceeded its window "
+            f"channel {id_repr(channel.sub_id)} exceeded its window "
             f"({policy.capacity}); subscriber disconnected and its "
             f"outstanding deliveries dead-lettered"
         )

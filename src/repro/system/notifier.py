@@ -19,7 +19,7 @@ import dataclasses
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, id_repr
 from repro.core.types import Event
 from repro.obs.registry import Instrumented, MetricsRegistry
 
@@ -55,7 +55,7 @@ class FanoutDeliveryError(ReproError, RuntimeError):
             f"{type(sink).__name__}: {exc!r}" for sink, exc in errors
         )
         super().__init__(
-            f"{len(errors)} sink(s) failed delivering to {notification.sub_id!r}: "
+            f"{len(errors)} sink(s) failed delivering to {id_repr(notification.sub_id)}: "
             f"{detail}"
         )
 

@@ -44,15 +44,18 @@ and ``tests/properties/test_prop_procpool.py``):
   free: death trips the breaker, events skip the shard (degraded
   ``PartialResults``), and the half-open probe is what respawns and
   re-converges it.
-* **Numpy transport with a pickle fallback.**  Event batches whose
-  values are all float64-exact numbers cross as a
-  :class:`~repro.batch.columns.ColumnarBatch` (pickled on the pipe, or
-  placed once in a shared-memory slot under ``codec="shm"``), and match
-  results return over the pipe as **sparse hit handles** — one int32
-  count per event plus the int32 handles the parent's mirror gave the
-  matching subscriptions, O(hits) however large the shard.  Strings,
-  oversized ints and other odd-path values fall back to pickling the
-  objects themselves (the core types pickle via their constructors).
+* **One data plane, one counted fallback.**  Every pool owns a
+  shared-memory :class:`~repro.system.shm.ShmArena`: an event batch
+  whose values are all float64-exact numbers is packed once into a slot
+  as a :class:`~repro.batch.columns.ColumnarBatch` and every probed
+  worker reads it in place.  A batch the arena cannot take goes down
+  the pipe instead, counted by reason (``SHM_FALLBACK_REASONS``): odd
+  values (strings, oversized ints) pickle the objects themselves (the
+  core types pickle via their constructors), a batch larger than a slot
+  or one that found no free slot in time pickles its columnar form.
+  Match results return over the pipe as **sparse hit handles** — one
+  int32 count per event plus the int32 handles the parent's mirror gave
+  the matching subscriptions, O(hits) however large the shard.
 
 Worker lifecycle: spawn → warm-up handshake (the worker builds its
 matcher and reports its name/pid, so factory failures surface at
@@ -82,15 +85,6 @@ from repro.obs.registry import Instrumented, MetricsRegistry
 from repro.system.resilience import WorkerDiedError, WorkerStateError
 from repro.system.shm import ShmArena, SlotTicket
 
-#: Event transport codecs: ``auto`` pickles columnar event batches over
-#: the pipe (the objects themselves only for what the columnar layout
-#: cannot carry), and ``shm`` places each batch once in a shared-memory
-#: slot ring every probed worker reads in place (see
-#: :mod:`repro.system.shm`), keeping the pipe for control, for the
-#: batches the arena cannot take (``SHM_FALLBACK_REASONS``) and — under
-#: both codecs — for the sparse replies.
-CODECS = ("auto", "shm")
-
 #: Poll granularity while waiting on a worker reply.  ``Connection.poll``
 #: returns the instant data arrives; this only bounds how often worker
 #: liveness is re-checked, so death never turns into a hang.
@@ -99,18 +93,18 @@ _POLL_SECONDS = 0.02
 #: IPC op label values (the ``repro_procpool_ipc_seconds`` label set).
 _IPC_OPS = ("mutate", "batch", "control")
 
-#: ``repro_shm_fallback_total`` reason label values: the batch could not
-#: ride the columnar layout at all (``oddpath``), no free slot appeared
-#: within the publish timeout (``slot_wait``), or the batch was larger
-#: than one slot (``slot_full``).
+#: Why a batch took the pipe instead of the arena (the
+#: ``repro_shm_fallback_total`` reason label values): it could not ride
+#: the columnar layout at all (``oddpath``), no free slot appeared within
+#: the publish timeout (``slot_wait``), or it was larger than one slot
+#: (``slot_full``).
 SHM_FALLBACK_REASONS = ("oddpath", "slot_wait", "slot_full")
 
 #: How long a publish waits for a free event slot before falling back to
 #: the pipe transport (slow readers should degrade, not deadlock).
 _SLOT_WAIT_SECONDS = 2.0
 
-#: Arena geometry under ``codec="shm"``: event slots in the ring and
-#: bytes per slot.
+#: Arena geometry: event slots in the ring and bytes per slot.
 _SHM_SLOTS = 4
 _SHM_SLOT_BYTES = 1 << 20
 
@@ -120,7 +114,7 @@ _APPLY_CHUNK = 64
 
 
 # ----------------------------------------------------------------------
-# wire codecs (shared by parent and worker)
+# wire forms (shared by parent and worker)
 # ----------------------------------------------------------------------
 def encode_events(events: Sequence[Event]) -> Union[ColumnarBatch, List[Event]]:
     """Encode an event batch for the wire.
@@ -144,8 +138,8 @@ def match_payload(
     is, so the vectorized predicate phase runs straight off the
     matrices — when *rows* is the identity routing the arrays (possibly
     shm slot views) are used in place, otherwise the routed sub-batch is
-    copied out.  The odd lane's event list goes in whole (only the
-    arena lane routes by *rows*).
+    copied out.  A pipe payload goes in whole (only the arena lane
+    routes by *rows*).
     """
     if rows is not None and list(rows) != list(range(len(payload))):
         payload = payload.select(rows)
@@ -209,22 +203,19 @@ def _match_slot(
 
 
 def worker_main(
-    conn, factory: Callable[[], Matcher], shm_spec: Optional[Dict[str, Any]] = None
+    conn, factory: Callable[[], Matcher], shm_spec: Dict[str, Any]
 ) -> None:
     """Serve one shard's matcher over *conn* until EOF or ``stop``.
 
     Exposed (not underscore-private) because ``spawn``/``forkserver``
     start methods must import it by qualified name.
 
-    Under the ``shm`` codec *shm_spec* names the parent's arena: the
-    worker attaches the segment (never unlinks — the parent owns it)
-    and reads event slots in place.
+    *shm_spec* names the parent's arena: the worker attaches the segment
+    (never unlinks — the parent owns it) and reads event slots in place.
     """
-    arena: Optional[ShmArena] = None
     try:
         matcher = factory()
-        if shm_spec is not None:
-            arena = ShmArena.attach(shm_spec)
+        arena = ShmArena.attach(shm_spec)
     except BaseException as exc:
         _send(conn, "err", exc)
         conn.close()
@@ -240,13 +231,11 @@ def worker_main(
         op = msg[0]
         try:
             if op in ("batch", "batch_shm"):
-                if op == "batch":
+                if op == "batch":  # the arena's fallback lane
                     lists = match_payload(matcher, msg[1])
-                elif arena is None:
-                    raise RuntimeError("batch_shm without an attached arena")
                 else:
                     lists = _match_slot(arena, matcher, *msg[1:])
-                # One reply form under both codecs, always on the pipe.
+                # One reply form for both lanes, always on the pipe.
                 reply: Any = (epoch, encode_results(lists, handle_of))
             elif op == "apply":
                 # One epoch per op, in order.  An op the engine rejects
@@ -277,8 +266,7 @@ def worker_main(
             _send(conn, "err", exc)
         else:
             _send(conn, "ok", reply)
-    if arena is not None:
-        arena.close()
+    arena.close()
     conn.close()
 
 
@@ -310,20 +298,18 @@ class ProcessPool(Instrumented):
     caller — the executor-level deadlock guard the chaos suite leans on.
     Workers start by ``fork`` where available (factories may be
     closures), else by the platform's first start method (factories must
-    then pickle).
+    then pickle).  The pool owns one :class:`ShmArena` that every worker
+    attaches, a respawned one included.
     """
 
     def __init__(
         self,
         factories: Sequence[Callable[[], Matcher]],
         request_timeout: Optional[float] = None,
-        codec: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not factories:
             raise ValueError("a process pool needs at least one shard factory")
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r}; known: {CODECS}")
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError(
                 f"request timeout must be positive seconds, got {request_timeout}"
@@ -332,13 +318,10 @@ class ProcessPool(Instrumented):
         self.start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(self.start_method)
         self.request_timeout = request_timeout
-        self.codec = codec
         self._factories = list(factories)
         self._workers: List[Optional[_Worker]] = [None] * len(factories)
         self._closed = False
-        self.arena: Optional[ShmArena] = None
-        if codec == "shm":
-            self.arena = ShmArena.create(slots=_SHM_SLOTS, slot_bytes=_SHM_SLOT_BYTES)
+        self.arena = ShmArena.create(slots=_SHM_SLOTS, slot_bytes=_SHM_SLOT_BYTES)
         self.use_metrics(metrics)
         try:
             for index in range(len(factories)):
@@ -377,11 +360,11 @@ class ProcessPool(Instrumented):
         pipe_bytes = m.counter(
             "repro_procpool_bytes_total",
             "Estimated bytes moved over the worker command pipes, by "
-            "direction and configured codec.",
-            ("direction", "codec"),
+            "direction.",
+            ("direction",),
         )
         self._m_pipe_bytes = {
-            direction: pipe_bytes.labels(direction=direction, codec=self.codec)
+            direction: pipe_bytes.labels(direction=direction)
             for direction in ("send", "recv")
         }
         shm_bytes = m.counter(
@@ -432,12 +415,11 @@ class ProcessPool(Instrumented):
         if self._closed:
             raise WorkerDiedError("process pool is closed", shard=index)
         self._reap(index)
-        # Respawns reattach the same segment: the spec names it.
-        shm_spec = None if self.arena is None else self.arena.spec()
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, self._factories[index], shm_spec),
+            # Respawns reattach the same segment: the spec names it.
+            args=(child_conn, self._factories[index], self.arena.spec()),
             daemon=True,
             name=f"repro-shard-{index}",
         )
@@ -496,10 +478,9 @@ class ProcessPool(Instrumented):
                 except (OSError, ValueError):
                     pass
             self._reap(index)
-        if self.arena is not None:
-            # Workers are gone; unmapping + unlinking here is the only
-            # place the segment leaves /dev/shm.
-            self.arena.close()
+        # Workers are gone; unmapping + unlinking here is the only place
+        # the segment leaves /dev/shm.
+        self.arena.close()
 
     # -- shared-memory publish path ------------------------------------
     def publish_events(self, events: Sequence[Event], readers: int) -> Optional[SlotTicket]:
@@ -512,8 +493,6 @@ class ProcessPool(Instrumented):
         each counted in ``repro_shm_fallback_total``.  A single event
         is a batch of one like any other.
         """
-        if self.arena is None or self.arena.ring is None:
-            raise RuntimeError("publish_events requires the shm codec")
         batch = encode_events(events)
         if not isinstance(batch, ColumnarBatch):
             self._m_shm_fallback["oddpath"].inc()
@@ -634,12 +613,11 @@ class ProcessPool(Instrumented):
 
     def stats(self) -> Dict[str, Any]:
         """JSON-serializable pool snapshot (same contract as matchers)."""
-        out = {
+        return {
             "name": "procpool",
             "workers": len(self._factories),
             "alive": self.alive_count(),
             "start_method": self.start_method,
-            "codec": self.codec,
             "request_timeout": self.request_timeout,
             "counters": {
                 "respawns": int(sum(c.value for c in self._m_respawns)),
@@ -655,9 +633,7 @@ class ProcessPool(Instrumented):
                     for direction, c in self._m_pipe_bytes.items()
                 },
             },
-        }
-        if self.arena is not None:
-            out["shm"] = dict(
+            "shm": dict(
                 self.arena.health(),
                 bytes={
                     direction: int(c.value)
@@ -667,8 +643,8 @@ class ProcessPool(Instrumented):
                     reason: int(c.value)
                     for reason, c in self._m_shm_fallback.items()
                 },
-            )
-        return out
+            ),
+        }
 
 
 def _pickle_op(*mutation: Any) -> bytes:
@@ -845,7 +821,6 @@ class ProcessShard(Matcher):
         so a worker that dies (or desyncs) mid-request still frees the
         slot for the next batch.
         """
-        pool = self.pool
         try:
             worker_epoch, results = self._call(
                 ("batch_shm", ticket.index, ticket.generation, rows), "batch"
@@ -853,8 +828,7 @@ class ProcessShard(Matcher):
             self._check_epoch(worker_epoch, self._epoch)
             return decode_results(results, self._mirror)
         finally:
-            if pool.arena is not None and pool.arena.ring is not None:
-                pool.arena.ring.ack(ticket)
+            self.pool.arena.ring.ack(ticket)
 
     def rebuild(self) -> None:
         """Forward the build step to the worker's engine (if it has one)."""

@@ -62,7 +62,9 @@ each shard's engine in its own worker process
 (:class:`~repro.system.procpool.ProcessShard` over a
 :class:`~repro.system.procpool.ProcessPool`), making the fan-out
 parallelism literal: the thread pool blocks in pipe ``recv`` (releasing
-the GIL) while N workers match on N cores.  Everything above the shard
+the GIL) while N workers match on N cores.  A batch reaches the workers
+once through the pool's shared-memory arena, the pipe only when the
+arena cannot take it (counted by reason).  Everything above the shard
 boundary — routing, breakers, the deterministic
 ascending-shard merge — is shared between both executors, and a dead
 worker surfaces as :class:`~repro.system.resilience.WorkerDiedError`,
@@ -126,8 +128,14 @@ class ShardedMatcher(Matcher):
         slow_match_seconds: Optional[float] = None,
         executor: str = "thread",
         worker_timeout: Optional[float] = None,
-        codec: str = "auto",
+        codec: str = "shm",
     ) -> None:
+        """*codec* must be ``"shm"``: the process executor has one data
+        plane, the shared-memory arena."""
+        if codec != "shm":
+            raise ValueError(
+                f"process shards publish through the shm arena only, got codec={codec!r}"
+            )
         if shards < 1:
             raise ValueError(f"shard count must be >= 1, got {shards}")
         if slow_match_seconds is not None and slow_match_seconds <= 0:
@@ -149,9 +157,7 @@ class ShardedMatcher(Matcher):
             # the bit-matrix transport), which the thread path never needs.
             from repro.system.procpool import ProcessPool, ProcessShard
 
-            self._procpool = ProcessPool(
-                [factory] * shards, request_timeout=worker_timeout, codec=codec
-            )
+            self._procpool = ProcessPool([factory] * shards, request_timeout=worker_timeout)
             self._shards: List[Matcher] = [
                 ProcessShard(self._procpool, index) for index in range(shards)
             ]
@@ -344,7 +350,9 @@ class ShardedMatcher(Matcher):
 
         The thread executor is always fully "alive"; the process
         executor reports configured vs. live workers (a gap means a
-        worker died and has not yet been probed back to life).
+        worker died and has not yet been probed back to life) and its
+        arena: geometry plus the traffic counters, so an arena that
+        carries no bytes (or only fallbacks) is visible.
         """
         if self._procpool is None:
             return {
@@ -352,18 +360,13 @@ class ShardedMatcher(Matcher):
                 "workers": len(self._shards),
                 "alive": len(self._shards),
             }
-        health = {
+        return {
             "executor": "process",
             "workers": self._procpool.workers,
             "alive": self._procpool.alive_count(),
             "start_method": self._procpool.start_method,
-            "codec": self._procpool.codec,
+            "shm": self._procpool.stats()["shm"],
         }
-        if self._procpool.arena is not None:
-            # Geometry plus the traffic counters: an arena that exists
-            # but carries no bytes (or only fallbacks) must be visible.
-            health["shm"] = self._procpool.stats()["shm"]
-        return health
 
     def __enter__(self) -> "ShardedMatcher":
         return self
@@ -472,7 +475,7 @@ class ShardedMatcher(Matcher):
         """The one fan-out: each shard sees one sub-batch, merged per event.
 
         Route, gate each candidate shard through its breaker once,
-        publish the batch to the shm arena when there is one, run one
+        publish a process executor's batch to its shm arena, run one
         *probe* (a single call into a single shard) per
         admitted shard, record one breaker verdict per probe, and
         concatenate per-event results in ascending shard order —
@@ -535,7 +538,7 @@ class ShardedMatcher(Matcher):
         start = time.perf_counter()
         pool = self._procpool
         ticket = None
-        if probe and pool is not None and pool.arena is not None:
+        if probe and pool is not None:
             # Write-once: the batch is packed into one event slot with
             # one reader claim per probed shard; None means it rides
             # the pipe instead (counted by the pool, never silent).

@@ -1,9 +1,10 @@
 """Zero-copy shared-memory event plane for the process executor.
 
-The pipe transport of :mod:`repro.system.procpool` re-serializes the
-same columnar event batch once **per shard** — four pickled copies on a
-4-shard fan-out.  This module replaces that hop with write-once /
-read-many placement in ``multiprocessing.shared_memory``: one segment
+Pickling an event batch down each worker's pipe would serialize the
+same columnar batch once **per shard** — four pickled copies on a
+4-shard fan-out.  Every :class:`~repro.system.procpool.ProcessPool`
+instead places batches write-once / read-many in
+``multiprocessing.shared_memory``: one segment
 holding a small ring of fixed-size **event slots**.  The parent packs a
 :class:`~repro.batch.columns.ColumnarBatch` (attrs table, float64 value
 matrix, packed presence/int-ness bit rows) into a free slot exactly
@@ -13,13 +14,14 @@ cost one write instead of N pickled sends.
 
 Replies do not come back through here: a worker answers with sparse hit
 handles (:func:`repro.system.procpool.encode_results`), O(hits) bytes
-that ride the pipe under either codec.
+that ride the pipe.
 
 The command pipe carries the rest: slot hand-off, replies, and the
-pickle odd-path fallback for batches the columnar form cannot carry
-(strings, integers at or past 2**53 — the same split the batch kernel
-makes; NaN floats ride the matrix, the presence bit distinguishes them
-from missing attributes).
+batches the arena cannot take — the pickle odd path for batches the
+columnar form cannot carry (strings, integers at or past 2**53 — the
+same split the batch kernel makes; NaN floats ride the matrix, the
+presence bit distinguishes them from missing attributes), and a batch
+larger than a slot or one that found no slot free in time.
 
 Slot lifecycle (pinned by ``tests/system/test_shm_ring.py`` and the
 hypothesis suite ``tests/properties/test_prop_shm.py``):

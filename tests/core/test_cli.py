@@ -24,20 +24,23 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert "repro" in capsys.readouterr().out
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["match", "--subscriptions", "s", "--events", "e",
-                 "--codec", "telegraph"]
-            )
+    def test_codec_flag_is_gone(self):
+        """Process shards have one data plane, so there is no transport
+        to pick: ``--codec`` is an unknown option."""
+        for codec in ("shm", "auto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["match", "--subscriptions", "s", "--events", "e",
+                     "--codec", codec]
+                )
 
     def test_executor_knobs_parse_on_match_stats_health(self):
         for command in ("match", "stats", "health"):
             args = build_parser().parse_args(
                 [command, "--subscriptions", "s", "--events", "e",
-                 "--codec", "shm", "--worker-timeout", "2.5"]
+                 "--executor", "process", "--worker-timeout", "2.5"]
             )
-            assert args.codec == "shm"
+            assert args.executor == "process"
             assert args.worker_timeout == 2.5
 
 
@@ -103,8 +106,8 @@ class TestMatch:
         assert lines[0]["matched"] == ["s1"]
         assert lines[1]["matched"] == []
 
-    def test_match_sharded_process_shm_codec(self, tmp_path):
-        """End-to-end: the shm transport behind the CLI flags."""
+    def test_match_sharded_process(self, tmp_path):
+        """End-to-end: the process shards' arena behind the CLI flags."""
         subs_file = tmp_path / "subs.jsonl"
         subs_file.write_text(
             '{"id": "s1", "predicates": [["price", "<=", 10]]}\n'
@@ -123,7 +126,6 @@ class TestMatch:
                 "--engine", "counting",
                 "--shards", "2",
                 "--executor", "process",
-                "--codec", "shm",
                 "--worker-timeout", "60",
             ],
             out=out,
@@ -157,7 +159,6 @@ class TestMatch:
                 "--engine", "counting",
                 "--shards", "2",
                 "--executor", "process",
-                "--codec", "shm",
                 "--worker-timeout", "60",
                 "--batch-size", "64",
             ],

@@ -196,8 +196,7 @@ class TestTheDefectsThatMotivatedIt:
     def test_broker_close_reaches_worker_processes_through_a_wrapper(self):
         before = shm_entries()
         sharded = ShardedMatcher(
-            shards=2, inner="counting", executor="process", codec="shm",
-            worker_timeout=60.0,
+            shards=2, inner="counting", executor="process", worker_timeout=60.0,
         )
         try:
             broker = PubSubBroker(matcher=ThreadSafeMatcher(sharded))

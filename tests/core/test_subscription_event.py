@@ -25,6 +25,19 @@ class TestSubscriptionConstruction:
         with pytest.raises(InvalidSubscriptionError):
             Subscription("s", [("x", "=", 1)])
 
+    def test_an_empty_subscription_with_an_unprintable_id_still_names_it(self):
+        """``repr(10**5000)`` raises ``ValueError``; the error must not."""
+        huge = 10**5000
+        with pytest.raises(InvalidSubscriptionError) as error:
+            Subscription(huge, [])
+        assert f"<int of {huge.bit_length()} bits> must contain" in str(error.value)
+
+    def test_a_non_predicate_with_an_unprintable_id_still_names_it(self):
+        huge = 10**5000
+        with pytest.raises(InvalidSubscriptionError) as error:
+            Subscription(huge, [("x", "=", 1)])
+        assert f"<int of {huge.bit_length()} bits>: expected Predicate" in str(error.value)
+
     def test_duplicates_collapse(self):
         s = Subscription("s", [eq("x", 1), eq("x", 1), le("y", 2)])
         assert s.size == 2

@@ -7,7 +7,7 @@ single-process scalar run of the same engine produces at every step
 and every read is the barrier, so after any read each worker holds
 exactly its shard's mirror), and its batch results must be invariant
 under batch splitting (the deterministic ascending-shard merge contract).
-Replies are sparse hit handles: the codec round-trips any hit lists into
+Replies are sparse hit handles: their wire form round-trips any hit lists into
 ascending handle order, and through real workers every batch row comes
 back in the shards' ascending handle order — also after a worker is
 healed over a mirror whose numbering has holes.
@@ -40,14 +40,13 @@ def norm(ids):
     return sorted(ids, key=repr)
 
 
-def process_matcher(shards=2, codec="auto"):
+def process_matcher(shards=2):
     return ShardedMatcher(
         shards=shards,
         router="hash",
         inner=lambda: make_matcher("counting"),
         executor="process",
         worker_timeout=60.0,
-        codec=codec,
     )
 
 
@@ -93,7 +92,7 @@ steps = st.lists(
 
 class TestInterleavingDeterminism:
     @COMMON_SETTINGS
-    @given(plan=steps, codec=st.sampled_from(["auto", "shm"]), odd=st.booleans())
+    @given(plan=steps, odd=st.booleans())
     @example(
         # add, add, remove, kill, batch: the worker is healed over a
         # mirror whose handle 0 is free, and must decode handle 1.
@@ -104,20 +103,19 @@ class TestInterleavingDeterminism:
             ("kill", 0),
             ("batch", [Event({"x": 1}), Event({"x": 2})]),
         ],
-        codec="auto",
         odd=False,
     )
-    def test_process_equals_scalar_at_every_step(self, plan, codec, odd):
+    def test_process_equals_scalar_at_every_step(self, plan, odd):
         """Apply one random churn/batch interleaving to the process
         executor and to a plain single-process engine; every batch's
         results must agree, and so must the final subscription set.
         With *odd*, every batch — a batch of one too — carries a string,
         a NaN and an int >= 2**53, so it leaves the columnar layout for
-        the object-pickling lane, counted as ``oddpath`` under ``shm``.
+        the object-pickling pipe lane, counted as an ``oddpath`` fallback.
         Every row, a batch of one's included, is in ascending handle
         order."""
         scalar = make_matcher("counting")
-        proc = process_matcher(codec=codec)
+        proc = process_matcher()
         odd_batches = 0
         try:
             live = []
@@ -153,9 +151,8 @@ class TestInterleavingDeterminism:
                     order = handle_order(proc)
                     assert all(r == sorted(r, key=order.__getitem__) for r in rows)
                     assert_workers_hold_their_mirrors(proc)
-            if codec == "shm":
-                fallbacks = proc.executor_health()["shm"]["fallbacks"]
-                assert fallbacks["oddpath"] == odd_batches
+            fallbacks = proc.executor_health()["shm"]["fallbacks"]
+            assert fallbacks == {"oddpath": odd_batches, "slot_wait": 0, "slot_full": 0}
             assert len(proc) == len(scalar)
             assert sorted(s.id for s in proc.iter_subscriptions()) == sorted(
                 s.id for s in scalar.iter_subscriptions()

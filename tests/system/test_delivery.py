@@ -361,6 +361,27 @@ class TestOverflowPolicies:
         with pytest.raises(ChannelOverflowError):
             manager.dispatch("s1", Event({"a": 2}))
 
+    def test_a_blocked_channel_with_an_unprintable_id_still_names_it(self):
+        """``repr(10**5000)`` raises ``ValueError``; the overflow error
+        naming that channel must be raised and print."""
+        huge = 10**5000
+        manager, _clock = make_manager(capacity=1, overflow="block", block_timeout=0.01)
+        manager.register(huge)
+        manager.dispatch(huge, Event({"a": 1}))
+        with pytest.raises(ChannelOverflowError) as error:
+            manager.dispatch(huge, Event({"a": 2}))
+        assert f"channel <int of {huge.bit_length()} bits> full" in str(error.value)
+
+    def test_a_disconnected_channel_with_an_unprintable_id_still_names_it(self):
+        huge = 10**5000
+        manager, _clock = make_manager(capacity=1, overflow="disconnect")
+        manager.register(huge, sink=lambda n: None)
+        manager.dispatch(huge, Event({"a": 1}))
+        with pytest.raises(ChannelOverflowError) as error:
+            manager.dispatch(huge, Event({"a": 2}))
+        assert f"channel <int of {huge.bit_length()} bits> exceeded" in str(error.value)
+        assert not manager.channel(huge).connected
+
     def test_disconnect_quarantines_the_subscriber(self):
         manager, _clock = make_manager(capacity=1, overflow="disconnect")
         manager.register("s1", sink=lambda n: None)

@@ -109,6 +109,15 @@ class TestFanoutIsolation:
         assert [exc for _sink, exc in err.errors] == [first, second]
         assert "2 sink(s) failed" in str(err)
 
+    def test_an_unprintable_subscription_id_still_names_it(self):
+        """``repr(10**5000)`` raises ``ValueError``; the aggregate error
+        must be raised, not that."""
+        huge = 10**5000
+        f = FanoutNotifier([_BoomNotifier(RuntimeError("boom"))])
+        with pytest.raises(FanoutDeliveryError) as error:
+            f.deliver(note(sub_id=huge))
+        assert f"delivering to <int of {huge.bit_length()} bits>" in str(error.value)
+
     def test_all_healthy_sinks_raise_nothing(self):
         q = QueueNotifier()
         FanoutNotifier([q, NullNotifier()]).deliver(note())

@@ -46,7 +46,7 @@ def oracle_for(subs):
     return oracle
 
 
-def chaos_matcher(tmp_path, die_at, breaker=True, codec="auto"):
+def chaos_matcher(tmp_path, die_at, breaker=True):
     """2 process shards; the first-spawned worker dies at op *die_at*."""
     factory = killable_worker(
         lambda: make_matcher("counting"),
@@ -61,7 +61,6 @@ def chaos_matcher(tmp_path, die_at, breaker=True, codec="auto"):
         executor="process",
         breaker=spec,
         worker_timeout=30.0,
-        codec=codec,
     )
 
 
@@ -330,7 +329,7 @@ class TestShmSlotLifecycleUnderChaos:
         subs, events = workload()
         oracle = oracle_for(subs)
         expected = [norm(oracle.match(e)) for e in events]
-        with chaos_matcher(tmp_path, die_at=2, breaker=False, codec="shm") as m:
+        with chaos_matcher(tmp_path, die_at=2, breaker=False) as m:
             for s in subs:
                 m.add(s)
             pool = m._procpool
@@ -365,7 +364,6 @@ class TestShmSlotLifecycleUnderChaos:
             router="hash",
             inner=lambda: FlakyMatcher(make_matcher("counting"), failures=1),
             executor="process",
-            codec="shm",
             parallel=parallel,
             worker_timeout=30.0,
         ) as m:
@@ -390,7 +388,7 @@ class TestShmSlotLifecycleUnderChaos:
         oracle = oracle_for(subs)
         with ShardedMatcher(
             shards=SHARDS, router="hash", inner="counting", executor="process",
-            codec="shm", parallel=False, worker_timeout=30.0,
+            parallel=False, worker_timeout=30.0,
         ) as m:  # fmt: skip
             for s in subs:
                 m.add(s)
@@ -411,11 +409,11 @@ class TestShmSlotLifecycleUnderChaos:
             assert got == [norm(oracle.match(e)) for e in events]
 
     def test_external_sigkill_between_requests_heals_on_shm(self, tmp_path):
-        """An idle-worker SIGKILL under codec='shm' self-heals silently
-        and the batch still rides the arena afterwards."""
+        """An idle-worker SIGKILL self-heals silently and the batch still
+        rides the arena afterwards."""
         subs, events = workload()
         oracle = oracle_for(subs)
-        with chaos_matcher(tmp_path, die_at=10_000, breaker=False, codec="shm") as m:
+        with chaos_matcher(tmp_path, die_at=10_000, breaker=False) as m:
             for s in subs:
                 m.add(s)
             sigkill_and_wait(m._procpool, 0)
@@ -434,7 +432,7 @@ class TestShmSlotLifecycleUnderChaos:
         subs, events = workload()
         oracle = oracle_for(subs)
         expected = [norm(oracle.match(e)) for e in events]
-        with chaos_matcher(tmp_path, die_at=2, codec="shm") as m:
+        with chaos_matcher(tmp_path, die_at=2) as m:
             for s in subs:
                 m.add(s)
             pool = m._procpool

@@ -3,9 +3,10 @@
 The process backend must be observationally identical to the thread
 backend (which is itself pinned against the oracle): same matches on the
 mixed-type workload for every registered two-phase engine, same behavior
-on the edge batches (empty, size 1) and under mid-stream churn.  Anything the pipe transport mangles — string values,
-floats, NaN/inf, > 2^53 integers, the sparse hit-index replies — shows
-up here as a differential mismatch.
+on the edge batches (empty, size 1) and under mid-stream churn.  Anything
+the transport mangles — string values, floats, NaN/inf, > 2^53 integers
+on the pipe lane, the arena's columnar slots, the sparse hit-index
+replies — shows up here as a differential mismatch.
 """
 
 import itertools
@@ -17,14 +18,12 @@ import pytest
 
 from repro.core import Event, Subscription, eq, ge, le
 from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
-from repro.system.procpool import (
-    _APPLY_CHUNK,
-    CODECS,
-    _pickle_op,
-    encode_events,
-)
+from repro.system.procpool import _APPLY_CHUNK, _pickle_op, encode_events
 from repro.system.sharding import ShardedMatcher
+from repro.system.shm import ShmArena
+from tests.conftest import shm_entries
 from tests.matchers.test_batch_conformance import _random_workload, build, norm
+from tests.system.test_procpool_chaos import sigkill_and_wait
 
 #: Every registered two-phase backend (the oracle and the sharded
 #: wrapper itself are excluded: one is the reference, one is the rig).
@@ -37,7 +36,6 @@ def sharded(engine, executor, **kwargs):
     kwargs.setdefault("worker_timeout", 60.0)
     if executor == "thread":
         kwargs.pop("worker_timeout", None)
-        kwargs.pop("codec", None)
     return ShardedMatcher(
         shards=SHARDS,
         router="hash",
@@ -101,35 +99,20 @@ class TestProcessMatchesThreadAndOracle:
         assert got_thr == expected
         assert got_proc == expected
 
-    def test_pickle_codec_differential(self, engine):
-        """The object-pickling lane — where a batch with strings, NaN or
-        ints >= 2**53 goes under either codec — changes nothing."""
+    def test_odd_path_differential(self, engine):
+        """The object-pickling pipe lane — where a batch with strings, NaN
+        or ints >= 2**53 goes instead of the arena — changes nothing, and
+        the batch is counted as one ``oddpath`` fallback."""
         subs, events = _random_workload(seed=11, n_subs=60, n_events=60)
         assert isinstance(encode_events(events), list)  # the batch is off the columnar layout
         oracle = populated(build("oracle"), subs)
         expected = [norm(oracle.match(e)) for e in events]
-        for codec in CODECS:
-            with sharded(engine, "process", codec=codec) as proc:
-                populated(proc, subs)
-                got = [norm(ids) for ids in proc.match_batch(events)]
-                if codec == "shm":
-                    fallbacks = proc.executor_health()["shm"]["fallbacks"]
-                    assert fallbacks["oddpath"] == 1
-            assert got == expected, codec
-
-    def test_shm_codec_differential(self, engine):
-        """The zero-copy shared-memory transport changes nothing — the
-        mixed-type workload forces both the arena path (numeric batches)
-        and the pickle odd-path fallback (strings/NaN) through it."""
-        subs, events = _random_workload(seed=11, n_subs=60, n_events=60)
-        oracle = populated(build("oracle"), subs)
-        expected = [norm(oracle.match(e)) for e in events]
-        with sharded(engine, "process", codec="shm") as proc:
+        with sharded(engine, "process") as proc:
             populated(proc, subs)
             got = [norm(ids) for ids in proc.match_batch(events)]
-            health = proc.executor_health()
-            assert health["codec"] == "shm"
-            assert health["shm"]["slots_in_flight"] == 0  # every slot acked
+            shm = proc.executor_health()["shm"]
+            assert shm["fallbacks"] == {"oddpath": 1, "slot_wait": 0, "slot_full": 0}
+            assert shm["slots_in_flight"] == 0  # nothing claimed for the pipe lane
         assert got == expected
 
     def test_shm_numeric_batch_rides_the_arena(self, engine):
@@ -143,7 +126,7 @@ class TestProcessMatchesThreadAndOracle:
         events = [Event({"a": i % 9, "b": i * 0.5, "c": -i}) for i in range(40)]
         oracle = populated(build("oracle"), subs)
         expected = [norm(oracle.match(e)) for e in events]
-        with sharded(engine, "process", codec="shm") as proc:
+        with sharded(engine, "process") as proc:
             populated(proc, subs)
             before = recv_bytes(proc._procpool)
             got = [norm(ids) for ids in proc.match_batch(events)]
@@ -155,19 +138,28 @@ class TestProcessMatchesThreadAndOracle:
         hits = sum(len(ids) for ids in expected)
         assert 0 < replies <= sparse_reply_bound(len(events), SHARDS, hits)
 
-    def test_numeric_only_workload_takes_columnar_path(self, engine):
-        """All-numeric events ride the columnar pipe transport."""
-        subs = [
+    def test_arena_and_pipe_lane_interleave(self, engine):
+        """Numeric batches ride the arena and an odd batch between them
+        takes the pipe lane: the fallback leaves the slot ring as it was,
+        so the next numeric batch is back in shared memory."""
+        subs, odd = _random_workload(seed=11, n_subs=60, n_events=30)
+        subs += [
             Subscription(f"n{i}", [ge("a", i % 7), le("b", 3.5 + i % 5)])
-            for i in range(45)
+            for i in range(30)
         ]
-        events = [Event({"a": i % 9, "b": i * 0.5, "c": -i}) for i in range(40)]
+        numeric = [Event({"a": i % 9, "b": i * 0.5, "c": -i}) for i in range(40)]
         oracle = populated(build("oracle"), subs)
-        expected = [norm(oracle.match(e)) for e in events]
         with sharded(engine, "process") as proc:
             populated(proc, subs)
-            got = [norm(ids) for ids in proc.match_batch(events)]
-        assert got == expected
+            published = []
+            for batch in (numeric, odd, numeric):
+                got = [norm(ids) for ids in proc.match_batch(batch)]
+                assert got == [norm(oracle.match(e)) for e in batch]
+                shm = proc._procpool.stats()["shm"]
+                published.append(shm["bytes"].get("publish", 0))
+                assert shm["slots_in_flight"] == 0
+            assert shm["fallbacks"] == {"oddpath": 1, "slot_wait": 0, "slot_full": 0}
+        assert 0 < published[0] == published[1] < published[2]
 
     def test_empty_and_single_event_batches(self, engine):
         with sharded(engine, "process") as proc:
@@ -279,6 +271,41 @@ class TestProcessExecutorSurface:
             assert health["executor"] == "process"
             assert health["alive"] == health["workers"] == SHARDS
 
+    def test_executor_health_always_carries_the_arena(self):
+        """A process matcher built with no transport option reports its
+        arena from the start — before any batch, and with no ``codec``."""
+        with sharded("counting", "process") as proc:
+            health = proc.executor_health()
+            assert "codec" not in health
+            shm = health["shm"]
+            assert shm == proc.stats()["procpool"]["shm"]
+            assert len(shm["segments"]) == 1 and shm["slots_in_flight"] == 0
+            assert shm["bytes"] == {"publish": 0}
+            assert shm["fallbacks"] == {"oddpath": 0, "slot_wait": 0, "slot_full": 0}
+
+    def test_every_pool_owns_an_arena_a_respawned_worker_reattaches(self):
+        """No option turns the arena off, and a SIGKILLed worker's
+        replacement attaches the same segment: the batch that heals it
+        is read from a slot, with no fallback."""
+        subs = [narrow_sub(i) for i in range(30)]
+        events = [Event({"a": i % 9, "b": i * 0.5}) for i in range(16)]
+        oracle = populated(build("oracle"), subs)
+        expected = [norm(oracle.match(e)) for e in events]
+        with sharded("counting", "process") as proc:
+            pool = proc._procpool
+            assert isinstance(pool.arena, ShmArena) and pool.arena.ring is not None
+            populated(proc, subs)  # ends in a barrier on every shard
+            assert all(len(proc.shard(k)) for k in range(SHARDS))
+            segments = pool.stats()["shm"]["segments"]
+            sigkill_and_wait(pool, 0)
+            assert [norm(r) for r in proc.match_batch(events)] == expected
+            stats = pool.stats()
+            assert stats["counters"]["respawns"] == 1 and pool.alive(0)
+            assert stats["shm"]["segments"] == segments
+            assert stats["shm"]["bytes"]["publish"] > 0
+            assert sum(stats["shm"]["fallbacks"].values()) == 0
+            assert stats["shm"]["slots_in_flight"] == 0
+
     def test_mutate_telemetry_is_one_sample_per_apply_message(self):
         """``ipc_seconds{op="mutate"}`` counts messages and
         ``mutations_total`` counts ops, so ops per message is derivable;
@@ -317,6 +344,15 @@ class TestProcessExecutorSurface:
         with pytest.raises(ValueError):
             ShardedMatcher(shards=2, executor="fiber")
 
+    @pytest.mark.parametrize("codec", ["auto", "pipe", None])
+    def test_a_codec_other_than_shm_is_refused(self, codec):
+        """``codec`` stays only as ``"shm"``; anything else raises before
+        a worker or a segment is made."""
+        before = shm_entries()
+        with pytest.raises(ValueError, match="shm arena only"):
+            ShardedMatcher(shards=2, executor="process", codec=codec)
+        assert shm_entries() == before
+
 
 def narrow_sub(i):
     return Subscription(f"n{i}", [ge("a", i % 7), le("b", 3.5 + i % 5)])
@@ -334,11 +370,11 @@ class TestPipeLaneIsTheArenasFallback:
     EVENTS = [Event({"a": i % 9, "b": i * 0.5, "c": -i}) for i in range(24)]
 
     def rig(self, n_shard0=6, n_shard1=6, make_sub=narrow_sub):
-        """A 2-shard process/shm matcher holding exactly that many
+        """A 2-shard process matcher holding exactly that many
         subscriptions per shard, its oracle, and the pool."""
         matcher = ShardedMatcher(
             shards=2, router="hash", inner="counting", executor="process",
-            worker_timeout=60.0, codec="shm",
+            worker_timeout=60.0,
         )  # fmt: skip
         oracle = build("oracle")
         wanted = [n_shard0, n_shard1]

@@ -210,23 +210,27 @@ class TestDurableSurface:
         ]  # fmt: skip
 
     def test_process_layer_constructor_surface(self):
-        from repro.system.procpool import CODECS, ProcessPool
+        """Process shards have one data plane: the pool takes no transport
+        choice, and ``ShardedMatcher``'s ``codec`` accepts only ``"shm"``."""
+        from repro.system import procpool
+        from repro.system.procpool import ProcessPool
         from repro.system.sharding import ShardedMatcher
 
-        assert CODECS == ("auto", "shm")
+        assert not hasattr(procpool, "CODECS")
         assert [n for n, _ in self.params(ShardedMatcher.__init__)] == [
             "shards", "router", "inner", "parallel", "breaker",
             "slow_match_seconds", "executor", "worker_timeout", "codec",
         ]  # fmt: skip
+        assert dict(self.params(ShardedMatcher.__init__))["codec"] == "shm"
         assert [n for n, _ in self.params(ProcessPool.__init__)] == [
-            "factories", "request_timeout", "codec", "metrics",
+            "factories", "request_timeout", "metrics",
         ]  # fmt: skip
 
 
 class TestWorkerWire:
     """One form per direction between parent and shard workers: events
-    go out as a ``ColumnarBatch`` (through the arena's slot ring under
-    ``shm``), replies come back over the pipe as sparse hit indices.
+    go out as a ``ColumnarBatch`` (through the arena's slot ring), replies
+    come back over the pipe as sparse hit indices.
     The arena has no reply direction to size, fill or fall back from."""
 
     def test_the_arena_is_an_event_slot_ring_only(self):
@@ -261,12 +265,12 @@ class TestWorkerWire:
 
         assert procpool._IPC_OPS == ("mutate", "batch", "control")
 
-    def test_a_live_shm_pool_owns_exactly_one_segment(self):
+    def test_a_live_pool_owns_exactly_one_segment(self):
         from repro.system.procpool import ProcessPool
         from tests.conftest import shm_entries
 
         before = shm_entries()
-        with ProcessPool([repro.core.OracleMatcher] * 3, codec="shm") as pool:
+        with ProcessPool([repro.core.OracleMatcher] * 3) as pool:
             created = shm_entries() - before
             assert len(created) == 1
             assert pool.stats()["shm"]["segments"] == sorted(created)
@@ -994,10 +998,9 @@ class TestOneFanOut:
         "executor",
         [
             {"executor": "thread"},
-            {"executor": "process", "codec": "auto"},
-            {"executor": "process", "codec": "shm"},
+            {"executor": "process"},
         ],
-        ids=["thread", "process-auto", "process-shm"],
+        ids=["thread", "process"],
     )
     def test_healthy_breakers_change_nothing_and_overflow_stays_matched(self, executor):
         from repro.core import Event, Subscription, eq, le
@@ -1024,7 +1027,7 @@ class TestOneFanOut:
             assert [list(row) for row in got] == want
             assert all(type(row) is PartialResults and not row.degraded for row in got)
             assert [type(row) for row in want] == [list] * len(events)
-            if executor.get("codec") == "shm":
+            if executor["executor"] == "process":
                 shm = guarded.executor_health()["shm"]
                 assert shm["bytes"]["publish"] > 0
                 assert sum(shm["fallbacks"].values()) == 0
