@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all bench-smoke bench-e2e-smoke bench-e2e metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke delivery-smoke
+.PHONY: test test-all bench-smoke bench-e2e-smoke bench-e2e bench-e2e-ab metrics-smoke durability-smoke robustness-smoke batch-smoke procpool-smoke aggregation-smoke delivery-smoke
 
 # The six script-backed smokes (examples/*_smoke.py) are not
 # prerequisites: tests/integration/test_examples.py runs every
@@ -41,6 +41,19 @@ bench-e2e:
 	mkdir -p $(E2E_OUT)
 	$(PYTHON) benchmarks/e2e/suite.py --trace 1 $(E2E_OUT)/A.json $(E2E_OUT)/B.json
 	$(PYTHON) benchmarks/e2e/compare.py $(E2E_OUT)/A.json $(E2E_OUT)/B.json
+
+# The parent/change comparison a performance claim is judged on: untraced
+# runs alternating between the checkout PARENT (a clone of the parent
+# commit) and this tree, seeds 1..RUNS, then compare.py with the parent
+# as the baseline.  WORKLOAD restricts it to one workload.
+#   make bench-e2e-ab PARENT=../parent WORKLOAD=broker_full RUNS=10
+RUNS ?= 10
+bench-e2e-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-e2e-ab PARENT=<checkout> [WORKLOAD=<name>] [RUNS=10]" >&2; exit 2; }
+	mkdir -p $(E2E_OUT)
+	$(PYTHON) benchmarks/e2e/suite.py --runs $(RUNS) $(if $(WORKLOAD),--workload $(WORKLOAD)) \
+		--checkout $(PARENT) --checkout . $(E2E_OUT)/parent.json $(E2E_OUT)/change.json
+	$(PYTHON) benchmarks/e2e/compare.py $(E2E_OUT)/parent.json $(E2E_OUT)/change.json
 
 # End-to-end observability check: generate a tiny workload, run the CLI
 # with --metrics-out, and validate the snapshot against the checked-in

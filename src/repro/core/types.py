@@ -70,16 +70,21 @@ class Operator(enum.Enum):
 
     @classmethod
     def from_symbol(cls, symbol: str) -> "Operator":
-        """Parse a surface symbol; accepts ``==`` as an alias for ``=``."""
-        if symbol == "==":
-            symbol = "="
+        """Parse a surface symbol; accepts ``==`` as an alias for ``=``
+        (and a member as itself)."""
         try:
-            return cls(symbol)
-        except ValueError:
+            return _BY_SYMBOL[symbol]
+        except (KeyError, TypeError):  # unknown, or unhashable
             raise InvalidPredicateError(f"unknown operator {symbol!r}") from None
 
 
 _RANGE_OPS = frozenset({Operator.LT, Operator.LE, Operator.GE, Operator.GT})
+
+_BY_SYMBOL: Dict[Any, Operator] = {
+    **{op.value: op for op in Operator},
+    **{op: op for op in Operator},
+    "==": Operator.EQ,
+}
 
 _PY_OPS: Dict[Operator, Callable[[Any, Any], bool]] = {
     Operator.LT: _op.lt,
@@ -289,7 +294,9 @@ class Predicate:
 
     def as_tuple(self) -> Tuple[str, str, Value]:
         """A plain ``(attribute, symbol, value)`` tuple (for serialization)."""
-        return (self.attribute, self.operator.value, self.value)
+        # ``_value_`` is what the ``value`` property reads, without the
+        # enum descriptor's Python-level call (the WAL calls this per line).
+        return (self.attribute, self.operator._value_, self.value)
 
 
 def eq(attribute: str, value: Value) -> Predicate:

@@ -3,19 +3,22 @@
 The language is small on purpose (the paper's subscriptions are
 conjunctions, plus the DNF support mentioned in its conclusion):
 
-* identifiers: ``[A-Za-z_][A-Za-z0-9_.]*``
+* identifiers: a letter (any Unicode letter, ``str.isalpha``) or ``_``,
+  then letters, digits (any ``str.isalnum``), ``_`` or ``.``;
 * operators: ``< <= = == != >= >``
-* values: integers, floats, single/double-quoted strings
+* values: integers and floats in decimal digits (any Unicode decimal
+  digit, as ``int`` reads them: ``١٢`` is 12) with an optional sign,
+  single/double-quoted strings (no escapes);
 * keywords: ``and``, ``or``, ``not``, ``in``, ``between`` (case-insensitive)
 * punctuation: ``( ) ,``
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import re
 import sys
-from typing import Iterator, List, Union
+from typing import List, NamedTuple, NoReturn, Union
 
 from repro.core.errors import ParseError
 
@@ -38,8 +41,7 @@ class TokenKind(enum.Enum):
     END = "end"
 
 
-@dataclasses.dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its source position (for diagnostics)."""
 
     kind: TokenKind
@@ -55,72 +57,99 @@ _KEYWORDS = {
     "in": TokenKind.IN,
     "between": TokenKind.BETWEEN,
 }
-_OPERATOR_STARTS = "<>=!"
-_OPERATORS = {"<", "<=", "=", "==", "!=", ">=", ">"}
+#: One token after optional white space, as ``(space, lexeme)``: every
+#: match is one token, and a character that starts none is skipped by
+#: the scan, so :func:`tokenize` checks that the matches tile the text.
+#: ``\d`` is a decimal digit (what ``int`` reads) and ``\w`` is
+#: ``str.isalnum`` or ``_``, so a word may start with a non-letter
+#: (``²``, ``Ⅷ``): :func:`tokenize` refuses that start too.
+_TOKEN = re.compile(
+    r"""(\s*)(
+        [+-]?\d+(?:\.\d*)?          # number
+      | [^\W\d][\w.]*               # word: identifier or keyword
+      | [<>!=]=|[<>=]                # operator
+      | "[^"]*"|'[^']*'              # string
+      | [(),]                        # punctuation
+    )""",
+    re.VERBOSE,
+)
+_SPACE = re.compile(r"\s*")
+
+# Plain names for the kinds, here and in the parser: reading an enum
+# member off its class costs several times a global lookup, once per token.
+_IDENT, _NUMBER, _STRING, _OP = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING, TokenKind.OP
+_AND, _OR, _NOT, _IN, _BETWEEN = (
+    TokenKind.AND, TokenKind.OR, TokenKind.NOT, TokenKind.IN, TokenKind.BETWEEN
+)
+_LPAREN, _RPAREN, _COMMA, _END = TokenKind.LPAREN, TokenKind.RPAREN, TokenKind.COMMA, TokenKind.END
+
+#: A lexeme's kind by its first character, for all but words and
+#: numbers in non-ASCII digits.
+_LEADS = {
+    **dict.fromkeys("+-0123456789", _NUMBER),
+    **dict.fromkeys("<>=!", _OP),
+    **dict.fromkeys("\"'", _STRING),
+    "(": _LPAREN,
+    ")": _RPAREN,
+    ",": _COMMA,
+}
+
+#: ``Token`` without the argument handling of its constructor.
+_token = tuple.__new__
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize *text*; raises :class:`ParseError` on bad input."""
-    return list(_scan(text))
+    tokens: List[Token] = []
+    append = tokens.append
+    pos = 0
+    for space, lexeme in _TOKEN.findall(text):
+        pos += len(space)
+        lead = lexeme[0]
+        kind = _LEADS.get(lead)
+        value: Union[int, float, str, None] = None
+        if kind is None:  # a word, or a number in non-ASCII digits
+            if lead.isalpha() or lead == "_":
+                # Interned: every formula naming an attribute shares one
+                # string, and dict lookups on it hit by identity.
+                lexeme = sys.intern(lexeme)
+                kind = _KEYWORDS.get(lexeme.lower())
+                if kind is None:
+                    kind, value = _IDENT, lexeme
+            elif lead.isdecimal():
+                kind = _NUMBER
+            else:
+                _refuse(text)
+        if kind is _NUMBER:
+            value = float(lexeme) if "." in lexeme else int(lexeme)
+        elif kind is _STRING:
+            value = lexeme[1:-1]
+        append(_token(Token, (kind, lexeme, pos, value)))
+        pos += len(lexeme)
+    # The matches tile the text unless a character started no token: a
+    # gap leaves *pos* short of the last match's end, and a lexeme never
+    # ends in white space.
+    if pos != len(text) and not text[pos:].isspace():
+        _refuse(text)
+    append(_token(Token, (_END, "", len(text), None)))
+    return tokens
 
 
-def _scan(text: str) -> Iterator[Token]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            yield Token(TokenKind.LPAREN, c, i)
-            i += 1
-        elif c == ")":
-            yield Token(TokenKind.RPAREN, c, i)
-            i += 1
-        elif c == ",":
-            yield Token(TokenKind.COMMA, c, i)
-            i += 1
-        elif c in _OPERATOR_STARTS:
-            two = text[i : i + 2]
-            if two in _OPERATORS:
-                yield Token(TokenKind.OP, two, i)
-                i += 2
-            elif c in _OPERATORS:
-                yield Token(TokenKind.OP, c, i)
-                i += 1
-            else:
-                raise ParseError(f"bad operator {c!r}", text, i)
-        elif c in "\"'":
-            j = text.find(c, i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", text, i)
-            yield Token(TokenKind.STRING, text[i : j + 1], i, value=text[i + 1 : j])
-            i = j + 1
-        elif c.isdigit() or (c in "+-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            raw = text[i:j]
-            yield Token(
-                TokenKind.NUMBER, raw, i, value=float(raw) if seen_dot else int(raw)
-            )
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            # Interned: every formula naming an attribute shares one
-            # string, and dict lookups on it hit by identity.
-            word = sys.intern(text[i:j])
-            kind = _KEYWORDS.get(word.lower())
-            if kind is not None:
-                yield Token(kind, word, i)
-            else:
-                yield Token(TokenKind.IDENT, word, i, value=word)
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", text, i)
-    yield Token(TokenKind.END, "", n)
+def _refuse(text: str) -> NoReturn:
+    """Raise the error for the first character of *text* that starts no
+    token (the slow path: a second scan, with positions)."""
+    end = 0
+    for m in _TOKEN.finditer(text):
+        lead = m.group(2)[0]
+        if m.start() != end or not (
+            lead in _LEADS or lead.isalpha() or lead == "_" or lead.isdecimal()
+        ):
+            break
+        end = m.end()
+    i = _SPACE.match(text, end).end()
+    c = text[i]
+    if c in "\"'":
+        raise ParseError("unterminated string", text, i)
+    if c == "!":
+        raise ParseError(f"bad operator {c!r}", text, i)
+    raise ParseError(f"unexpected character {c!r}", text, i)

@@ -24,7 +24,24 @@ from typing import Any, List
 
 from repro.core.errors import ParseError
 from repro.core.types import Event, Operator, Predicate, Subscription
-from repro.lang.lexer import Token, TokenKind, tokenize
+from repro.lang.lexer import (  # the kinds as plain names (see the lexer)
+    _AND,
+    _BETWEEN,
+    _COMMA,
+    _END,
+    _IDENT,
+    _IN,
+    _LPAREN,
+    _NOT,
+    _NUMBER,
+    _OP,
+    _OR,
+    _RPAREN,
+    _STRING,
+    Token,
+    TokenKind,
+    tokenize,
+)
 from repro.lang.nodes import And, Leaf, Node, Not, Or
 
 
@@ -39,66 +56,60 @@ class _Parser:
     # ------------------------------------------------------------------
     # cursor
     # ------------------------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.END:
-            self.pos += 1
-        return token
-
     def expect(self, kind: TokenKind) -> Token:
-        token = self.current
+        """The current token, which must be of *kind*; steps past it
+        (never past the end).  A production that has read the kind
+        itself steps with ``self.pos += 1``."""
+        token = self.tokens[self.pos]
         if token.kind is not kind:
             raise ParseError(
                 f"expected {kind.value}, found {token.text or 'end of input'!r}",
                 self.text,
                 token.position,
             )
-        return self.advance()
+        if kind is not _END:
+            self.pos += 1
+        return token
 
     # ------------------------------------------------------------------
     # productions
     # ------------------------------------------------------------------
     def formula(self) -> Node:
         children = [self.term()]
-        while self.current.kind is TokenKind.OR:
-            self.advance()
+        while self.tokens[self.pos].kind is _OR:
+            self.pos += 1
             children.append(self.term())
         return children[0] if len(children) == 1 else Or(children)
 
     def term(self) -> Node:
         children = [self.factor()]
-        while self.current.kind is TokenKind.AND:
-            self.advance()
+        while self.tokens[self.pos].kind is _AND:
+            self.pos += 1
             children.append(self.factor())
         return children[0] if len(children) == 1 else And(children)
 
     def factor(self) -> Node:
-        token = self.current
-        if token.kind is TokenKind.NOT:
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.kind is _NOT:
+            self.pos += 1
             return Not(self.factor())
-        if token.kind is TokenKind.LPAREN:
-            self.advance()
+        if token.kind is _LPAREN:
+            self.pos += 1
             inner = self.formula()
-            self.expect(TokenKind.RPAREN)
+            self.expect(_RPAREN)
             return inner
         return self.comparison()
 
     def comparison(self) -> Node:
-        ident = self.expect(TokenKind.IDENT)
-        attribute = str(ident.value)
-        token = self.current
-        if token.kind is TokenKind.IN:
-            self.advance()
+        attribute = self.expect(_IDENT).text
+        token = self.tokens[self.pos]
+        if token.kind is _IN:
+            self.pos += 1
             return self._in_list(attribute)
-        if token.kind is TokenKind.BETWEEN:
-            self.advance()
+        if token.kind is _BETWEEN:
+            self.pos += 1
             return self._between(attribute, token)
-        op_token = self.expect(TokenKind.OP)
+        op_token = self.expect(_OP)
         value = self.value()
         try:
             operator = Operator.from_symbol(op_token.text)
@@ -108,18 +119,18 @@ class _Parser:
 
     def _in_list(self, attribute: str) -> Node:
         """``x in (v1, v2, …)`` — a disjunction of equalities."""
-        self.expect(TokenKind.LPAREN)
+        self.expect(_LPAREN)
         leaves = [Leaf(Predicate(attribute, Operator.EQ, self.value()))]
-        while self.current.kind is TokenKind.COMMA:
-            self.advance()
+        while self.tokens[self.pos].kind is _COMMA:
+            self.pos += 1
             leaves.append(Leaf(Predicate(attribute, Operator.EQ, self.value())))
-        self.expect(TokenKind.RPAREN)
+        self.expect(_RPAREN)
         return leaves[0] if len(leaves) == 1 else Or(leaves)
 
     def _between(self, attribute: str, at: Token) -> Node:
         """``x between lo and hi`` — an inclusive range conjunction."""
         lo = self.value()
-        self.expect(TokenKind.AND)
+        self.expect(_AND)
         hi = self.value()
         try:
             return And(
@@ -132,13 +143,10 @@ class _Parser:
             raise ParseError(str(exc), self.text, at.position) from exc
 
     def value(self) -> Any:
-        token = self.current
-        if token.kind in (TokenKind.NUMBER, TokenKind.STRING):
-            self.advance()
-            return token.value
-        if token.kind is TokenKind.IDENT:
-            # Bare words are treated as string constants: movie = comedy.
-            self.advance()
+        token = self.tokens[self.pos]
+        # Bare words are treated as string constants: movie = comedy.
+        if token.kind is _NUMBER or token.kind is _STRING or token.kind is _IDENT:
+            self.pos += 1
             return token.value
         raise ParseError(
             f"expected a value, found {token.text or 'end of input'!r}",
@@ -149,22 +157,22 @@ class _Parser:
     def event(self) -> Event:
         pairs = []
         while True:
-            ident = self.expect(TokenKind.IDENT)
-            op_token = self.expect(TokenKind.OP)
+            ident = self.expect(_IDENT)
+            op_token = self.expect(_OP)
             if op_token.text not in ("=", "=="):
                 raise ParseError(
                     "events use '=' pairs only", self.text, op_token.position
                 )
-            pairs.append((str(ident.value), self.value()))
-            if self.current.kind is TokenKind.COMMA:
-                self.advance()
+            pairs.append((ident.text, self.value()))
+            if self.tokens[self.pos].kind is _COMMA:
+                self.pos += 1
                 continue
             break
-        self.expect(TokenKind.END)
+        self.expect(_END)
         return Event(pairs)
 
     def finish(self) -> None:
-        self.expect(TokenKind.END)
+        self.expect(_END)
 
 
 def parse_formula(text: str) -> Node:

@@ -114,7 +114,10 @@ class SubscriptionTable:
 
     def due(self, now: float) -> List[Any]:
         """Each id whose validity ended by *now*, once, for the caller to drop."""
-        heap, expires, out = self._sub_expiry_heap, self._sub_expires, {}
+        heap, expires = self._sub_expiry_heap, self._sub_expires
+        if not heap or heap[0][0] > now:
+            return []
+        out = {}
         while heap and heap[0][0] <= now:
             sub_id = heapq.heappop(heap)[2]
             expires_at = expires.get(sub_id)  # None, or later: a stale entry
@@ -247,11 +250,12 @@ class PubSubBroker:
         is retro-matched — the subscriptions already saw their past."""
         with self._lock:
             now = self.clock.now()
-            entries = [
-                (sub, None if ttl is None else now + ttl, logical)
-                for sub, ttl, logical in survivors
-            ]
-            self._install(entries)
+            subs, deadlines, formulas = [], [], []
+            for sub, ttl, logical in survivors:
+                subs.append(sub)
+                deadlines.append(None if ttl is None else now + ttl)
+                formulas.append(logical)
+            self._install(subs, deadlines, formulas)
 
     def check_invariants(self) -> None:
         """Raise AssertionError if the subscription table disagrees with
@@ -281,13 +285,20 @@ class PubSubBroker:
     # ------------------------------------------------------------------
     # the one way in and out: matcher plus table, never journaled
     # ------------------------------------------------------------------
-    def _install(self, entries: List[Tuple[Subscription, Optional[float], Optional[Any]]]) -> None:
-        """Add ``(subscription, deadline, formula id)`` entries as one
-        matcher batch (whole or not at all), then file them in the table."""
-        self.matcher.add_batch([sub for sub, _expires_at, _logical in entries])
-        for sub, expires_at, logical in entries:
-            self._table.add(sub.id, expires_at, logical)
-        self.counters["subscribed"] += len(entries)
+    def _install(
+        self,
+        subs: List[Subscription],
+        deadlines: Iterable[Optional[float]],
+        formulas: Iterable[Optional[Any]],
+    ) -> None:
+        """Add *subs* as one matcher batch (whole or not at all), then
+        file each in the table with the deadline and formula id taken in
+        order from *deadlines* and *formulas*."""
+        self.matcher.add_batch(subs)
+        add = self._table.add
+        for sub, expires_at, logical in zip(subs, deadlines, formulas):
+            add(sub.id, expires_at, logical)
+        self.counters["subscribed"] += len(subs)
 
     def _uninstall(self, sub_ids: List[Any]) -> List[Subscription]:
         """Remove live *sub_ids* as one matcher batch; returns them."""
@@ -297,41 +308,40 @@ class PubSubBroker:
         return removed
 
     def _admit(
-        self, units: List[Tuple[Any, List[Subscription]]], ttl: Optional[float], retro: bool
+        self, subs: List[Subscription], formula: Optional[Any], ttl: Optional[float], retro: bool
     ) -> None:
-        """The one write path in: install every unit — ``(id, its
-        subscriptions)``: ``(s.id, [s])``, or a formula's id and its
-        disjuncts, whose ids all differ from it — whole or not at all,
-        journal them under one durability boundary, then retro-match
-        each unit.  Lock held by the caller."""
+        """The one write path in: install *subs* — plain subscriptions
+        (*formula* None), or the disjuncts of the formula *formula*,
+        whose ids all differ from it — whole or not at all, journal them
+        under one durability boundary, then retro-match each unit (a
+        plain subscription, or the formula's disjuncts together).  Lock
+        held by the caller."""
         now = self.clock.now()
         self._expire(now)
         ttl = self.default_subscription_ttl if ttl is None else ttl
         if ttl is not None and ttl <= 0:
             raise ExpiredError(f"subscription ttl must be positive, got {ttl}")
-        for unit_id, _subs in units:
-            self._check_journaled_id(unit_id)
+        if formula is None:
+            for sub in subs:
+                self._check_journaled_id(sub.id)
+        else:
+            self._check_journaled_id(formula)
         expires_at = None if ttl is None else now + ttl
         self._crash_point("subscribe:pre-apply")
-        entries = [
-            (sub, expires_at, None if sub.id == unit_id else unit_id)
-            for unit_id, subs in units
-            for sub in subs
-        ]
-        self._install(entries)
-        if self.wal is not None:
+        self._install(subs, itertools.repeat(expires_at), itertools.repeat(formula))
+        wal = self.wal
+        if wal is not None:
             # Applied-then-logged: a crash in the gap loses only this
             # not-yet-acknowledged batch — still a consistent prefix.
-            with self.wal.batched():
+            with wal.batched():
                 self._crash_point("subscribe:pre-log")
-                for unit_id, subs in units:
-                    for sub in subs:
-                        logical = None if sub.id == unit_id else unit_id
-                        self.wal.append_subscribe(sub, ttl=ttl, logical=logical, at=now)
+                for sub in subs:
+                    wal.append_subscribe(sub, ttl=ttl, logical=formula, at=now)
                 self._crash_point("subscribe:post-log")
         if retro and len(self._events):
-            for unit_id, subs in units:
-                for event in self._events.retro_match(subs, now):
+            units = [(sub.id, [sub]) for sub in subs] if formula is None else [(formula, subs)]
+            for unit_id, unit in units:
+                for event in self._events.retro_match(unit, now):
                     self._dispatch([unit_id], event, now)
 
     # ------------------------------------------------------------------
@@ -389,14 +399,13 @@ class PubSubBroker:
         self, subscriptions: Iterable[SubscriptionLike], ttl: Optional[float], notify_retained: bool
     ) -> List[Any]:
         with self._lock:
-            ids, units = [], []
-            for sub in subscriptions:
-                if not isinstance(sub, Subscription):
-                    sub = Subscription(f"sub-{next(self._auto_id)}", sub)
-                ids.append(sub.id)
-                units.append((sub.id, [sub]))
-            self._admit(units, ttl, notify_retained)
-            return ids
+            auto = self._auto_id
+            subs = [
+                sub if isinstance(sub, Subscription) else Subscription(f"sub-{next(auto)}", sub)
+                for sub in subscriptions
+            ]
+            self._admit(subs, None, ttl, notify_retained)
+            return [sub.id for sub in subs]
 
     def subscribe_formula(
         self, text: str, sub_id: Any = None, ttl: Optional[float] = None
@@ -415,7 +424,7 @@ class PubSubBroker:
         with self._lock:
             if sub_id is None:
                 sub_id = f"sub-{next(self._auto_id)}"
-            self._admit([(sub_id, parse_subscriptions(text, f"{sub_id}~dnf"))], ttl, True)
+            self._admit(parse_subscriptions(text, f"{sub_id}~dnf"), sub_id, ttl, True)
             return sub_id
 
     def unsubscribe(self, sub_id: Any) -> Subscription:

@@ -232,9 +232,25 @@ class _ChannelPolicy:
         if self.block_timeout < 0:
             raise DeliveryError(f"block timeout must be >= 0, got {self.block_timeout}")
 
-    def updated(self, **knobs: Any) -> "_ChannelPolicy":
+    def updated(
+        self,
+        ack_timeout: Optional[float] = None,
+        retry: Optional[RetryPolicy] = None,
+        capacity: Optional[int] = None,
+        overflow: Optional[str] = None,
+        block_timeout: Optional[float] = None,
+    ) -> "_ChannelPolicy":
         """This policy with every non-None knob applied (itself when
         that changes nothing)."""
+        if ack_timeout is retry is capacity is overflow is block_timeout is None:
+            return self
+        knobs = {
+            "ack_timeout": ack_timeout,
+            "retry": retry,
+            "capacity": capacity,
+            "overflow": overflow,
+            "block_timeout": block_timeout,
+        }
         changed = {k: v for k, v in knobs.items() if v is not None and v != getattr(self, k)}
         return dataclasses.replace(self, **changed) if changed else self
 
@@ -283,8 +299,8 @@ class SubscriberChannel:
         #: pendings in send-queue order, in-flights in lease-out order.
         self._window: Mapping[int, Lease] = _EMPTY_WINDOW
         self._next_seq = 0
-        for key in _COUNTER_KEYS:
-            setattr(self, key, 0)
+        self.dispatched = self.delivered = self.redeliveries = self.acks = 0
+        self.unknown_acks = self.shed = self.dead_lettered = self.send_errors = 0
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -495,31 +511,35 @@ class DeliveryManager(Instrumented):
         """
         with self._lock:
             channel = self._channels.get(sub_id)
-            policy = (self._policy if channel is None else channel._policy).updated(
-                ack_timeout=ack_timeout,
-                retry=retry,
-                capacity=capacity,
-                overflow=self._policy.overflow if overflow is None else overflow,
-                block_timeout=block_timeout,
-            )
             if channel is None:
+                # With no knob given, the manager's own policy object.
+                policy = self._policy.updated(ack_timeout, retry, capacity, overflow, block_timeout)
                 channel = SubscriberChannel(sub_id, sink, policy, auto_ack)
                 channel._next_seq = self._seq_floor.get(sub_id, 0)
                 self._channels[sub_id] = channel
             else:
+                policy = channel._policy.updated(
+                    ack_timeout,
+                    retry,
+                    capacity,
+                    self._policy.overflow if overflow is None else overflow,
+                    block_timeout,
+                )
                 channel._sink = _as_callable(sink)
                 channel._policy = policy
                 channel.auto_ack = auto_ack
                 channel.connected = True
-            now = self.clock.now()
-            if channel._sink is not None:
-                # Pendings queued while this was a pull channel never
-                # lowered the pump watermark.
-                for lease in channel._leases(inflight=False):
-                    self._wake_at(lease.due_at)
-            for lease in self._orphans.pop(sub_id, ()):
-                # Opened (built and counted) when restore() parked it.
-                self._queue(channel, lease, now)  # re-send as soon as something pumps
+                if channel._sink is not None:
+                    # Pendings queued while this was a pull channel never
+                    # lowered the pump watermark.
+                    for lease in channel._leases(inflight=False):
+                        self._wake_at(lease.due_at)
+            orphans = self._orphans.pop(sub_id, None)
+            if orphans:
+                now = self.clock.now()
+                for lease in orphans:
+                    # Opened (built and counted) when restore() parked it.
+                    self._queue(channel, lease, now)  # re-send as soon as something pumps
             return channel
 
     def unregister(self, sub_id: Any, dead_letter: bool = True) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from collections import deque
+from types import MethodType
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from repro.core.errors import ReproError, id_repr
@@ -76,7 +77,9 @@ def _as_callable(sink: Optional[Sink]) -> Optional[Callable[[Notification], None
     """``sink.deliver`` or *sink* itself: either form, no adapter class."""
     if sink is None:
         return None
-    deliver = getattr(sink, "deliver", None)
+    # A bound method reads attributes off its function; asking the
+    # function directly skips the AttributeError a miss raises inside.
+    deliver = getattr(sink.__func__ if type(sink) is MethodType else sink, "deliver", None)
     if callable(deliver):
         return deliver
     if callable(sink):

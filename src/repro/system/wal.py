@@ -62,18 +62,18 @@ compacted log recovers to exactly what the log as written recovers to.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import shutil
 import threading
 import time
 from collections.abc import Iterable, Iterator
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import IO, TYPE_CHECKING, Any, AnyStr, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ReproError
 from repro.core.types import Subscription
-from repro.io import event_to_dict, subscription_to_dict
+from repro.io import event_to_dict
 from repro.obs.registry import Instrumented
 from repro.system.clock import Clock, SystemClock
 
@@ -234,33 +234,74 @@ def read_wal(fp: IO[AnyStr]) -> Tuple[List[Dict[str, Any]], int]:
     return records, reader.discarded
 
 
-#: ``json.dumps(sort_keys=True)`` builds an encoder per call; this is
-#: that encoder, built once.  Its output is ASCII (``ensure_ascii``), so
-#: a line's length is its size in bytes.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+#: ``json.dumps(sort_keys=True)`` as one C encoder built once (``dumps``
+#: and ``JSONEncoder.encode`` build one per call), without the circular
+#: reference check: a record is fresh lists and dicts of scalars.  Its
+#: output is ASCII (``ensure_ascii``), so a line's length is its size in
+#: bytes.
+_CHUNKS = c_make_encoder(
+    markers=None,
+    default=json.JSONEncoder().default,
+    encoder=encode_basestring_ascii,
+    indent=None,
+    key_separator=": ",
+    item_separator=", ",
+    sort_keys=True,
+    skipkeys=False,
+    allow_nan=True,
+)
+_INFINITY = float("inf")
+
+
+def _encode(value: Any) -> str:
+    return "".join(_CHUNKS(value, 0))
 
 
 def _line(record: Dict[str, Any]) -> str:
-    return _ENCODER.encode(record) + "\n"
+    return _encode(record) + "\n"
+
+
+def _json(value: Any) -> str:
+    """``_encode(value)``, without the encoder call for the scalars a
+    subscribe line holds (the encoder's own spellings)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        return "-Infinity" if value == -_INFINITY else float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return "null" if value is None else _encode(value)
 
 
 def _header_record(at: float) -> Dict[str, Any]:
     return {"type": HEADER_TYPE, "version": FORMAT_VERSION, "clock": at}
 
 
-def _subscribe_record(
+def _subscribe_line(
     at: Optional[float], subscription: Subscription, ttl: Optional[float], logical: Optional[Any]
-) -> Dict[str, Any]:
-    record: Dict[str, Any] = {
-        "type": "subscribe",
-        "subscription": subscription_to_dict(subscription),
-        "ttl": ttl,
-    }
-    if at is not None:  # at-less: the ttl runs from the crash-time estimate
-        record["at"] = at
+) -> str:
+    """The ``subscribe`` record as ``_line`` writes it (``at`` left out
+    when None — the ttl then runs from the crash-time estimate —
+    ``logical`` only for a formula disjunct), put together in key order
+    instead of through a dict: the most written line of a log."""
+    head = '{"at": ' + _json(at) + ", " if at is not None else "{"
     if logical is not None:
-        record["logical"] = logical
-    return record
+        head += '"logical": ' + _json(logical) + ", "
+    return (
+        head
+        + '"subscription": {"id": '
+        + _json(subscription.id)
+        + ', "predicates": '
+        + _encode([p.as_tuple() for p in subscription.predicates])
+        + '}, "ttl": '
+        + _json(ttl)
+        + ', "type": "subscribe"}\n'
+    )
 
 
 def _deliver_record(at: Any, sub_id: Any, seq: Any, event: Dict[str, Any]) -> Dict[str, Any]:
@@ -289,22 +330,22 @@ def _write_folded(log: "FoldedLog", out: IO[bytes]) -> int:
     with the validity it has left (an at-less one stays at-less), each
     dead letter as ``deliver`` + ``settle``, then each open ``deliver``
     (so a ``(sub, seq)`` both dead and open reads back as both)."""
-    def emit(record: Dict[str, Any]) -> None:
-        out.write(_line(record).encode("ascii"))
+    def emit(line: str) -> None:
+        out.write(line.encode("ascii"))
 
     at = log.report.source_clock or 0.0
-    emit(_header_record(at))
+    emit(_line(_header_record(at)))
     for subscription, remaining, logical, undated_ttl in log.survivors:
         if undated_ttl is None:
-            emit(_subscribe_record(at, subscription, remaining, logical))
+            emit(_subscribe_line(at, subscription, remaining, logical))
         else:
-            emit(_subscribe_record(None, subscription, undated_ttl, logical))
+            emit(_subscribe_line(None, subscription, undated_ttl, logical))
     for dead in log.ledger.dead:
         key = dead["at"], dead["sub"], dead["seq"]
-        emit(_deliver_record(*key, dead["event"]))
-        emit(_settle_record(*key, "dead-letter", dead["reason"], dead["attempts"]))
+        emit(_line(_deliver_record(*key, dead["event"])))
+        emit(_line(_settle_record(*key, "dead-letter", dead["reason"], dead["attempts"])))
     for (sub_id, seq), info in log.ledger.outstanding.items():
-        emit(_deliver_record(info["at"], sub_id, seq, info["event"]))
+        emit(_line(_deliver_record(info["at"], sub_id, seq, info["event"])))
     return len(log.survivors)
 
 
@@ -313,6 +354,29 @@ def _head(fp: IO[bytes], size: int) -> Iterator[bytes]:
     while size > 0 and (line := fp.readline(size)):
         size -= len(line)
         yield line
+
+
+class _Batched:
+    """The block :meth:`WriteAheadLog.batched` returns; the nesting
+    depth lives on the log, so blocks nest across instances."""
+
+    __slots__ = ("_wal",)
+
+    def __init__(self, wal: "WriteAheadLog") -> None:
+        self._wal = wal
+
+    def __enter__(self) -> "WriteAheadLog":
+        wal = self._wal
+        with wal._lock:
+            wal._batch_depth += 1
+        return wal
+
+    def __exit__(self, *exc_info: Any) -> None:
+        wal = self._wal
+        with wal._lock:
+            wal._batch_depth -= 1
+            if wal._batch_depth == 0 and not wal._closed and wal._unsynced:
+                wal._sync_if_due_locked()
 
 
 class WriteAheadLog(Instrumented):
@@ -436,8 +500,7 @@ class WriteAheadLog(Instrumented):
         self._bytes += len(line)
         self._m_bytes.inc(len(line))
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        line = _line(record)
+    def _append(self, kind: str, line: str) -> None:
         with self._lock:
             if self._closed:  # checked under the lock: close() may have just run
                 raise WalError("append to a closed WAL")
@@ -449,7 +512,7 @@ class WriteAheadLog(Instrumented):
             self._bytes += len(line)
             self._unsynced += 1
             self._m_bytes.inc(len(line))
-            self._m_appends[record["type"]].inc()
+            self._m_appends[kind].inc()
             if not self._batch_depth:  # else deferred to the batch end
                 self._sync_if_due_locked()
 
@@ -462,17 +525,17 @@ class WriteAheadLog(Instrumented):
     ) -> None:
         """Journal one accepted subscription (with its effective ttl)."""
         at = self.clock.now() if at is None else at
-        self._append(_subscribe_record(at, subscription, ttl, logical))
+        self._append("subscribe", _subscribe_line(at, subscription, ttl, logical))
 
     def append_unsubscribe(self, sub_id: Any, at: Optional[float] = None) -> None:
         """Journal one accepted unsubscription (plain or logical id)."""
-        self._append(
-            {"type": "unsubscribe", "at": self.clock.now() if at is None else at, "id": sub_id}
-        )
+        at = self.clock.now() if at is None else at
+        self._append("unsubscribe", _line({"type": "unsubscribe", "at": at, "id": sub_id}))
 
     def append_anchor(self, at: Optional[float] = None) -> None:
         """Journal a clock anchor (time passed without mutations)."""
-        self._append({"type": "anchor", "at": self.clock.now() if at is None else at})
+        at = self.clock.now() if at is None else at
+        self._append("anchor", _line({"type": "anchor", "at": at}))
 
     def append_deliver(
         self, sub_id: Any, seq: int, event: Any, at: Optional[float] = None
@@ -480,7 +543,7 @@ class WriteAheadLog(Instrumented):
         """Journal one dispatched at-least-once delivery (write-ahead:
         appended *before* the first send attempt)."""
         at = self.clock.now() if at is None else at
-        self._append(_deliver_record(at, sub_id, seq, event_to_dict(event)))
+        self._append("deliver", _line(_deliver_record(at, sub_id, seq, event_to_dict(event))))
 
     def append_settle(
         self,
@@ -493,7 +556,7 @@ class WriteAheadLog(Instrumented):
     ) -> None:
         """Journal one settled delivery (ack / shed / dead-letter / redriven)."""
         at = self.clock.now() if at is None else at
-        self._append(_settle_record(at, sub_id, seq, outcome, reason, attempts))
+        self._append("settle", _line(_settle_record(at, sub_id, seq, outcome, reason, attempts)))
 
     # ------------------------------------------------------------------
     # durability boundary
@@ -519,8 +582,7 @@ class WriteAheadLog(Instrumented):
             if not self._closed:
                 self._sync_locked()
 
-    @contextlib.contextmanager
-    def batched(self):
+    def batched(self) -> "_Batched":
         """Amortize the durability boundary over a batch of appends.
 
         Inside the block, appends skip the per-record policy fsync (the
@@ -533,15 +595,7 @@ class WriteAheadLog(Instrumented):
         one fsync per *batch* instead of one per subscription.
         Re-entrant: nested blocks sync once at the outermost exit.
         """
-        with self._lock:
-            self._batch_depth += 1
-        try:
-            yield self
-        finally:
-            with self._lock:
-                self._batch_depth -= 1
-                if self._batch_depth == 0 and not self._closed and self._unsynced:
-                    self._sync_if_due_locked()
+        return _Batched(self)
 
     def tell(self) -> int:
         """Bytes in the trusted log (header included)."""

@@ -27,6 +27,15 @@ class TestOperator:
         with pytest.raises(InvalidPredicateError):
             Operator.from_symbol("<>")
 
+    @pytest.mark.parametrize("symbol", [["="], {"=": 1}, 1, None, "EQ", ""])
+    def test_unhashable_or_foreign_symbol_rejected(self, symbol):
+        with pytest.raises(InvalidPredicateError, match="unknown operator"):
+            Operator.from_symbol(symbol)
+
+    def test_member_is_itself(self):
+        for op in Operator:
+            assert Operator.from_symbol(op) is op
+
     def test_is_equality(self):
         assert Operator.EQ.is_equality
         assert not any(

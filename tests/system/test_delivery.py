@@ -109,9 +109,16 @@ class TestChannelLifecycle:
         plain = [manager.register(f"s{i}", sink=lambda n: None) for i in range(3)]
         manager.register("s0")  # a re-register with no override keeps it
         custom = manager.register("c", capacity=4)
-        assert len({id(c._policy) for c in plain}) == 1
+        assert {id(c._policy) for c in plain} == {id(manager._policy)}
         assert custom._policy is not plain[0]._policy
         assert custom._policy.retry is plain[0]._policy.retry
+        assert set(plain[0].counters.values()) == {0}
+
+    def test_a_reregister_without_overflow_reverts_to_the_default(self):
+        manager, _clock = make_manager(capacity=2, overflow="shed-oldest")
+        assert manager.register("s1", overflow="block").stats()["overflow"] == "block"
+        assert manager.register("s1").stats()["overflow"] == "shed-oldest"
+        assert manager.register("s2", overflow="shed-oldest")._policy is manager._policy
 
     def test_unregister_dead_letters_outstanding(self):
         manager, _clock = make_manager()
