@@ -8,7 +8,7 @@ the candidate-cluster walk.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,16 +63,6 @@ class TwoPhaseMatcher(Matcher):
     # ------------------------------------------------------------------
     # predicate interning
     # ------------------------------------------------------------------
-    def _intern_predicates(self, sub: Subscription) -> Dict[Predicate, int]:
-        """Intern every predicate of *sub*; index the newly-seen ones."""
-        slots: Dict[Predicate, int] = {}
-        for pred in sub.predicates:
-            bit, added = self.registry.intern(pred)
-            if added:
-                self.indexes.insert(pred, bit)
-            slots[pred] = bit
-        return slots
-
     def _release_predicates(self, sub: Subscription) -> None:
         """Release every predicate of *sub*; un-index the dead ones."""
         for pred in sub.predicates:
@@ -84,10 +74,20 @@ class TwoPhaseMatcher(Matcher):
     # Matcher surface
     # ------------------------------------------------------------------
     def add(self, subscription: Subscription) -> None:
+        self._insert(subscription)
+
+    def _insert(self, subscription: Subscription) -> Any:
+        """Number, intern and place *subscription*, whole or not at all;
+        returns what :meth:`_place` returned (the home, for engines that
+        cluster)."""
         handle = self._subs.put(subscription)
-        slots = self._intern_predicates(subscription)
+        # Intern every predicate in one pass; index the newly-seen ones.
+        predicates = subscription.predicates
+        bits, fresh = self.registry.intern_all(predicates)
+        for i in fresh:
+            self.indexes.insert(predicates[i], bits[i])
         try:
-            self._place(handle, subscription, slots)
+            return self._place(handle, subscription, bits)
         except Exception:
             self._release_predicates(subscription)
             self._subs.drop(subscription.id)
@@ -293,9 +293,10 @@ class TwoPhaseMatcher(Matcher):
     # ------------------------------------------------------------------
     # subclass responsibilities
     # ------------------------------------------------------------------
-    def _place(self, handle: int, sub: Subscription, slots: Dict[Predicate, int]) -> None:
-        """Store *sub* under *handle* in phase-2 structures (bits
-        already interned)."""
+    def _place(self, handle: int, sub: Subscription, bits: List[int]) -> Any:
+        """Store *sub* under *handle* in phase-2 structures; *bits* are
+        its predicates' bits (already interned), aligned with
+        ``sub.predicates``."""
         raise NotImplementedError
 
     def _displace(self, handle: int, sub: Subscription) -> None:
@@ -343,27 +344,3 @@ class TwoPhaseMatcher(Matcher):
                 f"index/registry slot mismatch for {pred!r}"
             )
         assert self.bits.size >= len(self.registry)
-
-    # ------------------------------------------------------------------
-    # helpers shared by cluster-based subclasses
-    # ------------------------------------------------------------------
-    @staticmethod
-    def ordered_residual_bits(
-        sub: Subscription, slots: Dict[Predicate, int], access: Tuple[Predicate, ...]
-    ) -> List[int]:
-        """Bit refs of ``sub``'s predicates minus *access*, equality first.
-
-        The ordering lets the scalar kernel short-circuit on equality bits
-        before ever reading inequality bits (Section 6.2.1).
-        """
-        skip = set(access)
-        eq_bits: List[int] = []
-        other_bits: List[int] = []
-        for pred in sub.predicates:
-            if pred in skip:
-                continue
-            if pred.operator.is_equality:
-                eq_bits.append(slots[pred])
-            else:
-                other_bits.append(slots[pred])
-        return eq_bits + other_bits

@@ -8,6 +8,12 @@ access predicate is known true).  Storage is **column-wise**: one
 whose column ``j`` below it lists subscription ``j``'s residual bit
 refs; it matches iff all of them are set.  The kernels emit handles.
 
+An insert does not write the matrix: it appends its column to a flat
+int32 *pending* buffer, and the first reader after a run of inserts
+(a kernel, a removal, a snapshot) folds the whole run in with one block
+write, :meth:`Cluster.extend`.  A load of many subscriptions into one
+cluster is then one matrix write, not one per subscription.
+
 Two check kernels are provided:
 
 * :meth:`match_scalar` — a Python loop with per-row short-circuit, the
@@ -28,27 +34,18 @@ size (the paper's per-access-predicate "collection of predicate arrays");
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from array import array
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.core.errors import ClusteringError
 
-#: Initial number of columns allocated per cluster.
-_INITIAL_COLUMNS = 8
-
-
-def _doubled(array: np.ndarray) -> np.ndarray:
-    """*array* with its last axis twice as long (zero-filled)."""
-    grown = np.zeros(array.shape[:-1] + (2 * array.shape[-1],), dtype=array.dtype)
-    grown[..., : array.shape[-1]] = array
-    return grown
-
 
 class Cluster:
     """All subscriptions with one access predicate and one residual size."""
 
-    __slots__ = ("size", "_columns", "_count", "owner")
+    __slots__ = ("size", "_columns", "_count", "_pending", "owner")
 
     def __init__(self, size: int, owner: Any = None) -> None:
         if size < 0:
@@ -60,33 +57,64 @@ class Cluster:
         #: ``key`` the table entry — from here.
         self.owner = owner
         #: Row 0: the subscription line (member handles); rows 1…size:
-        #: the members' residual bit refs.
-        self._columns = np.zeros((1 + size, _INITIAL_COLUMNS), dtype=np.int32)
+        #: the members' residual bit refs.  Sized by the first fold.
+        self._columns = np.zeros((1 + size, 0), dtype=np.int32)
+        #: Members, pending ones included.
         self._count = 0
+        #: The last members' columns while they are not in the matrix yet,
+        #: each ``handle, refs…`` back to back (None when there are none).
+        self._pending: Optional[array] = None
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def add(self, handle: int, bit_refs: Sequence[int]) -> None:
+    def add(self, handle: int, bit_refs: List[int]) -> None:
         """Append a subscription column (the new last one).
 
-        *bit_refs* must hold exactly :attr:`size` bit indexes, equality
-        bits first.
+        *bit_refs* must be a list of exactly :attr:`size` bit indexes,
+        equality bits first.  The column stays pending until a reader
+        folds it into the matrix.
         """
         if len(bit_refs) != self.size:
             raise ClusteringError(
                 f"expected {self.size} bit refs, got {len(bit_refs)}"
             )
-        j = self._count
-        if j == self._columns.shape[1]:
-            self._columns = _doubled(self._columns)
-        self._columns[0, j] = handle
-        self._columns[1:, j] = bit_refs
+        pending = self._pending
+        if pending is None:
+            pending = self._pending = array("i")
+        pending.append(handle)
+        pending.fromlist(bit_refs)
         self._count += 1
+
+    def extend(self, block: np.ndarray) -> None:
+        """Append the ``(1 + size, k)`` column *block* — row 0 the
+        handles, below each its residual refs — after every member, in
+        one write (a matrix too narrow grows to at least twice its width)."""
+        if self._pending:
+            self._fold()
+        start = self._count
+        end = start + block.shape[1]
+        columns = self._columns
+        if end > columns.shape[1]:
+            grown = np.zeros((1 + self.size, max(end, 2 * columns.shape[1])), dtype=np.int32)
+            grown[:, :start] = columns[:, :start]
+            columns = self._columns = grown
+        columns[:, start:end] = block
+        self._count = end
+
+    def _fold(self) -> None:
+        """Write the pending columns into the matrix with one
+        :meth:`extend`; every reader of the matrix calls this first."""
+        pending, self._pending = self._pending, None
+        block = np.frombuffer(pending, dtype=np.intc).reshape(-1, 1 + self.size).T
+        self._count -= block.shape[1]
+        self.extend(block)
 
     def remove(self, column: int) -> Optional[int]:
         """Remove the member at *column* by swap-with-last; returns the
         handle moved into *column* (None if it was the last)."""
+        if self._pending:
+            self._fold()
         last = self._count - 1
         if not 0 <= column <= last:
             raise ClusteringError(f"no column {column} in {self!r}")
@@ -103,6 +131,8 @@ class Cluster:
 
     def handles(self) -> List[int]:
         """Snapshot of member handles, in column order."""
+        if self._pending:
+            self._fold()
         return self._columns[0, : self._count].tolist()
 
     # ------------------------------------------------------------------
@@ -121,6 +151,8 @@ class Cluster:
         paper's specialized C functions), larger sizes take the generic
         nested loop.
         """
+        if self._pending:
+            self._fold()
         m = self._count
         size = self.size
         columns = self._columns
@@ -155,6 +187,8 @@ class Cluster:
         Returns the number of subscriptions checked, like
         :meth:`match_scalar`.
         """
+        if self._pending:
+            self._fold()
         m = self._count
         truth = bits[self._columns[1:, :m]]
         hits = np.nonzero(truth.all(axis=0))[0]
@@ -174,6 +208,8 @@ class Cluster:
         :meth:`match_vector`.  Returns subscriptions checked, counted
         once per (event, subscription) pair like the scalar kernels.
         """
+        if self._pending:
+            self._fold()
         m = self._count
         n_rows = len(rows)
         if m == 0 or n_rows == 0:
@@ -193,12 +229,16 @@ class Cluster:
     @property
     def refs_matrix(self) -> Optional[np.ndarray]:
         """Active (size, count) view of the refs matrix, or None if size 0."""
+        if self._pending:
+            self._fold()
         if not self.size:
             return None
         return self._columns[1:, : self._count]
 
     def memory_bytes(self) -> int:
         """Approximate resident bytes of this cluster's matrix."""
+        if self._pending:
+            self._fold()
         return self._columns.nbytes
 
     def __repr__(self) -> str:
@@ -216,7 +256,7 @@ class ClusterList:
         self._by_size: Dict[int, Cluster] = {}
         self._count = 0
 
-    def add(self, handle: int, bit_refs: Sequence[int]) -> Cluster:
+    def add(self, handle: int, bit_refs: List[int]) -> Cluster:
         """Insert into the size-appropriate cluster, creating it on demand."""
         size = len(bit_refs)
         cluster = self._by_size.get(size)
@@ -285,7 +325,7 @@ class Homes:
 
     def __init__(self) -> None:
         self._cluster: List[Optional[Cluster]] = []
-        self._column = np.zeros(_INITIAL_COLUMNS, dtype=np.int32)
+        self._column = array("i")
 
     def __getitem__(self, handle: int) -> Optional[Cluster]:
         """The cluster holding *handle* (None while it is unplaced)."""
@@ -294,18 +334,18 @@ class Homes:
     def settle(self, handle: int, home: Cluster) -> None:
         """Record that *handle* was just appended to *home* (handles are
         dense: a new one is the next past the end)."""
+        column = home._count - 1
         if handle == len(self._cluster):
             self._cluster.append(home)
-            if handle == len(self._column):
-                self._column = _doubled(self._column)
+            self._column.append(column)
         else:
             self._cluster[handle] = home
-        self._column[handle] = len(home) - 1
+            self._column[handle] = column
 
     def evict(self, handle: int, holder: Any) -> None:
         """Remove *handle* from its home through *holder*, the list or
         table that owns the home."""
-        column = int(self._column[handle])
+        column = self._column[handle]
         moved = holder.remove(self._cluster[handle], column)
         if moved is not None:
             self._column[moved] = column

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
-from repro.core.types import Event, Predicate, Subscription
+from repro.core.types import Event, Subscription
 from repro.indexes.ordered import IndexKind
 
 #: Cell cap per hit-counter chunk: ``np.bincount`` materializes an int64
@@ -54,8 +54,8 @@ class CountingMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def _place(self, handle: int, sub: Subscription, slots: Dict[Predicate, int]) -> None:
-        for bit in slots.values():
+    def _place(self, handle: int, sub: Subscription, bits: List[int]) -> None:
+        for bit in bits:
             self._subs_of_bit.setdefault(bit, []).append(handle)
         if handle == len(self._threshold):  # handles are dense
             self._threshold = np.concatenate([self._threshold, np.full(handle, -1, np.int16)])

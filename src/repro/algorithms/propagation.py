@@ -25,7 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
-from repro.algorithms.clusters import ClusterList, Homes
+from repro.algorithms.clusters import Cluster, ClusterList, Homes
+from repro.core.errors import id_repr
 from repro.core.types import Event, Predicate, Subscription, Value
 from repro.indexes.ordered import IndexKind
 
@@ -73,18 +74,29 @@ class PropagationMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def _place(self, handle: int, sub: Subscription, slots: Dict[Predicate, int]) -> None:
+    def _place(self, handle: int, sub: Subscription, bits: List[int]) -> Cluster:
         access = self._choose_access(sub)
+        # The residual: every bit but the access predicate's, equality
+        # first so the scalar kernel short-circuits on them (§6.2.1).
+        eq_bits: List[int] = []
+        other_bits: List[int] = []
+        for pred, bit in zip(sub.predicates, bits):
+            if pred == access:
+                continue
+            if pred.operator.is_equality:
+                eq_bits.append(bit)
+            else:
+                other_bits.append(bit)
         if access is None:
             lst = self._universal
-            refs = self.ordered_residual_bits(sub, slots, ())
         else:
-            refs = self.ordered_residual_bits(sub, slots, (access,))
             key = (access.attribute, access.value)
             lst = self._lists.get(key)
             if lst is None:
                 lst = self._lists[key] = ClusterList(key=access)
-        self._home.settle(handle, lst.add(handle, refs))
+        home = lst.add(handle, eq_bits + other_bits)
+        self._home.settle(handle, home)
+        return home
 
     def _displace(self, handle: int, sub: Subscription) -> None:
         lst = self._home[handle].owner
@@ -150,7 +162,7 @@ class PropagationMatcher(TwoPhaseMatcher):
             sub, access = self._subs.get(handle), cluster.owner.key
             assert access is None or access in sub.predicates
             expected = sub.size - (0 if access is None else 1)
-            assert cluster.size == expected, f"residual size drift for {sub.id!r}"
+            assert cluster.size == expected, f"residual size drift for {id_repr(sub.id)}"
 
     # ------------------------------------------------------------------
     # introspection

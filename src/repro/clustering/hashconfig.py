@@ -18,10 +18,10 @@ the schema of e").
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.algorithms.clusters import Cluster, ClusterList
-from repro.core.errors import ClusteringError
+from repro.core.errors import ClusteringError, id_repr
 from repro.core.types import Event, Subscription, Value
 
 #: A hash-table schema: attributes in sorted order.
@@ -50,7 +50,7 @@ def key_for_schema(sub: Subscription, schema: Schema) -> Key:
         return tuple(values[a] for a in schema)
     except KeyError as missing:
         raise ClusteringError(
-            f"subscription {sub.id!r} lacks an equality predicate on {missing}"
+            f"subscription {id_repr(sub.id)} lacks an equality predicate on {missing}"
         ) from None
 
 
@@ -69,7 +69,7 @@ class MultiAttrHashTable:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def add(self, handle: int, key: Key, bit_refs: Sequence[int]) -> Cluster:
+    def add(self, handle: int, key: Key, bit_refs: List[int]) -> Cluster:
         """Insert a subscription under its probe key; returns its home."""
         lst = self._entries.get(key)
         if lst is None:

@@ -42,13 +42,16 @@ class HandleTable:
 
     def put(self, sub: Subscription) -> int:
         """Number *sub*; raises if its id is already live."""
-        if sub.id in self._handle:
-            raise DuplicateSubscriptionError(sub.id)
-        handle = self._handle[sub.id] = self.next_handle
+        sub_id = sub.id
+        if sub_id in self._handle:
+            raise DuplicateSubscriptionError(sub_id)
         if self._free:
-            self._subs[self._free.pop()] = sub
+            handle = self._free.pop()
+            self._subs[handle] = sub
         else:
+            handle = len(self._subs)
             self._subs.append(sub)
+        self._handle[sub_id] = handle
         return handle
 
     def drop(self, sub_id: Any) -> Tuple[int, Subscription]:

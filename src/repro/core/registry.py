@@ -17,7 +17,7 @@ The registry is deliberately unaware of indexes; callers observe the
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bitvector import BitVector
 from repro.core.types import Predicate
@@ -32,7 +32,8 @@ class PredicateRegistry:
         self.bits = bitvector if bitvector is not None else BitVector()
         self._slot_of: Dict[Predicate, int] = {}
         self._pred_of: Dict[int, Predicate] = {}
-        self._refcount: Dict[int, int] = {}
+        #: Live references per slot, indexed by slot (0 on a free one).
+        self._refcount: List[int] = []
         self._free: List[int] = []
         self._epoch = 0
 
@@ -45,19 +46,34 @@ class PredicateRegistry:
         ``added`` is True exactly when the predicate was not present, in
         which case the caller must insert it into the attribute indexes.
         """
-        slot = self._slot_of.get(predicate)
-        if slot is not None:
-            self._refcount[slot] += 1
-            return slot, False
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self.bits.allocate()
-        self._slot_of[predicate] = slot
-        self._pred_of[slot] = predicate
-        self._refcount[slot] = 1
-        self._epoch += 1
-        return slot, True
+        bits, fresh = self.intern_all((predicate,))
+        return bits[0], bool(fresh)
+
+    def intern_all(self, predicates: Sequence[Predicate]) -> Tuple[List[int], List[int]]:
+        """Intern every predicate in one pass (one hash each).
+
+        Returns the bits, aligned with *predicates*, and the positions
+        of the predicates that were new: the caller must insert those
+        into the attribute indexes.
+        """
+        slot_of, refcount = self._slot_of, self._refcount
+        bits: List[int] = []
+        fresh: List[int] = []
+        for predicate in predicates:
+            slot = slot_of.get(predicate)
+            if slot is None:
+                fresh.append(len(bits))
+                slot = self._free.pop() if self._free else self.bits.allocate()
+                slot_of[predicate] = slot
+                self._pred_of[slot] = predicate
+                if slot >= len(refcount):
+                    refcount.extend([0] * (slot + 1 - len(refcount)))
+                refcount[slot] = 1
+                self._epoch += 1
+            else:
+                refcount[slot] += 1
+            bits.append(slot)
+        return bits, fresh
 
     def release(self, predicate: Predicate) -> Tuple[int, bool]:
         """Drop one reference; return ``(bit, removed)``.
@@ -73,7 +89,6 @@ class PredicateRegistry:
             return slot, False
         del self._slot_of[predicate]
         del self._pred_of[slot]
-        del self._refcount[slot]
         self._free.append(slot)
         self._epoch += 1
         return slot, True

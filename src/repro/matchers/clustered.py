@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
-from repro.algorithms.clusters import ClusterList, Homes
+from repro.algorithms.clusters import Cluster, ClusterList, Homes
 from repro.clustering.hashconfig import (
     HashingConfiguration,
     Key,
@@ -26,11 +26,17 @@ from repro.clustering.hashconfig import (
     key_for_schema,
 )
 from repro.clustering.statistics import Statistics
-from repro.core.errors import ClusteringError
-from repro.core.types import Event, Operator, Predicate, Subscription
+from repro.core.errors import ClusteringError, id_repr
+from repro.core.types import Event, Operator, Subscription
 from repro.indexes.ordered import IndexKind
 
 _EQ = Operator.EQ
+
+
+def _equality_attributes(sub: Subscription) -> List[Optional[str]]:
+    """Each predicate's attribute if it is an equality, else None — the
+    one pass over a subscription's predicates that placement makes."""
+    return [p.attribute if p.operator is _EQ else None for p in sub.predicates]
 
 
 class ClusteredMatcher(TwoPhaseMatcher):
@@ -58,37 +64,43 @@ class ClusteredMatcher(TwoPhaseMatcher):
         # handle -> the cluster (and column) that holds it; schema, probe
         # key and residual size are read off the cluster and its list.
         self._home = Homes()
-        # Every table's schema, cheapest first, and the (table set,
-        # statistics) version that order was computed at.
+        # Every table's schema, cheapest first, and the table-set and
+        # statistics versions that order was computed at.
         self._ranked: List[Schema] = []
-        self._ranked_version: Any = None
+        self._ranked_tables = -1
+        self._ranked_statistics: Any = None
 
     # ------------------------------------------------------------------
     # schema choice (subclass hook)
     # ------------------------------------------------------------------
-    def _statistics_version(self) -> Any:
-        """The statistics' version; None (equal to nothing) if it has none."""
-        return getattr(self.statistics, "version", None)
+    def _choose_schema(self, sub: Subscription, eq_attrs: Set[str]) -> Optional[Schema]:
+        """Schema to cluster *sub* (equality attributes *eq_attrs*)
+        under; None → universal list.
 
-    def _choose_schema(self, sub: Subscription) -> Optional[Schema]:
-        """Schema to cluster *sub* under; None → universal list."""
-        eq_attrs = {p.attribute for p in sub.predicates if p.operator is _EQ}
+        The cheapest *existing* table eligible for *eq_attrs*: the first
+        schema of :meth:`_ranking` they cover.
+        """
         if not eq_attrs:
             return None
-        return self._cheapest_table(eq_attrs)
+        for schema in self._ranking():
+            if eq_attrs.issuperset(schema):
+                return schema
+        return None
 
-    def _cheapest_table(self, eq_attrs: Set[str]) -> Optional[Schema]:
-        """Cheapest *existing* table eligible for equality attributes
-        *eq_attrs*, by schema-level expected ν.
+    def _ranking(self) -> List[Schema]:
+        """Every table's schema, cheapest first by schema-level expected ν.
 
         Which table is cheaper than which depends on the tables and the
         statistics, never on the subscription, so the tables are ranked
-        once per version of those two and a placement only looks for
-        the first schema in that order it is eligible for.
+        once per version of those two (on every call for a statistics
+        provider without a ``version``).
         """
-        stats_version = self._statistics_version()
-        version = (self.config.version, stats_version)
-        if stats_version is None or version != self._ranked_version:
+        statistics_version = getattr(self.statistics, "version", None)
+        if (
+            statistics_version is None
+            or statistics_version != self._ranked_statistics
+            or self.config.version != self._ranked_tables
+        ):
             # Schema-level expected ν, quantized to log-scale buckets:
             # tables whose estimated cost differs only by sampling noise
             # must compare equal, so the lexical tie-break concentrates
@@ -99,11 +111,9 @@ class ClusteredMatcher(TwoPhaseMatcher):
             self._ranked = sorted(
                 self.config.schemas(), key=lambda s: (self._nu_bucket(s), s)
             )
-            self._ranked_version = version
-        for schema in self._ranked:
-            if eq_attrs.issuperset(schema):
-                return schema
-        return None
+            self._ranked_tables = self.config.version
+            self._ranked_statistics = statistics_version
+        return self._ranked
 
     def _nu_bucket(self, schema: Schema) -> int:
         """Expected ν of *schema*, bucketed by factor-e steps."""
@@ -117,46 +127,70 @@ class ClusteredMatcher(TwoPhaseMatcher):
     # ------------------------------------------------------------------
     # placement plumbing
     # ------------------------------------------------------------------
-    def _place(self, handle: int, sub: Subscription, slots: Dict[Predicate, int]) -> None:
-        self._place_under(handle, sub, slots, self._choose_schema(sub))
+    def _place(self, handle: int, sub: Subscription, bits: List[int]) -> Cluster:
+        """Choose the schema, lay the subscription out under it and put it
+        there.  The decision depends on the equality attributes (the
+        schema) and the predicates in order (probe key and residual) —
+        nothing else of the subscription."""
+        eq_of = _equality_attributes(sub)
+        if None in eq_of:
+            eq_attrs = {attribute for attribute in eq_of if attribute is not None}
+        else:
+            eq_attrs = set(eq_of)
+        schema = self._choose_schema(sub, eq_attrs)
+        key, refs = self._layout(sub, bits, eq_of, schema)
+        return self._put(handle, schema, key, refs)
 
-    def _place_under(
-        self,
-        handle: int,
-        sub: Subscription,
-        slots: Dict[Predicate, int],
-        schema: Optional[Schema],
-    ) -> None:
-        """Insert *sub* into the given schema's table (or the universal list).
+    @staticmethod
+    def _layout(
+        sub: Subscription, bits: List[int], eq_of: List[Optional[str]], schema: Optional[Schema]
+    ) -> Tuple[Key, List[int]]:
+        """Probe key and residual refs of *sub* under *schema*.
 
-        One pass over the predicates yields both the probe key (the
-        value of the first equality predicate on each schema attribute)
-        and the residual bit refs, equality first so the scalar kernel
-        short-circuits on them (Section 6.2.1).
+        *bits* and *eq_of* are aligned with ``sub.predicates``: each
+        predicate's bit, and its attribute if it is an equality (else
+        None).  The key is the value of the first equality predicate on
+        each schema attribute; the residual is every other bit, equality
+        first so the scalar kernel short-circuits on them (Section
+        6.2.1).  Raises :class:`ClusteringError`, changing nothing, when
+        *sub* lacks an equality predicate on a schema attribute.
         """
-        wanted = schema or ()
-        values: Dict[str, Any] = {}
-        eq_bits: List[int] = []
-        other_bits: List[int] = []
-        for pred in sub.predicates:
-            if pred.operator is not _EQ:
-                other_bits.append(slots[pred])
-            elif pred.attribute in wanted and pred.attribute not in values:
-                values[pred.attribute] = pred.value
-            else:
-                eq_bits.append(slots[pred])
-        if len(values) != len(wanted):
-            missing = sorted(set(wanted) - set(values))
-            raise ClusteringError(
-                f"subscription {sub.id!r} lacks equality predicates on {missing}"
-            )
-        refs = eq_bits + other_bits
+        predicates = sub.predicates
+        key: List[Any] = []
+        taken: List[int] = []
+        for attribute in schema or ():
+            try:
+                i = eq_of.index(attribute)
+            except ValueError:
+                missing = [a for a in schema if a not in eq_of]
+                raise ClusteringError(
+                    f"subscription {id_repr(sub.id)} lacks equality predicates on {missing}"
+                ) from None
+            key.append(predicates[i].value)
+            taken.append(i)
+        if None in eq_of:
+            refs = [
+                bit
+                for i, (bit, attribute) in enumerate(zip(bits, eq_of))
+                if attribute is not None and i not in taken
+            ]
+            refs += [bit for bit, attribute in zip(bits, eq_of) if attribute is None]
+        else:
+            # All equalities: the residual is the bits in order, less the key's.
+            refs = bits.copy()
+            for i in sorted(taken, reverse=True):
+                del refs[i]
+        return tuple(key), refs
+
+    def _put(self, handle: int, schema: Optional[Schema], key: Key, refs: List[int]) -> Cluster:
+        """Append *handle* under *schema*'s table (created on demand) or
+        the universal list; returns its home cluster."""
         if schema is None:
             home = self._universal.add(handle, refs)
         else:
-            key = tuple([values[attribute] for attribute in schema])
             home = self.config.ensure_table(schema).add(handle, key, refs)
         self._home.settle(handle, home)
+        return home
 
     def _displace(self, handle: int, sub: Subscription) -> None:
         schema = self._home[handle].owner.key[0]
@@ -169,13 +203,16 @@ class ClusteredMatcher(TwoPhaseMatcher):
         """Re-cluster one live subscription under another schema.
 
         Predicates stay interned (the subscription itself is unchanged);
-        only phase-2 placement moves.
+        only phase-2 placement moves.  The new key and residual are
+        derived before the subscription leaves its home, so a schema it
+        lacks an equality predicate for raises and moves nothing.
         """
         handle = self._subs.handle_of(sub_id)
         sub = self._subs.get(handle)
+        bits = [self.registry.slot(p) for p in sub.predicates]
+        key, refs = self._layout(sub, bits, _equality_attributes(sub), new_schema)
         self._displace(handle, sub)
-        slots = {pred: self.registry.slot(pred) for pred in sub.predicates}
-        self._place_under(handle, sub, slots, new_schema)
+        self._put(handle, new_schema, key, refs)
 
     def placement_of(self, sub_id: Any) -> Tuple[Optional[Schema], Key, int]:
         """(schema, key, residual size) of a live subscription."""
@@ -276,7 +313,9 @@ class ClusteredMatcher(TwoPhaseMatcher):
         for handle, cluster in homes.items():
             sub, schema = self._subs.get(handle), cluster.owner.key[0] or ()
             assert sub.equality_attributes.issuperset(schema)
-            assert cluster.size == sub.size - len(schema), f"residual drift for {sub.id!r}"
+            assert cluster.size == sub.size - len(schema), (
+                f"residual drift for {id_repr(sub.id)}"
+            )
 
     # ------------------------------------------------------------------
     # introspection

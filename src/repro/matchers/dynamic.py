@@ -55,8 +55,8 @@ class DynamicMatcher(ClusteredMatcher):
         # Handled entry -> its BM when last handled.  Like the ν memo
         # below it only ever holds live entries (see _displace).
         self._last_handled: Dict[EntryId, float] = {}
-        # Touched entry -> ν of its access predicate, and the statistics
-        # version those were read at.
+        # Entry read by an insert or a sweep -> ν of its access
+        # predicate, and the statistics version those were read at.
         self._entry_nus: Dict[EntryId, float] = {}
         self._entry_nus_version: Any = None
         # Attributes that have their singleton table, and the table-set
@@ -117,7 +117,9 @@ class DynamicMatcher(ClusteredMatcher):
     # ------------------------------------------------------------------
     # schema choice: cheapest existing table; singletons created lazily
     # ------------------------------------------------------------------
-    def _cheapest_table(self, eq_attrs: Set[str]) -> Optional[Schema]:
+    def _choose_schema(self, sub: Subscription, eq_attrs: Set[str]) -> Optional[Schema]:
+        if not eq_attrs:
+            return None
         config = self.config
         if self._singletons_version != config.version:
             self._singleton_attrs = {s[0] for s in config.schemas() if len(s) == 1}
@@ -125,20 +127,26 @@ class DynamicMatcher(ClusteredMatcher):
         if not eq_attrs <= self._singleton_attrs:
             for attribute in eq_attrs:
                 config.ensure_table((attribute,))
-        # Same quantized schema-level choice as the base class (see
-        # ClusteredMatcher._cheapest_table for why value-specific
-        # estimates must not drive insertion).
-        return super()._cheapest_table(eq_attrs)
+        # Then the base class's quantized schema-level choice (see
+        # ClusteredMatcher._ranking for why value-specific estimates
+        # must not drive insertion), scanned here.
+        for schema in self._ranking():
+            if eq_attrs.issuperset(schema):
+                return schema
+        return None
 
     # ------------------------------------------------------------------
     # operation hooks
     # ------------------------------------------------------------------
     def add(self, subscription: Subscription) -> None:
-        super().add(subscription)
-        lst = self._home[self._subs.handle_of(subscription.id)].owner
-        if lst is not self._universal:
+        lst = self._insert(subscription).owner
+        # ν ≤ 1, so BM = ν·|entry| can only exceed BMmax when the entry
+        # itself does: an insert into a small entry costs two comparisons.
+        if not self._frozen and len(lst) > self.params.bm_max and lst is not self._universal:
             self._touch_entry(lst)
-        self._tick()
+        self._ops += 1
+        if not self._ops % self.params.maintenance_interval and not self._frozen:
+            self.sweep()
 
     def remove(self, sub_id: Any) -> Subscription:
         sub = super().remove(sub_id)
@@ -265,28 +273,34 @@ class DynamicMatcher(ClusteredMatcher):
         return total
 
     def _touch_entry(self, lst: ClusterList) -> None:
-        """An insert landed in *lst*: handle it if its BM is now excessive.
-
-        ν of the entry moves only with the statistics, so between two
-        events every insert into the same entry reads it from
-        ``_entry_nus`` (a load asks once per entry, not once per
-        subscription).  The sweep does not come through here: it runs
-        after events, when everything remembered is stale anyway.
-        """
-        # ν ≤ 1, so BM = ν·|entry| can only exceed the threshold when the
-        # entry itself does; small entries are not remembered at all.
-        if self._frozen or len(lst) <= self.params.bm_max:
-            return
+        """An insert landed in *lst*, an entry larger than ``BMmax``:
+        handle it if its BM is now excessive."""
         entry: EntryId = lst.key  # the list's own (schema, key): no new tuple kept
         nus = self._entry_nus
-        version = self._statistics_version()
+        version = getattr(self.statistics, "version", None)
         if version is None or version != self._entry_nus_version:
-            nus.clear()
-            self._entry_nus_version = version
+            nus = self._remembered_nus()
         nu = nus.get(entry)
         if nu is None:
             nu = nus[entry] = self._entry_nu(*entry)
-        self._maybe_handle_entry(lst, nu)
+        if nu * len(lst) > self.params.bm_max:
+            self._maybe_handle_entry(lst, nu)
+
+    def _remembered_nus(self) -> Dict[EntryId, float]:
+        """``_entry_nus``, emptied first if the statistics moved since it
+        was filled (always, for a provider without a ``version``).
+
+        ν of an entry moves only with the statistics, so between two
+        events every insert into the same entry and every sweep reads it
+        from here (a load asks once per entry, not once per subscription
+        or per sweep): the same function of the same inputs, so the same
+        float.
+        """
+        version = getattr(self.statistics, "version", None)
+        if version is None or version != self._entry_nus_version:
+            self._entry_nus.clear()
+            self._entry_nus_version = version
+        return self._entry_nus
 
     def _maybe_handle_entry(self, lst: ClusterList, nu: float) -> None:
         """Distribute an entry when its BM is excessive and still growing.
@@ -428,14 +442,24 @@ class DynamicMatcher(ClusteredMatcher):
         params = self.params
         self.maintenance["sweeps"] += 1
         if not self._frozen:
+            bm_max = params.bm_max
+            # One ν read per entry and statistics version, shared with
+            # the inserts (no event arrives during a sweep).
+            nus = self._remembered_nus()
             for table in list(self.config.tables()):
                 for _key, lst in list(table.entries()):
                     # ν ≤ 1, so BM = ν·|entry| can only exceed the
                     # threshold when the entry itself does — skipping
                     # small entries keeps sweeps O(large entries), not
                     # O(all entries).
-                    if len(lst) > params.bm_max:
-                        self._maybe_handle_entry(lst, self._entry_nu(*lst.key))
+                    size = len(lst)
+                    if size > bm_max:
+                        entry = lst.key
+                        nu = nus.get(entry)
+                        if nu is None:
+                            nu = nus[entry] = self._entry_nu(*entry)
+                        if nu * size > bm_max:
+                            self._maybe_handle_entry(lst, nu)
         # Drop starved multi-attribute tables (singletons are the free
         # natural clustering and stay).
         for table in list(self.config.tables()):

@@ -16,7 +16,7 @@ static algorithm its high loading time in Figure 3(d); subsequent
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Set
 
 from repro.clustering.hashconfig import Schema
 from repro.clustering.cost import CostModel
@@ -73,8 +73,7 @@ class StaticMatcher(ClusteredMatcher):
     # ------------------------------------------------------------------
     # schema choice
     # ------------------------------------------------------------------
-    def _choose_schema(self, sub: Subscription) -> Optional[Schema]:
-        eq_attrs = sub.equality_attributes
+    def _choose_schema(self, sub: Subscription, eq_attrs: Set[str]) -> Optional[Schema]:
         if not eq_attrs:
             return None
         if self.plan is not None:
@@ -106,7 +105,7 @@ class StaticMatcher(ClusteredMatcher):
         for schema in plan.schemas:
             self.config.ensure_table(schema)
         for sub in subs:
-            target = self._choose_schema(sub)
+            target = self._choose_schema(sub, sub.equality_attributes)
             if target != self.placement_of(sub.id)[0]:
                 self.move_subscription(sub.id, target)
         self._drop_empty_tables()

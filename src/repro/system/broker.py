@@ -333,16 +333,31 @@ class PubSubBroker:
         if wal is not None:
             # Applied-then-logged: a crash in the gap loses only this
             # not-yet-acknowledged batch — still a consistent prefix.
-            with wal.batched():
-                self._crash_point("subscribe:pre-log")
-                for sub in subs:
-                    wal.append_subscribe(sub, ttl=ttl, logical=formula, at=now)
-                self._crash_point("subscribe:post-log")
+            # One line needs no block: its append applies the fsync
+            # policy itself.
+            if len(subs) == 1:
+                self._journal_subscribes(wal, subs, ttl, formula, now)
+            else:
+                with wal.batched():
+                    self._journal_subscribes(wal, subs, ttl, formula, now)
         if retro and len(self._events):
             units = [(sub.id, [sub]) for sub in subs] if formula is None else [(formula, subs)]
             for unit_id, unit in units:
                 for event in self._events.retro_match(unit, now):
                     self._dispatch([unit_id], event, now)
+
+    def _journal_subscribes(
+        self,
+        wal: "WriteAheadLog",
+        subs: List[Subscription],
+        ttl: Optional[float],
+        formula: Optional[Any],
+        now: float,
+    ) -> None:
+        self._crash_point("subscribe:pre-log")
+        for sub in subs:
+            wal.append_subscribe(sub, ttl=ttl, logical=formula, at=now)
+        self._crash_point("subscribe:post-log")
 
     # ------------------------------------------------------------------
     # expiry plumbing

@@ -7,6 +7,9 @@ into ids.
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.algorithms import Cluster, ClusterList
 from repro.algorithms.clusters import Homes
@@ -239,3 +242,100 @@ class TestHomes:
             homes.members([lst], range(20))
         homes.settle(5, lst.add(5, []))
         assert sorted(homes.members([lst], range(20))) == list(range(20))
+
+
+class ClusterModel(RuleBasedStateMachine):
+    """A cluster's pending columns against a plain list of columns.
+
+    Adds go to the pending buffer and every reader folds it in first,
+    so any interleaving of adds, block extends, removes and reads must
+    look exactly like appending to and swapping in a list."""
+
+    @initialize(size=st.integers(0, 4))
+    def start(self, size):
+        self.cluster = Cluster(size)
+        self.size = size
+        self.model = []  # (handle, refs) per column
+
+    refs = st.lists(st.integers(0, 31), min_size=0, max_size=4)
+
+    @rule(handle=st.integers(0, 10**6), refs=refs)
+    def add(self, handle, refs):
+        refs = (refs * 4)[: self.size] if refs else [0] * self.size
+        self.cluster.add(handle, refs)
+        self.model.append((handle, refs))
+
+    @rule(columns=st.lists(st.tuples(st.integers(0, 10**6), refs), max_size=5))
+    def extend(self, columns):
+        columns = [(h, ((r * 4)[: self.size] if r else [0] * self.size)) for h, r in columns]
+        block = np.array(
+            [[h for h, _ in columns]] + [[r[i] for _, r in columns] for i in range(self.size)],
+            dtype=np.int32,
+        ).reshape(1 + self.size, len(columns))
+        self.cluster.extend(block)
+        self.model.extend(columns)
+
+    @rule(data=st.data())
+    def remove(self, data):
+        if not self.model:
+            with pytest.raises(ClusteringError):
+                self.cluster.remove(0)
+            return
+        column = data.draw(st.integers(0, len(self.model) - 1))
+        last = self.model.pop()
+        moved = None
+        if column < len(self.model):
+            self.model[column] = last
+            moved = last[0]
+        assert self.cluster.remove(column) == moved
+
+    @rule(bits=st.lists(st.booleans(), min_size=32, max_size=32))
+    def match(self, bits):
+        bits = np.array(bits, dtype=np.uint8)
+        expected = [h for h, refs in self.model if all(bits[b] for b in refs)]
+        scalar, vector = [], []
+        assert self.cluster.match_scalar(bits, scalar) == len(self.model)
+        assert self.cluster.match_vector(bits, vector) == len(self.model)
+        assert scalar == vector == expected
+
+    @rule(rows=st.lists(st.lists(st.booleans(), min_size=32, max_size=32), min_size=1, max_size=3))
+    def match_rows(self, rows):
+        truth = np.array(rows, dtype=bool)
+        out = [[] for _ in rows]
+        checked = self.cluster.match_rows(truth, np.arange(len(rows)), out)
+        assert checked == len(self.model) * len(rows)
+        for row, got in zip(truth, out):
+            assert got == [h for h, refs in self.model if all(row[b] for b in refs)]
+
+    @rule()
+    def read(self):
+        assert self.cluster.handles() == [h for h, _ in self.model]
+        matrix = self.cluster.refs_matrix
+        if self.size:
+            assert matrix.T.tolist() == [refs for _, refs in self.model]
+        else:
+            assert matrix is None
+        assert self.cluster.memory_bytes() >= 4 * (1 + self.size) * len(self.model)
+
+    @invariant()
+    def length(self):
+        if hasattr(self, "cluster"):
+            assert len(self.cluster) == len(self.model)
+
+
+TestClusterModel = ClusterModel.TestCase
+TestClusterModel.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
+
+
+def test_a_load_writes_the_matrix_once():
+    """Inserts stay pending; the first reader folds them in one block."""
+    c = Cluster(size=2)
+    for i in range(100):
+        c.add(i, [i, i + 1])
+    assert c._columns.shape[1] == 0 and len(c) == 100
+    assert c.handles() == list(range(100))
+    assert c._columns.shape[1] == 100 and c._pending is None
+    c.add(100, [0, 0])
+    assert c._columns.shape[1] == 100 and len(c) == 101
+    assert c.remove(0) == 100
+    assert c._columns.shape[1] == 200 and c.handles()[:2] == [100, 1]

@@ -119,3 +119,12 @@ class TestHomes:
         m.remove("u")
         assert not any(m._home._cluster) and not m._lists
         m.check_invariants()
+
+    def test_a_residual_drift_names_an_id_without_a_repr(self):
+        huge = 10**5000
+        m = PropagationMatcher()
+        m.add(Subscription(huge, [eq("a", 1), le("p", 5)]))
+        m.check_invariants()
+        m._home[m._subs.handle_of(huge)].size += 1
+        with pytest.raises(AssertionError, match=r"residual size drift for <int of \d+ bits>"):
+            m.check_invariants()

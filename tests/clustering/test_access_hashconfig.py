@@ -66,6 +66,10 @@ class TestSchemaHelpers:
         with pytest.raises(ClusteringError):
             key_for_schema(Subscription("s", [eq("a", 1)]), ("a", "z"))
 
+    def test_key_for_schema_names_an_id_without_a_repr(self):
+        with pytest.raises(ClusteringError, match=r"subscription <int of \d+ bits> lacks"):
+            key_for_schema(Subscription(10**5000, [eq("a", 1)]), ("a", "z"))
+
     def test_key_uses_first_equality_per_attribute(self):
         # Contradictory but legal: two equalities on one attribute.
         sub = Subscription("s", [eq("a", 1), eq("a", 2)])

@@ -5,7 +5,7 @@ import pytest
 from repro.clustering import UniformStatistics
 from repro.core import Event, Subscription, eq, le
 from repro.core.errors import ClusteringError
-from repro.matchers import StaticMatcher
+from repro.matchers import DynamicMatcher, StaticMatcher
 from repro.matchers.clustered import ClusteredMatcher
 
 
@@ -93,6 +93,47 @@ class TestPlacement:
             m.add(Subscription("s", [eq("a", 1)]))
         assert len(m.registry) == 0 and len(m) == 0
         m.check_invariants()
+
+
+    @pytest.mark.parametrize("engine", ["clustered", "dynamic"])
+    def test_a_refused_move_leaves_the_subscription_in_place(self, engine):
+        """The new key is derived before the subscription leaves its
+        home: a schema it lacks an equality predicate for changes
+        nothing — the subscription still matches, checks clean and
+        can be removed."""
+        m = matcher() if engine == "clustered" else DynamicMatcher(UniformStatistics())
+        m.add(Subscription("s", [eq("a", 1)]))
+        m.config.ensure_table(("b",))
+        before = m.placement_of("s")
+        with pytest.raises(ClusteringError, match=r"lacks equality predicates on \['b'\]"):
+            m.move_subscription("s", ("b",))
+        assert m.placement_of("s") == before
+        assert m.match(Event({"a": 1})) == ["s"]
+        m.check_invariants()
+        m.remove("s")
+        m.check_invariants()
+
+
+#: An id with no ``repr`` (past Python's int digit limit).
+HUGE = 10**5000
+UNNAMED = r"<int of \d+ bits>"
+
+
+class TestMessagesNameAnyId:
+    def test_a_refused_move(self):
+        m = matcher()
+        m.add(Subscription(HUGE, [eq("a", 1)]))
+        with pytest.raises(ClusteringError, match=f"subscription {UNNAMED} lacks"):
+            m.move_subscription(HUGE, ("b",))
+
+    def test_a_residual_drift(self):
+        m = matcher()
+        m.config.ensure_table(("a",))
+        m.add(Subscription(HUGE, [eq("a", 1), le("p", 5)]))
+        m.check_invariants()
+        m._home[m._subs.handle_of(HUGE)].size += 1
+        with pytest.raises(AssertionError, match=f"residual drift for {UNNAMED}"):
+            m.check_invariants()
 
 
 class TestHomes:

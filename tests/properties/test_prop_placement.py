@@ -1,17 +1,21 @@
 """Placement equivalence: versioned decisions vs. re-deriving them every time.
 
 ``DynamicMatcher`` ranks the tables once per (table set, statistics)
-version, remembers each touched entry's ν per statistics version and
-builds probe key and residual refs in one pass.  The reference below
-carries the previous definitions verbatim — every decision re-derived
-from the statistics on every call, placement through
-``access_for_schema`` → ``AccessPredicate`` → ``ordered_residual_bits``
-(the first two live here: nothing in ``src/`` builds an access
-predicate object any more) — and must stay indistinguishable under any interleaving of writes,
+version, remembers each entry's ν per statistics version (inserts and
+sweeps share it) and builds probe key and residual refs in one pass.
+The reference below re-derives every decision from the statistics on
+every call, through the engine's own hooks — ``_choose_schema``,
+``_place``, ``move_subscription``, ``_touch_entry`` and ``sweep`` are
+overridden, and the machine checks that each override is the one that
+ran — placing through ``access_for_schema`` → ``AccessPredicate`` →
+``ordered_residual_bits`` (all three live here: nothing in ``src/``
+builds an access predicate object or a predicate → bit dict any more).
+The two must stay indistinguishable under any interleaving of writes,
 observation, decay, sweeps and table creation and deletion.
 """
 
 import random
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -80,20 +84,32 @@ def access_for_schema(sub, schema):
     return AccessPredicate(chosen)
 
 
+def ordered_residual_bits(sub, slots, access):
+    """Bit refs of ``sub``'s predicates minus *access*, equality first."""
+    skip = set(access)
+    eq_bits, other_bits = [], []
+    for pred in sub.predicates:
+        if pred in skip:
+            continue
+        (eq_bits if pred.operator.is_equality else other_bits).append(slots[pred])
+    return eq_bits + other_bits
+
+
 class UnmemoizedDynamicMatcher(DynamicMatcher):
-    """The placement path as it was before decisions were versioned —
-    and before a subscription's home cluster was the only record of
-    where it lives: this reference still writes the ``(schema, key,
-    residual size)`` tuple per placement and answers ``placement_of``
-    from it, so the engine's answer (read off the home cluster and its
-    list) is compared with independent bookkeeping."""
+    """Every decision re-derived on every call, and a subscription's
+    home recorded beside the engine's own bookkeeping: this reference
+    writes the ``(schema, key, residual size)`` tuple per placement and
+    answers ``placement_of`` from it, so the engine's answer (read off
+    the home cluster and its list) is compared with independent
+    bookkeeping.  ``calls`` counts the overrides that ran."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._tuples = {}
+        self.calls = Counter()
 
-    def _choose_schema(self, sub):
-        eq_attrs = sub.equality_attributes
+    def _choose_schema(self, sub, eq_attrs):
+        self.calls["_choose_schema"] += 1
         if not eq_attrs:
             return None
         for attribute in eq_attrs:
@@ -101,17 +117,33 @@ class UnmemoizedDynamicMatcher(DynamicMatcher):
         eligible = self.config.eligible_schemas(eq_attrs)
         return min(eligible, key=lambda s: (self._nu_bucket(s), s))
 
-    def _place_under(self, handle, sub, slots, schema):
+    def _place(self, handle, sub, bits):
+        self.calls["_place"] += 1
+        slots = dict(zip(sub.predicates, bits))
+        return self._settle(handle, sub, slots, self._choose_schema(sub, sub.equality_attributes))
+
+    def move_subscription(self, sub_id, new_schema):
+        self.calls["move_subscription"] += 1
+        handle = self._subs.handle_of(sub_id)
+        sub = self._subs.get(handle)
+        if new_schema is not None:
+            access_for_schema(sub, new_schema)  # refuse before moving
+        self._displace(handle, sub)
+        slots = {pred: self.registry.slot(pred) for pred in sub.predicates}
+        self._settle(handle, sub, slots, new_schema)
+
+    def _settle(self, handle, sub, slots, schema):
         if schema is None:
-            refs = self.ordered_residual_bits(sub, slots, ())
-            self._home.settle(handle, self._universal.add(handle, refs))
+            refs = ordered_residual_bits(sub, slots, ())
+            home = self._universal.add(handle, refs)
             self._tuples[sub.id] = (None, (), len(refs))
-            return
-        ap = access_for_schema(sub, schema)
-        refs = self.ordered_residual_bits(sub, slots, ap.predicates)
-        table = self.config.ensure_table(schema)
-        self._home.settle(handle, table.add(handle, ap.key, refs))
-        self._tuples[sub.id] = (schema, ap.key, len(refs))
+        else:
+            ap = access_for_schema(sub, schema)
+            refs = ordered_residual_bits(sub, slots, ap.predicates)
+            home = self.config.ensure_table(schema).add(handle, ap.key, refs)
+            self._tuples[sub.id] = (schema, ap.key, len(refs))
+        self._home.settle(handle, home)
+        return home
 
     def _displace(self, handle, sub):
         super()._displace(handle, sub)
@@ -121,6 +153,10 @@ class UnmemoizedDynamicMatcher(DynamicMatcher):
         return self._tuples[sub_id]
 
     def _touch_entry(self, lst):
+        self.calls["_touch_entry"] += 1
+        self._handle_unmemoized(lst)
+
+    def _handle_unmemoized(self, lst):
         schema, key = lst.key
         if self._frozen:
             return
@@ -134,6 +170,17 @@ class UnmemoizedDynamicMatcher(DynamicMatcher):
         self._note_threshold("bm_max")
         self._distribute_entry(schema, key)
         self._last_handled[entry] = self.benefit_margin(schema, key)
+
+    def sweep(self):
+        self.calls["sweep"] += 1
+        self.maintenance["sweeps"] += 1
+        for table in list(self.config.tables()):
+            for _key, lst in list(table.entries()):
+                self._handle_unmemoized(lst)
+        for table in list(self.config.tables()):
+            if len(table.schema) > 1 and len(table) < self.params.b_delete:
+                self._note_threshold("b_delete")
+                self._drop_table(table.schema)
 
 
 @st.composite
@@ -180,6 +227,7 @@ class PlacementMachine(RuleBasedStateMachine):
         ]
         self.live = {}
         self.counter = 0
+        self.adds = 0
 
     @rule(sub=clusterable_subscriptions())
     def add(self, sub):
@@ -188,6 +236,7 @@ class PlacementMachine(RuleBasedStateMachine):
         for matcher in self.pair:
             matcher.add(sub)
         self.live[sub.id] = sub
+        self.adds += 1
 
     @rule(data=st.data())
     def remove(self, data):
@@ -244,6 +293,14 @@ class PlacementMachine(RuleBasedStateMachine):
         assert_same_clustering(real, reference, self.live)
         real.check_invariants()
 
+    @invariant()
+    def the_reference_decided(self):
+        """Every placement, move and sweep went through an override."""
+        calls, maintenance = self.pair[1].calls, self.pair[1].maintenance
+        assert calls["_place"] == calls["_choose_schema"] == self.adds
+        assert calls["move_subscription"] == maintenance["moves"]
+        assert calls["sweep"] == maintenance["sweeps"]
+
 
 TestPlacementEquivalence = PlacementMachine.TestCase
 TestPlacementEquivalence.settings = settings(
@@ -281,3 +338,6 @@ def test_w0_load_events_and_removes_cluster_identically():
         assert_same_clustering(real, reference, [s.id for s in subs])
     real.check_invariants()
     assert real.maintenance["moves"] and real.maintenance["tables_created"]
+    assert reference.calls["_place"] == n + 6 * 100
+    assert reference.calls["_touch_entry"] and reference.calls["sweep"]
+    assert reference.calls["move_subscription"] == reference.maintenance["moves"]

@@ -92,3 +92,23 @@ class TestBrokerSubscribeBatch:
         appends = wal.counters["appends"]
         assert appends >= 7
         wal.close()
+
+    def test_one_line_is_journaled_without_a_block(self, tmp_path, monkeypatch):
+        """A block only pays off for two lines or more: one subscription
+        (or a one-disjunct formula) is a plain append, which applies the
+        fsync policy itself, with the crash points around it in order."""
+        broker, wal = fresh(tmp_path, fsync="always")
+        blocks = []
+        opened = wal.batched
+        monkeypatch.setattr(wal, "batched", lambda: blocks.append(1) or opened())
+        points = []
+        broker.crash_hook = points.append
+        base = wal.counters["fsyncs"]
+        broker.subscribe(subs(1)[0])
+        broker.subscribe_formula("x = 1", sub_id="f")
+        assert blocks == [] and wal.counters["fsyncs"] == base + 2
+        broker.subscribe_batch(subs(2, start=1))
+        assert blocks == [1] and wal.counters["fsyncs"] == base + 3
+        logged = [p for p in points if p.endswith("-log")]
+        assert logged == ["subscribe:pre-log", "subscribe:post-log"] * 3
+        wal.close()

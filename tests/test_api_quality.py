@@ -840,7 +840,7 @@ class TestOneNumbering:
             lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "put"
         )
         assert [p for p in putters if "Matcher" in p or "Shard" in p] == [
-            "algorithms/base.py:TwoPhaseMatcher.add",
+            "algorithms/base.py:TwoPhaseMatcher._insert",
             "system/procpool.py:ProcessShard.add",
         ]
 
