@@ -35,6 +35,17 @@ def normalize_schema(attributes: Iterable[str]) -> Schema:
     return tuple(sorted(set(attributes)))
 
 
+def equality_values(sub: Subscription) -> Dict[str, Value]:
+    """``A(s)`` → the value of *sub*'s first equality predicate on each
+    attribute: over any schema within ``A(s)``, the access predicate's
+    key is these values in schema order (:func:`key_for_schema`)."""
+    values: Dict[str, Value] = {}
+    for p in sub.predicates:
+        if p.operator.is_equality and p.attribute not in values:
+            values[p.attribute] = p.value
+    return values
+
+
 def key_for_schema(sub: Subscription, schema: Schema) -> Key:
     """Probe-key values of *sub* for *schema* (same order as the schema).
 
@@ -42,10 +53,7 @@ def key_for_schema(sub: Subscription, schema: Schema) -> Key:
     schema (Section 3.1): its first equality predicate per schema
     attribute, which every schema attribute must carry.
     """
-    values: Dict[str, Value] = {}
-    for p in sub.predicates:
-        if p.operator.is_equality and p.attribute in schema and p.attribute not in values:
-            values[p.attribute] = p.value
+    values = equality_values(sub)
     try:
         return tuple(values[a] for a in schema)
     except KeyError as missing:
@@ -161,6 +169,11 @@ class HashingConfiguration:
     def table(self, schema: Schema) -> Optional[MultiAttrHashTable]:
         """The table for *schema*, or None."""
         return self._tables.get(schema)
+
+    def entry(self, schema: Schema, key: Key) -> Optional[ClusterList]:
+        """The cluster list of the access predicate (*schema*, *key*), or None."""
+        table = self._tables.get(schema)
+        return None if table is None else table.entry(key)
 
     def ensure_table(self, schema: Schema) -> MultiAttrHashTable:
         """Get-or-create the table for *schema*."""

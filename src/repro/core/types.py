@@ -467,7 +467,7 @@ class Subscription:
         body = " and ".join(
             f"{p.attribute} {p.operator.value} {p.value!r}" for p in self.predicates
         )
-        return f"Subscription({self.id!r}: {body})"
+        return f"Subscription({id_repr(self.id)}: {body})"
 
 
 def _check_attributes(attrs: Iterable[Any]) -> None:

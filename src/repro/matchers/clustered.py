@@ -19,12 +19,7 @@ import numpy as np
 
 from repro.algorithms.base import TwoPhaseMatcher
 from repro.algorithms.clusters import Cluster, ClusterList, Homes
-from repro.clustering.hashconfig import (
-    HashingConfiguration,
-    Key,
-    Schema,
-    key_for_schema,
-)
+from repro.clustering.hashconfig import HashingConfiguration, Key, Schema
 from repro.clustering.statistics import Statistics
 from repro.core.errors import ClusteringError, id_repr
 from repro.core.types import Event, Operator, Subscription
@@ -119,10 +114,6 @@ class ClusteredMatcher(TwoPhaseMatcher):
         """Expected ν of *schema*, bucketed by factor-e steps."""
         nu = max(1e-300, self.statistics.expected_nu_schema(schema))
         return math.floor(math.log(nu))
-
-    def _sub_nu(self, sub: Subscription, schema: Schema) -> float:
-        """ν of the subscription's concrete access predicate over *schema*."""
-        return self.statistics.nu_of_pairs(zip(schema, key_for_schema(sub, schema)))
 
     # ------------------------------------------------------------------
     # placement plumbing

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.clusters import ClusterList
-from repro.clustering.hashconfig import Key, Schema
+from repro.clustering.hashconfig import Key, Schema, equality_values
 from repro.clustering.dynamic import DynamicParams, EntryId, PotentialTableTracker
 from repro.clustering.statistics import EventStatistics, Statistics
-from repro.core.types import Event, Subscription
+from repro.core.types import Event, Subscription, Value
 from repro.indexes.ordered import IndexKind
 from repro.matchers.clustered import ClusteredMatcher
 
@@ -240,13 +240,8 @@ class DynamicMatcher(ClusteredMatcher):
         used by the maintenance loop; :meth:`exact_benefit_margin` has
         the exact form.
         """
-        table = self.config.table(schema)
-        if table is None:
-            return 0.0
-        lst = table.entry(key)
-        if lst is None:
-            return 0.0
-        return self._entry_nu(schema, key) * len(lst)
+        lst = self.config.entry(schema, key)
+        return 0.0 if lst is None else self._entry_nu(schema, key) * len(lst)
 
     def exact_benefit_margin(self, schema: Schema, key: Key) -> float:
         """The paper's exact ``BM(c) = Σ_{s∈c} (ν(p_c) − ν(P(s)))``.
@@ -257,10 +252,7 @@ class DynamicMatcher(ClusteredMatcher):
         maintenance loop uses :meth:`benefit_margin`; this exists for
         inspection and for validating the approximation in tests.
         """
-        table = self.config.table(schema)
-        if table is None:
-            return 0.0
-        lst = table.entry(key)
+        lst = self.config.entry(schema, key)
         if lst is None:
             return 0.0
         entry_nu = self._entry_nu(schema, key)
@@ -327,24 +319,22 @@ class DynamicMatcher(ClusteredMatcher):
     def _distribute_entry(self, schema: Schema, key: Key) -> None:
         """The paper's ``Cluster_distribute`` for one oversized entry."""
         params = self.params
-        table = self.config.table(schema)
-        if table is None:
-            return
-        lst = table.entry(key)
+        lst = self.config.entry(schema, key)
         if lst is None:
             return
         self.maintenance["distributions"] += 1
         entry: EntryId = (schema, key)
         entry_nu = self._entry_nu(schema, key)
-        stayers: List[Subscription] = []
+        stayers: List[Tuple[Subscription, Dict[str, Value]]] = []
         for sub in map(self._subs.get, lst.handles()):
-            eligible = self.config.eligible_schemas(sub.equality_attributes)
+            values = equality_values(sub)
+            eligible = self.config.eligible_schemas(frozenset(values))
             best_schema = None
-            best_bucket = self._sub_nu_bucket(sub, schema)
+            best_bucket = self._sub_nu_bucket(values, schema)
             for cand in eligible:
                 if cand == schema:
                     continue
-                bucket = self._sub_nu_bucket(sub, cand)
+                bucket = self._sub_nu_bucket(values, cand)
                 if bucket <= best_bucket - self._gap:
                     best_schema, best_bucket = cand, bucket
             if best_schema is not None:
@@ -354,32 +344,34 @@ class DynamicMatcher(ClusteredMatcher):
                     self._tracker.unmark(sub.id)
                 self.maintenance["moves"] += 1
             else:
-                stayers.append(sub)
+                stayers.append((sub, values))
         # Redistribution not enough: vote for potential tables.
         if entry_nu * len(stayers) > params.bm_max:
-            for sub in stayers:
+            for sub, values in stayers:
                 if self._tracker.is_marked(sub.id):
                     continue
-                potentials = self._potential_schemas(sub, entry_nu)
+                potentials = self._potential_schemas(values, entry_nu)
                 self._tracker.note(sub.id, potentials, entry)
             for new_schema in self._tracker.ready(params.b_create):
                 self._create_table(new_schema)
 
-    def _sub_nu_bucket(self, sub: Subscription, schema: Schema) -> int:
-        """Value-specific ν of *sub* over *schema*, log-bucketed."""
-        return math.floor(math.log(max(1e-300, self._sub_nu(sub, schema))))
+    def _sub_nu_bucket(self, values: Dict[str, Value], schema: Schema) -> int:
+        """Value-specific ν over *schema*, log-bucketed, of the member whose
+        :func:`equality_values` (one pass per member) are *values*."""
+        nu = self.statistics.nu_of_pairs((a, values[a]) for a in schema)
+        return math.floor(math.log(max(1e-300, nu)))
 
-    def _potential_schemas(self, sub: Subscription, entry_nu: float) -> List[Schema]:
-        """Uncreated schemas over A(s) that would clearly beat the entry."""
+    def _potential_schemas(self, values: Dict[str, Value], entry_nu: float) -> List[Schema]:
+        """Uncreated schemas over A(s) (*values*' keys) that would clearly beat the entry."""
         params = self.params
-        attrs = sorted(sub.equality_attributes)
+        attrs = sorted(values)
         entry_bucket = math.floor(math.log(max(1e-300, entry_nu)))
         out: List[Schema] = []
         for k in range(2, min(len(attrs), params.max_schema_size) + 1):
             for combo in itertools.combinations(attrs, k):
                 if combo in self.config:
                     continue
-                if self._sub_nu_bucket(sub, combo) <= entry_bucket - self._gap:
+                if self._sub_nu_bucket(values, combo) <= entry_bucket - self._gap:
                     out.append(combo)
         return out
 
@@ -388,7 +380,6 @@ class DynamicMatcher(ClusteredMatcher):
     # ------------------------------------------------------------------
     def _create_table(self, schema: Schema) -> None:
         """Create a potential table and pull in its candidates' members."""
-        params = self.params
         candidates = self._tracker.candidates_of(schema)
         self._tracker.clear_schema(schema)
         if schema in self.config:
@@ -396,17 +387,15 @@ class DynamicMatcher(ClusteredMatcher):
         self.config.ensure_table(schema)
         self.maintenance["tables_created"] += 1
         for src_schema, src_key in candidates:
-            table = self.config.table(src_schema)
-            if table is None:
-                continue
-            lst = table.entry(src_key)
+            lst = self.config.entry(src_schema, src_key)
             if lst is None:
                 continue
             for sub in map(self._subs.get, lst.handles()):
-                if not sub.equality_attributes.issuperset(schema):
+                values = equality_values(sub)
+                if not all(a in values for a in schema):
                     continue
-                cur_bucket = self._sub_nu_bucket(sub, src_schema)
-                new_bucket = self._sub_nu_bucket(sub, schema)
+                cur_bucket = self._sub_nu_bucket(values, src_schema)
+                new_bucket = self._sub_nu_bucket(values, schema)
                 if new_bucket <= cur_bucket - self._gap:
                     self.move_subscription(sub.id, schema)
                     self._tracker.unmark(sub.id)
@@ -419,15 +408,11 @@ class DynamicMatcher(ClusteredMatcher):
             return
         members = [handle for _key, lst in table.entries() for handle in lst.handles()]
         for sub in map(self._subs.get, members):
-            eligible = [
-                s
-                for s in self.config.eligible_schemas(sub.equality_attributes)
-                if s != schema
-            ]
-            target = (
-                min(eligible, key=lambda s: (self._nu_bucket(s), s))
-                if eligible
-                else None
+            eligible = self.config.eligible_schemas(sub.equality_attributes)
+            target = min(
+                (s for s in eligible if s != schema),
+                key=lambda s: (self._nu_bucket(s), s),
+                default=None,
             )
             self.move_subscription(sub.id, target)
             self.maintenance["moves"] += 1

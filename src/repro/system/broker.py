@@ -43,6 +43,7 @@ from repro.core.errors import (
     ExpiredError,
     InvalidSubscriptionError,
     UnknownSubscriptionError,
+    id_repr,
 )
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Predicate, Subscription
@@ -277,10 +278,9 @@ class PubSubBroker:
             back = json.loads(json.dumps(sub_id))
             if isinstance(back, Hashable) and back == sub_id:
                 return
-            shown = repr(sub_id)
-        except (TypeError, ValueError):  # no JSON form (an int past the digit limit has no repr)
-            shown = f"of type {type(sub_id).__name__}"
-        raise InvalidSubscriptionError(f"id {shown} would not read back from the log")
+        except (TypeError, ValueError):  # no JSON form (an int past the digit limit has none)
+            pass
+        raise InvalidSubscriptionError(f"id {id_repr(sub_id)} would not read back from the log")
 
     # ------------------------------------------------------------------
     # the one way in and out: matcher plus table, never journaled
@@ -439,7 +439,13 @@ class PubSubBroker:
         with self._lock:
             if sub_id is None:
                 sub_id = f"sub-{next(self._auto_id)}"
-            self._admit(parse_subscriptions(text, f"{sub_id}~dnf"), sub_id, ttl, True)
+            try:
+                prefix = f"{sub_id}~dnf"
+            except ValueError:  # an int past the str digit limit has no str form
+                raise InvalidSubscriptionError(
+                    f"formula id {id_repr(sub_id)} has no str form to name its disjuncts"
+                ) from None
+            self._admit(parse_subscriptions(text, prefix), sub_id, ttl, True)
             return sub_id
 
     def unsubscribe(self, sub_id: Any) -> Subscription:

@@ -68,11 +68,9 @@ per ``apply`` message) and ``repro_procpool_mutations_total`` (ops).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
-from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -314,6 +312,10 @@ class ProcessPool(Instrumented):
             raise ValueError(
                 f"request timeout must be positive seconds, got {request_timeout}"
             )
+        import multiprocessing  # here, not at module level: it loads the socket stack
+        from multiprocessing.reduction import ForkingPickler
+
+        self._dumps = ForkingPickler.dumps  # what ``Connection.send`` would write
         methods = multiprocessing.get_all_start_methods()
         self.start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(self.start_method)
@@ -545,7 +547,7 @@ class ProcessPool(Instrumented):
         """
         worker = self._live_worker(index)
         start = time.perf_counter()
-        buf = ForkingPickler.dumps(message)  # what ``Connection.send`` would write
+        buf = self._dumps(message)
         try:
             worker.conn.send_bytes(buf)
         except (OSError, ValueError, BrokenPipeError) as exc:

@@ -77,8 +77,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
 from repro.core.matcher import Matcher
@@ -91,6 +90,9 @@ from repro.system.resilience import (
     PartialResults,
 )
 from repro.system.router import ShardRouter, make_router
+
+if TYPE_CHECKING:  # imported on the first fan-out (_ensure_pool): it loads logging
+    from concurrent.futures import ThreadPoolExecutor
 
 #: How per-shard breakers may be requested: ``True`` for defaults, a
 #: kwargs dict for :class:`CircuitBreaker`, or a zero-arg factory.
@@ -376,6 +378,8 @@ class ShardedMatcher(Matcher):
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
             self._pool = ThreadPoolExecutor(
                 max_workers=len(self._shards), thread_name_prefix="repro-shard"
             )

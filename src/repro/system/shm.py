@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -266,7 +265,7 @@ class ShmArena:
             raise ValueError(f"slot_bytes must be >= {min_slot}, got {slot_bytes}")
         slot_bytes = _pad8(slot_bytes)
         shm = shared_memory.SharedMemory(
-            name=f"{SHM_PREFIX}{os.getpid()}_{secrets.token_hex(4)}",
+            name=f"{SHM_PREFIX}{os.getpid()}_{os.urandom(4).hex()}",
             create=True,
             size=slots * slot_bytes,
         )

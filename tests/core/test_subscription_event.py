@@ -38,6 +38,13 @@ class TestSubscriptionConstruction:
             Subscription(huge, [("x", "=", 1)])
         assert f"<int of {huge.bit_length()} bits>: expected Predicate" in str(error.value)
 
+    def test_repr_names_an_unprintable_id(self):
+        huge = 10**5000
+        assert repr(Subscription(huge, [eq("a", 1)])) == (
+            f"Subscription(<int of {huge.bit_length()} bits>: a = 1)"
+        )
+        assert repr(Subscription("s", [eq("a", 1)])) == "Subscription('s': a = 1)"
+
     def test_duplicates_collapse(self):
         s = Subscription("s", [eq("x", 1), eq("x", 1), le("y", 2)])
         assert s.size == 2

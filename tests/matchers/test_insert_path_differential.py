@@ -8,7 +8,8 @@ numbers the subscription, interns its predicates into a
 then looks the handle up again for its home list, touches the entry
 (ν read through the memo) and ticks; ``sweep`` reads every large
 entry's ν afresh; ``move_subscription`` displaces before it derives the
-new key.  Only the column writes underneath are the engine's own (the
+new key; and a distribution or a table creation re-derives a member's
+probe key through ``key_for_schema`` for every candidate schema.  Only the column writes underneath are the engine's own (the
 pending buffer, which ``tests/algorithms/test_clusters.py`` holds to a
 list model).
 
@@ -19,10 +20,12 @@ over a few values so that entries are distributed and tables created
 and dropped within a few steps — both must agree on
 every live subscription's ``placement_of``, the maintenance and
 threshold counters, ``table_sizes()``, the table order and every
-result list; ``check_invariants()`` holds after every step.
+result list; ``check_invariants()`` holds after every step.  The same
+holds for 50k loads of those populations at the default thresholds.
 """
 
 import itertools
+import math
 import random
 from typing import Any, Dict, List, Optional, Set
 
@@ -33,7 +36,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.clustering import DynamicParams, EventStatistics
 from repro.clustering.dynamic import EntryId
-from repro.clustering.hashconfig import Schema
+from repro.clustering.hashconfig import Key, Schema
 from repro.core.errors import ClusteringError
 from repro.core import eq
 from repro.core.types import Operator, Predicate, Subscription
@@ -43,6 +46,16 @@ from repro.workload.scenarios import w0, w3, w4, w5, w6
 from tests.properties.strategies import ATTRIBUTES, events, predicates
 
 _EQ = Operator.EQ
+
+
+def key_for_schema(sub: Subscription, schema: Schema) -> Key:
+    """The probe key of *sub* over *schema*, derived from its predicates
+    for this schema alone (as ``repro.clustering.key_for_schema`` did)."""
+    values: Dict[str, Any] = {}
+    for p in sub.predicates:
+        if p.operator.is_equality and p.attribute in schema and p.attribute not in values:
+            values[p.attribute] = p.value
+    return tuple(values[a] for a in schema)
 
 
 class LayeredDynamicMatcher(DynamicMatcher):
@@ -171,6 +184,89 @@ class LayeredDynamicMatcher(DynamicMatcher):
             if len(table.schema) > 1 and len(table) < params.b_delete:
                 self._note_threshold("b_delete")
                 self._drop_table(table.schema)
+
+    # DynamicMatcher._distribute_entry / _sub_nu_bucket /
+    # _potential_schemas / _create_table, each member's key re-derived
+    # per candidate schema
+    def _distribute_entry(self, schema, key):
+        params = self.params
+        table = self.config.table(schema)
+        if table is None:
+            return
+        lst = table.entry(key)
+        if lst is None:
+            return
+        self.maintenance["distributions"] += 1
+        entry: EntryId = (schema, key)
+        entry_nu = self._entry_nu(schema, key)
+        stayers: List[Subscription] = []
+        for sub in map(self._subs.get, lst.handles()):
+            eligible = self.config.eligible_schemas(sub.equality_attributes)
+            best_schema = None
+            best_bucket = self._sub_nu_bucket(sub, schema)
+            for cand in eligible:
+                if cand == schema:
+                    continue
+                bucket = self._sub_nu_bucket(sub, cand)
+                if bucket <= best_bucket - self._gap:
+                    best_schema, best_bucket = cand, bucket
+            if best_schema is not None:
+                self.move_subscription(sub.id, best_schema)
+                if self._tracker.is_marked(sub.id):
+                    self._tracker.reset_votes(sub.equality_attributes)
+                    self._tracker.unmark(sub.id)
+                self.maintenance["moves"] += 1
+            else:
+                stayers.append(sub)
+        if entry_nu * len(stayers) > params.bm_max:
+            for sub in stayers:
+                if self._tracker.is_marked(sub.id):
+                    continue
+                potentials = self._potential_schemas(sub, entry_nu)
+                self._tracker.note(sub.id, potentials, entry)
+            for new_schema in self._tracker.ready(params.b_create):
+                self._create_table(new_schema)
+
+    def _sub_nu_bucket(self, sub, schema):
+        nu = self.statistics.nu_of_pairs(zip(schema, key_for_schema(sub, schema)))
+        return math.floor(math.log(max(1e-300, nu)))
+
+    def _potential_schemas(self, sub, entry_nu):
+        params = self.params
+        attrs = sorted(sub.equality_attributes)
+        entry_bucket = math.floor(math.log(max(1e-300, entry_nu)))
+        out: List[Schema] = []
+        for k in range(2, min(len(attrs), params.max_schema_size) + 1):
+            for combo in itertools.combinations(attrs, k):
+                if combo in self.config:
+                    continue
+                if self._sub_nu_bucket(sub, combo) <= entry_bucket - self._gap:
+                    out.append(combo)
+        return out
+
+    def _create_table(self, schema):
+        candidates = self._tracker.candidates_of(schema)
+        self._tracker.clear_schema(schema)
+        if schema in self.config:
+            return
+        self.config.ensure_table(schema)
+        self.maintenance["tables_created"] += 1
+        for src_schema, src_key in candidates:
+            table = self.config.table(src_schema)
+            if table is None:
+                continue
+            lst = table.entry(src_key)
+            if lst is None:
+                continue
+            for sub in map(self._subs.get, lst.handles()):
+                if not sub.equality_attributes.issuperset(schema):
+                    continue
+                cur_bucket = self._sub_nu_bucket(sub, src_schema)
+                new_bucket = self._sub_nu_bucket(sub, schema)
+                if new_bucket <= cur_bucket - self._gap:
+                    self.move_subscription(sub.id, schema)
+                    self._tracker.unmark(sub.id)
+                    self.maintenance["moves"] += 1
 
 
 #: Low thresholds: a few hundred subscriptions distribute entries, vote
@@ -361,3 +457,28 @@ def test_a_frozen_engine_places_identically():
             m.add(sub)
     assert_same(real, oracle, [s.id for s in subs])
     assert real.maintenance["sweeps"] == 0
+
+
+@pytest.mark.parametrize("before,after", [("w0", "w0"), ("w3", "w4"), ("w5", "w6")])
+def test_a_50k_load_places_and_maintains_identically(before, after):
+    """At full scale and the default thresholds the e2e workloads run
+    with: a 50k load of *before*, then batches of *after* events that
+    move the statistics, and a sweep."""
+    n = 50_000
+    real, oracle = DynamicMatcher(), LayeredDynamicMatcher()
+    for m in (real, oracle):
+        m.use_metrics()
+    subs = list(WorkloadGenerator(SPECS[before](n_subscriptions=n, seed=31)).subscriptions(n))
+    for sub in subs:
+        for m in (real, oracle):
+            m.add(sub)
+    ids = [s.id for s in subs]
+    assert_same(real, oracle, ids)
+    events = WorkloadGenerator(SPECS[after](n_subscriptions=n, seed=32))
+    for _ in range(4):
+        batch = list(events.events(256))
+        assert real.match_batch(batch) == oracle.match_batch(batch)
+    for m in (real, oracle):
+        m.sweep()
+    assert_same(real, oracle, ids)
+    assert real.maintenance["distributions"] and real.maintenance["moves"]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import Event, UnknownSubscriptionError
-from repro.system import PubSubBroker, QueueNotifier, VirtualClock
+from repro.core import Event, InvalidSubscriptionError, UnknownSubscriptionError
+from repro.system import PubSubBroker, QueueNotifier, VirtualClock, WriteAheadLog
 
 
 @pytest.fixture
@@ -41,6 +41,30 @@ class TestFormulaMatching:
         broker.subscribe(Subscription("plain", [eq("a", 1)]))
         broker.subscribe_formula("a = 1 or b = 2", "formula")
         assert sorted(broker.publish(Event({"a": 1}))) == ["formula", "plain"]
+
+
+class TestFormulaIds:
+    @pytest.mark.parametrize("journaled", [False, True], ids=["no-wal", "wal"])
+    def test_an_id_with_no_str_form_is_refused_before_anything_happens(
+        self, tmp_path, journaled
+    ):
+        """``str(10**5000)`` raises ``ValueError``: the disjuncts of such
+        a formula cannot be named, so it is refused, naming the id."""
+        huge = 10**5000
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "f.wal", clock=clock, fsync="never") if journaled else None
+        broker = PubSubBroker(clock=clock, notifier=QueueNotifier(), wal=wal)
+        appends = wal.counters["appends"] if wal else None
+        with pytest.raises(InvalidSubscriptionError, match=f"<int of {huge.bit_length()} bits>"):
+            broker.subscribe_formula("a = 1 or b = 2", sub_id=huge)
+        assert broker.subscription_count == 0
+        broker.check_invariants()
+        if wal is not None:
+            assert wal.counters["appends"] == appends
+        assert broker.subscribe_formula("a = 1", sub_id=7) == 7
+        assert broker.publish(Event({"a": 1})) == [7]
+        if wal is not None:
+            wal.close()
 
 
 class TestFormulaLifecycle:

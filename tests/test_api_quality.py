@@ -3,8 +3,12 @@
 import ast
 import importlib
 import inspect
+import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -1044,3 +1048,133 @@ class TestOneFanOut:
             rows = guarded.match_batch([Event({"k": "hot"}), Event({"k": 1, "p": 0})])
             assert list(rows[0]) == ["pathfinder"] and "pathfinder" not in rows[1]
             assert not rows[0].degraded
+
+
+#: Stdlib modules only process shards or a thread fan-out need: hashlib
+#: and its kin bring OpenSSL, multiprocessing the socket stack, and
+#: concurrent.futures the logging package.
+HEAVY_MODULES = (
+    "hashlib",
+    "_hashlib",
+    "secrets",
+    "hmac",
+    "ssl",
+    "socket",
+    "selectors",
+    "multiprocessing",
+    "concurrent.futures",
+    "logging",
+)
+
+_IMPORT_GRAPH_SCRIPT = """
+import json, os, re, sys, tempfile
+
+heavy = json.loads(sys.argv[1])
+import repro, repro.system
+from repro.core import Event, OracleMatcher, Subscription, eq, le
+from repro.matchers import DynamicMatcher
+from repro.system import DeliveryManager, PubSubBroker, ShardedMatcher, WriteAheadLog
+
+subs = [Subscription(f"s{i}", [eq("k", i % 5), le("p", 10 * (i % 7))]) for i in range(40)]
+events = [Event({"k": i % 5, "p": (13 * i) % 70}) for i in range(16)]
+engine = DynamicMatcher()
+for sub in subs:
+    engine.add(sub)
+engine.match_batch(events)
+engine.match(events[0])
+with tempfile.TemporaryDirectory() as tmp:
+    wal = WriteAheadLog(os.path.join(tmp, "broker.wal"), fsync="never")
+    manager = DeliveryManager(wal=wal)
+    broker = PubSubBroker(wal=wal, delivery=manager)
+    broker.subscribe(Subscription("plain", [eq("k", 1)]))
+    broker.subscribe_formula("k = 2 or p <= 5", sub_id="formula")
+    for sub_id in ("plain", "formula"):
+        manager.register(sub_id, sink=len, auto_ack=True)
+    broker.publish_batch(events)
+    broker.check_invariants()
+    broker.close()
+    wal.close()
+loaded = sorted(name for name in heavy if name in sys.modules)
+
+oracle = OracleMatcher()
+with ShardedMatcher(shards=2, executor="process") as sharded:
+    for sub in subs:
+        sharded.add(sub)
+        oracle.add(sub)
+    rows = sharded.match_batch(events)
+    (segment,) = sharded.executor_health()["shm"]["segments"]
+print(json.dumps({
+    "loaded": loaded,
+    "oracle_equal": [sorted(r) for r in rows] == [sorted(oracle.match(e)) for e in events],
+    "segment": bool(re.fullmatch(r"repro_shm_[0-9]+_[0-9a-f]{8}", segment)),
+    "after_shards": sorted(name for name in heavy if name in sys.modules),
+}))
+"""
+
+
+class TestImportGraph:
+    """A process loads only what it runs: importing the package and
+    serving through an engine or a broker (with its log and delivery)
+    pulls in none of :data:`HEAVY_MODULES`; building process shards
+    does, on the way."""
+
+    def test_engine_and_broker_load_no_heavy_module_until_process_shards(self):
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, json.dumps(HEAVY_MODULES)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["loaded"] == []
+        assert report["oracle_equal"]
+        assert report["segment"]
+        assert "multiprocessing" in report["after_shards"]
+
+    def test_no_module_level_import_of_a_heavy_module(self):
+        """An import inside a function runs only on the path that needs
+        it; one at module level (an ``if TYPE_CHECKING:`` block aside)
+        runs in every process that imports the module."""
+
+        def heavy(name):
+            return any(name == m or name.startswith(m + ".") for m in HEAVY_MODULES)
+
+        def module_level(body):
+            for node in body:
+                if isinstance(node, ast.If):
+                    test = node.test
+                    if not (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"):
+                        yield from module_level(node.body)
+                    yield from module_level(node.orelse)
+                elif isinstance(node, ast.Try):
+                    for block in (node.body, node.orelse, node.finalbody):
+                        yield from module_level(block)
+                    for handler in node.handlers:
+                        yield from module_level(handler.body)
+                elif isinstance(node, ast.With):
+                    yield from module_level(node.body)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield node
+
+        src = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for file in sorted(src.rglob("*.py")):
+            tree = ast.parse(file.read_text(encoding="utf-8"))
+            for node in module_level(tree.body):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif node.level == 0:  # ``from concurrent import futures`` names both
+                    names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    names = []
+                offenders += [
+                    f"{file.relative_to(src).as_posix()}:{node.lineno} {name}"
+                    for name in names
+                    if heavy(name)
+                ]
+        assert offenders == []
