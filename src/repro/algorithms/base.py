@@ -324,6 +324,7 @@ class TwoPhaseMatcher(Matcher):
         Subclasses extend with their phase-2 structure checks.
         """
         self._subs.check_invariants()
+        self.registry.check_invariants()
         # Registry refcounts must equal live predicate usage exactly.
         usage: Dict[Predicate, int] = {}
         for _handle, sub in self._subs.items():
@@ -343,4 +344,3 @@ class TwoPhaseMatcher(Matcher):
             assert indexed.get(key) == self.registry.slot(pred), (
                 f"index/registry slot mismatch for {pred!r}"
             )
-        assert self.bits.size >= len(self.registry)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, Iterable, List, Set
 
-from repro.core.errors import InvalidSubscriptionError
+from repro.core.errors import InvalidSubscriptionError, id_repr
 from repro.core.simplify import simplify_predicates
 from repro.core.types import Predicate, Subscription
 
@@ -118,7 +118,7 @@ class AttributeIndex:
 
     def add(self, key: Any, attributes: Iterable[str]) -> None:
         if key in self._attrs_of:
-            raise KeyError(f"duplicate key {key!r}")
+            raise KeyError(f"duplicate key {id_repr(key)}")
         attrs = frozenset(attributes)
         if not attrs:
             raise ValueError("empty attribute signature")

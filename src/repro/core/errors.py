@@ -8,7 +8,13 @@ context in its message to act on.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
+
+#: An int of at most this many bits has a str form under any digit
+#: limit Python allows (the lowest is ``str_digits_check_threshold``
+#: digits, and a digit takes more than 3 bits).
+_PRINTABLE_BITS = 3 * sys.int_info.str_digits_check_threshold
 
 
 def id_repr(sub_id: Any) -> str:
@@ -20,6 +26,18 @@ def id_repr(sub_id: Any) -> str:
     except ValueError:
         size = f" of {sub_id.bit_length()} bits" if isinstance(sub_id, int) else ""
         return f"<{type(sub_id).__name__}{size}>"
+
+
+def past_digit_limit(value: Any) -> bool:
+    """Is *value* an int past Python's str digit limit?  It has no
+    decimal form, so no JSON line can hold it."""
+    if not isinstance(value, int) or value.bit_length() <= _PRINTABLE_BITS:
+        return False
+    try:
+        int.__repr__(value)
+    except ValueError:
+        return True
+    return False
 
 
 class ReproError(Exception):

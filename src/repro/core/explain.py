@@ -13,6 +13,7 @@ import dataclasses
 from typing import Any, Dict, List, Tuple
 
 from repro.algorithms.base import TwoPhaseMatcher
+from repro.core.errors import id_repr
 from repro.core.types import Event, Predicate, Subscription
 
 
@@ -46,11 +47,11 @@ class MatchExplanation:
             f"({self.selectivity:.1%})",
         ]
         for pred, bit in sorted(
-            self.satisfied_predicates, key=lambda pb: (pb[0].attribute, str(pb[0].value))
+            self.satisfied_predicates, key=lambda pb: (pb[0].attribute, id_repr(pb[0].value))
         ):
-            lines.append(f"  bit {bit}: {pred.attribute} {pred.operator.value} {pred.value!r}")
+            lines.append(f"  bit {bit}: {pred.attribute} {pred.operator.value} {id_repr(pred.value)}")
         lines.append(f"phase 2: {self.subscriptions_checked} subscriptions checked")
-        lines.append(f"matched: {sorted(self.matched, key=str)}")
+        lines.append(f"matched: [{', '.join(sorted(map(id_repr, self.matched)))}]")
         return "\n".join(lines)
 
 

@@ -31,8 +31,9 @@ class PredicateRegistry:
     def __init__(self, bitvector: Optional[BitVector] = None) -> None:
         self.bits = bitvector if bitvector is not None else BitVector()
         self._slot_of: Dict[Predicate, int] = {}
-        self._pred_of: Dict[int, Predicate] = {}
-        #: Live references per slot, indexed by slot (0 on a free one).
+        #: Indexed by slot: the predicate (None on a free slot) and its
+        #: live references (0 on a free slot).
+        self._pred_of: List[Optional[Predicate]] = []
         self._refcount: List[int] = []
         self._free: List[int] = []
         self._epoch = 0
@@ -56,7 +57,7 @@ class PredicateRegistry:
         of the predicates that were new: the caller must insert those
         into the attribute indexes.
         """
-        slot_of, refcount = self._slot_of, self._refcount
+        slot_of, pred_of, refcount = self._slot_of, self._pred_of, self._refcount
         bits: List[int] = []
         fresh: List[int] = []
         for predicate in predicates:
@@ -65,9 +66,11 @@ class PredicateRegistry:
                 fresh.append(len(bits))
                 slot = self._free.pop() if self._free else self.bits.allocate()
                 slot_of[predicate] = slot
-                self._pred_of[slot] = predicate
                 if slot >= len(refcount):
-                    refcount.extend([0] * (slot + 1 - len(refcount)))
+                    grow = slot + 1 - len(refcount)
+                    pred_of.extend([None] * grow)
+                    refcount.extend([0] * grow)
+                pred_of[slot] = predicate
                 refcount[slot] = 1
                 self._epoch += 1
             else:
@@ -88,7 +91,7 @@ class PredicateRegistry:
         if self._refcount[slot] > 0:
             return slot, False
         del self._slot_of[predicate]
-        del self._pred_of[slot]
+        self._pred_of[slot] = None
         self._free.append(slot)
         self._epoch += 1
         return slot, True
@@ -110,7 +113,10 @@ class PredicateRegistry:
 
     def predicate(self, slot: int) -> Predicate:
         """Inverse lookup (raises KeyError for free slots)."""
-        return self._pred_of[slot]
+        predicate = self._pred_of[slot] if 0 <= slot < len(self._pred_of) else None
+        if predicate is None:
+            raise KeyError(slot)
+        return predicate
 
     def refcount(self, predicate: Predicate) -> int:
         """Number of live references (0 when absent)."""
@@ -133,3 +139,22 @@ class PredicateRegistry:
 
     def __repr__(self) -> str:
         return f"PredicateRegistry(live={len(self._slot_of)}, free={len(self._free)})"
+
+    def check_invariants(self) -> None:
+        """Slot ↔ predicate is a bijection; a free slot holds no
+        predicate and no reference, a live one at least one reference;
+        no slot is free twice; the bit vector covers every slot.  For
+        tests — O(slots)."""
+        pred_of, refcount, free = self._pred_of, self._refcount, self._free
+        assert len(pred_of) == len(refcount), "slot lists out of step"
+        assert len(pred_of) <= self.bits.size, "a slot past the bit vector"
+        live = {slot: pred for slot, pred in enumerate(pred_of) if pred is not None}
+        assert len(live) == len(self._slot_of) and all(
+            self._slot_of.get(pred) == slot for slot, pred in live.items()
+        ), "slot ↔ predicate drift"
+        free_set = set(free)
+        assert len(free_set) == len(free), "a slot freed twice"
+        assert free_set | live.keys() == set(range(len(pred_of))), "a slot neither live nor free"
+        assert not free_set & live.keys(), "a free slot holds a predicate"
+        assert not any(refcount[slot] for slot in free), "a free slot has references"
+        assert all(refcount[slot] >= 1 for slot in live), "a live slot without references"

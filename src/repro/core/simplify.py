@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.errors import InvalidSubscriptionError
+from repro.core.errors import InvalidSubscriptionError, id_repr
 from repro.core.types import Operator, Predicate, Subscription, Value
 
 
@@ -106,16 +106,16 @@ def _simplify_attribute(attribute: str, preds: List[Predicate]) -> List[Predicat
     if equalities:
         values = {p.value for p in equalities}
         if len(values) > 1:
+            first, second = sorted(map(id_repr, values))[:2]
             raise InvalidSubscriptionError(
-                f"contradiction: {attribute} equals both "
-                f"{sorted(map(str, values))[0]} and {sorted(map(str, values))[1]}"
+                f"contradiction: {attribute} equals both {first} and {second}"
             )
         eq = equalities[0]
         for other in inequalities + ranges:
             if not other.matches(eq.value):
                 raise InvalidSubscriptionError(
                     f"contradiction on {attribute!r}: "
-                    f"{eq.value!r} fails {other.operator.value} {other.value!r}"
+                    f"{id_repr(eq.value)} fails {other.operator.value} {id_repr(other.value)}"
                 )
         return [eq]
 

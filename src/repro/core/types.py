@@ -290,7 +290,7 @@ class Predicate:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Predicate({self.attribute!r} {self.operator.value} {self.value!r})"
+        return f"Predicate({self.attribute!r} {self.operator.value} {id_repr(self.value)})"
 
     def as_tuple(self) -> Tuple[str, str, Value]:
         """A plain ``(attribute, symbol, value)`` tuple (for serialization)."""
@@ -465,7 +465,7 @@ class Subscription:
 
     def __repr__(self) -> str:
         body = " and ".join(
-            f"{p.attribute} {p.operator.value} {p.value!r}" for p in self.predicates
+            f"{p.attribute} {p.operator.value} {id_repr(p.value)}" for p in self.predicates
         )
         return f"Subscription({id_repr(self.id)}: {body})"
 
@@ -627,5 +627,5 @@ class Event:
         return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{a}={v!r}" for a, v in sorted(self.items()))
+        body = ", ".join(f"{a}={id_repr(v)}" for a, v in sorted(self.items()))
         return f"Event({body})"

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.core.errors import id_repr
+
 
 class _Node:
     """One B-tree node: sorted keys, parallel payloads, children."""
@@ -117,7 +119,7 @@ class BTree:
         while True:
             i = _find(node.keys, key)
             if i < len(node.keys) and node.keys[i] == key:
-                raise KeyError(f"duplicate key {key!r}")
+                raise KeyError(f"duplicate key {id_repr(key)}")
             if node.leaf:
                 node.keys.insert(i, key)
                 node.vals.insert(i, value)
@@ -126,7 +128,7 @@ class BTree:
             if len(child.keys) == 2 * self._t - 1:
                 self._split_child(node, i)
                 if key == node.keys[i]:
-                    raise KeyError(f"duplicate key {key!r}")
+                    raise KeyError(f"duplicate key {id_repr(key)}")
                 if key > node.keys[i]:
                     i += 1
             node = node.children[i]

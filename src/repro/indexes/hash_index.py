@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
+from repro.core.errors import id_repr
 from repro.core.types import Value
 from repro.indexes.base import OperatorIndex
 
@@ -26,7 +27,7 @@ class EqualityHashIndex(OperatorIndex):
 
     def insert(self, value: Value, bit: int) -> None:
         if value in self._bits:
-            raise KeyError(f"equality constant {value!r} already indexed")
+            raise KeyError(f"equality constant {id_repr(value)} already indexed")
         self._bits[value] = bit
         self._vector = None
 

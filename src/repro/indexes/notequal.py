@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
+from repro.core.errors import id_repr
 from repro.core.types import Value
 from repro.indexes.base import OperatorIndex
 
@@ -27,7 +28,7 @@ class NotEqualIndex(OperatorIndex):
 
     def insert(self, value: Value, bit: int) -> None:
         if value in self._bits:
-            raise KeyError(f"!= constant {value!r} already indexed")
+            raise KeyError(f"!= constant {id_repr(value)} already indexed")
         self._bits[value] = bit
         self._vector = None
 

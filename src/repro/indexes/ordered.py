@@ -25,7 +25,7 @@ import enum
 from bisect import bisect_left, bisect_right, insort
 from typing import Iterator, List, Tuple
 
-from repro.core.errors import InvalidPredicateError
+from repro.core.errors import InvalidPredicateError, id_repr
 from repro.core.types import Operator, Value
 from repro.indexes.base import OperatorIndex
 from repro.indexes.btree import BTree
@@ -58,7 +58,7 @@ class SortedArrayOrderedIndex(OperatorIndex):
     def insert(self, value: Value, bit: int) -> None:
         i = bisect_left(self._values, value)
         if i < len(self._values) and self._values[i] == value:
-            raise KeyError(f"constant {value!r} already indexed")
+            raise KeyError(f"constant {id_repr(value)} already indexed")
         self._values.insert(i, value)
         self._bits.insert(i, bit)
         self._vector = None

@@ -121,7 +121,14 @@ def tokenize(text: str) -> List[Token]:
             else:
                 _refuse(text)
         if kind is _NUMBER:
-            value = float(lexeme) if "." in lexeme else int(lexeme)
+            try:
+                value = float(lexeme) if "." in lexeme else int(lexeme)
+            except ValueError:  # an int literal past Python's str digit limit
+                raise ParseError(
+                    f"integer literal of {len(lexeme)} characters is past the digit limit",
+                    text,
+                    pos,
+                ) from None
         elif kind is _STRING:
             value = lexeme[1:-1]
         append(_token(Token, (kind, lexeme, pos, value)))

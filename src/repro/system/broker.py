@@ -41,9 +41,11 @@ from typing import (
 
 from repro.core.errors import (
     ExpiredError,
+    InvalidEventError,
     InvalidSubscriptionError,
     UnknownSubscriptionError,
     id_repr,
+    past_digit_limit,
 )
 from repro.core.matcher import Matcher
 from repro.core.types import Event, Predicate, Subscription
@@ -282,6 +284,17 @@ class PubSubBroker:
             pass
         raise InvalidSubscriptionError(f"id {id_repr(sub_id)} would not read back from the log")
 
+    def _check_journaled_values(self, subs: List[Subscription]) -> None:
+        """A journaling broker takes only predicate values its log can
+        write: an int past the str digit limit has no JSON form."""
+        for sub in subs:
+            for predicate in sub.predicates:
+                if past_digit_limit(predicate.value):
+                    raise InvalidSubscriptionError(
+                        f"subscription {id_repr(sub.id)}: value {id_repr(predicate.value)} "
+                        "has no form in the log"
+                    )
+
     # ------------------------------------------------------------------
     # the one way in and out: matcher plus table, never journaled
     # ------------------------------------------------------------------
@@ -326,6 +339,8 @@ class PubSubBroker:
                 self._check_journaled_id(sub.id)
         else:
             self._check_journaled_id(formula)
+        if self.wal is not None:
+            self._check_journaled_values(subs)
         expires_at = None if ttl is None else now + ttl
         self._crash_point("subscribe:pre-apply")
         self._install(subs, itertools.repeat(expires_at), itertools.repeat(formula))
@@ -529,6 +544,15 @@ class PubSubBroker:
         """
         events = list(events)
         with self._lock:
+            if self.delivery is not None and self.delivery.wal is not None:
+                # Refused before anything is matched or numbered: a
+                # deliver line cannot hold an int past the digit limit.
+                for event in events:
+                    for value in event.values:
+                        if past_digit_limit(value):
+                            raise InvalidEventError(
+                                f"event value {id_repr(value)} has no form in the delivery log"
+                            )
             now = self.clock.now()
             self._expire(now)
             if self.delivery is not None:

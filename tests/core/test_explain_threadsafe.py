@@ -38,6 +38,19 @@ class TestExplain:
         assert "phase 1" in text and "phase 2" in text and "matched" in text
         assert "movie = 'gd'" in text
 
+    def test_describe_names_values_and_ids_past_the_digit_limit(self):
+        """``repr(10**5000)`` raises ``ValueError``: the summary names
+        such a value or id by type and size."""
+        huge = 10**5000
+        named = f"<int of {huge.bit_length()} bits>"
+        m = DynamicMatcher()
+        m.add(Subscription(huge, [eq("n", huge)]))
+        m.add(Subscription("s", [eq("n", huge)]))
+        text = explain(m, Event({"n": huge})).describe()
+        assert f"event: Event(n={named})" in text
+        assert f"n = {named}" in text
+        assert f"matched: ['s', {named}]" in text
+
     def test_matches_plain_match(self, matcher):
         e = Event({"movie": "gd", "price": 30})
         assert sorted(explain(matcher, e).matched) == sorted(matcher.match(e))

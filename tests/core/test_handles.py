@@ -2,12 +2,14 @@
 paths that must leave no handle behind."""
 
 import pickle
+import sys
+import tracemalloc
 
 import pytest
 
 from repro.core import Event, Subscription, eq
 from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
-from repro.core.handles import HandleTable
+from repro.core.handles import FREE_SHARE, HandleTable
 from repro.matchers import MATCHER_FACTORIES
 from repro.system.sharding import ShardedMatcher
 from tests.matchers.test_batch_conformance import build
@@ -74,6 +76,8 @@ class TestHandleTable:
             (lambda t: t._free.pop(), "neither live nor free"),
             (lambda t: t._handle.__setitem__("a", 1), "handle ↔ id drift"),
             (lambda t: t._handle.pop("a"), "handle ↔ id drift"),
+            (lambda t: t._handle.__setitem__("a", None), "handle ↔ id drift"),
+            (lambda t: t._handle.update(dict.fromkeys("wxyz")), "free entries past their share"),
         ],
     )
     def test_check_invariants_catches_a_broken_numbering(self, corrupt, message):
@@ -85,6 +89,63 @@ class TestHandleTable:
         corrupt(table)
         with pytest.raises(AssertionError, match=message):
             table.check_invariants()
+
+
+class TestChurnKeepsTheIndex:
+    """A freed id keeps its index entry, marked free: re-adding it
+    writes that entry in place, so churn over a steady population takes
+    no new insertion slot.  With a ``del`` per drop, CPython rebuilds
+    the dict at three times its live entries once the slots run out:
+    at 20k ids the table built by insertion has about 1.8k to spare."""
+
+    N = 20_000
+
+    def loaded(self):
+        subs = [sub(f"s{i}") for i in range(self.N)]
+        table = HandleTable()
+        for s in subs:
+            table.put(s)
+        return table, subs
+
+    def test_re_added_ids_do_not_grow_the_index(self):
+        table, subs = self.loaded()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for start in range(0, 100 * 32, 32):  # 3 200 re-adds
+                chunk = subs[start : start + 32]
+                for s in chunk:
+                    table.drop(s.id)
+                for s in reversed(chunk):
+                    table.put(s)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 * 1024, grown
+        assert len(table) == self.N and len(table._handle) == self.N
+        table.check_invariants()
+
+    def test_fresh_ids_stay_within_the_free_share(self):
+        """Fresh ids do take new entries: the index is rebuilt once free
+        ones pass their share, and stays no larger than a dict under
+        ``del`` churn."""
+        table, subs = self.loaded()
+        model = {s.id: h for h, s in table.items()}  # the ``del`` layout
+        largest = model_largest = 0
+        live = [s.id for s in subs]
+        for i in range(20_000):
+            fresh = sub(f"f{i}")
+            model[fresh.id] = table.put(fresh)
+            live.append(fresh.id)
+            gone = live[i]
+            table.drop(gone)
+            del model[gone]
+            assert len(table._handle) - len(table) <= FREE_SHARE * len(table._handle)
+            largest = max(largest, sys.getsizeof(table._handle))
+            model_largest = max(model_largest, sys.getsizeof(model))
+        assert len(table) == self.N
+        assert largest <= model_largest
+        table.check_invariants()
 
 
 class TestFailurePathsLeaveNoHandle:

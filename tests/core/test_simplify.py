@@ -87,6 +87,16 @@ class TestContradictions:
     def test_point_interval_survives(self):
         assert set(simp(le("x", 5), ge("x", 5))) == {le("x", 5), ge("x", 5)}
 
+    def test_a_value_past_the_digit_limit_is_named(self):
+        """``str(10**5000)`` raises ``ValueError``: the contradiction
+        names such a value by type and size."""
+        huge = 10**5000
+        named = f"<int of {huge.bit_length()} bits>"
+        with pytest.raises(InvalidSubscriptionError, match=f"equals both 1 and {named}"):
+            simp(eq("x", huge), eq("x", 1))
+        with pytest.raises(InvalidSubscriptionError, match=f"{named} fails <= 5"):
+            simp(eq("x", huge), le("x", 5))
+
 
 class TestSubscriptionLevel:
     def test_simplify_preserves_id_and_semantics(self):

@@ -38,6 +38,15 @@ class TestSubscriptionConstruction:
             Subscription(huge, [("x", "=", 1)])
         assert f"<int of {huge.bit_length()} bits>: expected Predicate" in str(error.value)
 
+    def test_reprs_name_an_unprintable_value(self):
+        """``repr(10**5000)`` raises ``ValueError``; a repr holding one
+        names it by type and size."""
+        huge = 10**5000
+        named = f"<int of {huge.bit_length()} bits>"
+        assert repr(eq("a", huge)) == f"Predicate('a' = {named})"
+        assert repr(Subscription("s", [eq("a", huge)])) == f"Subscription('s': a = {named})"
+        assert repr(Event({"a": huge, "b": 1})) == f"Event(a={named}, b=1)"
+
     def test_repr_names_an_unprintable_id(self):
         huge = 10**5000
         assert repr(Subscription(huge, [eq("a", 1)])) == (

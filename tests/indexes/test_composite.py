@@ -73,6 +73,11 @@ class TestMaintenance:
         with pytest.raises(KeyError):
             idx.remove(Predicate("x", Operator.EQ, 1))
 
+    def test_remove_unknown_names_a_value_past_the_digit_limit(self):
+        huge = 10**5000
+        with pytest.raises(KeyError, match=f"<int of {huge.bit_length()} bits>"):
+            PredicateIndexSet().remove(Predicate("x", Operator.EQ, huge))
+
     def test_empty_structures_pruned(self):
         idx = PredicateIndexSet()
         p1 = Predicate("x", Operator.EQ, 1)

@@ -161,3 +161,26 @@ class TestOrderedValidation:
         assert isinstance(
             make_ordered_index(Operator.LT), SortedArrayOrderedIndex
         )
+
+
+HUGE = 10**5000
+NAMED = f"<int of {HUGE.bit_length()} bits>"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        EqualityHashIndex,
+        NotEqualIndex,
+        lambda: make_ordered_index(Operator.LE, IndexKind.SORTED_ARRAY),
+        lambda: make_ordered_index(Operator.LE, IndexKind.BTREE),
+    ],
+    ids=["hash", "not-equal", "sorted-array", "btree"],
+)
+def test_a_duplicate_past_the_digit_limit_is_named(make):
+    """``repr(10**5000)`` raises ``ValueError``: the duplicate error
+    names the constant by type and size instead."""
+    idx = make()
+    idx.insert(HUGE, 1)
+    with pytest.raises(KeyError, match=NAMED):
+        idx.insert(HUGE, 2)

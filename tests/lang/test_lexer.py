@@ -69,3 +69,10 @@ class TestLexErrors:
         with pytest.raises(ParseError) as err:
             tokenize("abc = $")
         assert err.value.position == 6
+
+    def test_an_int_literal_past_the_digit_limit_is_a_parse_error(self):
+        """``int()`` refuses more than 4 300 digits with a bare
+        ``ValueError``; the lexer names the literal's position."""
+        with pytest.raises(ParseError, match="past the digit limit") as err:
+            tokenize("x = " + "9" * 5000)
+        assert err.value.position == 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Event, InvalidSubscriptionError, UnknownSubscriptionError
+from repro.core import Event, InvalidSubscriptionError, ParseError, UnknownSubscriptionError
 from repro.system import PubSubBroker, QueueNotifier, VirtualClock, WriteAheadLog
 
 
@@ -64,6 +64,24 @@ class TestFormulaIds:
         assert broker.subscribe_formula("a = 1", sub_id=7) == 7
         assert broker.publish(Event({"a": 1})) == [7]
         if wal is not None:
+            wal.close()
+
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["no-wal", "wal"])
+    def test_an_int_literal_past_the_digit_limit_is_a_parse_error(self, tmp_path, journaled):
+        """``int()`` reads at most 4 300 digits: the formula is refused
+        at the literal, before anything is installed or journaled."""
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "p.wal", clock=clock, fsync="never") if journaled else None
+        broker = PubSubBroker(clock=clock, notifier=QueueNotifier(), wal=wal)
+        appends = wal.counters["appends"] if wal else None
+        with pytest.raises(ParseError) as error:
+            broker.subscribe_formula("a = 1 or b = " + "9" * 5000, sub_id="f")
+        assert error.value.position == 13
+        assert broker.subscription_count == 0
+        broker.check_invariants()
+        if wal is not None:
+            assert wal.counters["appends"] == appends
             wal.close()
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core import Event, InvalidSubscriptionError, Subscription, eq
+from repro.core import Event, InvalidEventError, InvalidSubscriptionError, Subscription, eq
 from repro.obs import MetricsRegistry
 from repro.system import (
     DeliveryManager,
@@ -248,6 +248,71 @@ class TestIdsTheLogCannotGiveBack:
         assert (report.wal_records, report.torn_tail_discarded) == (1, 2)
         assert [s.id for s in dst.matcher.iter_subscriptions()] == ["a"]
         assert report.source_clock == 3.0  # the distrusted tail still ages ttls
+
+
+class TestValuesTheLogCannotWrite:
+    """An int past Python's str digit limit has no JSON form: a
+    journaling broker refuses it in a predicate or a delivered event
+    before anything is installed, matched, numbered or written."""
+
+    HUGE = 10**5000
+    NAMED = f"<int of {HUGE.bit_length()} bits>"
+
+    def broker(self, tmp_path, delivered):
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "v.wal", clock=clock, fsync="never")
+        manager = DeliveryManager(clock=clock, wal=wal) if delivered else None
+        broker = PubSubBroker(clock=clock, notifier=QueueNotifier(), wal=wal, delivery=manager)
+        broker.subscribe(Subscription("ok", [eq("a", 1)]))
+        if delivered:
+            manager.register("ok", lambda notification: None)
+        return broker
+
+    def recovered(self, broker):
+        broker.wal.close()
+        dst = fresh()
+        recover_files(dst, wal_path=broker.wal.path)
+        return sorted(s.id for s in dst.matcher.iter_subscriptions())
+
+    @pytest.mark.parametrize("delivered", [False, True], ids=["no-delivery", "delivery"])
+    def test_a_predicate_value_is_refused_before_it_is_installed(self, tmp_path, delivered):
+        broker = self.broker(tmp_path, delivered)
+        appends = broker.wal.counters["appends"]
+        batch = [Subscription("s2", [eq("b", 2)]), Subscription("s1", [eq("a", self.HUGE)])]
+        with pytest.raises(InvalidSubscriptionError, match=f"'s1': value {self.NAMED}"):
+            broker.subscribe_batch(batch)
+        assert broker.subscription_count == 1
+        assert broker.wal.counters["appends"] == appends
+        broker.check_invariants()
+        assert broker.publish(Event({"a": 1, "b": 2})) == ["ok"]
+        assert self.recovered(broker) == ["ok"]
+
+    @pytest.mark.parametrize("delivered", [False, True], ids=["no-delivery", "delivery"])
+    def test_an_event_value_is_refused_before_it_is_numbered(self, tmp_path, delivered):
+        broker = self.broker(tmp_path, delivered)
+        appends = broker.wal.counters["appends"]
+        huge = Event({"a": 1, "b": self.HUGE})
+        if delivered:
+            with pytest.raises(InvalidEventError, match=self.NAMED):
+                broker.publish_batch([Event({"a": 1}), huge])
+            assert broker.counters["published"] == 0
+            assert broker.wal.counters["appends"] == appends
+            broker.delivery.check_invariants()
+        else:  # nothing journals an event: it is matched as any other
+            assert broker.publish(huge) == ["ok"]
+        broker.check_invariants()
+        assert broker.publish(Event({"a": 1})) == ["ok"]
+        if delivered:
+            with open(broker.wal.path, encoding="utf-8") as fp:
+                delivers = [json.loads(line) for line in fp if '"deliver"' in line]
+            assert [record["seq"] for record in delivers] == [0]
+        assert self.recovered(broker) == ["ok"]
+
+    def test_a_broker_without_a_log_takes_them(self):
+        broker = fresh()
+        broker.subscribe(Subscription("s1", [eq("a", self.HUGE)]))
+        assert broker.publish(Event({"a": self.HUGE})) == ["s1"]
+        broker.check_invariants()
 
 
 class TestOnePass:
