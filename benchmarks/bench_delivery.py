@@ -14,12 +14,10 @@ subscription population, same event stream — in two lanes:
   is durability's, priced by ``make durability-smoke``), so each match
   runs the full lease → send → settle cycle.
 
-Both lanes' per-subscriber delivery counts are asserted identical
-before any time is compared.  The headline: the acked lane stays
-within **1.5×** of fire-and-forget wall-clock.  The run writes
-``BENCH_DELIVERY.json``, validated against the generic metrics-snapshot
-schema and ``schemas/bench_delivery.schema.json`` (whose ``maximum``
-bound re-checks the ratio on every validation).
+Both lanes' per-subscriber delivery counts are asserted identical,
+and non-empty, before any time is compared.  The headline, asserted by
+``test_acked_delivery_overhead``: the acked lane stays within **1.5×**
+of fire-and-forget wall-clock.
 """
 
 import random
@@ -28,11 +26,7 @@ import statistics
 import time
 
 from benchmarks.conftest import scaled
-from repro.bench.harness import bench_snapshot_path
 from repro.core import Event, Subscription, eq
-from repro.obs.check import validate_file
-from repro.obs.export import write_json_snapshot
-from repro.obs.registry import MetricsRegistry
 from repro.system import DeliveryManager, PubSubBroker, QueueNotifier, VirtualClock
 
 N_TOPICS = 20
@@ -127,40 +121,13 @@ def test_acked_delivery_overhead():
     assert ff_delivered == acked_delivered, "acked lane diverged from fire-and-forget"
     ff_median = statistics.median(ff_times)
     acked_median = statistics.median(acked_times)
-    ff_lane = {"seconds": ff_median, "events_per_second": len(events) / ff_median}
-    acked_lane = {
-        "seconds": acked_median,
-        "events_per_second": len(events) / acked_median,
-        "acks": manager.stats()["counters"]["acks"],
-    }
     overhead = acked_median / ff_median
-
-    registry = MetricsRegistry()
-    snapshot = bench_snapshot_path("delivery")
-    write_json_snapshot(
-        registry,
-        snapshot,
-        context={
-            "workload": "topic-equality fan-out",
-            "n_subscriptions": len(subs),
-            "n_events": len(events),
-            "matches": sum(ff_delivered.values()),
-            "reps": REPS,
-            "results": {
-                "fire_and_forget": ff_lane,
-                "acked": acked_lane,
-                "overhead": overhead,
-            },
-        },
-    )
-    for schema in (
-        "schemas/metrics_snapshot.schema.json",
-        "schemas/bench_delivery.schema.json",
-    ):
-        errors = validate_file(snapshot, schema)
-        assert not errors, f"BENCH_DELIVERY.json violates {schema}: {errors}"
+    # Both lanes must have delivered and settled something, or the
+    # differential above and the ratio below hold vacuously.
+    assert sum(ff_delivered.values()) >= 1, "the workload matched nothing"
+    assert manager.stats()["counters"]["acks"] >= 1, "the acked lane acked nothing"
     assert overhead <= OVERHEAD_BOUND, (
-        f"acked publish lane took {acked_lane['seconds']:.3f}s vs "
-        f"fire-and-forget {ff_lane['seconds']:.3f}s "
+        f"acked publish lane took {acked_median:.3f}s vs "
+        f"fire-and-forget {ff_median:.3f}s "
         f"(overhead {overhead:.2f}x > {OVERHEAD_BOUND}x)"
     )

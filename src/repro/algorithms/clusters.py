@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.core.errors import ClusteringError
+from repro.core.errors import ClusteringError, id_repr
 
 
 class Cluster:
@@ -314,7 +314,7 @@ class ClusterList:
 
     def __repr__(self) -> str:
         sizes = {s: len(c) for s, c in sorted(self._by_size.items())}
-        return f"ClusterList(key={self.key!r}, sizes={sizes})"
+        return f"ClusterList(key={id_repr(self.key)}, sizes={sizes})"
 
 
 class Homes:

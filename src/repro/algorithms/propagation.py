@@ -154,7 +154,7 @@ class PropagationMatcher(TwoPhaseMatcher):
     def check_invariants(self) -> None:
         super().check_invariants()
         for key, lst in self._lists.items():
-            assert lst, f"empty cluster list retained for {key!r}"
+            assert lst, f"empty cluster list retained for {id_repr(key)}"
             assert key == (lst.key.attribute, lst.key.value), "list filed under another key"
         lists = [self._universal, *self._lists.values()]
         homes = self._home.members(lists, (handle for handle, _sub in self._subs.items()))

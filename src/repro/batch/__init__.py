@@ -3,8 +3,8 @@
 The scalar engines process one event at a time: the predicate phase
 probes per-attribute indexes, the subscription phase walks candidate
 clusters.  At Python speed the per-event interpreter overhead dominates
-— ``BENCH_BATCH_MATCHING.json`` showed batch size 1→256 buying only
-~1.3–1.5× through the server path.  This package moves the hot loop
+— batch size 1→256 bought only ~1.3–1.5× through the server path
+before this kernel.  This package moves the hot loop
 into numpy, operating on *batches* of events:
 
 * :mod:`repro.batch.bitmatrix` — the packed ``(events × predicates)``

@@ -6,7 +6,6 @@ from repro.bench.harness import (
     LoadResult,
     MatchResult,
     PhaseSplit,
-    bench_snapshot_path,
     configured_scale,
     load_subscriptions,
     matcher_for,
@@ -24,7 +23,6 @@ __all__ = [
     "LoadResult",
     "MatchResult",
     "PhaseSplit",
-    "bench_snapshot_path",
     "bytes_per_subscription",
     "configured_scale",
     "deep_sizeof",

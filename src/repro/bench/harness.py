@@ -180,16 +180,3 @@ def measure_phases(matcher: TwoPhaseMatcher, events: Sequence[Event]) -> PhaseSp
         for phase in ("predicate", "subscription")
     }
     return PhaseSplit(len(events), seconds["predicate"], seconds["subscription"])
-
-
-def bench_snapshot_path(name: str, directory: str = ".") -> str:
-    """The conventional ``BENCH_<NAME>.json`` path for a bench's metrics.
-
-    Bench snapshots share the exact snapshot schema of
-    ``repro stats --metrics-out`` (``schemas/metrics_snapshot.schema.json``),
-    so one consumer reads both.
-    """
-    safe = "".join(c if c.isalnum() else "_" for c in name.upper()).strip("_")
-    if not safe:
-        raise ValueError(f"cannot derive a bench file name from {name!r}")
-    return os.path.join(directory, f"BENCH_{safe}.json")

@@ -13,7 +13,8 @@ well-formed inputs; a production front door should canonicalize:
 * ``!=`` predicates implied by the surviving range are dropped
   (``x != 3 and x > 7`` → ``x > 7``);
 * contradictions (``x = 1 and x = 2``, empty ranges, ``=``/``!=``
-  clashes) are reported rather than silently stored.
+  clashes, a point range ``x >= 5 and x <= 5`` with ``x != 5``) are
+  reported rather than silently stored.
 """
 
 from __future__ import annotations
@@ -130,6 +131,14 @@ def _simplify_attribute(attribute: str, preds: List[Predicate]) -> List[Predicat
         raise InvalidSubscriptionError(
             f"contradiction: empty range on {attribute!r}"
         )
+    if interval.lo is not None and interval.lo == interval.hi:
+        # A closed point: any != of that value leaves nothing.
+        for p in numeric_nes:
+            if p.value == interval.lo:
+                raise InvalidSubscriptionError(
+                    f"contradiction on {attribute!r}: the range is the point "
+                    f"{id_repr(interval.lo)}, which != excludes"
+                )
     survivors = interval.predicates(attribute)
     # != predicates already excluded by the interval are redundant.
     kept_nes = [

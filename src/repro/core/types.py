@@ -400,51 +400,19 @@ class Subscription:
         return True
 
     def is_satisfiable(self) -> bool:
-        """Cheap contradiction check over same-attribute numeric predicates.
+        """Is the conjunction free of a contradiction
+        :func:`~repro.core.simplify.simplify_predicates` can prove?
 
-        Detects e.g. ``x = 3 and x = 4`` or ``x < 2 and x > 5``.  Sound but
-        not complete for ``!=`` against finite domains (unknowable here).
+        Detects e.g. ``x = 3 and x = 4``, ``x < 2 and x > 5`` or
+        ``x >= 5 and x <= 5 and x != 5``.  Sound but not complete for
+        ``!=`` against finite domains (unknowable here).
         """
-        by_attr: Dict[str, list] = {}
-        for p in self.predicates:
-            by_attr.setdefault(p.attribute, []).append(p)
-        for preds in by_attr.values():
-            eqs = [p for p in preds if p.operator is Operator.EQ]
-            if len({p.value for p in eqs}) > 1:
-                return False
-            if eqs:
-                v = eqs[0].value
-                if not all(q.matches(v) for q in preds):
-                    return False
-                continue
-            lo, lo_strict = None, False
-            hi, hi_strict = None, False
-            nes = set()
-            for p in preds:
-                if isinstance(p.value, str):
-                    continue
-                if p.operator is Operator.GT:
-                    if lo is None or p.value >= lo:
-                        lo, lo_strict = p.value, True
-                elif p.operator is Operator.GE:
-                    if lo is None or p.value > lo:
-                        lo, lo_strict = p.value, False
-                elif p.operator is Operator.LT:
-                    if hi is None or p.value <= hi:
-                        hi, hi_strict = p.value, True
-                elif p.operator is Operator.LE:
-                    if hi is None or p.value < hi:
-                        hi, hi_strict = p.value, False
-                elif p.operator is Operator.NE:
-                    nes.add(p.value)
-            if lo is not None and hi is not None:
-                if lo > hi:
-                    return False
-                if lo == hi:
-                    if lo_strict or hi_strict:
-                        return False
-                    if lo in nes:
-                        return False
+        from repro.core.simplify import simplify_predicates  # it imports this module
+
+        try:
+            simplify_predicates(self.predicates)
+        except InvalidSubscriptionError:
+            return False
         return True
 
     def __eq__(self, other: object) -> bool:

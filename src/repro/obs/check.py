@@ -4,8 +4,8 @@ The container has no ``jsonschema`` dependency, so this module
 implements exactly the keyword subset the checked-in schema
 (``schemas/metrics_snapshot.schema.json``) uses: ``type`` (string or
 list of strings), ``enum``, ``properties``, ``required``, ``items``,
-``additionalProperties`` (bool or schema), ``minItems``, ``minimum``
-and ``maximum``.  Unknown keywords are ignored, like a permissive
+``additionalProperties`` (bool or schema), ``minItems`` and
+``minimum``.  Unknown keywords are ignored, like a permissive
 validator.
 
 Usable as a library (:func:`validate`) and as a command::
@@ -50,9 +50,6 @@ def validate(instance: Any, schema: Dict[str, Any], path: str = "$") -> List[str
         minimum = schema.get("minimum")
         if minimum is not None and instance < minimum:
             errors.append(f"{path}: {instance!r} below minimum {minimum!r}")
-        maximum = schema.get("maximum")
-        if maximum is not None and instance > maximum:
-            errors.append(f"{path}: {instance!r} above maximum {maximum!r}")
     if isinstance(instance, dict):
         properties = schema.get("properties", {})
         for key in schema.get("required", ()):

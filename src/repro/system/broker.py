@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 import threading
 from collections.abc import Hashable
 from typing import (
@@ -59,6 +60,19 @@ from repro.system.resilience import PartialResults
 
 if TYPE_CHECKING:  # annotation only: the broker needs nothing of the module at import
     from repro.system.wal import WriteAheadLog
+
+
+def _check_ttl(ttl: Optional[float]) -> None:
+    """Refuse a ttl no deadline can be computed from — NaN, which would
+    stall the expiry heap, or a number past float range — before
+    anything is installed, matched or journaled."""
+    try:
+        if ttl is None or not math.isnan(ttl):
+            return
+    except OverflowError:
+        pass
+    raise ExpiredError(f"ttl must be a number in float range, got {id_repr(ttl)}")
+
 
 #: Things subscribe() accepts: a full Subscription or bare predicates.
 SubscriptionLike = Union[Subscription, Sequence[Predicate]]
@@ -329,11 +343,12 @@ class PubSubBroker:
         under one durability boundary, then retro-match each unit (a
         plain subscription, or the formula's disjuncts together).  Lock
         held by the caller."""
-        now = self.clock.now()
-        self._expire(now)
         ttl = self.default_subscription_ttl if ttl is None else ttl
+        _check_ttl(ttl)
         if ttl is not None and ttl <= 0:
             raise ExpiredError(f"subscription ttl must be positive, got {ttl}")
+        now = self.clock.now()
+        self._expire(now)
         if formula is None:
             for sub in subs:
                 self._check_journaled_id(sub.id)
@@ -544,6 +559,8 @@ class PubSubBroker:
         """
         events = list(events)
         with self._lock:
+            ttl = self.event_retention_ttl if ttl is None else ttl
+            _check_ttl(ttl)
             if self.delivery is not None and self.delivery.wal is not None:
                 # Refused before anything is matched or numbered: a
                 # deliver line cannot hold an int past the digit limit.
@@ -559,7 +576,6 @@ class PubSubBroker:
                 self.delivery.pump(now)
             raw_lists = self.matcher.match_batch(events)
             logical_of = self._table.logical_of
-            ttl = self.event_retention_ttl if ttl is None else ttl
             retain_until = now + ttl if ttl is not None and ttl > 0 else None
             counters = self.counters
             out: List[List[Any]] = []

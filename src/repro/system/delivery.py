@@ -632,13 +632,16 @@ class DeliveryManager(Instrumented):
         # Fast path: a successful auto-acked send settles synchronously
         # — the lease never rests in the window — so the full
         # bookkeeping (window insertion, watermark) is skipped.  This is
-        # the publish hot path.
+        # the publish hot path.  The seq is taken only once its
+        # ``deliver`` line is written (a line that cannot be written
+        # leaves the channel as it was) and before the sink runs (a
+        # sink may dispatch into this channel again).
         seq = channel._next_seq
-        channel._next_seq = seq + 1
         notification = Notification(sub_id, event, now, seq=seq)
         wal = self.wal
         if wal is not None:
             self._journal_deliver(sub_id, seq, event, now)
+        channel._next_seq = seq + 1
         channel.dispatched += 1
         try:
             channel._sink(notification)
@@ -661,8 +664,9 @@ class DeliveryManager(Instrumented):
         """The non-auto-ack dispatch tail (manager lock held)."""
         if channel.connected:
             self._make_room(channel, now)
+        # ``_open`` journals the ``deliver`` line, then rests the lease,
+        # which takes the seq: an unwritable line leaves it untaken.
         seq = channel._next_seq
-        channel._next_seq = seq + 1
         lease = self._open(channel, Notification(sub_id, event, now, seq=seq), fresh=True)
         if not channel.connected:
             # A disconnected subscriber keeps losing its deliveries

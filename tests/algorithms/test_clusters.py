@@ -214,6 +214,9 @@ class TestClusterList:
         lst.add(0, [0, 1, 2])
         assert lst.memory_bytes() > 0
 
+    def test_repr_of_a_key_past_the_digit_limit(self):
+        assert repr(ClusterList((10**5000,))) == "ClusterList(key=<tuple>, sizes={})"
+
 
 class TestHomes:
     """The engine-wide half of the subscription line: every handle's

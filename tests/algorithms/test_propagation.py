@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms import PrefetchPropagationMatcher, PropagationMatcher
+from repro.algorithms import ClusterList, PrefetchPropagationMatcher, PropagationMatcher
 from repro.core import Event, Subscription, eq, ge, le
 
 
@@ -119,6 +119,12 @@ class TestHomes:
         m.remove("u")
         assert not any(m._home._cluster) and not m._lists
         m.check_invariants()
+
+    def test_an_empty_list_names_a_key_without_a_repr(self):
+        m = PropagationMatcher()
+        m._lists[("a", 10**5000)] = ClusterList(eq("a", 10**5000))
+        with pytest.raises(AssertionError, match="empty cluster list retained for <tuple>"):
+            m.check_invariants()
 
     def test_a_residual_drift_names_an_id_without_a_repr(self):
         huge = 10**5000

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import (
-    bench_snapshot_path,
     configured_scale,
     format_table,
     format_value,
@@ -98,12 +97,6 @@ class TestMeasurement:
         measure_phases(m1, events)
         assert [sorted(m1.match(e), key=str) for e in events] == expected
 
-    def test_bench_snapshot_path_sanitizes(self):
-        assert bench_snapshot_path("fig3a") == "./BENCH_FIG3A.json"
-        assert bench_snapshot_path("phase-split").endswith("BENCH_PHASE_SPLIT.json")
-        with pytest.raises(ValueError):
-            bench_snapshot_path("***")
-
 
 class TestBatchLane:
     def _population(self, n_subs=3000, n_events=512):
@@ -154,7 +147,7 @@ class TestBatchLane:
         registry = m.use_metrics()
         load_subscriptions(m, subs)
         res = measure_batch_matching(m, events, 64)
-        path = bench_snapshot_path("batch-lane-test", directory=str(tmp_path))
+        path = str(tmp_path / "snapshot.json")
         write_json_snapshot(
             registry,
             path,

@@ -52,6 +52,10 @@ class TestCovers:
         impossible = sub("n", eq("x", 1), eq("x", 2))
         assert covers(sub("b", eq("zzz", 9)), impossible)
 
+    def test_a_point_range_excluded_by_ne_is_vacuously_covered(self):
+        point = sub("n", ge("x", 5), le("x", 5), ne("x", 5))
+        assert covers(sub("b", gt("x", 100)), point)
+
     def test_unsatisfiable_broad_covers_nothing_satisfiable(self):
         impossible = sub("b", eq("x", 1), eq("x", 2))
         assert not covers(impossible, sub("n", eq("x", 1)))

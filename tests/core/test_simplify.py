@@ -78,6 +78,7 @@ class TestContradictions:
             (eq("x", 5), ne("x", 5)),
             (lt("x", 3), gt("x", 7)),
             (lt("x", 5), ge("x", 5)),
+            (ge("x", 5), le("x", 5), ne("x", 5)),
         ],
     )
     def test_detected(self, preds):

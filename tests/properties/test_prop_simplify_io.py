@@ -2,9 +2,9 @@
 
 import io
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.core import InvalidSubscriptionError, simplify
+from repro.core import InvalidSubscriptionError, Subscription, ge, le, ne, simplify
 from repro.io import (
     dump_events,
     dump_subscriptions,
@@ -26,6 +26,20 @@ def test_simplify_preserves_semantics(s, e):
         return
     assert slim.is_satisfied_by(e) == s.is_satisfied_by(e)
     assert slim.size <= s.size
+
+
+@settings(max_examples=120, deadline=None)
+@given(s=subscriptions())
+@example(s=Subscription("point", [ge("a", 5), le("a", 5), ne("a", 5)]))
+def test_is_satisfiable_agrees_with_simplify(s):
+    """One contradiction rule: ``is_satisfiable()`` is False exactly
+    when ``simplify`` refuses the subscription."""
+    try:
+        simplify(s)
+    except InvalidSubscriptionError:
+        assert not s.is_satisfiable()
+    else:
+        assert s.is_satisfiable()
 
 
 @settings(max_examples=80, deadline=None)

@@ -92,6 +92,25 @@ class TestValidityIntervals:
         assert broker.publish(Event({"x": 1})) == []
         assert broker.counters["expired_subscriptions"] == 1
 
+    def test_a_refused_nan_ttl_leaves_the_next_deadline_working(self, broker, clock):
+        """A NaN deadline atop the expiry heap would stop every later
+        deadline from coming due."""
+        with pytest.raises(ExpiredError):
+            broker.subscribe(Subscription("a", [eq("x", 1)]), ttl=float("nan"))
+        broker.subscribe(Subscription("b", [eq("x", 1)]), ttl=1.0)
+        clock.advance(10)
+        assert broker.publish(Event({"x": 1})) == []
+        assert broker.counters["expired_subscriptions"] == 1
+
+    @pytest.mark.parametrize("ttl", [float("nan"), 10**400], ids=["nan", "past-float-range"])
+    def test_a_publish_ttl_with_no_deadline_is_refused_before_matching(self, broker, ttl):
+        broker.subscribe(Subscription("a", [eq("x", 1)]))
+        broker.matcher.match_batch = None  # matching would raise TypeError
+        with pytest.raises(ExpiredError):
+            broker.publish(Event({"x": 1}), ttl=ttl)
+        assert broker.counters["published"] == 0
+        assert broker.retained_event_count == 0
+
     def test_default_subscription_ttl(self, clock):
         broker = PubSubBroker(clock=clock, default_subscription_ttl=5.0)
         broker.subscribe(Subscription("a", [eq("x", 1)]))

@@ -87,6 +87,8 @@ FAILED_SUBSCRIBES = {
         [sub("n0"), sub("n1"), sub(("t", 1))], {}, InvalidSubscriptionError
     ),
     "non-positive ttl": ([sub("n0"), sub("n1")], {"ttl": 0}, ExpiredError),
+    "NaN ttl": ([sub("n0"), sub("n1")], {"ttl": float("nan")}, ExpiredError),
+    "ttl past float range": ([sub("n0"), sub("n1")], {"ttl": 10**400}, ExpiredError),
 }
 
 

@@ -605,6 +605,25 @@ class TestWalIntegration:
         assert records[0]["sub"] == "s1" and records[0]["seq"] == seq
         assert records[1]["outcome"] == "ack"
 
+    @pytest.mark.parametrize("auto_ack", [True, False], ids=["push-auto-ack", "pull"])
+    def test_an_unwritable_deliver_line_takes_no_seq(self, tmp_path, auto_ack):
+        """``str(10**5000)`` raises ``ValueError`` while the ``deliver``
+        line is built: that dispatch must leave the channel's numbering,
+        counters and window as they were, so the next one is seq 0."""
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync="never", clock=clock)
+        manager = DeliveryManager(clock=clock, wal=wal, ack_timeout=5.0)
+        sink = (lambda n: None) if auto_ack else None
+        manager.register("s", sink=sink, auto_ack=auto_ack)
+        before = manager.stats()["counters"]
+        with pytest.raises(ValueError):
+            manager.dispatch("s", Event({"a": 10**5000}))
+        assert manager.stats()["counters"] == before
+        assert manager.channel("s").outstanding == 0
+        assert manager.dispatch("s", Event({"a": 1})) == 0
+        manager.check_invariants()
+        wal.close()
+
     def test_recovery_requeues_unacked_deliveries(self, tmp_path):
         clock = VirtualClock()
         wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync="never", clock=clock)
