@@ -21,12 +21,12 @@ once, at real volume:
    matcher takes one induced SIGKILL mid-request: the in-flight answer
    degrades (healthy shard still correct), the breaker quarantines the
    shard, and after cool-down the half-open probe respawns the worker
-   (which re-attaches to the arena), replays its subscriptions, and the
-   results re-converge exactly — with exactly one respawn counted.
-4. **Segment hygiene** — after both stages close their matchers,
-   ``/dev/shm`` holds no new ``repro_shm_*`` segments (the same
-   invariant the session-scoped leak guard in ``tests/conftest.py``
-   enforces for the pytest suites).
+   (which inherits the arena at fork), replays its subscriptions, and
+   the results re-converge exactly — with exactly one respawn counted.
+4. **Nothing named, nothing tracked** — the arena is an anonymous
+   mapping: ``/dev/shm`` gains no entry while the 4-worker pool is
+   live nor after both stages close their matchers, and no
+   multiprocessing resource-tracker process is ever started.
 
 Exits non-zero (with a diagnostic) on any divergence.
 """
@@ -42,7 +42,6 @@ from repro.bench.harness import load_subscriptions
 from repro.core import OracleMatcher
 from repro.matchers import make_matcher
 from repro.system import ShardedMatcher
-from repro.system.shm import SHM_PREFIX
 from repro.testing.faults import killable_worker
 from repro.workload import w0
 
@@ -71,12 +70,22 @@ def norm(ids):
     return sorted(ids, key=repr)
 
 
-def shm_segments():
-    """Names of this module's live segments under ``/dev/shm``."""
+def shm_entries():
+    """Every name under ``/dev/shm``."""
     try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith(SHM_PREFIX)}
+        return set(os.listdir("/dev/shm"))
     except FileNotFoundError:  # non-tmpfs platform: hygiene check is moot
         return set()
+
+
+def check_nothing_named_or_tracked(before, when):
+    """No new ``/dev/shm`` entry and no resource-tracker process."""
+    added = shm_entries() - before
+    if added:
+        fail(f"new /dev/shm entries {when}: {sorted(added)}")
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    if tracker is not None and tracker._resource_tracker._pid is not None:
+        fail(f"a multiprocessing resource tracker was started {when}")
 
 
 def metric_value(registry, name, **labels):
@@ -91,7 +100,7 @@ def metric_value(registry, name, **labels):
     return total
 
 
-def volume_stage():
+def volume_stage(before):
     """10k events through the slot ring, both entry points, vs oracle."""
     spec = dense_spec()
     subs, events = materialize(spec, N_SUBS, N_EVENTS)
@@ -168,6 +177,7 @@ def volume_stage():
             f"published, 0 fallbacks; sparse replies {replies:.1f} B/event "
             f"on the pipe (dense: {dense})"
         )
+        check_nothing_named_or_tracked(before, "while the pool is live")
 
         workers_metric = metric_value(registry, "repro_procpool_workers")
         if workers_metric != SHARDS:
@@ -232,17 +242,15 @@ def chaos_stage():
             respawns = matcher._procpool.stats()["counters"]["respawns"]
             if respawns != 1:
                 fail(f"expected exactly 1 respawn, pool counted {respawns}")
-            print("  respawn + replay + arena re-attach: OK (1 respawn, oracle equality restored)")
+            print("  respawn + replay + arena inherited: OK (1 respawn, oracle equality restored)")
 
 
 def main():
-    before = shm_segments()
-    volume_stage()
+    before = shm_entries()
+    volume_stage(before)
     chaos_stage()
-    leaked = shm_segments() - before
-    if leaked:
-        fail(f"leaked /dev/shm segments: {sorted(leaked)}")
-    print("  /dev/shm hygiene: no leaked segments")
+    check_nothing_named_or_tracked(before, "after close")
+    print("  /dev/shm hygiene: nothing named, no resource tracker, live or closed")
     print("procpool smoke passed")
 
 

@@ -22,10 +22,13 @@ from repro.algorithms.base import TwoPhaseMatcher
 from repro.core.types import Event, Subscription
 from repro.indexes.ordered import IndexKind
 
-#: Cell cap per hit-counter chunk: ``np.bincount`` materializes an int64
-#: (events × handles) counts matrix, and past ~8 MB the reduction turns
-#: memory-bound.
-_BINCOUNT_CELLS = 1 << 20
+#: Cell budget of one batch-kernel chunk.  A chunk's satisfied bits
+#: expand to one (row, member) cell per satisfied association entry, and
+#: those reduce into an int64 (rows x handles) counts matrix; a chunk
+#: takes as many truth rows as keep both under this many cells (a row
+#: that alone exceeds it is a chunk of its own), so the kernel's scratch
+#: stays a few hundred KiB however large the batch.
+_CHUNK_CELLS = 1 << 13
 
 
 class CountingMatcher(TwoPhaseMatcher):
@@ -115,53 +118,53 @@ class CountingMatcher(TwoPhaseMatcher):
             )
         return self._assoc
 
-    @staticmethod
-    def _hit_counts(chunk: np.ndarray, assoc: Tuple) -> Tuple[np.ndarray, int]:
-        """Hit counters via one ``np.bincount`` over flattened cells.
-
-        Every satisfied (row, bit) pair expands — by pure index
-        arithmetic over the flattened association segments — to the
-        linearized ``row * n_subs + member_column`` cells it increments;
-        one bincount then reduces them all at once, with no Python-level
-        loop over live bits.
-        """
-        thresholds, bit_arr, entry_cols, entry_counts, entry_offsets = assoc
-        n_subs = len(thresholds)
-        rows = chunk.shape[0]
-        r_idx, b_idx = np.nonzero(chunk[:, bit_arr])
-        lens = entry_counts[b_idx]
-        total = int(lens.sum())
-        if not total:
-            return np.zeros((rows, n_subs), dtype=np.int64), 0
-        # For each satisfied pair k, its member columns live at
-        # entry_cols[offset_k : offset_k + lens_k]; `seq` enumerates all
-        # those segments back to back.
-        starts = np.cumsum(lens) - lens
-        seq = np.arange(total, dtype=np.intp) + np.repeat(
-            entry_offsets[b_idx] - starts, lens
-        )
-        flat = np.repeat(r_idx, lens) * n_subs + entry_cols[seq]
-        counts = np.bincount(flat, minlength=rows * n_subs).reshape(rows, n_subs)
-        return counts, total
-
     def _match_phase2_batch(
         self, events: Sequence[Event], truth: np.ndarray
     ) -> List[List[int]]:
+        """Hit counters over row chunks of *truth*, one ``np.bincount``
+        per chunk.
+
+        Every satisfied (row, bit) pair of a chunk expands — by pure
+        index arithmetic over the flattened association segments — to
+        the linearized ``row * n_subs + member_column`` cells it
+        increments; one bincount then reduces them all at once, with no
+        Python-level loop over live bits.  Chunks are sized to
+        :data:`_CHUNK_CELLS` from the cells per row the previous chunk
+        expanded to; the first one assumes a row satisfies every bit (a
+        row cannot expand past the whole table).
+        """
         n = len(events)
         out: List[List[int]] = [[] for _ in range(n)]
         assoc = self._assoc_arrays()
         if assoc is None:
             return out
-        thresholds = assoc[0]
+        thresholds, bit_arr, entry_cols, entry_counts, entry_offsets = assoc
+        n_subs = len(thresholds)
         touched = 0
-        # Event-chunked so the hit-counter matrix stays cache-friendly.
-        step = max(1, _BINCOUNT_CELLS // len(thresholds))
-        for s in range(0, n, step):
-            counts, t = self._hit_counts(truth[s : s + step], assoc)
-            touched += t
-            rows, handles = np.nonzero(counts == thresholds)
-            for r, handle in zip(rows.tolist(), handles.tolist()):
-                out[s + r].append(handle)
+        # What one row costs: its counts-matrix row, or its cells if more.
+        row_cells = max(n_subs, len(entry_cols))
+        s = 0
+        while s < n:
+            rows = min(max(1, _CHUNK_CELLS // row_cells), n - s)
+            r_idx, b_idx = np.nonzero(truth[s : s + rows, bit_arr])
+            lens = entry_counts[b_idx]
+            cells = int(lens.sum())
+            touched += cells
+            row_cells = max(n_subs, -(-cells // rows))
+            if cells:
+                # Pair k's member columns live at entry_cols[offset_k :
+                # offset_k + lens_k]; `seq` walks those segments back to
+                # back.
+                starts = np.cumsum(lens) - lens
+                seq = np.arange(cells, dtype=np.intp) + np.repeat(
+                    entry_offsets[b_idx] - starts, lens
+                )
+                flat = np.repeat(r_idx, lens) * n_subs + entry_cols[seq]
+                counts = np.bincount(flat, minlength=rows * n_subs).reshape(rows, n_subs)
+                hit_rows, handles = np.nonzero(counts == thresholds)
+                for r, handle in zip(hit_rows.tolist(), handles.tolist()):
+                    out[s + r].append(handle)
+            s += rows
         self.counters["subscription_checks"] += touched
         return out
 

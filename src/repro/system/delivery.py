@@ -661,13 +661,25 @@ class DeliveryManager(Instrumented):
     def _dispatch_slow(
         self, channel: SubscriberChannel, sub_id: Any, event: Any, now: float
     ) -> int:
-        """The non-auto-ack dispatch tail (manager lock held)."""
-        if channel.connected:
+        """The non-auto-ack dispatch tail (manager lock held).
+
+        The ``deliver`` line is written before the window changes: a
+        line that cannot be written leaves the channel, its counters
+        and the log as they were.  A full window's ``block`` (which
+        waits with the lock released, so the seq is read after it) and
+        ``disconnect`` change nothing this dispatch would have to undo,
+        and run first; shedding does, so it runs after the line.
+        """
+        shed = channel.connected and channel._policy.overflow == "shed-oldest"
+        if channel.connected and not shed:
             self._make_room(channel, now)
-        # ``_open`` journals the ``deliver`` line, then rests the lease,
-        # which takes the seq: an unwritable line leaves it untaken.
         seq = channel._next_seq
-        lease = self._open(channel, Notification(sub_id, event, now, seq=seq), fresh=True)
+        self._journal_deliver(sub_id, seq, event, now)
+        if shed:
+            self._make_room(channel, now)
+        channel.dispatched += 1
+        # Resting the lease takes the seq.
+        lease = self._open(channel, Notification(sub_id, event, now, seq=seq))
         if not channel.connected:
             # A disconnected subscriber keeps losing its deliveries
             # to the DLQ (re-drivable on reconnect) — never blocks
@@ -729,18 +741,13 @@ class DeliveryManager(Instrumented):
         channel: Optional[SubscriberChannel],
         notification: Notification,
         attempts: int = 0,
-        fresh: bool = False,
     ) -> Lease:
         """The one way in: build the lease, count it, and rest it
         pending in *channel*'s window — or, with no channel yet
-        (recovery), park it until its subscriber registers.  A *fresh*
-        dispatch journals its ``deliver`` first (write-ahead); a failed
-        auto-ack already has, and the record a lease was recovered from
-        covers a restored one."""
+        (recovery), park it until its subscriber registers.  Its
+        ``deliver`` line is already written: by the dispatch, or in the
+        record a restored lease was recovered from."""
         sub_id, seq, at = notification.sub_id, notification.seq, notification.timestamp
-        if fresh:
-            self._journal_deliver(sub_id, seq, notification.event, at)
-            channel.dispatched += 1
         # A parked lease has no channel to take a retry policy from.
         retry = None if channel is None else channel._policy.retry
         lease = Lease(seq, notification, attempts, at, at, retry)

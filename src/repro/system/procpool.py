@@ -22,12 +22,14 @@ and ``tests/properties/test_prop_procpool.py``):
   the worker's hit handles back into ids.
 * **Mutations are write-behind; every read is the barrier.**  ``add`` /
   ``remove`` are decided against the mirror (a duplicate or unknown id
-  raises at once, with no pipe traffic), pickled, and buffered; the
-  buffer goes down the pipe as one ``apply`` message per
-  ``_APPLY_CHUNK`` ops — posted, its ack collected later, at most one
-  unacknowledged per worker — and, always, before any request that
-  reads the worker.  A read therefore sees every write before it, and
-  a mutation costs a share of one pipe message instead of a round trip.
+  raises at once, with no pipe traffic) and pickled onto the shard's
+  chunk, one pickle stream with one memo (a predicate or a class that
+  recurs in the chunk is written once); the chunk goes down the pipe as
+  one ``apply`` message per ``_APPLY_CHUNK`` ops — posted, its ack
+  collected later, at most one unacknowledged per worker — and, always,
+  before any request that reads the worker.  A read therefore sees every
+  write before it, and a mutation costs a share of one pipe message
+  instead of a round trip.
 * **Epoch checking.**  Every reply carries the worker's mutation epoch;
   a mismatch against the parent's mirror epoch (a lost command, a
   corrupted pipe) raises :class:`~repro.system.resilience.WorkerStateError`
@@ -44,8 +46,9 @@ and ``tests/properties/test_prop_procpool.py``):
   free: death trips the breaker, events skip the shard (degraded
   ``PartialResults``), and the half-open probe is what respawns and
   re-converges it.
-* **One data plane, one counted fallback.**  Every pool owns a
-  shared-memory :class:`~repro.system.shm.ShmArena`: an event batch
+* **One data plane, one counted fallback.**  Every pool owns an
+  anonymous shared :class:`~repro.system.shm.ShmArena`, mapped before
+  its workers fork: an event batch
   whose values are all float64-exact numbers is packed once into a slot
   as a :class:`~repro.batch.columns.ColumnarBatch` and every probed
   worker reads it in place.  A batch the arena cannot take goes down
@@ -57,17 +60,21 @@ and ``tests/properties/test_prop_procpool.py``):
   int32 count per event plus the int32 handles the parent's mirror gave
   the matching subscriptions, O(hits) however large the shard.
 
-Worker lifecycle: spawn → warm-up handshake (the worker builds its
+Worker lifecycle: fork → warm-up handshake (the worker builds its
 matcher and reports its name/pid, so factory failures surface at
-construction) → serve → graceful ``stop`` on :meth:`ProcessPool.close`
-(abrupt ``terminate``/``kill`` for stragglers).  Metrics:
-``repro_procpool_workers`` (live workers), ``repro_procpool_respawns_total``
-(by shard), ``repro_procpool_ipc_seconds`` (by op; one ``mutate`` sample
-per ``apply`` message) and ``repro_procpool_mutations_total`` (ops).
+construction; a new pool forks every worker before it waits on any) →
+serve → graceful ``stop`` on :meth:`ProcessPool.close` (abrupt
+``terminate``/``kill`` for stragglers).  Workers start by ``fork`` only:
+that is how they get the arena (and how a factory may be a closure).
+Metrics: ``repro_procpool_workers`` (live workers),
+``repro_procpool_respawns_total`` (by shard),
+``repro_procpool_ipc_seconds`` (by op; one ``mutate`` sample per
+``apply`` message) and ``repro_procpool_mutations_total`` (ops).
 """
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import time
@@ -200,20 +207,20 @@ def _match_slot(
     return match_payload(matcher, arena.read_slot(slot_index, generation), rows)
 
 
-def worker_main(
-    conn, factory: Callable[[], Matcher], shm_spec: Dict[str, Any]
+def _worker_main(
+    conn, factory: Callable[[], Matcher], arena: ShmArena, inherited: List[Any]
 ) -> None:
     """Serve one shard's matcher over *conn* until EOF or ``stop``.
 
-    Exposed (not underscore-private) because ``spawn``/``forkserver``
-    start methods must import it by qualified name.
-
-    *shm_spec* names the parent's arena: the worker attaches the segment
-    (never unlinks — the parent owns it) and reads event slots in place.
+    *arena* is the parent's, inherited at fork: the worker reads event
+    slots in place and never writes them.  *inherited* are the parent's
+    pipe ends the fork copied in; closed here, so when the parent dies
+    every worker sees EOF and exits, and the arena goes with the last.
     """
+    for end in inherited:
+        end.close()
     try:
         matcher = factory()
-        arena = ShmArena.attach(shm_spec)
     except BaseException as exc:
         _send(conn, "err", exc)
         conn.close()
@@ -236,11 +243,20 @@ def worker_main(
                 # One reply form for both lanes, always on the pipe.
                 reply: Any = (epoch, encode_results(lists, handle_of))
             elif op == "apply":
-                # One epoch per op, in order.  An op the engine rejects
-                # ends the message: the parent treats the error reply as
-                # a state error and replaces this worker.
-                for blob in msg[1]:
-                    mutation = pickle.loads(blob)
+                # One pickle stream, one memo: one epoch per op, in
+                # order.  An op the engine rejects ends the message: the
+                # parent treats the error reply as a state error and
+                # replaces this worker.
+                stream = io.BytesIO(msg[1])
+                ops = pickle.Unpickler(stream)
+                while True:
+                    try:
+                        mutation = ops.load()
+                    except EOFError:
+                        break
+                    if mutation is _FORGET:  # a fresh memo from here on
+                        ops = pickle.Unpickler(stream)
+                        continue
                     if mutation[0]:
                         _add, handle, sub = mutation
                         matcher.add(sub)
@@ -294,10 +310,10 @@ class ProcessPool(Instrumented):
     stops answering (a deadlocked inner engine, a wedged pipe) is killed
     and reported as :class:`WorkerDiedError` instead of hanging the
     caller — the executor-level deadlock guard the chaos suite leans on.
-    Workers start by ``fork`` where available (factories may be
-    closures), else by the platform's first start method (factories must
-    then pickle).  The pool owns one :class:`ShmArena` that every worker
-    attaches, a respawned one included.
+    Workers start by ``fork`` (factories may be closures); a platform
+    without it is refused at construction.  The pool owns one
+    :class:`ShmArena`, mapped before the first fork, that every worker
+    inherits, a respawned one included.
     """
 
     def __init__(
@@ -315,10 +331,14 @@ class ProcessPool(Instrumented):
         import multiprocessing  # here, not at module level: it loads the socket stack
         from multiprocessing.reduction import ForkingPickler
 
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise RuntimeError(
+                "process shards need the 'fork' start method (workers inherit "
+                "the shared event arena at fork), which this platform lacks; "
+                'use executor="thread"'
+            )
         self._dumps = ForkingPickler.dumps  # what ``Connection.send`` would write
-        methods = multiprocessing.get_all_start_methods()
-        self.start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(self.start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self.request_timeout = request_timeout
         self._factories = list(factories)
         self._workers: List[Optional[_Worker]] = [None] * len(factories)
@@ -326,11 +346,13 @@ class ProcessPool(Instrumented):
         self.arena = ShmArena.create(slots=_SHM_SLOTS, slot_bytes=_SHM_SLOT_BYTES)
         self.use_metrics(metrics)
         try:
+            # Every worker builds its matcher while the others do.
             for index in range(len(factories)):
-                self.spawn(index)
+                self._start(index)
+            for index in range(len(factories)):
+                self._handshake(index)
         except BaseException:
-            # A mid-loop factory failure must not leak the workers (or
-            # /dev/shm segments) already brought up.
+            # A factory failure must not leak the workers already started.
             self.close()
             raise
 
@@ -414,28 +436,35 @@ class ProcessPool(Instrumented):
     def spawn(self, index: int) -> None:
         """Start (or restart) shard *index*'s worker and run the warm-up
         handshake; raises the factory's own error if construction fails."""
+        self._start(index)
+        self._handshake(index)
+
+    def _start(self, index: int) -> None:
+        """Fork shard *index*'s worker (it inherits the arena)."""
         if self._closed:
             raise WorkerDiedError("process pool is closed", shard=index)
         self._reap(index)
         parent_conn, child_conn = self._ctx.Pipe()
+        held = [worker.conn for worker in self._workers if worker is not None]
         process = self._ctx.Process(
-            target=worker_main,
-            # Respawns reattach the same segment: the spec names it.
-            args=(child_conn, self._factories[index], self.arena.spec()),
+            target=_worker_main,
+            args=(child_conn, self._factories[index], self.arena, held + [parent_conn]),
             daemon=True,
             name=f"repro-shard-{index}",
         )
         process.start()
         child_conn.close()  # EOF detection needs the parent copy gone
-        worker = _Worker(process, parent_conn, "?", process.pid or -1)
+        self._workers[index] = _Worker(process, parent_conn, "?", process.pid)
+
+    def _handshake(self, index: int) -> None:
+        """Wait for shard *index*'s worker to report its matcher built."""
+        worker = self._workers[index]
         status, value = pickle.loads(self._recv(worker, index))
         if status == "err":
-            process.join(timeout=1.0)
-            parent_conn.close()
+            self._reap(index)
             raise value
         worker.name = value.get("name", "?")
         worker.pid = value.get("pid", worker.pid)
-        self._workers[index] = worker
 
     def respawn(self, index: int) -> None:
         """Replace a dead worker (counted in ``repro_procpool_respawns_total``)."""
@@ -480,8 +509,6 @@ class ProcessPool(Instrumented):
                 except (OSError, ValueError):
                     pass
             self._reap(index)
-        # Workers are gone; unmapping + unlinking here is the only place
-        # the segment leaves /dev/shm.
         self.arena.close()
 
     # -- shared-memory publish path ------------------------------------
@@ -619,7 +646,6 @@ class ProcessPool(Instrumented):
             "name": "procpool",
             "workers": len(self._factories),
             "alive": self.alive_count(),
-            "start_method": self.start_method,
             "request_timeout": self.request_timeout,
             "counters": {
                 "respawns": int(sum(c.value for c in self._m_respawns)),
@@ -649,10 +675,10 @@ class ProcessPool(Instrumented):
         }
 
 
-def _pickle_op(*mutation: Any) -> bytes:
-    """One buffered mutation: ``(True, handle, subscription)`` /
-    ``(False, sub_id)``."""
-    return pickle.dumps(mutation, pickle.HIGHEST_PROTOCOL)
+#: The mark a chunk carries where the parent cut a half-written op and
+#: cleared its memo: the worker reads on with a fresh unpickler, so a
+#: memo reference after the cut names what the parent meant.
+_FORGET = None
 
 
 class ProcessShard(Matcher):
@@ -666,8 +692,9 @@ class ProcessShard(Matcher):
     decoder of hit handles (rows come back in ascending handle order).
 
     Mutations are write-behind: ``add`` / ``remove`` are decided against
-    the mirror, change it at once and leave a pickled op in a buffer
-    that reaches the worker as one ``apply`` message per
+    the mirror, change it at once and pickle an op — ``(True, handle,
+    subscription)`` / ``(False, sub_id)`` — onto the chunk, one pickle
+    stream that reaches the worker as one ``apply`` message per
     ``_APPLY_CHUNK`` ops.  Every call that reads the worker (``match``,
     ``match_batch``, ``consume_slot``, ``stats``, ``rebuild``) is a
     barrier: it first sends what is buffered and collects the
@@ -685,8 +712,10 @@ class ProcessShard(Matcher):
         self.index = index
         self._mirror = HandleTable()
         self._epoch = 0
-        #: Pickled ops the mirror has taken and the worker has not been sent.
-        self._buffer: List[bytes] = []
+        #: Ops the mirror has taken and the worker has not been sent: how
+        #: many, and the pickle stream holding them.
+        self._buffered = 0
+        self._new_chunk()
         #: The epoch the one unacknowledged ``apply`` must answer with.
         self._posted_epoch: Optional[int] = None
         #: A state error met while a mutation was flushing a chunk; the
@@ -725,14 +754,29 @@ class ProcessShard(Matcher):
         # Whatever was buffered or in flight went with the old worker;
         # the mirror holds all of it.  A fresh worker's epoch counts
         # only the replayed adds.
-        self._buffer = []
+        self._buffered = 0
+        self._new_chunk()
         self._posted_epoch = None
         self._epoch = 0
         for handle, sub in self._mirror.items():
-            self._record(_pickle_op(True, handle, sub))
+            self._pickler.dump((True, handle, sub))
+            self._record()
 
-    def _record(self, blob: bytes) -> None:
-        """Count one op the mirror has taken and queue it for the worker.
+    def _new_chunk(self) -> None:
+        self._chunk = io.BytesIO()
+        self._pickler = pickle.Pickler(self._chunk, pickle.HIGHEST_PROTOCOL)
+
+    def _cut(self, start: int) -> None:
+        """Drop a half-written op: the stream back to *start*, and the
+        memo, which may name objects whose bytes were just dropped."""
+        self._chunk.seek(start)
+        self._chunk.truncate()
+        self._pickler.clear_memo()
+        if start:
+            self._pickler.dump(_FORGET)
+
+    def _record(self) -> None:
+        """Count one op the mirror has taken and the chunk holds.
 
         Never raises: the op is already in the mirror, so a transport
         failure here only leaves the worker marked dead for the next
@@ -740,8 +784,8 @@ class ProcessShard(Matcher):
         ``ShardedMatcher`` forget a subscription the mirror still holds).
         """
         self._epoch += 1
-        self._buffer.append(blob)
-        if len(self._buffer) < _APPLY_CHUNK:
+        self._buffered += 1
+        if self._buffered < _APPLY_CHUNK:
             return
         try:
             self._post_buffer()
@@ -752,14 +796,15 @@ class ProcessShard(Matcher):
 
     def _post_buffer(self) -> None:
         """Send the buffered ops as one ``apply``, not waiting for its ack."""
-        if not self._buffer:
+        if not self._buffered:
             return
         # Taken before anything can raise: a failed post marks the
-        # worker dead, and the heal replays the mirror, not this list.
-        ops, self._buffer = self._buffer, []
+        # worker dead, and the heal replays the mirror, not this chunk.
+        ops, count, self._buffered = self._chunk.getvalue(), self._buffered, 0
+        self._new_chunk()
         self._collect_ack()
         self.pool.post(self.index, ("apply", ops))
-        self.pool._m_mutations.inc(len(ops))
+        self.pool._m_mutations.inc(count)
         self._posted_epoch = self._epoch
 
     def _collect_ack(self) -> None:
@@ -788,14 +833,20 @@ class ProcessShard(Matcher):
 
     # -- the Matcher surface --------------------------------------------
     def add(self, subscription: Subscription) -> None:
-        # An unpicklable id fails here, before the mirror takes a handle.
-        blob = _pickle_op(True, self._mirror.next_handle, subscription)
-        self._mirror.put(subscription)
-        self._record(blob)
+        start = self._chunk.tell()
+        try:
+            # An unpicklable id fails here, before the mirror takes a handle.
+            self._pickler.dump((True, self._mirror.next_handle, subscription))
+            self._mirror.put(subscription)
+        except BaseException:
+            self._cut(start)
+            raise
+        self._record()
 
     def remove(self, sub_id: Any) -> Subscription:
         _handle, subscription = self._mirror.drop(sub_id)
-        self._record(_pickle_op(False, sub_id))
+        self._pickler.dump((False, sub_id))
+        self._record()
         return subscription
 
     def match(self, event: Event) -> List[Any]:

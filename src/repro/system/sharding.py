@@ -366,7 +366,6 @@ class ShardedMatcher(Matcher):
             "executor": "process",
             "workers": self._procpool.workers,
             "alive": self._procpool.alive_count(),
-            "start_method": self._procpool.start_method,
             "shm": self._procpool.stats()["shm"],
         }
 

@@ -3,14 +3,20 @@
 Pickling an event batch down each worker's pipe would serialize the
 same columnar batch once **per shard** — four pickled copies on a
 4-shard fan-out.  Every :class:`~repro.system.procpool.ProcessPool`
-instead places batches write-once / read-many in
-``multiprocessing.shared_memory``: one segment
-holding a small ring of fixed-size **event slots**.  The parent packs a
-:class:`~repro.batch.columns.ColumnarBatch` (attrs table, float64 value
-matrix, packed presence/int-ness bit rows) into a free slot exactly
-once; every shard worker maps the same segment and reads the slot in
-place (numpy views over the buffer, no deserialization), so N shards
-cost one write instead of N pickled sends.
+instead places batches write-once / read-many in one anonymous shared
+mapping holding a small ring of fixed-size **event slots**.  The parent
+packs a :class:`~repro.batch.columns.ColumnarBatch` (attrs table,
+float64 value matrix, packed presence/int-ness bit rows) into a free
+slot exactly once; every shard worker reads the slot in place (numpy
+views over the mapping, no deserialization), so N shards cost one write
+instead of N pickled sends.
+
+The mapping is ``mmap(-1, size, MAP_SHARED)``, made before the pool
+forks its workers: each worker, a respawned one included, inherits it
+at fork and sees every later write.  It has no name, so there is nothing
+to attach by, unlink or leak into ``/dev/shm``, and no helper process
+tracks it: the kernel frees it with the last process that maps it, a
+SIGKILLed parent included.
 
 Replies do not come back through here: a worker answers with sparse hit
 handles (:func:`repro.system.procpool.encode_results`), O(hits) bytes
@@ -37,17 +43,13 @@ hypothesis suite ``tests/properties/test_prop_shm.py``):
   someone else's batch.
 * Worker death while holding a slot must not leak it: the parent-side
   request path acks in a ``finally``, so a SIGKILLed reader frees the
-  slot exactly like a healthy one, and the segment itself is owned
-  (and unlinked) by the parent pool alone.
-
-Segments are named ``repro_shm_<pid>_<token>`` so the test suite's
-session leak-guard can assert nothing survives in ``/dev/shm``.
+  slot exactly like a healthy one.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import mmap
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -57,11 +59,7 @@ import numpy as np
 from repro.batch.bitmatrix import packed_words
 from repro.batch.columns import ColumnarBatch
 
-#: ``/dev/shm`` name prefix of every segment this module creates (the
-#: session leak-guard in ``tests/conftest.py`` scans for it).
-SHM_PREFIX = "repro_shm_"
-
-#: Slot-header magic ("REPROSHM" little-endian) — a wrong-segment or
+#: Slot-header magic ("REPROSHM" little-endian) — a wrong-mapping or
 #: torn-layout read fails loudly instead of decoding garbage.
 _MAGIC = int.from_bytes(b"REPROSHM", "little")
 
@@ -235,72 +233,41 @@ class SlotRing:
 
 
 class ShmArena:
-    """The shared event-slot segment plus the layout codec over it.
+    """The shared event-slot mapping plus the layout codec over it.
 
-    Create with :meth:`create` in the parent (owns and unlinks the
-    segment) and :meth:`attach` in each worker (maps the same name;
-    never writes it).
+    Made with :meth:`create` in the pool's process, before any worker
+    forks; a worker reads slots through its inherited copy of this
+    object (its :attr:`ring` is the parent's bookkeeping and goes
+    unused there).
     """
 
-    def __init__(self, shm, slots: int, slot_bytes: int, owner: bool) -> None:
-        self._shm = shm
+    def __init__(self, mapping: mmap.mmap, slots: int, slot_bytes: int) -> None:
+        self._map = mapping
         self.slots = slots
         self.slot_bytes = slot_bytes
-        self._owner = owner
-        self._closed = False
-        self.ring: Optional[SlotRing] = SlotRing(slots) if owner else None
+        self.ring = SlotRing(slots)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, slots: int, slot_bytes: int) -> "ShmArena":
-        """Allocate the event slot ring."""
-        from multiprocessing import shared_memory
-
+        """Map the event slot ring: anonymous, shared with later forks."""
         if slots < 1:
             raise ValueError(f"arena needs >= 1 slot, got {slots}")
         min_slot = HEADER_WORDS * 8 + 16
         if slot_bytes < min_slot:
             raise ValueError(f"slot_bytes must be >= {min_slot}, got {slot_bytes}")
         slot_bytes = _pad8(slot_bytes)
-        shm = shared_memory.SharedMemory(
-            name=f"{SHM_PREFIX}{os.getpid()}_{os.urandom(4).hex()}",
-            create=True,
-            size=slots * slot_bytes,
-        )
-        return cls(shm, slots, slot_bytes, True)
-
-    @classmethod
-    def attach(cls, spec: Dict[str, Any]) -> "ShmArena":
-        """Map the segment a parent's :meth:`spec` describes (worker side)."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=spec["name"])
-        return cls(shm, spec["slots"], spec["slot_bytes"], False)
-
-    def spec(self) -> Dict[str, Any]:
-        """The picklable attach recipe handed to each worker at spawn."""
-        return {
-            "name": self._shm.name.lstrip("/"),
-            "slots": self.slots,
-            "slot_bytes": self.slot_bytes,
-        }
+        mapping = mmap.mmap(-1, slots * slot_bytes, flags=mmap.MAP_SHARED)
+        return cls(mapping, slots, slot_bytes)
 
     def close(self) -> None:
-        """Unmap (and, in the owner, unlink) the segment. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
+        """Unmap this process's view of the ring. Idempotent."""
         try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - platform noise
+            self._map.close()
+        except BufferError:  # a slot view is still alive; it unmaps with it
             pass
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
 
     def __enter__(self) -> "ShmArena":
         return self
@@ -309,16 +276,13 @@ class ShmArena:
         self.close()
 
     def health(self) -> Dict[str, Any]:
-        """Segment/slot state for ``executor_health()``."""
-        out = {
-            "segments": [self._shm.name.lstrip("/")],
+        """Slot state for ``executor_health()``."""
+        return {
             "slots": self.slots,
             "slot_bytes": self.slot_bytes,
-            "bytes_total": self._shm.size,
+            "bytes_total": self.slots * self.slot_bytes,
+            "slots_in_flight": self.ring.in_flight(),
         }
-        if self.ring is not None:
-            out["slots_in_flight"] = self.ring.in_flight()
-        return out
 
     # ------------------------------------------------------------------
     # event-slot codec (parent writes, workers read)
@@ -328,7 +292,7 @@ class ShmArena:
             raise ShmLayoutError(f"slot index {index} out of range 0..{self.slots - 1}")
         start = index * self.slot_bytes
         return np.frombuffer(
-            self._shm.buf, dtype="<u8", offset=start, count=self.slot_bytes // 8
+            self._map, dtype="<u8", offset=start, count=self.slot_bytes // 8
         )
 
     def payload_bytes(

@@ -1,7 +1,13 @@
 """The counting-algorithm baseline."""
 
-import pytest
+import itertools
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.algorithms.counting as counting
 from repro.algorithms import CountingMatcher
 from repro.core import (
     DuplicateSubscriptionError,
@@ -12,6 +18,7 @@ from repro.core import (
     ge,
     le,
 )
+from tests.properties.strategies import events, predicates
 
 
 @pytest.fixture
@@ -100,3 +107,83 @@ def test_resident_bytes_per_subscription_stay_under_129():
         tracemalloc.stop()
     assert len(matcher) == n
     assert resident / n <= 129, f"{resident / n:.0f} B/subscription"
+
+
+@st.composite
+def shared_populations(draw):
+    """Subscriptions drawn from a small predicate pool — so a predicate
+    has a long member list — some removed again, and a batch of events."""
+    pool = draw(st.lists(predicates(), min_size=1, max_size=10))
+    n = draw(st.integers(min_value=1, max_value=80))
+    subs = [
+        Subscription(i, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+        for i in range(n)
+    ]
+    removed = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    batch = draw(st.lists(events(), min_size=2, max_size=40))
+    return subs, removed, batch
+
+
+class TestBoundedBatchKernel:
+    """The batch kernel walks the truth matrix in chunks under
+    ``_CHUNK_CELLS``; where the chunks fall changes neither a row nor
+    the count of association entries touched."""
+
+    @staticmethod
+    def run(subs, removed, batch, budget):
+        with mock.patch.object(counting, "_CHUNK_CELLS", budget):
+            matcher = CountingMatcher()
+            for sub in subs:
+                matcher.add(sub)
+            for i in sorted(removed):
+                matcher.remove(i)
+            rows = matcher.match_batch(batch)
+            return rows, matcher.counters["subscription_checks"], matcher
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(shared_populations())
+    def test_any_chunking_gives_the_same_rows_and_checks(self, population):
+        subs, removed, batch = population
+        one_row, checks, matcher = self.run(subs, removed, batch, budget=1)
+        whole, whole_checks, _ = self.run(subs, removed, batch, budget=1 << 40)
+        default, default_checks, _ = self.run(subs, removed, batch, counting._CHUNK_CELLS)
+        assert one_row == whole == default
+        assert checks == whole_checks == default_checks
+        # ... and the scalar walk, row by row (ascending handle order).
+        scalar = CountingMatcher()
+        for sub in subs:
+            scalar.add(sub)
+        for i in sorted(removed):
+            scalar.remove(i)
+        assert one_row == [scalar.match(e) for e in batch]
+        assert checks == scalar.counters["subscription_checks"]
+        matcher.check_invariants()
+
+
+def test_batch_kernel_scratch_stays_bounded():
+    """Phase 2 of a W0 20k x 256 counting batch: 18 MiB of scratch when
+    a chunk took as many rows as kept its int64 counts matrix under
+    2**20 cells; about 0.4 MiB with both a chunk's expanded cells and
+    its counts matrix under ``_CHUNK_CELLS``."""
+    import gc
+    import tracemalloc
+
+    from repro.workload.generator import WorkloadGenerator
+    from repro.workload.scenarios import w0
+
+    gen = WorkloadGenerator(w0(n_subscriptions=20_000, seed=0))
+    matcher = CountingMatcher()
+    for sub in gen.subscriptions(20_000):
+        matcher.add(sub)
+    batch = list(itertools.islice(gen.events(), 256))
+    truth = matcher._kernel.evaluate(batch, matcher.bits.size, out=matcher._scratch(256))
+    matcher._match_phase2_batch(batch, truth)  # builds the association arrays
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matcher._match_phase2_batch(batch, truth)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matcher.counters["subscription_checks"] > 0
+    assert peak <= 1 << 20, f"{peak / 2**20:.2f} MiB of phase-2 scratch"

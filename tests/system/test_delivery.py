@@ -624,6 +624,25 @@ class TestWalIntegration:
         manager.check_invariants()
         wal.close()
 
+    @pytest.mark.parametrize("sink", [None, lambda n: None], ids=["pull", "push"])
+    def test_an_unwritable_deliver_line_sheds_nothing(self, tmp_path, sink):
+        """A full ``shed-oldest`` window makes room only for a delivery
+        whose ``deliver`` line is written: an unwritable one leaves the
+        window, the log and every counter as they were."""
+        clock = VirtualClock()
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync="never", clock=clock)
+        manager = DeliveryManager(clock=clock, wal=wal, ack_timeout=5.0)
+        manager.register("s", sink=sink, capacity=1, overflow="shed-oldest")
+        assert manager.dispatch("s", Event({"a": 1})) == 0
+        before = (manager.stats()["counters"], manager.inflight, wal.tell())
+        with pytest.raises(ValueError):
+            manager.dispatch("s", Event({"a": 10**5000}))
+        assert (manager.stats()["counters"], manager.inflight, wal.tell()) == before
+        assert manager.dispatch("s", Event({"a": 2})) == 1
+        assert manager.stats()["counters"]["shed"] == 1
+        manager.check_invariants()
+        wal.close()
+
     def test_recovery_requeues_unacked_deliveries(self, tmp_path):
         clock = VirtualClock()
         wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync="never", clock=clock)

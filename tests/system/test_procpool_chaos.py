@@ -13,12 +13,16 @@ mid-request loss), armed one-shot through a filesystem latch so the
 respawned worker stays alive and the tests are deterministic.
 """
 
+import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.core import Event, Subscription, eq
 from repro.matchers import make_matcher
 from repro.system.procpool import _APPLY_CHUNK
@@ -71,6 +75,79 @@ def sigkill_and_wait(pool, index):
     while pool.alive(index) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not pool.alive(index)
+
+
+def child_pids(pid):
+    """Pids of *pid*'s child processes, read from ``/proc`` (None where
+    the kernel does not list them)."""
+    try:
+        found = set()
+        for tid in os.listdir(f"/proc/{pid}/task"):
+            with open(f"/proc/{pid}/task/{tid}/children") as fh:
+                found.update(int(child) for child in fh.read().split())
+        return found
+    except OSError:
+        return None
+
+
+def running(pid):
+    """Is *pid* a process that has not exited (a zombie has)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+_OWNER_SCRIPT = """
+import json, time
+from repro.core import OracleMatcher
+from repro.system.procpool import ProcessPool
+
+pool = ProcessPool([OracleMatcher] * 2)
+print(json.dumps([pool.worker_pid(0), pool.worker_pid(1)]), flush=True)
+time.sleep(600)
+"""
+
+
+@pytest.mark.watchdog(90)
+class TestOwnerDeath:
+    def test_a_sigkilled_owner_leaves_no_segment_and_no_tracker(self):
+        """The arena is an anonymous mapping the workers inherit: while
+        the pool lives its owner's only children are its workers (no
+        resource-tracker process); after a SIGKILL of the owner every
+        worker sees EOF on its pipe and exits — each closed the parent
+        ends the fork copied in — so the mapping goes with the last of
+        them, and ``/dev/shm`` never held a name."""
+        named = set(os.listdir("/dev/shm"))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _OWNER_SCRIPT], env=env, stdout=subprocess.PIPE, text=True
+        )
+        workers = set()
+        try:
+            workers = set(json.loads(owner.stdout.readline()))
+            assert len(workers) == 2
+            children = child_pids(owner.pid)
+            if children is not None:
+                assert children == workers
+            assert set(os.listdir("/dev/shm")) <= named
+            owner.kill()
+            owner.wait(timeout=30)
+            deadline = time.monotonic() + 30
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
+            assert set(os.listdir("/dev/shm")) <= named
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait()
+            owner.stdout.close()
+            for pid in filter(running, workers):  # no orphan outlives a failure
+                os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.watchdog(60)
@@ -251,7 +328,7 @@ class TestWriteBehindUnderChaos:
             for s in subs[::4]:
                 m.remove(s.id)
             pool = m._procpool
-            assert ipc_requests(pool) == 0 and len(m.shard(0)._buffer) > 0
+            assert ipc_requests(pool) == 0 and m.shard(0)._buffered > 0
             sigkill_and_wait(pool, 0)
             live = [s for i, s in enumerate(subs) if i % 4]
             self.assert_converged(m, live, events)
@@ -267,7 +344,7 @@ class TestWriteBehindUnderChaos:
             for s in subs[::3]:
                 m.remove(s.id)
             pool, shard = m._procpool, m.shard(0)
-            assert shard._posted_epoch is not None and shard._buffer
+            assert shard._posted_epoch is not None and shard._buffered
             sigkill_and_wait(pool, 0)
             # churn while the worker is down: the mirror absorbs it.
             late = Subscription("late", [eq("x", 1)])
@@ -319,7 +396,8 @@ class TestWriteBehindUnderChaos:
 
 @pytest.mark.watchdog(60)
 class TestShmSlotLifecycleUnderChaos:
-    """Worker death must never strand an event slot or leak a segment."""
+    """Worker death must never strand an event slot or leave anything
+    in ``/dev/shm``."""
 
     def test_sigkill_while_holding_a_slot_frees_it(self, tmp_path):
         """The armed worker SIGKILLs itself *inside* a batch_shm request —
@@ -329,26 +407,25 @@ class TestShmSlotLifecycleUnderChaos:
         subs, events = workload()
         oracle = oracle_for(subs)
         expected = [norm(oracle.match(e)) for e in events]
+        named = set(os.listdir("/dev/shm"))
         with chaos_matcher(tmp_path, die_at=2, breaker=False) as m:
             for s in subs:
                 m.add(s)
             pool = m._procpool
-            segments = set(pool.arena.health()["segments"])
+            arena = pool.arena
             assert [norm(r) for r in m.match_batch(events)] == expected  # op 1
             with pytest.raises(WorkerDiedError):
                 m.match_batch(events)  # op 2: death while reading the slot
             # the dead reader's slot was acked in the finally — no strand.
             assert pool.arena.ring.in_flight() == 0
-            # the respawned worker reattaches the *same* segments and
+            # the respawned worker inherits the *same* mapping and
             # replays its subscriptions; results reconverge exactly.
             assert [norm(r) for r in m.match_batch(events)] == expected
             assert pool.stats()["counters"]["respawns"] == 1
-            assert set(pool.arena.health()["segments"]) == segments
+            assert pool.arena is arena
             assert pool.arena.ring.in_flight() == 0
-        # parent close() is the only unlink; nothing survives in /dev/shm.
-        from tests.conftest import shm_entries
-
-        assert not segments & shm_entries()
+            # a live pool, a killed worker and its replacement name nothing.
+            assert set(os.listdir("/dev/shm")) <= named
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_inner_exception_without_breakers_propagates_and_frees_the_slot(

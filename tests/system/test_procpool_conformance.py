@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import Event, Subscription, eq, ge, le
 from repro.core.errors import DuplicateSubscriptionError, UnknownSubscriptionError
-from repro.system.procpool import _APPLY_CHUNK, _pickle_op, encode_events
+from repro.system.procpool import _APPLY_CHUNK, encode_events
 from repro.system.sharding import ShardedMatcher
 from repro.system.shm import ShmArena
 from tests.conftest import shm_entries
@@ -252,6 +252,27 @@ class TestProcessExecutorSurface:
             assert len(shard) == 2 and shard.epoch == 2
             assert norm(shard.match(Event({"x": 1}))) == ["after", "before"]
 
+    def test_a_cut_op_leaves_the_rest_of_its_chunk_readable(self):
+        """A chunk is one pickle stream with one memo: a failed add is
+        cut from it mid-chunk (a duplicate after its op was written, an
+        unpicklable id during it), and the ops after the cut — different
+        in shape, so a memo slip would decode the wrong objects — still
+        reach the worker as the parent wrote them."""
+        with sharded("counting", "process") as proc:
+            shard = proc.shard(0)
+            shard.add(Subscription("before", [eq("x", 1)]))
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                shard.add(Subscription(lambda: 0, [eq("x", 1)]))
+            shard.add(Subscription(("t", 2), [le("y", 2.5), ge("z", 3)]))
+            with pytest.raises(DuplicateSubscriptionError):
+                shard.add(Subscription("before", [eq("x", 2)]))
+            shard.add(Subscription("again", [eq("x", 1), le("y", 9)]))
+            shard.remove("before")
+            assert shard._buffered == 4 and shard.epoch == 4
+            events = [Event({"x": 1, "y": 1, "z": 5}), Event({"y": 2, "z": 3})]
+            assert shard.match_batch(events) == [[("t", 2), "again"], [("t", 2)]]
+            assert shard.stats()["subscriptions"] == len(shard) == 2
+
     def test_iter_subscriptions_answers_from_parent_mirror(self):
         subs, _ = _random_workload(seed=2, n_subs=30, n_events=1)
         with sharded("counting", "process") as proc:
@@ -279,14 +300,15 @@ class TestProcessExecutorSurface:
             assert "codec" not in health
             shm = health["shm"]
             assert shm == proc.stats()["procpool"]["shm"]
-            assert len(shm["segments"]) == 1 and shm["slots_in_flight"] == 0
+            assert "segments" not in shm and shm["slots_in_flight"] == 0
+            assert shm["bytes_total"] == shm["slots"] * shm["slot_bytes"] > 0
             assert shm["bytes"] == {"publish": 0}
             assert shm["fallbacks"] == {"oddpath": 0, "slot_wait": 0, "slot_full": 0}
 
     def test_every_pool_owns_an_arena_a_respawned_worker_reattaches(self):
         """No option turns the arena off, and a SIGKILLed worker's
-        replacement attaches the same segment: the batch that heals it
-        is read from a slot, with no fallback."""
+        replacement inherits the same mapping at fork: the batch that
+        heals it is read from a slot, with no fallback."""
         subs = [narrow_sub(i) for i in range(30)]
         events = [Event({"a": i % 9, "b": i * 0.5}) for i in range(16)]
         oracle = populated(build("oracle"), subs)
@@ -296,12 +318,12 @@ class TestProcessExecutorSurface:
             assert isinstance(pool.arena, ShmArena) and pool.arena.ring is not None
             populated(proc, subs)  # ends in a barrier on every shard
             assert all(len(proc.shard(k)) for k in range(SHARDS))
-            segments = pool.stats()["shm"]["segments"]
+            arena = pool.arena
             sigkill_and_wait(pool, 0)
             assert [norm(r) for r in proc.match_batch(events)] == expected
             stats = pool.stats()
             assert stats["counters"]["respawns"] == 1 and pool.alive(0)
-            assert stats["shm"]["segments"] == segments
+            assert pool.arena is arena
             assert stats["shm"]["bytes"]["publish"] > 0
             assert sum(stats["shm"]["fallbacks"].values()) == 0
             assert stats["shm"]["slots_in_flight"] == 0
@@ -328,8 +350,10 @@ class TestProcessExecutorSurface:
             proc.rebuild()
             counters = proc.stats()["procpool"]["counters"]
             assert counters["mutations"] == len(subs) + 1
+            # A one-op chunk is the op's own pickle stream.
+            chunk = pickle.dumps((False, 0), pickle.HIGHEST_PROTOCOL)
             assert counters["pipe_bytes"]["send"] - sent == len(
-                ForkingPickler.dumps(("apply", [_pickle_op(False, 0)]))
+                ForkingPickler.dumps(("apply", chunk))
             ) + SHARDS * len(ForkingPickler.dumps(("rebuild",)))
 
     def test_close_is_idempotent_and_stops_workers(self):
@@ -339,6 +363,51 @@ class TestProcessExecutorSurface:
         proc.close()
         assert pool.alive_count() == 0
         proc.close()  # idempotent
+
+    def test_every_worker_starts_before_any_handshake(self, monkeypatch):
+        """A pool forks all its workers before it waits on the first
+        one, so their matchers build side by side; when the second
+        factory raises, its error reaches the caller and no started
+        worker is left running, the third included."""
+        import multiprocessing
+
+        from repro.core import OracleMatcher
+        from repro.system.procpool import ProcessPool
+
+        started = []
+        handshake = ProcessPool._handshake
+
+        def spy(pool, index):
+            started.append(sum(worker is not None for worker in pool._workers))
+            return handshake(pool, index)
+
+        monkeypatch.setattr(ProcessPool, "_handshake", spy)
+
+        def failing():
+            raise RuntimeError("factory 1 fails")
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="factory 1 fails"):
+            ProcessPool([OracleMatcher, failing, OracleMatcher])
+        assert started[0] == 3  # all forked before the first wait
+        assert set(multiprocessing.active_children()) == before
+
+    def test_a_platform_without_fork_is_refused(self, monkeypatch):
+        """Workers get the arena by inheriting it at fork; without
+        ``fork`` the pool refuses before it maps or starts anything,
+        and says which executor to use instead."""
+        import multiprocessing
+
+        from repro.core import OracleMatcher
+        from repro.system.procpool import ProcessPool
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match='executor="thread"'):
+            ShardedMatcher(shards=2, executor="process")
+        with pytest.raises(RuntimeError, match="fork"):
+            ProcessPool([OracleMatcher] * 2)
+        assert set(multiprocessing.active_children()) == before
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,14 @@
 Three layers, bottom up: the reader-acked :class:`SlotRing` (round-robin
 reuse, generation bumping, stale/over-ack detection, timeout), the slot
 codec over a live arena (header validation, zero-copy round trips,
-graceful too-big refusals), and segment lifecycle (create → attach →
-close leaves ``/dev/shm`` exactly as it was).
+graceful too-big refusals), and mapping lifecycle (a process forked
+after create reads later writes in place; nothing ever appears in
+``/dev/shm``).
 """
 
 import json
+import multiprocessing
+import os
 import threading
 import time
 
@@ -24,7 +27,6 @@ from repro.system.shm import (
     pack_dtype_table,
     unpack_dtype_table,
 )
-from tests.conftest import shm_entries
 
 
 # ----------------------------------------------------------------------
@@ -203,30 +205,43 @@ class TestEventSlotCodec:
 
 
 # ----------------------------------------------------------------------
-# segment lifecycle
+# mapping lifecycle
 # ----------------------------------------------------------------------
-class TestSegmentLifecycle:
-    def test_spec_attach_shares_the_same_memory(self):
+class TestMappingLifecycle:
+    def test_a_fork_shares_the_same_memory(self):
+        """A process forked after ``create`` reads in place what the
+        parent writes afterwards: the mapping is shared, not a
+        copy-on-write snapshot."""
         events = numeric_events()
+        ctx = multiprocessing.get_context("fork")
         with ShmArena.create(slots=2, slot_bytes=1 << 16) as parent:
-            twin = ShmArena.attach(parent.spec())
+            ask, answer = ctx.Pipe()
+
+            def reader():  # the worker side: zero re-encode
+                index, generation = answer.recv()
+                batch = parent.read_slot(index, generation)
+                answer.send([e.pairs for e in batch.to_events()])
+
+            child = ctx.Process(target=reader, daemon=True)
+            child.start()
             try:
                 ticket, _ = publish(parent, events)
-                got = read_copy(twin, ticket)  # worker side, zero re-encode
-                assert [e.pairs for e in got] == [e.pairs for e in events]
+                ask.send((ticket.index, ticket.generation))
+                assert ask.poll(30)
+                assert ask.recv() == [e.pairs for e in events]
                 parent.ring.ack(ticket)
             finally:
-                twin.close()
+                child.join(timeout=10)
 
-    def test_close_unlinks_and_is_idempotent(self):
-        before = shm_entries()
+    def test_nothing_is_named_and_close_is_idempotent(self):
+        before = set(os.listdir("/dev/shm"))
         arena = ShmArena.create(slots=2, slot_bytes=1 << 16)
-        created = shm_entries() - before
-        assert len(created) == 1  # the event slot ring, nothing else
-        assert set(arena.health()["segments"]) == created
+        assert set(os.listdir("/dev/shm")) <= before  # no name to unlink or leak
+        assert "segments" not in arena.health()
+        assert arena.health()["bytes_total"] == 2 * (1 << 16)
         arena.close()
-        assert shm_entries() == before
         arena.close()  # idempotent
+        assert set(os.listdir("/dev/shm")) <= before
 
     def test_constructor_validates_sizes(self):
         with pytest.raises(ValueError):

@@ -269,17 +269,23 @@ class TestWorkerWire:
 
         assert procpool._IPC_OPS == ("mutate", "batch", "control")
 
-    def test_a_live_pool_owns_exactly_one_segment(self):
+    def test_a_live_pool_names_nothing_and_starts_no_tracker(self):
+        """The arena is an anonymous mapping the workers inherit at fork:
+        no ``/dev/shm`` entry while the pool lives, and its workers are
+        the only children it started (no resource-tracker process)."""
         from repro.system.procpool import ProcessPool
-        from tests.conftest import shm_entries
+        from tests.system.test_procpool_chaos import child_pids
 
-        before = shm_entries()
+        named = set(os.listdir("/dev/shm"))
+        children = child_pids(os.getpid())
         with ProcessPool([repro.core.OracleMatcher] * 3) as pool:
-            created = shm_entries() - before
-            assert len(created) == 1
-            assert pool.stats()["shm"]["segments"] == sorted(created)
+            assert set(os.listdir("/dev/shm")) <= named
+            assert "segments" not in pool.stats()["shm"]
             assert set(pool.stats()["shm"]["bytes"]) == {"publish"}
-        assert shm_entries() == before
+            if children is not None:
+                workers = {pool.worker_pid(i) for i in range(3)}
+                assert child_pids(os.getpid()) - children == workers
+        assert set(os.listdir("/dev/shm")) <= named
 
 
 class TestLeaseLifecycle:
@@ -1067,9 +1073,13 @@ HEAVY_MODULES = (
 )
 
 _IMPORT_GRAPH_SCRIPT = """
-import json, os, re, sys, tempfile
+import json, os, sys, tempfile
 
 heavy = json.loads(sys.argv[1])
+arena_modules = [
+    "hashlib", "_hashlib", "secrets",
+    "multiprocessing.shared_memory", "multiprocessing.resource_tracker",
+]
 import repro, repro.system
 from repro.core import Event, OracleMatcher, Subscription, eq, le
 from repro.matchers import DynamicMatcher
@@ -1102,12 +1112,13 @@ with ShardedMatcher(shards=2, executor="process") as sharded:
         sharded.add(sub)
         oracle.add(sub)
     rows = sharded.match_batch(events)
-    (segment,) = sharded.executor_health()["shm"]["segments"]
+    shm = sharded.executor_health()["shm"]
 print(json.dumps({
     "loaded": loaded,
     "oracle_equal": [sorted(r) for r in rows] == [sorted(oracle.match(e)) for e in events],
-    "segment": bool(re.fullmatch(r"repro_shm_[0-9]+_[0-9a-f]{8}", segment)),
+    "arena": shm["bytes"]["publish"] > 0 and "segments" not in shm,
     "after_shards": sorted(name for name in heavy if name in sys.modules),
+    "arena_modules": sorted(name for name in arena_modules if name in sys.modules),
 }))
 """
 
@@ -1116,7 +1127,8 @@ class TestImportGraph:
     """A process loads only what it runs: importing the package and
     serving through an engine or a broker (with its log and delivery)
     pulls in none of :data:`HEAVY_MODULES`; building process shards
-    does, on the way."""
+    does, on the way — multiprocessing, but not OpenSSL or the
+    resource tracker."""
 
     def test_engine_and_broker_load_no_heavy_module_until_process_shards(self):
         env = dict(os.environ)
@@ -1133,8 +1145,10 @@ class TestImportGraph:
         report = json.loads(done.stdout.splitlines()[-1])
         assert report["loaded"] == []
         assert report["oracle_equal"]
-        assert report["segment"]
+        assert report["arena"]
         assert "multiprocessing" in report["after_shards"]
+        # The anonymous arena brings no OpenSSL and no tracker process.
+        assert report["arena_modules"] == []
 
     def test_no_module_level_import_of_a_heavy_module(self):
         """An import inside a function runs only on the path that needs
